@@ -6,10 +6,11 @@ Two measurements of the chunk-job machinery
 * **Chunk speedup** -- the same ~1000-point slice of the ``chiplet-encoder``
   space swept through one warmed work-queue executor twice: once sharded
   into chunk jobs (one contiguous slice of the generation per job, executed
-  worker-side through the registered batch runner) and once as classic
-  per-scenario scalar jobs (``chunk_size="off"``, the pre-chunk distributed
-  path).  The scalar pass runs *second*, so the workers' memoized tallies
-  are already warm for it -- the measured speedup is a conservative floor.
+  worker-side through the registered batch runner) and once as
+  per-scenario jobs (``chunk_size=1``: a chunk of one per scenario, the
+  per-job cost the pre-chunk distributed path paid).  The per-scenario pass
+  runs *second*, so the workers' memoized tallies are already warm for it
+  -- the measured speedup is a conservative floor.
   Results must be byte-identical before the speed counts.
 * **Bigsweep** -- the end-to-end scale demo: a grid exploration of every
   feasible point of the fidelity-expanded chiplet space (>= 10^5 points)
@@ -42,8 +43,8 @@ from repro.runner import run_sweep
 from repro.runner.executors import WorkQueueExecutor
 
 #: every STRIDE-th feasible point of the standard chiplet-encoder space
-#: (~1000 points) -- large enough that per-job overhead dominates the scalar
-#: path, small enough that the whole comparison runs in seconds.
+#: (~1000 points) -- large enough that per-job overhead dominates the
+#: per-scenario path, small enough that the whole comparison runs in seconds.
 STRIDE = 8
 
 #: local worker processes behind the work-queue executor.  Two is the CI
@@ -142,7 +143,7 @@ def _measure():
                 executor=executor,
                 cache=None,
                 backend="analytic",
-                chunk_size="off",
+                chunk_size=1,
             )
 
             start = time.perf_counter()
@@ -155,23 +156,23 @@ def _measure():
             )
             chunked_s = time.perf_counter() - start
 
-            # The scalar baseline runs second: the chunk pass above has
+            # The per-scenario baseline runs second: the chunk pass above has
             # already warmed the workers' memoized tallies, so any memo
             # advantage favours the *baseline* and the measured speedup is
             # a floor.
             start = time.perf_counter()
-            scalar = run_sweep(
+            single = run_sweep(
                 scenarios,
                 executor=executor,
                 cache=None,
                 backend="analytic",
-                chunk_size="off",
+                chunk_size=1,
             )
-            scalar_s = time.perf_counter() - start
+            single_s = time.perf_counter() - start
 
     chunked_results = [outcome.result for outcome in chunked]
-    scalar_results = [outcome.result for outcome in scalar]
-    return chunked_results, scalar_results, chunked_s, scalar_s
+    single_results = [outcome.result for outcome in single]
+    return chunked_results, single_results, chunked_s, single_s
 
 
 def _bigsweep():
@@ -195,7 +196,7 @@ def _bigsweep():
 
 
 def test_sharded_chunk_speedup(benchmark):
-    (chunked, scalar, chunked_s, scalar_s) = run_once(benchmark, _measure)
+    (chunked, single, chunked_s, single_s) = run_once(benchmark, _measure)
     points = len(chunked)
 
     table = Table(
@@ -203,20 +204,20 @@ def test_sharded_chunk_speedup(benchmark):
         f"(workqueue, {WORKERS} workers)",
         ["path", "wall (s)", "ms/point"],
     )
-    table.add_row("per-scenario jobs", scalar_s, scalar_s / points * 1e3)
+    table.add_row("per-scenario jobs", single_s, single_s / points * 1e3)
     table.add_row("chunk jobs", chunked_s, chunked_s / points * 1e3)
     table.add_note(
-        f"chunk-job speedup: {scalar_s / chunked_s:.1f}x "
+        f"chunk-job speedup: {single_s / chunked_s:.1f}x "
         f"(floor {SPEEDUP_FLOOR:g}x)"
     )
     table.print()
 
     # The contract before the speed: splice order and payloads must be
     # byte-identical to the per-scenario path.
-    assert chunked == scalar
+    assert chunked == single
     assert points >= 1000
-    assert scalar_s > SPEEDUP_FLOOR * chunked_s, (
-        f"chunk jobs only {scalar_s / chunked_s:.1f}x faster than "
+    assert single_s > SPEEDUP_FLOOR * chunked_s, (
+        f"chunk jobs only {single_s / chunked_s:.1f}x faster than "
         f"per-scenario jobs over {points} points"
     )
 

@@ -20,9 +20,10 @@ The runner turns the benchmark suite's ad-hoc scripts into data:
 * :mod:`repro.runner.worker` -- the detached work-queue worker loop behind
   ``python -m repro.runner worker``;
 * :mod:`repro.runner.sweep` -- :func:`run_sweep`, which resolves cache hits
-  and hands the rest to an executor (batch-capable kinds travel as sharded
-  **chunk jobs** on distributed executors), and :func:`evaluate_chunked`,
-  the chunk-cached bulk-evaluation front door of the exploration layer;
+  and hands the rest to an executor as **chunk jobs** (sharded slices of a
+  batch-capable kind, one scenario per job otherwise), and
+  :func:`evaluate_chunked`, the chunk-cached bulk-evaluation front door of
+  the exploration layer;
 * :mod:`repro.runner.cli` -- ``python -m repro.runner`` (list / run / sweep /
   explore / worker / spoold / spool / cache subcommands).
 
@@ -51,7 +52,6 @@ from .executors import (
     SerialExecutor,
     Spool,
     WorkQueueExecutor,
-    default_executor,
     format_job_id,
     open_spool,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "auto_chunk_size",
     "canonical_json",
     "code_version",
-    "default_executor",
     "evaluate_chunked",
     "format_job_id",
     "open_spool",

@@ -105,13 +105,12 @@ def _workers_argument(text: str) -> int:
 
 
 def _chunk_size_argument(text: str):
-    """argparse type for ``--chunk-size``: an integer >= 1, ``auto`` (the
-    adaptive points-per-job heuristic), or ``off`` (per-scenario jobs; the
-    pre-chunking behaviour).  Omitting the flag keeps the default policy:
-    whole-generation batching on serial executors, auto-sharding on
-    distributed ones."""
+    """argparse type for ``--chunk-size``: an integer >= 1 (``1`` is one
+    scenario per job) or ``auto`` (the adaptive points-per-job heuristic).
+    Omitting the flag keeps the default policy: whole-generation batching
+    on serial executors, auto-sharding on distributed ones."""
     lowered = text.strip().lower()
-    if lowered in ("auto", "off"):
+    if lowered == "auto":
         return lowered
     return _positive_int(text)
 
@@ -264,12 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--chunk-size",
             type=_chunk_size_argument,
             default=None,
-            metavar="N|auto|off",
+            metavar="N|auto",
             help="how batch-capable kinds shard into chunk "
-            "jobs: an explicit points-per-chunk, 'auto' "
-            "(adaptive, ~32 jobs per generation, aligned "
-            "to the design space's trailing axes), or "
-            "'off' (one scalar job per scenario); "
+            "jobs: an explicit points-per-chunk (1 is one "
+            "scenario per job) or 'auto' (adaptive, ~32 "
+            "jobs per generation, aligned to the design "
+            "space's trailing axes); "
             "default: whole-generation batching on "
             "serial executors, auto-sharding on "
             "distributed ones",

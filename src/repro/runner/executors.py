@@ -4,10 +4,9 @@
 how the scenarios that missed the cache actually get computed -- to an
 :class:`Executor`.  Three implementations ship:
 
-* :class:`SerialExecutor` -- run every scenario in-process, in order.
+* :class:`SerialExecutor` -- run every job in-process, in order.
 * :class:`ProcessPoolExecutor` -- fan out over a local ``multiprocessing``
-  pool (the pre-executor ``run_sweep(workers=N)`` behaviour, including the
-  per-worker segment-memo re-attachment).
+  pool (including the per-worker segment-memo re-attachment).
 * :class:`WorkQueueExecutor` -- fan out to *detached* worker processes over
   a **spool transport**.  The filesystem transport is a shared spool
   directory (:class:`Spool`): workers can run on any host that shares the
@@ -21,18 +20,18 @@ how the scenarios that missed the cache actually get computed -- to an
   :func:`open_spool` maps a path or URL to the right transport.
 
 The contract every executor honours is the repository-wide determinism
-contract: workers receive only JSON-able scenarios, and results are
+contract: workers receive only JSON-able jobs, and results are
 byte-identical however they were computed (in-process, in a pool worker, or
 on another host).  ``tests/differential/test_executor_contract.py`` pins
 serial == pool == workqueue differentially.
 
-Executors carry two job shapes.  A **scalar job** is one scenario
-(:meth:`Executor.submit`).  A **chunk job**
-(:meth:`Executor.submit_chunks`) is a contiguous slice of a batch-capable
-generation -- a ``(kind, [params, ...])`` pair evaluated in a single
-batch-runner call wherever the job lands -- so fanning out a sharded
-generation costs one job per *chunk* instead of one per point, and the
->100x batched-evaluation win survives distribution.
+Executors carry one job shape, the **chunk job**
+(:meth:`Executor.submit_chunks`): a ``(kind, [params, ...])`` pair.  A
+batch-capable kind ships contiguous slices of a generation, each evaluated
+in a single batch-runner call wherever the job lands, so fanning out a
+sharded generation costs one job per *chunk* instead of one per point and
+the >100x batched-evaluation win survives distribution.  Any other kind
+ships one scenario per job: a chunk of one, run by its scalar runner.
 ``tests/differential/test_chunk_contract.py`` pins chunked results
 byte-identical to the serial batched path across every executor.
 """
@@ -52,7 +51,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cache import code_version
-from .scenarios import DEFAULT_BACKEND, Scenario
+from .scenarios import DEFAULT_BACKEND
 
 __all__ = [
     "EXECUTOR_NAMES",
@@ -61,27 +60,16 @@ __all__ = [
     "SerialExecutor",
     "Spool",
     "WorkQueueExecutor",
-    "default_executor",
     "format_job_id",
     "open_spool",
-    "scenario_from_payload",
-    "scenario_to_payload",
 ]
 
-#: one (scenario name, result dict, elapsed seconds) triple per scenario --
-#: exactly what :func:`repro.runner.sweep._run_one` returns.
-RunResult = Tuple[str, Dict[str, Any], float]
-
-#: ``run_fn(scenario) -> (name, result, elapsed_s)`` -- the work function
-#: executors apply; :func:`run_sweep` passes a pre-bound ``_run_one``.
-RunFn = Callable[[Scenario], RunResult]
-
 #: one **chunk job**: a scenario kind plus the parameter mappings of a
-#: contiguous slice of points, evaluated in a single batch-runner call.
+#: contiguous slice of points -- one point for a kind without a batch runner.
 ChunkJob = Tuple[str, List[Dict[str, Any]]]
 
 #: what executing one chunk yields: the per-point result dicts (in the
-#: chunk's own order) and the batch call's wall seconds.
+#: chunk's own order) and the chunk's wall seconds.
 ChunkResult = Tuple[List[Dict[str, Any]], float]
 
 #: ``run_chunk_fn(chunk) -> (results, elapsed_s)`` -- the chunk work
@@ -89,39 +77,17 @@ ChunkResult = Tuple[List[Dict[str, Any]], float]
 RunChunkFn = Callable[[ChunkJob], ChunkResult]
 
 
-def scenario_to_payload(scenario: Scenario) -> Dict[str, Any]:
-    """The JSON-able wire form of a scenario (inverse of
-    :func:`scenario_from_payload`)."""
-    return {
-        "name": scenario.name,
-        "kind": scenario.kind,
-        "params": dict(scenario.params),
-        "tags": list(scenario.tags),
-        "description": scenario.description,
-    }
-
-
-def scenario_from_payload(payload: Dict[str, Any]) -> Scenario:
-    """Rebuild a :class:`Scenario` from its wire form."""
-    return Scenario(
-        name=payload["name"],
-        kind=payload["kind"],
-        params=dict(payload.get("params") or {}),
-        tags=tuple(payload.get("tags") or ()),
-        description=payload.get("description", ""),
-    )
-
-
 class Executor:
-    """Execution policy for the scenarios of one sweep.
+    """Execution policy for the chunk jobs of one sweep.
 
     Lifecycle: :func:`run_sweep` calls :meth:`configure` (backend plus the
-    segment-memo directory the sweep attached) before every :meth:`submit`,
-    so one executor instance can serve many sweeps -- an exploration reuses
-    its executor across every proxy generation and the engine verification
-    pass.  Executors holding external resources (the work queue's local
-    worker processes) release them in :meth:`close`; all executors are
-    context managers (``with make_executor(...) as ex: ...``).
+    segment-memo directory the sweep attached) before every
+    :meth:`submit_chunks`, so one executor instance can serve many sweeps --
+    an exploration reuses its executor across every proxy generation and
+    the engine verification pass.  Executors holding external resources
+    (the work queue's local worker processes) release them in
+    :meth:`close`; all executors are context managers (``with
+    make_executor(...) as ex: ...``).
     """
 
     name = "abstract"
@@ -152,17 +118,11 @@ class Executor:
 
     # ------------------------------------------------------------- execution
 
-    def submit(self, scenarios: Sequence[Scenario], run_fn: RunFn) -> List[RunResult]:
-        """Execute ``scenarios``, returning one result triple per input, in
-        input order."""
-        raise NotImplementedError
-
     def submit_chunks(
         self, chunks: Sequence[ChunkJob], run_chunk_fn: RunChunkFn
     ) -> List[ChunkResult]:
-        """Execute **chunk jobs** -- whole contiguous slices of a
-        batch-capable generation, one batch-runner call per chunk --
-        returning one :data:`ChunkResult` per input, in input order.
+        """Execute **chunk jobs**, returning one :data:`ChunkResult` per
+        input, in input order.
 
         The base implementation runs every chunk in-process, in order,
         which is exactly the serial policy; fan-out executors override it
@@ -170,31 +130,28 @@ class Executor:
         determinism contract extends to chunks: each per-point result is
         byte-identical to what the scalar runner would have produced, so
         splicing chunk results back in submission order reproduces the
-        serial batched path exactly.
+        serial path exactly.
         """
         return [run_chunk_fn(chunk) for chunk in chunks]
 
 
 class SerialExecutor(Executor):
-    """Run every scenario in-process, in order -- the zero-overhead policy."""
+    """Run every job in-process, in order -- the zero-overhead policy."""
 
     name = "serial"
 
-    def submit(self, scenarios: Sequence[Scenario], run_fn: RunFn) -> List[RunResult]:
-        return [run_fn(scenario) for scenario in scenarios]
-
 
 class ProcessPoolExecutor(Executor):
-    """Fan scenarios out over a local ``multiprocessing`` pool.
+    """Fan chunk jobs out over a local ``multiprocessing`` pool.
 
-    A pool is created per :meth:`submit` call and sized to
-    ``min(workers, len(scenarios))``; single-scenario (or single-worker)
+    A pool is created per :meth:`submit_chunks` call and sized to
+    ``min(workers, len(chunks))``; single-chunk (or single-worker)
     submissions run serially in-process, so a pool executor never pays fork
-    overhead it cannot amortise.  ``run_fn`` crosses the process boundary
-    pickled, which is why :func:`run_sweep` binds only module-level
-    functions and JSON-able arguments into it; the segment-memo directory
-    bound into ``run_fn`` re-attaches the on-disk memo layer inside every
-    pool worker.
+    overhead it cannot amortise.  ``run_chunk_fn`` crosses the process
+    boundary pickled, which is why :func:`run_sweep` binds only
+    module-level functions and JSON-able arguments into it; the
+    segment-memo directory bound into it re-attaches the on-disk memo layer
+    inside every pool worker.
     """
 
     name = "pool"
@@ -205,22 +162,9 @@ class ProcessPoolExecutor(Executor):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def submit(self, scenarios: Sequence[Scenario], run_fn: RunFn) -> List[RunResult]:
-        if self.workers > 1 and len(scenarios) > 1:
-            import multiprocessing
-
-            processes = min(self.workers, len(scenarios))
-            with multiprocessing.Pool(processes=processes) as pool:
-                return pool.map(run_fn, scenarios)
-        return [run_fn(scenario) for scenario in scenarios]
-
     def submit_chunks(
         self, chunks: Sequence[ChunkJob], run_chunk_fn: RunChunkFn
     ) -> List[ChunkResult]:
-        # Same shape as ``submit``: one pool task per chunk, ``pool.map``
-        # preserving submission order, serial fallback when a pool could
-        # not amortise its fork cost.  ``run_chunk_fn`` crosses the process
-        # boundary pickled, so callers bind only module-level functions.
         if self.workers > 1 and len(chunks) > 1:
             import multiprocessing
 
@@ -228,17 +172,6 @@ class ProcessPoolExecutor(Executor):
             with multiprocessing.Pool(processes=processes) as pool:
                 return pool.map(run_chunk_fn, chunks)
         return [run_chunk_fn(chunk) for chunk in chunks]
-
-
-def default_executor(workers: Optional[int]) -> Executor:
-    """The executor a plain ``workers=N`` request maps to.
-
-    ``None`` or ``<= 1`` is the serial policy; anything larger is a local
-    process pool -- exactly the pre-executor ``run_sweep`` behaviour.
-    """
-    if workers is not None and workers > 1:
-        return ProcessPoolExecutor(workers)
-    return SerialExecutor()
 
 
 # ----------------------------------------------------------------- work queue
@@ -262,18 +195,6 @@ def _write_json_atomic(directory: Path, path: Path, payload: Dict[str, Any]) -> 
 def _sanitize_id(identifier: str) -> str:
     """Restrict worker/job identifiers to filesystem-safe characters."""
     return re.sub(r"[^A-Za-z0-9._-]", "_", identifier)
-
-
-def _job_label(payload: Dict[str, Any]) -> str:
-    """A human label for a job payload in error messages: the scenario name
-    for scalar jobs, ``chunk KIND[N points]`` for chunk jobs."""
-    scenario = payload.get("scenario")
-    if isinstance(scenario, dict):
-        return repr(scenario.get("name"))
-    chunk = payload.get("chunk")
-    if isinstance(chunk, dict):
-        return f"chunk {chunk.get('kind')}[{len(chunk.get('params') or ())} points]"
-    return "<unknown job>"
 
 
 #: valid segment-memo keys on the wire: a hex program fingerprint or a
@@ -889,13 +810,13 @@ class Spool:
 
 
 class WorkQueueExecutor(Executor):
-    """Fan scenarios out to detached worker processes over a spool transport.
+    """Fan chunk jobs out to detached worker processes over a spool transport.
 
     ``spool`` is either a directory on a filesystem all participants share
     (the :class:`Spool` transport) or a ``tcp://host:port`` URL of a
     ``python -m repro.runner spoold`` job server (the
     :class:`~repro.runner.netqueue.NetSpool` transport -- no shared
-    filesystem required).  Jobs carry the full JSON-able scenario (plus
+    filesystem required).  Each job carries one JSON-able chunk (plus
     backend, segment-memo directory, and the submitter's code version), so
     any worker reaching the spool -- same host or not -- computes the
     byte-identical result the submitting process would have.  Workers are
@@ -912,7 +833,7 @@ class WorkQueueExecutor(Executor):
     * a job file a worker cannot parse (external corruption) comes back as a
       ``corrupt-job`` error result; the submitter rewrites the pristine job
       from memory, again bounded by ``max_requeues``;
-    * a scenario that *raises* in a worker, or a worker running different
+    * a chunk that *raises* in a worker, or a worker running different
       code than the submitter, is a hard error: the submitter raises
       ``RuntimeError`` with the worker's report (matching the in-process
       executors, where the exception propagates directly).
@@ -1029,46 +950,16 @@ class WorkQueueExecutor(Executor):
             segment_memo_dir = str(Path(segment_memo_dir).resolve())
         super().configure(backend, segment_memo_dir)
 
-    def submit(self, scenarios: Sequence[Scenario], run_fn: RunFn) -> List[RunResult]:
-        # ``run_fn`` is intentionally unused: a work-queue job cannot ship a
-        # callable, so workers rebuild the identical work function from the
-        # job's (scenario, backend, segment_memo_dir) payload -- the
-        # determinism contract makes the two indistinguishable.
-        del run_fn
-        if not scenarios:
-            return []
-        batch = uuid.uuid4().hex[:10]
-        order: List[str] = []
-        payloads: Dict[str, Dict[str, Any]] = {}
-        for index, scenario in enumerate(scenarios):
-            job_id = format_job_id(batch, index)
-            payloads[job_id] = {
-                "job": job_id,
-                "scenario": scenario_to_payload(scenario),
-                "backend": self.backend,
-                "segment_memo_dir": self.segment_memo_dir,
-                "code_version": code_version(),
-            }
-            order.append(job_id)
-        collected = self._dispatch(batch, order, payloads)
-        results = []
-        for job_id in order:
-            payload = collected[job_id]
-            results.append(
-                (payload["scenario"], payload["result"], payload["elapsed_s"])
-            )
-        return results
-
     def submit_chunks(
         self, chunks: Sequence[ChunkJob], run_chunk_fn: RunChunkFn
     ) -> List[ChunkResult]:
-        # Like ``submit``, ``run_chunk_fn`` never crosses the wire: a chunk
-        # job ships its (kind, params, backend, segment_memo_dir) payload
-        # and the worker rebuilds the identical batch-runner call.  Each
-        # chunk is one job file, so the whole failure protocol -- orphan
-        # requeue, corrupt-job retry, code-version fencing -- operates at
-        # chunk granularity: a dead worker forfeits (and a healthy one
-        # re-executes) the entire chunk, never a partial slice of it.
+        # ``run_chunk_fn`` never crosses the wire: a job ships its (kind,
+        # params, backend, segment_memo_dir) payload and the worker rebuilds
+        # the identical call.  Each chunk is one job file, so the whole
+        # failure protocol -- orphan requeue, corrupt-job retry,
+        # code-version fencing -- operates at chunk granularity: a dead
+        # worker forfeits (and a healthy one re-executes) the entire chunk,
+        # never a partial slice of it.
         del run_chunk_fn
         if not chunks:
             return []
@@ -1085,7 +976,14 @@ class WorkQueueExecutor(Executor):
                 "code_version": code_version(),
             }
             order.append(job_id)
-        collected = self._dispatch(batch, order, payloads)
+        self.spool.ensure()
+        try:
+            self.spool.enqueue_many([(job_id, payloads[job_id]) for job_id in order])
+            self._spawn_local_workers()
+            collected = self._collect(batch, order, payloads)
+        except BaseException:
+            self.spool.abandon(f"{batch}.")
+            raise
         results: List[ChunkResult] = []
         for job_id in order:
             payload = collected[job_id]
@@ -1101,24 +999,6 @@ class WorkQueueExecutor(Executor):
                 )
             results.append((chunk_results, payload["elapsed_s"]))
         return results
-
-    def _dispatch(
-        self,
-        batch: str,
-        order: Sequence[str],
-        payloads: Dict[str, Dict[str, Any]],
-    ) -> Dict[str, Dict[str, Any]]:
-        """Publish one batch of job payloads (scalar or chunk -- the
-        collection protocol is payload-shape-agnostic) and collect every
-        result, abandoning the batch's spool files on any failure."""
-        self.spool.ensure()
-        try:
-            self.spool.enqueue_many([(job_id, payloads[job_id]) for job_id in order])
-            self._spawn_local_workers()
-            return self._collect(batch, order, payloads)
-        except BaseException:
-            self.spool.abandon(f"{batch}.")
-            raise
 
     # ------------------------------------------------------------ collection
 
@@ -1158,10 +1038,11 @@ class WorkQueueExecutor(Executor):
                     if error.get("type") == "corrupt-job":
                         self._requeue(job_id, payloads, requeues, "corrupted job")
                         continue
+                    chunk = payloads[job_id]["chunk"]
                     self.spool.abandon(prefix)
                     raise RuntimeError(
-                        f"workqueue job {job_id} "
-                        f"({_job_label(payloads[job_id])}) failed in "
+                        f"workqueue job {job_id} (chunk {chunk['kind']}"
+                        f"[{len(chunk['params'])} points]) failed in "
                         f"worker {payload.get('worker', '<unknown>')}: "
                         f"{error.get('message', error)}"
                     )

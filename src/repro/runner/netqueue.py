@@ -29,11 +29,9 @@ Protocol: one JSON object per line in each direction.  Requests carry an
 message}``.  A malformed line is answered with an error and the connection
 is closed; an unknown ``op`` is an error but keeps the connection.  Jobs
 and results cross the wire as *raw text*, so corrupted-payload recovery
-behaves identically over both transports -- and so the transport is
-payload-shape-agnostic: scalar jobs and the chunk jobs of sharded batched
-evaluation (a whole generation slice per job file, see
-:meth:`repro.runner.executors.WorkQueueExecutor.submit_chunks`) travel
-over it unchanged.
+behaves identically over both transports -- and so the transport never
+reads the chunk jobs it carries (see
+:meth:`repro.runner.executors.WorkQueueExecutor.submit_chunks`).
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 :func:`run_sweep` takes scenario names (or :class:`Scenario` objects),
 resolves cache hits first, and hands the remaining scenarios to an
 :class:`~repro.runner.executors.Executor` -- serial, local process pool, or
-the distributed work queue (:mod:`repro.runner.executors`).  Executors
-receive only JSON-able scenarios, so nothing non-picklable ever crosses a
-process (or host) boundary and results are identical however they were
-computed (in-process, in a pool worker, on another machine, or read back
-from the cache -- the determinism and executor-contract suites assert
+the distributed work queue (:mod:`repro.runner.executors`) -- as **chunk
+jobs**, the one job shape every executor carries.  Executors receive only
+JSON-able ``(kind, [params, ...])`` chunks, so nothing non-picklable ever
+crosses a process (or host) boundary and results are identical however they
+were computed (in-process, in a pool worker, on another machine, or read
+back from the cache -- the determinism and executor-contract suites assert
 exactly this).
 
 Every sweep runs on one execution *backend*: the event-driven ``"engine"``
@@ -16,29 +17,28 @@ Every sweep runs on one execution *backend*: the event-driven ``"engine"``
 backend is part of the cache identity, so engine and analytic results never
 collide on disk.
 
-Batch-capable kinds additionally travel as **chunk jobs**: contiguous
-slices of a generation, each evaluated in a single batch-runner call
-wherever the executor lands it (in-process, pool worker, or a detached
-workqueue worker).  :func:`run_sweep` shards cache-missing batch-capable
-scenarios into chunks on distributed executors (``chunk_size`` selects the
-policy), and :func:`evaluate_chunked` is the list-of-params front door the
-exploration layer uses -- with per-chunk result caching so warm reruns
-skip whole chunks.  Chunk results splice back in submission order, so the
-outcome is byte-identical to the serial batched path by the batch-runner
-equality contract.
+A batch-capable kind travels as contiguous slices of a generation, each
+evaluated in a single batch-runner call wherever the executor lands it
+(in-process, pool worker, or a detached workqueue worker); ``chunk_size``
+selects how :func:`run_sweep` shards it.  Every other kind travels one
+scenario per job -- a chunk of one, run by its scalar runner.
+:func:`evaluate_chunked` is the list-of-params front door the exploration
+layer uses -- with per-chunk result caching so warm reruns skip whole
+chunks.  Chunk results splice back in submission order, so the outcome is
+byte-identical to the serial batched path by the batch-runner equality
+contract.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .cache import ResultCache, configure_segment_memo
-from .executors import ChunkJob, ChunkResult, Executor, SerialExecutor, default_executor
+from .executors import ChunkJob, ChunkResult, Executor, SerialExecutor
 from .scenarios import BACKENDS, DEFAULT_BACKEND, REGISTRY, Scenario
 
 __all__ = [
@@ -57,11 +57,9 @@ __all__ = [
 #:   generation in one batch call; distributed executors shard it with
 #:   :func:`auto_chunk_size`.
 #: * ``"auto"``    -- shard with :func:`auto_chunk_size` on any executor.
-#: * ``"off"``     -- never batch: one scalar job per scenario everywhere
-#:   (the pre-chunking behaviour, kept as the benchmark baseline and as an
-#:   escape hatch).
-#: * ``int >= 1``  -- shard into chunks of exactly this many points.
-CHUNK_SIZE_POLICIES = (None, "auto", "off")
+#: * ``int >= 1``  -- shard into chunks of exactly this many points
+#:   (``1`` is one job per scenario).
+CHUNK_SIZE_POLICIES = (None, "auto")
 
 
 @dataclass
@@ -95,65 +93,6 @@ def _resolve(scenarios: Iterable[Union[str, Scenario]]) -> List[Scenario]:
     for item in scenarios:
         resolved.append(item if isinstance(item, Scenario) else REGISTRY.get(item))
     return resolved
-
-
-def _run_one(
-    scenario: Scenario,
-    backend: str = DEFAULT_BACKEND,
-    segment_memo_dir: Optional[str] = None,
-) -> Tuple[str, Dict[str, Any], float]:
-    """Worker entry point: execute one scenario on one backend.
-
-    The scenario object itself crosses the process boundary (it is a frozen
-    dataclass of JSON-able values), so ad-hoc scenarios that are not in the
-    registry run with exactly the parameters they carry; only their *kind*
-    must be registered.  ``segment_memo_dir`` re-attaches (or, when None,
-    detaches) the on-disk segment-memo layer in workers (under fork the
-    parent's state is already inherited; ``set_root`` is idempotent then).
-    """
-    # The import populates the kind registry in freshly spawned workers;
-    # under the default fork start method it is an instant no-op.
-    from . import library  # noqa: F401
-    configure_segment_memo(segment_memo_dir)
-    start = time.perf_counter()
-    result = REGISTRY.run(scenario, backend=backend)
-    return scenario.name, result, time.perf_counter() - start
-
-
-def _run_batched(
-    scenarios: List[Scenario], backend: str
-) -> Tuple[List[Scenario], List[Tuple[Scenario, Dict[str, Any], float]]]:
-    """Evaluate the batch-capable kinds of a sweep generation-at-a-time.
-
-    Scenarios whose kind registers a batch runner for ``backend`` are grouped
-    by kind and handed to it in one call each -- the in-process fast path for
-    serial sweeps (a batch runner's contract is result equality with the
-    scalar runner, so outcomes are indistinguishable).  Returns the scenarios
-    that must still go through the executor, plus ``(scenario, result,
-    elapsed_s)`` tuples for the batched ones; the batch call's wall time is
-    attributed evenly across its scenarios.
-    """
-    groups: Dict[str, List[Scenario]] = {}
-    remaining: List[Scenario] = []
-    for scenario in scenarios:
-        if REGISTRY.batch_runner(scenario.kind, backend) is None:
-            remaining.append(scenario)
-        else:
-            groups.setdefault(scenario.kind, []).append(scenario)
-    executed: List[Tuple[Scenario, Dict[str, Any], float]] = []
-    for kind, group in groups.items():
-        runner = REGISTRY.batch_runner(kind, backend)
-        start = time.perf_counter()
-        results = runner([dict(scenario.params) for scenario in group])
-        elapsed_s = (time.perf_counter() - start) / len(group)
-        if len(results) != len(group):
-            raise RuntimeError(
-                f"batch runner for kind {kind!r} ({backend} backend) returned "
-                f"{len(results)} results for {len(group)} scenarios"
-            )
-        for scenario, result in zip(group, results):
-            executed.append((scenario, result, elapsed_s))
-    return remaining, executed
 
 
 # ------------------------------------------------------------------ chunking
@@ -211,11 +150,8 @@ def resolve_chunk_size(
     chunk_size: Optional[Union[int, str]], total: int, align: int = 1
 ) -> int:
     """Map a ``chunk_size`` policy value to a concrete size for ``total``
-    points (``"off"`` is handled by callers before sharding; here it means
-    one point per chunk)."""
+    points."""
     _validate_chunk_size(chunk_size)
-    if chunk_size == "off":
-        return 1
     if chunk_size is None or chunk_size == "auto":
         return auto_chunk_size(total, align=align)
     return min(int(chunk_size), max(total, 1))
@@ -231,9 +167,33 @@ def _validate_chunk_size(chunk_size: Optional[Union[int, str]]) -> None:
     ):
         return
     raise ValueError(
-        f"chunk_size must be None, 'auto', 'off', or an int >= 1; "
+        f"chunk_size must be None, 'auto', or an int >= 1; "
         f"got {chunk_size!r}"
     )
+
+
+def _group_size(
+    chunk_size: Optional[Union[int, str]],
+    executor: Executor,
+    total: int,
+    align: int = 1,
+) -> int:
+    """Points per chunk for a batch-capable group of ``total`` points: the
+    whole group in one batch call on a serial executor under the default
+    policy, else :func:`resolve_chunk_size`."""
+    if chunk_size is None and isinstance(executor, SerialExecutor):
+        return total
+    return resolve_chunk_size(chunk_size, total, align=align)
+
+
+def _run_each(kind: str, backend: str, params_list: List[Dict[str, Any]]) -> List[dict]:
+    """The batch runner of a kind that registers none: its scalar runner,
+    once per point, through ``REGISTRY.run`` (which rejects non-dict
+    results)."""
+    return [
+        REGISTRY.run(Scenario(name=kind, kind=kind, params=params), backend=backend)
+        for params in params_list
+    ]
 
 
 def _run_chunk(
@@ -241,24 +201,20 @@ def _run_chunk(
     backend: str = DEFAULT_BACKEND,
     segment_memo_dir: Optional[str] = None,
 ) -> ChunkResult:
-    """Worker entry point: execute one chunk job via its batch runner.
+    """Worker entry point: execute one chunk job -- the only job shape.
 
-    The chunk-side twin of :func:`_run_one` -- module-level and bound only
-    to JSON-able arguments so it crosses pickle (pool) and JSON (workqueue)
-    boundaries; the workqueue worker rebuilds this exact call from the job
-    payload.  Returns the per-point results (in chunk order) plus the batch
-    call's wall seconds.
+    A batch-capable kind runs its batch runner once over the chunk; any
+    other kind runs its scalar runner per point (its chunks hold one point
+    each).  Module-level and bound only to JSON-able arguments so it
+    crosses pickle (pool) and JSON (workqueue) boundaries; the workqueue
+    worker rebuilds this exact call from the job payload.  Returns the
+    per-point results (in chunk order) plus the chunk's wall seconds.
     """
     from . import library  # noqa: F401  (populates the kind registry)
 
     kind, params_list = chunk
     configure_segment_memo(segment_memo_dir)
-    runner = REGISTRY.batch_runner(kind, backend)
-    if runner is None:
-        raise KeyError(
-            f"kind {kind!r} has no batch runner for backend {backend!r}; "
-            "chunk jobs require one"
-        )
+    runner = REGISTRY.batch_runner(kind, backend) or partial(_run_each, kind, backend)
     start = time.perf_counter()
     results = runner([dict(params) for params in params_list])
     elapsed_s = time.perf_counter() - start
@@ -268,53 +224,6 @@ def _run_chunk(
             f"{len(results)} results for {len(params_list)} points"
         )
     return results, elapsed_s
-
-
-def _run_chunked(
-    scenarios: List[Scenario],
-    backend: str,
-    executor: Executor,
-    chunk_size: Optional[Union[int, str]],
-    segment_memo_dir: Optional[str],
-) -> Tuple[List[Scenario], List[Tuple[Scenario, Dict[str, Any], float]]]:
-    """Shard the batch-capable kinds of a sweep into chunk jobs.
-
-    The distributed counterpart of :func:`_run_batched`: scenarios whose
-    kind registers a batch runner are grouped by kind, partitioned into
-    contiguous chunks, and submitted through
-    :meth:`~repro.runner.executors.Executor.submit_chunks`; the rest go
-    back to the caller for the scalar path.  Chunk results splice back in
-    submission order, and each chunk's wall time is attributed evenly
-    across its points.
-    """
-    groups: Dict[str, List[Scenario]] = {}
-    remaining: List[Scenario] = []
-    for scenario in scenarios:
-        if REGISTRY.batch_runner(scenario.kind, backend) is None:
-            remaining.append(scenario)
-        else:
-            groups.setdefault(scenario.kind, []).append(scenario)
-    if not groups:
-        return remaining, []
-    chunks: List[ChunkJob] = []
-    members: List[List[Scenario]] = []
-    for kind, group in groups.items():
-        size = resolve_chunk_size(chunk_size, len(group))
-        for start, stop in partition_chunks(len(group), size):
-            part = group[start:stop]
-            chunks.append((kind, [dict(scenario.params) for scenario in part]))
-            members.append(part)
-    executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
-    raw = executor.submit_chunks(
-        chunks,
-        partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
-    )
-    executed: List[Tuple[Scenario, Dict[str, Any], float]] = []
-    for part, (results, elapsed_s) in zip(members, raw):
-        per_point = elapsed_s / len(part)
-        for scenario, result in zip(part, results):
-            executed.append((scenario, result, per_point))
-    return remaining, executed
 
 
 def evaluate_chunked(
@@ -353,16 +262,7 @@ def evaluate_chunked(
         return [], 0
     if executor is None:
         executor = SerialExecutor()
-    if chunk_size == "off" or (
-        chunk_size is None and isinstance(executor, SerialExecutor)
-    ):
-        # One chunk spanning the generation: the classic serial batched
-        # call ("off" additionally forces it through a single job even on
-        # distributed executors -- chunking disabled, not scalarised, since
-        # this path exists only for batch-capable kinds).
-        size = total
-    else:
-        size = resolve_chunk_size(chunk_size, total, align=align)
+    size = _group_size(chunk_size, executor, total, align=align)
     segment_memo_dir = str(cache.segments_dir) if cache is not None else None
     results: List[Optional[Dict[str, Any]]] = [None] * total
     pending: List[Tuple[int, int]] = []
@@ -405,7 +305,6 @@ def evaluate_chunked(
 
 def run_sweep(
     scenarios: Sequence[Union[str, Scenario]],
-    workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     force: bool = False,
     backend: str = DEFAULT_BACKEND,
@@ -420,11 +319,8 @@ def run_sweep(
         The :class:`~repro.runner.executors.Executor` that computes the
         cache misses -- ``SerialExecutor()`` when omitted.  The executor's
         lifecycle belongs to the caller (one instance can serve many
-        sweeps); ``run_sweep`` only calls ``configure`` + ``submit``.
-    workers:
-        Deprecated alias: ``workers=N`` constructs the executor a plain
-        worker count maps to (serial for ``N <= 1``, else a local
-        ``ProcessPoolExecutor``).  Mutually exclusive with ``executor``.
+        sweeps); ``run_sweep`` only calls ``configure`` +
+        ``submit_chunks``.
     cache:
         Optional :class:`ResultCache`.  Hits skip execution entirely; misses
         are stored after execution.
@@ -439,28 +335,15 @@ def run_sweep(
         How batch-capable kinds shard into chunk jobs -- one of
         :data:`CHUNK_SIZE_POLICIES` or an explicit ``int``.  The default
         (``None``) keeps serial sweeps on the whole-generation batched path
-        and auto-shards on every other executor; ``"off"`` forces one
-        scalar job per scenario everywhere.  Kinds without a batch runner
-        always take the scalar path regardless.
+        and auto-shards on every other executor; ``1`` ships one scenario
+        per job.  Kinds without a batch runner always run one scenario per
+        chunk, in input order.
     """
     if backend not in BACKENDS:
         raise KeyError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
     _validate_chunk_size(chunk_size)
-    if workers is not None:
-        if executor is not None:
-            raise ValueError(
-                "pass either executor= or the deprecated " "workers= alias, not both"
-            )
-        warnings.warn(
-            "run_sweep(workers=...) is deprecated; pass "
-            "executor=ProcessPoolExecutor(workers) (or another "
-            "repro.runner.executors.Executor) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        executor = default_executor(workers)
-    elif executor is None:
-        executor = default_executor(None)
+    if executor is None:
+        executor = SerialExecutor()
     resolved = _resolve(scenarios)
     for scenario in resolved:
         # Fail the whole sweep up front rather than mid-flight in a worker.
@@ -507,41 +390,40 @@ def run_sweep(
         # stale cache directory.
         segment_memo_dir = str(cache.segments_dir) if cache is not None else None
         configure_segment_memo(segment_memo_dir)
-        # Serial sweeps route batch-capable kinds through their batch runner
-        # generation-at-a-time (shared tallies, vectorized rooflines) instead
-        # of one scalar call per scenario.  Distributed executors shard the
-        # same kinds into chunk jobs -- contiguous slices that run the batch
-        # runner worker-side -- so fan-out no longer forfeits the batching
-        # win; ``chunk_size="off"`` restores per-scenario jobs everywhere.
-        executed: List[Tuple[Scenario, Dict[str, Any], float]] = []
-        if chunk_size == "off":
-            pass  # every scenario takes the scalar path below
-        elif chunk_size is None and isinstance(executor, SerialExecutor):
-            to_run, executed = _run_batched(to_run, backend)
-        else:
-            to_run, executed = _run_chunked(
-                to_run, backend, executor, chunk_size, segment_memo_dir
-            )
-        if to_run:
-            executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
-            raw = executor.submit(
-                to_run,
-                partial(_run_one, backend=backend, segment_memo_dir=segment_memo_dir),
-            )
-            executed.extend(
-                (scenario, result, elapsed)
-                for scenario, (_, result, elapsed) in zip(to_run, raw)
-            )
-        for scenario, result, elapsed in executed:
-            outcomes[_key(scenario)] = SweepOutcome(
-                scenario=scenario.name,
-                kind=scenario.kind,
-                result=result,
-                elapsed_s=elapsed,
-                cached=False,
-                backend=backend,
-            )
-            if cache is not None:
-                cache.store(scenario, result, elapsed, backend=backend)
+        # One job shape: batch-capable kinds group by kind and shard by the
+        # ``chunk_size`` policy (shared tallies, vectorized rooflines in one
+        # batch call per chunk); every other kind runs as chunks of one, in
+        # input order, after them.
+        groups: Dict[str, List[Scenario]] = {}
+        singles: List[List[Scenario]] = []
+        for scenario in to_run:
+            if REGISTRY.batch_runner(scenario.kind, backend) is None:
+                singles.append([scenario])
+            else:
+                groups.setdefault(scenario.kind, []).append(scenario)
+        members: List[List[Scenario]] = []
+        for group in groups.values():
+            size = _group_size(chunk_size, executor, len(group))
+            for start, stop in partition_chunks(len(group), size):
+                members.append(group[start:stop])
+        members.extend(singles)
+        executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
+        raw = executor.submit_chunks(
+            [(part[0].kind, [dict(s.params) for s in part]) for part in members],
+            partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
+        )
+        for part, (results, elapsed_s) in zip(members, raw):
+            per_point = elapsed_s / len(part)
+            for scenario, result in zip(part, results):
+                outcomes[_key(scenario)] = SweepOutcome(
+                    scenario=scenario.name,
+                    kind=scenario.kind,
+                    result=result,
+                    elapsed_s=per_point,
+                    cached=False,
+                    backend=backend,
+                )
+                if cache is not None:
+                    cache.store(scenario, result, per_point, backend=backend)
 
     return [outcomes[_key(scenario)] for scenario in resolved]

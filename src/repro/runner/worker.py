@@ -10,13 +10,12 @@ in-flight sweep (or leave it -- the submitter's orphan-requeue recovers jobs
 a dying worker held).
 
 Execution is the same code path as every other executor:
-:func:`repro.runner.sweep._run_one` on the scenario rebuilt from the job
-file -- or, for a **chunk job**, :func:`repro.runner.sweep._run_chunk` on
-its (kind, params-list) payload, one batch-runner call for the whole slice
--- with the job's segment-memo directory attached first.  Either way
-results are byte-identical to an in-process run, and concurrent workers
-share memo and cache entries through the concurrent-writer-tolerant disk
-layers.
+:func:`repro.runner.sweep._run_chunk` on the job's **chunk** -- the one job
+shape, a ``(kind, params-list)`` pair run as one batch-runner call, or one
+scalar-runner call for a kind without a batch runner -- with the job's
+segment-memo directory attached first.  Results are byte-identical to an
+in-process run, and concurrent workers share memo and cache entries through
+the concurrent-writer-tolerant disk layers.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import traceback
 from typing import Any, Dict, Optional
 
 from .cache import code_version, process_segment_memo
-from .executors import open_spool, scenario_from_payload
+from .executors import open_spool
 
 __all__ = ["run_worker"]
 
@@ -43,6 +42,17 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
+def _error(
+    job_id: str, worker_id: str, error_type: str, message: str
+) -> Dict[str, Any]:
+    """An error result payload of type ``error_type``."""
+    return {
+        "job": job_id,
+        "worker": worker_id,
+        "error": {"type": error_type, "message": message},
+    }
+
+
 def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
     """Run one claimed job; returns a result payload, or ``None`` for a
     claim that vanished under us (no result should be published then).
@@ -53,11 +63,13 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
     forms the submitter distinguishes: a job file that cannot be parsed
     (``corrupt-job`` -- recoverable, the submitter rewrites the job), a
     code-version mismatch (``version-mismatch`` -- fatal, the worker must
-    be restarted from the submitter's tree), and a scenario or chunk that
-    raises (``exception`` -- fatal, mirrors the in-process behaviour).
-    ``KeyboardInterrupt``/``SystemExit`` are deliberately *not* caught: a
-    killed worker must look like a dead worker (claim left behind,
-    recovered by orphan requeue), not like a failed scenario.
+    be restarted from the submitter's tree), and a chunk that raises
+    (``exception`` -- fatal, mirrors the in-process behaviour).  The
+    version is checked before the job's shape is read: a job from another
+    tree may use a shape this tree cannot read, and rewriting it could
+    never help.  ``KeyboardInterrupt``/``SystemExit`` are deliberately
+    *not* caught: a killed worker must look like a dead worker (claim left
+    behind, recovered by orphan requeue), not like a failed job.
     """
     job_id = claimed.job_id
     try:
@@ -70,88 +82,53 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
         # a stale claim's result is dropped at publish time instead.)
         return None
     except OSError as error:
-        return {
-            "job": job_id,
-            "worker": worker_id,
-            "error": {
-                "type": "corrupt-job",
-                "message": f"cannot read job file: {error}",
-            },
-        }
+        return _error(
+            job_id, worker_id, "corrupt-job", f"cannot read job file: {error}"
+        )
     try:
         payload = json.loads(raw)
         if not isinstance(payload, dict):
             raise TypeError("job payload is not a JSON object")
-        chunk = payload.get("chunk")
-        if chunk is not None:
-            # A chunk job: a (kind, params-list) slice of a batch-capable
-            # generation, executed in one batch-runner call below.
-            chunk_kind = chunk["kind"]
-            chunk_params = chunk["params"]
-            if not isinstance(chunk_params, list):
-                raise TypeError("chunk params must be a list")
-            scenario = None
-        else:
-            scenario = scenario_from_payload(payload["scenario"])
+    except (ValueError, TypeError) as error:
+        return _error(
+            job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"
+        )
+    job_version = payload.get("code_version")
+    if job_version != code_version():
+        return _error(
+            job_id,
+            worker_id,
+            "version-mismatch",
+            f"job was submitted from code version {job_version}, "
+            f"this worker runs {code_version()}",
+        )
+    try:
+        kind = payload["chunk"]["kind"]
+        params_list = payload["chunk"]["params"]
+        if not isinstance(params_list, list):
+            raise TypeError("chunk params must be a list")
         backend = payload["backend"]
         segment_memo_dir = payload.get("segment_memo_dir")
-        job_version = payload.get("code_version")
-    except (ValueError, KeyError, TypeError) as error:
-        return {
-            "job": job_id,
-            "worker": worker_id,
-            "error": {
-                "type": "corrupt-job",
-                "message": f"cannot parse job file: {error}",
-            },
-        }
-    if job_version != code_version():
-        return {
-            "job": job_id,
-            "worker": worker_id,
-            "error": {
-                "type": "version-mismatch",
-                "message": f"job was submitted from code version "
-                f"{job_version}, this worker runs {code_version()}",
-            },
-        }
+    except (KeyError, TypeError) as error:
+        return _error(
+            job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"
+        )
     try:
-        if scenario is None:
-            from .sweep import _run_chunk
+        from .sweep import _run_chunk
 
-            results, elapsed_s = _run_chunk(
-                (chunk_kind, chunk_params),
-                backend=backend,
-                segment_memo_dir=segment_memo_dir,
-            )
-            payload = {
-                "job": job_id,
-                "worker": worker_id,
-                "kind": chunk_kind,
-                "results": results,
-                "elapsed_s": elapsed_s,
-                "code_version": code_version(),
-            }
-        else:
-            from .sweep import _run_one
-
-            name, result, elapsed_s = _run_one(
-                scenario, backend=backend, segment_memo_dir=segment_memo_dir
-            )
-            payload = {
-                "job": job_id,
-                "worker": worker_id,
-                "scenario": name,
-                "result": result,
-                "elapsed_s": elapsed_s,
-                "code_version": code_version(),
-            }
+        results, elapsed_s = _run_chunk(
+            (kind, params_list), backend=backend, segment_memo_dir=segment_memo_dir
+        )
     except Exception:
-        return {
-            "job": job_id,
-            "worker": worker_id,
-            "error": {"type": "exception", "message": traceback.format_exc()},
-        }
+        return _error(job_id, worker_id, "exception", traceback.format_exc())
+    payload = {
+        "job": job_id,
+        "worker": worker_id,
+        "kind": kind,
+        "results": results,
+        "elapsed_s": elapsed_s,
+        "code_version": code_version(),
+    }
     # Piggyback any segment-memo entries this job freshly simulated on the
     # result file: the submitter folds them into its own memo, and the
     # post-job memo_sync below shares them with sibling workers.

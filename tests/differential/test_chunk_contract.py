@@ -98,10 +98,10 @@ class TestChunkedEquivalence:
                                poll_s=0.02, timeout_s=600.0) as wq:
             chunked = run_sweep(scenarios, backend="analytic", executor=wq,
                                 chunk_size=4)
-            scalar = run_sweep(scenarios, backend="analytic", executor=wq,
-                               chunk_size="off")
+            per_scenario = run_sweep(scenarios, backend="analytic",
+                                     executor=wq, chunk_size=1)
         assert _strip_outcomes(serial) == _strip_outcomes(chunked)
-        assert _strip_outcomes(serial) == _strip_outcomes(scalar)
+        assert _strip_outcomes(serial) == _strip_outcomes(per_scenario)
 
     def test_exploration_chunked_workqueue_matches_serial(self, tmp_path):
         space = get_space("encoder-smoke")

@@ -91,6 +91,30 @@ class TestExecutorEquivalence:
         assert _strip(serial_analytic) == _strip(pool_analytic)
         assert _strip(serial_analytic) == _strip(wq_analytic)
 
+    def test_engine_sweep_publishes_one_chunk_of_one_per_scenario(
+            self, tmp_path, monkeypatch):
+        # Engine kinds have no batch runner, so a per-scenario job is a
+        # chunk of one: N scenarios publish N jobs, in input order.
+        serial = run_sweep(ENGINE_SET, backend="engine")
+        published = []
+        with WorkQueueExecutor(tmp_path / "spool", local_workers=1,
+                               poll_s=0.02, timeout_s=600.0) as wq:
+            real_enqueue_many = wq.spool.enqueue_many
+
+            def recording_enqueue_many(jobs):
+                published.extend(jobs)
+                return real_enqueue_many(jobs)
+
+            monkeypatch.setattr(wq.spool, "enqueue_many",
+                                recording_enqueue_many)
+            queued = run_sweep(ENGINE_SET, backend="engine", executor=wq)
+        assert _strip(queued) == _strip(serial)
+        job_ids = [job_id for job_id, _ in published]
+        assert len(job_ids) == len(ENGINE_SET) and job_ids == sorted(job_ids)
+        expected = [REGISTRY.get(name) for name in ENGINE_SET]
+        assert [payload["chunk"] for _, payload in published] == [
+            {"kind": s.kind, "params": [dict(s.params)]} for s in expected]
+
     def test_workqueue_populated_cache_serves_serial_identically(self,
                                                                  tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -153,7 +177,8 @@ class TestSpoolRecovery:
 
         def target():
             try:
-                box["results"] = executor.submit(scenarios, run_fn=None)
+                box["results"] = executor.submit_chunks(
+                    [(s.kind, [dict(s.params)]) for s in scenarios], None)
             except BaseException as error:  # noqa: BLE001 - reported by test
                 box["error"] = error
 
@@ -190,7 +215,7 @@ class TestSpoolRecovery:
         assert processed == 1
         thread.join(timeout=60.0)
         assert not thread.is_alive() and "error" not in box
-        assert [canonical_json(r[1]) for r in box["results"]] == \
+        assert [canonical_json(r[0][0]) for r in box["results"]] == \
             [canonical_json(o.result) for o in serial]
 
     def test_corrupted_job_file_is_rewritten_and_completes(self, tmp_path):
@@ -215,7 +240,7 @@ class TestSpoolRecovery:
         assert processed == 3
         thread.join(timeout=60.0)
         assert not thread.is_alive() and "error" not in box
-        assert [canonical_json(r[1]) for r in box["results"]] == \
+        assert [canonical_json(r[0][0]) for r in box["results"]] == \
             [canonical_json(o.result) for o in serial]
 
     def test_tcp_worker_kill_is_recovered_mid_sweep(self, spoold):
@@ -247,7 +272,7 @@ class TestSpoolRecovery:
         assert processed == 1
         thread.join(timeout=60.0)
         assert not thread.is_alive() and "error" not in box
-        assert [canonical_json(r[1]) for r in box["results"]] == \
+        assert [canonical_json(r[0][0]) for r in box["results"]] == \
             [canonical_json(o.result) for o in serial]
 
     def test_server_restart_with_jobs_in_flight_completes(self, tmp_path):
@@ -284,7 +309,7 @@ class TestSpoolRecovery:
             assert processed == 1
             thread.join(timeout=60.0)
             assert not thread.is_alive() and "error" not in box
-            assert [canonical_json(r[1]) for r in box["results"]] == \
+            assert [canonical_json(r[0][0]) for r in box["results"]] == \
                 [canonical_json(o.result) for o in serial]
         finally:
             second.shutdown()

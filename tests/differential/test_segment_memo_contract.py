@@ -28,7 +28,7 @@ import repro
 import repro.xnn.executor as executor_module
 from repro.runner import WorkQueueExecutor, canonical_json, run_sweep
 from repro.runner.cache import SegmentMemo, code_version
-from repro.runner.executors import Spool, scenario_to_payload
+from repro.runner.executors import Spool
 from repro.runner.netqueue import SpoolServer
 from repro.runner.scenarios import Scenario
 from repro.xnn import CodegenOptions, XNNConfig, XNNExecutor
@@ -246,7 +246,7 @@ def _run_worker_subprocess(target, worker_id, max_jobs):
 def _enqueue(spool, job_id, scenario):
     spool.enqueue(job_id, {
         "job": job_id,
-        "scenario": scenario_to_payload(scenario),
+        "chunk": {"kind": scenario.kind, "params": [dict(scenario.params)]},
         "backend": "engine",
         "segment_memo_dir": None,
         "code_version": code_version(),
@@ -290,8 +290,8 @@ def test_second_hosts_shared_segment_is_served_from_synced_memo(
     assert result_other["segment_memo"], "host B's own workload is fresh"
     assert "segment_memo" not in result_shared, \
         "host B's shared-segment job must be served from synced memo"
-    assert canonical_json(result_shared["result"]) == \
-        canonical_json(result_a["result"])
+    assert canonical_json(result_shared["results"]) == \
+        canonical_json(result_a["results"])
 
 
 def test_code_version_mismatched_synced_entries_are_rejected(tmp_path):

@@ -86,8 +86,10 @@ class TestAutoChunkSize:
 
 
 class TestResolveChunkSize:
-    def test_off_means_one_point_per_chunk(self):
-        assert resolve_chunk_size("off", 100) == 1
+    def test_off_is_not_a_policy(self):
+        # A per-scenario job is a chunk of one: ``chunk_size=1``.
+        with pytest.raises(ValueError, match="chunk_size"):
+            resolve_chunk_size("off", 100)
 
     def test_none_and_auto_share_the_heuristic(self):
         assert resolve_chunk_size(None, 1008) == auto_chunk_size(1008)

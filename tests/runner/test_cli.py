@@ -331,11 +331,12 @@ class TestWorkerCommand:
     def test_worker_drains_published_jobs(self, capsys, tmp_path):
         from repro.runner import REGISTRY, canonical_json
         from repro.runner.cache import code_version
-        from repro.runner.executors import Spool, scenario_to_payload
+        from repro.runner.executors import Spool
         spool = Spool(tmp_path / "spool").ensure()
         scenario = REGISTRY.get("table6b/charm-1024")
         spool.enqueue("cli.00000", {
-            "job": "cli.00000", "scenario": scenario_to_payload(scenario),
+            "job": "cli.00000",
+            "chunk": {"kind": scenario.kind, "params": [dict(scenario.params)]},
             "backend": "engine", "segment_memo_dir": None,
             "code_version": code_version(),
         })
@@ -345,8 +346,8 @@ class TestWorkerCommand:
         assert code == 0
         assert "processed 1 job(s)" in out
         result = json.loads(spool.result_path("cli.00000").read_text())
-        assert canonical_json(result["result"]) == \
-            canonical_json(REGISTRY.run(scenario))
+        assert canonical_json(result["results"]) == \
+            canonical_json([REGISTRY.run(scenario)])
 
     def test_worker_rejects_non_positive_poll(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -499,7 +500,6 @@ class TestSpoolCommands:
         import threading
         from repro.runner import REGISTRY, canonical_json
         from repro.runner.cache import code_version
-        from repro.runner.executors import scenario_to_payload
         from repro.runner.netqueue import SpoolServer
         server = SpoolServer(tmp_path / "spool", host="127.0.0.1", port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -508,7 +508,8 @@ class TestSpoolCommands:
             scenario = REGISTRY.get("table6b/charm-1024")
             server.spool.enqueue("cli.00000000", {
                 "job": "cli.00000000",
-                "scenario": scenario_to_payload(scenario),
+                "chunk": {"kind": scenario.kind,
+                          "params": [dict(scenario.params)]},
                 "backend": "engine", "segment_memo_dir": None,
                 "code_version": code_version(),
             })
@@ -518,8 +519,8 @@ class TestSpoolCommands:
             assert "processed 1 job(s)" in out
             result = json.loads(
                 server.spool.result_path("cli.00000000").read_text())
-            assert canonical_json(result["result"]) == \
-                canonical_json(REGISTRY.run(scenario))
+            assert canonical_json(result["results"]) == \
+                canonical_json([REGISTRY.run(scenario)])
         finally:
             server.shutdown()
             server.close()
@@ -745,7 +746,7 @@ class TestChunkSizeOption:
     front-ends (the byte-identity of the paths it selects is pinned by
     ``tests/differential/test_chunk_contract.py``)."""
 
-    @pytest.mark.parametrize("value", ["2", "auto", "off"])
+    @pytest.mark.parametrize("value", ["1", "2", "auto"])
     def test_sweep_accepts_every_policy(self, capsys, value):
         code, out, err = _run(capsys, "sweep", "--tag", "fig18",
                               "--backend", "analytic", "--no-cache",
@@ -761,7 +762,8 @@ class TestChunkSizeOption:
         assert code == 0 and not err
         assert "Pareto frontier" in out
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "none", "1.5", ""])
+    # "off" (per-scenario jobs) is no policy: that is ``--chunk-size 1``.
+    @pytest.mark.parametrize("bad", ["0", "-3", "none", "1.5", "", "off"])
     def test_invalid_chunk_size_exits_2(self, capsys, bad):
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--tag", "fig18", "--chunk-size", bad])

@@ -2,7 +2,7 @@
 
 The cross-executor byte-identity contract lives in
 ``tests/differential/test_executor_contract.py``; this file covers the
-mechanics: scenario wire round-trips, executor construction/validation,
+mechanics: the chunk job wire form, executor construction/validation,
 spool claim semantics (atomic-rename exclusivity), heartbeats, orphan
 requeue, and the in-process worker loop.
 """
@@ -16,20 +16,24 @@ import time
 
 import pytest
 
-from repro.runner import REGISTRY, canonical_json
+from repro.runner import REGISTRY
 from repro.runner.cache import code_version
 from repro.runner.executors import (ProcessPoolExecutor, SerialExecutor, Spool,
-                                    WorkQueueExecutor, default_executor,
-                                    format_job_id, scenario_from_payload,
-                                    scenario_to_payload)
+                                    WorkQueueExecutor, format_job_id)
 from repro.runner.scenarios import Scenario
 from repro.runner.worker import run_worker
 
 
+def _chunk(scenario):
+    """A scenario as the chunk of one it travels as."""
+    return scenario.kind, [dict(scenario.params)]
+
+
 def _job_payload(job_id, scenario, backend="engine", segment_memo_dir=None):
+    kind, params = _chunk(scenario)
     return {
         "job": job_id,
-        "scenario": scenario_to_payload(scenario),
+        "chunk": {"kind": kind, "params": params},
         "backend": backend,
         "segment_memo_dir": segment_memo_dir,
         "code_version": code_version(),
@@ -40,29 +44,7 @@ CHEAP = Scenario(name="unit/chain", kind="engine_chain",
                  params={"n_msgs": 5, "stages": 1})
 
 
-class TestScenarioWireFormat:
-    def test_round_trip_is_identity(self):
-        scenario = Scenario(name="a/b", kind="engine_chain",
-                            params={"n_msgs": 3, "stages": 2},
-                            tags=("x", "y"), description="d")
-        rebuilt = scenario_from_payload(scenario_to_payload(scenario))
-        assert rebuilt == scenario
-        assert rebuilt.canonical() == scenario.canonical()
-
-    def test_wire_form_is_json_able(self):
-        payload = scenario_to_payload(REGISTRY.get("smoke/engine-chain"))
-        assert scenario_from_payload(json.loads(canonical_json(payload))) \
-            == REGISTRY.get("smoke/engine-chain")
-
-
 class TestExecutorConstruction:
-    def test_default_executor_maps_worker_counts(self):
-        assert isinstance(default_executor(None), SerialExecutor)
-        assert isinstance(default_executor(1), SerialExecutor)
-        pool = default_executor(4)
-        assert isinstance(pool, ProcessPoolExecutor)
-        assert pool.workers == 4
-
     def test_pool_rejects_non_positive_workers(self):
         with pytest.raises(ValueError):
             ProcessPoolExecutor(0)
@@ -77,9 +59,9 @@ class TestExecutorConstruction:
 
     def test_executors_are_context_managers(self, tmp_path):
         with SerialExecutor() as ex:
-            assert ex.submit([], lambda s: None) == []
+            assert ex.submit_chunks([], lambda c: None) == []
         with WorkQueueExecutor(tmp_path / "spool") as ex:
-            assert ex.submit([], lambda s: None) == []
+            assert ex.submit_chunks([], lambda c: None) == []
 
     def test_configure_absolutizes_memo_dir_for_workqueue(self, tmp_path,
                                                           monkeypatch):
@@ -335,9 +317,9 @@ class TestWorkerLoop:
                                worker_id="unit-worker")
         assert processed == 1
         result = json.loads(spool.result_path("j.00000").read_text())
-        assert result["scenario"] == "unit/chain"
+        assert result["kind"] == "engine_chain"
         assert result["code_version"] == code_version()
-        assert result["result"] == REGISTRY.run(CHEAP)
+        assert result["results"] == [REGISTRY.run(CHEAP)]
         # The claim is gone and the heartbeat file was cleaned up on exit.
         assert not list(spool.claimed_dir.glob("*.json"))
         assert not list(spool.workers_dir.glob("*.json"))
@@ -364,6 +346,28 @@ class TestWorkerLoop:
         run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
         result = json.loads(spool.result_path("j.00000").read_text())
         assert result["error"]["type"] == "version-mismatch"
+
+    def test_version_is_checked_before_the_job_shape(self, tmp_path):
+        # A job from another source tree may carry a shape this tree cannot
+        # read.  Reporting it as corrupt-job would make the submitter
+        # rewrite it max_requeues times; it must be a version mismatch.
+        spool = Spool(tmp_path / "spool").ensure()
+        payload = _job_payload("j.00000", CHEAP)
+        payload["code_version"] = "somebody-elses-tree"
+        payload["chunk"] = "garbage"
+        spool.enqueue("j.00000", payload)
+        run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
+        result = json.loads(spool.result_path("j.00000").read_text())
+        assert result["error"]["type"] == "version-mismatch"
+
+    def test_unreadable_chunk_of_this_version_is_a_corrupt_job(self, tmp_path):
+        spool = Spool(tmp_path / "spool").ensure()
+        payload = _job_payload("j.00000", CHEAP)
+        payload["chunk"] = "garbage"
+        spool.enqueue("j.00000", payload)
+        run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
+        result = json.loads(spool.result_path("j.00000").read_text())
+        assert result["error"]["type"] == "corrupt-job"
 
     def test_vanished_claim_publishes_nothing(self, tmp_path):
         # A stalled worker whose claim was orphan-requeued away must not
@@ -404,7 +408,8 @@ class TestWorkQueueExecutorRecovery:
 
         def target():
             try:
-                box["results"] = executor.submit(scenarios, run_fn=None)
+                box["results"] = executor.submit_chunks(
+                    [_chunk(scenario) for scenario in scenarios], None)
             except BaseException as error:  # noqa: BLE001 - reported by test
                 box["error"] = error
 
@@ -448,7 +453,7 @@ class TestWorkQueueExecutorRecovery:
         claimed = executor.spool.claim("stale-worker")
         executor.spool.write_result(claimed.job_id, {
             "job": claimed.job_id, "worker": "stale-worker",
-            "scenario": CHEAP.name, "result": {"events": 1},
+            "kind": CHEAP.kind, "results": [{"events": 1}],
             "elapsed_s": 0.0, "code_version": "stale-tree",
         })
         thread.join(timeout=30.0)
@@ -460,7 +465,7 @@ class TestWorkQueueExecutorRecovery:
                                      timeout_s=0.2)
         executor.configure("engine", None)
         with pytest.raises(TimeoutError, match="workqueue sweep timed out"):
-            executor.submit([CHEAP], run_fn=None)
+            executor.submit_chunks([_chunk(CHEAP)], None)
         # Abandoned jobs are withdrawn so no worker picks them up later.
         assert not list(executor.spool.pending_dir.glob("*.json"))
 
@@ -480,7 +485,7 @@ class TestWorkQueueExecutorRecovery:
             executor, "_spawn_local_workers",
             lambda: executor._procs.append(DeadProc()))
         with pytest.raises(RuntimeError, match="local workqueue worker"):
-            executor.submit([CHEAP], run_fn=None)
+            executor.submit_chunks([_chunk(CHEAP)], None)
 
 
 class TestSpoolMemoSync:

@@ -18,7 +18,7 @@ import threading
 import pytest
 
 from repro.runner.cache import code_version
-from repro.runner.executors import Spool, open_spool, scenario_to_payload
+from repro.runner.executors import Spool, open_spool
 from repro.runner.netqueue import (DEFAULT_PORT, NetSpool, NetSpoolError,
                                    PROTOCOL_VERSION, SpoolServer,
                                    parse_spool_url)
@@ -32,7 +32,7 @@ CHEAP = Scenario(name="unit/chain", kind="engine_chain",
 def _job_payload(job_id, scenario=CHEAP, backend="engine"):
     return {
         "job": job_id,
-        "scenario": scenario_to_payload(scenario),
+        "chunk": {"kind": scenario.kind, "params": [dict(scenario.params)]},
         "backend": backend,
         "segment_memo_dir": None,
         "code_version": code_version(),
@@ -192,7 +192,8 @@ class TestNetSpoolRoundTrips:
         assert processed == 1
         results = client.take_results("b.")
         payload = json.loads(results["b.00000000"])
-        assert payload["scenario"] == "unit/chain"
+        assert payload["kind"] == "engine_chain"
+        assert len(payload["results"]) == 1
         assert payload["code_version"] == code_version()
         # The worker cleared its heartbeat on exit.
         assert client.live_workers(within_s=60.0) == []
@@ -290,7 +291,7 @@ class TestVanishedClaimBothTransports:
         # The claim travelled with its payload, so the read still works and
         # execution proceeds obliviously...
         result = _execute(claimed, "stalled-worker")
-        assert result is not None and result["scenario"] == "unit/chain"
+        assert result is not None and result["kind"] == "engine_chain"
         # ...but the claim has been requeued away in the meantime, and the
         # publish is where the stale copy dies.
         (claim_file,) = server.spool.claimed_dir.glob("*.json")

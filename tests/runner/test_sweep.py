@@ -61,16 +61,17 @@ class TestRunSweep:
     def test_duplicate_names_execute_only_once(self, monkeypatch):
         import repro.runner.sweep as sweep_module
         calls = []
-        real_run_one = sweep_module._run_one
+        real_run_chunk = sweep_module._run_chunk
 
-        def counting_run_one(scenario, backend="engine", **kwargs):
-            calls.append(scenario.name)
-            return real_run_one(scenario, backend=backend, **kwargs)
+        def counting_run_chunk(chunk, backend="engine", **kwargs):
+            calls.append(chunk)
+            return real_run_chunk(chunk, backend=backend, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "_run_one", counting_run_one)
+        monkeypatch.setattr(sweep_module, "_run_chunk", counting_run_chunk)
         outcomes = run_sweep(["smoke/engine-chain", "smoke/engine-chain"])
         assert len(outcomes) == 2
-        assert calls == ["smoke/engine-chain"]
+        scenario = REGISTRY.get("smoke/engine-chain")
+        assert calls == [(scenario.kind, [dict(scenario.params)])]
         assert json.dumps(outcomes[0].result) == json.dumps(outcomes[1].result)
 
     def test_ad_hoc_scenario_runs_with_its_own_params(self, tmp_path):
@@ -90,16 +91,18 @@ class TestRunSweep:
         assert cache.load(ad_hoc)["result"] == outcome.result
         assert cache.load(REGISTRY.get("smoke/engine-chain")) is None
 
-    def test_workers_alias_warns_and_matches_executor(self):
-        names = CHEAP[:2]
-        via_executor = run_sweep(names, executor=ProcessPoolExecutor(2))
-        with pytest.warns(DeprecationWarning, match="workers=.*deprecated"):
-            via_alias = run_sweep(names, workers=2)
-        assert _dumps(via_executor) == _dumps(via_alias)
-
-    def test_workers_and_executor_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_sweep(CHEAP[:1], workers=2, executor=SerialExecutor())
+    def test_scalar_kind_returning_a_non_dict_raises_type_error(
+            self, monkeypatch):
+        # A kind without a batch runner runs as chunks of one through its
+        # scalar runner; REGISTRY.run's result check must still fire.
+        import repro.runner.sweep as sweep_module
+        monkeypatch.setitem(REGISTRY._kinds, "unit_non_dict",
+                            {"engine": lambda **params: 42})
+        bad = Scenario(name="unit/non-dict", kind="unit_non_dict")
+        with pytest.raises(TypeError, match="expected a JSON-able dict"):
+            run_sweep([bad])
+        with pytest.raises(TypeError, match="expected a JSON-able dict"):
+            sweep_module._run_chunk(("unit_non_dict", [{}, {}]))
 
     def test_large_duplicate_sweep_resolves_fast(self, monkeypatch):
         # Regression for the O(n^2) duplicate scan: resolving the work list
@@ -110,9 +113,9 @@ class TestRunSweep:
         # a second.
         import repro.runner.sweep as sweep_module
         monkeypatch.setattr(
-            sweep_module, "_run_one",
-            lambda scenario, backend="engine", segment_memo_dir=None:
-                (scenario.name, {"ok": True}, 0.0))
+            sweep_module, "_run_chunk",
+            lambda chunk, backend="engine", segment_memo_dir=None:
+                ([{"ok": True}] * len(chunk[1]), 0.0))
         distinct = [Scenario(name=f"bulk/{i}", kind="engine_chain",
                              params={"n_msgs": i + 1, "stages": 1})
                     for i in range(2000)]
