@@ -31,13 +31,8 @@ import time
 from _helpers import run_once
 from repro.analysis.reporting import Table
 from repro.explore import get_space, run_exploration
-from repro.explore.space import Axis, Constraint, DesignSpace
-from repro.explore.spaces import (
-    _KIB,
-    _chips_cover_segments,
-    _mme_plan_fits,
-    _rhs_tile_fits_memb,
-)
+from repro.explore.space import Axis, DesignSpace
+from repro.explore.spaces import _KIB
 from repro.explore.strategies import GridSearch
 from repro.runner import run_sweep
 from repro.runner.executors import WorkQueueExecutor
@@ -61,10 +56,11 @@ BIGSWEEP_MIN_POINTS = 100_000
 def bigsweep_space() -> DesignSpace:
     """The fidelity-expanded ``chiplet-encoder`` space (120,960 feasible).
 
-    Same axes, kind, and constraints as the shipped space, with the
-    workload/bandwidth/link axes widened to intermediate values (batch 2,
-    seq_len 192, bandwidth 1.5x/3x, five link bandwidths, four hop
-    latencies) -- a 15x denser sampling of the identical design manifold,
+    Same axes, kind, and constraints (the catalogue's own objects, with
+    their declared axes) as the shipped space, with the workload/bandwidth/
+    link axes widened to intermediate values (batch 2, seq_len 192,
+    bandwidth 1.5x/3x, five link bandwidths, four hop latencies) -- a 15x
+    denser sampling of the identical design manifold,
     built here rather than in :mod:`repro.explore.spaces` because only the
     scale benchmark wants to pay for it.
     """
@@ -107,23 +103,7 @@ def bigsweep_space() -> DesignSpace:
                 "per-hop link latency (us)",
             ),
         ),
-        constraints=(
-            Constraint(
-                "rhs_tile_fits_memb",
-                _rhs_tile_fits_memb,
-                "tile_k * super_n * 4B <= mem_b_bytes",
-            ),
-            Constraint(
-                "mme_plan_fits",
-                _mme_plan_fits,
-                "MME grouping fits the AIE tile/stream budget",
-            ),
-            Constraint(
-                "chips_cover_segments",
-                _chips_cover_segments,
-                "num_chips <= encoder simulation-group count",
-            ),
-        ),
+        constraints=get_space("chiplet-encoder").constraints,
     )
 
 

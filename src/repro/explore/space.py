@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -59,14 +61,86 @@ class Axis:
 
 @dataclass(frozen=True)
 class Constraint:
-    """A named feasibility predicate over a full axis assignment."""
+    """A named feasibility predicate over the axes it declares.
+
+    ``axes`` names the assignment keys the predicate reads; omitted, it is
+    every axis of the space the constraint belongs to.  A
+    :class:`DesignSpace` evaluates the predicate once per distinct value
+    tuple of those axes and passes it only that projection, so reading an
+    undeclared axis raises ``KeyError`` instead of caching a wrong verdict.
+    Verdicts are keyed by value equality, so a predicate must not tell
+    apart values that compare equal (``1``, ``1.0`` and ``True``).
+    """
 
     name: str
     predicate: Callable[[Mapping[str, Any]], bool]
     description: str = ""
+    axes: Optional[Tuple[str, ...]] = None
 
     def satisfied(self, assignment: Mapping[str, Any]) -> bool:
         return bool(self.predicate(assignment))
+
+
+class _Projection(dict):
+    """An assignment restricted to one constraint's declared axes."""
+
+    __slots__ = ("constraint", "undeclared")
+
+    def __init__(self, items, constraint: str, undeclared: FrozenSet[str]):
+        super().__init__(items)
+        self.constraint = constraint
+        self.undeclared = undeclared
+
+    def __missing__(self, key: str) -> Any:
+        raise KeyError(
+            f"constraint {self.constraint!r} read {key!r}, which is not one "
+            f"of its declared axes {sorted(self)}"
+        )
+
+    def get(self, key: str, default: Any = None) -> Any:
+        if key in self.undeclared:
+            self.__missing__(key)
+        return super().get(key, default)
+
+
+#: tags the canonical-JSON key of an unhashable value tuple; no axis value
+#: can equal it, so such keys never collide with a plain value key.
+_UNHASHABLE = object()
+
+
+class _VerdictTable:
+    """One constraint's verdicts, keyed by the values of its axes."""
+
+    __slots__ = ("constraint", "axes", "key", "undeclared", "verdicts")
+
+    def __init__(
+        self, constraint: Constraint, axes: Tuple[str, ...], space_axes: Sequence[str]
+    ):
+        self.constraint = constraint
+        self.axes = axes
+        # itemgetter of one name yields the bare value, of several a tuple;
+        # either is a fine key as long as one table always uses the same.
+        self.key = operator.itemgetter(*axes) if axes else (lambda _: ())
+        self.undeclared = frozenset(space_axes) - frozenset(axes)
+        self.verdicts: Dict[Any, bool] = {}
+
+    def verdict(self, assignment: Mapping[str, Any]) -> bool:
+        key = self.key(assignment)
+        try:
+            return self.verdicts[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable (list or dict) axis value
+            key = (_UNHASHABLE, canonical_json(key))
+            if key in self.verdicts:
+                return self.verdicts[key]
+        projection = _Projection(
+            ((name, assignment[name]) for name in self.axes),
+            self.constraint.name,
+            self.undeclared,
+        )
+        verdict = self.verdicts[key] = self.constraint.satisfied(projection)
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -119,7 +193,9 @@ class DesignSpace:
     constraints:
         Feasibility predicates; infeasible assignments are silently skipped
         during enumeration (that is their job), but materialising one
-        explicitly raises.
+        explicitly raises.  Each constraint's declared ``axes`` must be axes
+        of this space; its predicate runs once per distinct value tuple of
+        them, and the verdict is kept for the life of the space.
     fidelity_hook:
         ``(params, fraction) -> params`` transformation for reduced-fidelity
         evaluation; defaults to :func:`scale_seq_len`.
@@ -150,10 +226,28 @@ class DesignSpace:
         self.kind = kind
         self.base_params: Dict[str, Any] = dict(base_params or {})
         self.constraints: Tuple[Constraint, ...] = tuple(constraints)
+        self._verdict_tables: Tuple[_VerdictTable, ...] = tuple(
+            _VerdictTable(c, self._declared_axes(c, names), names)
+            for c in self.constraints
+        )
         self.fidelity_hook = fidelity_hook
         self.description = description
         self._points: Optional[List[Dict[str, Any]]] = None
         self._feasible_count: Optional[int] = None
+
+    def _declared_axes(
+        self, constraint: Constraint, names: Sequence[str]
+    ) -> Tuple[str, ...]:
+        if constraint.axes is None:
+            return tuple(names)
+        for axis in constraint.axes:
+            if axis not in names:
+                raise ValueError(
+                    f"constraint {constraint.name!r} declares axis {axis!r}, "
+                    f"which design space {self.name!r} does not have; "
+                    f"axes: {sorted(names)}"
+                )
+        return constraint.axes
 
     # ------------------------------------------------------------ enumeration
 
@@ -166,20 +260,28 @@ class DesignSpace:
         return size
 
     def feasible(self, assignment: Mapping[str, Any]) -> bool:
-        return all(c.satisfied(assignment) for c in self.constraints)
+        """Whether ``assignment`` meets every constraint, checked in order
+        and stopping at the first failure (verdicts come from the tables)."""
+        for table in self._verdict_tables:
+            if not table.verdict(assignment):
+                return False
+        return True
 
     def iter_points(self) -> Iterator[Dict[str, Any]]:
         """Yield every feasible assignment in deterministic axis-major order
         -- the streaming counterpart of :meth:`points`.
 
-        Nothing is materialised or memoised: infeasible combinations are
-        filtered as the cartesian product is walked, so a 10^6-point space
-        costs one assignment dict of memory at a time.  Strategies that can
+        No point list is materialised: infeasible combinations are filtered
+        as the cartesian product is walked, so a 10^6-point space costs one
+        assignment dict of memory at a time, plus the verdict tables (one
+        entry per distinct value tuple of a constraint's declared axes; a
+        constraint that omits ``axes`` keys on every axis, so declaring them
+        is what keeps its table small).  Strategies that can
         consume a stream (grid search) use this; strategies whose seeded
         sampling needs the full indexed list (random, halving) still call
         :meth:`points`.  When the list is already memoised the stream
-        replays it (same dicts, same order) rather than re-running the
-        constraint predicates.
+        replays it (same dicts, same order) rather than re-checking the
+        constraints.
         """
         if self._points is not None:
             yield from self._points
@@ -274,7 +376,11 @@ class DesignSpace:
         if not 0.0 < fidelity <= 1.0:
             raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
         if not self.feasible(assignment):
-            failed = [c.name for c in self.constraints if not c.satisfied(assignment)]
+            failed = [
+                table.constraint.name
+                for table in self._verdict_tables
+                if not table.verdict(assignment)
+            ]
             raise ValueError(
                 f"assignment violates constraint(s) {failed} of design "
                 f"space {self.name!r}"

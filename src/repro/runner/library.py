@@ -618,7 +618,7 @@ def _chiplet_result_payload(
     """
     from repro.hardware.aie import AIEArrayModel, MMEGroupPlan
     from repro.hardware.link import InterChipLink
-    from repro.xnn.partition import chiplet_payload
+    from repro.xnn.partition import chiplet_payload, design_cost, encoder_partition
 
     aie = AIEArrayModel(config.spec, MMEGroupPlan(num_groups=config.num_mme))
     per_chip_peak = config.num_mme * aie.mme_flops(config.mme_tile_shape)
@@ -629,12 +629,13 @@ def _chiplet_result_payload(
         ddr_bytes=result.ddr_bytes,
         lpddr_bytes=result.lpddr_bytes,
         batch=batch,
-        seq_len=seq_len,
-        encoder=_encoder_config(model),
-        config=config,
+        partition=encoder_partition(
+            batch, seq_len, num_chips, config=_encoder_config(model)
+        ),
+        num_mme=config.num_mme,
         per_chip_peak_flops=per_chip_peak,
-        num_chips=num_chips,
         link=link,
+        cost=design_cost(config, per_chip_peak, num_chips=num_chips, link=link),
     )
 
 

@@ -44,10 +44,12 @@ from .bandwidth import (
 from .segmentation import Segment, SegmentKind, segment_model
 from .partition import (
     ChipletMetrics,
+    EncoderPartition,
     chiplet_metrics,
     chiplet_payload,
     design_cost,
     encoder_boundary_bytes,
+    encoder_partition,
     encoder_segment_flops,
     partition_segments,
 )
@@ -78,6 +80,7 @@ __all__ = [
     "compare_mapping_types",
     "design_cost",
     "encoder_boundary_bytes",
+    "encoder_partition",
     "encoder_segment_flops",
     "partition_segments",
     "plan_gemm_tiling",

@@ -47,7 +47,12 @@ from .datapath import XNNConfig
 from .executor import EncoderResult, SegmentResult
 from .fus.scratchpad import MEMC_COMPUTE_THROUGHPUT, NONMM_FLOPS_PER_ELEMENT
 from .mapping import MappingType, attention_mapping_type
-from .partition import chiplet_payload, design_cost
+from .partition import (
+    EncoderPartition,
+    chiplet_payload,
+    design_cost,
+    encoder_partition,
+)
 from .segmentation import SegmentKind, segment_model
 from .tiling import plan_gemm_tiling
 
@@ -555,12 +560,16 @@ class _BatchRows:
     """The shared per-generation state behind one batched evaluation.
 
     Everything the payload constructors need, per point: the resolved
-    parameters, the (feasible) probe config, the frozen tallies, and the
-    vectorized roofline results.
+    parameters, the (feasible) probe config and its memo key, the frozen
+    tallies, and the vectorized roofline results -- plus the per-call memo
+    tables of the values many points share (encoder configs by model name,
+    ``design_cost`` results).  The tables live as long as the batch call, so
+    memory stays bounded by one generation's distinct keys.
     """
 
     params: List[Dict[str, Any]]
     probes: List[XNNConfig]
+    probe_keys: List[Tuple[Any, ...]]
     tallies_per_point: List[List[_FrozenTally]]
     total_flops: np.ndarray
     peak_flops: np.ndarray
@@ -569,6 +578,25 @@ class _BatchRows:
     latency: np.ndarray
     achieved: np.ndarray
     utilization: np.ndarray
+    encoders: Dict[str, BertConfig]
+    costs: Dict[Tuple[Any, ...], Tuple[float, float]] = field(default_factory=dict)
+
+    def cost(
+        self,
+        index: int,
+        per_chip_peak: float,
+        num_chips: int = 1,
+        link: Optional[InterChipLink] = None,
+    ) -> Tuple[float, float]:
+        """:func:`design_cost` of one point, once per (probe, peak, chip
+        count, link) key of the batch."""
+        key = (self.probe_keys[index], per_chip_peak, num_chips, link)
+        cost = self.costs.get(key)
+        if cost is None:
+            cost = self.costs[key] = design_cost(
+                self.probes[index], per_chip_peak, num_chips=num_chips, link=link
+            )
+        return cost
 
 
 class EncoderBatchEvaluator:
@@ -587,7 +615,12 @@ class EncoderBatchEvaluator:
        the evaluator is long-lived).  Because the memo stores the *result* of
        the exact scalar code path, accumulation order -- and therefore every
        floating-point bit -- matches the scalar evaluation.
-    2. **Vectorized rooflines** -- the per-point, bandwidth-dependent half
+    2. **Per-call invariants** -- the probe config and channel models, the
+       codegen options, the encoder config, and (for chiplet points) the
+       partition, link and ``design_cost`` are each built once per distinct
+       value of the parameters they read, in tables that live for one batch
+       call.
+    3. **Vectorized rooflines** -- the per-point, bandwidth-dependent half
        (channel busy times, resource maxima, latency/utilisation payload
        arithmetic) is evaluated as NumPy float64 arrays over the whole
        generation, expression-for-expression identical to the scalar
@@ -711,11 +744,15 @@ class EncoderBatchEvaluator:
         The shared core of :meth:`evaluate_batch` and
         :meth:`evaluate_chiplet_batch`: every array it fills is computed with
         exactly the expressions the scalar path uses (see the class
-        docstring for why that makes the results bit-identical).
+        docstring for why that makes the results bit-identical).  The probe
+        config and channel models are built once per ``(num_mme,
+        mem_b_bytes, bandwidth_scale)``, the codegen options once per tiling
+        tuple, and the encoder config once per model name.
         """
         count = len(param_sets)
         resolved: List[Dict[str, Any]] = []
         probes: List[XNNConfig] = []
+        probe_keys: List[Tuple[Any, ...]] = []
         tallies_per_point: List[List[_FrozenTally]] = []
         total_flops = np.empty(count)
         mme_rate = np.empty(count)
@@ -723,48 +760,67 @@ class EncoderBatchEvaluator:
         num_mme_column = []
         ddr_models: List[MemoryChannelModel] = []
         lpddr_models: List[MemoryChannelModel] = []
+        # Per-call memo tables, keyed by the parameters each value reads.
+        options_by_tiling: Dict[Tuple[Any, ...], CodegenOptions] = {}
+        channels_by_probe: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        encoders: Dict[str, BertConfig] = {}
         for index, raw in enumerate(param_sets):
             params = dict(_DSE_DEFAULTS)
             params.update(raw)
             # Same validated construction hooks as the scalar _dse_design:
             # with_overrides rejects unknown knobs, XNNConfig.__post_init__
             # rejects bad counts/depths, AnalyticXNN validates the MME plan.
-            options = CodegenOptions.with_overrides(
-                pipeline_attention=params["pipeline_attention"],
-                tile_m=params["tile_m"],
-                tile_k=params["tile_k"],
-                super_n=params["super_n"],
+            tiling = (
+                params["pipeline_attention"],
+                params["tile_m"],
+                params["tile_k"],
+                params["super_n"],
             )
+            options = options_by_tiling.get(tiling)
+            if options is None:
+                options = options_by_tiling[tiling] = CodegenOptions.with_overrides(
+                    pipeline_attention=tiling[0],
+                    tile_m=tiling[1],
+                    tile_k=tiling[2],
+                    super_n=tiling[3],
+                )
             num_mme = params["num_mme"]
-            probe = XNNConfig(
-                num_mme=num_mme,
-                num_mem_c=num_mme,
-                mem_b_bytes=params["mem_b_bytes"],
-                bandwidth_scale=params["bandwidth_scale"],
-                carry_data=False,
-            )
+            probe_key = (num_mme, params["mem_b_bytes"], params["bandwidth_scale"])
+            channels = channels_by_probe.get(probe_key)
+            if channels is None:
+                probe = XNNConfig(
+                    num_mme=num_mme,
+                    num_mem_c=num_mme,
+                    mem_b_bytes=params["mem_b_bytes"],
+                    bandwidth_scale=params["bandwidth_scale"],
+                    carry_data=False,
+                )
+                channels = channels_by_probe[probe_key] = (
+                    probe,
+                    ddr_channel(probe.spec, bandwidth_scale=probe.bandwidth_scale),
+                    lpddr_channel(probe.spec, bandwidth_scale=probe.bandwidth_scale),
+                )
+            probe, ddr_model, lpddr_model = channels
             model = self._model_for(
                 probe.spec, num_mme, num_mme, probe.mme_tile_shape, options
             )
+            model_name = params["model"]
+            encoder = encoders.get(model_name)
+            if encoder is None:
+                encoder = encoders[model_name] = encoder_config(model_name)
             segment_set = self._segments_for(
-                model,
-                params["batch"],
-                params["seq_len"],
-                encoder_config(params["model"]),
+                model, params["batch"], params["seq_len"], encoder
             )
             resolved.append(params)
             probes.append(probe)
+            probe_keys.append(probe_key)
             tallies_per_point.append(list(segment_set.tallies))
             total_flops[index] = segment_set.total_flops
             mme_rate[index] = model.mme_rate
             peak_flops[index] = num_mme * model.mme_rate
             num_mme_column.append(num_mme)
-            ddr_models.append(
-                ddr_channel(probe.spec, bandwidth_scale=probe.bandwidth_scale)
-            )
-            lpddr_models.append(
-                lpddr_channel(probe.spec, bandwidth_scale=probe.bandwidth_scale)
-            )
+            ddr_models.append(ddr_model)
+            lpddr_models.append(lpddr_model)
 
         segments = len(tallies_per_point[0])
         ddr_busy, lpddr_busy, mme_busy, memc_busy = _busy_grids(
@@ -791,6 +847,7 @@ class EncoderBatchEvaluator:
         return _BatchRows(
             params=resolved,
             probes=probes,
+            probe_keys=probe_keys,
             tallies_per_point=tallies_per_point,
             total_flops=total_flops,
             peak_flops=peak_flops,
@@ -799,6 +856,7 @@ class EncoderBatchEvaluator:
             latency=latency,
             achieved=achieved,
             utilization=utilization,
+            encoders=encoders,
         )
 
     @staticmethod
@@ -815,8 +873,7 @@ class EncoderBatchEvaluator:
         """One point's ``dse_encoder`` payload from the shared batch rows."""
         ddr_bytes_total, lpddr_bytes_total = self._traffic(rows, index)
         latency_s = float(rows.latency[index])
-        per_chip_peak = float(rows.peak_flops[index])
-        power_w, area_luts = design_cost(rows.probes[index], per_chip_peak)
+        power_w, area_luts = rows.cost(index, float(rows.peak_flops[index]))
         batch = rows.params[index]["batch"]
         return {
             "latency_s": latency_s,
@@ -861,9 +918,12 @@ class EncoderBatchEvaluator:
         and no per-segment roofline, so all points share the single-chip
         vectorized evaluation; the multi-chip combination on top is the same
         pure-float :func:`~repro.xnn.partition.chiplet_payload` call the
-        scalar runners make.  ``num_chips=1`` rows take the exact
-        ``dse_encoder`` payload path, preserving the single-chip
-        byte-identity contract through the batched proxy as well.
+        scalar runners make, fed a partition built once per ``(batch,
+        seq_len, model, num_chips)``, a link once per link triple, and a
+        ``design_cost`` once per ``(probe, peak, num_chips, link)``.
+        ``num_chips=1`` rows take the exact ``dse_encoder`` payload path,
+        preserving the single-chip byte-identity contract through the
+        batched proxy as well.
         """
         if not param_sets:
             return []
@@ -881,35 +941,46 @@ class EncoderBatchEvaluator:
                 }
             )
         rows = self._rows(base_sets, encoder_config)
+        partitions: Dict[Tuple[Any, ...], EncoderPartition] = {}
+        links: Dict[Tuple[Any, ...], InterChipLink] = {}
         payloads: List[Dict[str, Any]] = []
         for index, params in enumerate(resolved):
             num_chips = params["num_chips"]
             if num_chips == 1:
                 payloads.append(self._encoder_payload(rows, index))
                 continue
-            link = InterChipLink.from_design(
+            link_key = (
                 params["link_gbs"],
                 params["link_hop_us"],
                 params["link_serialization_us"],
             )
-            segment_latency = [
-                float(rows.segment_latency[index, position])
-                for position in range(rows.segment_latency.shape[1])
-            ]
+            link = links.get(link_key)
+            if link is None:
+                link = links[link_key] = InterChipLink.from_design(*link_key)
+            batch = params["batch"]
+            shape_key = (batch, params["seq_len"], params["model"], num_chips)
+            partition = partitions.get(shape_key)
+            if partition is None:
+                partition = partitions[shape_key] = encoder_partition(
+                    batch,
+                    params["seq_len"],
+                    num_chips,
+                    config=rows.encoders[params["model"]],
+                )
+            per_chip_peak = float(rows.peak_flops[index])
             ddr_bytes_total, lpddr_bytes_total = self._traffic(rows, index)
             payloads.append(
                 chiplet_payload(
-                    segment_latency_s=segment_latency,
+                    segment_latency_s=rows.segment_latency[index].tolist(),
                     flops=float(rows.total_flops[index]),
                     ddr_bytes=ddr_bytes_total,
                     lpddr_bytes=lpddr_bytes_total,
-                    batch=params["batch"],
-                    seq_len=params["seq_len"],
-                    encoder=encoder_config(params["model"]),
-                    config=rows.probes[index],
-                    per_chip_peak_flops=float(rows.peak_flops[index]),
-                    num_chips=num_chips,
+                    batch=batch,
+                    partition=partition,
+                    num_mme=rows.num_mme_column[index],
+                    per_chip_peak_flops=per_chip_peak,
                     link=link,
+                    cost=rows.cost(index, per_chip_peak, num_chips, link),
                 )
             )
         return payloads

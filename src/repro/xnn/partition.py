@@ -22,6 +22,10 @@ evaluator share, so that the certified contracts hold *by construction*:
 * :func:`chiplet_payload` is the single payload constructor used by the
   engine scalar runner, the analytic scalar runner, *and* the batched
   evaluator, so the batched path is expression-identical to the scalar one.
+  Its shape-only input, the :class:`EncoderPartition`
+  (:func:`encoder_partition`), and its :func:`design_cost` input are
+  computed by the caller: once per point on the scalar paths, once per
+  distinct key of what they read on the batched one.
 """
 
 from __future__ import annotations
@@ -40,10 +44,12 @@ from .fus.scratchpad import MEMC_COMPUTE_THROUGHPUT
 __all__ = [
     "ENCODER_SEGMENT_NAMES",
     "ChipletMetrics",
+    "EncoderPartition",
     "chiplet_metrics",
     "chiplet_payload",
     "design_cost",
     "encoder_boundary_bytes",
+    "encoder_partition",
     "encoder_segment_flops",
     "partition_segments",
 ]
@@ -124,6 +130,40 @@ def partition_segments(
             best_load = load
             best_cuts = cuts
     return best_cuts
+
+
+@dataclass(frozen=True)
+class EncoderPartition:
+    """The shape-only half of a multi-chip evaluation: where the chips cut.
+
+    A function of the workload shape (batch, sequence length, encoder
+    hyper-parameters) and the chip count alone -- no tiling, MME count,
+    bandwidth or link enters it -- so every design point of one shape and
+    chip count shares it.
+    """
+
+    num_chips: int
+    #: FLOPs of each simulation group (:func:`encoder_segment_flops`).
+    segment_flops: Tuple[float, ...]
+    #: chip boundaries (:func:`partition_segments`).
+    cuts: Tuple[int, ...]
+    #: activation bytes per segment boundary (:func:`encoder_boundary_bytes`).
+    boundary_bytes: Tuple[int, ...]
+
+
+def encoder_partition(
+    batch: int, seq_len: int, num_chips: int, config: BertConfig = BERT_LARGE
+) -> EncoderPartition:
+    """Partition one encoder workload shape over ``num_chips`` chips."""
+    segment_flops = encoder_segment_flops(batch=batch, seq_len=seq_len, config=config)
+    return EncoderPartition(
+        num_chips=num_chips,
+        segment_flops=segment_flops,
+        cuts=partition_segments(segment_flops, num_chips),
+        boundary_bytes=encoder_boundary_bytes(
+            batch=batch, seq_len=seq_len, config=config
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -234,39 +274,40 @@ def chiplet_payload(
     ddr_bytes: int,
     lpddr_bytes: int,
     batch: int,
-    seq_len: int,
-    encoder: BertConfig,
-    config: XNNConfig,
+    partition: EncoderPartition,
+    num_mme: int,
     per_chip_peak_flops: float,
-    num_chips: int,
     link: InterChipLink,
+    cost: Tuple[float, float],
 ) -> Dict[str, Any]:
     """The ``dse_chiplet`` payload for a ``num_chips>1`` design point.
 
     Single payload constructor for all three evaluation paths (engine
     scalar, analytic scalar, batched analytic): they differ only in where
-    ``segment_latency_s`` / ``flops`` / traffic come from.  The payload is a
-    superset of the ``dse_encoder`` payload -- same thirteen keys computed
-    the same way (with the chiplet end-to-end latency substituted), plus the
-    multi-chip diagnostics.
+    ``segment_latency_s`` / ``flops`` / traffic come from, and in how often
+    they compute the shape-only ``partition`` (:func:`encoder_partition`)
+    and the ``cost`` (:func:`design_cost` of the point's config, per-chip
+    peak, chip count and ``link``).  The payload is a superset of the
+    ``dse_encoder`` payload -- same thirteen keys computed the same way
+    (with the chiplet end-to-end latency substituted), plus the multi-chip
+    diagnostics.  Its containers are built fresh on every call, so payloads
+    that share a partition never share a mutable value.
     """
-    segment_flops = encoder_segment_flops(batch=batch, seq_len=seq_len, config=encoder)
-    if len(segment_flops) != len(segment_latency_s):
+    if len(partition.segment_flops) != len(segment_latency_s):
         raise ValueError(
             f"{len(segment_latency_s)} segment latencies for "
-            f"{len(segment_flops)} encoder segments"
+            f"{len(partition.segment_flops)} encoder segments"
         )
-    cuts = partition_segments(segment_flops, num_chips)
-    boundaries = encoder_boundary_bytes(batch=batch, seq_len=seq_len, config=encoder)
-    metrics = chiplet_metrics(segment_latency_s, cuts, boundaries, link)
+    num_chips = partition.num_chips
+    metrics = chiplet_metrics(
+        segment_latency_s, partition.cuts, partition.boundary_bytes, link
+    )
     latency_s = metrics.latency_s
     peak_flops = num_chips * per_chip_peak_flops
     achieved = (flops / latency_s / 1e12) if latency_s else 0.0
     utilization = (flops / latency_s / peak_flops) if latency_s else 0.0
     pipeline_tasks = (batch / metrics.max_stage_s) if metrics.max_stage_s else 0.0
-    power_w, area_luts = design_cost(
-        config, per_chip_peak_flops, num_chips=num_chips, link=link
-    )
+    power_w, area_luts = cost
     return {
         "latency_s": latency_s,
         "latency_ms": latency_s * 1e3,
@@ -276,13 +317,13 @@ def chiplet_payload(
         "offchip_bytes": ddr_bytes + lpddr_bytes,
         "achieved_tflops": achieved,
         "utilization": utilization,
-        "num_mme": config.num_mme,
+        "num_mme": num_mme,
         "pipeline_tasks_per_s": pipeline_tasks,
         "power_w": power_w,
         "area_luts": area_luts,
         "energy_j": power_w * latency_s,
         "num_chips": num_chips,
-        "cuts": list(cuts),
+        "cuts": list(partition.cuts),
         "link_bytes": metrics.link_bytes,
         "link_s": metrics.link_s,
         "max_stage_s": metrics.max_stage_s,

@@ -5,15 +5,21 @@ vectorizes the roofline arithmetic; this suite pins the hard contract that
 none of that changes a single bit of any payload -- every float and int must
 equal the scalar analytic runner's output exactly, over the full smoke space
 and a broad slice of the full encoder space, at reduced fidelity, with
-partially specified parameters, and on repeat calls (warm memo).
+partially specified parameters, and on repeat calls (warm memo).  The
+``dse_chiplet`` batch runner shares per-call partitions, links and costs
+between points; its payloads must still match the scalar runner's and share
+no mutable container.
 """
 
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
 
 from repro.explore import get_space
-from repro.runner import REGISTRY
+from repro.runner import REGISTRY, canonical_json
 from repro.xnn.analytic import EncoderBatchEvaluator
 
 
@@ -139,3 +145,40 @@ def test_exploration_frontiers_identical_across_proxies():
     assert batched.proxy == "batched"
     assert [point.to_dict() for point in sweep.frontier] == \
         [point.to_dict() for point in batched.frontier]
+
+
+def _chiplet_batched():
+    fn = REGISTRY.batch_runner("dse_chiplet", "analytic")
+    assert fn is not None, "dse_chiplet must register an analytic batch runner"
+    return fn
+
+
+def test_chiplet_payloads_sharing_memo_keys_share_no_containers():
+    """Points that hit the same per-call partition, link and cost entries
+    still get payloads of their own: mutating one leaves its siblings
+    (and the next call) untouched."""
+    base = {"batch": 1, "seq_len": 128, "num_chips": 2, "link_gbs": 64.0}
+    params_list = [dict(base, tile_m=tile_m) for tile_m in (384, 768, 384, 768)]
+    payloads = _chiplet_batched()(params_list)
+    snapshot = copy.deepcopy(payloads)
+    for key in ("cuts", "stage_bounds_s"):
+        assert len({id(payload[key]) for payload in payloads}) == len(payloads)
+
+    payloads[0]["cuts"].append(99)
+    payloads[0]["stage_bounds_s"]["chip0"] = -1.0
+    payloads[0]["stage_bounds_s"]["extra"] = 1.0
+    assert payloads[1:] == snapshot[1:]
+    assert _chiplet_batched()(params_list) == snapshot
+
+
+def test_chiplet_batched_equals_scalar_on_seeded_sample():
+    """512 seeded chiplet-encoder points over every chip count: the batched
+    payloads equal the scalar runner's in canonical JSON."""
+    space = get_space("chiplet-encoder")
+    points = random.Random(2411).sample(space.points(), 512)
+    assert {point["num_chips"] for point in points} == {1, 2, 3}
+    params_list = [space.point_params(point) for point in points]
+    scalar_fn = REGISTRY.runner("dse_chiplet", "analytic")
+    expected = [canonical_json(scalar_fn(**params)) for params in params_list]
+    actual = _chiplet_batched()(params_list)
+    assert [canonical_json(payload) for payload in actual] == expected

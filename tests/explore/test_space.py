@@ -71,6 +71,74 @@ class TestEnumeration:
         assert all(p["tile_m"] == 768 for p in points)
 
 
+class TestDeclaredAxes:
+    def test_unknown_declared_axis_rejected_naming_constraint_and_axis(self):
+        with pytest.raises(ValueError, match="'wide'.*'bogus'"):
+            _toy_space(constraints=(
+                Constraint("wide", lambda a: True, axes=("tile_m", "bogus")),
+            ))
+
+    def test_reading_an_undeclared_axis_raises_naming_constraint(self):
+        space = _toy_space(constraints=(
+            Constraint("sneaky", lambda a: a["seq_len"] >= 64, axes=("tile_m",)),
+        ))
+        with pytest.raises(KeyError, match="sneaky"):
+            space.points()
+        with pytest.raises(KeyError, match="sneaky"):
+            space.materialize({"seq_len": 64, "tile_m": 256})
+
+    def test_get_of_an_undeclared_axis_raises_too(self):
+        space = _toy_space(constraints=(
+            Constraint("sneaky", lambda a: a.get("seq_len", 0) >= 0,
+                       axes=("tile_m",)),
+        ))
+        with pytest.raises(KeyError, match="sneaky"):
+            space.feasible_count()
+
+    def test_predicate_runs_once_per_projected_key(self):
+        seen = []
+
+        def wide_tiles(projection):
+            seen.append(dict(projection))
+            return projection["tile_m"] >= 768
+
+        space = _toy_space(constraints=(
+            Constraint("wide", wide_tiles, axes=("tile_m",)),
+        ))
+        assert space.feasible_count() == 2
+        assert len(space.points()) == 2
+        space.point_params({"seq_len": 128, "tile_m": 768})
+        assert seen == [{"tile_m": 256}, {"tile_m": 768}]
+
+    def test_omitted_axes_mean_every_axis(self):
+        seen = []
+
+        def record(assignment):
+            seen.append(dict(assignment))
+            return True
+
+        space = _toy_space(constraints=(Constraint("all", record),))
+        assert len(space.points()) == 4
+        assert seen == space.points()
+
+    def test_unhashable_axis_values_are_keyed_canonically(self):
+        calls = []
+
+        def small(projection):
+            calls.append(projection["shape"])
+            return sum(projection["shape"]) < 10
+
+        space = _toy_space(
+            axes=(Axis("shape", ([1, 2], [8, 8])), Axis("tile_m", (256, 768))),
+            constraints=(Constraint("small", small, axes=("shape",)),),
+        )
+        assert space.points() == [
+            {"shape": [1, 2], "tile_m": 256},
+            {"shape": [1, 2], "tile_m": 768},
+        ]
+        assert calls == [[1, 2], [8, 8]]
+
+
 class TestMaterialise:
     def test_scenario_params_merge_base_and_assignment(self):
         space = _toy_space()
