@@ -14,7 +14,7 @@ Two measurements of the chunk-job machinery
   Results must be byte-identical before the speed counts.
 * **Bigsweep** -- the end-to-end scale demo: a grid exploration of every
   feasible point of the fidelity-expanded chiplet space (>= 10^5 points)
-  through ``--executor workqueue --proxy batched``, generator-enumerated
+  through ``--executor workqueue``, generator-enumerated
   (the space is never materialised as a list inside the explorer's sizing
   path) and auto-sharded into alignment-sized chunk jobs.
 
@@ -167,7 +167,6 @@ def _bigsweep():
                 GridSearch(),
                 budget=feasible,
                 verify_top=0,
-                proxy="batched",
                 executor=executor,
                 cache=None,
             )

@@ -10,9 +10,9 @@ scratchpad depth, MME count.  This package *searches* that space:
 * :mod:`repro.explore.strategies` -- exhaustive grid, random sampling, and
   multi-fidelity successive halving;
 * :mod:`repro.explore.explore` -- the two-phase driver: search on the
-  analytic fast-model proxy (through the sweep pool + cache), then certify
-  the Pareto frontier on the cycle-level engine and report proxy-vs-verified
-  rank agreement.
+  analytic fast-model proxy (whole generations as cached chunk jobs across
+  the executor), then certify the Pareto frontier on the cycle-level engine
+  and report proxy-vs-verified rank agreement.
 
 CLI: ``python -m repro.runner explore --strategy halving --budget 200``.
 """
@@ -26,7 +26,6 @@ from .explore import (
     Objective,
     VerifiedPoint,
     objectives_for,
-    resolve_batch_runner,
     run_exploration,
     validate_weights,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "get_space",
     "get_strategy",
     "objectives_for",
-    "resolve_batch_runner",
     "run_exploration",
     "space_names",
     "strategy_names",

@@ -1,13 +1,12 @@
 """Two-phase design-space exploration: analytic search, engine verification.
 
 :func:`run_exploration` is the subsystem's engine room.  Phase one hands the
-strategy an evaluation callback that batches candidate points through the
-existing sweep front-end (:func:`~repro.runner.sweep.run_sweep`) on the
-**analytic** backend -- execution executor (serial, local pool, or the
-distributed work queue of :mod:`repro.runner.executors`) and on-disk result
-cache included, so a repeated exploration is served from cache
-byte-identically and a single exploration can fan its evaluations out
-beyond one host.  Phase two takes
+strategy an evaluation callback that runs each candidate generation on the
+**analytic** backend through :func:`~repro.runner.sweep.evaluate_chunked`
+-- chunk jobs across the executor (serial, local pool, or the distributed
+work queue of :mod:`repro.runner.executors`), cached per chunk, so a
+repeated exploration is served from cache byte-identically and a single
+exploration can fan its evaluations out beyond one host.  Phase two takes
 the Pareto frontier of the full-fidelity candidates (latency down, off-chip
 traffic down, utilisation up), re-evaluates the top ``verify_top`` frontier
 points on the cycle-level **engine** backend, and checks the certified
@@ -40,7 +39,6 @@ __all__ = [
     "PIPELINE_THROUGHPUT_OBJECTIVE",
     "VerifiedPoint",
     "objectives_for",
-    "resolve_batch_runner",
     "run_exploration",
     "validate_weights",
 ]
@@ -199,10 +197,9 @@ class ExplorationReport:
     rank_agreement: Optional[float]
     proxy_wall_s: float
     verify_wall_s: float
-    #: which proxy evaluation path produced the candidates ("sweep" fans
-    #: per-point scenarios through the executor + cache; "batched" evaluates
-    #: whole generations through the kind's batch runner).
-    proxy: str = "sweep"
+    #: the proxy evaluation path -- always "batched" since the sweep proxy
+    #: was removed; kept so reports keep their "proxy" key.
+    proxy: str = "batched"
     #: the payload-key -> weight mapping of a weighted exploration (None for
     #: pure non-domination ordering).
     weights: Optional[Dict[str, float]] = None
@@ -262,28 +259,6 @@ def validate_weights(
                        f"known: {sorted(known)}")
 
 
-def resolve_batch_runner(space: DesignSpace, proxy: str):
-    """Resolve the proxy mode to a batch runner (or ``None`` for sweep mode).
-
-    Raises ``KeyError`` for an unknown proxy name and for a ``batched``
-    request on a kind without a registered analytic batch runner -- user
-    errors the CLI reports with exit status 2.
-    """
-    if proxy not in ("sweep", "batched"):
-        raise KeyError(f"unknown proxy mode {proxy!r}; known: sweep, batched")
-    if proxy != "batched":
-        return None
-    from ..runner.scenarios import REGISTRY
-
-    batch_runner = REGISTRY.batch_runner(space.kind, "analytic")
-    if batch_runner is None:
-        raise KeyError(
-            f"scenario kind {space.kind!r} has no analytic batch runner; "
-            "use the 'sweep' proxy"
-        )
-    return batch_runner
-
-
 def _verify_frontier(
     space: DesignSpace,
     targets: Sequence[FrontierPoint],
@@ -338,7 +313,7 @@ def run_exploration(
     cache: Optional[ResultCache] = None,
     force: bool = False,
     objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
-    proxy: str = "sweep",
+    proxy: str = "batched",
     weights: Optional[Mapping[str, float]] = None,
     executor: Optional[Executor] = None,
     chunk_size: Optional[Any] = None,
@@ -355,25 +330,20 @@ def run_exploration(
     verification pass alike -- fans out through; its lifecycle belongs to
     the caller; ``SerialExecutor()`` when omitted.
 
-    ``proxy`` selects how analytic evaluations run.  ``"sweep"`` (default)
-    materialises every point into an ad-hoc scenario and fans it through
-    :func:`run_sweep` -- worker pool and on-disk cache included.  ``"batched"``
-    routes whole strategy generations through the kind's registered batch
-    runner (:meth:`~repro.runner.scenarios.ScenarioRegistry.batch_runner`)
-    via :func:`~repro.runner.sweep.evaluate_chunked`, which shares tallies
-    across points and vectorizes the rooflines -- tens of times faster on
-    large generations, with per-point payloads exactly equal to the sweep
-    path (so frontiers are identical).  Batched generations shard into
-    **chunk jobs** across ``executor`` (``chunk_size`` picks the policy:
-    default ``None`` keeps a serial executor on one whole-generation batch
-    call and auto-shards on distributed executors), and are cached
-    per-chunk in ``cache``, so a warm rerun skips whole chunks -- reported
-    through ``proxy_cache_hits`` like sweep-mode scenario hits.
+    Every strategy generation is evaluated by
+    :func:`~repro.runner.sweep.evaluate_chunked` on the analytic backend: the
+    kind's registered batch runner shares tallies across points and
+    vectorizes the rooflines, and a kind without one runs its scalar runner
+    point by point.  Generations shard into **chunk jobs** across
+    ``executor`` and are cached per chunk in ``cache``, so a warm rerun
+    skips whole chunks -- reported through ``proxy_cache_hits``.
+    ``chunk_size`` is one of :data:`~repro.runner.sweep.CHUNK_SIZE_POLICIES`
+    (``None`` keeps a serial executor on one whole-generation batch call and
+    auto-shards on distributed executors; ``"auto"`` always shards) or an
+    explicit ``int`` points-per-chunk.
 
-    ``chunk_size`` is one of
-    :data:`~repro.runner.sweep.CHUNK_SIZE_POLICIES` (``None`` / ``"auto"``)
-    or an explicit ``int`` points-per-chunk; it only affects the batched
-    proxy (sweep mode keeps :func:`run_sweep`'s default policy).
+    ``proxy`` accepts only ``"batched"``: the per-point sweep proxy was
+    removed, and any other value raises ``KeyError``.
 
     ``weights`` (payload key -> non-negative weight, e.g. ``{"latency_s": 2,
     "offchip_bytes": 1}``) turns the report's ordering from pure
@@ -390,7 +360,11 @@ def run_exploration(
         raise ValueError(f"verify_top must be >= 0, got {verify_top}")
     validate_weights(weights, objectives)
     _validate_chunk_size(chunk_size)  # fail before any evaluation runs
-    batch_runner = resolve_batch_runner(space, proxy)
+    if proxy != "batched":
+        raise KeyError(
+            f"unknown proxy mode {proxy!r}; the sweep proxy was removed, "
+            "every generation is evaluated batched"
+        )
     if executor is None:
         executor = SerialExecutor()
     if seed is None:
@@ -409,31 +383,19 @@ def run_exploration(
     def evaluate(
         assignments: Sequence[Mapping[str, Any]], fidelity: float
     ) -> List[Dict[str, Any]]:
-        if batch_runner is not None:
-            payloads, chunk_hits = evaluate_chunked(
-                space.kind,
-                [space.point_params(a, fidelity) for a in assignments],
-                backend="analytic",
-                executor=executor,
-                cache=cache,
-                force=force,
-                chunk_size=chunk_size,
-                align=chunk_align,
-            )
-            stats["evaluations"] += len(payloads)
-            stats["cache_hits"] += chunk_hits
-            return payloads
-        points = [space.materialize(a, fidelity) for a in assignments]
-        outcomes = run_sweep(
-            [point.scenario for point in points],
+        payloads, chunk_hits = evaluate_chunked(
+            space.kind,
+            [space.point_params(a, fidelity) for a in assignments],
+            backend="analytic",
             executor=executor,
             cache=cache,
             force=force,
-            backend="analytic",
+            chunk_size=chunk_size,
+            align=chunk_align,
         )
-        stats["evaluations"] += len(outcomes)
-        stats["cache_hits"] += sum(1 for o in outcomes if o.cached)
-        return [dict(outcome.result) for outcome in outcomes]
+        stats["evaluations"] += len(payloads)
+        stats["cache_hits"] += chunk_hits
+        return payloads
 
     proxy_start = time.perf_counter()
     candidates = strategy.search(space, budget, evaluate, rng)
@@ -513,6 +475,5 @@ def run_exploration(
         rank_agreement=agreement,
         proxy_wall_s=proxy_wall_s,
         verify_wall_s=verify_wall_s,
-        proxy=proxy,
         weights=dict(weights) if weights is not None else None,
     )

@@ -4,16 +4,18 @@ A :class:`DesignSpace` is the searchable counterpart of a scenario kind: a
 set of named :class:`Axis` objects (each a finite list of JSON-able values),
 a set of named feasibility :class:`Constraint` predicates, and the scenario
 *kind* every point evaluates through.  Points are plain assignments (axis
-name -> value), so the whole space machinery composes with the existing
-sweep executor and on-disk cache for free: each point materialises into an
-ad-hoc :class:`~repro.runner.scenarios.Scenario` whose canonical identity
-(and therefore cache key) is exactly its parameter mapping.
+name -> value) that resolve into runner parameters
+(:meth:`DesignSpace.point_params`, what exploration evaluates in chunks)
+or materialise into an ad-hoc :class:`~repro.runner.scenarios.Scenario`
+(what engine verification sweeps) whose canonical identity, and therefore
+cache key, is exactly that parameter mapping.
 
 Spaces also define a *fidelity* hook: a deterministic transformation that
 shrinks a point's workload for cheap early-rung evaluations (successive
 halving runs most candidates only at reduced fidelity).  Fidelity is part of
-the materialised parameters, so low- and full-fidelity evaluations of the
-same design cache under different keys and can never be confused.
+the resolved runner parameters (:meth:`DesignSpace.point_params`), so low-
+and full-fidelity evaluations of the same design cache under different keys
+and can never be confused.
 """
 
 from __future__ import annotations
@@ -151,7 +153,6 @@ class DesignPoint:
     point_id: str
     assignment: Mapping[str, Any]
     scenario: Scenario
-    fidelity: float = 1.0
 
 
 def scale_seq_len(params: Dict[str, Any], fraction: float) -> Dict[str, Any]:
@@ -362,7 +363,7 @@ class DesignSpace:
         ``base_params`` overlaid with the assignment, passed through the
         fidelity hook when ``fidelity < 1`` -- exactly the parameters a
         materialised scenario would carry, without building the scenario.
-        This is the entry point of the batched proxy path: bulk evaluators
+        This is the entry point of the exploration proxy: bulk evaluators
         feed these mappings straight to a registered batch runner.
         Infeasible assignments and unknown axis names raise ``ValueError``.
         """
@@ -391,21 +392,17 @@ class DesignSpace:
             params = self.fidelity_hook(params, fidelity)
         return params
 
-    def materialize(
-        self, assignment: Mapping[str, Any], fidelity: float = 1.0
-    ) -> DesignPoint:
-        """Turn one assignment into a cacheable :class:`DesignPoint`.
+    def materialize(self, assignment: Mapping[str, Any]) -> DesignPoint:
+        """Turn one assignment into a cacheable full-fidelity
+        :class:`DesignPoint`.
 
         The scenario's parameters are :meth:`point_params`; the scenario name
-        embeds the fidelity-independent :meth:`point_id` (suffixed with the
-        fidelity when reduced) so cache entries can never be confused.
+        embeds the stable :meth:`point_id`.
         """
-        params = self.point_params(assignment, fidelity)
-        name = f"dse/{self.name}/{self.point_id(assignment)}"
-        if fidelity < 1.0:
-            name = f"{name}@f{fidelity:g}"
+        params = self.point_params(assignment)
+        point_id = self.point_id(assignment)
         scenario = Scenario(
-            name=name,
+            name=f"dse/{self.name}/{point_id}",
             kind=self.kind,
             params=params,
             tags=("dse", self.name),
@@ -413,10 +410,9 @@ class DesignSpace:
         )
         return DesignPoint(
             space=self.name,
-            point_id=self.point_id(assignment),
+            point_id=point_id,
             assignment=dict(assignment),
             scenario=scenario,
-            fidelity=fidelity,
         )
 
     def describe(self) -> str:

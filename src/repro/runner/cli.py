@@ -39,10 +39,11 @@ result/claim/heartbeat/scratch files older than ``--max-age``.
 ``explore`` searches a named design space on the analytic proxy backend and
 re-certifies the resulting Pareto frontier on the cycle-level engine
 (:mod:`repro.explore`); ``--list-spaces`` describes the catalogue.
-``--proxy batched`` evaluates whole strategy generations through the kind's
-batch runner (identical payloads, much faster, bypasses the proxy cache);
-``--weights latency=..,traffic=..,utilization=..`` ranks the frontier (and
-halving survivors) by weighted scalarisation instead of non-domination.
+Every strategy generation is evaluated through the kind's batch runner as
+chunk jobs across the executor (``--chunk-size`` sets the points per job)
+and cached per chunk; ``--weights latency=..,traffic=..,utilization=..``
+ranks the frontier (and halving survivors) by weighted scalarisation
+instead of non-domination.
 
 ``serve`` simulates live traffic -- open-loop (exponential / bursty /
 diurnal arrivals at ``--load`` req/s) or closed-loop (``--clients`` clients
@@ -361,16 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="RNG seed for random/halving sampling; "
         "'random' draws a fresh seed and echoes it "
         "for replay (default: 0)",
-    )
-    explore_cmd.add_argument(
-        "--proxy",
-        choices=("sweep", "batched"),
-        default="sweep",
-        help="analytic proxy path: per-point scenario "
-        "sweep, or batched generation evaluation "
-        "(fastest; sharded into chunk jobs across "
-        "the executor, cached per chunk) "
-        "(default: sweep)",
     )
     explore_cmd.add_argument(
         "--weights",
@@ -760,7 +751,6 @@ def _run_explore(args: argparse.Namespace) -> int:
         get_space,
         get_strategy,
         objectives_for,
-        resolve_batch_runner,
         run_exploration,
         spaces,
         validate_weights,
@@ -785,9 +775,6 @@ def _run_explore(args: argparse.Namespace) -> int:
             weights=args.weights,
             objectives=tuple((o.key, o.sense) for o in objectives),
         )
-        # Pre-flight the same checks run_exploration performs, so user
-        # errors exit 2 here while genuine exploration bugs still traceback.
-        resolve_batch_runner(space, args.proxy)
     except (KeyError, ValueError) as error:
         return _fail(error.args[0])
     if args.verify_top < 0:
@@ -809,7 +796,6 @@ def _run_explore(args: argparse.Namespace) -> int:
             cache=cache,
             force=args.force,
             objectives=objectives,
-            proxy=args.proxy,
             weights=args.weights,
             chunk_size=args.chunk_size,
         )

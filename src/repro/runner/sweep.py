@@ -23,10 +23,10 @@ evaluated in a single batch-runner call wherever the executor lands it
 selects how :func:`run_sweep` shards it.  Every other kind travels one
 scenario per job -- a chunk of one, run by its scalar runner.
 :func:`evaluate_chunked` is the list-of-params front door the exploration
-layer uses -- with per-chunk result caching so warm reruns skip whole
-chunks.  Chunk results splice back in submission order, so the outcome is
-byte-identical to the serial batched path by the batch-runner equality
-contract.
+layer evaluates every generation through -- with per-chunk result caching
+so warm reruns skip whole chunks.  Chunk results splice back in submission
+order, so the outcome is byte-identical to the serial batched path by the
+batch-runner equality contract.
 """
 
 from __future__ import annotations
@@ -236,13 +236,16 @@ def evaluate_chunked(
     chunk_size: Optional[Union[int, str]] = None,
     align: int = 1,
 ) -> Tuple[List[Dict[str, Any]], int]:
-    """Batch-evaluate ``params_list`` under ``kind``'s batch runner, sharded
-    into chunk jobs across ``executor``, with per-chunk result caching.
+    """Evaluate ``params_list`` under ``kind`` in chunk jobs sharded across
+    ``executor``, with per-chunk result caching.
 
-    The exploration layer's batched-proxy front door: one parameter mapping
-    per point, results returned in input order, byte-identical to a single
-    in-process batch call (which is exactly what a serial executor with the
-    default ``chunk_size=None`` performs).  ``cache`` stores one entry per
+    The exploration layer's only evaluation front door: one parameter
+    mapping per point, results returned in input order, byte-identical to a
+    single in-process batch call (which is exactly what a serial executor
+    with the default ``chunk_size=None`` performs).  A kind without a batch
+    runner runs its scalar runner point by point inside each chunk (see
+    :func:`_run_chunk`); a kind with no runner at all on ``backend`` raises
+    ``KeyError`` before anything executes.  ``cache`` stores one entry per
     *chunk*, keyed like per-scenario entries (canonical params + backend +
     code version -- see :meth:`~repro.runner.cache.ResultCache.chunk_key`),
     so a warm rerun skips whole chunks without executing anything;
@@ -252,10 +255,7 @@ def evaluate_chunked(
     chunk cache.
     """
     _validate_chunk_size(chunk_size)
-    if REGISTRY.batch_runner(kind, backend) is None:
-        raise KeyError(
-            f"kind {kind!r} has no batch runner for backend {backend!r}"
-        )
+    REGISTRY.runner(kind, backend)  # fail up front, not inside a worker
     params_list = list(params_list)
     total = len(params_list)
     if total == 0:

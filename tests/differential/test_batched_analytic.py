@@ -131,20 +131,26 @@ def test_serial_sweep_routes_batch_kinds_and_matches_scalar():
         assert not by_name[name].cached
 
 
-def test_exploration_frontiers_identical_across_proxies():
-    """The whole point of payload equality: sweep-proxy and batched-proxy
-    explorations produce the same frontier for the same seed."""
-    from repro.explore import SuccessiveHalving, run_exploration
+@pytest.mark.parametrize("space_name", ["encoder-smoke", "chiplet-smoke"])
+def test_exploration_frontier_matches_the_scalar_runner(space_name):
+    """The scalar analytic runner stays the reference for exploration: every
+    frontier point's objectives, re-derived from a fresh scalar evaluation
+    of that point, equal the values the batched generation reported."""
+    from repro.explore import SuccessiveHalving, objectives_for, run_exploration
 
-    def explore(proxy):
-        return run_exploration(get_space("encoder-smoke"), SuccessiveHalving(),
-                               budget=12, verify_top=0, seed=5, proxy=proxy)
-
-    sweep = explore("sweep")
-    batched = explore("batched")
-    assert batched.proxy == "batched"
-    assert [point.to_dict() for point in sweep.frontier] == \
-        [point.to_dict() for point in batched.frontier]
+    space = get_space(space_name)
+    objectives = objectives_for(space)
+    strategy = SuccessiveHalving(
+        objectives=tuple((o.key, o.sense) for o in objectives))
+    report = run_exploration(space, strategy, budget=12, verify_top=0, seed=5,
+                             objectives=objectives)
+    assert report.proxy == "batched"
+    assert report.frontier
+    scalar = REGISTRY.runner(space.kind, "analytic")
+    for point in report.frontier:
+        payload = scalar(**space.point_params(point.assignment))
+        assert point.objectives == {o.name: o.value(payload)
+                                    for o in objectives}
 
 
 def _chiplet_batched():

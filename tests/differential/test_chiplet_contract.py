@@ -152,22 +152,3 @@ class TestBatchedChiplet:
         evaluator = EncoderBatchEvaluator()  # fresh: nothing memoized
         with pytest.raises(ValueError):
             evaluator.evaluate_chiplet_batch([bad], _encoder_config)
-
-    def test_exploration_frontiers_identical_across_proxies(self):
-        from repro.explore import (SuccessiveHalving, objectives_for,
-                                   run_exploration)
-
-        space = get_space("chiplet-smoke")
-        objectives = objectives_for(space)
-        obj_pairs = tuple((o.key, o.sense) for o in objectives)
-
-        def explore(proxy):
-            return run_exploration(space, SuccessiveHalving(objectives=obj_pairs),
-                                   budget=12, verify_top=0, seed=5,
-                                   objectives=objectives, proxy=proxy)
-
-        sweep = explore("sweep")
-        batched = explore("batched")
-        assert batched.proxy == "batched"
-        assert [point.to_dict() for point in sweep.frontier] == \
-            [point.to_dict() for point in batched.frontier]

@@ -105,7 +105,7 @@ class TestChunkedEquivalence:
 
     def test_exploration_chunked_workqueue_matches_serial(self, tmp_path):
         space = get_space("encoder-smoke")
-        kwargs = dict(budget=16, verify_top=0, proxy="batched", cache=None)
+        kwargs = dict(budget=16, verify_top=0, cache=None)
         serial = run_exploration(space, GridSearch(), **kwargs)
         with WorkQueueExecutor(tmp_path / "spool", local_workers=2,
                                poll_s=0.02, timeout_s=600.0) as wq:

@@ -147,7 +147,6 @@ class TestMaterialise:
         assert point.scenario.params == {"model": "bert_large", "batch": 1,
                                          "seq_len": 64, "tile_m": 256}
         assert point.scenario.tags == ("dse", "toy")
-        assert point.fidelity == 1.0
 
     def test_point_id_is_stable_and_distinct(self):
         space = _toy_space()
@@ -169,22 +168,21 @@ class TestMaterialise:
         with pytest.raises(ValueError, match="big_tiles_only"):
             space.materialize({"seq_len": 64, "tile_m": 256})
 
-    def test_fidelity_scales_params_and_renames_scenario(self):
+    def test_fidelity_scales_point_params(self):
         space = _toy_space()
-        point = space.materialize({"seq_len": 128, "tile_m": 256},
-                                  fidelity=0.5)
-        assert point.scenario.params["seq_len"] == 64
-        assert point.scenario.name.endswith("@f0.5")
-        # identity is fidelity-independent: same design, cheaper evaluation.
-        assert point.point_id == space.point_id({"seq_len": 128,
-                                                 "tile_m": 256})
+        assignment = {"seq_len": 128, "tile_m": 256}
+        params = space.point_params(assignment, fidelity=0.5)
+        assert params == {"model": "bert_large", "batch": 1,
+                          "seq_len": 64, "tile_m": 256}
+        # materialised points are always full fidelity.
+        assert space.materialize(assignment).scenario.params["seq_len"] == 128
 
     def test_fidelity_out_of_range_rejected(self):
         space = _toy_space()
         for fidelity in (0.0, -1.0, 1.5):
             with pytest.raises(ValueError, match="fidelity"):
-                space.materialize({"seq_len": 64, "tile_m": 256},
-                                  fidelity=fidelity)
+                space.point_params({"seq_len": 64, "tile_m": 256},
+                                   fidelity=fidelity)
 
 
 class TestScaleSeqLen:

@@ -20,7 +20,6 @@ def _explore(weights=None, **kwargs):
     kwargs.setdefault("budget", 12)
     kwargs.setdefault("verify_top", 0)
     kwargs.setdefault("seed", 5)
-    kwargs.setdefault("proxy", "batched")  # fast; payloads equal sweep's
     strategy = SuccessiveHalving(weights=weights) if weights \
         else SuccessiveHalving()
     return run_exploration(get_space("encoder-smoke"), strategy,
@@ -111,7 +110,7 @@ def test_weighted_chiplet_exploration_scores_cost_axes():
         space,
         SuccessiveHalving(objectives=obj_pairs, weights=weights),
         budget=12, verify_top=0, seed=5, objectives=objectives,
-        proxy="batched", weights=weights)
+        weights=weights)
     assert report.frontier
     scores = [point.weighted_score for point in report.frontier]
     assert all(score is not None for score in scores)
@@ -124,14 +123,9 @@ def test_weighted_chiplet_exploration_scores_cost_axes():
     assert {"area", "energy", "pipeline_throughput"} <= names
 
 
-def test_unknown_proxy_and_missing_batch_runner_raise():
-    with pytest.raises(KeyError, match="proxy"):
+@pytest.mark.parametrize("proxy", ["sweep", "warp"])
+def test_any_proxy_but_batched_raises(proxy):
+    # The sweep proxy was removed: "batched" is the only evaluation path.
+    with pytest.raises(KeyError, match="sweep proxy was removed"):
         run_exploration(get_space("encoder-smoke"), SuccessiveHalving(),
-                        budget=4, verify_top=0, proxy="warp")
-    # A space whose kind has no batch runner must fail loudly in batched mode.
-    from repro.explore import Axis, DesignSpace
-    space = DesignSpace(name="chain", kind="engine_chain",
-                        axes=(Axis("n_msgs", (10, 20)),))
-    with pytest.raises(KeyError, match="batch runner"):
-        run_exploration(space, SuccessiveHalving(), budget=2, verify_top=0,
-                        proxy="batched")
+                        budget=4, verify_top=0, proxy=proxy)

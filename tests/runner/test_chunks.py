@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.explore import get_space, run_exploration
+from repro.explore import Objective, get_space, run_exploration
 from repro.explore.space import Axis, Constraint, DesignSpace
 from repro.explore.strategies import GridSearch
-from repro.runner import canonical_json, run_sweep
-from repro.runner.executors import SerialExecutor
+from repro.runner import REGISTRY, Scenario, canonical_json, run_sweep
+from repro.runner.executors import ProcessPoolExecutor, SerialExecutor
 from repro.runner.sweep import (auto_chunk_size, evaluate_chunked,
                                 partition_chunks, resolve_chunk_size)
 
@@ -136,11 +136,13 @@ class TestEvaluateChunkedEdges:
         with pytest.raises(KeyError):
             evaluate_chunked("no-such-kind", [{"x": 1}])
 
-    def test_kind_without_batch_runner_raises(self):
-        # engine_chain runs scalar-only: chunk jobs require a batch runner.
-        with pytest.raises(KeyError):
-            evaluate_chunked("engine_chain", [{"n_msgs": 10, "stages": 1}],
-                             backend="engine")
+    def test_kind_without_a_runner_on_the_backend_raises(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(REGISTRY._kinds, "unit_engine_only",
+                            {"engine": lambda: ran.append(1) or {"ok": 1}})
+        with pytest.raises(KeyError, match="analytic"):
+            evaluate_chunked("unit_engine_only", [{}], backend="analytic")
+        assert ran == []
 
     def test_chunk_size_one_and_oversized_match_the_batched_call(self):
         kind, params = _generation()
@@ -179,6 +181,70 @@ class TestInfeasibleGenerations:
         )
         assert space.feasible_count() == 0
         report = run_exploration(space, GridSearch(), budget=4, verify_top=0,
-                                 proxy="batched", cache=None)
+                                 cache=None)
         assert report.evaluations == 0
         assert report.frontier == []
+
+
+def _recording(executor_cls):
+    """``executor_cls`` extended to record the size of every submitted
+    chunk, in submission order."""
+
+    class Recording(executor_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.chunk_sizes = []
+
+        def submit_chunks(self, chunks, run_chunk_fn):
+            self.chunk_sizes.extend(len(params) for _, params in chunks)
+            return super().submit_chunks(chunks, run_chunk_fn)
+
+    return Recording
+
+
+class TestExplorationChunking:
+    def test_chunk_size_is_honoured_on_the_default_path(self):
+        executor = _recording(SerialExecutor)()
+        report = run_exploration(get_space("encoder-smoke"), GridSearch(),
+                                 budget=8, verify_top=0, chunk_size=1,
+                                 executor=executor)
+        assert report.evaluations == 8
+        assert executor.chunk_sizes == [1] * 8
+
+    @pytest.mark.parametrize("executor_cls, args", [
+        (SerialExecutor, ()),
+        (ProcessPoolExecutor, (2,)),
+    ])
+    def test_scalar_only_kind_explores(self, executor_cls, args):
+        # engine_chain registers no batch runner: its chunks run the scalar
+        # analytic runner point by point.
+        assert REGISTRY.batch_runner("engine_chain", "analytic") is None
+        space = DesignSpace(
+            name="chain",
+            kind="engine_chain",
+            axes=(Axis("n_msgs", (10, 20, 40)), Axis("stages", (1, 2))),
+        )
+        strategy = GridSearch()
+        search = strategy.search
+        candidates = []
+
+        def recording_search(*args):
+            candidates.extend(search(*args))
+            return candidates
+
+        strategy.search = recording_search
+        with _recording(executor_cls)(*args) as executor:
+            report = run_exploration(
+                space, strategy, budget=6, verify_top=0, cache=None,
+                executor=executor, chunk_size=2,
+                objectives=(Objective("end_time", "end_time", "min"),))
+        assert executor.chunk_sizes == [2, 2, 2]
+        assert report.evaluations == 6
+        assert [c.assignment for c in candidates] == space.points()
+        for candidate in candidates:
+            scenario = Scenario(name="chain", kind="engine_chain",
+                                params=space.point_params(candidate.assignment))
+            assert candidate.payload == REGISTRY.run(scenario,
+                                                     backend="analytic")
+        fastest = min(candidates, key=lambda c: c.payload["end_time"])
+        assert [p.assignment for p in report.frontier] == [fastest.assignment]

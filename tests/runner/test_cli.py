@@ -531,18 +531,26 @@ class TestExploreProxyAndWeights:
     def test_batched_proxy_end_to_end(self, capsys, tmp_path):
         code, out, err = _run(capsys, "explore", "--space", "encoder-smoke",
                               "--strategy", "grid", "--budget", "8",
-                              "--verify-top", "1", "--proxy", "batched",
+                              "--verify-top", "1",
                               "--cache-dir", str(tmp_path))
         assert code == 0 and not err
         assert "Pareto frontier" in out
         assert "batched proxy" in out
+
+    # The sweep proxy was removed and batched is the only path: no flag.
+    @pytest.mark.parametrize("proxy", ["sweep", "batched"])
+    def test_proxy_flag_exits_2(self, capsys, proxy):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--space", "encoder-smoke", "--proxy", proxy])
+        assert excinfo.value.code == 2
+        assert "--proxy" in capsys.readouterr().err
 
     def test_weights_order_frontier_and_render_score_column(self, capsys,
                                                             tmp_path):
         json_path = tmp_path / "weighted.json"
         code, out, _ = _run(capsys, "explore", "--space", "encoder-smoke",
                             "--strategy", "halving", "--budget", "8",
-                            "--verify-top", "0", "--proxy", "batched",
+                            "--verify-top", "0",
                             "--weights", "latency=2,traffic=1",
                             "--cache-dir", str(tmp_path / "cache"),
                             "--json", str(json_path))
@@ -574,7 +582,7 @@ class TestExploreChipletSpace:
         json_path = tmp_path / "chiplet.json"
         code, out, err = _run(capsys, "explore", "--space", "chiplet-smoke",
                               "--strategy", "halving", "--budget", "12",
-                              "--verify-top", "2", "--proxy", "batched",
+                              "--verify-top", "2",
                               "--weights", "latency=1,area=2,energy=1",
                               "--cache-dir", str(tmp_path / "cache"),
                               "--json", str(json_path))
@@ -594,7 +602,7 @@ class TestExploreChipletSpace:
         # carry area/energy); they must not be rejected as unknown.
         code, _, err = _run(capsys, "explore", "--space", "encoder-smoke",
                             "--strategy", "halving", "--budget", "8",
-                            "--verify-top", "0", "--proxy", "batched",
+                            "--verify-top", "0",
                             "--weights", "throughput=1,energy=1",
                             "--cache-dir", str(tmp_path))
         assert code == 0 and not err
@@ -757,7 +765,7 @@ class TestChunkSizeOption:
     def test_explore_batched_proxy_with_chunk_size(self, capsys, tmp_path):
         code, out, err = _run(capsys, "explore", "--space", "encoder-smoke",
                               "--strategy", "grid", "--budget", "16",
-                              "--verify-top", "0", "--proxy", "batched",
+                              "--verify-top", "0",
                               "--chunk-size", "4", "--no-cache")
         assert code == 0 and not err
         assert "Pareto frontier" in out
