@@ -1,13 +1,13 @@
-"""Batched analytic evaluation vs the per-point proxy path.
+"""Batched analytic evaluation vs one scenario at a time.
 
-The per-point path runs one scalar-runner call per materialised scenario --
-what every distributed executor does per job, and what serial sweeps did
-before ``run_sweep`` learned to route batch-capable kinds through their
-batch runner (so the baseline is constructed explicitly here rather than
-through ``run_sweep``, which would now itself take the batched path).  The
-batched path hands the same generation to the registered ``dse_encoder``
-batch runner (shared memoized tallies + vectorized NumPy rooflines), with
-every payload exactly equal to the per-point result; in practice the
+The per-point path runs the ``dse_encoder`` analytic runner once per
+materialised scenario: a batch of one on a fresh evaluator, so every point
+re-validates its MME plan, re-builds its workload and re-tallies it --
+what a caller evaluating scenarios one by one pays (``run_sweep`` routes
+batch-capable kinds through their batch runner, so the baseline is
+constructed explicitly here).  The batched path hands the same generation
+to one evaluator (shared memoized tallies + vectorized NumPy rooflines),
+with every payload exactly equal to the per-point result; in practice the
 speedup is several times cold and another order of magnitude warm.
 """
 
@@ -64,7 +64,7 @@ def test_batched_generation_speedup(benchmark):
         f"Analytic proxy: {points}-point generation of the " "'encoder' space",
         ["path", "wall (s)", "ms/point"],
     )
-    table.add_row("per-point (scalar runner)", per_point_s, per_point_s / points * 1e3)
+    table.add_row("per-point (batch of one)", per_point_s, per_point_s / points * 1e3)
     table.add_row("batched (cold evaluator)", batched_s, batched_s / points * 1e3)
     table.add_row("batched (warm evaluator)", warm_s, warm_s / points * 1e3)
     table.add_note(

@@ -1,14 +1,13 @@
-"""Batched chiplet evaluation vs the per-point proxy path.
+"""Batched chiplet evaluation vs one scenario at a time.
 
 Same shape as ``bench_analytic_batch.py``, over the multi-chip
 ``chiplet-encoder`` space: the per-point path materialises each design
-point into an ad-hoc ``dse_chiplet`` scenario and runs the scalar analytic
-runner once per scenario (the distributed executors' per-job path -- serial
-``run_sweep`` would now route through the batch runner itself); the batched
-path hands the same generation to the registered chiplet batch runner.  The chiplet axes
+point into an ad-hoc ``dse_chiplet`` scenario and runs its analytic runner
+-- a batch of one on a fresh evaluator -- once per scenario; the batched
+path hands the same generation to one evaluator.  The chiplet axes
 (``num_chips``, link bandwidth/latency) change no instruction tally, so
-many points share one memoized simulation -- which is why the acceptance
-floor here is *higher* than the single-chip bench's: >=5x cold, with every
+many points share one memoized tally -- which is why the acceptance floor
+here is *higher* than the single-chip bench's: >=5x cold, with every
 payload exactly equal to the per-point result.
 """
 
@@ -67,7 +66,7 @@ def test_batched_chiplet_speedup(benchmark):
         f"Chiplet proxy: {points}-point generation of the " "'chiplet-encoder' space",
         ["path", "wall (s)", "ms/point"],
     )
-    table.add_row("per-point (scalar runner)", per_point_s, per_point_s / points * 1e3)
+    table.add_row("per-point (batch of one)", per_point_s, per_point_s / points * 1e3)
     table.add_row("batched (cold evaluator)", batched_s, batched_s / points * 1e3)
     table.add_row("batched (warm evaluator)", warm_s, warm_s / points * 1e3)
     table.add_note(

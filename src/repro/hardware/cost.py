@@ -6,7 +6,7 @@ tables for the *baseline* design (6 MMEs, 6 MemCs, the Fig. 16 inventory).
 DSE points vary the FU counts, scratchpad depths, bandwidth scale and -- on
 the chiplet axis -- the chip count, so exploration needs the same models
 evaluated at arbitrary design parameters.  This module provides exactly
-that, as plain-float functions so the scalar runners and the batched
+that, as plain-float functions so the engine runners and the batched
 analytic evaluator compute bit-identical cost keys from identical inputs.
 
 Calibration anchors (checked by the test suite):

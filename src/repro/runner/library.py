@@ -9,26 +9,28 @@ Importing this module populates :data:`repro.runner.scenarios.REGISTRY` with
   it reproduces.
 
 Every kind declares the execution backends it supports.  Simulation kinds
-(``xnn_*``, ``engine_chain``) register two implementations: the event-driven
-``engine`` backend and the closed-form ``analytic`` backend
-(:class:`~repro.xnn.analytic.AnalyticXNN`), whose latency is a certified
-lower bound on the engine's result (pinned by ``tests/differential/``).
-Kinds that are analytical by nature (CHARM, mapping estimates, GPU
-rooflines, ...) register one backend-independent function for both.
+(``xnn_*``, ``dse_*``, ``engine_chain``) register two implementations: the
+event-driven ``engine`` backend and the closed-form ``analytic`` backend,
+whose latency is a certified lower bound on the engine's result (pinned by
+``tests/differential/``).  Kinds that are analytical by nature (CHARM,
+mapping estimates, GPU rooflines, ...) register one backend-independent
+function for both.
 
 Runner functions take only JSON-able keyword parameters and return JSON-able
 dicts, so every scenario can be executed in a worker process and cached on
 disk byte-for-byte (:mod:`repro.runner.sweep`, :mod:`repro.runner.cache`).
 
-Batch-capable kinds additionally register a *batch runner*
-(``@REGISTRY.batch_kind``): one call evaluating a whole list of parameter
-sets, payload-identical to the scalar runner point for point.  Batch
-runners are what sharded **chunk jobs** execute -- a distributed sweep or
-exploration ships a contiguous slice of a generation as a single job, and
-the worker runs the slice through the batch runner in one call
-(:func:`repro.runner.sweep.evaluate_chunked`,
-:mod:`repro.runner.worker`), so per-job overhead amortises over the
-whole chunk while results stay byte-identical to the serial batched path.
+The analytic roofline kinds (``xnn_gemm``, ``xnn_encoder``,
+``xnn_feedforward``, ``dse_encoder``, ``dse_chiplet``) have one
+implementation each: a *batch runner* over a whole list of parameter sets,
+resolved by :class:`~repro.xnn.analytic.EncoderBatchEvaluator`
+(``_analytic_kind``).  Their scalar runner is that batch runner applied to
+one parameter set.  Batch runners are what sharded **chunk jobs** execute
+-- a distributed sweep or exploration ships a contiguous slice of a
+generation as a single job, and the worker runs the slice through the batch
+runner in one call (:func:`repro.runner.sweep.evaluate_chunked`,
+:mod:`repro.runner.worker`), so per-job overhead amortises over the whole
+chunk while results stay byte-identical to the serial batched path.
 """
 
 from __future__ import annotations
@@ -122,6 +124,36 @@ def _analytic_encoder_dict(result) -> Dict[str, Any]:
     return payload
 
 
+def _analytic_kind(name: str):
+    """Register ``fn(param_sets, evaluator) -> payloads`` as the only
+    analytic implementation of kind ``name``.
+
+    The batch runner evaluates on the process-wide
+    :func:`~repro.xnn.analytic.encoder_batch_evaluator`, whose memoized
+    tallies outlive one generation or chunk.  The scalar runner is the same
+    function applied to ``[params]`` on a fresh
+    :class:`~repro.xnn.analytic.EncoderBatchEvaluator`, so one scenario's
+    payload never depends on what the process evaluated before it.
+    """
+
+    def register(fn):
+        def scalar(**params) -> dict:
+            from repro.xnn.analytic import EncoderBatchEvaluator
+
+            return fn([params], EncoderBatchEvaluator())[0]
+
+        def batch(param_sets: List[Dict[str, Any]]) -> List[dict]:
+            from repro.xnn.analytic import encoder_batch_evaluator
+
+            return fn(param_sets, encoder_batch_evaluator())
+
+        REGISTRY.kind(name, backend="analytic")(scalar)
+        REGISTRY.batch_kind(name, backend="analytic")(batch)
+        return fn
+
+    return register
+
+
 # ---------------------------------------------------------------- kind runners
 
 
@@ -157,28 +189,6 @@ def run_xnn_gemm(
     return payload
 
 
-@REGISTRY.kind("xnn_gemm", backend="analytic")
-def estimate_xnn_gemm(
-    m: int,
-    k: int,
-    n: int,
-    options: Optional[Dict[str, Any]] = None,
-    bandwidth_scale: float = 1.0,
-) -> dict:
-    """Analytic lower-bound estimate of the end-to-end GEMM (Table 6b)."""
-    from repro.xnn.analytic import AnalyticXNN
-
-    model = AnalyticXNN(
-        config=_xnn_config(bandwidth_scale), options=_codegen_options(options)
-    )
-    result = model.run_gemm(m, k, n)
-    payload = _analytic_segment_dict(result)
-    payload["gflops"] = (
-        result.flops / result.latency_s / 1e9 if result.latency_s else 0.0
-    )
-    return payload
-
-
 def _gemm_point(
     m: int,
     k: int,
@@ -186,29 +196,31 @@ def _gemm_point(
     options: Optional[Dict[str, Any]] = None,
     bandwidth_scale: float = 1.0,
 ):
-    """One ``xnn_gemm`` parameter set resolved into the exact objects the
-    scalar analytic runner constructs.  Same signature as the scalar runner,
-    so unknown or missing parameters fail identically on either path."""
-    return (_xnn_config(bandwidth_scale), _codegen_options(options), m, k, n)
+    """One ``xnn_gemm`` parameter set as an evaluator point: a one-layer
+    feed-forward model, labelled with the task-parallel mapping.  Same
+    signature as the engine runner, so unknown or missing parameters fail
+    identically on either backend."""
+    from repro.workloads.layers import MatMulLayer, ModelSpec
+    from repro.xnn.mapping import MappingType
+
+    gemm = ModelSpec("gemm", (MatMulLayer("gemm", m=m, k=k, n=n),))
+    return (
+        _xnn_config(bandwidth_scale),
+        _codegen_options(options),
+        ("feedforward", gemm, MappingType.TASK_PARALLEL.value),
+    )
 
 
-@REGISTRY.batch_kind("xnn_gemm", backend="analytic")
-def estimate_xnn_gemm_batch(param_sets: List[Dict[str, Any]]) -> List[dict]:
-    """Batched analytic evaluation of many ``xnn_gemm`` scenarios.
-
-    Shared-tally memoization plus vectorized rooflines, payload-formatted
-    through the same helpers as :func:`estimate_xnn_gemm` -- every payload
-    equals the scalar runner's for the same parameters exactly
-    (``tests/differential/test_batched_analytic.py`` pins this).
-    """
-    from repro.xnn.analytic import encoder_batch_evaluator
-
+@_analytic_kind("xnn_gemm")
+def estimate_xnn_gemm(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
+    """Analytic lower-bound estimate of the end-to-end GEMM (Table 6b)."""
     points = [_gemm_point(**params) for params in param_sets]
     payloads = []
-    for result in encoder_batch_evaluator().gemm_results(points):
-        payload = _analytic_segment_dict(result)
+    for result in evaluator.results(points):
+        segment = result.segments[0]
+        payload = _analytic_segment_dict(segment)
         payload["gflops"] = (
-            result.flops / result.latency_s / 1e9 if result.latency_s else 0.0
+            segment.flops / segment.latency_s / 1e9 if segment.latency_s else 0.0
         )
         payloads.append(payload)
     return payloads
@@ -234,26 +246,6 @@ def run_xnn_encoder(
     return _encoder_dict(result)
 
 
-@REGISTRY.kind("xnn_encoder", backend="analytic")
-def estimate_xnn_encoder(
-    batch: int,
-    seq_len: int,
-    model: str = "bert_large",
-    options: Optional[Dict[str, Any]] = None,
-    bandwidth_scale: float = 1.0,
-) -> dict:
-    """Analytic lower-bound estimate of one encoder layer, per segment."""
-    from repro.xnn.analytic import AnalyticXNN
-
-    analytic = AnalyticXNN(
-        config=_xnn_config(bandwidth_scale), options=_codegen_options(options)
-    )
-    result = analytic.run_encoder(
-        batch=batch, seq_len=seq_len, config=_encoder_config(model)
-    )
-    return _analytic_encoder_dict(result)
-
-
 def _encoder_point(
     batch: int,
     seq_len: int,
@@ -261,34 +253,21 @@ def _encoder_point(
     options: Optional[Dict[str, Any]] = None,
     bandwidth_scale: float = 1.0,
 ):
-    """One ``xnn_encoder`` parameter set resolved into the exact objects the
-    scalar analytic runner constructs.  Same signature as the scalar runner,
-    so unknown or missing parameters fail identically on either path."""
+    """One ``xnn_encoder`` parameter set as an evaluator point.  Same
+    signature as the engine runner, so unknown or missing parameters fail
+    identically on either backend."""
     return (
         _xnn_config(bandwidth_scale),
         _codegen_options(options),
-        batch,
-        seq_len,
-        _encoder_config(model),
+        ("encoder", batch, seq_len, _encoder_config(model)),
     )
 
 
-@REGISTRY.batch_kind("xnn_encoder", backend="analytic")
-def estimate_xnn_encoder_batch(param_sets: List[Dict[str, Any]]) -> List[dict]:
-    """Batched analytic evaluation of many ``xnn_encoder`` scenarios.
-
-    One call per sweep generation: tallies are memoized across points (and
-    calls), the bandwidth-dependent rooflines are vectorized, and each point
-    is payload-formatted through the same helper as
-    :func:`estimate_xnn_encoder` -- so every payload equals the scalar
-    runner's for the same parameters exactly
-    (``tests/differential/test_batched_analytic.py`` pins this).
-    """
-    from repro.xnn.analytic import encoder_batch_evaluator
-
+@_analytic_kind("xnn_encoder")
+def estimate_xnn_encoder(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
+    """Analytic lower-bound estimate of encoder layers, per segment."""
     points = [_encoder_point(**params) for params in param_sets]
-    results = encoder_batch_evaluator().encoder_results(points)
-    return [_analytic_encoder_dict(result) for result in results]
+    return [_analytic_encoder_dict(result) for result in evaluator.results(points)]
 
 
 @REGISTRY.kind("xnn_feedforward")
@@ -303,16 +282,21 @@ def run_xnn_feedforward(
     return _encoder_dict(result)
 
 
-@REGISTRY.kind("xnn_feedforward", backend="analytic")
-def estimate_xnn_feedforward(
+def _feedforward_point(
     model: str, batch: int, options: Optional[Dict[str, Any]] = None
-) -> dict:
-    """Analytic lower-bound estimate of a pure-GEMM model (Table 7)."""
-    from repro.xnn.analytic import AnalyticXNN
+):
+    """One ``xnn_feedforward`` parameter set as an evaluator point."""
+    spec = _feedforward_builder(model)(batch=batch)
+    return (_xnn_config(), _codegen_options(options), ("feedforward", spec, ""))
 
-    analytic = AnalyticXNN(config=_xnn_config(), options=_codegen_options(options))
-    result = analytic.run_feedforward_model(_feedforward_builder(model)(batch=batch))
-    return _analytic_encoder_dict(result)
+
+@_analytic_kind("xnn_feedforward")
+def estimate_xnn_feedforward(
+    param_sets: List[Dict[str, Any]], evaluator
+) -> List[dict]:
+    """Analytic lower-bound estimate of pure-GEMM models (Table 7)."""
+    points = [_feedforward_point(**params) for params in param_sets]
+    return [_analytic_encoder_dict(result) for result in evaluator.results(points)]
 
 
 @REGISTRY.kind("charm_gemm", backend=("engine", "analytic"))
@@ -468,11 +452,10 @@ def _dse_design(
 ):
     """Materialise one design point's hardware config and codegen options.
 
-    Shared by both backends of the ``dse_encoder`` kind so the engine and the
-    analytic proxy always evaluate *exactly* the same design: the validated
-    :meth:`~repro.xnn.datapath.XNNConfig.for_design` /
+    The validated :meth:`~repro.xnn.datapath.XNNConfig.for_design` /
     :meth:`~repro.xnn.codegen.CodegenOptions.with_overrides` hooks reject
-    infeasible points identically on either path.
+    infeasible points before the engine spends any time on them (the
+    analytic evaluator builds its probe configs through the same checks).
     """
     from repro.xnn import CodegenOptions, XNNConfig
 
@@ -488,37 +471,23 @@ def _dse_design(
     return config, options
 
 
-def _dse_payload(result, config) -> Dict[str, Any]:
-    """Flatten an encoder result into the DSE objective vector payload.
+def _engine_design_point(batch: int, seq_len: int, model: str, **design):
+    """One encoder design point on the cycle-level engine.
 
-    ``utilization`` (achieved fraction of the design's *own* MME peak) is
-    computed here for both backends because the engine result does not carry
-    roofline diagnostics; normalising by the per-design peak keeps points
-    with different MME counts comparable on the same Pareto axis.
+    Returns ``(result, config, per-chip peak FLOP/s)`` -- what the DSE
+    payload constructors of :mod:`repro.xnn.partition` need besides the
+    cost.
     """
     from repro.hardware.aie import AIEArrayModel, MMEGroupPlan
-    from repro.xnn.partition import design_cost
+    from repro.xnn import XNNExecutor
 
+    config, options = _dse_design(**design)
+    executor = XNNExecutor(config=config, options=options)
+    result = executor.run_encoder(
+        batch=batch, seq_len=seq_len, config=_encoder_config(model)
+    )
     aie = AIEArrayModel(config.spec, MMEGroupPlan(num_groups=config.num_mme))
-    peak_flops = config.num_mme * aie.mme_flops(config.mme_tile_shape)
-    latency_s = result.latency_s
-    utilization = (result.flops / latency_s / peak_flops) if latency_s else 0.0
-    power_w, area_luts = design_cost(config, peak_flops)
-    return {
-        "latency_s": latency_s,
-        "latency_ms": latency_s * 1e3,
-        "flops": result.flops,
-        "ddr_bytes": result.ddr_bytes,
-        "lpddr_bytes": result.lpddr_bytes,
-        "offchip_bytes": result.offchip_bytes,
-        "achieved_tflops": result.achieved_tflops,
-        "utilization": utilization,
-        "num_mme": config.num_mme,
-        "pipeline_tasks_per_s": (result.batch / latency_s) if latency_s else 0.0,
-        "power_w": power_w,
-        "area_luts": area_luts,
-        "energy_j": power_w * latency_s,
-    }
+    return result, config, config.num_mme * aie.mme_flops(config.mme_tile_shape)
 
 
 @REGISTRY.kind("dse_encoder")
@@ -535,108 +504,29 @@ def run_dse_encoder(
     super_n: int = 1024,
 ) -> dict:
     """Cycle-level evaluation of one encoder design point (DSE verification)."""
-    from repro.xnn import XNNExecutor
+    from repro.xnn.partition import design_cost, dse_payload
 
-    config, options = _dse_design(
-        num_mme,
-        mem_b_bytes,
-        bandwidth_scale,
-        pipeline_attention,
-        tile_m,
-        tile_k,
-        super_n,
+    result, config, peak_flops = _engine_design_point(
+        batch, seq_len, model, num_mme=num_mme, mem_b_bytes=mem_b_bytes,
+        bandwidth_scale=bandwidth_scale, pipeline_attention=pipeline_attention,
+        tile_m=tile_m, tile_k=tile_k, super_n=super_n,
     )
-    executor = XNNExecutor(config=config, options=options)
-    result = executor.run_encoder(
-        batch=batch, seq_len=seq_len, config=_encoder_config(model)
-    )
-    return _dse_payload(result, config)
-
-
-@REGISTRY.kind("dse_encoder", backend="analytic")
-def estimate_dse_encoder(
-    batch: int = 1,
-    seq_len: int = 128,
-    model: str = "bert_large",
-    num_mme: int = 6,
-    mem_b_bytes: int = 1024 * 1024,
-    bandwidth_scale: float = 1.0,
-    pipeline_attention: bool = True,
-    tile_m: int = 768,
-    tile_k: int = 128,
-    super_n: int = 1024,
-) -> dict:
-    """Analytic-proxy evaluation of one encoder design point (DSE search)."""
-    from repro.xnn.analytic import AnalyticXNN
-
-    config, options = _dse_design(
-        num_mme,
-        mem_b_bytes,
-        bandwidth_scale,
-        pipeline_attention,
-        tile_m,
-        tile_k,
-        super_n,
-    )
-    analytic = AnalyticXNN(config=config, options=options)
-    result = analytic.run_encoder(
-        batch=batch, seq_len=seq_len, config=_encoder_config(model)
-    )
-    return _dse_payload(result, config)
-
-
-@REGISTRY.batch_kind("dse_encoder", backend="analytic")
-def estimate_dse_encoder_batch(param_sets: List[Dict[str, Any]]) -> List[dict]:
-    """Batched analytic evaluation of many encoder design points.
-
-    One call per strategy *generation*: shared tallies are memoized across
-    points (and across calls) and the bandwidth-dependent rooflines are
-    evaluated as NumPy arrays.  Every payload is exactly equal -- float for
-    float -- to :func:`estimate_dse_encoder` on the same parameters, which
-    ``tests/differential/test_batched_analytic.py`` pins.
-    """
-    from repro.xnn.analytic import encoder_batch_evaluator
-
-    return encoder_batch_evaluator().evaluate_batch(param_sets, _encoder_config)
-
-
-def _chiplet_result_payload(
-    result, config, *, batch: int, seq_len: int, model: str,
-    num_chips: int, link_gbs: float, link_hop_us: float,
-    link_serialization_us: float,
-) -> Dict[str, Any]:
-    """Flatten a (single-chip) encoder result into the multi-chip payload.
-
-    Shared by both scalar backends of ``dse_chiplet``: the backend only
-    determines the per-segment latencies and traffic; the partition, link
-    terms, cost models, and payload arithmetic are the same
-    :func:`~repro.xnn.partition.chiplet_payload` call the batched evaluator
-    makes.  Since each analytic segment latency is a certified lower bound
-    on its engine counterpart and the link terms are identical on both
-    backends, the combined chiplet latency inherits the lower-bound
-    contract, and the untouched per-segment traffic keeps byte-identity.
-    """
-    from repro.hardware.aie import AIEArrayModel, MMEGroupPlan
-    from repro.hardware.link import InterChipLink
-    from repro.xnn.partition import chiplet_payload, design_cost, encoder_partition
-
-    aie = AIEArrayModel(config.spec, MMEGroupPlan(num_groups=config.num_mme))
-    per_chip_peak = config.num_mme * aie.mme_flops(config.mme_tile_shape)
-    link = InterChipLink.from_design(link_gbs, link_hop_us, link_serialization_us)
-    return chiplet_payload(
-        segment_latency_s=[segment.latency_s for segment in result.segments],
+    return dse_payload(
+        latency_s=result.latency_s,
         flops=result.flops,
         ddr_bytes=result.ddr_bytes,
         lpddr_bytes=result.lpddr_bytes,
         batch=batch,
-        partition=encoder_partition(
-            batch, seq_len, num_chips, config=_encoder_config(model)
-        ),
         num_mme=config.num_mme,
-        per_chip_peak_flops=per_chip_peak,
-        link=link,
-        cost=design_cost(config, per_chip_peak, num_chips=num_chips, link=link),
+        peak_flops=peak_flops,
+        cost=design_cost(config, peak_flops),
     )
+
+
+@_analytic_kind("dse_encoder")
+def estimate_dse_encoder(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
+    """Analytic-proxy evaluation of encoder design points (DSE search)."""
+    return evaluator.evaluate_batch(param_sets, _encoder_config)
 
 
 @REGISTRY.kind("dse_chiplet")
@@ -660,87 +550,47 @@ def run_dse_chiplet(
 
     ``num_chips=1`` delegates to the single-chip ``dse_encoder`` runner
     verbatim, so the payload is byte-identical by construction (the certified
-    contract the chiplet differential suite pins).
+    contract the chiplet differential suite pins).  For more chips, the
+    engine supplies the per-segment latencies and traffic; the partition,
+    link terms, cost and payload arithmetic are the same
+    :func:`~repro.xnn.partition.chiplet_payload` call the analytic evaluator
+    makes, so the chiplet analytic latency inherits the per-segment
+    lower-bound contract and the traffic stays byte-identical.
     """
+    design = dict(
+        num_mme=num_mme, mem_b_bytes=mem_b_bytes, bandwidth_scale=bandwidth_scale,
+        pipeline_attention=pipeline_attention, tile_m=tile_m, tile_k=tile_k,
+        super_n=super_n,
+    )
     if num_chips == 1:
-        return run_dse_encoder(
-            batch=batch, seq_len=seq_len, model=model, num_mme=num_mme,
-            mem_b_bytes=mem_b_bytes, bandwidth_scale=bandwidth_scale,
-            pipeline_attention=pipeline_attention, tile_m=tile_m,
-            tile_k=tile_k, super_n=super_n,
-        )
-    from repro.xnn import XNNExecutor
+        return run_dse_encoder(batch=batch, seq_len=seq_len, model=model, **design)
+    from repro.hardware.link import InterChipLink
+    from repro.xnn.partition import chiplet_payload, design_cost, encoder_partition
 
-    config, options = _dse_design(
-        num_mme, mem_b_bytes, bandwidth_scale, pipeline_attention,
-        tile_m, tile_k, super_n,
+    result, config, per_chip_peak = _engine_design_point(
+        batch, seq_len, model, **design
     )
-    executor = XNNExecutor(config=config, options=options)
-    result = executor.run_encoder(
-        batch=batch, seq_len=seq_len, config=_encoder_config(model)
-    )
-    return _chiplet_result_payload(
-        result, config, batch=batch, seq_len=seq_len, model=model,
-        num_chips=num_chips, link_gbs=link_gbs, link_hop_us=link_hop_us,
-        link_serialization_us=link_serialization_us,
-    )
-
-
-@REGISTRY.kind("dse_chiplet", backend="analytic")
-def estimate_dse_chiplet(
-    batch: int = 1,
-    seq_len: int = 128,
-    model: str = "bert_large",
-    num_mme: int = 6,
-    mem_b_bytes: int = 1024 * 1024,
-    bandwidth_scale: float = 1.0,
-    pipeline_attention: bool = True,
-    tile_m: int = 768,
-    tile_k: int = 128,
-    super_n: int = 1024,
-    num_chips: int = 1,
-    link_gbs: float = 64.0,
-    link_hop_us: float = 1.0,
-    link_serialization_us: float = 0.0,
-) -> dict:
-    """Analytic-proxy evaluation of one multi-chip encoder design point."""
-    if num_chips == 1:
-        return estimate_dse_encoder(
-            batch=batch, seq_len=seq_len, model=model, num_mme=num_mme,
-            mem_b_bytes=mem_b_bytes, bandwidth_scale=bandwidth_scale,
-            pipeline_attention=pipeline_attention, tile_m=tile_m,
-            tile_k=tile_k, super_n=super_n,
-        )
-    from repro.xnn.analytic import AnalyticXNN
-
-    config, options = _dse_design(
-        num_mme, mem_b_bytes, bandwidth_scale, pipeline_attention,
-        tile_m, tile_k, super_n,
-    )
-    analytic = AnalyticXNN(config=config, options=options)
-    result = analytic.run_encoder(
-        batch=batch, seq_len=seq_len, config=_encoder_config(model)
-    )
-    return _chiplet_result_payload(
-        result, config, batch=batch, seq_len=seq_len, model=model,
-        num_chips=num_chips, link_gbs=link_gbs, link_hop_us=link_hop_us,
-        link_serialization_us=link_serialization_us,
+    link = InterChipLink.from_design(link_gbs, link_hop_us, link_serialization_us)
+    return chiplet_payload(
+        segment_latency_s=[segment.latency_s for segment in result.segments],
+        flops=result.flops,
+        ddr_bytes=result.ddr_bytes,
+        lpddr_bytes=result.lpddr_bytes,
+        batch=batch,
+        partition=encoder_partition(
+            batch, seq_len, num_chips, config=_encoder_config(model)
+        ),
+        num_mme=config.num_mme,
+        per_chip_peak_flops=per_chip_peak,
+        link=link,
+        cost=design_cost(config, per_chip_peak, num_chips=num_chips, link=link),
     )
 
 
-@REGISTRY.batch_kind("dse_chiplet", backend="analytic")
-def estimate_dse_chiplet_batch(param_sets: List[Dict[str, Any]]) -> List[dict]:
-    """Batched analytic evaluation of many multi-chip design points.
-
-    The chiplet axes change no tally, so whole generations share the
-    single-chip vectorized evaluation; every payload equals
-    :func:`estimate_dse_chiplet` on the same parameters exactly.
-    """
-    from repro.xnn.analytic import encoder_batch_evaluator
-
-    return encoder_batch_evaluator().evaluate_chiplet_batch(
-        param_sets, _encoder_config
-    )
+@_analytic_kind("dse_chiplet")
+def estimate_dse_chiplet(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
+    """Analytic-proxy evaluation of multi-chip encoder design points."""
+    return evaluator.evaluate_chiplet_batch(param_sets, _encoder_config)
 
 
 @REGISTRY.kind("gpu_roofline", backend=("engine", "analytic"))

@@ -149,10 +149,13 @@ class ScenarioRegistry:
         A batch runner takes a sequence of parameter mappings and returns one
         result dict per mapping, in order -- with the hard contract that each
         result equals what the scalar runner for the same backend returns for
-        the same parameters (the differential suite pins this for the
-        ``dse_encoder`` kind).  Batch runners exist so bulk evaluators (the
-        design-space explorer above all) can amortise shared work across a
-        whole generation of points instead of paying the full per-point cost.
+        the same parameters.  The analytic roofline kinds derive their scalar
+        runner from the batch runner, as a batch of one
+        (:mod:`repro.runner.library`); the differential suite checks that
+        sharing work across a batch changes no bit.  Batch runners exist so
+        bulk evaluators (the design-space explorer above all) can amortise
+        shared work across a whole generation of points instead of paying
+        the full per-point cost.
         """
         backends = _normalize_backends(backend)
 

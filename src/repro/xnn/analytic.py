@@ -1,22 +1,26 @@
 """The analytic fast-model backend: roofline estimates, no event loop.
 
-:class:`AnalyticXNN` mirrors :class:`~repro.xnn.executor.XNNExecutor`'s API
-(``run_gemm`` / ``run_encoder`` / ``run_feedforward_model``) but evaluates a
-closed-form *multi-resource roofline* instead of simulating the datapath:
+The model evaluates a closed-form *multi-resource roofline* per segment
+instead of simulating the datapath, in two halves:
 
-* It replays the code generator's tiling decisions
-  (:func:`~repro.xnn.tiling.plan_gemm_tiling`) and attention mapping
-  (:func:`~repro.xnn.mapping.attention_mapping_type`) purely arithmetically,
-  tallying exactly the off-chip transfers, MME tile products, and MemC fused
-  operators the generated program would issue -- the DDR/LPDDR byte counts it
-  reports are *identical* to the event-driven engine's channel counters.
-* Each tallied resource (the DDR channel, the LPDDR channel, the busiest MME,
-  the busiest MemC) is converted to serial busy time with the same platform
-  models the engine charges time with
+* **Tallies** (:class:`AnalyticXNN`) replay the code generator's tiling
+  decisions (:func:`~repro.xnn.tiling.plan_gemm_tiling`) and attention
+  mapping (:func:`~repro.xnn.mapping.attention_mapping_type`) purely
+  arithmetically, counting exactly the off-chip transfers, MME tile
+  products, and MemC fused operators the generated program would issue --
+  the DDR/LPDDR byte counts are *identical* to the event-driven engine's
+  channel counters.  Tallies depend on the workload shape, the
+  tiling/mapping options and the FU counts, never on bandwidth.
+* **Resolution** (:class:`EncoderBatchEvaluator`, the only place results
+  are resolved) converts each tallied resource (the DDR channel, the LPDDR
+  channel, the busiest MME, the busiest MemC) to serial busy time with the
+  same platform models the engine charges time with
   (:class:`~repro.hardware.memory.MemoryChannelModel` including the
-  per-request latency, :meth:`~repro.hardware.aie.AIEArrayModel.mme_flops`),
-  and the segment latency is the maximum over resources
-  (:class:`~repro.analysis.roofline.ResourceRoofline`).
+  per-request latency, :meth:`~repro.hardware.aie.AIEArrayModel.mme_flops`)
+  in :func:`_busy_grids`, as NumPy arrays over a whole batch of points; the
+  segment latency is the maximum over resources
+  (:class:`~repro.analysis.roofline.ResourceRoofline`).  A single scenario
+  is a batch of one.
 
 Because every FU in the event-driven engine executes its uOPs serially, the
 engine's end time can never be smaller than any single FU's total charged
@@ -24,8 +28,9 @@ time; the analytic latency is therefore a **certified lower bound** on the
 cycle-level result.  What it deliberately omits -- pipeline fill/drain,
 channel back-pressure, load/store ordering stalls -- is exactly the gap the
 differential-validation suite (``tests/differential/``) measures and pins per
-scenario.  In exchange, a full scenario evaluation costs microseconds instead
-of seconds, which is what makes 1000-point design-space sweeps interactive
+scenario; ``tests/differential/test_analytic_golden.py`` pins every payload
+bit.  In exchange, a full scenario evaluation costs microseconds instead of
+seconds, which is what makes 1000-point design-space sweeps interactive
 (``benchmarks/bench_backend_speed.py`` quantifies the speedup).
 """
 
@@ -46,11 +51,12 @@ from .codegen import _FUSED_TO_MEMC, CodegenOptions
 from .datapath import XNNConfig
 from .executor import EncoderResult, SegmentResult
 from .fus.scratchpad import MEMC_COMPUTE_THROUGHPUT, NONMM_FLOPS_PER_ELEMENT
-from .mapping import MappingType, attention_mapping_type
+from .mapping import attention_mapping_type
 from .partition import (
     EncoderPartition,
     chiplet_payload,
     design_cost,
+    dse_payload,
     encoder_partition,
 )
 from .segmentation import SegmentKind, segment_model
@@ -82,27 +88,32 @@ class AnalyticSegment(SegmentResult):
     mapping: str = ""
 
 
+@dataclass(frozen=True)
+class _FrozenTally:
+    """The numbers of one :class:`_SegmentTally`, detached for safe sharing."""
+
+    ddr_read_bytes: int
+    ddr_read_requests: int
+    ddr_write_bytes: int
+    ddr_write_requests: int
+    lpddr_bytes: int
+    lpddr_requests: int
+    mme_flops_max: float
+    memc_flops_max: float
+
+
 class _SegmentTally:
     """Accumulates one simulation group's transfers and per-FU work."""
 
-    def __init__(self, config: XNNConfig):
-        self.config = config
-        self.ddr: MemoryChannelModel = ddr_channel(
-            config.spec, bandwidth_scale=config.bandwidth_scale
-        )
-        self.lpddr: MemoryChannelModel = lpddr_channel(
-            config.spec, bandwidth_scale=config.bandwidth_scale
-        )
+    def __init__(self, num_mme: int, num_mem_c: int):
         self.ddr_read_bytes = 0
         self.ddr_read_requests = 0
         self.ddr_write_bytes = 0
         self.ddr_write_requests = 0
         self.lpddr_bytes = 0
         self.lpddr_requests = 0
-        self.mme_flops = [0.0] * config.num_mme
-        self.memc_flops = [0.0] * config.num_mem_c
-
-    # ------------------------------------------------------------- recording
+        self.mme_flops = [0.0] * num_mme
+        self.memc_flops = [0.0] * num_mem_c
 
     def ddr_load(self, nbytes: int, requests: int) -> None:
         self.ddr_read_bytes += nbytes
@@ -116,37 +127,60 @@ class _SegmentTally:
         self.lpddr_bytes += nbytes
         self.lpddr_requests += requests
 
-    # ------------------------------------------------------------- resolving
-
-    def roofline(self, mme_rate: float, memc_rate: float) -> ResourceRoofline:
-        """Convert the tallies into per-resource busy times.
-
-        Each bound is the exact serial occupancy the event-driven engine
-        charges the corresponding FU: the channels' transfer times (including
-        the fixed per-request latency), the busiest MME's accumulated tile
-        products, and the busiest MemC's fused-operator arithmetic.
-        """
-        ddr_busy = (
-            self.ddr.bulk_read_time(self.ddr_read_bytes, self.ddr_read_requests)
-            + self.ddr.bulk_write_time(self.ddr_write_bytes, self.ddr_write_requests)
-        )
-        lpddr_busy = self.lpddr.bulk_read_time(self.lpddr_bytes, self.lpddr_requests)
-        return ResourceRoofline(
-            {
-                "ddr": ddr_busy,
-                "lpddr": lpddr_busy,
-                "mme": max(self.mme_flops) / mme_rate,
-                "memc": max(self.memc_flops) / memc_rate,
-            }
+    def freeze(self) -> _FrozenTally:
+        return _FrozenTally(
+            ddr_read_bytes=self.ddr_read_bytes,
+            ddr_read_requests=self.ddr_read_requests,
+            ddr_write_bytes=self.ddr_write_bytes,
+            ddr_write_requests=self.ddr_write_requests,
+            lpddr_bytes=self.lpddr_bytes,
+            lpddr_requests=self.lpddr_requests,
+            mme_flops_max=max(self.mme_flops),
+            memc_flops_max=max(self.memc_flops),
         )
 
-    @property
-    def ddr_bytes(self) -> int:
-        return self.ddr_read_bytes + self.ddr_write_bytes
 
-    @property
-    def lpddr_total_bytes(self) -> int:
-        return self.lpddr_bytes
+@dataclass(frozen=True)
+class _SegmentSet:
+    """One workload's tallies on one model: an evaluation's
+    bandwidth-independent half.
+
+    The frozen tallies, the segment names and mapping labels, the
+    per-segment FLOP counts and their list-order fold into the workload
+    total -- everything but the roofline resolution, and the name and batch
+    of the :class:`EncoderResult` it resolves to.
+    """
+
+    name: str
+    batch: int
+    names: Tuple[str, ...]
+    mappings: Tuple[str, ...]
+    tallies: Tuple[_FrozenTally, ...]
+    flops: Tuple[float, ...]
+    total_flops: float
+
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        batch: int,
+        segments: Sequence[Tuple[str, _SegmentTally, float, str]],
+    ) -> "_SegmentSet":
+        """Freeze ``[(segment name, tally, flops, mapping), ...]``."""
+        flops = tuple(segment_flops for _, _, segment_flops, _ in segments)
+        # EncoderResult.flops is sum(segment.flops) -- fold in list order.
+        total_flops = 0.0
+        for segment_flops in flops:
+            total_flops += segment_flops
+        return cls(
+            name=name,
+            batch=batch,
+            names=tuple(segment_name for segment_name, _, _, _ in segments),
+            mappings=tuple(mapping for _, _, _, mapping in segments),
+            tallies=tuple(tally.freeze() for _, tally, _, _ in segments),
+            flops=flops,
+            total_flops=total_flops,
+        )
 
 
 def _memc_flops_per_element(fused_ops: Tuple[FusedOp, ...], residual: bool) -> float:
@@ -167,10 +201,11 @@ def _memc_flops_per_element(fused_ops: Tuple[FusedOp, ...], residual: bool) -> f
 
 
 class AnalyticXNN:
-    """Closed-form latency/traffic/utilisation model of the RSN-XNN overlay.
+    """Tallies the RSN-XNN overlay's work for one hardware/codegen design.
 
-    Drop-in analytic counterpart of :class:`~repro.xnn.executor.XNNExecutor`:
-    same configuration objects, same result dataclasses, no event loop.
+    Validates the MME plan, fixes the MME rate, and replays the code
+    generator's transfer and FU-work inventory per segment; the
+    :class:`EncoderBatchEvaluator` resolves the tallies into latencies.
     """
 
     def __init__(
@@ -192,6 +227,9 @@ class AnalyticXNN:
         self.mme_rate = self.aie.mme_flops(self.config.mme_tile_shape)
 
     # -------------------------------------------------------------- tallying
+
+    def _fresh_tally(self) -> _SegmentTally:
+        return _SegmentTally(self.config.num_mme, self.config.num_mem_c)
 
     def _tally_gemm(
         self, tally: _SegmentTally, layer: MatMulLayer, residual: bool = False
@@ -275,54 +313,20 @@ class AnalyticXNN:
                 tally.mme_flops[g] += 2.0 * mm_flops
                 tally.memc_flops[g] += softmax_flops
 
-    # ------------------------------------------------------------- resolving
-
-    def _close_segment(
-        self, tally: _SegmentTally, name: str, flops: float, mapping: str = ""
-    ) -> AnalyticSegment:
-        roofline = tally.roofline(self.mme_rate, MEMC_COMPUTE_THROUGHPUT)
-        return AnalyticSegment(
-            name=name,
-            latency_s=roofline.latency_s,
-            flops=flops,
-            ddr_bytes=tally.ddr_bytes,
-            lpddr_bytes=tally.lpddr_total_bytes,
-            uops=0,
-            bottleneck=roofline.bottleneck,
-            bounds_s=dict(roofline.busy_s),
-            utilization=roofline.utilizations(),
-            mapping=mapping,
-        )
-
-    def _fresh_tally(self) -> _SegmentTally:
-        return _SegmentTally(self.config)
-
-    # ------------------------------------------------------------ single GEMM
-
-    def run_gemm(
-        self, m: int, k: int, n: int, fused_ops: Tuple[FusedOp, ...] = ()
-    ) -> AnalyticSegment:
-        """Estimate one GEMM layer end to end (the Table 6b path)."""
-        layer = MatMulLayer("gemm", m=m, k=k, n=n, fused_ops=fused_ops)
-        tally = self._fresh_tally()
-        self._tally_gemm(tally, layer)
-        return self._close_segment(
-            tally, "gemm", layer.flops, mapping=MappingType.TASK_PARALLEL.value
-        )
-
-    # --------------------------------------------------------------- encoder
+    # ------------------------------------------------------------ tally sets
 
     def encoder_segments(
         self, batch: int = 6, seq_len: int = 512, config: BertConfig = BERT_LARGE
-    ) -> Tuple[str, List[Tuple[str, "_SegmentTally", float, str]]]:
-        """Tally the encoder's three simulation groups without resolving them.
+    ) -> _SegmentSet:
+        """Tally one transformer encoder layer's three simulation groups.
 
-        Returns ``(model name, [(segment name, tally, flops, mapping), ...])``.
-        This is the bandwidth-independent half of :meth:`run_encoder`: the
-        tallies depend on the workload shape, the tiling/mapping options, and
-        the FU counts, but *not* on channel bandwidths -- which is what lets
-        :class:`EncoderBatchEvaluator` share them across design points that
-        differ only in bandwidth or scratchpad depth.
+        The groups mirror the engine executor exactly (QKV projections,
+        attention + dense, feed-forward), so per-segment traffic is
+        comparable byte for byte.  The attention segment is labelled with
+        the Fig. 3 mapping type the codegen options select, cross-checked
+        against the model-segmentation decision (the pipelined mapping is
+        only meaningful when the segmenter would pipeline the attention
+        pair).
         """
         spec = bert_large_encoder(batch=batch, seq_len=seq_len, config=config)
         layer = {lyr.name: lyr for lyr in spec.layers}
@@ -368,90 +372,22 @@ class AnalyticXNN:
         self._tally_gemm(tally, layer["ffn_mm2"], residual=True)
         ffn_flops = layer["ffn_mm1"].flops + layer["ffn_mm2"].flops
         segments.append(("ffn", tally, ffn_flops, ""))
-        return spec.name, segments
+        return _SegmentSet.of(spec.name, batch, segments)
 
-    def run_encoder(
-        self, batch: int = 6, seq_len: int = 512, config: BertConfig = BERT_LARGE
-    ) -> EncoderResult:
-        """Estimate one transformer encoder layer, segment by segment.
-
-        The three simulation groups mirror the engine executor exactly (QKV
-        projections, attention + dense, feed-forward), so per-segment traffic
-        is comparable byte for byte.  The attention segment is labelled with
-        the Fig. 3 mapping type the codegen options select, cross-checked
-        against the model-segmentation decision (the pipelined mapping is only
-        meaningful when the segmenter would pipeline the attention pair).
-        """
-        name, segments = self.encoder_segments(
-            batch=batch, seq_len=seq_len, config=config
-        )
-        result = EncoderResult(name=name, batch=batch)
-        for segment_name, tally, flops, mapping in segments:
-            result.segments.append(
-                self._close_segment(tally, segment_name, flops, mapping=mapping)
-            )
-        return result
-
-    # ----------------------------------------------------------- plain models
-
-    def run_feedforward_model(self, model: ModelSpec) -> EncoderResult:
-        """Estimate a pure-GEMM model (NCF, MLP): layers chained through DDR."""
+    def feedforward_segments(self, model: ModelSpec, mapping: str = "") -> _SegmentSet:
+        """Tally a pure-GEMM model (NCF, MLP, one bare GEMM) chained through
+        DDR: one segment named after the model."""
         tally = self._fresh_tally()
         total_flops = 0.0
         for model_layer in model.layers:
             self._tally_gemm(tally, model_layer)
             total_flops += model_layer.flops
-        result = EncoderResult(name=model.name, batch=model.batch)
-        result.segments.append(self._close_segment(tally, model.name, total_flops))
-        return result
-
-
-# ------------------------------------------------------------ batch evaluation
-
-
-@dataclass(frozen=True)
-class _FrozenTally:
-    """The numbers of one :class:`_SegmentTally`, detached for safe sharing."""
-
-    ddr_read_bytes: int
-    ddr_read_requests: int
-    ddr_write_bytes: int
-    ddr_write_requests: int
-    lpddr_bytes: int
-    lpddr_requests: int
-    mme_flops_max: float
-    memc_flops_max: float
-
-    @classmethod
-    def freeze(cls, tally: _SegmentTally) -> "_FrozenTally":
-        return cls(
-            ddr_read_bytes=tally.ddr_read_bytes,
-            ddr_read_requests=tally.ddr_read_requests,
-            ddr_write_bytes=tally.ddr_write_bytes,
-            ddr_write_requests=tally.ddr_write_requests,
-            lpddr_bytes=tally.lpddr_bytes,
-            lpddr_requests=tally.lpddr_requests,
-            mme_flops_max=max(tally.mme_flops),
-            memc_flops_max=max(tally.memc_flops),
+        return _SegmentSet.of(
+            model.name, model.batch, [(model.name, tally, total_flops, mapping)]
         )
 
 
-@dataclass(frozen=True)
-class _SegmentSet:
-    """One memoized encoder evaluation's bandwidth-independent half.
-
-    Everything :meth:`AnalyticXNN.run_encoder` derives per segment except the
-    roofline resolution: the frozen tallies, the segment names and mapping
-    labels, the per-segment FLOP counts, and their list-order fold into the
-    encoder total.
-    """
-
-    model_name: str
-    names: Tuple[str, ...]
-    mappings: Tuple[str, ...]
-    tallies: Tuple[_FrozenTally, ...]
-    flops: Tuple[float, ...]
-    total_flops: float
+# ------------------------------------------------------------ batch evaluation
 
 
 def _busy_grids(
@@ -460,14 +396,15 @@ def _busy_grids(
     lpddr_models: Sequence[MemoryChannelModel],
     mme_rate_column: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-(point, segment) resource busy times.
+    """Per-(point, segment) resource busy times, vectorized.
 
-    Exactly :meth:`_SegmentTally.roofline`'s expressions evaluated
-    elementwise over a whole generation: the channels' bulk transfer times
-    (including the per-request latency and the empty-transfer zero), the
-    busiest MME's accumulated FLOPs over its rate, and the busiest MemC's
-    arithmetic over the MemC throughput.  Elementwise IEEE-754 float64 ops
-    are bit-exact either way, so each cell equals the scalar busy time.
+    The roofline's one definition.  Each bound is the exact serial occupancy
+    the event-driven engine charges the corresponding FU: the channels' bulk
+    transfer times (including the per-request latency and the
+    empty-transfer zero), the busiest MME's accumulated tile products over
+    its rate, and the busiest MemC's fused-operator arithmetic over the MemC
+    throughput.  Elementwise IEEE-754 float64 ops, so a cell does not depend
+    on which other points share the batch.
     """
     count = len(tallies_per_point)
     segments = len(tallies_per_point[0])
@@ -523,8 +460,10 @@ def _busy_grids(
     return ddr_busy, lpddr_busy, mme_busy, memc_busy
 
 
-#: the ``dse_encoder`` runner defaults, mirrored so the batch path resolves
-#: partially specified design points exactly like the scalar runner signature.
+#: the ``dse_encoder`` parameters and their defaults -- the engine runner's
+#: signature defaults (``tests/differential/test_batched_analytic.py`` pins
+#: the two equal), so partially specified points resolve alike on both
+#: backends.
 _DSE_DEFAULTS: Dict[str, Any] = {
     "batch": 1,
     "seq_len": 128,
@@ -538,8 +477,8 @@ _DSE_DEFAULTS: Dict[str, Any] = {
     "super_n": 1024,
 }
 
-#: the ``dse_chiplet`` runner defaults: everything ``dse_encoder`` takes,
-#: plus the scale-out axes (chip count and inter-chip link parameters).
+#: the ``dse_chiplet`` parameters: everything ``dse_encoder`` takes, plus
+#: the scale-out axes (chip count and inter-chip link parameters).
 _CHIPLET_DEFAULTS: Dict[str, Any] = dict(_DSE_DEFAULTS)
 _CHIPLET_DEFAULTS.update(
     {
@@ -550,34 +489,39 @@ _CHIPLET_DEFAULTS.update(
     }
 )
 
-#: the chiplet-only keys, stripped before the shared single-chip evaluation
-#: (none of them changes a tally or a per-segment roofline).
-_CHIPLET_ONLY = ("num_chips", "link_gbs", "link_hop_us", "link_serialization_us")
+
+def _resolve_params(
+    raw: Mapping[str, Any], defaults: Dict[str, Any], kind: str
+) -> Dict[str, Any]:
+    """``defaults`` overlaid with ``raw``; a key outside ``defaults`` raises
+    ``TypeError``, as an unexpected keyword argument would."""
+    if not defaults.keys() >= raw.keys():
+        unknown = sorted(set(raw) - set(defaults))
+        raise TypeError(f"{kind} got unexpected parameter(s) {unknown}")
+    params = dict(defaults)
+    params.update(raw)
+    return params
 
 
 @dataclass
 class _BatchRows:
-    """The shared per-generation state behind one batched evaluation.
+    """The shared per-generation state behind one batched DSE evaluation.
 
-    Everything the payload constructors need, per point: the resolved
-    parameters, the (feasible) probe config and its memo key, the frozen
-    tallies, and the vectorized roofline results -- plus the per-call memo
-    tables of the values many points share (encoder configs by model name,
-    ``design_cost`` results).  The tables live as long as the batch call, so
-    memory stays bounded by one generation's distinct keys.
+    Everything the payload constructors need, per point: the (feasible)
+    probe config and its memo key, the frozen tallies, and the vectorized
+    roofline results -- plus the per-call memo tables of the values many
+    points share (encoder configs by model name, ``design_cost`` results).
+    The tables live as long as the batch call, so memory stays bounded by
+    one generation's distinct keys.
     """
 
-    params: List[Dict[str, Any]]
     probes: List[XNNConfig]
     probe_keys: List[Tuple[Any, ...]]
-    tallies_per_point: List[List[_FrozenTally]]
+    tallies_per_point: List[Tuple[_FrozenTally, ...]]
     total_flops: np.ndarray
     peak_flops: np.ndarray
-    num_mme_column: List[int]
     segment_latency: np.ndarray
     latency: np.ndarray
-    achieved: np.ndarray
-    utilization: np.ndarray
     encoders: Dict[str, BertConfig]
     costs: Dict[Tuple[Any, ...], Tuple[float, float]] = field(default_factory=dict)
 
@@ -598,176 +542,187 @@ class _BatchRows:
             )
         return cost
 
+    def traffic(self, index: int) -> Tuple[int, int]:
+        """(ddr, lpddr) byte totals of one point, summed in segment order."""
+        ddr_bytes_total = 0
+        lpddr_bytes_total = 0
+        for tally in self.tallies_per_point[index]:
+            ddr_bytes_total += tally.ddr_read_bytes + tally.ddr_write_bytes
+            lpddr_bytes_total += tally.lpddr_bytes
+        return ddr_bytes_total, lpddr_bytes_total
+
 
 class EncoderBatchEvaluator:
-    """Vectorized evaluation of whole generations of encoder design points.
+    """Vectorized analytic evaluation of whole batches of points.
 
-    The scalar proxy path costs milliseconds per point: every evaluation
-    materialises an ad-hoc scenario, re-validates the MME plan, re-builds the
-    workload, and re-walks the tiling loops -- even though a search generation
-    contains many points that differ only in bandwidth scale or scratchpad
-    depth, neither of which changes a single tally.  This evaluator splits
-    the work accordingly:
+    The only place analytic results are resolved: :meth:`results` for the
+    ``xnn_*`` kinds, :meth:`evaluate_batch` / :meth:`evaluate_chiplet_batch`
+    for the design-space kinds; a single scenario is a batch of one.  A
+    search generation contains many points that differ only in bandwidth
+    scale or scratchpad depth, neither of which changes a single tally, so
+    the work splits accordingly:
 
-    1. **Memoized tallies** -- :meth:`AnalyticXNN.encoder_segments` runs once
-       per unique (workload shape, tiling/mapping options, MME count) and is
-       shared by every point of the generation (and of later generations:
-       the evaluator is long-lived).  Because the memo stores the *result* of
-       the exact scalar code path, accumulation order -- and therefore every
-       floating-point bit -- matches the scalar evaluation.
+    1. **Memoized tallies** -- :class:`AnalyticXNN` tallies a workload once
+       per unique (workload shape, tiling/mapping options, FU counts) and
+       every point of the batch shares the frozen result (and so do later
+       batches: the evaluator is long-lived).
     2. **Per-call invariants** -- the probe config and channel models, the
        codegen options, the encoder config, and (for chiplet points) the
        partition, link and ``design_cost`` are each built once per distinct
        value of the parameters they read, in tables that live for one batch
        call.
     3. **Vectorized rooflines** -- the per-point, bandwidth-dependent half
-       (channel busy times, resource maxima, latency/utilisation payload
-       arithmetic) is evaluated as NumPy float64 arrays over the whole
-       generation, expression-for-expression identical to the scalar
-       formulas (elementwise IEEE-754 ops are bit-exact either way).
+       (channel busy times, resource maxima, latency fold) is evaluated as
+       NumPy float64 arrays over the whole batch (:func:`_busy_grids`).
 
-    The contract -- every payload equals the scalar path's payload exactly --
-    is pinned by ``tests/differential/test_batched_analytic.py``.
+    Neither the memo nor the batch composition changes a bit of any
+    payload: the differential suite checks a fresh evaluator per point
+    against a shared one over whole spaces
+    (``tests/differential/test_batched_analytic.py``), and
+    ``tests/differential/test_analytic_golden.py`` pins the payloads.
     """
 
     def __init__(self):
         #: (spec, num_mme, num_mem_c, tile_shape, options) -> AnalyticXNN
         self._models: Dict[Tuple[Any, ...], AnalyticXNN] = {}
-        #: (model key, batch, seq_len, bert config) -> frozen segment data
+        #: (model key, workload) -> frozen segment data
         self._segments: Dict[Tuple[Any, ...], _SegmentSet] = {}
-        #: (model key, m, k, n) -> frozen single-GEMM tally + FLOPs
-        self._gemm_tallies: Dict[Tuple[Any, ...], Tuple[_FrozenTally, float]] = {}
-        #: hits/misses of the segment-tally memo, for benchmarks and tests.
-        self.tally_hits = 0
-        self.tally_misses = 0
 
     # ------------------------------------------------------------ resolution
 
-    def _model_for(
-        self,
-        spec,
-        num_mme: int,
-        num_mem_c: int,
-        mme_tile_shape: Tuple[int, int, int],
-        options: CodegenOptions,
-    ) -> AnalyticXNN:
-        key = (spec, num_mme, num_mem_c, mme_tile_shape, options)
-        model = self._models.get(key)
+    def _tallied(
+        self, config: XNNConfig, options: CodegenOptions, workload: Tuple[Any, ...]
+    ) -> Tuple[AnalyticXNN, _SegmentSet]:
+        """The (memoized) model of ``config``/``options`` and its tallies of
+        ``workload`` -- ``("encoder", batch, seq_len, bert_config)`` or
+        ``("feedforward", model_spec, mapping)``."""
+        model_key = (
+            config.spec,
+            config.num_mme,
+            config.num_mem_c,
+            config.mme_tile_shape,
+            options,
+        )
+        model = self._models.get(model_key)
         if model is None:
-            config = XNNConfig(
-                num_mme=num_mme,
-                num_mem_c=num_mem_c,
-                mme_tile_shape=mme_tile_shape,
-                carry_data=False,
-                spec=spec,
-            )
             # AnalyticXNN.__init__ validates the MME plan; only *feasible*
-            # models are memoized, so infeasible points raise identically
-            # to the scalar path on every evaluation.
-            model = AnalyticXNN(config=config, options=options)
-            self._models[key] = model
-        return model
+            # models are memoized, so infeasible points raise on every
+            # evaluation.
+            model = self._models[model_key] = AnalyticXNN(
+                config=XNNConfig(
+                    num_mme=config.num_mme,
+                    num_mem_c=config.num_mem_c,
+                    mme_tile_shape=config.mme_tile_shape,
+                    carry_data=False,
+                    spec=config.spec,
+                ),
+                options=options,
+            )
+        key = (model_key, workload)
+        segment_set = self._segments.get(key)
+        if segment_set is None:
+            kind, *args = workload
+            tally = (
+                model.encoder_segments
+                if kind == "encoder"
+                else model.feedforward_segments
+            )
+            segment_set = self._segments[key] = tally(*args)
+        return model, segment_set
 
-    def _segments_for(
-        self, model: AnalyticXNN, batch: int, seq_len: int, config: BertConfig
-    ) -> _SegmentSet:
-        key = (
-            model.config.spec,
-            model.config.num_mme,
-            model.config.num_mem_c,
-            model.config.mme_tile_shape,
-            model.options,
-            batch,
-            seq_len,
-            config,
-        )
-        cached = self._segments.get(key)
-        if cached is not None:
-            self.tally_hits += 1
-            return cached
-        self.tally_misses += 1
-        model_name, segments = model.encoder_segments(
-            batch=batch, seq_len=seq_len, config=config
-        )
-        flops = tuple(segment_flops for _, _, segment_flops, _ in segments)
-        # result.flops is sum(segment.flops) -- fold in list order so the
-        # scalar EncoderResult sum is reproduced bit for bit.
-        total_flops = 0.0
-        for segment_flops in flops:
-            total_flops += segment_flops
-        cached = _SegmentSet(
-            model_name=model_name,
-            names=tuple(name for name, _, _, _ in segments),
-            mappings=tuple(mapping for _, _, _, mapping in segments),
-            tallies=tuple(_FrozenTally.freeze(tally) for _, tally, _, _ in segments),
-            flops=flops,
-            total_flops=total_flops,
-        )
-        self._segments[key] = cached
-        return cached
+    def results(
+        self, points: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]]
+    ) -> List[EncoderResult]:
+        """Resolve ``(config, options, workload)`` points, one
+        :class:`EncoderResult` of :class:`AnalyticSegment` each.
 
-    def _gemm_tally_for(
-        self, model: AnalyticXNN, m: int, k: int, n: int
-    ) -> Tuple[_FrozenTally, float]:
-        """The frozen tally and FLOP count of one bare GEMM, memoized."""
-        key = (
-            model.config.spec,
-            model.config.num_mme,
-            model.config.num_mem_c,
-            model.config.mme_tile_shape,
-            model.options,
-            m,
-            k,
-            n,
+        ``workload`` is ``("encoder", batch, seq_len, bert_config)`` or
+        ``("feedforward", model_spec, mapping)`` (a bare GEMM is a one-layer
+        feed-forward model); all points of one call have the same segment
+        count.  Tallies are memoized across points and calls, busy times are
+        vectorized, and each (point, segment) cell is resolved through
+        :class:`ResourceRoofline`, which sets the latency, the bottleneck
+        (first maximum in ``ddr, lpddr, mme, memc`` order) and the
+        utilization dict.
+        """
+        if not points:
+            return []
+        count = len(points)
+        segment_sets: List[_SegmentSet] = []
+        ddr_models: List[MemoryChannelModel] = []
+        lpddr_models: List[MemoryChannelModel] = []
+        mme_rate_column = np.empty((count, 1))
+        for index, (config, options, workload) in enumerate(points):
+            model, segment_set = self._tallied(config, options, workload)
+            segment_sets.append(segment_set)
+            mme_rate_column[index, 0] = model.mme_rate
+            ddr_models.append(
+                ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
+            )
+            lpddr_models.append(
+                lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
+            )
+        ddr_busy, lpddr_busy, mme_busy, memc_busy = _busy_grids(
+            [segment_set.tallies for segment_set in segment_sets],
+            ddr_models,
+            lpddr_models,
+            mme_rate_column,
         )
-        cached = self._gemm_tallies.get(key)
-        if cached is not None:
-            self.tally_hits += 1
-            return cached
-        self.tally_misses += 1
-        # The exact layer AnalyticXNN.run_gemm builds (the runner layer never
-        # passes fused ops), tallied through the same code path.
-        layer = MatMulLayer("gemm", m=m, k=k, n=n)
-        tally = model._fresh_tally()
-        model._tally_gemm(tally, layer)
-        cached = (_FrozenTally.freeze(tally), layer.flops)
-        self._gemm_tallies[key] = cached
-        return cached
+        results: List[EncoderResult] = []
+        for index, segment_set in enumerate(segment_sets):
+            result = EncoderResult(name=segment_set.name, batch=segment_set.batch)
+            for position, tally in enumerate(segment_set.tallies):
+                roofline = ResourceRoofline(
+                    {
+                        "ddr": float(ddr_busy[index, position]),
+                        "lpddr": float(lpddr_busy[index, position]),
+                        "mme": float(mme_busy[index, position]),
+                        "memc": float(memc_busy[index, position]),
+                    }
+                )
+                result.segments.append(
+                    AnalyticSegment(
+                        name=segment_set.names[position],
+                        latency_s=roofline.latency_s,
+                        flops=segment_set.flops[position],
+                        ddr_bytes=tally.ddr_read_bytes + tally.ddr_write_bytes,
+                        lpddr_bytes=tally.lpddr_bytes,
+                        uops=0,
+                        bottleneck=roofline.bottleneck,
+                        bounds_s=dict(roofline.busy_s),
+                        utilization=roofline.utilizations(),
+                        mapping=segment_set.mappings[position],
+                    )
+                )
+            results.append(result)
+        return results
 
     # ------------------------------------------------------------ evaluation
 
     def _rows(
-        self, param_sets: Sequence[Mapping[str, Any]], encoder_config
+        self, param_sets: Sequence[Dict[str, Any]], encoder_config
     ) -> _BatchRows:
-        """Resolve parameters and run the vectorized rooflines for one batch.
+        """Tally and run the vectorized rooflines for resolved DSE points.
 
-        The shared core of :meth:`evaluate_batch` and
-        :meth:`evaluate_chiplet_batch`: every array it fills is computed with
-        exactly the expressions the scalar path uses (see the class
-        docstring for why that makes the results bit-identical).  The probe
-        config and channel models are built once per ``(num_mme,
+        The probe config and channel models are built once per ``(num_mme,
         mem_b_bytes, bandwidth_scale)``, the codegen options once per tiling
         tuple, and the encoder config once per model name.
         """
         count = len(param_sets)
-        resolved: List[Dict[str, Any]] = []
         probes: List[XNNConfig] = []
         probe_keys: List[Tuple[Any, ...]] = []
-        tallies_per_point: List[List[_FrozenTally]] = []
+        tallies_per_point: List[Tuple[_FrozenTally, ...]] = []
         total_flops = np.empty(count)
         mme_rate = np.empty(count)
         peak_flops = np.empty(count)
-        num_mme_column = []
         ddr_models: List[MemoryChannelModel] = []
         lpddr_models: List[MemoryChannelModel] = []
         # Per-call memo tables, keyed by the parameters each value reads.
         options_by_tiling: Dict[Tuple[Any, ...], CodegenOptions] = {}
         channels_by_probe: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         encoders: Dict[str, BertConfig] = {}
-        for index, raw in enumerate(param_sets):
-            params = dict(_DSE_DEFAULTS)
-            params.update(raw)
-            # Same validated construction hooks as the scalar _dse_design:
+        for index, params in enumerate(param_sets):
+            # The engine runner's validated construction hooks:
             # with_overrides rejects unknown knobs, XNNConfig.__post_init__
             # rejects bad counts/depths, AnalyticXNN validates the MME plan.
             tiling = (
@@ -801,24 +756,18 @@ class EncoderBatchEvaluator:
                     lpddr_channel(probe.spec, bandwidth_scale=probe.bandwidth_scale),
                 )
             probe, ddr_model, lpddr_model = channels
-            model = self._model_for(
-                probe.spec, num_mme, num_mme, probe.mme_tile_shape, options
-            )
             model_name = params["model"]
             encoder = encoders.get(model_name)
             if encoder is None:
                 encoder = encoders[model_name] = encoder_config(model_name)
-            segment_set = self._segments_for(
-                model, params["batch"], params["seq_len"], encoder
-            )
-            resolved.append(params)
+            workload = ("encoder", params["batch"], params["seq_len"], encoder)
+            model, segment_set = self._tallied(probe, options, workload)
             probes.append(probe)
             probe_keys.append(probe_key)
-            tallies_per_point.append(list(segment_set.tallies))
+            tallies_per_point.append(segment_set.tallies)
             total_flops[index] = segment_set.total_flops
             mme_rate[index] = model.mme_rate
             peak_flops[index] = num_mme * model.mme_rate
-            num_mme_column.append(num_mme)
             ddr_models.append(ddr_model)
             lpddr_models.append(lpddr_model)
 
@@ -838,58 +787,84 @@ class EncoderBatchEvaluator:
         for segment_index in range(segments):
             latency = latency + segment_latency[:, segment_index]
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            achieved = np.where(latency > 0.0, total_flops / latency / 1e12, 0.0)
-            utilization = np.where(
-                latency > 0.0, total_flops / latency / peak_flops, 0.0
-            )
-
         return _BatchRows(
-            params=resolved,
             probes=probes,
             probe_keys=probe_keys,
             tallies_per_point=tallies_per_point,
             total_flops=total_flops,
             peak_flops=peak_flops,
-            num_mme_column=num_mme_column,
             segment_latency=segment_latency,
             latency=latency,
-            achieved=achieved,
-            utilization=utilization,
             encoders=encoders,
         )
 
-    @staticmethod
-    def _traffic(rows: _BatchRows, index: int) -> Tuple[int, int]:
-        """(ddr, lpddr) byte totals of one point, summed like the scalar path."""
-        ddr_bytes_total = 0
-        lpddr_bytes_total = 0
-        for tally in rows.tallies_per_point[index]:
-            ddr_bytes_total += tally.ddr_read_bytes + tally.ddr_write_bytes
-            lpddr_bytes_total += tally.lpddr_bytes
-        return ddr_bytes_total, lpddr_bytes_total
-
-    def _encoder_payload(self, rows: _BatchRows, index: int) -> Dict[str, Any]:
-        """One point's ``dse_encoder`` payload from the shared batch rows."""
-        ddr_bytes_total, lpddr_bytes_total = self._traffic(rows, index)
-        latency_s = float(rows.latency[index])
-        power_w, area_luts = rows.cost(index, float(rows.peak_flops[index]))
-        batch = rows.params[index]["batch"]
-        return {
-            "latency_s": latency_s,
-            "latency_ms": float(rows.latency[index] * 1e3),
-            "flops": float(rows.total_flops[index]),
-            "ddr_bytes": ddr_bytes_total,
-            "lpddr_bytes": lpddr_bytes_total,
-            "offchip_bytes": ddr_bytes_total + lpddr_bytes_total,
-            "achieved_tflops": float(rows.achieved[index]),
-            "utilization": float(rows.utilization[index]),
-            "num_mme": rows.num_mme_column[index],
-            "pipeline_tasks_per_s": (batch / latency_s) if latency_s else 0.0,
-            "power_w": power_w,
-            "area_luts": area_luts,
-            "energy_j": power_w * latency_s,
-        }
+    def _evaluate(
+        self,
+        param_sets: Sequence[Mapping[str, Any]],
+        encoder_config,
+        defaults: Dict[str, Any],
+        kind: str,
+    ) -> List[Dict[str, Any]]:
+        """One payload per DSE parameter set: :func:`dse_payload` for
+        single-chip points, :func:`chiplet_payload` for the rest."""
+        if not param_sets:
+            return []
+        resolved = [_resolve_params(raw, defaults, kind) for raw in param_sets]
+        rows = self._rows(resolved, encoder_config)
+        partitions: Dict[Tuple[Any, ...], EncoderPartition] = {}
+        links: Dict[Tuple[Any, ...], InterChipLink] = {}
+        payloads: List[Dict[str, Any]] = []
+        for index, params in enumerate(resolved):
+            batch = params["batch"]
+            per_chip_peak = float(rows.peak_flops[index])
+            ddr_bytes_total, lpddr_bytes_total = rows.traffic(index)
+            num_chips = params.get("num_chips", 1)
+            if num_chips == 1:
+                payloads.append(
+                    dse_payload(
+                        latency_s=float(rows.latency[index]),
+                        flops=float(rows.total_flops[index]),
+                        ddr_bytes=ddr_bytes_total,
+                        lpddr_bytes=lpddr_bytes_total,
+                        batch=batch,
+                        num_mme=params["num_mme"],
+                        peak_flops=per_chip_peak,
+                        cost=rows.cost(index, per_chip_peak),
+                    )
+                )
+                continue
+            link_key = (
+                params["link_gbs"],
+                params["link_hop_us"],
+                params["link_serialization_us"],
+            )
+            link = links.get(link_key)
+            if link is None:
+                link = links[link_key] = InterChipLink.from_design(*link_key)
+            shape_key = (batch, params["seq_len"], params["model"], num_chips)
+            partition = partitions.get(shape_key)
+            if partition is None:
+                partition = partitions[shape_key] = encoder_partition(
+                    batch,
+                    params["seq_len"],
+                    num_chips,
+                    config=rows.encoders[params["model"]],
+                )
+            payloads.append(
+                chiplet_payload(
+                    segment_latency_s=rows.segment_latency[index].tolist(),
+                    flops=float(rows.total_flops[index]),
+                    ddr_bytes=ddr_bytes_total,
+                    lpddr_bytes=lpddr_bytes_total,
+                    batch=batch,
+                    partition=partition,
+                    num_mme=params["num_mme"],
+                    per_chip_peak_flops=per_chip_peak,
+                    link=link,
+                    cost=rows.cost(index, per_chip_peak, num_chips, link),
+                )
+            )
+        return payloads
 
     def evaluate_batch(
         self, param_sets: Sequence[Mapping[str, Any]], encoder_config
@@ -898,16 +873,11 @@ class EncoderBatchEvaluator:
 
         ``encoder_config`` maps a model name to its :class:`BertConfig`
         (injected by the runner layer so the supported-model catalogue cannot
-        diverge between the scalar and batched paths).  Returns one payload
-        dict per parameter set, in order, each exactly equal to what the
-        scalar ``dse_encoder`` analytic runner returns for the same params.
+        diverge between the backends).  Returns one payload dict per
+        parameter set, in order; a key outside ``_DSE_DEFAULTS`` raises
+        ``TypeError``.
         """
-        if not param_sets:
-            return []
-        rows = self._rows(param_sets, encoder_config)
-        return [
-            self._encoder_payload(rows, index) for index in range(len(rows.params))
-        ]
+        return self._evaluate(param_sets, encoder_config, _DSE_DEFAULTS, "dse_encoder")
 
     def evaluate_chiplet_batch(
         self, param_sets: Sequence[Mapping[str, Any]], encoder_config
@@ -918,72 +888,16 @@ class EncoderBatchEvaluator:
         and no per-segment roofline, so all points share the single-chip
         vectorized evaluation; the multi-chip combination on top is the same
         pure-float :func:`~repro.xnn.partition.chiplet_payload` call the
-        scalar runners make, fed a partition built once per ``(batch,
+        engine runner makes, fed a partition built once per ``(batch,
         seq_len, model, num_chips)``, a link once per link triple, and a
         ``design_cost`` once per ``(probe, peak, num_chips, link)``.
         ``num_chips=1`` rows take the exact ``dse_encoder`` payload path,
-        preserving the single-chip byte-identity contract through the
-        batched proxy as well.
+        preserving the single-chip byte-identity contract.  A key outside
+        ``_CHIPLET_DEFAULTS`` raises ``TypeError``.
         """
-        if not param_sets:
-            return []
-        resolved: List[Dict[str, Any]] = []
-        base_sets: List[Dict[str, Any]] = []
-        for raw in param_sets:
-            params = dict(_CHIPLET_DEFAULTS)
-            params.update(raw)
-            resolved.append(params)
-            base_sets.append(
-                {
-                    key: value
-                    for key, value in params.items()
-                    if key not in _CHIPLET_ONLY
-                }
-            )
-        rows = self._rows(base_sets, encoder_config)
-        partitions: Dict[Tuple[Any, ...], EncoderPartition] = {}
-        links: Dict[Tuple[Any, ...], InterChipLink] = {}
-        payloads: List[Dict[str, Any]] = []
-        for index, params in enumerate(resolved):
-            num_chips = params["num_chips"]
-            if num_chips == 1:
-                payloads.append(self._encoder_payload(rows, index))
-                continue
-            link_key = (
-                params["link_gbs"],
-                params["link_hop_us"],
-                params["link_serialization_us"],
-            )
-            link = links.get(link_key)
-            if link is None:
-                link = links[link_key] = InterChipLink.from_design(*link_key)
-            batch = params["batch"]
-            shape_key = (batch, params["seq_len"], params["model"], num_chips)
-            partition = partitions.get(shape_key)
-            if partition is None:
-                partition = partitions[shape_key] = encoder_partition(
-                    batch,
-                    params["seq_len"],
-                    num_chips,
-                    config=rows.encoders[params["model"]],
-                )
-            per_chip_peak = float(rows.peak_flops[index])
-            ddr_bytes_total, lpddr_bytes_total = self._traffic(rows, index)
-            payloads.append(
-                chiplet_payload(
-                    segment_latency_s=rows.segment_latency[index].tolist(),
-                    flops=float(rows.total_flops[index]),
-                    ddr_bytes=ddr_bytes_total,
-                    lpddr_bytes=lpddr_bytes_total,
-                    batch=batch,
-                    partition=partition,
-                    num_mme=rows.num_mme_column[index],
-                    per_chip_peak_flops=per_chip_peak,
-                    link=link,
-                    cost=rows.cost(index, per_chip_peak, num_chips, link),
-                )
-            )
-        return payloads
+        return self._evaluate(
+            param_sets, encoder_config, _CHIPLET_DEFAULTS, "dse_chiplet"
+        )
 
     def batch_size_costs(
         self, base_params: Mapping[str, Any], batch_sizes: Sequence[int], encoder_config
@@ -996,7 +910,7 @@ class EncoderBatchEvaluator:
         in a single :meth:`evaluate_batch` pass (shared tallies, one
         vectorized roofline), so a whole cost table for a serving run is a
         handful of milliseconds warm.  Returns ``{batch_size: payload}`` with
-        payloads exactly equal to the scalar ``dse_encoder`` runner's.
+        payloads exactly equal to the ``dse_encoder`` analytic runner's.
         """
         sizes = sorted(set(int(size) for size in batch_sizes))
         if any(size < 1 for size in sizes):
@@ -1004,164 +918,6 @@ class EncoderBatchEvaluator:
         param_sets = [{**dict(base_params), "batch": size} for size in sizes]
         payloads = self.evaluate_batch(param_sets, encoder_config)
         return dict(zip(sizes, payloads))
-
-    # --------------------------------------------- catalogue-kind evaluation
-
-    def _roofline_at(
-        self,
-        busy: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        index: int,
-        position: int,
-    ) -> ResourceRoofline:
-        """One (point, segment) cell resolved through the scalar roofline.
-
-        Constructing the same ``{ddr, lpddr, mme, memc}`` mapping the scalar
-        :meth:`_SegmentTally.roofline` builds -- from bit-identical busy
-        times -- reproduces not just the latency but the *bottleneck
-        tie-break* (first maximum in mapping order) and the utilization dict
-        exactly.
-        """
-        ddr_busy, lpddr_busy, mme_busy, memc_busy = busy
-        return ResourceRoofline(
-            {
-                "ddr": float(ddr_busy[index, position]),
-                "lpddr": float(lpddr_busy[index, position]),
-                "mme": float(mme_busy[index, position]),
-                "memc": float(memc_busy[index, position]),
-            }
-        )
-
-    def encoder_results(
-        self,
-        points: Sequence[Tuple[XNNConfig, CodegenOptions, int, int, BertConfig]],
-    ) -> List[EncoderResult]:
-        """Batched ``xnn_encoder`` evaluation, one :class:`EncoderResult` each.
-
-        ``points`` holds ``(config, options, batch, seq_len, bert_config)``
-        tuples -- exactly the objects the scalar analytic runner constructs.
-        The bandwidth-independent tallies are memoized across points and
-        calls; the busy times are vectorized; each segment is then resolved
-        through the scalar :class:`ResourceRoofline`, so every
-        :class:`AnalyticSegment` (names, mappings, diagnostics included)
-        equals :meth:`AnalyticXNN.run_encoder`'s float for float.
-        """
-        if not points:
-            return []
-        count = len(points)
-        segment_sets: List[_SegmentSet] = []
-        ddr_models: List[MemoryChannelModel] = []
-        lpddr_models: List[MemoryChannelModel] = []
-        mme_rate_column = np.empty((count, 1))
-        for index, (config, options, batch, seq_len, bert_config) in enumerate(
-            points
-        ):
-            model = self._model_for(
-                config.spec,
-                config.num_mme,
-                config.num_mem_c,
-                config.mme_tile_shape,
-                options,
-            )
-            segment_sets.append(
-                self._segments_for(model, batch, seq_len, bert_config)
-            )
-            mme_rate_column[index, 0] = model.mme_rate
-            ddr_models.append(
-                ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-            )
-            lpddr_models.append(
-                lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-            )
-        busy = _busy_grids(
-            [list(segment_set.tallies) for segment_set in segment_sets],
-            ddr_models,
-            lpddr_models,
-            mme_rate_column,
-        )
-        results: List[EncoderResult] = []
-        for index, (config, options, batch, seq_len, bert_config) in enumerate(
-            points
-        ):
-            segment_set = segment_sets[index]
-            result = EncoderResult(name=segment_set.model_name, batch=batch)
-            for position, segment_name in enumerate(segment_set.names):
-                roofline = self._roofline_at(busy, index, position)
-                tally = segment_set.tallies[position]
-                result.segments.append(
-                    AnalyticSegment(
-                        name=segment_name,
-                        latency_s=roofline.latency_s,
-                        flops=segment_set.flops[position],
-                        ddr_bytes=tally.ddr_read_bytes + tally.ddr_write_bytes,
-                        lpddr_bytes=tally.lpddr_bytes,
-                        uops=0,
-                        bottleneck=roofline.bottleneck,
-                        bounds_s=dict(roofline.busy_s),
-                        utilization=roofline.utilizations(),
-                        mapping=segment_set.mappings[position],
-                    )
-                )
-            results.append(result)
-        return results
-
-    def gemm_results(
-        self,
-        points: Sequence[Tuple[XNNConfig, CodegenOptions, int, int, int]],
-    ) -> List[AnalyticSegment]:
-        """Batched ``xnn_gemm`` evaluation, one :class:`AnalyticSegment` each.
-
-        ``points`` holds ``(config, options, m, k, n)`` tuples.  Same split
-        as :meth:`encoder_results`: memoized tallies, vectorized busy times,
-        scalar roofline resolution -- every segment equals
-        :meth:`AnalyticXNN.run_gemm`'s exactly.
-        """
-        if not points:
-            return []
-        count = len(points)
-        frozen: List[_FrozenTally] = []
-        flops: List[float] = []
-        ddr_models: List[MemoryChannelModel] = []
-        lpddr_models: List[MemoryChannelModel] = []
-        mme_rate_column = np.empty((count, 1))
-        for index, (config, options, m, k, n) in enumerate(points):
-            model = self._model_for(
-                config.spec,
-                config.num_mme,
-                config.num_mem_c,
-                config.mme_tile_shape,
-                options,
-            )
-            tally, layer_flops = self._gemm_tally_for(model, m, k, n)
-            frozen.append(tally)
-            flops.append(layer_flops)
-            mme_rate_column[index, 0] = model.mme_rate
-            ddr_models.append(
-                ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-            )
-            lpddr_models.append(
-                lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-            )
-        busy = _busy_grids(
-            [[tally] for tally in frozen], ddr_models, lpddr_models, mme_rate_column
-        )
-        segments: List[AnalyticSegment] = []
-        for index, tally in enumerate(frozen):
-            roofline = self._roofline_at(busy, index, 0)
-            segments.append(
-                AnalyticSegment(
-                    name="gemm",
-                    latency_s=roofline.latency_s,
-                    flops=flops[index],
-                    ddr_bytes=tally.ddr_read_bytes + tally.ddr_write_bytes,
-                    lpddr_bytes=tally.lpddr_bytes,
-                    uops=0,
-                    bottleneck=roofline.bottleneck,
-                    bounds_s=dict(roofline.busy_s),
-                    utilization=roofline.utilizations(),
-                    mapping=MappingType.TASK_PARALLEL.value,
-                )
-            )
-        return segments
 
 
 #: the process-wide batch evaluator (its memo is the whole point: later

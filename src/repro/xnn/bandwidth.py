@@ -180,26 +180,29 @@ def analytic_bandwidth_sweep(
     """The Table 11 sweep on the analytic fast-model backend.
 
     Same sweep shape as :func:`bandwidth_sweep_latency` but each point is a
-    closed-form roofline lower bound instead of an event-driven simulation --
+    closed-form roofline lower bound instead of an event-driven simulation,
+    and the whole sweep is one batched resolution sharing a single tally --
     cheap enough to sweep hundreds of bandwidth scales interactively when
     exploring beyond the paper's four points.
     """
-    from .analytic import AnalyticXNN  # local import to avoid a module cycle
     from dataclasses import replace
+
+    from ..workloads.bert import BERT_LARGE
+    from .analytic import EncoderBatchEvaluator  # local: avoids a module cycle
 
     options = options or CodegenOptions()
     base_config = base_config or XNNConfig(carry_data=False)
-    points: List[BandwidthSweepPoint] = []
-    for scale in scales:
-        config = replace(base_config, carry_data=False, bandwidth_scale=scale)
-        result = AnalyticXNN(config=config, options=options).run_encoder(
-            batch=batch, seq_len=seq_len
+    workload = ("encoder", batch, seq_len, BERT_LARGE)
+    configs = [
+        replace(base_config, carry_data=False, bandwidth_scale=scale)
+        for scale in scales
+    ]
+    results = EncoderBatchEvaluator().results(
+        [(config, options, workload) for config in configs]
+    )
+    return [
+        BandwidthSweepPoint(
+            label=f"{scale:g}X BW", bandwidth_scale=scale, latency_s=result.latency_s
         )
-        points.append(
-            BandwidthSweepPoint(
-                label=f"{scale:g}X BW",
-                bandwidth_scale=scale,
-                latency_s=result.latency_s,
-            )
-        )
-    return points
+        for scale, result in zip(scales, results)
+    ]

@@ -1,4 +1,4 @@
-"""Multi-chip partitioning of encoder segments and the chiplet payload.
+"""Multi-chip partitioning of encoder segments and the DSE payloads.
 
 The scale-out axis runs one encoder layer as a *pipeline over chips*: the
 three simulation groups (``qkv``, ``attention+dense``, ``ffn``) are split
@@ -7,9 +7,9 @@ cross an :class:`~repro.hardware.link.InterChipLink` between consecutive
 chips.  This module holds everything both backends and the batched analytic
 evaluator share, so that the certified contracts hold *by construction*:
 
-* ``num_chips=1`` points never enter this module -- the runners delegate to
-  the single-chip ``dse_encoder`` path verbatim, which is what makes their
-  payloads byte-identical.
+* ``num_chips=1`` points take :func:`dse_payload`, the single-chip
+  ``dse_encoder`` payload, verbatim -- which is what makes their payloads
+  byte-identical to that kind's.
 * For ``num_chips>1``, the partition is chosen from backend-independent
   segment FLOP counts (:func:`encoder_segment_flops`), the link terms are
   identical pure-float arithmetic on both backends, and the only
@@ -19,13 +19,12 @@ evaluator share, so that the certified contracts hold *by construction*:
   the contract.  Off-chip traffic is untouched by partitioning (every chip
   keeps its segments' DDR/LPDDR transfers), so byte-identity also carries
   over unchanged.
-* :func:`chiplet_payload` is the single payload constructor used by the
-  engine scalar runner, the analytic scalar runner, *and* the batched
-  evaluator, so the batched path is expression-identical to the scalar one.
-  Its shape-only input, the :class:`EncoderPartition`
-  (:func:`encoder_partition`), and its :func:`design_cost` input are
-  computed by the caller: once per point on the scalar paths, once per
-  distinct key of what they read on the batched one.
+* :func:`dse_payload` and :func:`chiplet_payload` are the payload
+  constructors of both the engine runners and the batched analytic
+  evaluator.  The shape-only :class:`EncoderPartition`
+  (:func:`encoder_partition`) and the :func:`design_cost` input are
+  computed by the caller: once per point on the engine, once per distinct
+  key of what they read in the evaluator.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ __all__ = [
     "chiplet_metrics",
     "chiplet_payload",
     "design_cost",
+    "dse_payload",
     "encoder_boundary_bytes",
     "encoder_partition",
     "encoder_segment_flops",
@@ -236,8 +236,8 @@ def design_cost(
     """``(power_w, area_luts)`` of one design point.
 
     The single adapter from an :class:`XNNConfig` to the scalar cost models
-    in :mod:`repro.hardware.cost`, shared by the scalar runner payloads and
-    the batched evaluator so the cost keys cannot drift between paths.
+    in :mod:`repro.hardware.cost`, shared by the engine runners and the
+    batched evaluator so the cost keys cannot drift between backends.
     """
     scratchpad_mb = (
         config.num_mem_a * config.mem_a_bytes
@@ -267,6 +267,46 @@ def design_cost(
     return power_w, area_luts
 
 
+def dse_payload(
+    *,
+    latency_s: float,
+    flops: float,
+    ddr_bytes: int,
+    lpddr_bytes: int,
+    batch: int,
+    num_mme: int,
+    peak_flops: float,
+    cost: Tuple[float, float],
+) -> Dict[str, Any]:
+    """The ``dse_encoder`` payload: one design point's objective vector.
+
+    The single payload constructor of both backends: the engine runner
+    feeds it an :class:`~repro.xnn.executor.EncoderResult`'s totals, the
+    batched analytic evaluator its vectorized rows.  ``utilization`` is the
+    achieved fraction of the design's *own* ``peak_flops`` (so points with
+    different MME counts share one Pareto axis), and ``cost`` is the
+    :func:`design_cost` ``(power_w, area_luts)`` pair.
+    """
+    achieved = (flops / latency_s / 1e12) if latency_s else 0.0
+    utilization = (flops / latency_s / peak_flops) if latency_s else 0.0
+    power_w, area_luts = cost
+    return {
+        "latency_s": latency_s,
+        "latency_ms": latency_s * 1e3,
+        "flops": flops,
+        "ddr_bytes": ddr_bytes,
+        "lpddr_bytes": lpddr_bytes,
+        "offchip_bytes": ddr_bytes + lpddr_bytes,
+        "achieved_tflops": achieved,
+        "utilization": utilization,
+        "num_mme": num_mme,
+        "pipeline_tasks_per_s": (batch / latency_s) if latency_s else 0.0,
+        "power_w": power_w,
+        "area_luts": area_luts,
+        "energy_j": power_w * latency_s,
+    }
+
+
 def chiplet_payload(
     *,
     segment_latency_s: Sequence[float],
@@ -282,14 +322,15 @@ def chiplet_payload(
 ) -> Dict[str, Any]:
     """The ``dse_chiplet`` payload for a ``num_chips>1`` design point.
 
-    Single payload constructor for all three evaluation paths (engine
-    scalar, analytic scalar, batched analytic): they differ only in where
+    Single payload constructor for both backends (the engine runner and the
+    batched analytic evaluator): they differ only in where
     ``segment_latency_s`` / ``flops`` / traffic come from, and in how often
     they compute the shape-only ``partition`` (:func:`encoder_partition`)
     and the ``cost`` (:func:`design_cost` of the point's config, per-chip
     peak, chip count and ``link``).  The payload is a superset of the
-    ``dse_encoder`` payload -- same thirteen keys computed the same way
-    (with the chiplet end-to-end latency substituted), plus the multi-chip
+    :func:`dse_payload` -- same thirteen keys computed the same way, with
+    the chiplet end-to-end latency and the all-chip peak substituted and
+    the pipeline rate taken from the busiest stage -- plus the multi-chip
     diagnostics.  Its containers are built fresh on every call, so payloads
     that share a partition never share a mutable value.
     """
@@ -302,30 +343,25 @@ def chiplet_payload(
     metrics = chiplet_metrics(
         segment_latency_s, partition.cuts, partition.boundary_bytes, link
     )
-    latency_s = metrics.latency_s
-    peak_flops = num_chips * per_chip_peak_flops
-    achieved = (flops / latency_s / 1e12) if latency_s else 0.0
-    utilization = (flops / latency_s / peak_flops) if latency_s else 0.0
-    pipeline_tasks = (batch / metrics.max_stage_s) if metrics.max_stage_s else 0.0
-    power_w, area_luts = cost
-    return {
-        "latency_s": latency_s,
-        "latency_ms": latency_s * 1e3,
-        "flops": flops,
-        "ddr_bytes": ddr_bytes,
-        "lpddr_bytes": lpddr_bytes,
-        "offchip_bytes": ddr_bytes + lpddr_bytes,
-        "achieved_tflops": achieved,
-        "utilization": utilization,
-        "num_mme": num_mme,
-        "pipeline_tasks_per_s": pipeline_tasks,
-        "power_w": power_w,
-        "area_luts": area_luts,
-        "energy_j": power_w * latency_s,
-        "num_chips": num_chips,
-        "cuts": list(partition.cuts),
-        "link_bytes": metrics.link_bytes,
-        "link_s": metrics.link_s,
-        "max_stage_s": metrics.max_stage_s,
-        "stage_bounds_s": dict(metrics.stage_bounds_s),
-    }
+    payload = dse_payload(
+        latency_s=metrics.latency_s,
+        flops=flops,
+        ddr_bytes=ddr_bytes,
+        lpddr_bytes=lpddr_bytes,
+        batch=batch,
+        num_mme=num_mme,
+        peak_flops=num_chips * per_chip_peak_flops,
+        cost=cost,
+    )
+    payload["pipeline_tasks_per_s"] = (
+        (batch / metrics.max_stage_s) if metrics.max_stage_s else 0.0
+    )
+    payload.update(
+        num_chips=num_chips,
+        cuts=list(partition.cuts),
+        link_bytes=metrics.link_bytes,
+        link_s=metrics.link_s,
+        max_stage_s=metrics.max_stage_s,
+        stage_bounds_s=dict(metrics.stage_bounds_s),
+    )
+    return payload

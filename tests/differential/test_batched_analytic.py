@@ -1,14 +1,15 @@
 """Differential contract: batched analytic evaluation == scalar per point.
 
-The batched ``dse_encoder`` evaluator shares tallies across points and
-vectorizes the roofline arithmetic; this suite pins the hard contract that
-none of that changes a single bit of any payload -- every float and int must
-equal the scalar analytic runner's output exactly, over the full smoke space
-and a broad slice of the full encoder space, at reduced fidelity, with
-partially specified parameters, and on repeat calls (warm memo).  The
-``dse_chiplet`` batch runner shares per-call partitions, links and costs
-between points; its payloads must still match the scalar runner's and share
-no mutable container.
+The analytic batch runners share memoized tallies across points and calls
+and vectorize the roofline arithmetic over a whole batch; the scalar runner
+is the same batch runner applied to one point on a fresh evaluator.  This
+suite pins the hard contract that sharing changes not a single bit of any
+payload -- every float and int must equal the one-point evaluation exactly,
+over the full smoke space and a broad slice of the full encoder space, at
+reduced fidelity, with partially specified parameters, and on repeat calls
+(warm memo).  The ``dse_chiplet`` batch runner shares per-call partitions,
+links and costs between points; its payloads must still match the scalar
+runner's and share no mutable container.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ def _catalogue_params(kind):
                       "bandwidth_scale": 0.5}]),
     ("xnn_gemm", [{"m": 512, "k": 768, "n": 1024, "bandwidth_scale": 2.0,
                    "options": {"tile_m": 256}}]),
+    ("xnn_feedforward", [{"model": "ncf", "batch": 256}]),
 ])
 def test_catalogue_kind_batched_equals_scalar_exactly(kind, extra):
     """The encoder-shaped catalogue kinds' batch runners == scalar, bit for bit
@@ -106,13 +108,32 @@ def test_catalogue_kind_batched_equals_scalar_exactly(kind, extra):
     assert batched_fn(params_list) == expected
 
 
-@pytest.mark.parametrize("kind", ["xnn_encoder", "xnn_gemm"])
+@pytest.mark.parametrize("kind", ["xnn_encoder", "xnn_gemm", "xnn_feedforward",
+                                  "dse_encoder", "dse_chiplet"])
 def test_catalogue_kind_batched_rejects_unknown_params_like_scalar(kind):
     good = _catalogue_params(kind)[0]
     with pytest.raises(TypeError):
         REGISTRY.runner(kind, "analytic")(**{**good, "bogus_knob": 1})
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="bogus_knob"):
         REGISTRY.batch_runner(kind, "analytic")([{**good, "bogus_knob": 1}])
+
+
+@pytest.mark.parametrize("kind,defaults", [
+    ("dse_encoder", "_DSE_DEFAULTS"),
+    ("dse_chiplet", "_CHIPLET_DEFAULTS"),
+])
+def test_analytic_dse_defaults_match_the_engine_signature(kind, defaults):
+    """The analytic evaluator resolves partial points with its own defaults
+    table; it must equal the engine runner's signature defaults, or the two
+    backends would evaluate different designs for the same scenario."""
+    import inspect
+
+    from repro.xnn import analytic
+
+    signature = inspect.signature(REGISTRY.runner(kind, "engine"))
+    assert {name: parameter.default
+            for name, parameter in signature.parameters.items()} == \
+        getattr(analytic, defaults)
 
 
 def test_serial_sweep_routes_batch_kinds_and_matches_scalar():

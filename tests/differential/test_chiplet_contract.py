@@ -58,6 +58,18 @@ class TestSingleChipIdentity:
         encoder = _runner("dse_encoder", backend)(**BASE)
         assert _canon(chiplet) == _canon(encoder)
 
+    @pytest.mark.parametrize("backend", ["engine", "analytic"])
+    def test_catalogue_identity_pair_through_run_sweep(self, backend):
+        """The catalogue pair ``chiplet/1chip-identity`` /
+        ``chiplet/encoder-reference``, swept together, is byte-identical."""
+        from repro.runner.sweep import run_sweep
+
+        outcomes = {outcome.scenario: outcome.result for outcome in run_sweep(
+            ["chiplet/1chip-identity", "chiplet/encoder-reference"],
+            backend=backend)}
+        assert _canon(outcomes["chiplet/1chip-identity"]) == \
+            _canon(outcomes["chiplet/encoder-reference"])
+
     def test_chiplet_axes_are_inert_on_one_chip(self):
         # Link parameters must not leak into a single-chip evaluation.
         run = _runner("dse_chiplet", "analytic")
