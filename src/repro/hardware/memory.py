@@ -125,10 +125,10 @@ class MemoryChannelModel:
         Equals the sum of ``requests`` individual :meth:`read_time` calls with
         a single aggregate bandwidth term -- the per-request fixed latency is
         charged once per transfer, exactly as the event-driven DDR/LPDDR FUs
-        charge it.  Used by the analytic fast-model backend to tally channel
-        occupancy without enumerating every transfer; unlike
-        :meth:`read_time` it is a pure query and does not touch the
-        ``bytes_read`` traffic counter.
+        charge it.  The scalar form of the channel occupancy the analytic
+        backend vectorizes (``repro.xnn.analytic._busy_grids``, checked
+        against this method bit for bit); unlike :meth:`read_time` it is a
+        pure query and does not touch the ``bytes_read`` traffic counter.
         """
         return self._bulk_time(self.effective_read_bw, nbytes, requests, strided)
 

@@ -88,32 +88,20 @@ class AnalyticSegment(SegmentResult):
     mapping: str = ""
 
 
-@dataclass(frozen=True)
-class _FrozenTally:
-    """The numbers of one :class:`_SegmentTally`, detached for safe sharing."""
-
-    ddr_read_bytes: int
-    ddr_read_requests: int
-    ddr_write_bytes: int
-    ddr_write_requests: int
-    lpddr_bytes: int
-    lpddr_requests: int
-    mme_flops_max: float
-    memc_flops_max: float
-
-
 class _SegmentTally:
     """Accumulates one simulation group's transfers and per-FU work."""
 
-    def __init__(self, num_mme: int, num_mem_c: int):
+    def __init__(self, config: XNNConfig):
         self.ddr_read_bytes = 0
         self.ddr_read_requests = 0
         self.ddr_write_bytes = 0
         self.ddr_write_requests = 0
         self.lpddr_bytes = 0
         self.lpddr_requests = 0
-        self.mme_flops = [0.0] * num_mme
-        self.memc_flops = [0.0] * num_mem_c
+        self.mme_flops = [0.0] * config.num_mme
+        self.memc_flops = [0.0] * config.num_mem_c
+
+    # ------------------------------------------------------------- recording
 
     def ddr_load(self, nbytes: int, requests: int) -> None:
         self.ddr_read_bytes += nbytes
@@ -126,61 +114,6 @@ class _SegmentTally:
     def lpddr_load(self, nbytes: int, requests: int) -> None:
         self.lpddr_bytes += nbytes
         self.lpddr_requests += requests
-
-    def freeze(self) -> _FrozenTally:
-        return _FrozenTally(
-            ddr_read_bytes=self.ddr_read_bytes,
-            ddr_read_requests=self.ddr_read_requests,
-            ddr_write_bytes=self.ddr_write_bytes,
-            ddr_write_requests=self.ddr_write_requests,
-            lpddr_bytes=self.lpddr_bytes,
-            lpddr_requests=self.lpddr_requests,
-            mme_flops_max=max(self.mme_flops),
-            memc_flops_max=max(self.memc_flops),
-        )
-
-
-@dataclass(frozen=True)
-class _SegmentSet:
-    """One workload's tallies on one model: an evaluation's
-    bandwidth-independent half.
-
-    The frozen tallies, the segment names and mapping labels, the
-    per-segment FLOP counts and their list-order fold into the workload
-    total -- everything but the roofline resolution, and the name and batch
-    of the :class:`EncoderResult` it resolves to.
-    """
-
-    name: str
-    batch: int
-    names: Tuple[str, ...]
-    mappings: Tuple[str, ...]
-    tallies: Tuple[_FrozenTally, ...]
-    flops: Tuple[float, ...]
-    total_flops: float
-
-    @classmethod
-    def of(
-        cls,
-        name: str,
-        batch: int,
-        segments: Sequence[Tuple[str, _SegmentTally, float, str]],
-    ) -> "_SegmentSet":
-        """Freeze ``[(segment name, tally, flops, mapping), ...]``."""
-        flops = tuple(segment_flops for _, _, segment_flops, _ in segments)
-        # EncoderResult.flops is sum(segment.flops) -- fold in list order.
-        total_flops = 0.0
-        for segment_flops in flops:
-            total_flops += segment_flops
-        return cls(
-            name=name,
-            batch=batch,
-            names=tuple(segment_name for segment_name, _, _, _ in segments),
-            mappings=tuple(mapping for _, _, _, mapping in segments),
-            tallies=tuple(tally.freeze() for _, tally, _, _ in segments),
-            flops=flops,
-            total_flops=total_flops,
-        )
 
 
 def _memc_flops_per_element(fused_ops: Tuple[FusedOp, ...], residual: bool) -> float:
@@ -229,7 +162,7 @@ class AnalyticXNN:
     # -------------------------------------------------------------- tallying
 
     def _fresh_tally(self) -> _SegmentTally:
-        return _SegmentTally(self.config.num_mme, self.config.num_mem_c)
+        return _SegmentTally(self.config)
 
     def _tally_gemm(
         self, tally: _SegmentTally, layer: MatMulLayer, residual: bool = False
@@ -388,6 +321,76 @@ class AnalyticXNN:
 
 
 # ------------------------------------------------------------ batch evaluation
+
+
+@dataclass(frozen=True)
+class _FrozenTally:
+    """The numbers of one :class:`_SegmentTally`, detached for safe sharing."""
+
+    ddr_read_bytes: int
+    ddr_read_requests: int
+    ddr_write_bytes: int
+    ddr_write_requests: int
+    lpddr_bytes: int
+    lpddr_requests: int
+    mme_flops_max: float
+    memc_flops_max: float
+
+    @classmethod
+    def freeze(cls, tally: _SegmentTally) -> "_FrozenTally":
+        return cls(
+            ddr_read_bytes=tally.ddr_read_bytes,
+            ddr_read_requests=tally.ddr_read_requests,
+            ddr_write_bytes=tally.ddr_write_bytes,
+            ddr_write_requests=tally.ddr_write_requests,
+            lpddr_bytes=tally.lpddr_bytes,
+            lpddr_requests=tally.lpddr_requests,
+            mme_flops_max=max(tally.mme_flops),
+            memc_flops_max=max(tally.memc_flops),
+        )
+
+
+@dataclass(frozen=True)
+class _SegmentSet:
+    """One workload's tallies on one model: an evaluation's
+    bandwidth-independent half.
+
+    The frozen tallies, the segment names and mapping labels, the
+    per-segment FLOP counts and their list-order fold into the workload
+    total -- everything but the roofline resolution, and the name and batch
+    of the :class:`EncoderResult` it resolves to.
+    """
+
+    name: str
+    batch: int
+    names: Tuple[str, ...]
+    mappings: Tuple[str, ...]
+    tallies: Tuple[_FrozenTally, ...]
+    flops: Tuple[float, ...]
+    total_flops: float
+
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        batch: int,
+        segments: Sequence[Tuple[str, _SegmentTally, float, str]],
+    ) -> "_SegmentSet":
+        """Freeze ``[(segment name, tally, flops, mapping), ...]``."""
+        flops = tuple(segment_flops for _, _, segment_flops, _ in segments)
+        # EncoderResult.flops is sum(segment.flops) -- fold in list order.
+        total_flops = 0.0
+        for segment_flops in flops:
+            total_flops += segment_flops
+        return cls(
+            name=name,
+            batch=batch,
+            names=tuple(segment_name for segment_name, _, _, _ in segments),
+            mappings=tuple(mapping for _, _, _, mapping in segments),
+            tallies=tuple(_FrozenTally.freeze(tally) for _, tally, _, _ in segments),
+            flops=flops,
+            total_flops=total_flops,
+        )
 
 
 def _busy_grids(

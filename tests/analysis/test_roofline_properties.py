@@ -8,7 +8,9 @@ property-style over wide input ranges:
 * latency is monotonically non-increasing in bandwidth and in FLOP rate;
 * ``compute_bound`` is consistent with the machine-balance point;
 * the multi-resource generalisation reduces to max() with a well-defined
-  bottleneck.
+  bottleneck;
+* the analytic backend's vectorized busy times equal the channel models'
+  scalar bulk transfer times and the MME/MemC rate divisions, bit for bit.
 
 If ``hypothesis`` is not installed the module is skipped as a whole (the
 invariants are still exercised pointwise by the unit suites).
@@ -24,8 +26,13 @@ hypothesis = pytest.importorskip(
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from repro.analysis.roofline import (ResourceRoofline, machine_balance,  # noqa: E402
                                      roofline_latency)
+from repro.hardware.memory import ddr_channel, lpddr_channel  # noqa: E402
+from repro.xnn.analytic import _busy_grids, _FrozenTally  # noqa: E402
+from repro.xnn.fus.scratchpad import MEMC_COMPUTE_THROUGHPUT  # noqa: E402
 
 #: wide but sane physical ranges: up to exa-FLOP kernels, KB/s..PB/s links.
 work = st.floats(min_value=0.0, max_value=1e18, allow_nan=False,
@@ -128,3 +135,44 @@ class TestResourceRooflineProperties:
             ResourceRoofline({})
         with pytest.raises(ValueError):
             ResourceRoofline({"ddr": -1.0})
+
+
+class TestAnalyticBusyTimes:
+    """``_busy_grids`` is the analytic backend's only roofline: each cell
+    must equal the scalar channel-model and rate arithmetic exactly, whatever
+    else shares the batch."""
+
+    counts = st.integers(min_value=0, max_value=10**12)
+    work = st.floats(min_value=0.0, max_value=1e15, allow_nan=False,
+                     allow_infinity=False)
+    tallies = st.builds(_FrozenTally, counts, counts, counts, counts, counts,
+                        counts, work, work)
+    points = st.tuples(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+                       st.floats(min_value=1e9, max_value=1e13))
+
+    @given(data=st.data())
+    def test_cells_equal_scalar_bulk_times(self, data):
+        segments = data.draw(st.integers(min_value=1, max_value=3))
+        batch = data.draw(st.lists(
+            st.tuples(self.points,
+                      st.lists(self.tallies, min_size=segments,
+                               max_size=segments)),
+            min_size=1, max_size=6))
+        ddr = [ddr_channel(bandwidth_scale=scale) for (scale, _), _ in batch]
+        lpddr = [lpddr_channel(bandwidth_scale=scale) for (scale, _), _ in batch]
+        rates = np.array([[rate] for (_, rate), _ in batch])
+        grids = _busy_grids([tallies for _, tallies in batch], ddr, lpddr, rates)
+        for index, ((_, rate), tallies) in enumerate(batch):
+            for position, tally in enumerate(tallies):
+                expected = (
+                    ddr[index].bulk_read_time(tally.ddr_read_bytes,
+                                              tally.ddr_read_requests)
+                    + ddr[index].bulk_write_time(tally.ddr_write_bytes,
+                                                 tally.ddr_write_requests),
+                    lpddr[index].bulk_read_time(tally.lpddr_bytes,
+                                                tally.lpddr_requests),
+                    tally.mme_flops_max / rate,
+                    tally.memc_flops_max / MEMC_COMPUTE_THROUGHPUT,
+                )
+                assert tuple(float(grid[index, position])
+                             for grid in grids) == expected
