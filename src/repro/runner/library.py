@@ -291,9 +291,7 @@ def _feedforward_point(
 
 
 @_analytic_kind("xnn_feedforward")
-def estimate_xnn_feedforward(
-    param_sets: List[Dict[str, Any]], evaluator
-) -> List[dict]:
+def estimate_xnn_feedforward(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
     """Analytic lower-bound estimate of pure-GEMM models (Table 7)."""
     points = [_feedforward_point(**params) for params in param_sets]
     return [_analytic_encoder_dict(result) for result in evaluator.results(points)]
@@ -507,9 +505,16 @@ def run_dse_encoder(
     from repro.xnn.partition import design_cost, dse_payload
 
     result, config, peak_flops = _engine_design_point(
-        batch, seq_len, model, num_mme=num_mme, mem_b_bytes=mem_b_bytes,
-        bandwidth_scale=bandwidth_scale, pipeline_attention=pipeline_attention,
-        tile_m=tile_m, tile_k=tile_k, super_n=super_n,
+        batch,
+        seq_len,
+        model,
+        num_mme=num_mme,
+        mem_b_bytes=mem_b_bytes,
+        bandwidth_scale=bandwidth_scale,
+        pipeline_attention=pipeline_attention,
+        tile_m=tile_m,
+        tile_k=tile_k,
+        super_n=super_n,
     )
     return dse_payload(
         latency_s=result.latency_s,
@@ -558,8 +563,12 @@ def run_dse_chiplet(
     lower-bound contract and the traffic stays byte-identical.
     """
     design = dict(
-        num_mme=num_mme, mem_b_bytes=mem_b_bytes, bandwidth_scale=bandwidth_scale,
-        pipeline_attention=pipeline_attention, tile_m=tile_m, tile_k=tile_k,
+        num_mme=num_mme,
+        mem_b_bytes=mem_b_bytes,
+        bandwidth_scale=bandwidth_scale,
+        pipeline_attention=pipeline_attention,
+        tile_m=tile_m,
+        tile_k=tile_k,
         super_n=super_n,
     )
     if num_chips == 1:
