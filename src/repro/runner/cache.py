@@ -1,12 +1,15 @@
 """On-disk result cache for scenario runs, plus the segment-level memo.
 
-Cache entries are JSON files keyed by a stable hash of the scenario's
-canonical identity (kind + parameters) *and* the code version -- a content
-hash over every ``.py`` file of the :mod:`repro` package.  Editing any source
-file therefore invalidates the whole cache automatically; repeated sweeps on
-unchanged code are near-instant cache hits that return byte-identical results.
+The cache holds one kind of entry, the **chunk entry**
+``chunk__<kind>-<key>.json``: the results of one ``(kind, [params, ...])``
+chunk job, keyed by a stable hash of the kind and every point's parameters
+(in order), the execution backend, *and* the code version -- a content hash
+over every ``.py`` file of the :mod:`repro` package.  A scenario's entry is
+the chunk entry for ``[scenario.params]``.  Editing any source file
+invalidates the whole cache automatically; repeated sweeps on unchanged code
+are near-instant cache hits that return byte-identical results.
 
-Below the scenario cache sits :class:`SegmentMemo`: a process-wide (and
+Below the result cache sits :class:`SegmentMemo`: a process-wide (and
 optionally on-disk) memo of *simulated segment* results keyed by the program
 fingerprint of :meth:`repro.xnn.codegen.ProgramBuilder.fingerprint` (a hash
 of the per-FU uOP streams, the datapath configuration, the codegen options,
@@ -17,6 +20,10 @@ re-certifying a point a previous exploration already simulated -- therefore
 run the event loop once; every later occurrence is a dictionary lookup that
 returns the exact same numbers (the differential suite pins memoized ==
 fresh byte for byte).
+
+Every JSON file the runner persists -- cache entries, segment-memo entries,
+spool jobs, results and heartbeats -- is written by :func:`write_json_atomic`
+and read back through :func:`decode_json_object`.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .scenarios import DEFAULT_BACKEND, Scenario, canonical_json
 
@@ -38,7 +45,10 @@ __all__ = [
     "SegmentMemo",
     "code_version",
     "configure_segment_memo",
+    "decode_json_object",
     "process_segment_memo",
+    "read_json_object",
+    "write_json_atomic",
     "DEFAULT_CACHE_DIR",
 ]
 
@@ -64,6 +74,69 @@ def code_version() -> str:
     return _CODE_VERSION
 
 
+# ------------------------------------------------------------- JSON files
+
+
+def write_json_atomic(path: os.PathLike, payload: Any) -> Path:
+    """Write ``payload`` to ``path`` as key-sorted, indented JSON.
+
+    The text goes to a ``.tmp`` file in the same directory that is then
+    ``os.replace``-d into place, so a reader never observes a partial file.
+    On any failure the tmp file is removed and the error re-raised (a
+    crashed process can still leave one behind; :meth:`ResultCache.prune`
+    reaps old ones).  Returns ``path``.
+    """
+    path = Path(path)
+    encoded = json.dumps(payload, sort_keys=True, indent=1)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(encoded)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
+    return path
+
+
+def decode_json_object(text: str) -> Dict[str, Any]:
+    """Parse ``text`` as a JSON object; raises ``ValueError`` when it is not
+    JSON or holds JSON that is not an object."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def read_json_object(path: os.PathLike) -> Optional[Dict[str, Any]]:
+    """The JSON object stored at ``path``, or ``None`` when the file is
+    missing, unreadable, not JSON, or holds JSON that is not an object."""
+    try:
+        return decode_json_object(Path(path).read_text())
+    except (OSError, ValueError):
+        return None
+
+
+def _unlink(path: Path, warnings: Optional[List[str]] = None) -> bool:
+    """Remove ``path``; False if it vanished or cannot be removed.
+
+    A concurrent pruner winning the race is silent; anything else (a
+    read-only cache directory, foreign ownership on a shared cache) is
+    appended to ``warnings`` when given -- cache maintenance degrades to a
+    warning, it never tracebacks.
+    """
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        return False
+    except OSError as error:
+        if warnings is not None:
+            warnings.append(f"cannot remove {path.name}: {error}")
+        return False
+    return True
+
+
 @dataclass
 class PruneStats:
     """What one :meth:`ResultCache.prune` pass did.
@@ -85,9 +158,14 @@ _TMP_GRACE_S = 3600.0
 
 
 class ResultCache:
-    """A directory of ``<scenario>-<key>.json`` scenario results, plus
-    ``chunk__<kind>-<key>.json`` whole-chunk entries for sharded batched
-    evaluation (see :func:`repro.runner.sweep.evaluate_chunked`)."""
+    """A directory of ``chunk__<kind>-<key>.json`` chunk entries.
+
+    One entry holds the results of one ``(kind, [params, ...])`` chunk job
+    (see :func:`repro.runner.sweep.evaluate_chunked`); a scenario's entry is
+    the chunk entry for ``[scenario.params]``, which :meth:`store` and
+    :meth:`load` address by scenario.  Segment-memo entries live under
+    :attr:`segments_dir` and share the cache's code-version lifecycle.
+    """
 
     #: subdirectory holding the on-disk segment-memo entries.
     SEGMENTS_SUBDIR = "segments"
@@ -103,98 +181,21 @@ class ResultCache:
 
     # ---------------------------------------------------------------- keying
 
-    def key(self, scenario: Scenario, backend: str = DEFAULT_BACKEND) -> str:
-        """Stable hash of (scenario identity, execution backend, code version).
-
-        The backend is part of the identity: the engine and analytic backends
-        legitimately produce different results for the same scenario, so their
-        entries must never collide.
-        """
-        identity = scenario.canonical() + "|" + backend + "|" + code_version()
-        return hashlib.sha256(identity.encode()).hexdigest()[:20]
-
-    def path(self, scenario: Scenario, backend: str = DEFAULT_BACKEND) -> Path:
-        safe_name = scenario.name.replace("/", "__")
-        return self.root / f"{safe_name}-{self.key(scenario, backend)}.json"
-
-    # ----------------------------------------------------------------- store
-
-    def store(
-        self,
-        scenario: Scenario,
-        result: Dict[str, Any],
-        elapsed_s: float,
-        backend: str = DEFAULT_BACKEND,
-    ) -> Path:
-        """Persist one scenario result atomically; returns the entry path."""
-        path = self.path(scenario, backend)
-        payload = {
-            "scenario": scenario.name,
-            "kind": scenario.kind,
-            "backend": backend,
-            "params": dict(scenario.params),
-            "code_version": code_version(),
-            "elapsed_s": elapsed_s,
-            "result": result,
-        }
-        encoded = json.dumps(payload, sort_keys=True, indent=1)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
-        return path
-
-    # ------------------------------------------------------------------ load
-
-    def load(
-        self, scenario: Scenario, backend: str = DEFAULT_BACKEND
-    ) -> Optional[Dict[str, Any]]:
-        """Return the cached payload for ``scenario``, or ``None`` on a miss.
-
-        A hit requires the file to exist *and* its recorded identity to match
-        the scenario, backend, and current code version (defence against
-        hash-prefix collisions and manually edited entries).  Entries written
-        before backends existed hash to different paths (and an older code
-        version) and are therefore plain misses -- there is no migration.
-        """
-        path = self.path(scenario, backend)
-        if not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if (
-            payload.get("kind") != scenario.kind
-            or payload.get("backend") != backend
-            or payload.get("code_version") != code_version()
-            or canonical_json(payload.get("params"))
-            != canonical_json(dict(scenario.params))
-        ):
-            return None
-        return payload
-
-    # ---------------------------------------------------------- chunk entries
-
     def chunk_key(
         self,
         kind: str,
-        params_list: List[Dict[str, Any]],
+        params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
     ) -> str:
-        """Stable hash of one **chunk job**'s identity.
+        """Stable hash of one chunk entry's identity.
 
-        Keyed exactly like per-scenario entries -- canonical identity
-        (here: the kind plus every point's parameters, order-sensitive,
-        since results splice back positionally) + backend + code version --
-        so chunk entries share the scenario cache's lifecycle: a source
-        edit invalidates them, :meth:`prune` sweeps them, :meth:`clear`
-        removes them, all through the generic ``code_version`` check.
+        The identity is the canonical JSON of the kind plus every point's
+        parameters (order-sensitive, since results splice back
+        positionally), the backend, and the code version.  The backend is
+        part of it because the engine and analytic backends legitimately
+        produce different results for the same point; the code version
+        because a source edit must invalidate every entry (and lets
+        :meth:`prune` sweep superseded ones).
         """
         identity = (
             canonical_json(
@@ -210,28 +211,52 @@ class ResultCache:
     def chunk_path(
         self,
         kind: str,
-        params_list: List[Dict[str, Any]],
+        params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
     ) -> Path:
         safe_kind = kind.replace("/", "__")
         key = self.chunk_key(kind, params_list, backend)
         return self.root / f"chunk__{safe_kind}-{key}.json"
 
+    # ----------------------------------------------------------------- store
+
+    def store(
+        self,
+        scenario: Scenario,
+        result: Dict[str, Any],
+        elapsed_s: float,
+        backend: str = DEFAULT_BACKEND,
+    ) -> Path:
+        """Persist one scenario result (the chunk entry for
+        ``[scenario.params]``) atomically; returns the entry path."""
+        return self._store_entry(
+            scenario.kind, [scenario.params], [result], elapsed_s, backend
+        )
+
     def store_chunk(
         self,
         kind: str,
-        params_list: List[Dict[str, Any]],
+        params_list: Sequence[Dict[str, Any]],
         results: List[Dict[str, Any]],
         elapsed_s: float,
         backend: str = DEFAULT_BACKEND,
     ) -> Path:
         """Persist one chunk's results atomically; returns the entry path."""
+        return self._store_entry(kind, params_list, results, elapsed_s, backend)
+
+    def _store_entry(
+        self,
+        kind: str,
+        params_list: Sequence[Dict[str, Any]],
+        results: List[Dict[str, Any]],
+        elapsed_s: float,
+        backend: str,
+    ) -> Path:
         if len(results) != len(params_list):
             raise ValueError(
                 f"chunk for kind {kind!r} has {len(params_list)} points but "
                 f"{len(results)} results"
             )
-        path = self.chunk_path(kind, params_list, backend)
         payload = {
             "chunk": True,
             "kind": kind,
@@ -241,42 +266,40 @@ class ResultCache:
             "elapsed_s": elapsed_s,
             "results": results,
         }
-        encoded = json.dumps(payload, sort_keys=True, indent=1)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
-        return path
+        return write_json_atomic(self.chunk_path(kind, params_list, backend), payload)
+
+    # ------------------------------------------------------------------ load
+
+    def load(
+        self, scenario: Scenario, backend: str = DEFAULT_BACKEND
+    ) -> Optional[Dict[str, Any]]:
+        """The cached entry for ``scenario`` (the chunk entry for
+        ``[scenario.params]``, so its result is ``["results"][0]``), or
+        ``None`` on a miss."""
+        return self.load_chunk(scenario.kind, [scenario.params], backend)
 
     def load_chunk(
         self,
         kind: str,
-        params_list: List[Dict[str, Any]],
+        params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
     ) -> Optional[Dict[str, Any]]:
-        """Return the cached chunk payload, or ``None`` on a miss.
+        """Return the cached chunk entry, or ``None`` on a miss.
 
-        Validated like :meth:`load`: the recorded identity must match the
-        requested kind, point parameters (order included), backend, and the
-        current code version, and the results list must be point-for-point
-        complete -- a partial or foreign entry is a plain miss.
+        A hit requires the file to hold a JSON object whose recorded
+        identity matches the requested kind, point parameters (order
+        included), backend, and the current code version, with a results
+        list that is point-for-point complete -- a missing, corrupted,
+        partial, or foreign entry (hash-prefix collision, manual edit) is a
+        plain miss.  Entries of older code versions hash to other paths, so
+        there is no migration.
         """
-        path = self.chunk_path(kind, params_list, backend)
-        if not path.exists():
+        payload = read_json_object(self.chunk_path(kind, params_list, backend))
+        if payload is None:
             return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        results = payload.get("results") if isinstance(payload, dict) else None
+        results = payload.get("results")
         if (
-            not isinstance(payload, dict)
-            or payload.get("kind") != kind
+            payload.get("kind") != kind
             or payload.get("backend") != backend
             or payload.get("code_version") != code_version()
             or canonical_json(payload.get("params"))
@@ -296,113 +319,77 @@ class ResultCache:
         """Delete every cache entry; returns the number removed.
 
         Segment-memo entries under :attr:`segments_dir` are cleared along
-        with the scenario results (they share the code-version lifecycle).
+        with the chunk entries (they share the code-version lifecycle).
         Tolerates entries vanishing between listing and unlinking -- sweeps
         and prunes may run concurrently on the same directory.
         """
         removed = 0
-        for path in self.entries():
-            if self._unlink(path):
-                removed += 1
-        segments = self.segments_dir
-        if segments.is_dir():
-            for path in sorted(segments.glob("*.json")):
-                if self._unlink(path):
+        for directory in (self.root, self.segments_dir):
+            for path in sorted(directory.glob("*.json")):
+                if _unlink(path):
                     removed += 1
         return removed
-
-    @staticmethod
-    def _unlink(path: Path, warnings: Optional[List[str]] = None) -> bool:
-        """Remove ``path``; False if it vanished or cannot be removed.
-
-        A concurrent pruner winning the race is silent; anything else (a
-        read-only cache directory, foreign ownership on a shared cache) is
-        appended to ``warnings`` when given -- cache maintenance degrades to
-        a warning, it never tracebacks.
-        """
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return False
-        except OSError as error:
-            if warnings is not None:
-                warnings.append(f"cannot remove {path.name}: {error}")
-            return False
-        return True
 
     def prune(self) -> PruneStats:
         """Remove stale and corrupted entries; keep everything current.
 
-        An entry is *stale* when its recorded ``code_version`` is not the
+        Covers the chunk entries and the segment-memo entries alike.  An
+        entry is *stale* when its recorded ``code_version`` is not the
         current one (superseded by a source edit -- it can never hit again)
         and *corrupted* when it cannot be parsed as a JSON object.  Both are
-        removed.  Concurrent writers are tolerated end to end: fresh ``.tmp``
-        spill files are left alone, vanished files are skipped, and nothing
-        in here raises for an individual bad entry -- problems are collected
-        as warnings instead.
+        removed, as are ``.tmp`` spill files older than an hour (crash
+        leftovers of :func:`write_json_atomic`).  Concurrent writers are
+        tolerated end to end: fresh spill files are left alone, vanished
+        files are skipped, and nothing in here raises for an individual bad
+        entry -- problems are collected as warnings instead.
         """
         stats = PruneStats()
         current = code_version()
         now = time.time()
-        for path in self.entries():
-            try:
-                payload = json.loads(path.read_text())
-                if not isinstance(payload, dict):
-                    raise ValueError(
-                        f"expected a JSON object, got " f"{type(payload).__name__}"
-                    )
-            except FileNotFoundError:
-                continue  # concurrent prune/clear got there first
-            except (OSError, ValueError) as error:
-                stats.warnings.append(
-                    f"removing corrupted entry " f"{path.name}: {error}"
-                )
-                if self._unlink(path, stats.warnings):
-                    stats.removed += 1
-                continue
-            if payload.get("code_version") != current:
-                if self._unlink(path, stats.warnings):
-                    stats.removed += 1
-            else:
-                stats.kept += 1
-        segments = self.segments_dir
-        if segments.is_dir():
-            for path in sorted(segments.glob("*.json")):
+        for directory in (self.root, self.segments_dir):
+            for path in sorted(directory.glob("*.json")):
+                name = path.relative_to(self.root)
                 try:
-                    payload = json.loads(path.read_text())
-                    if not isinstance(payload, dict):
-                        raise ValueError(
-                            f"expected a JSON object, got " f"{type(payload).__name__}"
-                        )
+                    payload = decode_json_object(path.read_text())
                 except FileNotFoundError:
-                    continue
+                    continue  # concurrent prune/clear got there first
                 except (OSError, ValueError) as error:
-                    stats.warnings.append(
-                        f"removing corrupted segment entry " f"{path.name}: {error}"
-                    )
-                    if self._unlink(path, stats.warnings):
+                    stats.warnings.append(f"removing corrupted entry {name}: {error}")
+                    if _unlink(path, stats.warnings):
                         stats.removed += 1
                     continue
                 if payload.get("code_version") != current:
-                    if self._unlink(path, stats.warnings):
+                    if _unlink(path, stats.warnings):
                         stats.removed += 1
                 else:
                     stats.kept += 1
-        for tmp in sorted(self.root.glob("*.tmp")):
-            try:
-                age = now - tmp.stat().st_mtime
-            except OSError:
-                continue
-            if age > _TMP_GRACE_S:
-                stats.warnings.append(
-                    f"removing abandoned spill file " f"{tmp.name} ({age:.0f}s old)"
-                )
-                if self._unlink(tmp, stats.warnings):
-                    stats.removed += 1
+            for tmp in sorted(directory.glob("*.tmp")):
+                try:
+                    age = now - tmp.stat().st_mtime
+                except OSError:
+                    continue
+                if age > _TMP_GRACE_S:
+                    stats.warnings.append(
+                        f"removing abandoned spill file "
+                        f"{tmp.relative_to(self.root)} ({age:.0f}s old)"
+                    )
+                    if _unlink(tmp, stats.warnings):
+                        stats.removed += 1
         return stats
 
 
 # --------------------------------------------------------------- segment memo
+
+
+def _current_entry(entry: Any) -> bool:
+    """Whether ``entry`` is a well-formed segment-memo entry (``key`` /
+    ``code_version`` / ``result``) of the current code version."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("key"), str)
+        and entry.get("code_version") == code_version()
+        and isinstance(entry.get("result"), dict)
+    )
 
 
 class SegmentMemo:
@@ -427,7 +414,7 @@ class SegmentMemo:
       segments across processes and across runs are also served from memo.
 
     Entries are validated against the recorded code version on load, exactly
-    like scenario cache entries; stale entries are plain misses (and are
+    like result-cache entries; stale entries are plain misses (and are
     swept by ``ResultCache.prune``).  Results never depend on tensor *data*,
     so the memo must only be consulted for timing-only simulations
     (``carry_data=False``) -- the executor enforces this.
@@ -475,20 +462,10 @@ class SegmentMemo:
         """Return the memoized payload for ``key``, or ``None`` on a miss."""
         payload = self._memory.get(key)
         if payload is None and self._root is not None:
-            path = self._path(key)
-            if path.exists():
-                try:
-                    entry = json.loads(path.read_text())
-                except (OSError, json.JSONDecodeError):
-                    entry = None
-                if (
-                    isinstance(entry, dict)
-                    and entry.get("key") == key
-                    and entry.get("code_version") == code_version()
-                    and isinstance(entry.get("result"), dict)
-                ):
-                    payload = entry["result"]
-                    self._memory[key] = payload
+            entry = read_json_object(self._path(key))
+            if _current_entry(entry) and entry["key"] == key:
+                payload = entry["result"]
+                self._memory[key] = payload
         if payload is None:
             self.misses += 1
             return None
@@ -511,35 +488,15 @@ class SegmentMemo:
         that produced the result.
         """
         self._memory[key] = dict(payload)
+        entry = {"key": key, "code_version": code_version(), "result": dict(payload)}
         if fresh:
-            self._new[key] = {
-                "key": key,
-                "code_version": code_version(),
-                "result": dict(payload),
-            }
+            self._new[key] = entry
         if self._root is None:
             return
-        entry = {
-            "key": key,
-            "code_version": code_version(),
-            "result": dict(payload),
-        }
-        encoded = json.dumps(entry, sort_keys=True, indent=1)
         try:
-            fd, tmp_name = tempfile.mkstemp(dir=self._root, suffix=".tmp")
+            write_json_atomic(self._path(key), entry)
         except OSError:
-            return
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(encoded)
-            os.replace(tmp_name, self._path(key))
-        except OSError:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+            pass
 
     # ----------------------------------------------------- cross-host sharing
 
@@ -571,14 +528,8 @@ class SegmentMemo:
         accepted = 0
         if not isinstance(entries, (list, tuple)):
             return 0
-        current = code_version()
         for entry in entries:
-            if (
-                not isinstance(entry, dict)
-                or not isinstance(entry.get("key"), str)
-                or entry.get("code_version") != current
-                or not isinstance(entry.get("result"), dict)
-            ):
+            if not _current_entry(entry):
                 continue
             key = entry["key"]
             if key not in self._memory:
@@ -594,12 +545,9 @@ class SegmentMemo:
         self._new.clear()
         self.hits = 0
         self.misses = 0
-        if self._root is not None and self._root.is_dir():
+        if self._root is not None:
             for path in sorted(self._root.glob("*.json")):
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
+                _unlink(path)
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -620,8 +568,8 @@ def configure_segment_memo(root: Optional[os.PathLike]) -> SegmentMemo:
     """Attach (``root``) or detach (``None``) the process memo's disk layer.
 
     Called by the sweep executor in the parent process and in every worker,
-    so cache-enabled sweeps persist segment results next to the scenario
-    cache (``<cache-dir>/segments/``).
+    so cache-enabled sweeps persist segment results next to the cache
+    entries (``<cache-dir>/segments/``).
     """
     _PROCESS_SEGMENT_MEMO.set_root(root)
     return _PROCESS_SEGMENT_MEMO

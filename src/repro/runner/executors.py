@@ -38,19 +38,17 @@ byte-identical to the serial batched path across every executor.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import subprocess
 import sys
-import tempfile
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cache import code_version
+from .cache import code_version, decode_json_object, read_json_object, write_json_atomic
 from .scenarios import DEFAULT_BACKEND
 
 __all__ = [
@@ -175,21 +173,6 @@ class ProcessPoolExecutor(Executor):
 
 
 # ----------------------------------------------------------------- work queue
-
-
-def _write_json_atomic(directory: Path, path: Path, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` to ``path`` via a same-directory tempfile + rename,
-    so readers never observe a partial file."""
-    encoded = json.dumps(payload, sort_keys=True, indent=1)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(encoded)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
 
 
 def _sanitize_id(identifier: str) -> str:
@@ -347,9 +330,7 @@ class Spool:
 
     def enqueue(self, job_id: str, payload: Dict[str, Any]) -> Path:
         """Publish one job file atomically; returns its pending path."""
-        path = self.pending_dir / f"{job_id}.json"
-        _write_json_atomic(self.pending_dir, path, payload)
-        return path
+        return write_json_atomic(self.pending_dir / f"{job_id}.json", payload)
 
     def enqueue_many(self, jobs: Sequence[Tuple[str, Dict[str, Any]]]) -> int:
         """Publish many ``(job_id, payload)`` jobs; returns the count.
@@ -468,9 +449,7 @@ class Spool:
 
     def write_result(self, job_id: str, payload: Dict[str, Any]) -> Path:
         """Publish one result file atomically; returns its path."""
-        path = self.results_dir / f"{job_id}.json"
-        _write_json_atomic(self.results_dir, path, payload)
-        return path
+        return write_json_atomic(self.result_path(job_id), payload)
 
     def result_path(self, job_id: str) -> Path:
         return self.results_dir / f"{job_id}.json"
@@ -576,9 +555,7 @@ class Spool:
             if not isinstance(key, str) or not _MEMO_KEY_RE.fullmatch(key):
                 continue
             try:
-                _write_json_atomic(
-                    self.memo_dir, self.memo_dir / f"{key}.json", entry
-                )
+                write_json_atomic(self.memo_dir / f"{key}.json", entry)
             except OSError:
                 continue
         known_keys = set(known)
@@ -590,11 +567,8 @@ class Spool:
         for path in present:
             if path.stem in known_keys:
                 continue
-            try:
-                entry = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue  # mid-publish or corrupted; absorb would reject it
-            if isinstance(entry, dict):
+            entry = read_json_object(path)
+            if entry is not None:  # else corrupted; absorb would reject it
                 fetched.append(entry)
         return fetched
 
@@ -615,9 +589,7 @@ class Spool:
             if info is None and path.exists():
                 os.utime(path)
             else:
-                _write_json_atomic(
-                    self.workers_dir, path, {"worker": worker_id, **(info or {})}
-                )
+                write_json_atomic(path, {"worker": worker_id, **(info or {})})
         except OSError:
             pass
 
@@ -713,11 +685,10 @@ class Spool:
         for path in _listing(self.workers_dir, "*.json"):
             try:
                 age_s = max(now - path.stat().st_mtime, 0.0)
-                info = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue  # heartbeat mid-rewrite; the next snapshot sees it
-            if not isinstance(info, dict):
-                info = {}
+            except OSError:
+                continue  # worker shut down mid-scan
+            # Liveness is the mtime; the heartbeat content only decorates it.
+            info = read_json_object(path) or {}
             workers.append(
                 {
                     "worker": path.stem,
@@ -1026,10 +997,8 @@ class WorkQueueExecutor(Executor):
                     continue  # duplicate from a requeue race; drop it
                 progress = True
                 try:
-                    payload = json.loads(raw)
-                    if not isinstance(payload, dict):
-                        raise ValueError("result is not a JSON object")
-                except (ValueError, json.JSONDecodeError):
+                    payload = decode_json_object(raw)
+                except ValueError:
                     # Externally corrupted result: retry the job.
                     self._requeue(job_id, payloads, requeues, "corrupted result")
                     continue

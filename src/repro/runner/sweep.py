@@ -226,6 +226,29 @@ def _run_chunk(
     return results, elapsed_s
 
 
+def _submit_misses(
+    chunks: List[ChunkJob],
+    executor: Executor,
+    backend: str,
+    cache: Optional[ResultCache],
+) -> List[ChunkResult]:
+    """Compute the chunk jobs that missed the cache on ``executor``.
+
+    The segment-memo directory follows the cache: cache-enabled runs persist
+    memoized segments next to the cache entries, here and in every worker.
+    A cache-less run still shares the in-memory process memo, and
+    *detaches* any root an earlier run attached -- otherwise it would keep
+    writing into (or crash on a deleted) stale cache directory.
+    """
+    segment_memo_dir = str(cache.segments_dir) if cache is not None else None
+    configure_segment_memo(segment_memo_dir)
+    executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
+    return executor.submit_chunks(
+        chunks,
+        partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
+    )
+
+
 def evaluate_chunked(
     kind: str,
     params_list: Sequence[Dict[str, Any]],
@@ -246,13 +269,11 @@ def evaluate_chunked(
     runner runs its scalar runner point by point inside each chunk (see
     :func:`_run_chunk`); a kind with no runner at all on ``backend`` raises
     ``KeyError`` before anything executes.  ``cache`` stores one entry per
-    *chunk*, keyed like per-scenario entries (canonical params + backend +
-    code version -- see :meth:`~repro.runner.cache.ResultCache.chunk_key`),
-    so a warm rerun skips whole chunks without executing anything;
-    ``align`` feeds the auto chunk-size heuristic so cache keys stay stable
-    across runs that share a design space.  Returns ``(results,
-    cached_points)`` where ``cached_points`` counts points served from the
-    chunk cache.
+    *chunk* (see :meth:`~repro.runner.cache.ResultCache.chunk_key`), so a
+    warm rerun skips whole chunks without executing anything; ``align``
+    feeds the auto chunk-size heuristic so cache keys stay stable across
+    runs that share a design space.  Returns ``(results, cached_points)``
+    where ``cached_points`` counts points served from the chunk cache.
     """
     _validate_chunk_size(chunk_size)
     REGISTRY.runner(kind, backend)  # fail up front, not inside a worker
@@ -263,7 +284,6 @@ def evaluate_chunked(
     if executor is None:
         executor = SerialExecutor()
     size = _group_size(chunk_size, executor, total, align=align)
-    segment_memo_dir = str(cache.segments_dir) if cache is not None else None
     results: List[Optional[Dict[str, Any]]] = [None] * total
     pending: List[Tuple[int, int]] = []
     cached_points = 0
@@ -280,16 +300,11 @@ def evaluate_chunked(
         else:
             pending.append((start, stop))
     if pending:
-        configure_segment_memo(segment_memo_dir)
-        executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
         chunks: List[ChunkJob] = [
             (kind, [dict(params) for params in params_list[start:stop]])
             for start, stop in pending
         ]
-        raw = executor.submit_chunks(
-            chunks,
-            partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
-        )
+        raw = _submit_misses(chunks, executor, backend, cache)
         for (start, stop), (chunk_results, elapsed_s) in zip(pending, raw):
             results[start:stop] = chunk_results
             if cache is not None:
@@ -373,7 +388,7 @@ def run_sweep(
             outcomes[key] = SweepOutcome(
                 scenario=scenario.name,
                 kind=scenario.kind,
-                result=payload["result"],
+                result=payload["results"][0],
                 elapsed_s=payload.get("elapsed_s", 0.0),
                 cached=True,
                 backend=backend,
@@ -382,14 +397,6 @@ def run_sweep(
             to_run.append(scenario)
 
     if to_run:
-        # Cache-enabled sweeps persist memoized segments next to the
-        # scenario entries; cache-less sweeps still share the in-memory
-        # process memo between scenarios.  Configured unconditionally so a
-        # cache-less sweep *detaches* any root a previous sweep attached --
-        # otherwise it would keep writing into (or crash on a deleted)
-        # stale cache directory.
-        segment_memo_dir = str(cache.segments_dir) if cache is not None else None
-        configure_segment_memo(segment_memo_dir)
         # One job shape: batch-capable kinds group by kind and shard by the
         # ``chunk_size`` policy (shared tallies, vectorized rooflines in one
         # batch call per chunk); every other kind runs as chunks of one, in
@@ -407,11 +414,8 @@ def run_sweep(
             for start, stop in partition_chunks(len(group), size):
                 members.append(group[start:stop])
         members.extend(singles)
-        executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
-        raw = executor.submit_chunks(
-            [(part[0].kind, [dict(s.params) for s in part]) for part in members],
-            partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
-        )
+        chunks = [(part[0].kind, [dict(s.params) for s in part]) for part in members]
+        raw = _submit_misses(chunks, executor, backend, cache)
         for part, (results, elapsed_s) in zip(members, raw):
             per_point = elapsed_s / len(part)
             for scenario, result in zip(part, results):

@@ -20,7 +20,6 @@ the concurrent-writer-tolerant disk layers.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
@@ -28,7 +27,7 @@ import time
 import traceback
 from typing import Any, Dict, Optional
 
-from .cache import code_version, process_segment_memo
+from .cache import code_version, decode_json_object, process_segment_memo
 from .executors import open_spool
 
 __all__ = ["run_worker"]
@@ -86,10 +85,8 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
             job_id, worker_id, "corrupt-job", f"cannot read job file: {error}"
         )
     try:
-        payload = json.loads(raw)
-        if not isinstance(payload, dict):
-            raise TypeError("job payload is not a JSON object")
-    except (ValueError, TypeError) as error:
+        payload = decode_json_object(raw)
+    except ValueError as error:
         return _error(
             job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"
         )

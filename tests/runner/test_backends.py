@@ -80,8 +80,11 @@ class TestBackendCacheIdentity:
     def test_backend_is_part_of_the_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         scenario = self._scenario()
-        assert cache.key(scenario, "engine") != cache.key(scenario, "analytic")
-        assert cache.key(scenario) == cache.key(scenario, DEFAULT_BACKEND)
+        kind, params_list = scenario.kind, [scenario.params]
+        assert (cache.chunk_key(kind, params_list, "engine")
+                != cache.chunk_key(kind, params_list, "analytic"))
+        assert (cache.chunk_key(kind, params_list)
+                == cache.chunk_key(kind, params_list, DEFAULT_BACKEND))
 
     def test_entries_do_not_cross_backends(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -89,8 +92,8 @@ class TestBackendCacheIdentity:
         cache.store(scenario, {"value": 1}, 0.1, backend="engine")
         assert cache.load(scenario, backend="analytic") is None
         cache.store(scenario, {"value": 2}, 0.1, backend="analytic")
-        assert cache.load(scenario, backend="engine")["result"] == {"value": 1}
-        assert cache.load(scenario, backend="analytic")["result"] == {"value": 2}
+        assert cache.load(scenario, backend="engine")["results"] == [{"value": 1}]
+        assert cache.load(scenario, backend="analytic")["results"] == [{"value": 2}]
 
     def test_payload_records_backend(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -29,13 +29,17 @@ class TestResultCache:
         assert path.exists()
         payload = cache.load(scenario)
         assert payload is not None
-        assert payload["result"] == result
-        assert payload["scenario"] == scenario.name
+        assert payload["results"] == [result]
+        assert (payload["kind"], payload["params"]) == (scenario.kind,
+                                                        [scenario.params])
         assert payload["code_version"] == code_version()
 
     def test_key_depends_on_params(self, cache):
-        assert cache.key(_scenario()) != cache.key(_scenario(n_msgs=11))
-        assert cache.key(_scenario()) == cache.key(_scenario())
+        def key(scenario):
+            return cache.chunk_key(scenario.kind, [scenario.params])
+
+        assert key(_scenario()) != key(_scenario(n_msgs=11))
+        assert key(_scenario()) == key(_scenario())
 
     def test_stale_code_version_is_a_miss(self, cache):
         scenario = _scenario()
@@ -49,14 +53,15 @@ class TestResultCache:
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
         payload = json.loads(path.read_text())
-        payload["params"]["n_msgs"] = 999
+        payload["params"][0]["n_msgs"] = 999
         path.write_text(json.dumps(payload))
         assert cache.load(scenario) is None
 
-    def test_corrupt_entry_is_a_miss(self, cache):
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_corrupt_entry_is_a_miss(self, cache, text):
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
-        path.write_text("{not json")
+        path.write_text(text)
         assert cache.load(scenario) is None
 
     def test_clear_removes_entries(self, cache):
@@ -144,12 +149,16 @@ class TestPrune:
         stats = cache.prune()  # must not raise
         assert (stats.kept, stats.removed, stats.warnings) == (0, 0, [])
 
-    def test_prune_removes_only_stale_tmp_spill_files(self, cache):
+    @pytest.mark.parametrize("subdir", ["", ResultCache.SEGMENTS_SUBDIR])
+    def test_prune_removes_only_stale_tmp_spill_files(self, cache, subdir):
+        # Segment-memo writes spill into segments/, so prune reaps there too.
         import os
         import time
-        fresh = cache.root / "inflight.tmp"
+        directory = cache.root / subdir
+        directory.mkdir(exist_ok=True)
+        fresh = directory / "inflight.tmp"
         fresh.write_text("partial write")
-        stale = cache.root / "crashed.tmp"
+        stale = directory / "crashed.tmp"
         stale.write_text("partial write")
         old = time.time() - 7200
         os.utime(stale, (old, old))

@@ -151,6 +151,21 @@ class TestDiskLayer:
                     segment_memo=corrupted).run_gemm(256, 256, 256)
         assert corrupted.hits == 0 and corrupted.misses == 2
 
+    @pytest.mark.parametrize("failure", ["root removed", "entry path taken"])
+    def test_failed_disk_write_degrades_to_memory(self, tmp_path, failure):
+        # The disk layer is an accelerator: a write that cannot land must
+        # not fail the simulation, and must not leave a spill file behind.
+        root = tmp_path / "segments"
+        memo = SegmentMemo(root=root)
+        if failure == "root removed":
+            root.rmdir()
+        else:
+            memo._path("k").mkdir()  # os.replace onto a directory fails
+        memo.store("k", {"latency_s": 1.0})
+        assert memo.load("k") == {"latency_s": 1.0}
+        assert memo.hits == 1
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 class TestSweepWiring:
     @pytest.fixture(autouse=True)

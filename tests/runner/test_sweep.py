@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.runner import (REGISTRY, ProcessPoolExecutor, ResultCache,
-                          SerialExecutor, run_sweep)
+                          SerialExecutor, evaluate_chunked, run_sweep)
 from repro.runner.cli import main as cli_main
 from repro.runner.scenarios import Scenario
 
@@ -88,8 +88,32 @@ class TestRunSweep:
         registered = REGISTRY.run("smoke/engine-chain")
         assert registered["events"] > 10_000
         # The cache entry belongs to the ad-hoc identity, not the registered one.
-        assert cache.load(ad_hoc)["result"] == outcome.result
+        assert cache.load(ad_hoc)["results"] == [outcome.result]
         assert cache.load(REGISTRY.get("smoke/engine-chain")) is None
+
+    @pytest.mark.parametrize("sweep_first", [True, False])
+    def test_scenario_entry_is_the_size_one_chunk_entry(self, tmp_path,
+                                                        sweep_first):
+        # A sweep's scenario entry and a size-1 chunk of the same point are
+        # one cache entry: whichever runs second is served from cache.
+        scenario = REGISTRY.get("table6b/charm-1024")
+        cache = ResultCache(tmp_path / "cache")
+
+        def chunked():
+            return evaluate_chunked(scenario.kind, [scenario.params],
+                                    cache=cache, chunk_size=1)
+
+        if sweep_first:
+            outcome = run_sweep([scenario], cache=cache)[0]
+            results, cached_points = chunked()
+            assert cached_points == 1
+        else:
+            results, cached_points = chunked()
+            assert cached_points == 0
+            outcome = run_sweep([scenario], cache=cache)[0]
+            assert outcome.cached
+        assert results == [outcome.result]
+        assert len(cache.entries()) == 1
 
     def test_scalar_kind_returning_a_non_dict_raises_type_error(
             self, monkeypatch):
