@@ -6,8 +6,7 @@ Usage (from the repository root)::
                                                [--check]
 
 Measures the headline numbers of the performance roadmap -- raw engine
-events/second, warm-vs-cold segment-memoized sweep time, the
-upstream-vs-downstream warm-hit cost of the program-level memo,
+events/second, warm-vs-cold segment-memoized sweep time,
 batched-vs-per-point analytic generation evaluation on the single-chip and
 chiplet spaces, chunked-vs-per-scenario *distributed* evaluation, and the
 >= 10^5-point bigsweep through the work queue -- and writes them as one
@@ -74,22 +73,6 @@ def measure_segment_memo() -> dict:
         "cold_s": cold_s,
         "warm_s": warm_s,
         "speedup": cold_s / warm_s,
-    }
-
-
-def measure_program_memo() -> dict:
-    """Upstream vs downstream warm-hit cost on the repeated-segment set."""
-    from bench_program_memo import WORKLOADS, _measure
-
-    (cold, downstream, upstream, downstream_s, upstream_s, _, _) = _measure()
-    assert downstream == cold and upstream == cold, (
-        "warm results drifted from the cold pass"
-    )
-    return {
-        "workloads": [list(w) for w in WORKLOADS],
-        "downstream_warm_s": downstream_s,
-        "upstream_warm_s": upstream_s,
-        "speedup": downstream_s / upstream_s,
     }
 
 
@@ -166,7 +149,6 @@ def measure_bigsweep() -> dict:
 SECTIONS = (
     ("engine_throughput", measure_engine),
     ("segment_memo", measure_segment_memo),
-    ("program_memo", measure_program_memo),
     ("analytic_batch", measure_analytic_batch),
     ("chiplet_batch", measure_chiplet_batch),
     ("sharded_batch", measure_sharded_batch),
@@ -183,10 +165,6 @@ SECTIONS = (
 FLOORS = {
     "engine_events_per_s": ("engine_throughput", "events_per_s", 100_000.0),
     "segment_memo_speedup": ("segment_memo", "speedup", 2.5),
-    # Upstream workload-key warm hits vs downstream program-fingerprint warm
-    # hits (which still run codegen); measured ~4x on the PR 9 development
-    # container.
-    "program_memo_speedup": ("program_memo", "speedup", 2.0),
     "analytic_batch_speedup": ("analytic_batch", "speedup_cold", 2.0),
     # The chiplet generation shares one tally across 9 link variants of each
     # base design, so its batched floor sits above the single-chip bench's
@@ -259,11 +237,6 @@ def summarize(payload: dict) -> None:
         "segment_memo": lambda d: (
             f"segment memo: warm {d['speedup']:.1f}x faster than cold "
             f"({d['cold_s']:.2f}s -> {d['warm_s']:.2f}s)"
-        ),
-        "program_memo": lambda d: (
-            f"program memo: upstream warm {d['speedup']:.1f}x faster than "
-            f"downstream warm ({d['downstream_warm_s']:.3f}s -> "
-            f"{d['upstream_warm_s']:.3f}s)"
         ),
         "analytic_batch": lambda d: (
             f"analytic batch: cold {d['speedup_cold']:.1f}x / warm "

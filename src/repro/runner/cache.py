@@ -10,15 +10,15 @@ invalidates the whole cache automatically; repeated sweeps on unchanged code
 are near-instant cache hits that return byte-identical results.
 
 Below the result cache sits :class:`SegmentMemo`: a process-wide (and
-optionally on-disk) memo of *simulated segment* results keyed by the program
-fingerprint of :meth:`repro.xnn.codegen.ProgramBuilder.fingerprint` (a hash
-of the per-FU uOP streams, the datapath configuration, the codegen options,
-and the code version).  Two scenarios that generate byte-identical programs
-for a segment -- the same encoder group appearing under different scenario
+optionally on-disk) memo of *simulated segment* results keyed by the
+workload key of :meth:`repro.xnn.executor.XNNExecutor._workload_key` (a hash
+of the segment's builder-op descriptors, the datapath configuration, the
+codegen options, and the code version).  Two scenarios that describe the
+same segment -- the same encoder group appearing under different scenario
 names, a sweep revisiting a design point, ``explore --verify-top``
 re-certifying a point a previous exploration already simulated -- therefore
-run the event loop once; every later occurrence is a dictionary lookup that
-returns the exact same numbers (the differential suite pins memoized ==
+generate and simulate it once; every later occurrence is a dictionary lookup
+that returns the exact same numbers (the differential suite pins memoized ==
 fresh byte for byte).
 
 Every JSON file the runner persists -- cache entries, segment-memo entries,
@@ -381,31 +381,45 @@ class ResultCache:
 # --------------------------------------------------------------- segment memo
 
 
+#: the fields every segment-memo ``result`` carries, with their JSON types
+#: (exact types: a JSON ``true`` is not a byte count).
+_RESULT_FIELDS = {
+    "latency_s": (int, float),
+    "ddr_bytes": (int,),
+    "lpddr_bytes": (int,),
+    "uops": (int,),
+}
+
+
 def _current_entry(entry: Any) -> bool:
     """Whether ``entry`` is a well-formed segment-memo entry (``key`` /
-    ``code_version`` / ``result``) of the current code version."""
-    return (
+    ``code_version`` / ``result``) of the current code version, whose
+    ``result`` holds every field of :data:`_RESULT_FIELDS` -- a partial
+    entry is a plain miss, never a crash in the executor."""
+    if not (
         isinstance(entry, dict)
         and isinstance(entry.get("key"), str)
         and entry.get("code_version") == code_version()
         and isinstance(entry.get("result"), dict)
+    ):
+        return False
+    result = entry["result"]
+    return all(
+        type(result.get(name)) in types for name, types in _RESULT_FIELDS.items()
     )
 
 
 class SegmentMemo:
-    """Memo of simulated segment results, keyed two ways per segment.
+    """Memo of simulated segment results, one key per segment.
 
-    Every simulated segment is stored under **two keys**: the *upstream*
-    workload key (``workload-`` prefixed; a SHA-256 over the segment's
-    builder-op descriptors, the :class:`XNNConfig`, the
-    :class:`CodegenOptions`, and the code version, computed by
+    Every simulated segment is stored under its *workload key*
+    (``workload-`` prefixed; a SHA-256 over the segment's builder-op
+    descriptors, the :class:`XNNConfig`, the :class:`CodegenOptions`, and the
+    code version, computed by
     :meth:`repro.xnn.executor.XNNExecutor._workload_key` before any codegen
-    runs) and the *downstream* program fingerprint
-    (:meth:`repro.xnn.codegen.ProgramBuilder.fingerprint` -- a SHA-256 over
-    the per-FU uOP streams plus the same config/options/code version).  An
-    upstream hit skips codegen entirely; a downstream hit skips only the
-    event-loop simulation.  Either way a hit guarantees the skipped work
-    would have produced a byte-identical result.  The storage is layered:
+    runs).  A hit skips codegen and the event-loop simulation alike, and
+    guarantees the skipped work would have produced a byte-identical result.
+    The storage is layered:
 
     * an **in-memory** dict, always on: identical segments within one process
       (one sweep, one exploration, one test run) simulate once;

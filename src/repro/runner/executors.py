@@ -180,9 +180,9 @@ def _sanitize_id(identifier: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", identifier)
 
 
-#: valid segment-memo keys on the wire: a hex program fingerprint or a
-#: ``workload-`` prefixed upstream key.  Anything else never becomes a
-#: ``memo/`` filename (defence against a hostile or broken peer).
+#: valid segment-memo keys on the wire.  Real keys are ``workload-`` plus a
+#: hex digest; the spool stores entries opaquely, so this only keeps every
+#: key a safe ``memo/`` filename (defence against a hostile or broken peer).
 _MEMO_KEY_RE = re.compile(r"[A-Za-z0-9-]{1,100}")
 
 
@@ -1008,7 +1008,6 @@ class WorkQueueExecutor(Executor):
                         self._requeue(job_id, payloads, requeues, "corrupted job")
                         continue
                     chunk = payloads[job_id]["chunk"]
-                    self.spool.abandon(prefix)
                     raise RuntimeError(
                         f"workqueue job {job_id} (chunk {chunk['kind']}"
                         f"[{len(chunk['params'])} points]) failed in "
@@ -1016,7 +1015,6 @@ class WorkQueueExecutor(Executor):
                         f"{error.get('message', error)}"
                     )
                 if payload.get("code_version") != code_version():
-                    self.spool.abandon(prefix)
                     raise RuntimeError(
                         f"workqueue job {job_id} was executed by worker "
                         f"{payload.get('worker', '<unknown>')} running a "
@@ -1046,7 +1044,6 @@ class WorkQueueExecutor(Executor):
                 ):
                     requeues[job_id] = requeues.get(job_id, 0) + 1
                     if requeues[job_id] > self.max_requeues:
-                        self.spool.abandon(prefix)
                         raise RuntimeError(
                             f"workqueue job {job_id} was orphaned "
                             f"{requeues[job_id]} times (> max_requeues="
@@ -1054,7 +1051,6 @@ class WorkQueueExecutor(Executor):
                         )
                 self._check_for_dead_pool(outstanding)
             if deadline is not None and now > deadline:
-                self.spool.abandon(prefix)
                 raise TimeoutError(
                     f"workqueue sweep timed out after {self.timeout_s:g}s with "
                     f"{len(outstanding)} job(s) outstanding -- are any workers "

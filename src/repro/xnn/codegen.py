@@ -815,8 +815,11 @@ class ProgramBuilder:
         and (d) the code version, so editing any source file invalidates
         every memoized segment exactly like the scenario cache.
 
-        This is the key of the :class:`~repro.runner.cache.SegmentMemo`
-        layer: equal fingerprints guarantee byte-identical simulations.
+        Equal fingerprints guarantee byte-identical simulations.  This is
+        not the :class:`~repro.runner.cache.SegmentMemo` key -- the executor
+        keys the memo by its workload descriptor before any codegen runs
+        (:meth:`repro.xnn.executor.XNNExecutor._workload_key`) -- but an
+        identity of the built program for tests and tools.
         """
         if not self._finalized:
             self.finalize()

@@ -120,7 +120,7 @@ _PROCESS_MEMO = object()
 #
 # A segment is described *before* any codegen runs as an ordered list of
 # builder operations.  Each op knows how to (a) serialise itself into a
-# JSON-able descriptor -- the basis of the upstream workload fingerprint --
+# JSON-able descriptor -- the basis of the segment-memo workload key --
 # and (b) replay itself onto a :class:`ProgramBuilder` when the simulation
 # actually has to happen.  The descriptor mirrors the builder-call arguments
 # exactly (layer shapes, fused ops, operand names, attention geometry), so
@@ -213,20 +213,11 @@ class XNNExecutor:
         the default sentinel to share the process-wide memo.  Memoization
         only applies to timing-only runs (``carry_data=False``): a
         functional run must execute the event loop to produce its tensor
-        outputs.  Memoized results are byte-identical to fresh simulation,
-        which ``tests/differential/test_segment_memo_contract.py`` pins.
-    workload_memo:
-        When true (the default), the memo is consulted with an *upstream*
-        workload-level fingerprint -- a hash of the segment's builder-call
-        descriptors, the :class:`XNNConfig`, the :class:`CodegenOptions`,
-        and the code version -- before any :class:`ProgramBuilder` is
-        constructed, so a hit skips codegen entirely.  On an upstream miss
-        the downstream :meth:`ProgramBuilder.fingerprint` key is tried
-        before simulating, and a full miss populates *both* keys, so the
-        two-layer scheme degrades to single-key behaviour.  ``False``
-        restores the downstream-only warm path (programs loaded eagerly,
-        memo keyed by program fingerprint alone) -- kept for benchmarking
-        the upstream layer against it.
+        outputs.  The memo is keyed by :meth:`_workload_key`, computed
+        before any :class:`ProgramBuilder` is constructed, so a hit skips
+        codegen and simulation alike.  Memoized results are byte-identical
+        to fresh simulation, which
+        ``tests/differential/test_segment_memo_contract.py`` pins.
     """
 
     def __init__(
@@ -234,7 +225,6 @@ class XNNExecutor:
         config: Optional[XNNConfig] = None,
         options: Optional[CodegenOptions] = None,
         segment_memo=_PROCESS_MEMO,
-        workload_memo: bool = True,
     ):
         self.config = config or XNNConfig(carry_data=False)
         self.options = options or CodegenOptions()
@@ -242,21 +232,19 @@ class XNNExecutor:
             from ..runner.cache import process_segment_memo
             segment_memo = process_segment_memo()
         self.segment_memo = segment_memo
-        self.workload_memo = workload_memo
 
     # ----------------------------------------------------------- primitives
 
     def _workload_key(self, ops: Sequence) -> str:
-        """Upstream memo key: hash of the workload descriptor, not the uOPs.
+        """Segment-memo key: hash of the workload descriptor, not the uOPs.
 
         Everything the generated program is a function of appears in the
         hash -- the ordered builder-op descriptors (layer shapes, fused ops,
         operand names, attention geometry), the datapath configuration, the
-        codegen options, and the code version -- so equal keys guarantee the
-        downstream :meth:`ProgramBuilder.fingerprint` would have been equal
-        too (pinned against fresh simulation across the catalogue by the
-        differential suite).  The ``workload-`` prefix keeps the two key
-        namespaces distinguishable on disk.
+        codegen options, and the code version -- so equal keys guarantee
+        byte-identical uOP streams and therefore byte-identical simulations
+        (pinned against fresh simulation across the catalogue by the
+        differential suite).
         """
         from ..runner.cache import code_version  # runtime import: no cycle
         payload = {
@@ -282,42 +270,24 @@ class XNNExecutor:
     def _simulate(
         self, xnn: XNNDatapath, ops: Sequence, name: str, flops: float
     ) -> SegmentResult:
-        """Simulate one segment described by ``ops``, memoizing two ways.
+        """Simulate one segment described by ``ops``, memoized by workload.
 
-        The memo is consulted with the upstream workload key first: a hit
-        returns before a :class:`ProgramBuilder` is even constructed (zero
-        codegen).  On a miss the program is generated and the downstream
-        program-fingerprint key is tried before the event loop runs; a full
-        miss simulates and stores the payload under both keys.
+        A memo hit on :meth:`_workload_key` returns before a
+        :class:`ProgramBuilder` is even constructed (zero codegen); a miss
+        generates the program, simulates it, and stores the payload under
+        that key.
         """
         memo = self.segment_memo if not xnn.memory.carry_data else None
-        upstream_key = None
-        if memo is not None and self.workload_memo:
-            upstream_key = self._workload_key(ops)
-            hit = memo.load(upstream_key)
+        key = None
+        if memo is not None:
+            key = self._workload_key(ops)
+            hit = memo.load(key)
             if hit is not None:
                 return self._memoized_result(name, flops, hit)
         builder = ProgramBuilder(xnn, self.options)
         for op in ops:
             op.apply(builder)
-        loaded = False
-        if not self.workload_memo:
-            # Downstream-only emulation: load programs eagerly, exactly like
-            # the pre-upstream-key warm path the benchmark compares against.
-            builder.load_programs()
-            loaded = True
-        key = None
-        if memo is not None:
-            key = builder.fingerprint()
-            hit = memo.load(key)
-            if hit is not None:
-                payload = dict(hit)
-                payload.setdefault("uops", builder.uop_count())
-                if upstream_key is not None:
-                    memo.store(upstream_key, payload)
-                return self._memoized_result(name, flops, payload)
-        if not loaded:
-            builder.load_programs()
+        builder.load_programs()
         uops = builder.uop_count()
         simulator = xnn.datapath.build_simulator()
         stats = simulator.run()
@@ -337,8 +307,6 @@ class XNNExecutor:
                 "uops": result.uops,
             }
             memo.store(key, payload)
-            if upstream_key is not None:
-                memo.store(upstream_key, payload)
         return result
 
     def _fresh_datapath(self) -> XNNDatapath:

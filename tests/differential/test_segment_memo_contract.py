@@ -118,7 +118,7 @@ def test_upstream_warm_path_skips_codegen_and_equals_fresh(tmp_path,
     memo = SegmentMemo(root=tmp_path)
     cold = _run_suite(XNNExecutor(config=_TIMING, segment_memo=memo))
     total_segments = sum(len(tuples) for tuples in fresh.values())
-    assert memo.hits == 0 and memo.misses == 2 * total_segments
+    assert memo.hits == 0 and memo.misses == total_segments
 
     constructions = []
     real_builder = executor_module.ProgramBuilder
@@ -135,46 +135,6 @@ def test_upstream_warm_path_skips_codegen_and_equals_fresh(tmp_path,
 
     assert cold == fresh
     assert warm == fresh
-
-
-def test_downstream_fallback_backfills_the_upstream_key(tmp_path, monkeypatch):
-    """A memo populated by a downstream-only (PR-8-era) run still serves the
-    upstream path -- one fingerprint pass, no simulation, both keys stored."""
-    fresh = XNNExecutor(config=_TIMING, segment_memo=None)
-    expected = fresh.run_encoder(batch=1, seq_len=64)
-
-    memo = SegmentMemo(root=tmp_path)
-    XNNExecutor(config=_TIMING, segment_memo=memo,
-                workload_memo=False).run_encoder(batch=1, seq_len=64)
-    downstream_only_keys = len(memo.keys())
-
-    # First upstream-enabled pass: misses the workload key, hits the program
-    # fingerprint, back-fills the workload key (no simulator run).
-    from repro.core.network import Datapath
-
-    def no_simulate(self, *args, **kwargs):
-        raise AssertionError("warm segment must not reach the simulator")
-
-    monkeypatch.setattr(Datapath, "build_simulator", no_simulate)
-    backfill = XNNExecutor(config=_TIMING,
-                           segment_memo=memo).run_encoder(batch=1, seq_len=64)
-    assert _segment_tuples(backfill) == _segment_tuples(expected)
-    assert len(memo.keys()) == downstream_only_keys + len(expected.segments)
-
-    # Second pass: pure upstream hits, zero ProgramBuilder constructions.
-    constructions = []
-    real_builder = executor_module.ProgramBuilder
-
-    class CountingBuilder(real_builder):
-        def __init__(self, *args, **kwargs):
-            constructions.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(executor_module, "ProgramBuilder", CountingBuilder)
-    warm = XNNExecutor(config=_TIMING,
-                       segment_memo=memo).run_encoder(batch=1, seq_len=64)
-    assert constructions == []
-    assert _segment_tuples(warm) == _segment_tuples(expected)
 
 
 # ------------------------------------------------- cross-host sharing (spool)

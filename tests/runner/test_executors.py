@@ -429,7 +429,9 @@ class TestWorkQueueExecutorRecovery:
                                      timeout_s=60.0)
         executor.configure("engine", None)
         bad = Scenario(name="unit/bad", kind="no-such-kind", params={})
-        thread, box = self._submit_async(executor, [bad])
+        # The batch's second job is never claimed: it sits in pending/ until
+        # the failure withdraws it.
+        thread, box = self._submit_async(executor, [bad, CHEAP])
         self._wait_for(lambda: list(executor.spool.pending_dir.glob("*.json")),
                        message="job publication")
         run_worker(executor.spool.root, poll_s=0.01, max_jobs=1,
@@ -445,11 +447,12 @@ class TestWorkQueueExecutorRecovery:
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
                                      timeout_s=60.0)
         executor.configure("engine", None)
-        thread, box = self._submit_async(executor, [CHEAP])
+        thread, box = self._submit_async(executor, [CHEAP, CHEAP])
         self._wait_for(lambda: list(executor.spool.pending_dir.glob("*.json")),
                        message="job publication")
-        # Play a worker from another source tree: claim the job ourselves
-        # and publish a result recorded under a different code version.
+        # Play a worker from another source tree: claim the first job
+        # ourselves and publish a result recorded under a different code
+        # version.  The second job stays pending until the failure.
         claimed = executor.spool.claim("stale-worker")
         executor.spool.write_result(claimed.job_id, {
             "job": claimed.job_id, "worker": "stale-worker",
@@ -459,6 +462,8 @@ class TestWorkQueueExecutorRecovery:
         thread.join(timeout=30.0)
         assert isinstance(box.get("error"), RuntimeError)
         assert "different code version" in str(box["error"])
+        # Failure cleanup: the unclaimed job of the batch is withdrawn.
+        assert not list(executor.spool.pending_dir.glob("*.json"))
 
     def test_timeout_raises_instead_of_hanging(self, tmp_path):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,

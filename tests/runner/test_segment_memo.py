@@ -67,15 +67,14 @@ class TestFingerprint:
 
 class TestMemoBehaviour:
     def test_identical_runs_hit_and_match_fresh_exactly(self):
-        # A cold segment misses both layers (upstream workload key, then
-        # downstream program fingerprint) and stores under both; a warm
-        # segment is one upstream hit with zero codegen.
+        # A cold segment misses its workload key and stores under it; a
+        # warm segment is one hit with zero codegen.
         memo = SegmentMemo()
         executor = XNNExecutor(config=TIMING_CONFIG, segment_memo=memo)
         first, _ = executor.run_gemm(256, 256, 256)
-        assert memo.hits == 0 and memo.misses == 2
+        assert memo.hits == 0 and memo.misses == 1
         second, _ = executor.run_gemm(256, 256, 256)
-        assert memo.hits == 1 and memo.misses == 2
+        assert memo.hits == 1 and memo.misses == 1
 
         fresh, _ = XNNExecutor(config=TIMING_CONFIG,
                                segment_memo=None).run_gemm(256, 256, 256)
@@ -90,14 +89,14 @@ class TestMemoBehaviour:
         XNNExecutor(config=TIMING_CONFIG, segment_memo=memo).run_gemm(256, 256, 256)
         XNNExecutor(config=TIMING_CONFIG, options=CodegenOptions(tile_m=384),
                     segment_memo=memo).run_gemm(256, 256, 256)
-        assert memo.hits == 0 and memo.misses == 4
+        assert memo.hits == 0 and memo.misses == 2
 
     def test_config_change_misses(self):
         memo = SegmentMemo()
         XNNExecutor(config=TIMING_CONFIG, segment_memo=memo).run_gemm(256, 256, 256)
         XNNExecutor(config=XNNConfig(carry_data=False, bandwidth_scale=2.0),
                     segment_memo=memo).run_gemm(256, 256, 256)
-        assert memo.hits == 0 and memo.misses == 4
+        assert memo.hits == 0 and memo.misses == 2
 
     def test_functional_runs_bypass_the_memo(self):
         import numpy as np
@@ -110,6 +109,23 @@ class TestMemoBehaviour:
         _, out = executor.run_gemm(64, 64, 64, lhs_data=lhs, rhs_data=rhs)
         assert out is not None
         assert len(memo) == 0 and memo.hits == 0 and memo.misses == 0
+
+
+class TestOneKeyColdPath:
+    def test_cold_encoder_stores_one_workload_key_per_segment(self,
+                                                              monkeypatch):
+        # The program fingerprint is not a memo key: a cold timing-only run
+        # never computes it, and stores each segment under its workload key.
+        def no_fingerprint(self):
+            raise AssertionError("the memo must not fingerprint programs")
+
+        monkeypatch.setattr(ProgramBuilder, "fingerprint", no_fingerprint)
+        memo = SegmentMemo()
+        result = XNNExecutor(config=TIMING_CONFIG,
+                             segment_memo=memo).run_encoder(batch=1, seq_len=64)
+        assert len(memo.keys()) == len(result.segments)
+        assert len(memo.take_new()) == len(result.segments)
+        assert all(key.startswith("workload-") for key in memo.keys())
 
 
 class TestDiskLayer:
@@ -139,7 +155,7 @@ class TestDiskLayer:
             path.write_text(json.dumps(payload))
         stale = SegmentMemo(root=tmp_path)
         XNNExecutor(config=TIMING_CONFIG, segment_memo=stale).run_gemm(256, 256, 256)
-        assert stale.hits == 0 and stale.misses == 2
+        assert stale.hits == 0 and stale.misses == 1
 
     def test_corrupted_disk_entry_is_a_miss(self, tmp_path):
         memo = SegmentMemo(root=tmp_path)
@@ -149,7 +165,26 @@ class TestDiskLayer:
         corrupted = SegmentMemo(root=tmp_path)
         XNNExecutor(config=TIMING_CONFIG,
                     segment_memo=corrupted).run_gemm(256, 256, 256)
-        assert corrupted.hits == 0 and corrupted.misses == 2
+        assert corrupted.hits == 0 and corrupted.misses == 1
+
+    def test_partial_disk_entry_is_a_miss(self, tmp_path):
+        # A current-code-version entry missing result fields must re-simulate
+        # to the fresh numbers, not crash the executor.
+        memo = SegmentMemo(root=tmp_path)
+        XNNExecutor(config=TIMING_CONFIG, segment_memo=memo).run_gemm(256, 256, 256)
+        for path in tmp_path.glob("segment-*.json"):
+            payload = json.loads(path.read_text())
+            del payload["result"]["latency_s"], payload["result"]["uops"]
+            path.write_text(json.dumps(payload))
+        partial = SegmentMemo(root=tmp_path)
+        result, _ = XNNExecutor(config=TIMING_CONFIG,
+                                segment_memo=partial).run_gemm(256, 256, 256)
+        fresh, _ = XNNExecutor(config=TIMING_CONFIG,
+                               segment_memo=None).run_gemm(256, 256, 256)
+        assert partial.hits == 0 and partial.misses == 1
+        assert (result.latency_s, result.ddr_bytes, result.lpddr_bytes,
+                result.uops) == (fresh.latency_s, fresh.ddr_bytes,
+                                 fresh.lpddr_bytes, fresh.uops)
 
     @pytest.mark.parametrize("failure", ["root removed", "entry path taken"])
     def test_failed_disk_write_degrades_to_memory(self, tmp_path, failure):
@@ -189,24 +224,24 @@ class TestSweepWiring:
         cache = ResultCache(tmp_path / "cache")
         memo = SegmentMemo(root=cache.segments_dir)
         XNNExecutor(config=TIMING_CONFIG, segment_memo=memo).run_gemm(256, 256, 256)
-        # one simulated segment persists two entries: upstream + downstream.
-        assert len(list(cache.segments_dir.glob("segment-*.json"))) == 2
+        # one simulated segment persists one entry, under its workload key.
+        assert len(list(cache.segments_dir.glob("segment-*.json"))) == 1
 
         stats = cache.prune()
-        assert stats.removed == 0 and stats.kept == 2
+        assert stats.removed == 0 and stats.kept == 1
 
         for path in cache.segments_dir.glob("segment-*.json"):
             payload = json.loads(path.read_text())
             payload["code_version"] = "0000000000000000"
             path.write_text(json.dumps(payload))
         stats = cache.prune()
-        assert stats.removed == 2 and stats.kept == 0
+        assert stats.removed == 1 and stats.kept == 0
 
     def test_clear_removes_segment_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         memo = SegmentMemo(root=cache.segments_dir)
         XNNExecutor(config=TIMING_CONFIG, segment_memo=memo).run_gemm(256, 256, 256)
-        assert cache.clear() == 2
+        assert cache.clear() == 1
         assert not list(cache.segments_dir.glob("segment-*.json"))
 
 
@@ -224,7 +259,7 @@ class TestCrossHostSurface:
         executor = XNNExecutor(config=TIMING_CONFIG, segment_memo=memo)
         executor.run_gemm(256, 256, 256)
         entries = memo.take_new()
-        assert len(entries) == 2  # upstream + downstream key
+        assert len(entries) == 1  # one workload key per segment
         from repro.runner.cache import code_version
         for entry in entries:
             assert entry["code_version"] == code_version()
@@ -268,6 +303,14 @@ class TestCrossHostSurface:
                    {"key": "k", "code_version": "x", "result": "not-a-dict"},
                    stale]
         assert memo.absorb(rejects) == 0
+        assert memo.keys() == []
+
+    def test_absorb_rejects_entries_with_partial_results(self):
+        from repro.runner.cache import code_version
+        memo = SegmentMemo()
+        partial = {"key": "workload-abc", "code_version": code_version(),
+                   "result": {}}
+        assert memo.absorb([partial]) == 0
         assert memo.keys() == []
 
     def test_clear_drops_pending_fresh_entries(self):
