@@ -46,7 +46,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import code_version, decode_json_object, read_json_object, write_json_atomic
 from .scenarios import DEFAULT_BACKEND
@@ -73,6 +73,22 @@ ChunkResult = Tuple[List[Dict[str, Any]], float]
 #: ``run_chunk_fn(chunk) -> (results, elapsed_s)`` -- the chunk work
 #: function; :func:`repro.runner.sweep` passes a pre-bound ``_run_chunk``.
 RunChunkFn = Callable[[ChunkJob], ChunkResult]
+
+#: ``on_result(index, chunk_result)`` -- called once per chunk as its result
+#: lands; :func:`repro.runner.sweep` stores the chunk's cache entry in it.
+OnResult = Callable[[int, ChunkResult], None]
+
+
+def _deliver(
+    results: Iterable[ChunkResult], on_result: Optional[OnResult]
+) -> List[ChunkResult]:
+    """Collect in-order ``results``, handing each to ``on_result`` first."""
+    delivered: List[ChunkResult] = []
+    for index, chunk_result in enumerate(results):
+        if on_result is not None:
+            on_result(index, chunk_result)
+        delivered.append(chunk_result)
+    return delivered
 
 
 class Executor:
@@ -117,7 +133,10 @@ class Executor:
     # ------------------------------------------------------------- execution
 
     def submit_chunks(
-        self, chunks: Sequence[ChunkJob], run_chunk_fn: RunChunkFn
+        self,
+        chunks: Sequence[ChunkJob],
+        run_chunk_fn: RunChunkFn,
+        on_result: Optional[OnResult] = None,
     ) -> List[ChunkResult]:
         """Execute **chunk jobs**, returning one :data:`ChunkResult` per
         input, in input order.
@@ -129,8 +148,18 @@ class Executor:
         byte-identical to what the scalar runner would have produced, so
         splicing chunk results back in submission order reproduces the
         serial path exactly.
+
+        ``on_result(index, chunk_result)``, when given, is called exactly
+        once per chunk, before this returns, as soon as that chunk's result
+        is available -- ``index`` is the chunk's position in ``chunks`` and
+        ``chunk_result`` the same tuple the returned list holds there.  Calls
+        come in completion order, which need not be input order, and always
+        in the submitting process, so the sweep layer writes each chunk's
+        cache entry while later chunks are still computing.  An exception
+        raised by ``on_result`` propagates out of this call (a fan-out
+        executor withdraws the rest of the batch first).
         """
-        return [run_chunk_fn(chunk) for chunk in chunks]
+        return _deliver(map(run_chunk_fn, chunks), on_result)
 
 
 class SerialExecutor(Executor):
@@ -149,7 +178,8 @@ class ProcessPoolExecutor(Executor):
     boundary pickled, which is why :func:`run_sweep` binds only
     module-level functions and JSON-able arguments into it; the
     segment-memo directory bound into it re-attaches the on-disk memo layer
-    inside every pool worker.
+    inside every pool worker.  Results come back through ``pool.imap``, so
+    ``on_result`` sees each chunk while the pool still computes later ones.
     """
 
     name = "pool"
@@ -161,15 +191,18 @@ class ProcessPoolExecutor(Executor):
         self.workers = workers
 
     def submit_chunks(
-        self, chunks: Sequence[ChunkJob], run_chunk_fn: RunChunkFn
+        self,
+        chunks: Sequence[ChunkJob],
+        run_chunk_fn: RunChunkFn,
+        on_result: Optional[OnResult] = None,
     ) -> List[ChunkResult]:
         if self.workers > 1 and len(chunks) > 1:
             import multiprocessing
 
             processes = min(self.workers, len(chunks))
             with multiprocessing.Pool(processes=processes) as pool:
-                return pool.map(run_chunk_fn, chunks)
-        return [run_chunk_fn(chunk) for chunk in chunks]
+                return _deliver(pool.imap(run_chunk_fn, chunks), on_result)
+        return super().submit_chunks(chunks, run_chunk_fn, on_result)
 
 
 # ----------------------------------------------------------------- work queue
@@ -780,6 +813,29 @@ class Spool:
         return {"removed": removed, "kept": kept, "max_age_s": max_age_s}
 
 
+def _chunk_result(
+    job_id: str, payload: Dict[str, Any], job: Dict[str, Any]
+) -> ChunkResult:
+    """The :data:`ChunkResult` a worker's result ``payload`` carries for
+    ``job``; raises ``RuntimeError`` when the payload breaks the batch-runner
+    contract (``results`` not a list of the chunk's length, ``elapsed_s``
+    missing or not a number)."""
+    chunk_results = payload.get("results")
+    elapsed_s = payload.get("elapsed_s")
+    expected = len(job["chunk"]["params"])
+    if not isinstance(chunk_results, list) or len(chunk_results) != expected:
+        got = len(chunk_results) if isinstance(chunk_results, list) else "no"
+        problem = f"returned {got} result(s) for {expected} point(s)"
+    elif type(elapsed_s) not in (int, float):
+        problem = f"reported elapsed_s {elapsed_s!r}, not a number of seconds"
+    else:
+        return chunk_results, elapsed_s
+    raise RuntimeError(
+        f"workqueue chunk job {job_id} {problem}; worker "
+        f"{payload.get('worker', '<unknown>')} violated the batch-runner contract"
+    )
+
+
 class WorkQueueExecutor(Executor):
     """Fan chunk jobs out to detached worker processes over a spool transport.
 
@@ -804,10 +860,16 @@ class WorkQueueExecutor(Executor):
     * a job file a worker cannot parse (external corruption) comes back as a
       ``corrupt-job`` error result; the submitter rewrites the pristine job
       from memory, again bounded by ``max_requeues``;
-    * a chunk that *raises* in a worker, or a worker running different
-      code than the submitter, is a hard error: the submitter raises
-      ``RuntimeError`` with the worker's report (matching the in-process
-      executors, where the exception propagates directly).
+    * a chunk that *raises* in a worker, a worker running different code
+      than the submitter, or a result that breaks the batch-runner contract
+      (a ``results`` list of the wrong length, no numeric ``elapsed_s``) is
+      a hard error: the submitter raises ``RuntimeError`` with the worker's
+      report (matching the in-process executors, where the exception
+      propagates directly).
+
+    Results are validated and handed to ``on_result`` as they are
+    collected, in completion order, so chunk-cache writes overlap the
+    workers' compute on the rest of the batch.
     """
 
     name = "workqueue"
@@ -922,7 +984,10 @@ class WorkQueueExecutor(Executor):
         super().configure(backend, segment_memo_dir)
 
     def submit_chunks(
-        self, chunks: Sequence[ChunkJob], run_chunk_fn: RunChunkFn
+        self,
+        chunks: Sequence[ChunkJob],
+        run_chunk_fn: RunChunkFn,
+        on_result: Optional[OnResult] = None,
     ) -> List[ChunkResult]:
         # ``run_chunk_fn`` never crosses the wire: a job ships its (kind,
         # params, backend, segment_memo_dir) payload and the worker rebuilds
@@ -951,25 +1016,11 @@ class WorkQueueExecutor(Executor):
         try:
             self.spool.enqueue_many([(job_id, payloads[job_id]) for job_id in order])
             self._spawn_local_workers()
-            collected = self._collect(batch, order, payloads)
+            collected = self._collect(batch, order, payloads, on_result)
         except BaseException:
             self.spool.abandon(f"{batch}.")
             raise
-        results: List[ChunkResult] = []
-        for job_id in order:
-            payload = collected[job_id]
-            chunk_results = payload.get("results")
-            expected = len(payloads[job_id]["chunk"]["params"])
-            if not isinstance(chunk_results, list) or len(chunk_results) != expected:
-                got = len(chunk_results) if isinstance(chunk_results, list) else "no"
-                raise RuntimeError(
-                    f"workqueue chunk job {job_id} returned {got} result(s) "
-                    f"for {expected} point(s); worker "
-                    f"{payload.get('worker', '<unknown>')} violated the "
-                    "batch-runner contract"
-                )
-            results.append((chunk_results, payload["elapsed_s"]))
-        return results
+        return [collected[job_id] for job_id in order]
 
     # ------------------------------------------------------------ collection
 
@@ -978,9 +1029,11 @@ class WorkQueueExecutor(Executor):
         batch: str,
         order: Sequence[str],
         payloads: Dict[str, Dict[str, Any]],
-    ) -> Dict[str, Dict[str, Any]]:
+        on_result: Optional[OnResult],
+    ) -> Dict[str, ChunkResult]:
         outstanding = set(order)
-        collected: Dict[str, Dict[str, Any]] = {}
+        position = {job_id: index for index, job_id in enumerate(order)}
+        collected: Dict[str, ChunkResult] = {}
         requeues: Dict[str, int] = {}
         deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
         last_orphan_scan = time.monotonic()
@@ -1022,6 +1075,7 @@ class WorkQueueExecutor(Executor):
                         "byte-identical.  Restart the workers from this "
                         "source tree."
                     )
+                chunk_result = _chunk_result(job_id, payload, payloads[job_id])
                 synced = payload.get("segment_memo")
                 if synced:
                     # Fold the worker's piggybacked segment-memo entries into
@@ -1032,8 +1086,10 @@ class WorkQueueExecutor(Executor):
                     from .cache import process_segment_memo
 
                     process_segment_memo().absorb(synced)
-                collected[job_id] = payload
+                collected[job_id] = chunk_result
                 outstanding.discard(job_id)
+                if on_result is not None:
+                    on_result(position[job_id], chunk_result)
             if not outstanding:
                 break
             now = time.monotonic()

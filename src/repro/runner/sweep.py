@@ -38,7 +38,7 @@ from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .cache import ResultCache, configure_segment_memo
-from .executors import ChunkJob, ChunkResult, Executor, SerialExecutor
+from .executors import ChunkJob, ChunkResult, Executor, OnResult, SerialExecutor
 from .scenarios import BACKENDS, DEFAULT_BACKEND, REGISTRY, Scenario
 
 __all__ = [
@@ -231,8 +231,10 @@ def _submit_misses(
     executor: Executor,
     backend: str,
     cache: Optional[ResultCache],
+    on_result: Optional[OnResult],
 ) -> List[ChunkResult]:
-    """Compute the chunk jobs that missed the cache on ``executor``.
+    """Compute the chunk jobs that missed the cache on ``executor``;
+    ``on_result`` goes to :meth:`~repro.runner.executors.Executor.submit_chunks`.
 
     The segment-memo directory follows the cache: cache-enabled runs persist
     memoized segments next to the cache entries, here and in every worker.
@@ -246,6 +248,7 @@ def _submit_misses(
     return executor.submit_chunks(
         chunks,
         partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
+        on_result=on_result,
     )
 
 
@@ -270,7 +273,10 @@ def evaluate_chunked(
     :func:`_run_chunk`); a kind with no runner at all on ``backend`` raises
     ``KeyError`` before anything executes.  ``cache`` stores one entry per
     *chunk* (see :meth:`~repro.runner.cache.ResultCache.chunk_key`), so a
-    warm rerun skips whole chunks without executing anything; ``align``
+    warm rerun skips whole chunks without executing anything.  Each
+    missed chunk's entry is written as soon as its result lands, while the
+    executor is still computing the rest, so a generation that fails part
+    way keeps every chunk that finished.  ``align``
     feeds the auto chunk-size heuristic so cache keys stay stable across
     runs that share a design space.  Returns ``(results, cached_points)``
     where ``cached_points`` counts points served from the chunk cache.
@@ -304,17 +310,18 @@ def evaluate_chunked(
             (kind, [dict(params) for params in params_list[start:stop]])
             for start, stop in pending
         ]
-        raw = _submit_misses(chunks, executor, backend, cache)
-        for (start, stop), (chunk_results, elapsed_s) in zip(pending, raw):
+
+        def store(index: int, chunk_result: ChunkResult) -> None:
+            start, stop = pending[index]
+            chunk_results, elapsed_s = chunk_result
+            cache.store_chunk(
+                kind, params_list[start:stop], chunk_results, elapsed_s, backend=backend
+            )
+
+        on_result = None if cache is None else store
+        raw = _submit_misses(chunks, executor, backend, cache, on_result)
+        for (start, stop), (chunk_results, _) in zip(pending, raw):
             results[start:stop] = chunk_results
-            if cache is not None:
-                cache.store_chunk(
-                    kind,
-                    params_list[start:stop],
-                    chunk_results,
-                    elapsed_s,
-                    backend=backend,
-                )
     return results, cached_points
 
 
@@ -337,8 +344,9 @@ def run_sweep(
         sweeps); ``run_sweep`` only calls ``configure`` +
         ``submit_chunks``.
     cache:
-        Optional :class:`ResultCache`.  Hits skip execution entirely; misses
-        are stored after execution.
+        Optional :class:`ResultCache`.  Hits skip execution entirely; each
+        miss is stored as soon as its chunk's result lands, so a sweep that
+        fails part way keeps every chunk that finished.
     force:
         Re-run scenarios even when the cache holds a valid entry (the fresh
         result overwrites it).
@@ -415,7 +423,15 @@ def run_sweep(
                 members.append(group[start:stop])
         members.extend(singles)
         chunks = [(part[0].kind, [dict(s.params) for s in part]) for part in members]
-        raw = _submit_misses(chunks, executor, backend, cache)
+
+        def store(index: int, chunk_result: ChunkResult) -> None:
+            part = members[index]
+            results, elapsed_s = chunk_result
+            for scenario, result in zip(part, results):
+                cache.store(scenario, result, elapsed_s / len(part), backend=backend)
+
+        on_result = None if cache is None else store
+        raw = _submit_misses(chunks, executor, backend, cache, on_result)
         for part, (results, elapsed_s) in zip(members, raw):
             per_point = elapsed_s / len(part)
             for scenario, result in zip(part, results):
@@ -427,7 +443,5 @@ def run_sweep(
                     cached=False,
                     backend=backend,
                 )
-                if cache is not None:
-                    cache.store(scenario, result, per_point, backend=backend)
 
     return [outcomes[_key(scenario)] for scenario in resolved]

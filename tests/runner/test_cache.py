@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.runner import REGISTRY, ResultCache, code_version
+from repro.runner.cache import read_json_object, write_json_atomic
 from repro.runner.scenarios import Scenario
 
 
@@ -94,6 +95,31 @@ class TestResultCache:
         monkeypatch.setattr(Path, "unlink", racy_unlink)
         assert cache.clear() == 1  # the second entry; the raced one is free
         assert cache.entries() == []
+
+
+class TestWriteJsonAtomic:
+    def test_single_line_with_sorted_keys(self, tmp_path):
+        path = write_json_atomic(tmp_path / "entry.json",
+                                 {"b": [1, {"z": 0, "y": 1}], "a": "x"})
+        text = path.read_text()
+        assert "\n" not in text
+        assert text == '{"a": "x", "b": [1, {"y": 1, "z": 0}]}'
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_round_trips_nested_payloads_and_extreme_floats(self, tmp_path):
+        payload = {
+            "results": [{"latency_s": 0.1 + 0.2, "ddr_bytes": 2**53 + 1},
+                        {"latency_s": 5e-324, "tags": ["a", None, True]}],
+            "elapsed_s": 1.7976931348623157e308,
+            "nested": {"empty": {}, "list": [], "neg": -0.0},
+        }
+        path = write_json_atomic(tmp_path / "entry.json", payload)
+        loaded = read_json_object(path)
+        assert loaded == payload
+        floats = (loaded["results"][0]["latency_s"],
+                  loaded["results"][1]["latency_s"], loaded["elapsed_s"])
+        assert [repr(value) for value in floats] == \
+            ["0.30000000000000004", "5e-324", "1.7976931348623157e+308"]
 
 
 class TestPrune:

@@ -5,20 +5,26 @@ chunked distributed evaluation byte-identical to the serial batched path
 end to end; this module covers the partitioning arithmetic and policy
 resolution underneath it, plus the edge cases that never show up in a
 healthy sweep -- empty generations, chunks larger than the generation,
-scrambled completion order, and invalid policy values.
+scrambled completion order, and invalid policy values -- and the chunk
+cache writes that happen as each result lands, not after the last one.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import pytest
 
 from repro.explore import Objective, get_space, run_exploration
 from repro.explore.space import Axis, Constraint, DesignSpace
 from repro.explore.strategies import GridSearch
-from repro.runner import REGISTRY, Scenario, canonical_json, run_sweep
-from repro.runner.executors import ProcessPoolExecutor, SerialExecutor
+from repro.runner import REGISTRY, ResultCache, Scenario, canonical_json, run_sweep
+from repro.runner.executors import (ProcessPoolExecutor, SerialExecutor,
+                                    WorkQueueExecutor)
 from repro.runner.sweep import (auto_chunk_size, evaluate_chunked,
                                 partition_chunks, resolve_chunk_size)
+from repro.runner.worker import run_worker
 
 
 def _generation():
@@ -112,17 +118,20 @@ class TestResolveChunkSize:
 
 class _ScrambledExecutor(SerialExecutor):
     """Runs chunks in *reverse* submission order -- the submission-order
-    alignment of the returned list is the whole contract."""
+    alignment of the returned list (and of ``on_result``'s indices) is the
+    whole contract."""
 
     def __init__(self):
         super().__init__()
         self.executed_sizes = []
 
-    def submit_chunks(self, chunks, run_chunk_fn):
+    def submit_chunks(self, chunks, run_chunk_fn, on_result=None):
         results = [None] * len(chunks)
         for position in reversed(range(len(chunks))):
             results[position] = run_chunk_fn(chunks[position])
             self.executed_sizes.append(len(chunks[position][1]))
+            if on_result is not None:
+                on_result(position, results[position])
         return results
 
 
@@ -167,6 +176,130 @@ class TestEvaluateChunkedEdges:
             [canonical_json(r) for r in reference]
 
 
+def _recording_stores(cache, events, record=lambda: "store"):
+    """Make ``cache.store_chunk`` append ``record()`` to ``events`` first."""
+    store_chunk = cache.store_chunk
+
+    def recording(*args, **kwargs):
+        events.append(record())
+        return store_chunk(*args, **kwargs)
+
+    cache.store_chunk = recording
+
+
+class TestCacheWritesAsResultsLand:
+    """``evaluate_chunked`` and ``run_sweep`` store each chunk's entry from
+    the executor's ``on_result`` callback, while later chunks still run."""
+
+    def test_serial_stores_each_chunk_before_running_the_next(self, tmp_path):
+        kind, params = _generation()
+        assert len(params) == 16
+        events = []
+
+        class Tracing(SerialExecutor):
+            def submit_chunks(self, chunks, run_chunk_fn, on_result=None):
+                def run(chunk):
+                    events.append("run")
+                    return run_chunk_fn(chunk)
+
+                return super().submit_chunks(chunks, run, on_result)
+
+        cache = ResultCache(tmp_path / "cache")
+        _recording_stores(cache, events)
+        evaluate_chunked(kind, params, backend="analytic", executor=Tracing(),
+                         cache=cache, chunk_size=6)
+        assert events == ["run", "store"] * 3
+
+    def test_scrambled_completion_stores_each_chunk_under_its_own_key(
+            self, tmp_path):
+        kind, params = _generation()
+        reference, _ = evaluate_chunked(kind, params, backend="analytic")
+        cache = ResultCache(tmp_path / "cache")
+        evaluate_chunked(kind, params, backend="analytic",
+                         executor=_ScrambledExecutor(), cache=cache,
+                         chunk_size=3)
+        warm, hits = evaluate_chunked(kind, params, backend="analytic",
+                                      executor=SerialExecutor(), cache=cache,
+                                      chunk_size=3)
+        assert hits == len(params)
+        assert [canonical_json(r) for r in warm] == \
+            [canonical_json(r) for r in reference]
+
+    def test_sweep_keeps_completed_work_when_a_later_chunk_fails(
+            self, tmp_path, monkeypatch):
+        def explode(**params):
+            raise ValueError("unit failure")
+
+        monkeypatch.setitem(REGISTRY._kinds, "unit_raises", {"engine": explode})
+        good = Scenario(name="unit/chain", kind="engine_chain",
+                        params={"n_msgs": 5, "stages": 1})
+        failing = Scenario(name="unit/raises", kind="unit_raises")
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="unit failure"):
+            run_sweep([good, failing], cache=cache, executor=SerialExecutor())
+        assert cache.load(good) is not None
+        assert cache.load(failing) is None
+
+    def test_workqueue_keeps_completed_work_when_a_later_chunk_fails(
+            self, tmp_path):
+        good = {"n_msgs": 5, "stages": 1}
+        cache = ResultCache(tmp_path / "cache")
+        with WorkQueueExecutor(tmp_path / "spool", local_workers=1,
+                               poll_s=0.01, timeout_s=120.0) as executor:
+            # The second chunk passes a parameter the runner does not take,
+            # so it raises inside the worker, after the first one finished.
+            with pytest.raises(RuntimeError, match="bogus"):
+                evaluate_chunked("engine_chain", [good, {"bogus": 1}],
+                                 backend="analytic", executor=executor,
+                                 cache=cache, chunk_size=1)
+            assert not list(executor.spool.pending_dir.glob("*.json"))
+        entry = cache.load_chunk("engine_chain", [good], backend="analytic")
+        assert entry is not None
+        assert entry["results"] == [
+            REGISTRY.run(Scenario(name="unit/chain", kind="engine_chain",
+                                  params=good), backend="analytic")]
+
+    def test_workqueue_stores_while_jobs_are_outstanding(self, tmp_path):
+        executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
+                                     timeout_s=60.0)
+        spool = executor.spool
+        cache = ResultCache(tmp_path / "cache")
+        # Each store records how many of the batch's jobs are unfinished.
+        stores = []
+        _recording_stores(cache, stores, lambda: len(
+            list(spool.pending_dir.glob("*.json"))
+            + list(spool.claimed_dir.glob("*.json"))))
+        params = [{"n_msgs": n, "stages": 1} for n in (5, 6, 7)]
+        box = {}
+
+        def submit():
+            try:
+                box["results"] = evaluate_chunked(
+                    "engine_chain", params, backend="analytic",
+                    executor=executor, cache=cache, chunk_size=1)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                box["error"] = error
+
+        thread = threading.Thread(target=submit, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while len(list(spool.pending_dir.glob("*.json"))) < len(params):
+            assert time.monotonic() < deadline, "jobs were never published"
+            time.sleep(0.01)
+        # Run one job, then give the submitter time to store its result
+        # while the other two jobs are still pending.
+        run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
+        deadline = time.monotonic() + 10.0
+        while not stores and time.monotonic() < deadline:
+            time.sleep(0.01)
+        first_stores = list(stores)
+        run_worker(spool.root, poll_s=0.01, max_jobs=2, worker_id="unit-worker")
+        thread.join(timeout=30.0)
+        assert "error" not in box
+        assert first_stores == [2]
+        assert len(stores) == len(params)
+
+
 class TestInfeasibleGenerations:
     def test_fully_infeasible_space_explores_to_an_empty_frontier(self):
         space = DesignSpace(
@@ -195,9 +328,9 @@ def _recording(executor_cls):
             super().__init__(*args)
             self.chunk_sizes = []
 
-        def submit_chunks(self, chunks, run_chunk_fn):
+        def submit_chunks(self, chunks, run_chunk_fn, on_result=None):
             self.chunk_sizes.extend(len(params) for _, params in chunks)
-            return super().submit_chunks(chunks, run_chunk_fn)
+            return super().submit_chunks(chunks, run_chunk_fn, on_result)
 
     return Recording
 

@@ -465,6 +465,37 @@ class TestWorkQueueExecutorRecovery:
         # Failure cleanup: the unclaimed job of the batch is withdrawn.
         assert not list(executor.spool.pending_dir.glob("*.json"))
 
+    @pytest.mark.parametrize("broken", [
+        {"results": [{"events": 1}, {"events": 2}], "elapsed_s": 0.0},
+        {"results": {"events": 1}, "elapsed_s": 0.0},
+        {"results": [{"events": 1}]},
+        {"results": [{"events": 1}], "elapsed_s": "0.5"},
+    ], ids=["wrong-length", "not-a-list", "no-elapsed", "text-elapsed"])
+    def test_result_breaking_the_batch_runner_contract_is_fatal(self, tmp_path,
+                                                                broken):
+        executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
+                                     timeout_s=10.0)
+        executor.configure("engine", None)
+        thread, box = self._submit_async(executor, [CHEAP, CHEAP])
+        self._wait_for(
+            lambda: len(list(executor.spool.pending_dir.glob("*.json"))) == 2,
+            message="job publication")
+        # A broken worker publishes the first result; a slow one still holds
+        # the second job when the submitter rejects the batch.
+        claimed = executor.spool.claim("broken-worker")
+        assert executor.spool.claim("slow-worker") is not None
+        executor.spool.finish(claimed, {
+            "job": claimed.job_id, "worker": "broken-worker",
+            "kind": CHEAP.kind, "code_version": code_version(), **broken,
+        })
+        thread.join(timeout=30.0)
+        error = box.get("error")
+        assert isinstance(error, RuntimeError), error
+        assert "violated the batch-runner contract" in str(error)
+        assert "broken-worker" in str(error)
+        assert not list(executor.spool.pending_dir.glob("*.json"))
+        assert not list(executor.spool.claimed_dir.glob("*.json"))
+
     def test_timeout_raises_instead_of_hanging(self, tmp_path):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
                                      timeout_s=0.2)
