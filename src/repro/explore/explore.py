@@ -18,10 +18,11 @@ rank agreement between proxy and verified latency orderings.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..analysis.pareto import kendall_tau, pareto_frontier, weighted_scalarization
 from ..runner.cache import ResultCache
@@ -259,6 +260,46 @@ def validate_weights(
                        f"known: {sorted(known)}")
 
 
+def _first_occurrences(candidates: Sequence[Candidate]) -> List[Candidate]:
+    """The first candidate of each point id, in order, without hashing an id
+    per candidate (a strategy may legitimately revisit points).
+
+    The cheap key is an assignment's values, read in the first candidate's
+    axis order.  An :class:`Axis` holds no two equal values, so two points
+    of one space share that key exactly when they share a point id.  A
+    candidate with other axis names or an unhashable value keys on its id,
+    and a tie between cheap keys is settled by the ids, since equal values
+    may still differ in canonical JSON (``1`` and ``1.0`` in an assignment
+    built by hand).
+    """
+    pool: List[Candidate] = []
+    first: Dict[Any, Candidate] = {}
+    tied_ids: Dict[Any, Set[str]] = {}
+    names = tuple(candidates[0].assignment) if candidates else ()
+    values_of = operator.itemgetter(*names) if names else (lambda _: ())
+    for candidate in candidates:
+        assignment = candidate.assignment
+        key: Any = None
+        if len(assignment) == len(names):
+            try:
+                key = (values_of(assignment),)
+                head = first.get(key)
+            except (KeyError, TypeError):  # other names, or an unhashable value
+                key = None
+        if key is None:
+            key = candidate.point_id
+            head = first.get(key)
+        if head is None:
+            first[key] = candidate
+            pool.append(candidate)
+            continue
+        ids = tied_ids.setdefault(key, {head.point_id})
+        if candidate.point_id not in ids:
+            ids.add(candidate.point_id)
+            pool.append(candidate)
+    return pool
+
+
 def _verify_frontier(
     space: DesignSpace,
     targets: Sequence[FrontierPoint],
@@ -401,11 +442,7 @@ def run_exploration(
     candidates = strategy.search(space, budget, evaluate, rng)
     proxy_wall_s = time.perf_counter() - proxy_start
 
-    # Dedup by design identity (a strategy may legitimately revisit points).
-    unique: Dict[str, Candidate] = {}
-    for candidate in candidates:
-        unique.setdefault(candidate.point_id, candidate)
-    pool = list(unique.values())
+    pool = _first_occurrences(candidates)
 
     senses = [objective.sense for objective in objectives]
     vectors = [_objective_vector(c.payload, objectives) for c in pool]
@@ -418,7 +455,10 @@ def run_exploration(
         scores = weighted_scalarization(vectors, senses, weight_vector)
     frontier_indices = pareto_frontier(vectors, senses) if pool else []
     frontier = []
+    # Point ids are hashed here, for the frontier only.
+    proxies: Dict[str, Candidate] = {}
     for index in frontier_indices:
+        proxies[pool[index].point_id] = pool[index]
         named_values = {}
         for objective, value in zip(objectives, vectors[index]):
             named_values[objective.name] = value
@@ -445,7 +485,7 @@ def run_exploration(
         verified = _verify_frontier(
             space,
             frontier[:verify_top],
-            unique,
+            proxies,
             objectives,
             executor,
             cache,

@@ -53,12 +53,21 @@ class Axis:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError(f"axis {self.name!r} has no values")
-        seen = set()
+        # Verdicts and candidate dedup compare values by equality, so values
+        # must be distinct by equality (``1``, ``1.0`` and ``True`` are one
+        # value) as well as by canonical JSON (unhashable lists and dicts).
+        seen_json = set()
+        seen_values = set()
         for value in self.values:
             key = canonical_json(value)  # also rejects non-JSON-able values
-            if key in seen:
+            try:
+                duplicate = value in seen_values
+                seen_values.add(value)
+            except TypeError:  # an unhashable (list or dict) value
+                duplicate = False
+            if duplicate or key in seen_json:
                 raise ValueError(f"axis {self.name!r} has duplicate value {value!r}")
-            seen.add(key)
+            seen_json.add(key)
 
 
 @dataclass(frozen=True)
@@ -70,8 +79,10 @@ class Constraint:
     :class:`DesignSpace` evaluates the predicate once per distinct value
     tuple of those axes and passes it only that projection, so reading an
     undeclared axis raises ``KeyError`` instead of caching a wrong verdict.
-    Verdicts are keyed by value equality, so a predicate must not tell
-    apart values that compare equal (``1``, ``1.0`` and ``True``).
+    Verdicts are keyed by value equality; an :class:`Axis` holds no two
+    equal values, so every enumerated point gets its own verdict, but a
+    predicate must not tell apart values that compare equal (``1``,
+    ``1.0`` and ``True``) in an assignment built by hand.
     """
 
     name: str
@@ -103,6 +114,15 @@ class _Projection(dict):
         if key in self.undeclared:
             self.__missing__(key)
         return super().get(key, default)
+
+
+def _position_key(positions: Sequence[int]) -> Callable[[Sequence[int]], Any]:
+    """Key a tuple of value positions by the entries at ``positions``."""
+    # itemgetter of one position yields the bare entry, of several a tuple;
+    # either is a fine key as long as one table always uses the same.
+    if not positions:
+        return lambda _: ()
+    return operator.itemgetter(*positions)
 
 
 #: tags the canonical-JSON key of an unhashable value tuple; no axis value
@@ -235,6 +255,13 @@ class DesignSpace:
         self.description = description
         self._points: Optional[List[Dict[str, Any]]] = None
         self._feasible_count: Optional[int] = None
+        constrained = {axis for table in self._verdict_tables for axis in table.axes}
+        #: positions of the constrained axes (the union of the constraints'
+        #: declared axes), in axis order; feasibility depends on these alone.
+        self._constrained: Tuple[int, ...] = tuple(
+            position for position, name in enumerate(names) if name in constrained
+        )
+        self._feasible_combos: Optional[FrozenSet[Any]] = None
 
     def _declared_axes(
         self, constraint: Constraint, names: Sequence[str]
@@ -268,16 +295,38 @@ class DesignSpace:
                 return False
         return True
 
+    def _feasible_table(self) -> FrozenSet[Any]:
+        """The feasible combinations of the constrained axes (memoised).
+
+        Each combination is a tuple of value positions (so list-valued axes
+        work), keyed the way :func:`_position_key` keys a whole point's
+        positions.  The table is filled with one :meth:`feasible` call per
+        combination in axis-major order, so each predicate still runs once
+        per distinct projection of its declared axes.
+        """
+        if self._feasible_combos is None:
+            axes = [self.axes[position] for position in self._constrained]
+            names = [axis.name for axis in axes]
+            values = [axis.values for axis in axes]
+            key = _position_key(range(len(axes)))
+            self._feasible_combos = frozenset(
+                key(combo)
+                for combo in itertools.product(*(range(len(v)) for v in values))
+                if self.feasible(dict(zip(names, map(operator.getitem, values, combo))))
+            )
+        return self._feasible_combos
+
     def iter_points(self) -> Iterator[Dict[str, Any]]:
         """Yield every feasible assignment in deterministic axis-major order
         -- the streaming counterpart of :meth:`points`.
 
-        No point list is materialised: infeasible combinations are filtered
-        as the cartesian product is walked, so a 10^6-point space costs one
-        assignment dict of memory at a time, plus the verdict tables (one
-        entry per distinct value tuple of a constraint's declared axes; a
-        constraint that omits ``axes`` keys on every axis, so declaring them
-        is what keeps its table small).  Strategies that can
+        No point list is materialised: each combination of the cartesian
+        product is looked up in the feasibility table of the constrained
+        axes as it is walked, so a 10^6-point space costs one assignment
+        dict of memory at a time, plus that table (one entry per
+        combination of the constrained axes; a constraint that omits
+        ``axes`` constrains every axis, so declaring them is what keeps the
+        table small) and the verdict tables behind it.  Strategies that can
         consume a stream (grid search) use this; strategies whose seeded
         sampling needs the full indexed list (random, halving) still call
         :meth:`points`.  When the list is already memoised the stream
@@ -287,24 +336,26 @@ class DesignSpace:
         if self._points is not None:
             yield from self._points
             return
+        feasible = self._feasible_table()
+        key = _position_key(self._constrained)
         names = [axis.name for axis in self.axes]
-        for combo in itertools.product(*(axis.values for axis in self.axes)):
-            assignment = dict(zip(names, combo))
-            if self.feasible(assignment):
-                yield assignment
+        values = [axis.values for axis in self.axes]
+        for combo in itertools.product(*(range(len(v)) for v in values)):
+            if key(combo) in feasible:
+                yield dict(zip(names, map(operator.getitem, values, combo)))
 
     def feasible_count(self) -> int:
         """How many feasible assignments the space has (memoised).
 
-        Streams :meth:`iter_points` on first call, so counting a huge space
-        never materialises it -- and a memoised :meth:`points` list short-
-        circuits to its length.
+        The feasible combinations of the constrained axes times the product
+        of the free axes' sizes: nothing is enumerated.
         """
         if self._feasible_count is None:
-            if self._points is not None:
-                self._feasible_count = len(self._points)
-            else:
-                self._feasible_count = sum(1 for _ in self.iter_points())
+            count = len(self._feasible_table())
+            for position, axis in enumerate(self.axes):
+                if position not in self._constrained:
+                    count *= len(axis.values)
+            self._feasible_count = count
         return self._feasible_count
 
     def chunk_alignment(self, cap: int = 4096) -> int:

@@ -18,7 +18,8 @@ iterate the space in its canonical enumeration order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.pareto import pareto_ranks, weighted_scalarization
@@ -41,9 +42,15 @@ __all__ = [
 class Candidate:
     """One full-fidelity evaluated design point."""
 
-    point_id: str
     assignment: Mapping[str, Any]
     payload: Mapping[str, Any]
+    space: DesignSpace = field(repr=False, compare=False)
+
+    @cached_property
+    def point_id(self) -> str:
+        """The point's stable id, hashed on first access: a generation
+        evaluates many points but a report shows only its frontier's ids."""
+        return self.space.point_id(self.assignment)
 
 
 #: ``evaluate(assignments, fidelity) -> payloads`` -- provided by the
@@ -72,11 +79,7 @@ class SearchStrategy:
         payloads: Sequence[Dict[str, Any]],
     ) -> List[Candidate]:
         return [
-            Candidate(
-                point_id=space.point_id(assignment),
-                assignment=dict(assignment),
-                payload=payload,
-            )
+            Candidate(assignment=dict(assignment), payload=payload, space=space)
             for assignment, payload in zip(assignments, payloads)
         ]
 

@@ -408,24 +408,41 @@ def _busy_grids(
     its rate, and the busiest MemC's fused-operator arithmetic over the MemC
     throughput.  Elementwise IEEE-754 float64 ops, so a cell does not depend
     on which other points share the batch.
+
+    The input grids are read once per distinct tally sequence and channel
+    model, keyed by object identity (the callers share one object per memo
+    key), and gathered into per-point rows with an index array: a batch
+    holds far fewer distinct tallies than points.
     """
     count = len(tallies_per_point)
     segments = len(tallies_per_point[0])
     shape = (count, segments)
 
+    def distinct(objects: Sequence[Any]) -> Tuple[List[Any], np.ndarray]:
+        """The distinct ``objects`` by identity, and each point's row."""
+        rows: Dict[int, int] = {}
+        index = [rows.setdefault(id(obj), len(rows)) for obj in objects]
+        firsts = list({id(obj): obj for obj in objects}.values())
+        return firsts, np.array(index, dtype=np.intp)
+
+    tally_sets, tally_rows = distinct(tallies_per_point)
+
     def grid(attr: str) -> np.ndarray:
         return np.array(
-            [
-                [getattr(tally, attr) for tally in tallies]
-                for tallies in tallies_per_point
-            ],
+            [[getattr(tally, attr) for tally in tallies] for tallies in tally_sets],
             dtype=np.float64,
-        )
+        )[tally_rows]
 
-    def column(attr: str, models: Sequence[MemoryChannelModel]) -> np.ndarray:
-        return np.array(
-            [getattr(model, attr) for model in models], dtype=np.float64
-        ).reshape(count, 1)
+    def columns(
+        models: Sequence[MemoryChannelModel], *attrs: str
+    ) -> List[np.ndarray]:
+        distinct_models, model_rows = distinct(models)
+        return [
+            np.array(
+                [getattr(model, attr) for model in distinct_models], dtype=np.float64
+            )[model_rows].reshape(count, 1)
+            for attr in attrs
+        ]
 
     read_bytes = grid("ddr_read_bytes")
     read_requests = grid("ddr_read_requests")
@@ -436,11 +453,12 @@ def _busy_grids(
     mme_max = grid("mme_flops_max")
     memc_max = grid("memc_flops_max")
 
-    ddr_read_bw = column("effective_read_bw", ddr_models)
-    ddr_write_bw = column("effective_write_bw", ddr_models)
-    ddr_latency = column("request_latency", ddr_models)
-    lpddr_bw = column("effective_read_bw", lpddr_models)
-    lpddr_latency = column("request_latency", lpddr_models)
+    ddr_read_bw, ddr_write_bw, ddr_latency = columns(
+        ddr_models, "effective_read_bw", "effective_write_bw", "request_latency"
+    )
+    lpddr_bw, lpddr_latency = columns(
+        lpddr_models, "effective_read_bw", "request_latency"
+    )
 
     def bulk_time(
         nbytes: np.ndarray,

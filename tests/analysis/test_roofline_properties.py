@@ -152,17 +152,31 @@ class TestAnalyticBusyTimes:
 
     @given(data=st.data())
     def test_cells_equal_scalar_bulk_times(self, data):
+        # Rows draw from small pools, so one tally sequence and one channel
+        # model can repeat across rows, as they do in a real batch.
         segments = data.draw(st.integers(min_value=1, max_value=3))
-        batch = data.draw(st.lists(
-            st.tuples(self.points,
-                      st.lists(self.tallies, min_size=segments,
-                               max_size=segments)),
+        tally_pool = data.draw(st.lists(
+            st.lists(self.tallies, min_size=segments, max_size=segments),
+            min_size=1, max_size=3))
+        point_pool = data.draw(st.lists(self.points, min_size=1, max_size=3))
+        ddr_pool = [ddr_channel(bandwidth_scale=scale) for scale, _ in point_pool]
+        lpddr_pool = [lpddr_channel(bandwidth_scale=scale)
+                      for scale, _ in point_pool]
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, len(tally_pool) - 1),
+                      st.integers(0, len(point_pool) - 1)),
             min_size=1, max_size=6))
-        ddr = [ddr_channel(bandwidth_scale=scale) for (scale, _), _ in batch]
-        lpddr = [lpddr_channel(bandwidth_scale=scale) for (scale, _), _ in batch]
-        rates = np.array([[rate] for (_, rate), _ in batch])
-        grids = _busy_grids([tallies for _, tallies in batch], ddr, lpddr, rates)
-        for index, ((_, rate), tallies) in enumerate(batch):
+        batch = [tally_pool[t] for t, _ in rows]
+        ddr = [ddr_pool[p] for _, p in rows]
+        lpddr = [lpddr_pool[p] for _, p in rows]
+        rates = np.array([[point_pool[p][1]] for _, p in rows])
+        grids = _busy_grids(batch, ddr, lpddr, rates)
+        for index, tallies in enumerate(batch):
+            rate = rates[index, 0]
+            alone = _busy_grids([tallies], [ddr[index]], [lpddr[index]],
+                                rates[index:index + 1])
+            for grid, single in zip(grids, alone):
+                assert grid[index].tobytes() == single[0].tobytes()
             for position, tally in enumerate(tallies):
                 expected = (
                     ddr[index].bulk_read_time(tally.ddr_read_bytes,

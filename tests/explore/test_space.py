@@ -31,6 +31,20 @@ class TestAxis:
         with pytest.raises(ValueError, match="duplicate"):
             Axis("x", (1, 2, 1))
 
+    @pytest.mark.parametrize(
+        "values", [(1, True), (True, 1), (1, 1.0), (0.0, False), (2, 3, 2.0)]
+    )
+    def test_values_that_compare_equal_rejected(self, values):
+        # Verdict tables key on equality: accepting both would make a
+        # predicate's verdict for one stand in for the other, so the
+        # enumeration would depend on the order of the values.
+        with pytest.raises(ValueError, match="duplicate"):
+            Axis("x", values)
+
+    def test_unhashable_duplicates_rejected_by_canonical_json(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Axis("x", ([1, 2], {"a": 1}, [1, 2]))
+
     def test_non_jsonable_values_rejected(self):
         with pytest.raises(TypeError):
             Axis("x", (object(),))

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from repro.explore import (Axis, DesignSpace, GridSearch, RandomSearch,
-                           SuccessiveHalving, get_strategy, strategy_names)
+                           SuccessiveHalving, get_space, get_strategy,
+                           run_exploration, strategy_names)
+from repro.runner import canonical_json
 
 
 def _space() -> DesignSpace:
@@ -203,3 +205,37 @@ class TestWeightedHalving:
         second = SuccessiveHalving(weights=weights).search(
             space, 16, _fake_evaluate(), random.Random(11))
         assert [c.point_id for c in first] == [c.point_id for c in second]
+
+
+class TestPointIds:
+    """Point ids are hashed only where a report shows them."""
+
+    @staticmethod
+    def _counting(space, calls):
+        point_id = space.point_id
+
+        def counted(assignment):
+            calls.append(dict(assignment))
+            return point_id(assignment)
+
+        space.point_id = counted
+        return space
+
+    def test_grid_exploration_hashes_frontier_ids_only(self):
+        calls = []
+        space = self._counting(get_space("chiplet-encoder"), calls)
+        report = run_exploration(space, GridSearch(), budget=space.cardinality,
+                                 verify_top=0, seed=7, cache=None)
+        assert report.candidates == 8064
+        assert len(calls) == len(report.frontier)
+        assert sorted(map(canonical_json, calls)) == sorted(
+            canonical_json(point.assignment) for point in report.frontier)
+
+    def test_verified_ids_equal_frontier_ids(self):
+        space = get_space("encoder-smoke")
+        report = run_exploration(space, GridSearch(), budget=16, verify_top=4,
+                                 seed=7, cache=None)
+        assert len(report.verified) == 4
+        for verified, frontier in zip(report.verified, report.frontier):
+            assert verified.point_id == frontier.point_id
+            assert verified.point_id == space.point_id(frontier.assignment)
