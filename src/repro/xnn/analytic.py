@@ -433,9 +433,7 @@ def _busy_grids(
             dtype=np.float64,
         )[tally_rows]
 
-    def columns(
-        models: Sequence[MemoryChannelModel], *attrs: str
-    ) -> List[np.ndarray]:
+    def columns(models: Sequence[MemoryChannelModel], *attrs: str) -> List[np.ndarray]:
         distinct_models, model_rows = distinct(models)
         return [
             np.array(

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from repro.explore import (Axis, DesignSpace, GridSearch, RandomSearch,
-                           SuccessiveHalving, get_space, get_strategy,
-                           run_exploration, strategy_names)
+from repro.explore import (Axis, Candidate, DesignSpace, GridSearch,
+                           RandomSearch, SearchStrategy, SuccessiveHalving,
+                           get_space, get_strategy, run_exploration,
+                           strategy_names)
 from repro.runner import canonical_json
 
 
@@ -239,3 +240,19 @@ class TestPointIds:
         for verified, frontier in zip(report.verified, report.frontier):
             assert verified.point_id == frontier.point_id
             assert verified.point_id == space.point_id(frontier.assignment)
+
+    def test_equal_values_with_distinct_ids_stay_distinct(self):
+        # 1 and 1.0 compare equal but have different point ids: the pool
+        # keeps the first candidate of each point id, so both stay.
+        space = DesignSpace("ties", axes=(Axis("x", (1, 2)),), kind="toy")
+        payload = {"latency_s": 1.0, "offchip_bytes": 0, "utilization": 1.0}
+
+        class Fixed(SearchStrategy):
+            name = "fixed"
+
+            def search(self, space, budget, evaluate, rng):
+                return [Candidate({"x": x}, payload, space)
+                        for x in (1, 1.0, 1, 1.0, 2)]
+
+        report = run_exploration(space, Fixed(), budget=1, verify_top=0, seed=0)
+        assert report.candidates == 3
