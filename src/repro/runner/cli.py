@@ -275,17 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "distributed ones",
         )
 
-    def add_exec_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--backend",
-            choices=BACKENDS,
-            default=DEFAULT_BACKEND,
-            help="execution backend: cycle-level event-driven "
-            "engine, or the analytic fast model "
-            f"(default: {DEFAULT_BACKEND})",
-        )
-        add_executor_options(cmd)
-        add_chunk_size_option(cmd)
+    def add_cache_options(cmd: argparse.ArgumentParser, json_help: str) -> None:
         cmd.add_argument(
             "--cache-dir",
             default=DEFAULT_CACHE_DIR,
@@ -301,12 +291,20 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="re-run even on cache hits (refreshes entries)",
         )
+        cmd.add_argument("--json", dest="json_path", default=None, help=json_help)
+
+    def add_exec_options(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
-            "--json",
-            dest="json_path",
-            default=None,
-            help="write outcomes to this JSON file",
+            "--backend",
+            choices=BACKENDS,
+            default=DEFAULT_BACKEND,
+            help="execution backend: cycle-level event-driven "
+            "engine, or the analytic fast model "
+            f"(default: {DEFAULT_BACKEND})",
         )
+        add_executor_options(cmd)
+        add_chunk_size_option(cmd)
+        add_cache_options(cmd, "write outcomes to this JSON file")
 
     run_cmd = sub.add_parser("run", help="run scenarios by name")
     run_cmd.add_argument("names", nargs="+", help="scenario names")
@@ -376,24 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_executor_options(explore_cmd)
     add_chunk_size_option(explore_cmd)
-    explore_cmd.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory " f"(default: {DEFAULT_CACHE_DIR})",
-    )
-    explore_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache entirely",
-    )
-    explore_cmd.add_argument(
-        "--force", action="store_true", help="re-run even on cache hits"
-    )
-    explore_cmd.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        help="write the full exploration report to this " "JSON file",
+    add_cache_options(
+        explore_cmd, "write the full exploration report to this JSON file"
     )
     explore_cmd.add_argument(
         "--report",
@@ -514,25 +496,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: 2)",
     )
     add_executor_options(serve_cmd)
-    serve_cmd.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    serve_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache entirely",
-    )
-    serve_cmd.add_argument(
-        "--force", action="store_true", help="re-run even on cache hits"
-    )
-    serve_cmd.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        help="write the serving report (all load points, "
-        "curve, certification) to this JSON file",
+    add_cache_options(
+        serve_cmd,
+        "write the serving report (all load points, curve, certification) "
+        "to this JSON file",
     )
     serve_cmd.add_argument(
         "--report",

@@ -20,6 +20,12 @@ Runner functions take only JSON-able keyword parameters and return JSON-able
 dicts, so every scenario can be executed in a worker process and cached on
 disk byte-for-byte (:mod:`repro.runner.sweep`, :mod:`repro.runner.cache`).
 
+A simulation kind defines its parameters once, and both backends evaluate
+the same point: the ``xnn_*`` kinds in a point builder that returns
+``(config, options, workload)``, the DSE kinds in the defaults tables and
+:func:`~repro.xnn.partition.dse_design` of :mod:`repro.xnn.partition`, and
+``engine_chain`` in its engine runner's signature.
+
 The analytic roofline kinds (``xnn_gemm``, ``xnn_encoder``,
 ``xnn_feedforward``, ``dse_encoder``, ``dse_chiplet``) have one
 implementation each: a *batch runner* over a whole list of parameter sets,
@@ -35,6 +41,7 @@ chunk while results stay byte-identical to the serial batched path.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Dict, List, Optional
 
 from .scenarios import REGISTRY
@@ -167,28 +174,6 @@ def run_aie_gemm(shape: List[int]) -> dict:
     return {"shape": list(shape), "gflops": flops / 1e9}
 
 
-@REGISTRY.kind("xnn_gemm")
-def run_xnn_gemm(
-    m: int,
-    k: int,
-    n: int,
-    options: Optional[Dict[str, Any]] = None,
-    bandwidth_scale: float = 1.0,
-) -> dict:
-    """End-to-end square/rectangular GEMM on the simulated datapath (Table 6b)."""
-    from repro.xnn import XNNExecutor
-
-    executor = XNNExecutor(
-        config=_xnn_config(bandwidth_scale), options=_codegen_options(options)
-    )
-    result, _ = executor.run_gemm(m, k, n)
-    payload = _segment_dict(result)
-    payload["gflops"] = (
-        result.flops / result.latency_s / 1e9 if result.latency_s else 0.0
-    )
-    return payload
-
-
 def _gemm_point(
     m: int,
     k: int,
@@ -196,10 +181,9 @@ def _gemm_point(
     options: Optional[Dict[str, Any]] = None,
     bandwidth_scale: float = 1.0,
 ):
-    """One ``xnn_gemm`` parameter set as an evaluator point: a one-layer
-    feed-forward model, labelled with the task-parallel mapping.  Same
-    signature as the engine runner, so unknown or missing parameters fail
-    identically on either backend."""
+    """One ``xnn_gemm`` parameter set as a ``(config, options, workload)``
+    point, the one both backends run: a one-layer feed-forward model,
+    labelled with the task-parallel mapping."""
     from repro.workloads.layers import MatMulLayer, ModelSpec
     from repro.xnn.mapping import MappingType
 
@@ -209,6 +193,22 @@ def _gemm_point(
         _codegen_options(options),
         ("feedforward", gemm, MappingType.TASK_PARALLEL.value),
     )
+
+
+@REGISTRY.kind("xnn_gemm")
+def run_xnn_gemm(**params) -> dict:
+    """End-to-end square/rectangular GEMM on the simulated datapath (Table 6b)."""
+    from repro.xnn import XNNExecutor
+
+    config, options, (_, gemm, _) = _gemm_point(**params)
+    layer = gemm.layers[0]
+    executor = XNNExecutor(config=config, options=options)
+    result, _ = executor.run_gemm(layer.m, layer.k, layer.n)
+    payload = _segment_dict(result)
+    payload["gflops"] = (
+        result.flops / result.latency_s / 1e9 if result.latency_s else 0.0
+    )
+    return payload
 
 
 @_analytic_kind("xnn_gemm")
@@ -226,26 +226,45 @@ def estimate_xnn_gemm(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]
     return payloads
 
 
-@REGISTRY.kind("xnn_encoder")
-def run_xnn_encoder(
-    batch: int,
-    seq_len: int,
-    model: str = "bert_large",
-    options: Optional[Dict[str, Any]] = None,
-    bandwidth_scale: float = 1.0,
-) -> dict:
-    """One transformer encoder layer on the simulated datapath."""
-    from repro.xnn import XNNExecutor
+def _encoder_kind(name: str):
+    """Register both backends of kind ``name`` over one point builder,
+    ``point(**params) -> (config, options, workload)``.
 
-    executor = XNNExecutor(
-        config=_xnn_config(bandwidth_scale), options=_codegen_options(options)
-    )
-    result = executor.run_encoder(
-        batch=batch, seq_len=seq_len, config=_encoder_config(model)
-    )
-    return _encoder_dict(result)
+    The engine runs the workload -- ``("encoder", batch, seq_len,
+    bert_config)`` or ``("feedforward", model_spec, mapping)`` -- on the
+    cycle-level datapath; the analytic batch runner resolves the same
+    points with the evaluator.  Both report an :class:`EncoderResult`.
+    """
+
+    def register(point):
+        @REGISTRY.kind(name)
+        def run(**params) -> dict:
+            from repro.xnn import XNNExecutor
+
+            config, options, (workload, *args) = point(**params)
+            executor = XNNExecutor(config=config, options=options)
+            if workload == "encoder":
+                batch, seq_len, encoder = args
+                result = executor.run_encoder(
+                    batch=batch, seq_len=seq_len, config=encoder
+                )
+            else:
+                result = executor.run_feedforward_model(args[0])
+            return _encoder_dict(result)
+
+        @_analytic_kind(name)
+        def estimate(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
+            points = [point(**params) for params in param_sets]
+            return [
+                _analytic_encoder_dict(result) for result in evaluator.results(points)
+            ]
+
+        return point
+
+    return register
 
 
+@_encoder_kind("xnn_encoder")
 def _encoder_point(
     batch: int,
     seq_len: int,
@@ -253,9 +272,7 @@ def _encoder_point(
     options: Optional[Dict[str, Any]] = None,
     bandwidth_scale: float = 1.0,
 ):
-    """One ``xnn_encoder`` parameter set as an evaluator point.  Same
-    signature as the engine runner, so unknown or missing parameters fail
-    identically on either backend."""
+    """One transformer encoder layer on the datapath, per segment."""
     return (
         _xnn_config(bandwidth_scale),
         _codegen_options(options),
@@ -263,38 +280,13 @@ def _encoder_point(
     )
 
 
-@_analytic_kind("xnn_encoder")
-def estimate_xnn_encoder(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
-    """Analytic lower-bound estimate of encoder layers, per segment."""
-    points = [_encoder_point(**params) for params in param_sets]
-    return [_analytic_encoder_dict(result) for result in evaluator.results(points)]
-
-
-@REGISTRY.kind("xnn_feedforward")
-def run_xnn_feedforward(
-    model: str, batch: int, options: Optional[Dict[str, Any]] = None
-) -> dict:
-    """A pure-GEMM model (NCF / MLP) chained through DDR (Table 7)."""
-    from repro.xnn import XNNExecutor
-
-    executor = XNNExecutor(config=_xnn_config(), options=_codegen_options(options))
-    result = executor.run_feedforward_model(_feedforward_builder(model)(batch=batch))
-    return _encoder_dict(result)
-
-
+@_encoder_kind("xnn_feedforward")
 def _feedforward_point(
     model: str, batch: int, options: Optional[Dict[str, Any]] = None
 ):
-    """One ``xnn_feedforward`` parameter set as an evaluator point."""
+    """A pure-GEMM model (NCF / MLP) chained through DDR (Table 7)."""
     spec = _feedforward_builder(model)(batch=batch)
     return (_xnn_config(), _codegen_options(options), ("feedforward", spec, ""))
-
-
-@_analytic_kind("xnn_feedforward")
-def estimate_xnn_feedforward(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
-    """Analytic lower-bound estimate of pure-GEMM models (Table 7)."""
-    points = [_feedforward_point(**params) for params in param_sets]
-    return [_analytic_encoder_dict(result) for result in evaluator.results(points)]
 
 
 @REGISTRY.kind("charm_gemm", backend=("engine", "analytic"))
@@ -421,185 +413,103 @@ def run_engine_chain(
 
 
 @REGISTRY.kind("engine_chain", backend="analytic")
-def estimate_engine_chain(
-    n_msgs: int = 2000,
-    stages: int = 2,
-    capacity: int = 4,
-    fast_zero_delay: bool = True,
-) -> dict:
+def estimate_engine_chain(**params) -> dict:
     """Closed-form lower bound on the synthetic pipeline's end time.
 
     The producer must serially pay ``n_msgs`` delays plus ``n_msgs`` channel
     transfers; the final message must then traverse the remaining ``stages``
     relays, one transfer each.  Event counts are an artefact of the engine's
-    scheduling and are not modelled (``None``).
+    scheduling and are not modelled (``None``).  Parameters bind to the
+    engine runner's signature, their one definition.
     """
+    bound = inspect.signature(run_engine_chain).bind(**params)
+    bound.apply_defaults()
+    n_msgs, stages = bound.arguments["n_msgs"], bound.arguments["stages"]
     transfer_s = _CHAIN_MSG_BYTES / _CHAIN_CHANNEL_BW
     end_time = n_msgs * (_CHAIN_DELAY_S + transfer_s) + stages * transfer_s
     return {"events": None, "end_time": end_time, "processes": stages + 2}
 
 
-def _dse_design(
-    num_mme: int,
-    mem_b_bytes: int,
-    bandwidth_scale: float,
-    pipeline_attention: bool,
-    tile_m: int,
-    tile_k: int,
-    super_n: int,
-):
-    """Materialise one design point's hardware config and codegen options.
+def _run_dse(kind: str):
+    """The engine runner of DSE kind ``kind`` (``dse_encoder`` or
+    ``dse_chiplet``): cycle-level evaluation of one encoder design point.
 
-    The validated :meth:`~repro.xnn.datapath.XNNConfig.for_design` /
-    :meth:`~repro.xnn.codegen.CodegenOptions.with_overrides` hooks reject
-    infeasible points before the engine spends any time on them (the
-    analytic evaluator builds its probe configs through the same checks).
+    The point resolves against the kind's one defaults table and builds its
+    config and options with :func:`~repro.xnn.partition.dse_design`, as the
+    analytic evaluator does.  A single-chip point takes
+    :func:`~repro.xnn.partition.dse_payload`, so ``num_chips=1`` payloads
+    are byte-identical to ``dse_encoder``'s by construction.  For more
+    chips, the engine supplies the per-segment latencies and traffic; the
+    partition, link terms, cost and payload arithmetic are the same
+    :func:`~repro.xnn.partition.chiplet_payload` call the analytic
+    evaluator makes, so the chiplet analytic latency inherits the
+    per-segment lower-bound contract and the traffic stays byte-identical.
     """
-    from repro.xnn import CodegenOptions, XNNConfig
 
-    config = XNNConfig.for_design(
-        num_mme=num_mme, mem_b_bytes=mem_b_bytes, bandwidth_scale=bandwidth_scale
+    def run(**raw) -> dict:
+        from repro.hardware.aie import AIEArrayModel, MMEGroupPlan
+        from repro.hardware.link import InterChipLink
+        from repro.xnn import XNNExecutor
+        from repro.xnn.partition import (
+            _resolve_params,
+            chiplet_payload,
+            design_cost,
+            dse_design,
+            dse_payload,
+            encoder_partition,
+        )
+
+        params = _resolve_params(raw, kind)
+        config, options = dse_design(params)
+        batch, seq_len = params["batch"], params["seq_len"]
+        encoder = _encoder_config(params["model"])
+        executor = XNNExecutor(config=config, options=options)
+        result = executor.run_encoder(batch=batch, seq_len=seq_len, config=encoder)
+        aie = AIEArrayModel(config.spec, MMEGroupPlan(num_groups=config.num_mme))
+        peak_flops = config.num_mme * aie.mme_flops(config.mme_tile_shape)
+        num_chips = params.get("num_chips", 1)
+        if num_chips == 1:
+            return dse_payload(
+                latency_s=result.latency_s,
+                flops=result.flops,
+                ddr_bytes=result.ddr_bytes,
+                lpddr_bytes=result.lpddr_bytes,
+                batch=batch,
+                num_mme=config.num_mme,
+                peak_flops=peak_flops,
+                cost=design_cost(config, peak_flops),
+            )
+        link = InterChipLink.from_design(
+            params["link_gbs"], params["link_hop_us"], params["link_serialization_us"]
+        )
+        return chiplet_payload(
+            segment_latency_s=[segment.latency_s for segment in result.segments],
+            flops=result.flops,
+            ddr_bytes=result.ddr_bytes,
+            lpddr_bytes=result.lpddr_bytes,
+            batch=batch,
+            partition=encoder_partition(batch, seq_len, num_chips, config=encoder),
+            num_mme=config.num_mme,
+            per_chip_peak_flops=peak_flops,
+            link=link,
+            cost=design_cost(config, peak_flops, num_chips=num_chips, link=link),
+        )
+
+    return run
+
+
+# The DSE kinds: one engine runner for both; on the analytic backend, the
+# batch evaluator's named entry for each.
+REGISTRY.kind("dse_encoder")(_run_dse("dse_encoder"))
+REGISTRY.kind("dse_chiplet")(_run_dse("dse_chiplet"))
+_analytic_kind("dse_encoder")(
+    lambda param_sets, evaluator: evaluator.evaluate_batch(param_sets, _encoder_config)
+)
+_analytic_kind("dse_chiplet")(
+    lambda param_sets, evaluator: evaluator.evaluate_chiplet_batch(
+        param_sets, _encoder_config
     )
-    options = CodegenOptions.with_overrides(
-        pipeline_attention=pipeline_attention,
-        tile_m=tile_m,
-        tile_k=tile_k,
-        super_n=super_n,
-    )
-    return config, options
-
-
-def _engine_design_point(batch: int, seq_len: int, model: str, **design):
-    """One encoder design point on the cycle-level engine.
-
-    Returns ``(result, config, per-chip peak FLOP/s)`` -- what the DSE
-    payload constructors of :mod:`repro.xnn.partition` need besides the
-    cost.
-    """
-    from repro.hardware.aie import AIEArrayModel, MMEGroupPlan
-    from repro.xnn import XNNExecutor
-
-    config, options = _dse_design(**design)
-    executor = XNNExecutor(config=config, options=options)
-    result = executor.run_encoder(
-        batch=batch, seq_len=seq_len, config=_encoder_config(model)
-    )
-    aie = AIEArrayModel(config.spec, MMEGroupPlan(num_groups=config.num_mme))
-    return result, config, config.num_mme * aie.mme_flops(config.mme_tile_shape)
-
-
-@REGISTRY.kind("dse_encoder")
-def run_dse_encoder(
-    batch: int = 1,
-    seq_len: int = 128,
-    model: str = "bert_large",
-    num_mme: int = 6,
-    mem_b_bytes: int = 1024 * 1024,
-    bandwidth_scale: float = 1.0,
-    pipeline_attention: bool = True,
-    tile_m: int = 768,
-    tile_k: int = 128,
-    super_n: int = 1024,
-) -> dict:
-    """Cycle-level evaluation of one encoder design point (DSE verification)."""
-    from repro.xnn.partition import design_cost, dse_payload
-
-    result, config, peak_flops = _engine_design_point(
-        batch,
-        seq_len,
-        model,
-        num_mme=num_mme,
-        mem_b_bytes=mem_b_bytes,
-        bandwidth_scale=bandwidth_scale,
-        pipeline_attention=pipeline_attention,
-        tile_m=tile_m,
-        tile_k=tile_k,
-        super_n=super_n,
-    )
-    return dse_payload(
-        latency_s=result.latency_s,
-        flops=result.flops,
-        ddr_bytes=result.ddr_bytes,
-        lpddr_bytes=result.lpddr_bytes,
-        batch=batch,
-        num_mme=config.num_mme,
-        peak_flops=peak_flops,
-        cost=design_cost(config, peak_flops),
-    )
-
-
-@_analytic_kind("dse_encoder")
-def estimate_dse_encoder(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
-    """Analytic-proxy evaluation of encoder design points (DSE search)."""
-    return evaluator.evaluate_batch(param_sets, _encoder_config)
-
-
-@REGISTRY.kind("dse_chiplet")
-def run_dse_chiplet(
-    batch: int = 1,
-    seq_len: int = 128,
-    model: str = "bert_large",
-    num_mme: int = 6,
-    mem_b_bytes: int = 1024 * 1024,
-    bandwidth_scale: float = 1.0,
-    pipeline_attention: bool = True,
-    tile_m: int = 768,
-    tile_k: int = 128,
-    super_n: int = 1024,
-    num_chips: int = 1,
-    link_gbs: float = 64.0,
-    link_hop_us: float = 1.0,
-    link_serialization_us: float = 0.0,
-) -> dict:
-    """Cycle-level evaluation of one multi-chip encoder design point.
-
-    ``num_chips=1`` delegates to the single-chip ``dse_encoder`` runner
-    verbatim, so the payload is byte-identical by construction (the certified
-    contract the chiplet differential suite pins).  For more chips, the
-    engine supplies the per-segment latencies and traffic; the partition,
-    link terms, cost and payload arithmetic are the same
-    :func:`~repro.xnn.partition.chiplet_payload` call the analytic evaluator
-    makes, so the chiplet analytic latency inherits the per-segment
-    lower-bound contract and the traffic stays byte-identical.
-    """
-    design = dict(
-        num_mme=num_mme,
-        mem_b_bytes=mem_b_bytes,
-        bandwidth_scale=bandwidth_scale,
-        pipeline_attention=pipeline_attention,
-        tile_m=tile_m,
-        tile_k=tile_k,
-        super_n=super_n,
-    )
-    if num_chips == 1:
-        return run_dse_encoder(batch=batch, seq_len=seq_len, model=model, **design)
-    from repro.hardware.link import InterChipLink
-    from repro.xnn.partition import chiplet_payload, design_cost, encoder_partition
-
-    result, config, per_chip_peak = _engine_design_point(
-        batch, seq_len, model, **design
-    )
-    link = InterChipLink.from_design(link_gbs, link_hop_us, link_serialization_us)
-    return chiplet_payload(
-        segment_latency_s=[segment.latency_s for segment in result.segments],
-        flops=result.flops,
-        ddr_bytes=result.ddr_bytes,
-        lpddr_bytes=result.lpddr_bytes,
-        batch=batch,
-        partition=encoder_partition(
-            batch, seq_len, num_chips, config=_encoder_config(model)
-        ),
-        num_mme=config.num_mme,
-        per_chip_peak_flops=per_chip_peak,
-        link=link,
-        cost=design_cost(config, per_chip_peak, num_chips=num_chips, link=link),
-    )
-
-
-@_analytic_kind("dse_chiplet")
-def estimate_dse_chiplet(param_sets: List[Dict[str, Any]], evaluator) -> List[dict]:
-    """Analytic-proxy evaluation of multi-chip encoder design points."""
-    return evaluator.evaluate_chiplet_batch(param_sets, _encoder_config)
+)
 
 
 @REGISTRY.kind("gpu_roofline", backend=("engine", "analytic"))

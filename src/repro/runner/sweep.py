@@ -32,6 +32,7 @@ batch-runner equality contract.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -209,10 +210,17 @@ def _run_chunk(
     crosses pickle (pool) and JSON (workqueue) boundaries; the workqueue
     worker rebuilds this exact call from the job payload.  Returns the
     per-point results (in chunk order) plus the chunk's wall seconds.
+
+    The submitter creates ``segment_memo_dir`` before it submits, so a
+    worker on its host or on a shared mount attaches the disk layer.  A
+    worker that cannot see the directory (another host, no shared
+    filesystem) runs memory-only and creates nothing.
     """
     from . import library  # noqa: F401  (populates the kind registry)
 
     kind, params_list = chunk
+    if segment_memo_dir is not None and not os.path.isdir(segment_memo_dir):
+        segment_memo_dir = None
     configure_segment_memo(segment_memo_dir)
     runner = REGISTRY.batch_runner(kind, backend) or partial(_run_each, kind, backend)
     start = time.perf_counter()

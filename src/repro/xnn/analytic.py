@@ -37,6 +37,7 @@ seconds, which is what makes 1000-point design-space sweeps interactive
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,8 +55,10 @@ from .fus.scratchpad import MEMC_COMPUTE_THROUGHPUT, NONMM_FLOPS_PER_ELEMENT
 from .mapping import attention_mapping_type
 from .partition import (
     EncoderPartition,
+    _resolve_params,
     chiplet_payload,
     design_cost,
+    dse_design,
     dse_payload,
     encoder_partition,
 )
@@ -479,65 +482,38 @@ def _busy_grids(
     return ddr_busy, lpddr_busy, mme_busy, memc_busy
 
 
-#: the ``dse_encoder`` parameters and their defaults -- the engine runner's
-#: signature defaults (``tests/differential/test_batched_analytic.py`` pins
-#: the two equal), so partially specified points resolve alike on both
-#: backends.
-_DSE_DEFAULTS: Dict[str, Any] = {
-    "batch": 1,
-    "seq_len": 128,
-    "model": "bert_large",
-    "num_mme": 6,
-    "mem_b_bytes": 1024 * 1024,
-    "bandwidth_scale": 1.0,
-    "pipeline_attention": True,
-    "tile_m": 768,
-    "tile_k": 128,
-    "super_n": 1024,
-}
-
-#: the ``dse_chiplet`` parameters: everything ``dse_encoder`` takes, plus
-#: the scale-out axes (chip count and inter-chip link parameters).
-_CHIPLET_DEFAULTS: Dict[str, Any] = dict(_DSE_DEFAULTS)
-_CHIPLET_DEFAULTS.update(
-    {
-        "num_chips": 1,
-        "link_gbs": 64.0,
-        "link_hop_us": 1.0,
-        "link_serialization_us": 0.0,
-    }
+#: a resolved DSE point's design key: the probe fields the
+#: :func:`~repro.xnn.partition.dse_design` config reads (first, so
+#: ``key[:3]`` is the probe key), then the tiling fields its options read.
+_design_key = itemgetter(
+    "num_mme",
+    "mem_b_bytes",
+    "bandwidth_scale",
+    "pipeline_attention",
+    "tile_m",
+    "tile_k",
+    "super_n",
 )
 
-
-def _resolve_params(
-    raw: Mapping[str, Any], defaults: Dict[str, Any], kind: str
-) -> Dict[str, Any]:
-    """``defaults`` overlaid with ``raw``; a key outside ``defaults`` raises
-    ``TypeError``, as an unexpected keyword argument would."""
-    if not defaults.keys() >= raw.keys():
-        unknown = sorted(set(raw) - set(defaults))
-        raise TypeError(f"{kind} got unexpected parameter(s) {unknown}")
-    params = dict(defaults)
-    params.update(raw)
-    return params
+#: a resolved DSE point's workload shape.
+_shape_key = itemgetter("batch", "seq_len", "model")
 
 
 @dataclass
 class _BatchRows:
-    """The shared per-generation state behind one batched DSE evaluation.
+    """The shared per-call state behind one batched DSE evaluation.
 
     Everything the payload constructors need, per point: the (feasible)
-    probe config and its memo key, the frozen tallies, and the vectorized
+    config and its probe key, the tallied segment set, and the vectorized
     roofline results -- plus the per-call memo tables of the values many
     points share (encoder configs by model name, ``design_cost`` results).
     The tables live as long as the batch call, so memory stays bounded by
     one generation's distinct keys.
     """
 
-    probes: List[XNNConfig]
+    configs: List[XNNConfig]
     probe_keys: List[Tuple[Any, ...]]
-    tallies_per_point: List[Tuple[_FrozenTally, ...]]
-    total_flops: np.ndarray
+    segment_sets: List[_SegmentSet]
     peak_flops: np.ndarray
     segment_latency: np.ndarray
     latency: np.ndarray
@@ -557,7 +533,7 @@ class _BatchRows:
         cost = self.costs.get(key)
         if cost is None:
             cost = self.costs[key] = design_cost(
-                self.probes[index], per_chip_peak, num_chips=num_chips, link=link
+                self.configs[index], per_chip_peak, num_chips=num_chips, link=link
             )
         return cost
 
@@ -565,7 +541,7 @@ class _BatchRows:
         """(ddr, lpddr) byte totals of one point, summed in segment order."""
         ddr_bytes_total = 0
         lpddr_bytes_total = 0
-        for tally in self.tallies_per_point[index]:
+        for tally in self.segment_sets[index].tallies:
             ddr_bytes_total += tally.ddr_read_bytes + tally.ddr_write_bytes
             lpddr_bytes_total += tally.lpddr_bytes
         return ddr_bytes_total, lpddr_bytes_total
@@ -585,8 +561,9 @@ class EncoderBatchEvaluator:
        per unique (workload shape, tiling/mapping options, FU counts) and
        every point of the batch shares the frozen result (and so do later
        batches: the evaluator is long-lived).
-    2. **Per-call invariants** -- the probe config and channel models, the
-       codegen options, the encoder config, and (for chiplet points) the
+    2. **Per-call invariants** -- the design (config and codegen options,
+       from the engine runner's :func:`~repro.xnn.partition.dse_design`),
+       its channel models, the encoder config, and (for chiplet points) the
        partition, link and ``design_cost`` are each built once per distinct
        value of the parameters they read, in tables that live for one batch
        call.
@@ -649,6 +626,47 @@ class EncoderBatchEvaluator:
             segment_set = self._segments[key] = tally(*args)
         return model, segment_set
 
+    def _gather(
+        self, points: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]]
+    ) -> Tuple[List[_SegmentSet], np.ndarray, Tuple[np.ndarray, ...]]:
+        """Tally ``(config, options, workload)`` points and run their
+        vectorized busy grids: the one per-point loop of both resolvers.
+
+        Returns each point's segment set, each point's MME rate, and the
+        ``(ddr, lpddr, mme, memc)`` busy grids.  Points made of the same
+        config, options and workload objects (the DSE rows share one of
+        each per key) share one tally lookup and one pair of DDR and LPDDR
+        channel models.
+        """
+        count = len(points)
+        segment_sets: List[_SegmentSet] = []
+        mme_rate = np.empty(count)
+        ddr_models: List[MemoryChannelModel] = []
+        lpddr_models: List[MemoryChannelModel] = []
+        resolved: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
+        for index, (config, options, workload) in enumerate(points):
+            key = (id(config), id(options), id(workload))
+            entry = resolved.get(key)
+            if entry is None:
+                model, segment_set = self._tallied(config, options, workload)
+                entry = resolved[key] = (
+                    segment_set,
+                    model.mme_rate,
+                    ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale),
+                    lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale),
+                )
+            segment_set, mme_rate[index], ddr_model, lpddr_model = entry
+            segment_sets.append(segment_set)
+            ddr_models.append(ddr_model)
+            lpddr_models.append(lpddr_model)
+        busy = _busy_grids(
+            [segment_set.tallies for segment_set in segment_sets],
+            ddr_models,
+            lpddr_models,
+            mme_rate.reshape(count, 1),
+        )
+        return segment_sets, mme_rate, busy
+
     def results(
         self, points: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]]
     ) -> List[EncoderResult]:
@@ -666,27 +684,8 @@ class EncoderBatchEvaluator:
         """
         if not points:
             return []
-        count = len(points)
-        segment_sets: List[_SegmentSet] = []
-        ddr_models: List[MemoryChannelModel] = []
-        lpddr_models: List[MemoryChannelModel] = []
-        mme_rate_column = np.empty((count, 1))
-        for index, (config, options, workload) in enumerate(points):
-            model, segment_set = self._tallied(config, options, workload)
-            segment_sets.append(segment_set)
-            mme_rate_column[index, 0] = model.mme_rate
-            ddr_models.append(
-                ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-            )
-            lpddr_models.append(
-                lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-            )
-        ddr_busy, lpddr_busy, mme_busy, memc_busy = _busy_grids(
-            [segment_set.tallies for segment_set in segment_sets],
-            ddr_models,
-            lpddr_models,
-            mme_rate_column,
-        )
+        segment_sets, _, busy = self._gather(points)
+        ddr_busy, lpddr_busy, mme_busy, memc_busy = busy
         results: List[EncoderResult] = []
         for index, segment_set in enumerate(segment_sets):
             result = EncoderResult(name=segment_set.name, batch=segment_set.batch)
@@ -723,78 +722,36 @@ class EncoderBatchEvaluator:
     ) -> _BatchRows:
         """Tally and run the vectorized rooflines for resolved DSE points.
 
-        The probe config and channel models are built once per ``(num_mme,
-        mem_b_bytes, bandwidth_scale)``, the codegen options once per tiling
-        tuple, and the encoder config once per model name.
+        Each point's config and codegen options come from
+        :func:`~repro.xnn.partition.dse_design`, the engine runner's
+        constructor, called once per design key; the workload, with its
+        encoder config, once per ``(batch, seq_len, model)``.
         """
         count = len(param_sets)
-        probes: List[XNNConfig] = []
+        points: List[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]] = []
         probe_keys: List[Tuple[Any, ...]] = []
-        tallies_per_point: List[Tuple[_FrozenTally, ...]] = []
-        total_flops = np.empty(count)
-        mme_rate = np.empty(count)
-        peak_flops = np.empty(count)
-        ddr_models: List[MemoryChannelModel] = []
-        lpddr_models: List[MemoryChannelModel] = []
+        num_mme = np.empty(count)
         # Per-call memo tables, keyed by the parameters each value reads.
-        options_by_tiling: Dict[Tuple[Any, ...], CodegenOptions] = {}
-        channels_by_probe: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        designs: Dict[Tuple[Any, ...], Tuple[XNNConfig, CodegenOptions]] = {}
+        workloads: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         encoders: Dict[str, BertConfig] = {}
         for index, params in enumerate(param_sets):
-            # The engine runner's validated construction hooks:
-            # with_overrides rejects unknown knobs, XNNConfig.__post_init__
-            # rejects bad counts/depths, AnalyticXNN validates the MME plan.
-            tiling = (
-                params["pipeline_attention"],
-                params["tile_m"],
-                params["tile_k"],
-                params["super_n"],
-            )
-            options = options_by_tiling.get(tiling)
-            if options is None:
-                options = options_by_tiling[tiling] = CodegenOptions.with_overrides(
-                    pipeline_attention=tiling[0],
-                    tile_m=tiling[1],
-                    tile_k=tiling[2],
-                    super_n=tiling[3],
-                )
-            num_mme = params["num_mme"]
-            probe_key = (num_mme, params["mem_b_bytes"], params["bandwidth_scale"])
-            channels = channels_by_probe.get(probe_key)
-            if channels is None:
-                probe = XNNConfig(
-                    num_mme=num_mme,
-                    num_mem_c=num_mme,
-                    mem_b_bytes=params["mem_b_bytes"],
-                    bandwidth_scale=params["bandwidth_scale"],
-                    carry_data=False,
-                )
-                channels = channels_by_probe[probe_key] = (
-                    probe,
-                    ddr_channel(probe.spec, bandwidth_scale=probe.bandwidth_scale),
-                    lpddr_channel(probe.spec, bandwidth_scale=probe.bandwidth_scale),
-                )
-            probe, ddr_model, lpddr_model = channels
-            model_name = params["model"]
-            encoder = encoders.get(model_name)
-            if encoder is None:
+            key = _design_key(params)
+            design = designs.get(key)
+            if design is None:
+                design = designs[key] = dse_design(params)
+            shape = _shape_key(params)
+            workload = workloads.get(shape)
+            if workload is None:
+                batch, seq_len, model_name = shape
                 encoder = encoders[model_name] = encoder_config(model_name)
-            workload = ("encoder", params["batch"], params["seq_len"], encoder)
-            model, segment_set = self._tallied(probe, options, workload)
-            probes.append(probe)
-            probe_keys.append(probe_key)
-            tallies_per_point.append(segment_set.tallies)
-            total_flops[index] = segment_set.total_flops
-            mme_rate[index] = model.mme_rate
-            peak_flops[index] = num_mme * model.mme_rate
-            ddr_models.append(ddr_model)
-            lpddr_models.append(lpddr_model)
+                workload = workloads[shape] = ("encoder", batch, seq_len, encoder)
+            points.append((*design, workload))
+            probe_keys.append(key[:3])
+            num_mme[index] = params["num_mme"]
 
-        segments = len(tallies_per_point[0])
-        ddr_busy, lpddr_busy, mme_busy, memc_busy = _busy_grids(
-            tallies_per_point, ddr_models, lpddr_models, mme_rate.reshape(count, 1)
-        )
-
+        segment_sets, mme_rate, busy = self._gather(points)
+        ddr_busy, lpddr_busy, mme_busy, memc_busy = busy
         # ResourceRoofline.latency_s: the max over resources (order-free).
         segment_latency = np.maximum(
             np.maximum(ddr_busy, lpddr_busy), np.maximum(mme_busy, memc_busy)
@@ -803,32 +760,38 @@ class EncoderBatchEvaluator:
         # addition starting from 0.0 folds identically to a left-to-right
         # pairwise chain, so cumulative add matches sum() exactly.
         latency = np.zeros(count)
-        for segment_index in range(segments):
+        for segment_index in range(segment_latency.shape[1]):
             latency = latency + segment_latency[:, segment_index]
 
         return _BatchRows(
-            probes=probes,
+            configs=[config for config, _, _ in points],
             probe_keys=probe_keys,
-            tallies_per_point=tallies_per_point,
-            total_flops=total_flops,
-            peak_flops=peak_flops,
+            segment_sets=segment_sets,
+            peak_flops=num_mme * mme_rate,
             segment_latency=segment_latency,
             latency=latency,
             encoders=encoders,
         )
 
     def _evaluate(
-        self,
-        param_sets: Sequence[Mapping[str, Any]],
-        encoder_config,
-        defaults: Dict[str, Any],
-        kind: str,
+        self, param_sets: Sequence[Mapping[str, Any]], encoder_config, kind: str
     ) -> List[Dict[str, Any]]:
-        """One payload per DSE parameter set: :func:`dse_payload` for
-        single-chip points, :func:`chiplet_payload` for the rest."""
+        """One payload per parameter set of DSE kind ``kind``: every DSE
+        point is resolved against the kind's one defaults table (a key
+        outside it raises ``TypeError``), single-chip points take
+        :func:`dse_payload` and the rest :func:`chiplet_payload` -- the
+        engine runner's payload constructors.
+
+        The chiplet-only axes change no tally and no per-segment roofline,
+        so every point shares the single-chip vectorized rows; the
+        multi-chip combination on top is fed a partition built once per
+        ``(batch, seq_len, model, num_chips)``, a link once per link
+        triple, and a ``design_cost`` once per ``(probe, peak, num_chips,
+        link)``.
+        """
         if not param_sets:
             return []
-        resolved = [_resolve_params(raw, defaults, kind) for raw in param_sets]
+        resolved = [_resolve_params(raw, kind) for raw in param_sets]
         rows = self._rows(resolved, encoder_config)
         partitions: Dict[Tuple[Any, ...], EncoderPartition] = {}
         links: Dict[Tuple[Any, ...], InterChipLink] = {}
@@ -837,12 +800,13 @@ class EncoderBatchEvaluator:
             batch = params["batch"]
             per_chip_peak = float(rows.peak_flops[index])
             ddr_bytes_total, lpddr_bytes_total = rows.traffic(index)
+            flops = rows.segment_sets[index].total_flops
             num_chips = params.get("num_chips", 1)
             if num_chips == 1:
                 payloads.append(
                     dse_payload(
                         latency_s=float(rows.latency[index]),
-                        flops=float(rows.total_flops[index]),
+                        flops=flops,
                         ddr_bytes=ddr_bytes_total,
                         lpddr_bytes=lpddr_bytes_total,
                         batch=batch,
@@ -872,7 +836,7 @@ class EncoderBatchEvaluator:
             payloads.append(
                 chiplet_payload(
                     segment_latency_s=rows.segment_latency[index].tolist(),
-                    flops=float(rows.total_flops[index]),
+                    flops=flops,
                     ddr_bytes=ddr_bytes_total,
                     lpddr_bytes=lpddr_bytes_total,
                     batch=batch,
@@ -893,30 +857,17 @@ class EncoderBatchEvaluator:
         ``encoder_config`` maps a model name to its :class:`BertConfig`
         (injected by the runner layer so the supported-model catalogue cannot
         diverge between the backends).  Returns one payload dict per
-        parameter set, in order; a key outside ``_DSE_DEFAULTS`` raises
-        ``TypeError``.
+        parameter set, in order.
         """
-        return self._evaluate(param_sets, encoder_config, _DSE_DEFAULTS, "dse_encoder")
+        return self._evaluate(param_sets, encoder_config, "dse_encoder")
 
     def evaluate_chiplet_batch(
         self, param_sets: Sequence[Mapping[str, Any]], encoder_config
     ) -> List[Dict[str, Any]]:
-        """Evaluate many ``dse_chiplet`` parameter sets in one pass.
-
-        The chiplet-only axes (chip count, link parameters) change no tally
-        and no per-segment roofline, so all points share the single-chip
-        vectorized evaluation; the multi-chip combination on top is the same
-        pure-float :func:`~repro.xnn.partition.chiplet_payload` call the
-        engine runner makes, fed a partition built once per ``(batch,
-        seq_len, model, num_chips)``, a link once per link triple, and a
-        ``design_cost`` once per ``(probe, peak, num_chips, link)``.
-        ``num_chips=1`` rows take the exact ``dse_encoder`` payload path,
-        preserving the single-chip byte-identity contract.  A key outside
-        ``_CHIPLET_DEFAULTS`` raises ``TypeError``.
-        """
-        return self._evaluate(
-            param_sets, encoder_config, _CHIPLET_DEFAULTS, "dse_chiplet"
-        )
+        """Evaluate many ``dse_chiplet`` parameter sets in one pass, like
+        :meth:`evaluate_batch`; ``num_chips=1`` points get the exact
+        ``dse_encoder`` payload."""
+        return self._evaluate(param_sets, encoder_config, "dse_chiplet")
 
     def batch_size_costs(
         self, base_params: Mapping[str, Any], batch_sizes: Sequence[int], encoder_config

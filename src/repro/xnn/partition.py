@@ -7,6 +7,10 @@ cross an :class:`~repro.hardware.link.InterChipLink` between consecutive
 chips.  This module holds everything both backends and the batched analytic
 evaluator share, so that the certified contracts hold *by construction*:
 
+* The ``dse_encoder`` / ``dse_chiplet`` parameters and defaults are defined
+  once, in ``_DSE_DEFAULTS`` / ``_CHIPLET_DEFAULTS``; both backends resolve
+  a point against them and build its config and codegen options with
+  :func:`dse_design`, so a point names the same design on either backend.
 * ``num_chips=1`` points take :func:`dse_payload`, the single-chip
   ``dse_encoder`` payload, verbatim -- which is what makes their payloads
   byte-identical to that kind's.
@@ -31,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.roofline import pipeline_roofline
 from ..hardware.cost import design_area_luts, design_power_w
 from ..hardware.link import InterChipLink
 from ..workloads.bert import BERT_LARGE, BertConfig, bert_large_encoder
+from .codegen import CodegenOptions
 from .datapath import XNNConfig
 from .fus.scratchpad import MEMC_COMPUTE_THROUGHPUT
 
@@ -47,6 +52,7 @@ __all__ = [
     "chiplet_metrics",
     "chiplet_payload",
     "design_cost",
+    "dse_design",
     "dse_payload",
     "encoder_boundary_bytes",
     "encoder_partition",
@@ -225,6 +231,70 @@ def chiplet_metrics(
         max_stage_s=roofline.latency_s,
         stage_bounds_s=dict(roofline.busy_s),
     )
+
+
+#: the ``dse_encoder`` parameters and their defaults.  Both backends
+#: resolve a (possibly partial) point against this one table, so a point
+#: names the same design on either backend.
+_DSE_DEFAULTS: Dict[str, Any] = {
+    "batch": 1,
+    "seq_len": 128,
+    "model": "bert_large",
+    "num_mme": 6,
+    "mem_b_bytes": 1024 * 1024,
+    "bandwidth_scale": 1.0,
+    "pipeline_attention": True,
+    "tile_m": 768,
+    "tile_k": 128,
+    "super_n": 1024,
+}
+
+#: the ``dse_chiplet`` parameters: everything ``dse_encoder`` takes, plus
+#: the scale-out axes (chip count and inter-chip link parameters).  A
+#: single-chip design is the one-chip case of this space.
+_CHIPLET_DEFAULTS: Dict[str, Any] = {
+    **_DSE_DEFAULTS,
+    "num_chips": 1,
+    "link_gbs": 64.0,
+    "link_hop_us": 1.0,
+    "link_serialization_us": 0.0,
+}
+
+_KIND_DEFAULTS = {"dse_encoder": _DSE_DEFAULTS, "dse_chiplet": _CHIPLET_DEFAULTS}
+
+
+def _resolve_params(raw: Mapping[str, Any], kind: str) -> Dict[str, Any]:
+    """DSE kind ``kind``'s defaults overlaid with ``raw``; a key outside
+    them raises ``TypeError``, as an unexpected keyword argument would."""
+    defaults = _KIND_DEFAULTS[kind]
+    if not defaults.keys() >= raw.keys():
+        unknown = sorted(set(raw) - set(defaults))
+        raise TypeError(f"{kind} got unexpected parameter(s) {unknown}")
+    params = dict(defaults)
+    params.update(raw)
+    return params
+
+
+def dse_design(params: Mapping[str, Any]) -> Tuple[XNNConfig, CodegenOptions]:
+    """One resolved DSE point's hardware config and codegen options.
+
+    The design constructor of both backends.  The validated
+    :meth:`~repro.xnn.datapath.XNNConfig.for_design` /
+    :meth:`~repro.xnn.codegen.CodegenOptions.with_overrides` hooks reject
+    an infeasible point before either backend spends any time on it.
+    """
+    config = XNNConfig.for_design(
+        num_mme=params["num_mme"],
+        mem_b_bytes=params["mem_b_bytes"],
+        bandwidth_scale=params["bandwidth_scale"],
+    )
+    options = CodegenOptions.with_overrides(
+        pipeline_attention=params["pipeline_attention"],
+        tile_m=params["tile_m"],
+        tile_k=params["tile_k"],
+        super_n=params["super_n"],
+    )
+    return config, options
 
 
 def design_cost(

@@ -15,9 +15,14 @@ runner's and share no mutable container.
 from __future__ import annotations
 
 import copy
+import inspect
 import random
+import re
 
+import hypothesis
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.explore import get_space
 from repro.runner import REGISTRY, canonical_json
@@ -108,32 +113,101 @@ def test_catalogue_kind_batched_equals_scalar_exactly(kind, extra):
     assert batched_fn(params_list) == expected
 
 
-@pytest.mark.parametrize("kind", ["xnn_encoder", "xnn_gemm", "xnn_feedforward",
-                                  "dse_encoder", "dse_chiplet"])
-def test_catalogue_kind_batched_rejects_unknown_params_like_scalar(kind):
+def _valid_keys(kind):
+    """Every parameter ``kind`` accepts, from its one definition."""
+    from repro.runner import library
+    from repro.xnn.partition import _KIND_DEFAULTS
+
+    if kind in _KIND_DEFAULTS:
+        return set(_KIND_DEFAULTS[kind])
+    definition = {
+        "xnn_gemm": library._gemm_point,
+        "xnn_encoder": library._encoder_point,
+        "xnn_feedforward": library._feedforward_point,
+    }.get(kind) or REGISTRY.runner(kind, REGISTRY.backends(kind)[0])
+    return set(inspect.signature(definition).parameters)
+
+
+_KEY_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
+
+
+@st.composite
+def _misspellings(draw, keys):
+    """One edit (drop, double, swap or replace a character) of a real key,
+    never equal to any valid key."""
+    key = draw(st.sampled_from(sorted(keys)))
+    at = draw(st.integers(0, len(key) - 1))
+    edit = draw(st.sampled_from(["drop", "double", "swap", "replace"]))
+    if edit == "drop":
+        typo = key[:at] + key[at + 1:]
+    elif edit == "double":
+        typo = key[:at] + key[at] + key[at:]
+    elif edit == "swap" and at + 1 < len(key):
+        typo = key[:at] + key[at + 1] + key[at] + key[at + 2:]
+    else:
+        typo = key[:at] + draw(st.sampled_from(_KEY_CHARS)) + key[at + 1:]
+    hypothesis.assume(typo and typo not in keys)
+    return key, typo
+
+
+_KINDS = sorted({scenario.kind for scenario in REGISTRY.select()})
+_KIND_BACKENDS = [(kind, backend) for kind in _KINDS
+                  for backend in REGISTRY.backends(kind)]
+
+
+def test_rejection_covers_every_registered_kind():
+    assert set(_KINDS) == set(REGISTRY._kinds)
+
+
+@pytest.mark.parametrize("kind,backend", _KIND_BACKENDS)
+def test_catalogue_kind_batched_rejects_unknown_params_like_scalar(
+        kind, backend, monkeypatch):
+    """A misspelled key -- ``bogus_knob`` or a one-edit typo of a real key
+    -- fails on every kind, backend, and scalar or batch runner with an
+    error naming it, before any simulation runs."""
+    from repro.core.engine import Simulator
+
+    def no_simulation(self):
+        raise AssertionError("a simulation ran before the key was rejected")
+
+    monkeypatch.setattr(Simulator, "run", no_simulation)
     good = _catalogue_params(kind)[0]
-    with pytest.raises(TypeError):
-        REGISTRY.runner(kind, "analytic")(**{**good, "bogus_knob": 1})
-    with pytest.raises(TypeError, match="bogus_knob"):
-        REGISTRY.batch_runner(kind, "analytic")([{**good, "bogus_knob": 1}])
+    keys = _valid_keys(kind)
+    runners = [lambda params: REGISTRY.runner(kind, backend)(**params)]
+    batch = REGISTRY.batch_runner(kind, backend)
+    if batch is not None:
+        runners.append(lambda params: batch([params]))
+
+    def rejects(key, typo):
+        params = {name: value for name, value in good.items() if name != key}
+        params[typo] = good.get(key, 1)
+        for run in runners:
+            with pytest.raises(TypeError, match=re.escape(repr(typo))):
+                run(params)
+
+    rejects(None, "bogus_knob")
+    if not keys:
+        return  # a kind without parameters has nothing to misspell
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(_misspellings(keys))
+    def check(misspelling):
+        rejects(*misspelling)
+
+    check()
 
 
-@pytest.mark.parametrize("kind,defaults", [
-    ("dse_encoder", "_DSE_DEFAULTS"),
-    ("dse_chiplet", "_CHIPLET_DEFAULTS"),
-])
-def test_analytic_dse_defaults_match_the_engine_signature(kind, defaults):
-    """The analytic evaluator resolves partial points with its own defaults
-    table; it must equal the engine runner's signature defaults, or the two
-    backends would evaluate different designs for the same scenario."""
-    import inspect
-
-    from repro.xnn import analytic
-
-    signature = inspect.signature(REGISTRY.runner(kind, "engine"))
-    assert {name: parameter.default
-            for name, parameter in signature.parameters.items()} == \
-        getattr(analytic, defaults)
+@pytest.mark.parametrize("kind", ["dse_encoder", "dse_chiplet"])
+@pytest.mark.parametrize("sparse", [{}, {"seq_len": 64, "num_mme": 4}])
+def test_sparse_dse_points_agree_across_backends(kind, sparse):
+    """A partially specified point names one design on both backends: the
+    engine and analytic runners report byte-identical DDR/LPDDR traffic
+    and an analytic latency no greater than the engine's."""
+    engine = REGISTRY.runner(kind, "engine")(**sparse)
+    analytic = REGISTRY.runner(kind, "analytic")(**sparse)
+    assert analytic["ddr_bytes"] == engine["ddr_bytes"]
+    assert analytic["lpddr_bytes"] == engine["lpddr_bytes"]
+    assert analytic["latency_s"] <= engine["latency_s"] * (1.0 + 1e-9)
 
 
 def test_serial_sweep_routes_batch_kinds_and_matches_scalar():

@@ -7,7 +7,7 @@ space -- small enough that even the cycle-level verification phase is cheap
 * the verified frontier is non-empty and every verified point satisfies the
   analytic lower-bound + byte-identical-traffic contract;
 * a second identical exploration is served entirely from cache and produces
-  a byte-identical report;
+  a byte-identical report (also on the 12-point ``chiplet-smoke`` space);
 * explorations are deterministic under a fixed seed.
 """
 
@@ -49,12 +49,17 @@ class TestExploration:
             assert 0.0 < point.latency_ratio <= 1.0 + 1e-9
         assert report.contract_ok
 
-    def test_cache_reproducible_second_run(self, cache):
-        space, strategy = get_space("encoder-smoke"), get_strategy("halving")
-        first = run_exploration(space, strategy, budget=16, verify_top=3,
-                                seed=7, cache=cache)
-        second = run_exploration(space, strategy, budget=16, verify_top=3,
-                                 seed=7, cache=cache)
+    @pytest.mark.parametrize("space_name,strategy_name,budget,verify_top", [
+        ("encoder-smoke", "halving", 16, 3),
+        ("chiplet-smoke", "grid", 12, 4),
+    ])
+    def test_cache_reproducible_second_run(self, space_name, strategy_name,
+                                           budget, verify_top, cache):
+        space, strategy = get_space(space_name), get_strategy(strategy_name)
+        first = run_exploration(space, strategy, budget=budget,
+                                verify_top=verify_top, seed=7, cache=cache)
+        second = run_exploration(space, strategy, budget=budget,
+                                 verify_top=verify_top, seed=7, cache=cache)
         assert second.proxy_cache_hits == second.evaluations
         assert _strip_volatile(first.to_dict()) == \
             _strip_volatile(second.to_dict())

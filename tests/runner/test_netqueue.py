@@ -199,6 +199,24 @@ class TestNetSpoolRoundTrips:
         assert client.live_workers(within_s=60.0) == []
         client.close()
 
+    def test_worker_without_the_memo_dir_completes_the_job(self, server,
+                                                           tmp_path):
+        # Over tcp:// the worker may share no filesystem with the submitter:
+        # a memo directory it cannot create must not fail the job.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        client = NetSpool(server.url).ensure()
+        payload = _job_payload("b.00000000")
+        payload["segment_memo_dir"] = str(blocker / "segments")
+        client.enqueue("b.00000000", payload)
+        processed = run_worker(server.url, poll_s=0.01, max_jobs=1,
+                               worker_id="tcp-worker")
+        assert processed == 1
+        result = json.loads(client.take_results("b.")["b.00000000"])
+        assert "error" not in result, result.get("error")
+        assert len(result["results"]) == 1
+        client.close()
+
     def test_gc_over_the_network(self, server):
         client = NetSpool(server.url).ensure()
         client.enqueue("b.00000000", _job_payload("b.00000000"))

@@ -15,7 +15,7 @@ import pytest
 
 from repro.runner import cache as cache_module
 from repro.runner.cache import ResultCache, SegmentMemo
-from repro.runner.sweep import run_sweep
+from repro.runner.sweep import _run_chunk, run_sweep
 from repro.xnn import CodegenOptions, XNNConfig, XNNExecutor
 from repro.xnn.codegen import ProgramBuilder
 from repro.xnn.datapath import XNNDatapath
@@ -219,6 +219,21 @@ class TestSweepWiring:
         # engine_chain runs the raw engine (no executor), so only the wiring
         # is observable here: the memo must now point at the cache directory.
         assert cache_module.process_segment_memo().root == cache.segments_dir
+
+    @pytest.mark.parametrize("where", ["under a regular file", "absent"])
+    def test_chunk_without_the_memo_dir_runs_memory_only(self, tmp_path, where):
+        # A worker on another host receives the submitter's absolute memo
+        # path.  Where that path is unusable or absent, the chunk must still
+        # run, and the worker must create nothing on its own host.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        parent = blocker if where == "under a regular file" else tmp_path / "cache"
+        memo_dir = parent / "segments"
+        results, _ = _run_chunk(("dse_encoder", [{}]), backend="analytic",
+                                segment_memo_dir=str(memo_dir))
+        assert len(results) == 1
+        assert not memo_dir.exists()
+        assert cache_module.process_segment_memo().root is None
 
     def test_prune_keeps_current_and_drops_stale_segments(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
