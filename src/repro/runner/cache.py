@@ -27,6 +27,14 @@ and read back through :func:`decode_json_object`.  Those files are machine
 formats written on the work queue's critical path, so they carry no
 ``indent``: with any ``indent`` CPython's :mod:`json` falls back from its C
 encoder to the pure-Python one, which is 2-3x slower on a chunk's results.
+
+This module also owns the text format of a chunk on its way through the work
+queue, so a chunk's data is encoded once however many files it lands in.
+:func:`encode_params` builds the chunk's one canonical params text: it
+feeds the chunk key, the cache lookup, the spool job (:func:`chunk_job`) and
+the cache entry.  :func:`decode_result` reads a worker's result and hands back the
+text of its ``results`` member, which the entry splices in verbatim, so the
+submitter never re-encodes what a worker already encoded.
 """
 
 from __future__ import annotations
@@ -38,17 +46,22 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .scenarios import DEFAULT_BACKEND, Scenario, canonical_json
 
 __all__ = [
+    "EncodedJob",
     "PruneStats",
     "ResultCache",
     "SegmentMemo",
+    "chunk_job",
     "code_version",
     "configure_segment_memo",
     "decode_json_object",
+    "decode_result",
+    "encode_params",
+    "json_text",
     "process_segment_memo",
     "read_json_object",
     "write_json_atomic",
@@ -80,14 +93,30 @@ def code_version() -> str:
 # ------------------------------------------------------------- JSON files
 
 
-def write_json_atomic(path: os.PathLike, payload: Any) -> Path:
-    """Write ``payload`` to ``path`` as key-sorted, single-line JSON.
+def json_text(payload: Any) -> str:
+    """The text of the JSON file that holds ``payload``.
 
-    There is deliberately no ``indent``: any ``indent`` makes CPython's
-    :mod:`json` skip its C encoder for the pure-Python one, 2-3x slower on
-    a 3,840-point chunk's results, and every spool job, result and cache
-    entry passes through here.  The default separators stay, so the text
-    still reads ``"key": value``.
+    A ``str`` is taken to be JSON text already, and an :class:`EncodedJob`
+    carries its own text, so neither is encoded again.  Anything else is
+    encoded key-sorted on one line.  There is deliberately no ``indent``:
+    any ``indent`` makes CPython's :mod:`json` skip its C encoder for the
+    pure-Python one, 2-3x slower on a 3,840-point chunk's results.  The
+    default separators stay, so the text still reads ``"key": value``.
+    """
+    if isinstance(payload, str):
+        return payload
+    if isinstance(payload, EncodedJob):
+        return payload.text
+    return json.dumps(payload, sort_keys=True)
+
+
+def write_json_atomic(path: os.PathLike, payload: Any) -> Path:
+    """Write ``payload`` to ``path`` as the text :func:`json_text` gives.
+
+    Every spool job, result and cache entry passes through here.  A job or
+    an entry arrives as text built from its chunk's one params text, and a
+    result relayed by the network transport as the worker's own text; those
+    are written verbatim, never decoded and encoded again.
 
     The text goes to a ``.tmp`` file in the same directory that is then
     ``os.replace``-d into place, so a reader never observes a partial file.
@@ -96,7 +125,7 @@ def write_json_atomic(path: os.PathLike, payload: Any) -> Path:
     reaps old ones).  Returns ``path``.
     """
     path = Path(path)
-    encoded = json.dumps(payload, sort_keys=True)
+    encoded = json_text(payload)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -125,6 +154,157 @@ def read_json_object(path: os.PathLike) -> Optional[Dict[str, Any]]:
         return decode_json_object(Path(path).read_text())
     except (OSError, ValueError):
         return None
+
+
+# ------------------------------------------------------- chunk text format
+
+
+def encode_params(params_list: Sequence[Dict[str, Any]]) -> str:
+    """The canonical params text of one chunk: :func:`canonical_json` of its
+    points' parameter mappings, in order.
+
+    A chunk's key, its spool job and its cache entry are all built from
+    this one text.  Raises ``ValueError`` for a non-finite float.
+    """
+    return canonical_json([dict(params) for params in params_list])
+
+
+def _object_text(members: Dict[str, str]) -> str:
+    """A JSON object from already-encoded member values, keys sorted, with
+    the separators ``json.dumps`` uses by default."""
+    return (
+        "{"
+        + ", ".join(f"{json.dumps(key)}: {members[key]}" for key in sorted(members))
+        + "}"
+    )
+
+
+class EncodedJob(dict):
+    """A spool job: the job object together with its JSON text.
+
+    The mapping is the job (``job``, ``chunk`` -- the ``kind`` and the list
+    of ``params`` --, ``backend``, ``segment_memo_dir``, ``code_version``);
+    ``text`` is its encoding, which every transport writes or ships as is.
+    Build one with :func:`chunk_job` and treat it as read-only: ``text``
+    does not follow edits to the mapping.
+    """
+
+    __slots__ = ("text",)
+
+
+def chunk_job(
+    job_id: str,
+    kind: str,
+    params_list: Sequence[Dict[str, Any]],
+    backend: str,
+    segment_memo_dir: Optional[str],
+    params_text: Optional[str] = None,
+) -> EncodedJob:
+    """The spool job for one chunk.
+
+    ``params_text`` is the chunk's :func:`encode_params` text when the
+    caller built it already (for the chunk key); the job text embeds it
+    instead of encoding the parameters again.
+    """
+    if params_text is None:
+        params_text = encode_params(params_list)
+    version = code_version()
+    job = EncodedJob(
+        job=job_id,
+        chunk={"kind": kind, "params": list(params_list)},
+        backend=backend,
+        segment_memo_dir=segment_memo_dir,
+        code_version=version,
+    )
+    job.text = _object_text(
+        {
+            "backend": json.dumps(backend),
+            "chunk": _object_text({"kind": json.dumps(kind), "params": params_text}),
+            "code_version": json.dumps(version),
+            "job": json.dumps(job_id),
+            "segment_memo_dir": json.dumps(segment_memo_dir),
+        }
+    )
+    return job
+
+
+def read_chunk_job(
+    job: Dict[str, Any],
+) -> Tuple[str, List[Dict[str, Any]], str, Optional[str]]:
+    """``(kind, params_list, backend, segment_memo_dir)`` of a decoded spool
+    job; raises ``KeyError`` or ``TypeError`` when it is not shaped like one."""
+    kind = job["chunk"]["kind"]
+    params_list = job["chunk"]["params"]
+    if not isinstance(params_list, list):
+        raise TypeError("chunk params must be a list")
+    return kind, params_list, job["backend"], job.get("segment_memo_dir")
+
+
+def chunk_result_payload(
+    job_id: str,
+    worker_id: str,
+    kind: str,
+    results: List[Dict[str, Any]],
+    elapsed_s: float,
+) -> Dict[str, Any]:
+    """A worker's result for one chunk job; :func:`json_text` encodes it,
+    the chunk's results included, exactly once."""
+    return {
+        "job": job_id,
+        "worker": worker_id,
+        "kind": kind,
+        "results": results,
+        "elapsed_s": elapsed_s,
+        "code_version": code_version(),
+    }
+
+
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def decode_result(text: str) -> Tuple[Dict[str, Any], Optional[str]]:
+    """Parse a result file's ``text`` into its object and the text of its
+    ``results`` member (``None`` when it has none).
+
+    One pass over the text: each member value is decoded where it stands,
+    so the results list comes back both as objects and as the exact span
+    of text they were decoded from, whatever the member order.  The span is
+    valid JSON for exactly the decoded list, so a cache entry can splice it
+    in verbatim once the list passes its checks.  Raises ``ValueError``
+    when ``text`` is not a JSON object.
+    """
+    payload: Dict[str, Any] = {}
+    results_text: Optional[str] = None
+    index = _SPACE(text, 0).end()
+    if text[index : index + 1] != "{":
+        raise ValueError("expected a JSON object")
+    index = _SPACE(text, index + 1).end()
+    if text[index : index + 1] == "}":
+        index += 1
+    else:
+        while True:
+            if text[index : index + 1] != '"':
+                raise ValueError(f"expected a member name at {index}")
+            key, index = _DECODER.raw_decode(text, index)
+            index = _SPACE(text, index).end()
+            if text[index : index + 1] != ":":
+                raise ValueError(f"expected ':' at {index}")
+            start = _SPACE(text, index + 1).end()
+            payload[key], index = _DECODER.raw_decode(text, start)
+            if key == "results":
+                results_text = text[start:index]
+            index = _SPACE(text, index).end()
+            separator = text[index : index + 1]
+            if separator == "}":
+                index += 1
+                break
+            if separator != ",":
+                raise ValueError(f"expected ',' or '}}' at {index}")
+            index = _SPACE(text, index + 1).end()
+    if _SPACE(text, index).end() != len(text):
+        raise ValueError(f"extra data after the object at {index}")
+    return payload, results_text
 
 
 def _unlink(path: Path, warnings: Optional[List[str]] = None) -> bool:
@@ -195,6 +375,8 @@ class ResultCache:
         kind: str,
         params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
+        *,
+        params_text: Optional[str] = None,
     ) -> str:
         """Stable hash of one chunk entry's identity.
 
@@ -205,12 +387,22 @@ class ResultCache:
         produce different results for the same point; the code version
         because a source edit must invalidate every entry (and lets
         :meth:`prune` sweep superseded ones).
+
+        ``params_text`` is the chunk's :func:`encode_params` text when the
+        caller holds it already; the key is then a hash over it, with no
+        second encoding.  The text is spliced into
+        ``canonical_json({"kind": kind, "params": params_list})`` byte for
+        byte, so keys, and with them entry paths, do not depend on who
+        built the text.
         """
+        if params_text is None:
+            params_text = encode_params(params_list)
         identity = (
-            canonical_json(
-                {"kind": kind, "params": [dict(params) for params in params_list]}
-            )
-            + "|"
+            '{"kind":'
+            + canonical_json(kind)
+            + ',"params":'
+            + params_text
+            + "}|"
             + backend
             + "|"
             + code_version()
@@ -222,9 +414,11 @@ class ResultCache:
         kind: str,
         params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
+        *,
+        params_text: Optional[str] = None,
     ) -> Path:
         safe_kind = kind.replace("/", "__")
-        key = self.chunk_key(kind, params_list, backend)
+        key = self.chunk_key(kind, params_list, backend, params_text=params_text)
         return self.root / f"chunk__{safe_kind}-{key}.json"
 
     # ----------------------------------------------------------------- store
@@ -249,9 +443,23 @@ class ResultCache:
         results: List[Dict[str, Any]],
         elapsed_s: float,
         backend: str = DEFAULT_BACKEND,
+        *,
+        params_text: Optional[str] = None,
+        results_text: Optional[str] = None,
     ) -> Path:
-        """Persist one chunk's results atomically; returns the entry path."""
-        return self._store_entry(kind, params_list, results, elapsed_s, backend)
+        """Persist one chunk's results atomically; returns the entry path.
+
+        The entry is built as text around the chunk's params text and the
+        text of its results.  ``params_text`` is the chunk's
+        :func:`encode_params` text when the caller holds it (it keyed the
+        chunk with it); ``results_text`` is the JSON text ``results`` were
+        decoded from, when they arrived as text (a work-queue result, see
+        :func:`decode_result`).  Either is spliced in verbatim; only what
+        is missing is encoded here.
+        """
+        return self._store_entry(
+            kind, params_list, results, elapsed_s, backend, params_text, results_text
+        )
 
     def _store_entry(
         self,
@@ -260,22 +468,31 @@ class ResultCache:
         results: List[Dict[str, Any]],
         elapsed_s: float,
         backend: str,
+        params_text: Optional[str] = None,
+        results_text: Optional[str] = None,
     ) -> Path:
         if len(results) != len(params_list):
             raise ValueError(
                 f"chunk for kind {kind!r} has {len(params_list)} points but "
                 f"{len(results)} results"
             )
-        payload = {
-            "chunk": True,
-            "kind": kind,
-            "backend": backend,
-            "params": [dict(params) for params in params_list],
-            "code_version": code_version(),
-            "elapsed_s": elapsed_s,
-            "results": results,
-        }
-        return write_json_atomic(self.chunk_path(kind, params_list, backend), payload)
+        if params_text is None:
+            params_text = encode_params(params_list)
+        if results_text is None:
+            results_text = json.dumps(results, sort_keys=True)
+        entry = _object_text(
+            {
+                "backend": json.dumps(backend),
+                "chunk": "true",
+                "code_version": json.dumps(code_version()),
+                "elapsed_s": json.dumps(elapsed_s),
+                "kind": json.dumps(kind),
+                "params": params_text,
+                "results": results_text,
+            }
+        )
+        path = self.chunk_path(kind, params_list, backend, params_text=params_text)
+        return write_json_atomic(path, entry)
 
     # ------------------------------------------------------------------ load
 
@@ -292,18 +509,27 @@ class ResultCache:
         kind: str,
         params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
+        *,
+        params_text: Optional[str] = None,
     ) -> Optional[Dict[str, Any]]:
         """Return the cached chunk entry, or ``None`` on a miss.
 
         A hit requires the file to hold a JSON object whose recorded
         identity matches the requested kind, point parameters (order
         included), backend, and the current code version, with a results
-        list that is point-for-point complete -- a missing, corrupted,
-        partial, or foreign entry (hash-prefix collision, manual edit) is a
-        plain miss.  Entries of older code versions hash to other paths, so
-        there is no migration.
+        list that is point-for-point complete and holds one JSON object per
+        point -- a missing, corrupted, partial, or foreign entry
+        (hash-prefix collision, manual edit) is a plain miss.  Entries of
+        older code versions hash to other paths, so there is no migration.
+        ``params_text`` is the chunk's :func:`encode_params` text when the
+        caller holds it; it both keys the lookup and checks the entry's
+        recorded parameters.
         """
-        payload = read_json_object(self.chunk_path(kind, params_list, backend))
+        if params_text is None:
+            params_text = encode_params(params_list)
+        payload = read_json_object(
+            self.chunk_path(kind, params_list, backend, params_text=params_text)
+        )
         if payload is None:
             return None
         results = payload.get("results")
@@ -311,12 +537,16 @@ class ResultCache:
             payload.get("kind") != kind
             or payload.get("backend") != backend
             or payload.get("code_version") != code_version()
-            or canonical_json(payload.get("params"))
-            != canonical_json([dict(params) for params in params_list])
             or not isinstance(results, list)
             or len(results) != len(params_list)
+            or not all(isinstance(result, dict) for result in results)
         ):
             return None
+        try:
+            if canonical_json(payload.get("params")) != params_text:
+                return None
+        except ValueError:
+            return None  # non-finite floats: never a text this cache writes
         return payload
 
     # ------------------------------------------------------------- inventory

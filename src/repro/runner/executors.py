@@ -48,7 +48,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cache import code_version, decode_json_object, read_json_object, write_json_atomic
+from .cache import (
+    EncodedJob,
+    chunk_job,
+    code_version,
+    decode_result,
+    read_json_object,
+    write_json_atomic,
+)
 from .scenarios import DEFAULT_BACKEND
 
 __all__ = [
@@ -62,9 +69,33 @@ __all__ = [
     "open_spool",
 ]
 
-#: one **chunk job**: a scenario kind plus the parameter mappings of a
-#: contiguous slice of points -- one point for a kind without a batch runner.
-ChunkJob = Tuple[str, List[Dict[str, Any]]]
+
+class ChunkJob(tuple):
+    """One **chunk job**, ``(kind, params)``: a scenario kind plus the
+    parameter mappings of a contiguous slice of points -- one point for a
+    kind without a batch runner.  A plain ``(kind, params)`` tuple is a
+    chunk job too.
+
+    ``params_text`` is the chunk's canonical params text
+    (:func:`repro.runner.cache.encode_params`) when the submitter built it
+    already to key the chunk, else ``None``; the work queue ships it rather
+    than encoding the parameters again.  It never leaves the submitting
+    process: a chunk job pickles (into a pool worker) as a plain tuple.
+    """
+
+    def __new__(
+        cls,
+        kind: str,
+        params: List[Dict[str, Any]],
+        params_text: Optional[str] = None,
+    ) -> "ChunkJob":
+        job = super().__new__(cls, (kind, params))
+        job.params_text = params_text
+        return job
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
 
 #: what executing one chunk yields: the per-point result dicts (in the
 #: chunk's own order) and the chunk's wall seconds.
@@ -74,9 +105,11 @@ ChunkResult = Tuple[List[Dict[str, Any]], float]
 #: function; :func:`repro.runner.sweep` passes a pre-bound ``_run_chunk``.
 RunChunkFn = Callable[[ChunkJob], ChunkResult]
 
-#: ``on_result(index, chunk_result)`` -- called once per chunk as its result
-#: lands; :func:`repro.runner.sweep` stores the chunk's cache entry in it.
-OnResult = Callable[[int, ChunkResult], None]
+#: ``on_result(index, chunk_result, results_text)`` -- called once per chunk
+#: as its result lands; :func:`repro.runner.sweep` stores the chunk's cache
+#: entry in it.  ``results_text`` is the JSON text the chunk's results were
+#: decoded from when they arrived as text (the work queue), else ``None``.
+OnResult = Callable[[int, ChunkResult, Optional[str]], None]
 
 
 def _deliver(
@@ -86,7 +119,7 @@ def _deliver(
     delivered: List[ChunkResult] = []
     for index, chunk_result in enumerate(results):
         if on_result is not None:
-            on_result(index, chunk_result)
+            on_result(index, chunk_result, None)
         delivered.append(chunk_result)
     return delivered
 
@@ -134,30 +167,35 @@ class Executor:
 
     def submit_chunks(
         self,
-        chunks: Sequence[ChunkJob],
+        chunks: Iterable[ChunkJob],
         run_chunk_fn: RunChunkFn,
         on_result: Optional[OnResult] = None,
     ) -> List[ChunkResult]:
         """Execute **chunk jobs**, returning one :data:`ChunkResult` per
         input, in input order.
 
-        The base implementation runs every chunk in-process, in order,
-        which is exactly the serial policy; fan-out executors override it
-        to ship each chunk as a single unit of distributed work.  The
-        determinism contract extends to chunks: each per-point result is
-        byte-identical to what the scalar runner would have produced, so
-        splicing chunk results back in submission order reproduces the
-        serial path exactly.
+        ``chunks`` is any iterable, consumed once and lazily: a chunk is
+        pulled only when the executor is ready to start or ship it, so the
+        sweep layer can key and look up the next chunk in the cache while
+        the ones before it already run.  The base implementation runs every
+        chunk in-process, in order, which is exactly the serial policy;
+        fan-out executors override it to ship each chunk as a single unit
+        of distributed work.  The determinism contract extends to chunks:
+        each per-point result is byte-identical to what the scalar runner
+        would have produced, so splicing chunk results back in submission
+        order reproduces the serial path exactly.
 
-        ``on_result(index, chunk_result)``, when given, is called exactly
-        once per chunk, before this returns, as soon as that chunk's result
-        is available -- ``index`` is the chunk's position in ``chunks`` and
-        ``chunk_result`` the same tuple the returned list holds there.  Calls
-        come in completion order, which need not be input order, and always
-        in the submitting process, so the sweep layer writes each chunk's
-        cache entry while later chunks are still computing.  An exception
-        raised by ``on_result`` propagates out of this call (a fan-out
-        executor withdraws the rest of the batch first).
+        ``on_result(index, chunk_result, results_text)``, when given, is
+        called exactly once per chunk, before this returns, as soon as that
+        chunk's result is available -- ``index`` is the chunk's position in
+        ``chunks``, ``chunk_result`` the same tuple the returned list holds
+        there, and ``results_text`` the JSON text of its results when they
+        arrived as text (else ``None``).  Calls come in completion order,
+        which need not be input order, and always in the submitting
+        process, so the sweep layer writes each chunk's cache entry while
+        later chunks are still computing.  An exception raised by
+        ``on_result`` (or by ``chunks``) propagates out of this call (a
+        fan-out executor withdraws the rest of the batch first).
         """
         return _deliver(map(run_chunk_fn, chunks), on_result)
 
@@ -172,7 +210,8 @@ class ProcessPoolExecutor(Executor):
     """Fan chunk jobs out over a local ``multiprocessing`` pool.
 
     A pool is created per :meth:`submit_chunks` call and sized to
-    ``min(workers, len(chunks))``; single-chunk (or single-worker)
+    ``min(workers, len(chunks))`` -- so this executor draws every chunk
+    from its input before it starts; single-chunk (or single-worker)
     submissions run serially in-process, so a pool executor never pays fork
     overhead it cannot amortise.  ``run_chunk_fn`` crosses the process
     boundary pickled, which is why :func:`run_sweep` binds only
@@ -192,10 +231,11 @@ class ProcessPoolExecutor(Executor):
 
     def submit_chunks(
         self,
-        chunks: Sequence[ChunkJob],
+        chunks: Iterable[ChunkJob],
         run_chunk_fn: RunChunkFn,
         on_result: Optional[OnResult] = None,
     ) -> List[ChunkResult]:
+        chunks = list(chunks)
         if self.workers > 1 and len(chunks) > 1:
             import multiprocessing
 
@@ -226,6 +266,11 @@ _MEMO_KEY_RE = re.compile(r"[A-Za-z0-9-]{1,100}")
 #: magnitude past the largest design-space sweeps on the roadmap.  (The old
 #: 5-digit width silently broke claim ordering at 100k jobs.)
 _JOB_INDEX_WIDTH = 8
+
+#: characters of job text :meth:`WorkQueueExecutor._publish` holds back at
+#: most before it publishes them (a chunk of a design-space generation is
+#: larger on its own, so those chunks ship one by one).
+_PUBLISH_BYTES = 1 << 16
 
 
 def format_job_id(batch: str, index: int) -> str:
@@ -361,11 +406,17 @@ class Spool:
 
     # ------------------------------------------------------------------ jobs
 
-    def enqueue(self, job_id: str, payload: Dict[str, Any]) -> Path:
-        """Publish one job file atomically; returns its pending path."""
+    def enqueue(self, job_id: str, payload: Any) -> Path:
+        """Publish one job file atomically; returns its pending path.
+
+        ``payload`` is a job object, an
+        :class:`~repro.runner.cache.EncodedJob`, or a job's JSON text; the
+        last two are written verbatim (see
+        :func:`~repro.runner.cache.json_text`).
+        """
         return write_json_atomic(self.pending_dir / f"{job_id}.json", payload)
 
-    def enqueue_many(self, jobs: Sequence[Tuple[str, Dict[str, Any]]]) -> int:
+    def enqueue_many(self, jobs: Sequence[Tuple[str, Any]]) -> int:
         """Publish many ``(job_id, payload)`` jobs; returns the count.
 
         On the directory transport this is a plain loop; the network
@@ -480,14 +531,15 @@ class Spool:
 
     # --------------------------------------------------------------- results
 
-    def write_result(self, job_id: str, payload: Dict[str, Any]) -> Path:
-        """Publish one result file atomically; returns its path."""
+    def write_result(self, job_id: str, payload: Any) -> Path:
+        """Publish one result file atomically; returns its path.  A result's
+        JSON text (``str``) is written verbatim."""
         return write_json_atomic(self.result_path(job_id), payload)
 
     def result_path(self, job_id: str) -> Path:
         return self.results_dir / f"{job_id}.json"
 
-    def finish(self, claimed: _ClaimedJob, payload: Dict[str, Any]) -> bool:
+    def finish(self, claimed: _ClaimedJob, payload: Any) -> bool:
         """Publish the result of a claimed job and release the claim.
 
         Returns whether the result was accepted.  On the directory transport
@@ -813,19 +865,19 @@ class Spool:
         return {"removed": removed, "kept": kept, "max_age_s": max_age_s}
 
 
-def _chunk_result(
-    job_id: str, payload: Dict[str, Any], job: Dict[str, Any]
-) -> ChunkResult:
-    """The :data:`ChunkResult` a worker's result ``payload`` carries for
-    ``job``; raises ``RuntimeError`` when the payload breaks the batch-runner
-    contract (``results`` not a list of the chunk's length, ``elapsed_s``
-    missing or not a number)."""
+def _chunk_result(job_id: str, payload: Dict[str, Any], expected: int) -> ChunkResult:
+    """The :data:`ChunkResult` a worker's result ``payload`` carries for a
+    chunk of ``expected`` points; raises ``RuntimeError`` when the payload
+    breaks the batch-runner contract (``results`` not a list of the chunk's
+    length, a result that is not a JSON object, ``elapsed_s`` missing or
+    not a number)."""
     chunk_results = payload.get("results")
     elapsed_s = payload.get("elapsed_s")
-    expected = len(job["chunk"]["params"])
     if not isinstance(chunk_results, list) or len(chunk_results) != expected:
         got = len(chunk_results) if isinstance(chunk_results, list) else "no"
         problem = f"returned {got} result(s) for {expected} point(s)"
+    elif not all(isinstance(result, dict) for result in chunk_results):
+        problem = "returned a result that is not a JSON object"
     elif type(elapsed_s) not in (int, float):
         problem = f"reported elapsed_s {elapsed_s!r}, not a number of seconds"
     else:
@@ -867,9 +919,16 @@ class WorkQueueExecutor(Executor):
       report (matching the in-process executors, where the exception
       propagates directly).
 
-    Results are validated and handed to ``on_result`` as they are
-    collected, in completion order, so chunk-cache writes overlap the
-    workers' compute on the rest of the batch.
+    Each chunk is shipped as soon as the input yields it: the job text is
+    built around the chunk's params text (the one the sweep keyed it with,
+    when it did) and published before the next chunk is drawn, so the first
+    job reaches a worker while later chunks are still being keyed.  The
+    executor then keeps only ``(kind, params)`` per job, enough to rebuild
+    the pristine job for a retry.  Results are validated and handed to
+    ``on_result`` as they are collected, in completion order, together
+    with the worker's own text of the results, so chunk-cache writes splice
+    it in verbatim and overlap the workers' compute on the rest of the
+    batch.
     """
 
     name = "workqueue"
@@ -985,7 +1044,7 @@ class WorkQueueExecutor(Executor):
 
     def submit_chunks(
         self,
-        chunks: Sequence[ChunkJob],
+        chunks: Iterable[ChunkJob],
         run_chunk_fn: RunChunkFn,
         on_result: Optional[OnResult] = None,
     ) -> List[ChunkResult]:
@@ -997,43 +1056,75 @@ class WorkQueueExecutor(Executor):
         # worker forfeits (and a healthy one re-executes) the entire chunk,
         # never a partial slice of it.
         del run_chunk_fn
-        if not chunks:
-            return []
         batch = uuid.uuid4().hex[:10]
-        order: List[str] = []
-        payloads: Dict[str, Dict[str, Any]] = {}
-        for index, (kind, params_list) in enumerate(chunks):
-            job_id = format_job_id(batch, index)
-            payloads[job_id] = {
-                "job": job_id,
-                "chunk": {"kind": kind, "params": list(params_list)},
-                "backend": self.backend,
-                "segment_memo_dir": self.segment_memo_dir,
-                "code_version": code_version(),
-            }
-            order.append(job_id)
-        self.spool.ensure()
+        shipped: List[ChunkJob] = []
         try:
-            self.spool.enqueue_many([(job_id, payloads[job_id]) for job_id in order])
-            self._spawn_local_workers()
-            collected = self._collect(batch, order, payloads, on_result)
+            self._publish(batch, chunks, shipped)
+            if not shipped:
+                return []
+            return self._collect(batch, shipped, on_result)
         except BaseException:
-            self.spool.abandon(f"{batch}.")
+            if shipped:
+                self.spool.abandon(f"{batch}.")
             raise
-        return [collected[job_id] for job_id in order]
+
+    # ----------------------------------------------------------- publication
+
+    def _job(
+        self,
+        job_id: str,
+        kind: str,
+        params: List[Dict[str, Any]],
+        params_text: Optional[str] = None,
+    ) -> EncodedJob:
+        return chunk_job(
+            job_id, kind, params, self.backend, self.segment_memo_dir, params_text
+        )
+
+    def _publish(
+        self,
+        batch: str,
+        chunks: Iterable[ChunkJob],
+        shipped: List[ChunkJob],
+    ) -> None:
+        """Publish one job per chunk of ``chunks``, appending each chunk,
+        without its params text, to ``shipped`` (job ``i`` is
+        ``shipped[i]``).
+
+        The first job is published the moment it is built.  Later ones are
+        published as soon as the unpublished job texts reach
+        :data:`_PUBLISH_BYTES` -- every chunk of a design-space generation
+        does on its own -- or the input runs dry, so a sweep of thousands of
+        one-point jobs still costs the network transport few round-trips.
+        """
+        unpublished: List[Tuple[str, Any]] = []
+        size = 0
+        for chunk in chunks:
+            if not shipped:
+                self.spool.ensure()
+                self._spawn_local_workers()
+            kind, params = chunk
+            job_id = format_job_id(batch, len(shipped))
+            job = self._job(job_id, kind, params, getattr(chunk, "params_text", None))
+            shipped.append(ChunkJob(kind, params))
+            unpublished.append((job_id, job))
+            size += len(job.text)
+            if len(shipped) == 1 or size >= _PUBLISH_BYTES:
+                self.spool.enqueue_many(unpublished)
+                unpublished, size = [], 0
+        if unpublished:
+            self.spool.enqueue_many(unpublished)
 
     # ------------------------------------------------------------ collection
 
     def _collect(
         self,
         batch: str,
-        order: Sequence[str],
-        payloads: Dict[str, Dict[str, Any]],
+        shipped: Sequence[ChunkJob],
         on_result: Optional[OnResult],
-    ) -> Dict[str, ChunkResult]:
-        outstanding = set(order)
-        position = {job_id: index for index, job_id in enumerate(order)}
-        collected: Dict[str, ChunkResult] = {}
+    ) -> List[ChunkResult]:
+        outstanding = {format_job_id(batch, index) for index in range(len(shipped))}
+        collected: List[Optional[ChunkResult]] = [None] * len(shipped)
         requeues: Dict[str, int] = {}
         deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
         last_orphan_scan = time.monotonic()
@@ -1045,51 +1136,19 @@ class WorkQueueExecutor(Executor):
             # operations per pass against a possibly-remote spool.  Raw
             # texts come back so corrupted-result recovery is
             # transport-independent.
-            for job_id, raw in sorted(self.spool.take_results(prefix).items()):
+            taken = self.spool.take_results(prefix)
+            for job_id in sorted(taken):
+                raw = taken.pop(job_id)
                 if job_id not in outstanding:
                     continue  # duplicate from a requeue race; drop it
                 progress = True
-                try:
-                    payload = decode_json_object(raw)
-                except ValueError:
-                    # Externally corrupted result: retry the job.
-                    self._requeue(job_id, payloads, requeues, "corrupted result")
-                    continue
-                error = payload.get("error")
-                if error:
-                    if error.get("type") == "corrupt-job":
-                        self._requeue(job_id, payloads, requeues, "corrupted job")
-                        continue
-                    chunk = payloads[job_id]["chunk"]
-                    raise RuntimeError(
-                        f"workqueue job {job_id} (chunk {chunk['kind']}"
-                        f"[{len(chunk['params'])} points]) failed in "
-                        f"worker {payload.get('worker', '<unknown>')}: "
-                        f"{error.get('message', error)}"
-                    )
-                if payload.get("code_version") != code_version():
-                    raise RuntimeError(
-                        f"workqueue job {job_id} was executed by worker "
-                        f"{payload.get('worker', '<unknown>')} running a "
-                        "different code version; results would not be "
-                        "byte-identical.  Restart the workers from this "
-                        "source tree."
-                    )
-                chunk_result = _chunk_result(job_id, payload, payloads[job_id])
-                synced = payload.get("segment_memo")
-                if synced:
-                    # Fold the worker's piggybacked segment-memo entries into
-                    # this process's memo (absorb validates each against the
-                    # current code version), so later in-process work -- the
-                    # next generation of an exploration, a verify pass --
-                    # starts warm from what remote workers just simulated.
-                    from .cache import process_segment_memo
-
-                    process_segment_memo().absorb(synced)
-                collected[job_id] = chunk_result
-                outstanding.discard(job_id)
-                if on_result is not None:
-                    on_result(position[job_id], chunk_result)
+                index = int(job_id[len(prefix) :])
+                chunk_result = self._accept(
+                    job_id, raw, shipped[index], index, requeues, on_result
+                )
+                if chunk_result is not None:
+                    collected[index] = chunk_result
+                    outstanding.discard(job_id)
             if not outstanding:
                 break
             now = time.monotonic()
@@ -1114,12 +1173,65 @@ class WorkQueueExecutor(Executor):
                 )
             if not progress:
                 time.sleep(self.poll_s)
-        return collected
+        return collected  # type: ignore[return-value]
+
+    def _accept(
+        self,
+        job_id: str,
+        raw: str,
+        chunk: ChunkJob,
+        index: int,
+        requeues: Dict[str, int],
+        on_result: Optional[OnResult],
+    ) -> Optional[ChunkResult]:
+        """Check one job's result text and hand it to ``on_result``; returns
+        its :data:`ChunkResult`, or ``None`` when the job was re-published
+        instead.  The texts die with this call, right after ``on_result``
+        has written them into the chunk's cache entry."""
+        kind, params = chunk
+        try:
+            payload, results_text = decode_result(raw)
+        except ValueError:
+            # Externally corrupted result: retry the job.
+            self._requeue(job_id, chunk, requeues, "corrupted result")
+            return None
+        error = payload.get("error")
+        if error:
+            if error.get("type") == "corrupt-job":
+                self._requeue(job_id, chunk, requeues, "corrupted job")
+                return None
+            raise RuntimeError(
+                f"workqueue job {job_id} (chunk {kind}[{len(params)} points]) "
+                f"failed in worker {payload.get('worker', '<unknown>')}: "
+                f"{error.get('message', error)}"
+            )
+        if payload.get("code_version") != code_version():
+            raise RuntimeError(
+                f"workqueue job {job_id} was executed by worker "
+                f"{payload.get('worker', '<unknown>')} running a "
+                "different code version; results would not be "
+                "byte-identical.  Restart the workers from this "
+                "source tree."
+            )
+        chunk_result = _chunk_result(job_id, payload, len(params))
+        synced = payload.get("segment_memo")
+        if synced:
+            # Fold the worker's piggybacked segment-memo entries into this
+            # process's memo (absorb validates each against the current code
+            # version), so later in-process work -- the next generation of
+            # an exploration, a verify pass -- starts warm from what remote
+            # workers just simulated.
+            from .cache import process_segment_memo
+
+            process_segment_memo().absorb(synced)
+        if on_result is not None:
+            on_result(index, chunk_result, results_text)
+        return chunk_result
 
     def _requeue(
         self,
         job_id: str,
-        payloads: Dict[str, Dict[str, Any]],
+        chunk: ChunkJob,
         requeues: Dict[str, int],
         reason: str,
     ) -> None:
@@ -1131,7 +1243,8 @@ class WorkQueueExecutor(Executor):
                 f"(> max_requeues={self.max_requeues}); giving up.  Last "
                 f"failure: {reason}"
             )
-        self.spool.enqueue(job_id, payloads[job_id])
+        kind, params = chunk
+        self.spool.enqueue(job_id, self._job(job_id, kind, params))
 
     def _check_for_dead_pool(self, outstanding: Sequence[str]) -> None:
         """Fail fast when this executor's own workers all died and nobody

@@ -28,9 +28,11 @@ Protocol: one JSON object per line in each direction.  Requests carry an
 ``op``; responses are ``{"ok": true, ...}`` or ``{"ok": false, "error":
 message}``.  A malformed line is answered with an error and the connection
 is closed; an unknown ``op`` is an error but keeps the connection.  Jobs
-and results cross the wire as *raw text*, so corrupted-payload recovery
-behaves identically over both transports -- and so the transport never
-reads the chunk jobs it carries (see
+and results cross the wire as *raw text* in both directions (``raw`` on
+``enqueue``/``result``, ``jobs`` pairs on ``enqueue_many``), and the server
+writes that text into its spool verbatim.  So corrupted-payload recovery
+behaves identically over both transports, and the transport never decodes
+or re-encodes the chunk jobs and results it carries (see
 :meth:`repro.runner.executors.WorkQueueExecutor.submit_chunks`).
 """
 
@@ -46,6 +48,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .cache import json_text
 from .executors import Spool, _sanitize_id
 
 __all__ = [
@@ -58,7 +61,8 @@ __all__ = [
 ]
 
 #: bumped on any wire-incompatible change; checked in the ``hello`` handshake.
-PROTOCOL_VERSION = 1
+#: Version 2 carries jobs and results as raw JSON text instead of objects.
+PROTOCOL_VERSION = 2
 
 #: default port when a ``tcp://host`` URL omits one.
 DEFAULT_PORT = 7733
@@ -111,6 +115,14 @@ class _NetClaimedJob:
 
 
 # --------------------------------------------------------------------- server
+
+
+def _text(raw: Any) -> str:
+    """A job or result as it crossed the wire: JSON text, stored verbatim
+    (a corrupted one is caught and retried end to end, like on disk)."""
+    if not isinstance(raw, str):
+        raise TypeError(f"expected a job or result as JSON text, got {raw!r:.40}")
+    return raw
 
 
 class _SpoolRequestHandler(socketserver.StreamRequestHandler):
@@ -215,12 +227,13 @@ class SpoolServer:
         return {"ok": True, "proto": PROTOCOL_VERSION, "root": str(self.spool.root)}
 
     def _op_enqueue(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        raw = _text(request["raw"])
         with self._lock:
-            self.spool.enqueue(str(request["job"]), request["payload"])
+            self.spool.enqueue(str(request["job"]), raw)
         return {"ok": True}
 
     def _op_enqueue_many(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        jobs = [(str(job_id), payload) for job_id, payload in request["jobs"]]
+        jobs = [(str(job_id), _text(raw)) for job_id, raw in request["jobs"]]
         with self._lock:
             count = self.spool.enqueue_many(jobs)
         return {"ok": True, "count": count}
@@ -248,6 +261,7 @@ class SpoolServer:
     def _op_result(self, request: Dict[str, Any]) -> Dict[str, Any]:
         job_id = str(request["job"])
         worker_id = _sanitize_id(str(request["worker"]))
+        raw = _text(request["raw"])
         claim_path = self.spool.claimed_dir / f"{job_id}@@{worker_id}.json"
         with self._lock:
             if not claim_path.exists():
@@ -256,7 +270,7 @@ class SpoolServer:
                 # Dropping the stale result here is the single-clock
                 # equivalent of the fs worker's vanished-claim path.
                 return {"ok": True, "accepted": False}
-            self.spool.write_result(job_id, request["payload"])
+            self.spool.write_result(job_id, raw)
             try:
                 claim_path.unlink()
             except OSError:
@@ -437,13 +451,14 @@ class NetSpool:
             self._log_dir = Path(tempfile.mkdtemp(prefix="repro-netspool-logs-"))
         return self._log_dir
 
-    def enqueue(self, job_id: str, payload: Dict[str, Any]) -> None:
-        self._call({"op": "enqueue", "job": job_id, "payload": payload})
+    def enqueue(self, job_id: str, payload: Any) -> None:
+        self._call({"op": "enqueue", "job": job_id, "raw": json_text(payload)})
 
-    def enqueue_many(self, jobs: Sequence[Tuple[str, Dict[str, Any]]]) -> int:
+    def enqueue_many(self, jobs: Sequence[Tuple[str, Any]]) -> int:
         if not jobs:
             return 0
-        response = self._call({"op": "enqueue_many", "jobs": list(jobs)})
+        wire = [[job_id, json_text(payload)] for job_id, payload in jobs]
+        response = self._call({"op": "enqueue_many", "jobs": wire})
         return int(response.get("count", len(jobs)))
 
     def claim(self, worker_id: str) -> Optional[_NetClaimedJob]:
@@ -456,14 +471,14 @@ class NetSpool:
             return None
         return _NetClaimedJob(str(job_id), str(response.get("raw", "")), worker_id)
 
-    def finish(self, claimed: _NetClaimedJob, payload: Dict[str, Any]) -> bool:
+    def finish(self, claimed: _NetClaimedJob, payload: Any) -> bool:
         try:
             response = self._call(
                 {
                     "op": "result",
                     "job": claimed.job_id,
                     "worker": claimed.worker_id,
-                    "payload": payload,
+                    "raw": json_text(payload),
                 }
             )
         except NetSpoolError:

@@ -36,9 +36,20 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from .cache import ResultCache, configure_segment_memo
+from .cache import ResultCache, configure_segment_memo, encode_params
 from .executors import ChunkJob, ChunkResult, Executor, OnResult, SerialExecutor
 from .scenarios import BACKENDS, DEFAULT_BACKEND, REGISTRY, Scenario
 
@@ -235,7 +246,7 @@ def _run_chunk(
 
 
 def _submit_misses(
-    chunks: List[ChunkJob],
+    chunks: Iterable[ChunkJob],
     executor: Executor,
     backend: str,
     cache: Optional[ResultCache],
@@ -260,6 +271,41 @@ def _submit_misses(
     )
 
 
+class _Shipped:
+    """The chunk jobs a generator yields, drawn one at a time on demand.
+
+    :meth:`~repro.runner.executors.Executor.submit_chunks` consumes its
+    chunks lazily, so the first pass pulls each job from ``jobs`` -- which
+    keys that chunk and looks it up in the cache -- only when the executor
+    asks for it.  The jobs drawn are remembered without their params texts
+    (those belong to the sweep, which releases them once used), so later
+    passes and ``len()`` -- which finishes the first pass -- see every
+    shipped chunk, as a list of chunk jobs would show them.
+    """
+
+    def __init__(self, jobs: Iterator[ChunkJob]):
+        self._jobs = jobs
+        self._drawn: List[ChunkJob] = []
+
+    def __iter__(self) -> Iterator[ChunkJob]:
+        index = 0
+        while True:
+            if index < len(self._drawn):
+                yield self._drawn[index]
+            else:
+                job = next(self._jobs, None)
+                if job is None:
+                    return
+                self._drawn.append(ChunkJob(*job[:2]))
+                yield job
+            index += 1
+
+    def __len__(self) -> int:
+        for _ in self:
+            pass
+        return len(self._drawn)
+
+
 def evaluate_chunked(
     kind: str,
     params_list: Sequence[Dict[str, Any]],
@@ -281,13 +327,21 @@ def evaluate_chunked(
     :func:`_run_chunk`); a kind with no runner at all on ``backend`` raises
     ``KeyError`` before anything executes.  ``cache`` stores one entry per
     *chunk* (see :meth:`~repro.runner.cache.ResultCache.chunk_key`), so a
-    warm rerun skips whole chunks without executing anything.  Each
-    missed chunk's entry is written as soon as its result lands, while the
-    executor is still computing the rest, so a generation that fails part
-    way keeps every chunk that finished.  ``align``
-    feeds the auto chunk-size heuristic so cache keys stay stable across
-    runs that share a design space.  Returns ``(results, cached_points)``
-    where ``cached_points`` counts points served from the chunk cache.
+    warm rerun skips whole chunks without executing anything.
+
+    Chunks are keyed and looked up one at a time, as the executor draws
+    them, and each miss is handed over before the next chunk is keyed, so
+    on the work queue the first job reaches a worker while later chunks
+    are still being keyed; no chunk that hits the cache is shipped.  With a
+    cache, each chunk's one params text keys it, travels in its job and is
+    spliced into its entry, and it is dropped once the entry is written;
+    without one, nothing here encodes the parameters.  Each missed chunk's
+    entry is written as soon as its result lands, while the executor is
+    still computing the rest, so a generation that fails part way keeps
+    every chunk that finished.  ``align`` feeds the auto chunk-size
+    heuristic so cache keys stay stable across runs that share a design
+    space.  Returns ``(results, cached_points)`` where ``cached_points``
+    counts points served from the chunk cache.
     """
     _validate_chunk_size(chunk_size)
     REGISTRY.runner(kind, backend)  # fail up front, not inside a worker
@@ -299,37 +353,51 @@ def evaluate_chunked(
         executor = SerialExecutor()
     size = _group_size(chunk_size, executor, total, align=align)
     results: List[Optional[Dict[str, Any]]] = [None] * total
-    pending: List[Tuple[int, int]] = []
+    spans: List[Tuple[int, int]] = []  # the shipped chunks, in submission order
+    texts: Dict[int, str] = {}  # shipped chunk -> params text, until stored
     cached_points = 0
-    for start, stop in partition_chunks(total, size):
-        part = params_list[start:stop]
-        payload = (
-            None
-            if (cache is None or force)
-            else cache.load_chunk(kind, part, backend=backend)
+
+    def misses() -> Iterator[ChunkJob]:
+        nonlocal cached_points
+        for start, stop in partition_chunks(total, size):
+            part = params_list[start:stop]
+            params_text = None
+            if cache is not None:
+                params_text = encode_params(part)
+                entry = (
+                    None
+                    if force
+                    else cache.load_chunk(
+                        kind, part, backend=backend, params_text=params_text
+                    )
+                )
+                if entry is not None:
+                    results[start:stop] = entry["results"]
+                    cached_points += stop - start
+                    continue
+                texts[len(spans)] = params_text
+            spans.append((start, stop))
+            yield ChunkJob(kind, part, params_text)
+
+    def store(
+        index: int, chunk_result: ChunkResult, results_text: Optional[str] = None
+    ) -> None:
+        start, stop = spans[index]
+        chunk_results, elapsed_s = chunk_result
+        cache.store_chunk(
+            kind,
+            params_list[start:stop],
+            chunk_results,
+            elapsed_s,
+            backend=backend,
+            params_text=texts.pop(index),
+            results_text=results_text,
         )
-        if payload is not None:
-            results[start:stop] = payload["results"]
-            cached_points += stop - start
-        else:
-            pending.append((start, stop))
-    if pending:
-        chunks: List[ChunkJob] = [
-            (kind, [dict(params) for params in params_list[start:stop]])
-            for start, stop in pending
-        ]
 
-        def store(index: int, chunk_result: ChunkResult) -> None:
-            start, stop = pending[index]
-            chunk_results, elapsed_s = chunk_result
-            cache.store_chunk(
-                kind, params_list[start:stop], chunk_results, elapsed_s, backend=backend
-            )
-
-        on_result = None if cache is None else store
-        raw = _submit_misses(chunks, executor, backend, cache, on_result)
-        for (start, stop), (chunk_results, _) in zip(pending, raw):
-            results[start:stop] = chunk_results
+    on_result = None if cache is None else store
+    raw = _submit_misses(_Shipped(misses()), executor, backend, cache, on_result)
+    for (start, stop), (chunk_results, _) in zip(spans, raw):
+        results[start:stop] = chunk_results
     return results, cached_points
 
 
@@ -432,7 +500,9 @@ def run_sweep(
         members.extend(singles)
         chunks = [(part[0].kind, [dict(s.params) for s in part]) for part in members]
 
-        def store(index: int, chunk_result: ChunkResult) -> None:
+        def store(
+            index: int, chunk_result: ChunkResult, results_text: Optional[str] = None
+        ) -> None:
             part = members[index]
             results, elapsed_s = chunk_result
             for scenario, result in zip(part, results):

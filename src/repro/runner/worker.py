@@ -27,7 +27,13 @@ import time
 import traceback
 from typing import Any, Dict, Optional
 
-from .cache import code_version, decode_json_object, process_segment_memo
+from .cache import (
+    chunk_result_payload,
+    code_version,
+    decode_json_object,
+    process_segment_memo,
+    read_chunk_job,
+)
 from .executors import open_spool
 
 __all__ = ["run_worker"]
@@ -100,12 +106,7 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
             f"this worker runs {code_version()}",
         )
     try:
-        kind = payload["chunk"]["kind"]
-        params_list = payload["chunk"]["params"]
-        if not isinstance(params_list, list):
-            raise TypeError("chunk params must be a list")
-        backend = payload["backend"]
-        segment_memo_dir = payload.get("segment_memo_dir")
+        kind, params_list, backend, segment_memo_dir = read_chunk_job(payload)
     except (KeyError, TypeError) as error:
         return _error(
             job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"
@@ -118,14 +119,9 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
         )
     except Exception:
         return _error(job_id, worker_id, "exception", traceback.format_exc())
-    payload = {
-        "job": job_id,
-        "worker": worker_id,
-        "kind": kind,
-        "results": results,
-        "elapsed_s": elapsed_s,
-        "code_version": code_version(),
-    }
+    # The transport encodes this payload once, results included; the
+    # submitter splices that text of the results into its cache entry.
+    payload = chunk_result_payload(job_id, worker_id, kind, results, elapsed_s)
     # Piggyback any segment-memo entries this job freshly simulated on the
     # result file: the submitter folds them into its own memo, and the
     # post-job memo_sync below shares them with sibling workers.

@@ -12,6 +12,7 @@ reruns that must not touch the executor at all.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -205,10 +206,19 @@ class TestChunkRecovery:
 
 
 class TestChunkCache:
-    def test_warm_rerun_serves_chunks_without_any_jobs(self, tmp_path):
+    @pytest.mark.parametrize("transport", ["dir", "tcp"])
+    def test_warm_rerun_serves_chunks_without_any_jobs(self, tmp_path,
+                                                       request, transport):
         kind, params = _generation()
         cache = ResultCache(tmp_path / "cache")
-        with WorkQueueExecutor(tmp_path / "spool", local_workers=1,
+        if transport == "tcp":
+            server = request.getfixturevalue("spoold")
+            cold_spool = warm_spool = server.url
+            pending_dir = server.spool.pending_dir
+        else:
+            cold_spool, warm_spool = tmp_path / "spool", tmp_path / "spool2"
+            pending_dir = warm_spool / "pending"
+        with WorkQueueExecutor(cold_spool, local_workers=1,
                                poll_s=0.02, timeout_s=600.0) as wq:
             cold, cold_hits = evaluate_chunked(
                 kind, params, backend="analytic", executor=wq, cache=cache,
@@ -217,14 +227,41 @@ class TestChunkCache:
         # The warm rerun must be served entirely from the chunk cache: a
         # zero-worker executor with a short timeout would fail any sweep
         # that published even one job.
-        with WorkQueueExecutor(tmp_path / "spool2", local_workers=0,
+        with WorkQueueExecutor(warm_spool, local_workers=0,
                                poll_s=0.02, timeout_s=5.0) as idle:
             warm, warm_hits = evaluate_chunked(
                 kind, params, backend="analytic", executor=idle, cache=cache,
                 chunk_size=4)
-            assert not list(idle.spool.pending_dir.glob("*.json"))
+            assert not list(pending_dir.glob("*.json"))
         assert warm_hits == len(params)
         assert _strip_results(warm) == _strip_results(cold)
+
+    def test_every_executor_writes_the_same_chunk_entries(self, tmp_path,
+                                                          spoold):
+        # A work-queue entry splices the worker's own text of the results
+        # (over either transport); a serial entry encodes the in-process
+        # results.  Both must land at the same paths with the same content.
+        kind, params = _generation()
+        entries = {}
+        for name, spool in (("serial", None), ("dir", tmp_path / "spool"),
+                            ("tcp", spoold.url)):
+            cache = ResultCache(tmp_path / f"cache-{name}")
+            if spool is None:
+                evaluate_chunked(kind, params, backend="analytic",
+                                 cache=cache, chunk_size=4)
+            else:
+                with WorkQueueExecutor(spool, local_workers=1, poll_s=0.02,
+                                       timeout_s=600.0) as wq:
+                    evaluate_chunked(kind, params, backend="analytic",
+                                     executor=wq, cache=cache, chunk_size=4)
+            entries[name] = {}
+            for path in cache.entries():
+                entry = json.loads(path.read_text())
+                entry.pop("elapsed_s")  # wall time, machine-dependent
+                entries[name][path.name] = canonical_json(entry)
+        assert len(entries["serial"]) == 4
+        assert entries["dir"] == entries["serial"]
+        assert entries["tcp"] == entries["serial"]
 
     def test_force_reruns_despite_warm_chunk_cache(self, tmp_path):
         kind, params = _generation()

@@ -51,6 +51,9 @@ class TestExploration:
 
     @pytest.mark.parametrize("space_name,strategy_name,budget,verify_top", [
         ("encoder-smoke", "halving", 16, 3),
+        # The CLI smoke run: explore --space encoder-smoke --strategy
+        # halving --budget 16 --verify-top 4 --seed 7.
+        ("encoder-smoke", "halving", 16, 4),
         ("chiplet-smoke", "grid", 12, 4),
     ])
     def test_cache_reproducible_second_run(self, space_name, strategy_name,
@@ -63,6 +66,15 @@ class TestExploration:
         assert second.proxy_cache_hits == second.evaluations
         assert _strip_volatile(first.to_dict()) == \
             _strip_volatile(second.to_dict())
+        assert second.frontier and second.verified and second.contract_ok
+
+    def test_grid_verifies_a_nonempty_frontier_at_verify_top_4(self, cache):
+        report = run_exploration(get_space("encoder-smoke"),
+                                 get_strategy("grid"), budget=16,
+                                 verify_top=4, seed=0, cache=cache)
+        assert report.frontier, "frontier must be non-empty"
+        assert report.verified, "verification must cover frontier points"
+        assert report.contract_ok
 
     def test_deterministic_under_seed_without_cache(self):
         space, strategy = get_space("encoder-smoke"), get_strategy("random")

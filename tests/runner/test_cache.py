@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.runner import REGISTRY, ResultCache, code_version
-from repro.runner.cache import read_json_object, write_json_atomic
+from repro.runner.cache import (decode_result, encode_params,
+                                read_json_object, write_json_atomic)
 from repro.runner.scenarios import Scenario
 
 
@@ -65,6 +66,15 @@ class TestResultCache:
         path.write_text(text)
         assert cache.load(scenario) is None
 
+    @pytest.mark.parametrize("results", [[None], [1], ["x"]])
+    def test_entry_with_non_object_results_is_a_miss(self, cache, results):
+        scenario = _scenario()
+        path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
+        payload = json.loads(path.read_text())
+        payload["results"] = results
+        path.write_text(json.dumps(payload))
+        assert cache.load(scenario) is None
+
     def test_clear_removes_entries(self, cache):
         cache.store(_scenario(), {"events": 1}, elapsed_s=0.0)
         cache.store(_scenario(n_msgs=11), {"events": 2}, elapsed_s=0.0)
@@ -120,6 +130,46 @@ class TestWriteJsonAtomic:
                   loaded["results"][1]["latency_s"], loaded["elapsed_s"])
         assert [repr(value) for value in floats] == \
             ["0.30000000000000004", "5e-324", "1.7976931348623157e+308"]
+
+
+class TestChunkTexts:
+    """The chunk text format: one params text per chunk, and a result's
+    results text read out in the same pass that decodes it."""
+
+    RESULT = {"job": "b.00000000", "worker": "w", "kind": "k",
+              "results": [{"latency_s": 1.5, "tags": ["a", "\u00e9"]},
+                          {"latency_s": None}],
+              "elapsed_s": 0.25, "segment_memo": [{"key": "k"}]}
+
+    @pytest.mark.parametrize("dumps", [
+        lambda p: json.dumps(p, sort_keys=True),
+        lambda p: json.dumps(p, indent=2),
+        lambda p: json.dumps(p, separators=(",", ":"), ensure_ascii=False),
+    ], ids=["sorted", "indented", "compact"])
+    def test_decode_result_matches_json_and_spans_the_results(self, dumps):
+        text = dumps(self.RESULT)
+        payload, results_text = decode_result(text)
+        assert payload == json.loads(text)
+        assert json.loads(results_text) == self.RESULT["results"]
+        assert results_text in text
+
+    def test_decode_result_without_results(self):
+        assert decode_result(' {"error": {"type": "x"}} ') == (
+            {"error": {"type": "x"}}, None)
+        assert decode_result("{}") == ({}, None)
+
+    @pytest.mark.parametrize("text", [
+        "", "[]", "{", '{"a" 1}', '{"a": 1,}', '{"a": 1} x', "{1: 2}",
+        '{"a": 1 "b": 2}', '{"a": 1', "{,}", "{not json"])
+    def test_decode_result_rejects_what_is_not_an_object(self, text):
+        with pytest.raises(ValueError):
+            decode_result(text)
+
+    def test_key_of_the_params_text_is_the_key_of_the_params(self, cache):
+        params = [{"n_msgs": 10, "stages": 1}, {"n_msgs": 11, "stages": 2}]
+        text = encode_params(params)
+        assert cache.chunk_key("k/\u00fc", params, "analytic") == \
+            cache.chunk_key("k/\u00fc", params, "analytic", params_text=text)
 
 
 class TestPrune:

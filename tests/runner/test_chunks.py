@@ -126,6 +126,7 @@ class _ScrambledExecutor(SerialExecutor):
         self.executed_sizes = []
 
     def submit_chunks(self, chunks, run_chunk_fn, on_result=None):
+        chunks = list(chunks)  # any iterable; reversing needs them all
         results = [None] * len(chunks)
         for position in reversed(range(len(chunks))):
             results[position] = run_chunk_fn(chunks[position])
@@ -298,6 +299,46 @@ class TestCacheWritesAsResultsLand:
         assert "error" not in box
         assert first_stores == [2]
         assert len(stores) == len(params)
+
+
+    def test_workqueue_ships_the_first_job_before_the_last_chunk_is_keyed(
+            self, tmp_path):
+        executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
+                                     timeout_s=60.0)
+        spool = executor.spool
+        cache = ResultCache(tmp_path / "cache")
+        # Each cache lookup (the chunk's key) records how many jobs the
+        # batch has published so far.
+        published = []
+        load_chunk = cache.load_chunk
+
+        def recording(*args, **kwargs):
+            published.append(len(list(spool.pending_dir.glob("*.json"))))
+            return load_chunk(*args, **kwargs)
+
+        cache.load_chunk = recording
+        params = [{"n_msgs": n, "stages": 1} for n in (5, 6, 7)]
+        box = {}
+
+        def submit():
+            try:
+                box["results"] = evaluate_chunked(
+                    "engine_chain", params, backend="analytic",
+                    executor=executor, cache=cache, chunk_size=1)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                box["error"] = error
+
+        thread = threading.Thread(target=submit, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while len(list(spool.pending_dir.glob("*.json"))) < len(params):
+            assert time.monotonic() < deadline, "jobs were never published"
+            time.sleep(0.01)
+        run_worker(spool.root, poll_s=0.01, max_jobs=3, worker_id="unit-worker")
+        thread.join(timeout=30.0)
+        assert "error" not in box
+        assert len(published) == len(params)
+        assert published[0] == 0 and published[-1] >= 1
 
 
 class TestInfeasibleGenerations:

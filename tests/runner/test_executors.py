@@ -470,7 +470,11 @@ class TestWorkQueueExecutorRecovery:
         {"results": {"events": 1}, "elapsed_s": 0.0},
         {"results": [{"events": 1}]},
         {"results": [{"events": 1}], "elapsed_s": "0.5"},
-    ], ids=["wrong-length", "not-a-list", "no-elapsed", "text-elapsed"])
+        {"results": [None], "elapsed_s": 0.0},
+        {"results": [1], "elapsed_s": 0.0},
+        {"results": ["x"], "elapsed_s": 0.0},
+    ], ids=["wrong-length", "not-a-list", "no-elapsed", "text-elapsed",
+            "null-result", "number-result", "string-result"])
     def test_result_breaking_the_batch_runner_contract_is_fatal(self, tmp_path,
                                                                 broken):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.runner.cache import code_version
+from repro.runner.cache import chunk_job, code_version
 from repro.runner.executors import Spool, open_spool
 from repro.runner.netqueue import (DEFAULT_PORT, NetSpool, NetSpoolError,
                                    PROTOCOL_VERSION, SpoolServer,
@@ -359,4 +359,34 @@ class TestMemoSyncOverTheNetwork:
         # Polling semantics: a dead (or old, pre-memo-sync) server means no
         # sharing this round, never a crashed worker.
         assert client.memo_sync([self._entry("d" * 64)]) == []
+        client.close()
+
+
+class TestWireTexts:
+    """Protocol 2: jobs and results cross the wire as JSON text that the
+    server stores verbatim, never decoded and encoded again."""
+
+    def test_job_and_result_texts_are_stored_byte_for_byte(self, server):
+        client = NetSpool(server.url).ensure()
+        job = chunk_job("b.00000000", CHEAP.kind, [dict(CHEAP.params)],
+                        "engine", None)
+        assert client.enqueue_many([("b.00000000", job)]) == 1
+        (pending,) = server.spool.pending_dir.glob("*.json")
+        assert pending.read_text() == job.text
+        claimed = client.claim("net-worker")
+        assert claimed.read() == job.text
+        result = '{"job": "b.00000000", "results": [{"events": 1}]}'
+        assert client.finish(claimed, result) is True
+        assert client.take_results("b.") == {"b.00000000": result}
+        client.close()
+
+    @pytest.mark.parametrize("op", ["enqueue", "result"])
+    def test_server_rejects_a_payload_that_is_not_text(self, server, op):
+        client = NetSpool(server.url).ensure()
+        request = {"op": op, "job": "b.00000000", "worker": "w",
+                   "raw": {"job": "b.00000000"}}
+        with pytest.raises(NetSpoolError, match="JSON text"):
+            client._call(request)
+        assert not list(server.spool.pending_dir.glob("*.json"))
+        assert not list(server.spool.results_dir.glob("*.json"))
         client.close()
