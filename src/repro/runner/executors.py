@@ -269,7 +269,9 @@ _JOB_INDEX_WIDTH = 8
 
 #: characters of job text :meth:`WorkQueueExecutor._publish` holds back at
 #: most before it publishes them (a chunk of a design-space generation is
-#: larger on its own, so those chunks ship one by one).
+#: larger on its own, so those chunks ship one by one).  The value is not
+#: tuned: 8 KiB and 1 MiB measured the same as 64 KiB within noise on
+#: ``benchmarks/bench_publish_batching.py``'s workload.
 _PUBLISH_BYTES = 1 << 16
 
 
@@ -1091,11 +1093,16 @@ class WorkQueueExecutor(Executor):
         without its params text, to ``shipped`` (job ``i`` is
         ``shipped[i]``).
 
-        The first job is published the moment it is built.  Later ones are
-        published as soon as the unpublished job texts reach
+        The first job is published the moment it is built, so a worker
+        starts on it while later chunks are still being keyed.  Later ones
+        are published as soon as the unpublished job texts reach
         :data:`_PUBLISH_BYTES` -- every chunk of a design-space generation
-        does on its own -- or the input runs dry, so a sweep of thousands of
-        one-point jobs still costs the network transport few round-trips.
+        does on its own -- or the input runs dry.  On the ``tcp://``
+        transport each ``enqueue_many`` is one round-trip, and a sweep of
+        1,000 one-point jobs over ``spoold`` ran about a tenth slower when
+        each job was published alone (``bench_publish_batching.py``;
+        DESIGN-PERF.md, "Per-chunk caching").  On the directory spool the
+        batching only holds jobs back a little; it measured no slower.
         """
         unpublished: List[Tuple[str, Any]] = []
         size = 0

@@ -281,6 +281,15 @@ class _Shipped:
     (those belong to the sweep, which releases them once used), so later
     passes and ``len()`` -- which finishes the first pass -- see every
     shipped chunk, as a list of chunk jobs would show them.
+
+    No executor needs either: the pool lists its input once, the serial
+    executor maps over it and the work queue iterates it once.  They are
+    here for code that hooks ``submit_chunks`` and reads its chunks after
+    the call -- perfbench's trace counters (``perfbench/layers.py``) take
+    ``len()`` of the chunks and iterate them again to report
+    ``runner.sweep.chunks``, ``runner.executors.jobs`` and
+    ``runner.executors.points``.  A plain generator would leave those
+    counters broken on ``--trace 1`` runs.
     """
 
     def __init__(self, jobs: Iterator[ChunkJob]):
