@@ -14,27 +14,32 @@ this module holds the objective-space mathematics both phases share:
   certified-lower-bound proxy can be trusted to *rank* designs even where its
   absolute latencies are optimistic.
 
-Everything is pure Python.  The pairwise helpers (:func:`dominates`,
-:func:`kendall_tau`) keep their O(n^2) formulations -- they only ever see
-small cohorts (verified frontiers of tens of points).
-:func:`pareto_frontier`, however, sits on the sharded-DSE hot path: an
-exploration extracts the frontier of its *entire candidate pool*, which at
-the 10^5--10^6-point scale made the naive all-pairs scan dominate the whole
-run (minutes of frontier extraction after seconds of chunked evaluation).
-It therefore uses the sorted-archive formulation -- O(n log n + n*f) for a
-frontier of size f -- which returns bit-identical indices.
+The pairwise helpers (:func:`dominates`, :func:`kendall_tau`) keep their
+pure-Python O(n^2) formulations -- they only ever see small cohorts
+(verified frontiers of tens of points).  :func:`pareto_frontier` and
+:func:`pareto_ranks`, however, sit on the DSE hot path: an exploration
+extracts the frontier of its *entire candidate pool* (10^4--10^6 points).
+They take either a sequence of points or an objective matrix
+(:func:`objective_matrix`, one row per point) and work on per-objective
+integer ranks in NumPy, returning exactly the indices of the all-pairs scan
+over :func:`dominates`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
+
+from .table import exact_column
 
 __all__ = [
     "MAXIMIZE",
     "MINIMIZE",
     "dominates",
     "kendall_tau",
+    "objective_matrix",
     "pareto_frontier",
     "pareto_ranks",
     "weighted_scalarization",
@@ -42,6 +47,13 @@ __all__ = [
 
 MINIMIZE = "min"
 MAXIMIZE = "max"
+
+#: largest int magnitude an objective matrix holds as float64: the
+#: difference of any two such ints is still exact in float64.
+_EXACT_INT = 2**52
+
+#: points as rows, or an objective matrix (:func:`objective_matrix`).
+Points = Union[Sequence[Sequence[float]], np.ndarray]
 
 
 def _check(points: Sequence[Sequence[float]], senses: Sequence[str]) -> None:
@@ -75,49 +87,106 @@ def dominates(a: Sequence[float], b: Sequence[float], senses: Sequence[str]) -> 
     return strictly_better
 
 
-def pareto_frontier(
-    points: Sequence[Sequence[float]], senses: Sequence[str]
-) -> List[int]:
+def objective_matrix(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One objective per column, one point per row, with no value rounded.
+
+    The matrix is float64 when every column is float or bool, or int with
+    every magnitude at most 2**52; otherwise it holds the Python values in
+    an object array, where comparisons and arithmetic are exact.
+    """
+    if not columns:
+        return np.empty((0, 0))
+    exact = all(
+        column.dtype.kind in "fb"
+        or (
+            column.dtype.kind in "iu"
+            and (not len(column) or int(np.abs(column).max()) <= _EXACT_INT)
+        )
+        for column in columns
+    )
+    if exact:
+        return np.column_stack([column.astype(np.float64) for column in columns])
+    matrix = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for index, column in enumerate(columns):
+        matrix[:, index] = column.tolist()
+    return matrix
+
+
+def _as_matrix(points: Points, senses: Sequence[str]) -> np.ndarray:
+    """``points`` as an objective matrix with one column per sense."""
+    if isinstance(points, np.ndarray):
+        _check((), senses)
+        if points.ndim != 2 or (len(points) and points.shape[1] != len(senses)):
+            raise ValueError(
+                f"objective matrix of shape {points.shape} for "
+                f"{len(senses)} senses"
+            )
+        return points
+    _check(points, senses)
+    columns = [exact_column(values) for values in zip(*points)]
+    return objective_matrix(columns) if columns else np.empty((len(points), 0))
+
+
+def _goodness(matrix: np.ndarray, senses: Sequence[str]) -> np.ndarray:
+    """Per-objective dense ranks, larger = better, as an int64 matrix.
+
+    Ranks keep every comparison of the values (equal values share a rank,
+    ``0.0`` and ``-0.0`` included), so dominance on ranks is dominance on
+    the objectives, whatever their type.
+    """
+    ranks = np.empty(matrix.shape, dtype=np.int64)
+    for index, sense in enumerate(senses):
+        _, inverse = np.unique(matrix[:, index], return_inverse=True)
+        inverse = inverse.reshape(-1)
+        ranks[:, index] = -inverse if sense == MINIMIZE else inverse
+    return ranks
+
+
+def _frontier(ranks: np.ndarray) -> np.ndarray:
+    """Positions of the non-dominated rows of a goodness-rank matrix,
+    ascending.
+
+    Rows are visited in lexicographically descending order, so a row can
+    only be dominated by an earlier one (a dominator is elementwise >= with
+    one coordinate strictly greater, hence lexicographically greater).  The
+    first remaining row is therefore on the frontier: it is admitted, and
+    every remaining row it dominates is dropped in one array operation.
+    Equal rows never dominate each other, so duplicates are all kept.
+    """
+    count, width = ranks.shape
+    if not width:
+        return np.arange(count)
+    order = np.lexsort(-ranks[:, ::-1].T)
+    remaining = ranks[order]
+    frontier = []
+    while len(order):
+        head = remaining[0]
+        frontier.append(order[0])
+        rest = remaining[1:]
+        dominated = (rest <= head).all(axis=1) & (rest < head).any(axis=1)
+        keep = ~dominated
+        order = order[1:][keep]
+        remaining = rest[keep]
+    return np.sort(np.array(frontier, dtype=np.intp))
+
+
+def pareto_frontier(points: Points, senses: Sequence[str]) -> List[int]:
     """Indices of the non-dominated points, in their original order.
 
-    Duplicate points are all kept (none dominates the other), so callers that
-    dedup by design identity keep exactly one representative per design.
-
-    Implementation: points are flipped to all-maximise form and visited in
-    lexicographically descending order, so a visitor can only ever be
-    dominated by an *already admitted* point (a dominator is elementwise >=
-    with one coordinate strictly greater, hence lexicographically greater;
-    and by transitivity every dominated point has a dominator on the global
-    frontier).  One archive scan per point replaces the all-pairs scan --
-    O(n log n + n*f) for a frontier of size f -- with exactly the naive
-    formulation's result: the archive is the global frontier, equal points
-    never block each other, and indices come back in original order.
+    ``points`` is a sequence of points or an objective matrix
+    (:func:`objective_matrix`).  Duplicate points are all kept (none
+    dominates the other), so callers that dedup by design identity keep
+    exactly one representative per design.  The result equals the
+    all-pairs scan over :func:`dominates`; the work is one array operation
+    per frontier point.
     """
-    _check(points, senses)
-    if not points:
+    matrix = _as_matrix(points, senses)
+    if not len(matrix):
         return []
-    flips = [-1.0 if sense == MINIMIZE else 1.0 for sense in senses]
-    keyed = [
-        (tuple(flip * value for flip, value in zip(flips, point)), index)
-        for index, point in enumerate(points)
-    ]
-    keyed.sort(reverse=True)
-    archive: List[tuple] = []
-    frontier = []
-    for key, index in keyed:
-        for other in archive:
-            if other != key and all(o >= k for o, k in zip(other, key)):
-                break  # dominated by an admitted (lex-greater) point
-        else:
-            archive.append(key)
-            frontier.append(index)
-    frontier.sort()
-    return frontier
+    return _frontier(_goodness(matrix, senses)).tolist()
 
 
-def pareto_ranks(
-    points: Sequence[Sequence[float]], senses: Sequence[str]
-) -> List[int]:
+def pareto_ranks(points: Points, senses: Sequence[str]) -> List[int]:
     """Non-domination rank of every point (0 = on the frontier).
 
     Rank r is the frontier of what remains after peeling ranks ``< r`` --
@@ -125,24 +194,25 @@ def pareto_ranks(
     this is unit-free, which is what makes it usable as the selection score
     for successive halving across wildly different objective scales.
     """
-    _check(points, senses)
-    ranks: List[Optional[int]] = [None] * len(points)
+    matrix = _as_matrix(points, senses)
+    ranks = np.zeros(len(matrix), dtype=np.int64)
+    if not len(matrix):
+        return []
+    goodness = _goodness(matrix, senses)
+    remaining = np.arange(len(matrix))
     rank = 0
-    remaining = list(range(len(points)))
-    while remaining:
-        peel = pareto_frontier([points[i] for i in remaining], senses)
-        for position in peel:
-            ranks[remaining[position]] = rank
-        peeled = set(peel)
-        remaining = [
-            i for position, i in enumerate(remaining) if position not in peeled
-        ]
+    while len(remaining):
+        peel = _frontier(goodness[remaining])
+        ranks[remaining[peel]] = rank
+        keep = np.ones(len(remaining), dtype=bool)
+        keep[peel] = False
+        remaining = remaining[keep]
         rank += 1
-    return ranks  # type: ignore[return-value]
+    return ranks.tolist()
 
 
 def weighted_scalarization(
-    points: Sequence[Sequence[float]],
+    points: Points,
     senses: Sequence[str],
     weights: Sequence[float],
 ) -> List[float]:
@@ -160,8 +230,9 @@ def weighted_scalarization(
     ``weights`` must align with ``senses``, be non-negative, and contain at
     least one positive entry.  Scores are comparable only within one call
     (the normalisation is cohort-relative, exactly like Pareto ranks).
+    ``points`` may be an objective matrix, as for :func:`pareto_frontier`.
     """
-    _check(points, senses)
+    matrix = _as_matrix(points, senses)
     if len(weights) != len(senses):
         raise ValueError(
             f"{len(weights)} weight(s) given for {len(senses)} objective(s)"
@@ -173,13 +244,13 @@ def weighted_scalarization(
             raise ValueError(f"weights must be non-negative, got {weight}")
     if not any(weight > 0 for weight in weights):
         raise ValueError("at least one weight must be positive")
-    if not points:
+    if not len(matrix):
         return []
-    scores = [0.0] * len(points)
+    scores = [0.0] * len(matrix)
     for column, (sense, weight) in enumerate(zip(senses, weights)):
         if not weight:
             continue
-        values = [point[column] for point in points]
+        values = matrix[:, column].tolist()
         lo, hi = min(values), max(values)
         span = hi - lo
         if not span:

@@ -24,12 +24,25 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..analysis.pareto import kendall_tau, pareto_frontier, weighted_scalarization
+import numpy as np
+
+from ..analysis.pareto import (
+    kendall_tau,
+    objective_matrix,
+    pareto_frontier,
+    weighted_scalarization,
+)
+from ..analysis.table import exact_column
 from ..runner.cache import ResultCache
 from ..runner.executors import Executor, SerialExecutor
 from ..runner.sweep import _validate_chunk_size, evaluate_chunked, run_sweep
 from .space import DesignSpace
-from .strategies import DEFAULT_HALVING_OBJECTIVES, Candidate, SearchStrategy
+from .strategies import (
+    DEFAULT_HALVING_OBJECTIVES,
+    Candidate,
+    SearchStrategy,
+    objective_columns,
+)
 
 __all__ = [
     "COST_OBJECTIVES",
@@ -64,6 +77,11 @@ class Objective:
                 f"payload {sorted(payload)}"
             )
         return payload[self.key]
+
+    def column(self, payloads: Sequence[Mapping[str, Any]]) -> np.ndarray:
+        """This objective over ``payloads`` (a table or any sequence of
+        payload dicts), as one column; ``KeyError`` like :meth:`value`."""
+        return objective_columns(payloads, [self.key], f"objective {self.name!r}")[0]
 
 
 #: display names for the canonical (payload key, sense) axes defined in
@@ -235,12 +253,6 @@ class ExplorationReport:
         }
 
 
-def _objective_vector(
-    payload: Mapping[str, Any], objectives: Sequence[Objective]
-) -> List[float]:
-    return [objective.value(payload) for objective in objectives]
-
-
 def validate_weights(
     weights: Optional[Mapping[str, float]],
     objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
@@ -260,9 +272,10 @@ def validate_weights(
                        f"known: {sorted(known)}")
 
 
-def _first_occurrences(candidates: Sequence[Candidate]) -> List[Candidate]:
-    """The first candidate of each point id, in order, without hashing an id
-    per candidate (a strategy may legitimately revisit points).
+def _first_occurrences(candidates: Sequence[Candidate]) -> List[int]:
+    """The positions of the first candidate of each point id, in order,
+    without hashing an id per candidate (a strategy may legitimately
+    revisit points).
 
     The cheap key is an assignment's values, read in the first candidate's
     axis order.  An :class:`Axis` holds no two equal values, so two points
@@ -270,14 +283,23 @@ def _first_occurrences(candidates: Sequence[Candidate]) -> List[Candidate]:
     candidate with other axis names or an unhashable value keys on its id,
     and a tie between cheap keys is settled by the ids, since equal values
     may still differ in canonical JSON (``1`` and ``1.0`` in an assignment
-    built by hand).
+    built by hand).  When no two cheap keys are equal -- no point was
+    revisited -- every candidate is a first occurrence.
     """
-    pool: List[Candidate] = []
-    first: Dict[Any, Candidate] = {}
-    tied_ids: Dict[Any, Set[str]] = {}
     names = tuple(candidates[0].assignment) if candidates else ()
     values_of = operator.itemgetter(*names) if names else (lambda _: ())
-    for candidate in candidates:
+    assignments = [candidate.assignment for candidate in candidates]
+    try:
+        if all(len(assignment) == len(names) for assignment in assignments) and (
+            len(set(map(values_of, assignments))) == len(assignments)
+        ):
+            return list(range(len(candidates)))
+    except (KeyError, TypeError):  # other names, or an unhashable value
+        pass
+    pool: List[int] = []
+    first: Dict[Any, Candidate] = {}
+    tied_ids: Dict[Any, Set[str]] = {}
+    for position, candidate in enumerate(candidates):
         assignment = candidate.assignment
         key: Any = None
         if len(assignment) == len(names):
@@ -291,13 +313,44 @@ def _first_occurrences(candidates: Sequence[Candidate]) -> List[Candidate]:
             head = first.get(key)
         if head is None:
             first[key] = candidate
-            pool.append(candidate)
+            pool.append(position)
             continue
         ids = tied_ids.setdefault(key, {head.point_id})
         if candidate.point_id not in ids:
             ids.add(candidate.point_id)
-            pool.append(candidate)
+            pool.append(position)
     return pool
+
+
+def _objective_columns(
+    pool: Sequence[Candidate], objectives: Sequence[Objective]
+) -> List[np.ndarray]:
+    """Each objective's values over ``pool``, read as columns of the tables
+    the candidates' payloads are rows of -- no payload row is built."""
+    if not pool:
+        return [np.empty(0) for _ in objectives]
+    sources: Dict[int, Tuple[Sequence[Any], List[int], List[int]]] = {}
+    for position, candidate in enumerate(pool):
+        source = sources.get(id(candidate.rows))
+        if source is None:
+            source = sources[id(candidate.rows)] = (candidate.rows, [], [])
+        source[1].append(position)
+        source[2].append(candidate.index)
+    columns = []
+    for objective in objectives:
+        parts = [
+            (positions, objective.column(rows)[indices])
+            for rows, positions, indices in sources.values()
+        ]
+        if len(parts) == 1:
+            columns.append(parts[0][1])
+            continue
+        values: List[Any] = [None] * len(pool)
+        for positions, part in parts:
+            for position, value in zip(positions, part.tolist()):
+                values[position] = value
+        columns.append(exact_column(values))
+    return columns
 
 
 def _verify_frontier(
@@ -423,7 +476,7 @@ def run_exploration(
 
     def evaluate(
         assignments: Sequence[Mapping[str, Any]], fidelity: float
-    ) -> List[Dict[str, Any]]:
+    ) -> Sequence[Dict[str, Any]]:
         payloads, chunk_hits = evaluate_chunked(
             space.kind,
             [space.point_params(a, fidelity) for a in assignments],
@@ -442,26 +495,28 @@ def run_exploration(
     candidates = strategy.search(space, budget, evaluate, rng)
     proxy_wall_s = time.perf_counter() - proxy_start
 
-    pool = _first_occurrences(candidates)
+    pool = [candidates[position] for position in _first_occurrences(candidates)]
 
     senses = [objective.sense for objective in objectives]
-    vectors = [_objective_vector(c.payload, objectives) for c in pool]
+    columns = _objective_columns(pool, objectives)
+    matrix = objective_matrix(columns)
     # Pool-relative weighted scores (the normalisation cohort is the whole
     # candidate pool, not just the frontier, so scores reflect the search).
     scores: Optional[List[float]] = None
     if weights is not None and pool:
         weight_vector = [weights.get(objective.key, 0.0)
                          for objective in objectives]
-        scores = weighted_scalarization(vectors, senses, weight_vector)
-    frontier_indices = pareto_frontier(vectors, senses) if pool else []
+        scores = weighted_scalarization(matrix, senses, weight_vector)
+    frontier_indices = pareto_frontier(matrix, senses) if pool else []
+    values = [column.tolist() for column in columns]
     frontier = []
     # Point ids are hashed here, for the frontier only.
     proxies: Dict[str, Candidate] = {}
     for index in frontier_indices:
         proxies[pool[index].point_id] = pool[index]
         named_values = {}
-        for objective, value in zip(objectives, vectors[index]):
-            named_values[objective.name] = value
+        for objective, column in zip(objectives, values):
+            named_values[objective.name] = column[index]
         frontier.append(
             FrontierPoint(
                 point_id=pool[index].point_id,

@@ -18,11 +18,12 @@ iterate the space in its canonical enumeration order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.pareto import pareto_ranks, weighted_scalarization
+import numpy as np
+
+from ..analysis.pareto import objective_matrix, pareto_ranks, weighted_scalarization
+from ..analysis.table import ColumnTable
 from .space import DesignSpace
 
 __all__ = [
@@ -34,28 +35,89 @@ __all__ = [
     "SearchStrategy",
     "SuccessiveHalving",
     "get_strategy",
+    "objective_columns",
     "strategy_names",
 ]
 
 
-@dataclass(frozen=True)
 class Candidate:
-    """One full-fidelity evaluated design point."""
+    """One full-fidelity evaluated design point.
 
-    assignment: Mapping[str, Any]
-    payload: Mapping[str, Any]
-    space: DesignSpace = field(repr=False, compare=False)
+    ``Candidate(assignment, payload, space)`` holds a ready payload
+    mapping; :meth:`row` points at row ``index`` of a generation's
+    :class:`~repro.analysis.table.ColumnTable` instead, and the payload is
+    built each time it is read -- a generation evaluates many points but a
+    report reads only its frontier's payloads.
+    """
 
-    @cached_property
+    __slots__ = ("assignment", "space", "rows", "index", "_point_id")
+
+    def __init__(
+        self,
+        assignment: Mapping[str, Any],
+        payload: Mapping[str, Any],
+        space: DesignSpace,
+    ):
+        self.assignment = assignment
+        self.space = space
+        #: the payloads this candidate's is one of, and its position there.
+        self.rows: Sequence[Mapping[str, Any]] = (payload,)
+        self.index = 0
+        self._point_id: Optional[str] = None
+
+    @classmethod
+    def row(
+        cls,
+        assignment: Mapping[str, Any],
+        table: ColumnTable,
+        index: int,
+        space: DesignSpace,
+    ) -> "Candidate":
+        """The candidate whose payload is row ``index`` of ``table``."""
+        candidate = cls.__new__(cls)
+        candidate.assignment = assignment
+        candidate.space = space
+        candidate.rows = table
+        candidate.index = index
+        candidate._point_id = None
+        return candidate
+
+    @property
+    def payload(self) -> Mapping[str, Any]:
+        return self.rows[self.index]
+
+    @property
     def point_id(self) -> str:
         """The point's stable id, hashed on first access: a generation
         evaluates many points but a report shows only its frontier's ids."""
-        return self.space.point_id(self.assignment)
+        if self._point_id is None:
+            self._point_id = self.space.point_id(self.assignment)
+        return self._point_id
+
+    def __repr__(self) -> str:
+        return f"Candidate(assignment={self.assignment!r})"
 
 
 #: ``evaluate(assignments, fidelity) -> payloads`` -- provided by the
-#: explorer; one payload dict per assignment, in order.
-EvaluateFn = Callable[[Sequence[Mapping[str, Any]], float], List[Dict[str, Any]]]
+#: explorer; a :class:`~repro.analysis.table.ColumnTable` with one payload
+#: row per assignment, in order (any sequence of payload dicts will do).
+EvaluateFn = Callable[[Sequence[Mapping[str, Any]], float], Sequence[Dict[str, Any]]]
+
+
+def objective_columns(
+    payloads: Sequence[Mapping[str, Any]], keys: Sequence[str], owner: str
+) -> List[np.ndarray]:
+    """The ``keys`` columns of ``payloads`` (a table or any sequence of
+    payload dicts); a missing key raises ``KeyError`` naming ``owner``,
+    the key and the first payload without it."""
+    table = ColumnTable.of(payloads)
+    columns = []
+    for key in keys:
+        try:
+            columns.append(table.column(key))
+        except KeyError as error:
+            raise KeyError(f"{owner}: {error.args[0]}") from None
+    return columns
 
 
 class SearchStrategy:
@@ -78,9 +140,10 @@ class SearchStrategy:
         assignments: Sequence[Mapping[str, Any]],
         payloads: Sequence[Dict[str, Any]],
     ) -> List[Candidate]:
+        table = ColumnTable.of(payloads)
         return [
-            Candidate(assignment=dict(assignment), payload=payload, space=space)
-            for assignment, payload in zip(assignments, payloads)
+            Candidate.row(dict(assignment), table, index, space)
+            for index, assignment in zip(range(len(table)), assignments)
         ]
 
 
@@ -247,25 +310,18 @@ class SuccessiveHalving(SearchStrategy):
 
         Non-domination rank by default; the weighted scalarisation when
         :attr:`weights` is set (both orders are consumed identically by the
-        deterministic ``(score, point_id)`` survivor sort).
+        deterministic ``(score, point_id)`` survivor sort).  Both read the
+        objective matrix of the payloads' columns.
         """
-        vectors = []
-        for payload in payloads:
-            vector = []
-            for key, _sense in self.objectives:
-                if key not in payload:
-                    raise KeyError(
-                        f"successive halving objective {key!r} missing "
-                        f"from payload {sorted(payload)}"
-                    )
-                vector.append(payload[key])
-            vectors.append(vector)
+        keys = [key for key, _sense in self.objectives]
+        matrix = objective_matrix(
+            objective_columns(payloads, keys, "successive halving objective")
+        )
         senses = [sense for _key, sense in self.objectives]
         if self.weights is not None:
-            weight_vector = [self.weights.get(key, 0.0)
-                             for key, _sense in self.objectives]
-            return weighted_scalarization(vectors, senses, weight_vector)
-        return pareto_ranks(vectors, senses)
+            weight_vector = [self.weights.get(key, 0.0) for key in keys]
+            return weighted_scalarization(matrix, senses, weight_vector)
+        return pareto_ranks(matrix, senses)
 
     # -------------------------------------------------------------- search
 
@@ -283,7 +339,7 @@ class SuccessiveHalving(SearchStrategy):
         else:
             cohort = list(points)
         rungs = len(sizes)
-        payloads: List[Dict[str, Any]] = []
+        payloads: Sequence[Dict[str, Any]] = []
         for rung, size in enumerate(sizes):
             cohort = cohort[:size]
             fidelity = self._fidelity(rung, rungs)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .scenarios import DEFAULT_BACKEND, Scenario, canonical_json
+from .scenarios import DEFAULT_BACKEND, Scenario, canonical_json, json_default
 
 __all__ = [
     "EncodedJob",
@@ -98,7 +98,9 @@ def json_text(payload: Any) -> str:
 
     A ``str`` is taken to be JSON text already, and an :class:`EncodedJob`
     carries its own text, so neither is encoded again.  Anything else is
-    encoded key-sorted on one line.  There is deliberately no ``indent``:
+    encoded key-sorted on one line, a
+    :class:`~repro.analysis.table.ColumnTable` as the list of its rows.
+    There is deliberately no ``indent``:
     any ``indent`` makes CPython's :mod:`json` skip its C encoder for the
     pure-Python one, 2-3x slower on a 3,840-point chunk's results.  The
     default separators stay, so the text still reads ``"key": value``.
@@ -107,7 +109,7 @@ def json_text(payload: Any) -> str:
         return payload
     if isinstance(payload, EncodedJob):
         return payload.text
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, default=json_default)
 
 
 def write_json_atomic(path: os.PathLike, payload: Any) -> Path:
@@ -479,7 +481,7 @@ class ResultCache:
         if params_text is None:
             params_text = encode_params(params_list)
         if results_text is None:
-            results_text = json.dumps(results, sort_keys=True)
+            results_text = json.dumps(results, sort_keys=True, default=json_default)
         entry = _object_text(
             {
                 "backend": json.dumps(backend),

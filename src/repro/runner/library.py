@@ -439,11 +439,12 @@ def _run_dse(kind: str):
     analytic evaluator does.  A single-chip point takes
     :func:`~repro.xnn.partition.dse_payload`, so ``num_chips=1`` payloads
     are byte-identical to ``dse_encoder``'s by construction.  For more
-    chips, the engine supplies the per-segment latencies and traffic; the
-    partition, link terms, cost and payload arithmetic are the same
-    :func:`~repro.xnn.partition.chiplet_payload` call the analytic
-    evaluator makes, so the chiplet analytic latency inherits the
-    per-segment lower-bound contract and the traffic stays byte-identical.
+    chips, the engine supplies the per-segment latencies and traffic to
+    :func:`~repro.xnn.partition.chiplet_payload`.  Both are batches of one
+    of the column arithmetic the analytic evaluator runs on a whole
+    generation (partition, link terms, cost and payload keys), so the
+    chiplet analytic latency inherits the per-segment lower-bound contract
+    and the traffic stays byte-identical.
     """
 
     def run(**raw) -> dict:

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -52,6 +53,9 @@ from typing import (
 from .cache import ResultCache, configure_segment_memo, encode_params
 from .executors import ChunkJob, ChunkResult, Executor, OnResult, SerialExecutor
 from .scenarios import BACKENDS, DEFAULT_BACKEND, REGISTRY, Scenario
+
+if TYPE_CHECKING:
+    from ..analysis.table import ColumnTable
 
 __all__ = [
     "SweepOutcome",
@@ -324,15 +328,19 @@ def evaluate_chunked(
     force: bool = False,
     chunk_size: Optional[Union[int, str]] = None,
     align: int = 1,
-) -> Tuple[List[Dict[str, Any]], int]:
+) -> Tuple[ColumnTable, int]:
     """Evaluate ``params_list`` under ``kind`` in chunk jobs sharded across
     ``executor``, with per-chunk result caching.
 
     The exploration layer's only evaluation front door: one parameter
-    mapping per point, results returned in input order, byte-identical to a
-    single in-process batch call (which is exactly what a serial executor
-    with the default ``chunk_size=None`` performs).  A kind without a batch
-    runner runs its scalar runner point by point inside each chunk (see
+    mapping per point, and one :class:`~repro.analysis.table.ColumnTable`
+    of results per call, in input order, byte-identical to a single
+    in-process batch call (which is exactly what a serial executor with the
+    default ``chunk_size=None`` performs, and whose table is returned as
+    is).  Several chunks -- computed tables, decoded work-queue results and
+    cache hits alike -- are spliced in order without building a row.  A
+    kind without a batch runner runs its scalar runner point by point
+    inside each chunk (see
     :func:`_run_chunk`); a kind with no runner at all on ``backend`` raises
     ``KeyError`` before anything executes.  ``cache`` stores one entry per
     *chunk* (see :meth:`~repro.runner.cache.ResultCache.chunk_key`), so a
@@ -349,26 +357,30 @@ def evaluate_chunked(
     still computing the rest, so a generation that fails part way keeps
     every chunk that finished.  ``align`` feeds the auto chunk-size
     heuristic so cache keys stay stable across runs that share a design
-    space.  Returns ``(results, cached_points)`` where ``cached_points``
+    space.  Returns ``(table, cached_points)`` where ``cached_points``
     counts points served from the chunk cache.
     """
+    from ..analysis.table import ColumnTable  # NumPy: imported where used
+
     _validate_chunk_size(chunk_size)
     REGISTRY.runner(kind, backend)  # fail up front, not inside a worker
     params_list = list(params_list)
     total = len(params_list)
     if total == 0:
-        return [], 0
+        return ColumnTable(), 0
     if executor is None:
         executor = SerialExecutor()
     size = _group_size(chunk_size, executor, total, align=align)
-    results: List[Optional[Dict[str, Any]]] = [None] * total
+    chunks = partition_chunks(total, size)
+    parts: List[Sequence[Dict[str, Any]]] = [[]] * len(chunks)
     spans: List[Tuple[int, int]] = []  # the shipped chunks, in submission order
+    shipped: List[int] = []  # the chunk position of each shipped chunk
     texts: Dict[int, str] = {}  # shipped chunk -> params text, until stored
     cached_points = 0
 
     def misses() -> Iterator[ChunkJob]:
         nonlocal cached_points
-        for start, stop in partition_chunks(total, size):
+        for position, (start, stop) in enumerate(chunks):
             part = params_list[start:stop]
             params_text = None
             if cache is not None:
@@ -381,11 +393,12 @@ def evaluate_chunked(
                     )
                 )
                 if entry is not None:
-                    results[start:stop] = entry["results"]
+                    parts[position] = entry["results"]
                     cached_points += stop - start
                     continue
                 texts[len(spans)] = params_text
             spans.append((start, stop))
+            shipped.append(position)
             yield ChunkJob(kind, part, params_text)
 
     def store(
@@ -405,9 +418,11 @@ def evaluate_chunked(
 
     on_result = None if cache is None else store
     raw = _submit_misses(_Shipped(misses()), executor, backend, cache, on_result)
-    for (start, stop), (chunk_results, _) in zip(spans, raw):
-        results[start:stop] = chunk_results
-    return results, cached_points
+    for position, (chunk_results, _) in zip(shipped, raw):
+        parts[position] = chunk_results
+    if len(parts) == 1:
+        return ColumnTable.of(parts[0]), cached_points
+    return ColumnTable.concat(parts), cached_points
 
 
 def run_sweep(

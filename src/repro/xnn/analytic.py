@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.roofline import ResourceRoofline
+from ..analysis.table import ColumnTable, exact_column
 from ..hardware.aie import AIEArrayModel, MMEGroupPlan
 from ..hardware.link import InterChipLink
 from ..hardware.memory import MemoryChannelModel, ddr_channel, lpddr_channel
@@ -56,10 +57,9 @@ from .mapping import attention_mapping_type
 from .partition import (
     EncoderPartition,
     _resolve_params,
-    chiplet_payload,
+    chiplet_table,
     design_cost,
     dse_design,
-    dse_payload,
     encoder_partition,
 )
 from .segmentation import SegmentKind, segment_model
@@ -397,12 +397,12 @@ class _SegmentSet:
 
 
 def _busy_grids(
-    tallies_per_point: Sequence[Sequence[_FrozenTally]],
+    tallies: Sequence[Sequence[_FrozenTally]],
     ddr_models: Sequence[MemoryChannelModel],
     lpddr_models: Sequence[MemoryChannelModel],
     mme_rate_column: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(point, segment) resource busy times, vectorized.
+    """Per-(design, segment) resource busy times, vectorized.
 
     The roofline's one definition.  Each bound is the exact serial occupancy
     the event-driven engine charges the corresponding FU: the channels' bulk
@@ -410,38 +410,26 @@ def _busy_grids(
     empty-transfer zero), the busiest MME's accumulated tile products over
     its rate, and the busiest MemC's fused-operator arithmetic over the MemC
     throughput.  Elementwise IEEE-754 float64 ops, so a cell does not depend
-    on which other points share the batch.
+    on which other rows share the batch.
 
-    The input grids are read once per distinct tally sequence and channel
-    model, keyed by object identity (the callers share one object per memo
-    key), and gathered into per-point rows with an index array: a batch
-    holds far fewer distinct tallies than points.
+    One row per distinct design and workload of a batch (its tallies, its
+    channel models and its MME rate): the caller gathers the points' rows
+    with an index array, since a batch holds far fewer distinct designs
+    than points.
     """
-    count = len(tallies_per_point)
-    segments = len(tallies_per_point[0])
-    shape = (count, segments)
-
-    def distinct(objects: Sequence[Any]) -> Tuple[List[Any], np.ndarray]:
-        """The distinct ``objects`` by identity, and each point's row."""
-        rows: Dict[int, int] = {}
-        index = [rows.setdefault(id(obj), len(rows)) for obj in objects]
-        firsts = list({id(obj): obj for obj in objects}.values())
-        return firsts, np.array(index, dtype=np.intp)
-
-    tally_sets, tally_rows = distinct(tallies_per_point)
+    count = len(tallies)
+    shape = (count, len(tallies[0]))
 
     def grid(attr: str) -> np.ndarray:
         return np.array(
-            [[getattr(tally, attr) for tally in tallies] for tallies in tally_sets],
+            [[getattr(tally, attr) for tally in row] for row in tallies],
             dtype=np.float64,
-        )[tally_rows]
+        )
 
     def columns(models: Sequence[MemoryChannelModel], *attrs: str) -> List[np.ndarray]:
-        distinct_models, model_rows = distinct(models)
         return [
-            np.array(
-                [getattr(model, attr) for model in distinct_models], dtype=np.float64
-            )[model_rows].reshape(count, 1)
+            np.array([getattr(model, attr) for model in models], dtype=np.float64)
+            .reshape(count, 1)
             for attr in attrs
         ]
 
@@ -503,32 +491,31 @@ _shape_key = itemgetter("batch", "seq_len", "model")
 class _BatchRows:
     """The shared per-call state behind one batched DSE evaluation.
 
-    Everything the payload constructors need, per point: the (feasible)
-    config and its probe key, the tallied segment set, and the vectorized
-    roofline results -- plus the per-call memo tables of the values many
-    points share (encoder configs by model name, ``design_cost`` results).
-    The tables live as long as the batch call, so memory stays bounded by
-    one generation's distinct keys.
+    Everything the payload columns need, per point: the (feasible) config
+    and its probe key, the design's per-chip peak, the vectorized segment
+    latencies, and the FLOP and traffic totals of its segment set -- plus
+    the per-call memo tables of the values many points share (encoder
+    configs by model name, ``design_cost`` results).  The tables live as
+    long as the batch call, so memory stays bounded by one generation's
+    distinct keys.
     """
 
     configs: List[XNNConfig]
     probe_keys: List[Tuple[Any, ...]]
-    segment_sets: List[_SegmentSet]
-    peak_flops: np.ndarray
+    peak_flops: List[float]
     segment_latency: np.ndarray
-    latency: np.ndarray
+    flops: np.ndarray
+    ddr_bytes: np.ndarray
+    lpddr_bytes: np.ndarray
     encoders: Dict[str, BertConfig]
     costs: Dict[Tuple[Any, ...], Tuple[float, float]] = field(default_factory=dict)
 
     def cost(
-        self,
-        index: int,
-        per_chip_peak: float,
-        num_chips: int = 1,
-        link: Optional[InterChipLink] = None,
+        self, index: int, num_chips: int = 1, link: Optional[InterChipLink] = None
     ) -> Tuple[float, float]:
         """:func:`design_cost` of one point, once per (probe, peak, chip
         count, link) key of the batch."""
+        per_chip_peak = self.peak_flops[index]
         key = (self.probe_keys[index], per_chip_peak, num_chips, link)
         cost = self.costs.get(key)
         if cost is None:
@@ -537,14 +524,16 @@ class _BatchRows:
             )
         return cost
 
-    def traffic(self, index: int) -> Tuple[int, int]:
-        """(ddr, lpddr) byte totals of one point, summed in segment order."""
-        ddr_bytes_total = 0
-        lpddr_bytes_total = 0
-        for tally in self.segment_sets[index].tallies:
-            ddr_bytes_total += tally.ddr_read_bytes + tally.ddr_write_bytes
-            lpddr_bytes_total += tally.lpddr_bytes
-        return ddr_bytes_total, lpddr_bytes_total
+
+def _totals(segment_set: _SegmentSet) -> Tuple[float, int, int]:
+    """(flops, ddr bytes, lpddr bytes) of one segment set, traffic summed in
+    segment order."""
+    ddr_bytes_total = 0
+    lpddr_bytes_total = 0
+    for tally in segment_set.tallies:
+        ddr_bytes_total += tally.ddr_read_bytes + tally.ddr_write_bytes
+        lpddr_bytes_total += tally.lpddr_bytes
+    return segment_set.total_flops, ddr_bytes_total, lpddr_bytes_total
 
 
 class EncoderBatchEvaluator:
@@ -570,6 +559,10 @@ class EncoderBatchEvaluator:
     3. **Vectorized rooflines** -- the per-point, bandwidth-dependent half
        (channel busy times, resource maxima, latency fold) is evaluated as
        NumPy float64 arrays over the whole batch (:func:`_busy_grids`).
+    4. **Column payloads** -- the DSE payloads are computed key by key as
+       NumPy columns (:func:`~repro.xnn.partition.chiplet_table`) and
+       returned as a :class:`~repro.analysis.table.ColumnTable`: a row is
+       built only where one is read.
 
     Neither the memo nor the batch composition changes a bit of any
     payload: the differential suite checks a fresh evaluator per point
@@ -628,44 +621,47 @@ class EncoderBatchEvaluator:
 
     def _gather(
         self, points: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]]
-    ) -> Tuple[List[_SegmentSet], np.ndarray, Tuple[np.ndarray, ...]]:
+    ) -> Tuple[List[_SegmentSet], np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
         """Tally ``(config, options, workload)`` points and run their
         vectorized busy grids: the one per-point loop of both resolvers.
 
-        Returns each point's segment set, each point's MME rate, and the
-        ``(ddr, lpddr, mme, memc)`` busy grids.  Points made of the same
-        config, options and workload objects (the DSE rows share one of
-        each per key) share one tally lookup and one pair of DDR and LPDDR
-        channel models.
+        Points made of the same config, options and workload objects (the
+        DSE rows share one of each per key) are one *design*: one tally
+        lookup, one pair of DDR and LPDDR channel models and one row of
+        busy grids.  Returns the designs' segment sets, each point's design
+        index, each point's MME rate, and the per-point ``(ddr, lpddr, mme,
+        memc)`` busy grids.
         """
-        count = len(points)
+        designs: Dict[Tuple[int, int, int], int] = {}
         segment_sets: List[_SegmentSet] = []
-        mme_rate = np.empty(count)
+        rates: List[float] = []
         ddr_models: List[MemoryChannelModel] = []
         lpddr_models: List[MemoryChannelModel] = []
-        resolved: Dict[Tuple[int, int, int], Tuple[Any, ...]] = {}
-        for index, (config, options, workload) in enumerate(points):
+        index: List[int] = []
+        for config, options, workload in points:
             key = (id(config), id(options), id(workload))
-            entry = resolved.get(key)
-            if entry is None:
+            design = designs.get(key)
+            if design is None:
                 model, segment_set = self._tallied(config, options, workload)
-                entry = resolved[key] = (
-                    segment_set,
-                    model.mme_rate,
-                    ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale),
-                    lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale),
+                design = designs[key] = len(segment_sets)
+                segment_sets.append(segment_set)
+                rates.append(model.mme_rate)
+                ddr_models.append(
+                    ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
                 )
-            segment_set, mme_rate[index], ddr_model, lpddr_model = entry
-            segment_sets.append(segment_set)
-            ddr_models.append(ddr_model)
-            lpddr_models.append(lpddr_model)
+                lpddr_models.append(
+                    lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
+                )
+            index.append(design)
+        rows = np.array(index, dtype=np.intp)
+        mme_rate = np.array(rates, dtype=np.float64)
         busy = _busy_grids(
             [segment_set.tallies for segment_set in segment_sets],
             ddr_models,
             lpddr_models,
-            mme_rate.reshape(count, 1),
+            mme_rate.reshape(-1, 1),
         )
-        return segment_sets, mme_rate, busy
+        return segment_sets, rows, mme_rate[rows], tuple(grid[rows] for grid in busy)
 
     def results(
         self, points: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]]
@@ -684,10 +680,11 @@ class EncoderBatchEvaluator:
         """
         if not points:
             return []
-        segment_sets, _, busy = self._gather(points)
+        segment_sets, designs, _, busy = self._gather(points)
         ddr_busy, lpddr_busy, mme_busy, memc_busy = busy
         results: List[EncoderResult] = []
-        for index, segment_set in enumerate(segment_sets):
+        for index, design in enumerate(designs.tolist()):
+            segment_set = segment_sets[design]
             result = EncoderResult(name=segment_set.name, batch=segment_set.batch)
             for position, tally in enumerate(segment_set.tallies):
                 roofline = ResourceRoofline(
@@ -725,7 +722,8 @@ class EncoderBatchEvaluator:
         Each point's config and codegen options come from
         :func:`~repro.xnn.partition.dse_design`, the engine runner's
         constructor, called once per design key; the workload, with its
-        encoder config, once per ``(batch, seq_len, model)``.
+        encoder config, once per ``(batch, seq_len, model)``; the FLOP and
+        traffic totals once per design.
         """
         count = len(param_sets)
         points: List[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]] = []
@@ -750,37 +748,35 @@ class EncoderBatchEvaluator:
             probe_keys.append(key[:3])
             num_mme[index] = params["num_mme"]
 
-        segment_sets, mme_rate, busy = self._gather(points)
+        segment_sets, designs, mme_rate, busy = self._gather(points)
         ddr_busy, lpddr_busy, mme_busy, memc_busy = busy
         # ResourceRoofline.latency_s: the max over resources (order-free).
         segment_latency = np.maximum(
             np.maximum(ddr_busy, lpddr_busy), np.maximum(mme_busy, memc_busy)
         )
-        # EncoderResult.latency_s: sum over segments in list order; float
-        # addition starting from 0.0 folds identically to a left-to-right
-        # pairwise chain, so cumulative add matches sum() exactly.
-        latency = np.zeros(count)
-        for segment_index in range(segment_latency.shape[1]):
-            latency = latency + segment_latency[:, segment_index]
-
+        flops, ddr_bytes, lpddr_bytes = (
+            exact_column(list(column))[designs]
+            for column in zip(*map(_totals, segment_sets))
+        )
         return _BatchRows(
             configs=[config for config, _, _ in points],
             probe_keys=probe_keys,
-            segment_sets=segment_sets,
-            peak_flops=num_mme * mme_rate,
+            peak_flops=(num_mme * mme_rate).tolist(),
             segment_latency=segment_latency,
-            latency=latency,
+            flops=flops,
+            ddr_bytes=ddr_bytes,
+            lpddr_bytes=lpddr_bytes,
             encoders=encoders,
         )
 
     def _evaluate(
         self, param_sets: Sequence[Mapping[str, Any]], encoder_config, kind: str
-    ) -> List[Dict[str, Any]]:
-        """One payload per parameter set of DSE kind ``kind``: every DSE
-        point is resolved against the kind's one defaults table (a key
-        outside it raises ``TypeError``), single-chip points take
-        :func:`dse_payload` and the rest :func:`chiplet_payload` -- the
-        engine runner's payload constructors.
+    ) -> ColumnTable:
+        """The payload table of DSE kind ``kind``'s parameter sets: every
+        DSE point is resolved against the kind's one defaults table (a key
+        outside it raises ``TypeError``), and the payload columns are
+        :func:`~repro.xnn.partition.chiplet_table`'s -- the arithmetic
+        behind the engine runner's payloads.
 
         The chiplet-only axes change no tally and no per-segment roofline,
         so every point shares the single-chip vectorized rows; the
@@ -790,80 +786,71 @@ class EncoderBatchEvaluator:
         link)``.
         """
         if not param_sets:
-            return []
+            return ColumnTable()
         resolved = [_resolve_params(raw, kind) for raw in param_sets]
         rows = self._rows(resolved, encoder_config)
-        partitions: Dict[Tuple[Any, ...], EncoderPartition] = {}
-        links: Dict[Tuple[Any, ...], InterChipLink] = {}
-        payloads: List[Dict[str, Any]] = []
+        count = len(resolved)
+        partitions: List[Optional[EncoderPartition]] = [None] * count
+        links: List[Optional[InterChipLink]] = [None] * count
+        costs: List[Tuple[float, float]] = []
+        partition_memo: Dict[Tuple[Any, ...], EncoderPartition] = {}
+        link_memo: Dict[Tuple[Any, ...], InterChipLink] = {}
         for index, params in enumerate(resolved):
-            batch = params["batch"]
-            per_chip_peak = float(rows.peak_flops[index])
-            ddr_bytes_total, lpddr_bytes_total = rows.traffic(index)
-            flops = rows.segment_sets[index].total_flops
             num_chips = params.get("num_chips", 1)
             if num_chips == 1:
-                payloads.append(
-                    dse_payload(
-                        latency_s=float(rows.latency[index]),
-                        flops=flops,
-                        ddr_bytes=ddr_bytes_total,
-                        lpddr_bytes=lpddr_bytes_total,
-                        batch=batch,
-                        num_mme=params["num_mme"],
-                        peak_flops=per_chip_peak,
-                        cost=rows.cost(index, per_chip_peak),
-                    )
-                )
+                costs.append(rows.cost(index))
                 continue
             link_key = (
                 params["link_gbs"],
                 params["link_hop_us"],
                 params["link_serialization_us"],
             )
-            link = links.get(link_key)
+            link = link_memo.get(link_key)
             if link is None:
-                link = links[link_key] = InterChipLink.from_design(*link_key)
-            shape_key = (batch, params["seq_len"], params["model"], num_chips)
-            partition = partitions.get(shape_key)
+                link = link_memo[link_key] = InterChipLink.from_design(*link_key)
+            shape_key = (params["batch"], params["seq_len"], params["model"], num_chips)
+            partition = partition_memo.get(shape_key)
             if partition is None:
-                partition = partitions[shape_key] = encoder_partition(
-                    batch,
+                partition = partition_memo[shape_key] = encoder_partition(
+                    params["batch"],
                     params["seq_len"],
                     num_chips,
                     config=rows.encoders[params["model"]],
                 )
-            payloads.append(
-                chiplet_payload(
-                    segment_latency_s=rows.segment_latency[index].tolist(),
-                    flops=flops,
-                    ddr_bytes=ddr_bytes_total,
-                    lpddr_bytes=lpddr_bytes_total,
-                    batch=batch,
-                    partition=partition,
-                    num_mme=params["num_mme"],
-                    per_chip_peak_flops=per_chip_peak,
-                    link=link,
-                    cost=rows.cost(index, per_chip_peak, num_chips, link),
-                )
-            )
-        return payloads
+            partitions[index] = partition
+            links[index] = link
+            costs.append(rows.cost(index, num_chips, link))
+        power_w, area_luts = zip(*costs)
+        return chiplet_table(
+            segment_latency_s=rows.segment_latency,
+            flops=rows.flops,
+            ddr_bytes=rows.ddr_bytes,
+            lpddr_bytes=rows.lpddr_bytes,
+            batch=[params["batch"] for params in resolved],
+            num_mme=[params["num_mme"] for params in resolved],
+            per_chip_peak_flops=np.array(rows.peak_flops),
+            partitions=partitions,
+            links=links,
+            power_w=power_w,
+            area_luts=area_luts,
+        )
 
     def evaluate_batch(
         self, param_sets: Sequence[Mapping[str, Any]], encoder_config
-    ) -> List[Dict[str, Any]]:
+    ) -> ColumnTable:
         """Evaluate many ``dse_encoder`` parameter sets in one pass.
 
         ``encoder_config`` maps a model name to its :class:`BertConfig`
         (injected by the runner layer so the supported-model catalogue cannot
-        diverge between the backends).  Returns one payload dict per
-        parameter set, in order.
+        diverge between the backends).  Returns a
+        :class:`~repro.analysis.table.ColumnTable` with one payload row per
+        parameter set, in order; a row is built only when it is read.
         """
         return self._evaluate(param_sets, encoder_config, "dse_encoder")
 
     def evaluate_chiplet_batch(
         self, param_sets: Sequence[Mapping[str, Any]], encoder_config
-    ) -> List[Dict[str, Any]]:
+    ) -> ColumnTable:
         """Evaluate many ``dse_chiplet`` parameter sets in one pass, like
         :meth:`evaluate_batch`; ``num_chips=1`` points get the exact
         ``dse_encoder`` payload."""

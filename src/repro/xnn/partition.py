@@ -11,9 +11,9 @@ evaluator share, so that the certified contracts hold *by construction*:
   once, in ``_DSE_DEFAULTS`` / ``_CHIPLET_DEFAULTS``; both backends resolve
   a point against them and build its config and codegen options with
   :func:`dse_design`, so a point names the same design on either backend.
-* ``num_chips=1`` points take :func:`dse_payload`, the single-chip
-  ``dse_encoder`` payload, verbatim -- which is what makes their payloads
-  byte-identical to that kind's.
+* ``num_chips=1`` points take the single-chip ``dse_encoder`` payload
+  (:func:`dse_table`) -- which is what makes their payloads byte-identical
+  to that kind's.
 * For ``num_chips>1``, the partition is chosen from backend-independent
   segment FLOP counts (:func:`encoder_segment_flops`), the link terms are
   identical pure-float arithmetic on both backends, and the only
@@ -23,12 +23,13 @@ evaluator share, so that the certified contracts hold *by construction*:
   the contract.  Off-chip traffic is untouched by partitioning (every chip
   keeps its segments' DDR/LPDDR transfers), so byte-identity also carries
   over unchanged.
-* :func:`dse_payload` and :func:`chiplet_payload` are the payload
-  constructors of both the engine runners and the batched analytic
-  evaluator.  The shape-only :class:`EncoderPartition`
-  (:func:`encoder_partition`) and the :func:`design_cost` input are
-  computed by the caller: once per point on the engine, once per distinct
-  key of what they read in the evaluator.
+* :func:`dse_table` and :func:`chiplet_table` hold the payload arithmetic,
+  once, as NumPy columns over a batch of points: the batched analytic
+  evaluator calls them on a whole generation, and the engine runners call
+  :func:`dse_payload` / :func:`chiplet_payload`, their batches of one.  The
+  shape-only :class:`EncoderPartition` (:func:`encoder_partition`) and the
+  :func:`design_cost` input are computed by the caller: once per point on
+  the engine, once per distinct key of what they read in the evaluator.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.roofline import pipeline_roofline
+import numpy as np
+
+from ..analysis.table import ColumnTable, exact_column
 from ..hardware.cost import design_area_luts, design_power_w
 from ..hardware.link import InterChipLink
 from ..workloads.bert import BERT_LARGE, BertConfig, bert_large_encoder
@@ -51,9 +54,11 @@ __all__ = [
     "EncoderPartition",
     "chiplet_metrics",
     "chiplet_payload",
+    "chiplet_table",
     "design_cost",
     "dse_design",
     "dse_payload",
+    "dse_table",
     "encoder_boundary_bytes",
     "encoder_partition",
     "encoder_segment_flops",
@@ -174,7 +179,8 @@ def encoder_partition(
 
 @dataclass(frozen=True)
 class ChipletMetrics:
-    """The latency-side numbers of one partitioned multi-chip evaluation."""
+    """The latency-side numbers of one partitioned multi-chip evaluation: a
+    one-point view of the arithmetic :func:`chiplet_table` runs per batch."""
 
     #: end-to-end latency of one task: all segments serial + link transfers.
     latency_s: float
@@ -184,26 +190,15 @@ class ChipletMetrics:
     link_s: float
     #: steady-state initiation interval: busiest pipeline stage (chip or link).
     max_stage_s: float
-    #: per-stage busy times (``chip0``, ``link0``, ``chip1``, ...).
+    #: per-stage busy times (``chip0``, ``chip1``, ..., ``link0``, ...).
     stage_bounds_s: Dict[str, float]
 
 
-def chiplet_metrics(
-    segment_latency_s: Sequence[float],
-    cuts: Sequence[int],
-    boundary_bytes: Sequence[int],
-    link: InterChipLink,
-) -> ChipletMetrics:
-    """Combine per-segment latencies and link costs into chiplet metrics.
-
-    Pure float arithmetic over the inputs -- no simulation, no NumPy -- so
-    every evaluation path that feeds it equal inputs gets bit-equal outputs.
-    The end-to-end latency folds segments left to right from ``0.0`` (the
-    same fold as ``EncoderResult.latency_s``) and adds each cut's full
-    transfer time; the steady-state bound treats each chip *and each link*
-    as one contended pipeline resource.
-    """
-    count = len(segment_latency_s)
+def _link_terms(
+    cuts: Sequence[int], boundary_bytes: Sequence[int], link: InterChipLink
+) -> Tuple[int, float, Tuple[float, ...]]:
+    """``(link_bytes, link_s, per-link busy)`` of one partition on one
+    link: pure float arithmetic, once per distinct (partition, link)."""
     link_bytes = 0
     link_s = 0.0
     link_busy: List[float] = []
@@ -212,24 +207,75 @@ def chiplet_metrics(
         link_bytes += nbytes
         link_s += link.transfer_time(nbytes)
         link_busy.append(link.occupancy_time(nbytes))
-    latency_s = 0.0
-    for segment_latency in segment_latency_s:
-        latency_s += segment_latency
-    latency_s += link_s
-    edges = (0,) + tuple(cuts) + (count,)
-    chip_busy: List[float] = []
-    for start, end in zip(edges, edges[1:]):
-        busy = 0.0
-        for segment_latency in segment_latency_s[start:end]:
-            busy += segment_latency
-        chip_busy.append(busy)
-    roofline = pipeline_roofline(chip_busy, link_busy)
+    return link_bytes, link_s, tuple(link_busy)
+
+
+def _fold(grid: np.ndarray) -> np.ndarray:
+    """Row sums of ``grid`` folded left to right from ``0.0`` -- the same
+    fold as ``EncoderResult.latency_s`` -- over a whole batch."""
+    total = np.zeros(len(grid))
+    for index in range(grid.shape[1]):
+        total = total + grid[:, index]
+    return total
+
+
+def _stages(
+    segment_latency_s: np.ndarray, cuts: Sequence[int], link_busy: np.ndarray
+) -> Tuple[List[str], List[np.ndarray]]:
+    """The pipeline stages of points that share ``cuts``: per-chip busy
+    times (each chip's segments folded from ``0.0``) then per-link busy
+    times, in :func:`~repro.analysis.roofline.pipeline_roofline` order.
+    Raises ``ValueError`` for a negative busy time, as that roofline does.
+    """
+    edges = (0,) + tuple(cuts) + (segment_latency_s.shape[1],)
+    names = [f"chip{index}" for index in range(len(edges) - 1)]
+    stages = [
+        _fold(segment_latency_s[:, start:end]) for start, end in zip(edges, edges[1:])
+    ]
+    names += [f"link{index}" for index in range(link_busy.shape[1])]
+    stages += [link_busy[:, index] for index in range(link_busy.shape[1])]
+    negative = np.zeros(len(segment_latency_s), dtype=bool)
+    for stage in stages:
+        negative |= stage < 0
+    if negative.any():
+        row = int(np.argmax(negative))
+        name = next(name for name, stage in zip(names, stages) if stage[row] < 0)
+        raise ValueError(f"resource {name!r} has negative busy time")
+    return names, stages
+
+
+def _stage_max(stages: Sequence[np.ndarray]) -> np.ndarray:
+    """The busiest stage per point, folded like Python's ``max``: a later
+    stage wins only when strictly greater."""
+    busiest = stages[0]
+    for stage in stages[1:]:
+        busiest = np.where(stage > busiest, stage, busiest)
+    return busiest
+
+
+def chiplet_metrics(
+    segment_latency_s: Sequence[float],
+    cuts: Sequence[int],
+    boundary_bytes: Sequence[int],
+    link: InterChipLink,
+) -> ChipletMetrics:
+    """Combine one point's per-segment latencies and link costs.
+
+    The end-to-end latency folds segments left to right from ``0.0`` (the
+    same fold as ``EncoderResult.latency_s``) and adds each cut's full
+    transfer time; the steady-state bound treats each chip *and each link*
+    as one contended pipeline resource.  The arithmetic is
+    :func:`chiplet_table`'s, on a batch of one.
+    """
+    link_bytes, link_s, link_busy = _link_terms(cuts, boundary_bytes, link)
+    grid = np.array([list(segment_latency_s)], dtype=np.float64)
+    names, stages = _stages(grid, cuts, np.array([link_busy]).reshape(1, -1))
     return ChipletMetrics(
-        latency_s=latency_s,
+        latency_s=float((_fold(grid) + link_s)[0]),
         link_bytes=link_bytes,
         link_s=link_s,
-        max_stage_s=roofline.latency_s,
-        stage_bounds_s=dict(roofline.busy_s),
+        max_stage_s=float(_stage_max(stages)[0]),
+        stage_bounds_s={name: float(stage[0]) for name, stage in zip(names, stages)},
     )
 
 
@@ -337,6 +383,74 @@ def design_cost(
     return power_w, area_luts
 
 
+def _batch_column(values: Any) -> Any:
+    """A per-point input as an array (arrays pass through)."""
+    return values if isinstance(values, np.ndarray) else exact_column(list(values))
+
+
+def _divide(numerator: Any, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator if denominator else 0.0`` per point."""
+    nonzero = denominator != 0
+    return np.where(nonzero, numerator / np.where(nonzero, denominator, 1.0), 0.0)
+
+
+def _dse_columns(
+    *,
+    latency_s: Any,
+    flops: Any,
+    ddr_bytes: Any,
+    lpddr_bytes: Any,
+    batch: Any,
+    num_mme: Sequence[Any],
+    peak_flops: Any,
+    power_w: Any,
+    area_luts: Any,
+    interval_s: Optional[np.ndarray] = None,
+) -> Dict[str, Any]:
+    """The ``dse_encoder`` payload columns: the one definition of the
+    payload arithmetic (see :func:`dse_table`)."""
+    latency_s = _batch_column(latency_s)
+    flops = _batch_column(flops)
+    ddr_bytes = _batch_column(ddr_bytes)
+    lpddr_bytes = _batch_column(lpddr_bytes)
+    power_w = _batch_column(power_w)
+    rate = _divide(flops, latency_s)
+    return {
+        "latency_s": latency_s,
+        "latency_ms": latency_s * 1e3,
+        "flops": flops,
+        "ddr_bytes": ddr_bytes,
+        "lpddr_bytes": lpddr_bytes,
+        "offchip_bytes": ddr_bytes + lpddr_bytes,
+        "achieved_tflops": rate / 1e12,
+        "utilization": np.where(latency_s != 0, rate / _batch_column(peak_flops), 0.0),
+        "num_mme": list(num_mme),
+        "pipeline_tasks_per_s": _divide(
+            _batch_column(batch), latency_s if interval_s is None else interval_s
+        ),
+        "power_w": power_w,
+        "area_luts": _batch_column(area_luts),
+        "energy_j": power_w * latency_s,
+    }
+
+
+def dse_table(**columns: Any) -> ColumnTable:
+    """The ``dse_encoder`` payloads of a batch of points, one column per
+    key.
+
+    Every argument holds one value per point: ``latency_s``, ``flops``,
+    ``ddr_bytes``, ``lpddr_bytes``, ``batch``, ``num_mme`` (copied
+    verbatim), the design's ``peak_flops``, and its :func:`design_cost`
+    ``power_w`` and ``area_luts``.  ``utilization`` is the achieved
+    fraction of the design's *own* peak (so points with different MME
+    counts share one Pareto axis); the pipeline rate divides ``batch`` by
+    ``interval_s``, the steady-state interval, which is the latency itself
+    unless a multi-chip pipeline (:func:`chiplet_table`) gives its busiest
+    stage.
+    """
+    return ColumnTable(_dse_columns(**columns))
+
+
 def dse_payload(
     *,
     latency_s: float,
@@ -348,33 +462,148 @@ def dse_payload(
     peak_flops: float,
     cost: Tuple[float, float],
 ) -> Dict[str, Any]:
-    """The ``dse_encoder`` payload: one design point's objective vector.
+    """The ``dse_encoder`` payload of one design point: :func:`dse_table`
+    on a batch of one.
 
-    The single payload constructor of both backends: the engine runner
-    feeds it an :class:`~repro.xnn.executor.EncoderResult`'s totals, the
-    batched analytic evaluator its vectorized rows.  ``utilization`` is the
-    achieved fraction of the design's *own* ``peak_flops`` (so points with
-    different MME counts share one Pareto axis), and ``cost`` is the
-    :func:`design_cost` ``(power_w, area_luts)`` pair.
+    The engine runner feeds it an :class:`~repro.xnn.executor.EncoderResult`'s
+    totals; ``cost`` is the :func:`design_cost` ``(power_w, area_luts)``
+    pair.
     """
-    achieved = (flops / latency_s / 1e12) if latency_s else 0.0
-    utilization = (flops / latency_s / peak_flops) if latency_s else 0.0
     power_w, area_luts = cost
-    return {
-        "latency_s": latency_s,
-        "latency_ms": latency_s * 1e3,
-        "flops": flops,
-        "ddr_bytes": ddr_bytes,
-        "lpddr_bytes": lpddr_bytes,
-        "offchip_bytes": ddr_bytes + lpddr_bytes,
-        "achieved_tflops": achieved,
-        "utilization": utilization,
-        "num_mme": num_mme,
-        "pipeline_tasks_per_s": (batch / latency_s) if latency_s else 0.0,
-        "power_w": power_w,
-        "area_luts": area_luts,
-        "energy_j": power_w * latency_s,
-    }
+    return dse_table(
+        latency_s=[latency_s],
+        flops=[flops],
+        ddr_bytes=[ddr_bytes],
+        lpddr_bytes=[lpddr_bytes],
+        batch=[batch],
+        num_mme=[num_mme],
+        peak_flops=[peak_flops],
+        power_w=[power_w],
+        area_luts=[area_luts],
+    )[0]
+
+
+#: the multi-chip diagnostics a partitioned point's payload adds, in order.
+_CHIPLET_KEYS = (
+    "num_chips",
+    "cuts",
+    "link_bytes",
+    "link_s",
+    "max_stage_s",
+    "stage_bounds_s",
+)
+
+
+def chiplet_table(
+    *,
+    segment_latency_s: np.ndarray,
+    flops: Any,
+    ddr_bytes: Any,
+    lpddr_bytes: Any,
+    batch: Any,
+    num_mme: Sequence[Any],
+    per_chip_peak_flops: Any,
+    partitions: Sequence[Optional[EncoderPartition]],
+    links: Sequence[Optional[InterChipLink]],
+    power_w: Any,
+    area_luts: Any,
+) -> ColumnTable:
+    """The ``dse_chiplet`` payloads of a batch of points.
+
+    ``segment_latency_s`` holds one row of per-segment latencies per point;
+    the other arguments hold one value per point, as for :func:`dse_table`.
+    A point whose partition is ``None`` runs on one chip: its payload is
+    the :func:`dse_table` row of its serial latency, the thirteen
+    ``dse_encoder`` keys only.  A point with a partition
+    (:func:`encoder_partition`) and a link gets the same thirteen keys
+    computed the same way -- with the chiplet end-to-end latency and the
+    all-chip peak substituted and the pipeline rate taken from the busiest
+    stage -- plus the multi-chip diagnostics.  Link terms are computed once
+    per distinct (partition, link) and stage folds once per distinct
+    partition, vectorised over its points.
+    """
+    count, segments = segment_latency_s.shape
+    pairs: Dict[Tuple[int, int], int] = {}
+    firsts: List[Tuple[Optional[EncoderPartition], Optional[InterChipLink]]] = []
+    index = []
+    for pair in zip(partitions, links):
+        key = (id(pair[0]), id(pair[1]))
+        position = pairs.get(key)
+        if position is None:
+            position = pairs[key] = len(firsts)
+            firsts.append(pair)
+        index.append(position)
+    pair_index = np.array(index, dtype=np.intp)
+    terms: List[Tuple[int, float, Tuple[float, ...]]] = []
+    for partition, link in firsts:
+        if partition is None:
+            terms.append((0, 0.0, ()))
+            continue
+        if len(partition.segment_flops) != segments:
+            raise ValueError(
+                f"{segments} segment latencies for "
+                f"{len(partition.segment_flops)} encoder segments"
+            )
+        terms.append(_link_terms(partition.cuts, partition.boundary_bytes, link))
+    link_s = np.array([term[1] for term in terms], dtype=np.float64)[pair_index]
+    latency_s = _fold(segment_latency_s) + link_s
+    multi = np.array([partition is not None for partition, _ in firsts])[pair_index]
+    columns = dict(
+        latency_s=latency_s,
+        flops=flops,
+        ddr_bytes=ddr_bytes,
+        lpddr_bytes=lpddr_bytes,
+        batch=batch,
+        num_mme=num_mme,
+        power_w=power_w,
+        area_luts=area_luts,
+    )
+    if not multi.any():
+        return dse_table(peak_flops=per_chip_peak_flops, **columns)
+
+    # The stages of each distinct partition, folded over its points; a
+    # one-chip point's steady-state interval is its latency.
+    chips = max(len(p.cuts) + 1 for p, _ in firsts if p is not None)
+    names = [f"chip{i}" for i in range(chips)] + [f"link{i}" for i in range(chips - 1)]
+    stage_bounds = {name: np.zeros(count) for name in names}
+    stage_masks = {name: np.zeros(count, dtype=bool) for name in names}
+    interval_s = latency_s.copy()
+    groups: Dict[int, List[int]] = {}
+    for position, (partition, _) in enumerate(firsts):
+        if partition is not None:
+            groups.setdefault(id(partition), []).append(position)
+    for positions in groups.values():
+        partition = firsts[positions[0]][0]
+        # Each point's pair, numbered within the group (-1: not in it).
+        local = np.full(len(firsts), -1)
+        local[positions] = np.arange(len(positions))
+        member = local[pair_index]
+        rows = np.flatnonzero(member >= 0)
+        busy = np.array([terms[position][2] for position in positions])
+        group_names, stages = _stages(
+            segment_latency_s[rows], partition.cuts, busy[member[rows]]
+        )
+        interval_s[rows] = _stage_max(stages)
+        for name, stage in zip(group_names, stages):
+            stage_bounds[name][rows] = stage
+            stage_masks[name][rows] = True
+    pair_chips = [1 if p is None else p.num_chips for p, _ in firsts]
+    pair_cuts = [() if p is None else p.cuts for p, _ in firsts]
+    payload = _dse_columns(
+        peak_flops=np.array(pair_chips, dtype=np.float64)[pair_index]
+        * _batch_column(per_chip_peak_flops),
+        interval_s=interval_s,
+        **columns,
+    )
+    payload.update(
+        num_chips=[pair_chips[position] for position in index],
+        cuts=[pair_cuts[position] for position in index],
+        link_bytes=exact_column([term[0] for term in terms])[pair_index],
+        link_s=link_s,
+        max_stage_s=interval_s,
+        stage_bounds_s=ColumnTable(stage_bounds, stage_masks),
+    )
+    return ColumnTable(payload, {key: multi for key in _CHIPLET_KEYS})
 
 
 def chiplet_payload(
@@ -390,48 +619,26 @@ def chiplet_payload(
     link: InterChipLink,
     cost: Tuple[float, float],
 ) -> Dict[str, Any]:
-    """The ``dse_chiplet`` payload for a ``num_chips>1`` design point.
+    """The ``dse_chiplet`` payload of one partitioned design point:
+    :func:`chiplet_table` on a batch of one.
 
-    Single payload constructor for both backends (the engine runner and the
-    batched analytic evaluator): they differ only in where
-    ``segment_latency_s`` / ``flops`` / traffic come from, and in how often
-    they compute the shape-only ``partition`` (:func:`encoder_partition`)
-    and the ``cost`` (:func:`design_cost` of the point's config, per-chip
-    peak, chip count and ``link``).  The payload is a superset of the
-    :func:`dse_payload` -- same thirteen keys computed the same way, with
-    the chiplet end-to-end latency and the all-chip peak substituted and
-    the pipeline rate taken from the busiest stage -- plus the multi-chip
-    diagnostics.  Its containers are built fresh on every call, so payloads
-    that share a partition never share a mutable value.
+    The engine runner feeds it the engine's per-segment latencies and
+    traffic, the shape-only ``partition`` (:func:`encoder_partition`) and
+    the ``cost`` (:func:`design_cost` of the point's config, per-chip peak,
+    chip count and ``link``).  Its containers are built fresh on every
+    call.
     """
-    if len(partition.segment_flops) != len(segment_latency_s):
-        raise ValueError(
-            f"{len(segment_latency_s)} segment latencies for "
-            f"{len(partition.segment_flops)} encoder segments"
-        )
-    num_chips = partition.num_chips
-    metrics = chiplet_metrics(
-        segment_latency_s, partition.cuts, partition.boundary_bytes, link
-    )
-    payload = dse_payload(
-        latency_s=metrics.latency_s,
-        flops=flops,
-        ddr_bytes=ddr_bytes,
-        lpddr_bytes=lpddr_bytes,
-        batch=batch,
-        num_mme=num_mme,
-        peak_flops=num_chips * per_chip_peak_flops,
-        cost=cost,
-    )
-    payload["pipeline_tasks_per_s"] = (
-        (batch / metrics.max_stage_s) if metrics.max_stage_s else 0.0
-    )
-    payload.update(
-        num_chips=num_chips,
-        cuts=list(partition.cuts),
-        link_bytes=metrics.link_bytes,
-        link_s=metrics.link_s,
-        max_stage_s=metrics.max_stage_s,
-        stage_bounds_s=dict(metrics.stage_bounds_s),
-    )
-    return payload
+    power_w, area_luts = cost
+    return chiplet_table(
+        segment_latency_s=np.array([list(segment_latency_s)], dtype=np.float64),
+        flops=[flops],
+        ddr_bytes=[ddr_bytes],
+        lpddr_bytes=[lpddr_bytes],
+        batch=[batch],
+        num_mme=[num_mme],
+        per_chip_peak_flops=[per_chip_peak_flops],
+        partitions=[partition],
+        links=[link],
+        power_w=[power_w],
+        area_luts=[area_luts],
+    )[0]

@@ -562,6 +562,23 @@ class TestExploreProxyAndWeights:
         scores = [point["weighted_score"] for point in payload["frontier"]]
         assert scores == sorted(scores)
 
+    def test_weighted_scalarisation_orders_the_frontier(self, capsys,
+                                                         tmp_path):
+        # A halving run under three weights, no cache: the report keeps the
+        # weights by payload key and lists its frontier best score first.
+        json_path = tmp_path / "dse-weighted.json"
+        code, _, _ = _run(capsys, "explore", "--space", "encoder-smoke",
+                          "--strategy", "halving", "--budget", "16",
+                          "--verify-top", "0", "--seed", "7", "--no-cache",
+                          "--weights", "latency=2,traffic=1,utilization=0.5",
+                          "--json", str(json_path))
+        assert code == 0
+        report = json.loads(json_path.read_text())
+        assert report["weights"] == {"latency_s": 2.0, "offchip_bytes": 1.0,
+                                     "utilization": 0.5}
+        scores = [p["weighted_score"] for p in report["frontier"]]
+        assert scores == sorted(scores), "frontier not score-ordered"
+
     @pytest.mark.parametrize("weights", [
         "latency", "latency=x", "latency=-1", "bogus=1", "",
         "latency=0,traffic=0", "latency=1,latency=2",
@@ -596,6 +613,22 @@ class TestExploreChipletSpace:
         names = {o["name"] for o in payload["objectives"]}
         assert {"area", "energy", "pipeline_throughput"} <= names
         assert payload["frontier"]
+
+    def test_halving_weighted_by_area_and_energy(self, capsys, tmp_path):
+        # Halving weighted by latency, area and energy, no cache, the two
+        # best-scoring frontier points verified on the engine.
+        json_path = tmp_path / "chiplet-weighted.json"
+        code, _, _ = _run(capsys, "explore", "--space", "chiplet-smoke",
+                          "--strategy", "halving", "--budget", "12",
+                          "--verify-top", "2", "--seed", "7", "--no-cache",
+                          "--weights", "latency=1,area=1,energy=1",
+                          "--json", str(json_path))
+        assert code == 0
+        report = json.loads(json_path.read_text())
+        assert report["frontier"], "empty weighted chiplet frontier"
+        assert report["contract_ok"], "weighted chiplet contract violated"
+        scores = [p["weighted_score"] for p in report["frontier"]]
+        assert scores == sorted(scores), "frontier not score-ordered"
 
     def test_cost_weights_accepted_on_encoder_space(self, capsys, tmp_path):
         # Cost keys are scorable on the single-chip space too (its payloads
