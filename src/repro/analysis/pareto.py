@@ -19,10 +19,11 @@ pure-Python O(n^2) formulations -- they only ever see small cohorts
 (verified frontiers of tens of points).  :func:`pareto_frontier` and
 :func:`pareto_ranks`, however, sit on the DSE hot path: an exploration
 extracts the frontier of its *entire candidate pool* (10^4--10^6 points).
-They take either a sequence of points or an objective matrix
-(:func:`objective_matrix`, one row per point) and work on per-objective
-integer ranks in NumPy, returning exactly the indices of the all-pairs scan
-over :func:`dominates`.
+They read the objectives column by column -- from a sequence of points, or
+straight from a :class:`~repro.analysis.table.ColumnTable` of objective
+columns without building a row -- and work on per-objective integer ranks
+in NumPy, returning exactly the indices of the all-pairs scan over
+:func:`dominates`.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .table import exact_column
+from .table import ColumnTable, exact_column
 
 __all__ = [
     "MAXIMIZE",
     "MINIMIZE",
     "dominates",
     "kendall_tau",
-    "objective_matrix",
     "pareto_frontier",
     "pareto_ranks",
     "weighted_scalarization",
@@ -48,12 +48,8 @@ __all__ = [
 MINIMIZE = "min"
 MAXIMIZE = "max"
 
-#: largest int magnitude an objective matrix holds as float64: the
-#: difference of any two such ints is still exact in float64.
-_EXACT_INT = 2**52
-
-#: points as rows, or an objective matrix (:func:`objective_matrix`).
-Points = Union[Sequence[Sequence[float]], np.ndarray]
+#: points as rows, or a table whose keys ``0 .. k-1`` are the objectives.
+Points = Union[Sequence[Sequence[float]], ColumnTable]
 
 
 def _check(points: Sequence[Sequence[float]], senses: Sequence[str]) -> None:
@@ -87,56 +83,33 @@ def dominates(a: Sequence[float], b: Sequence[float], senses: Sequence[str]) -> 
     return strictly_better
 
 
-def objective_matrix(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """One objective per column, one point per row, with no value rounded.
+def _columns(points: Points, senses: Sequence[str]) -> List[np.ndarray]:
+    """One exact column per sense (:func:`~repro.analysis.table.exact_column`).
 
-    The matrix is float64 when every column is float or bool, or int with
-    every magnitude at most 2**52; otherwise it holds the Python values in
-    an object array, where comparisons and arithmetic are exact.
+    A :class:`~repro.analysis.table.ColumnTable` is read by key ``0`` to
+    ``len(senses) - 1`` -- its rows index like points -- and any other
+    sequence of points is transposed.
     """
-    if not columns:
-        return np.empty((0, 0))
-    exact = all(
-        column.dtype.kind in "fb"
-        or (
-            column.dtype.kind in "iu"
-            and (not len(column) or int(np.abs(column).max()) <= _EXACT_INT)
-        )
-        for column in columns
-    )
-    if exact:
-        return np.column_stack([column.astype(np.float64) for column in columns])
-    matrix = np.empty((len(columns[0]), len(columns)), dtype=object)
-    for index, column in enumerate(columns):
-        matrix[:, index] = column.tolist()
-    return matrix
-
-
-def _as_matrix(points: Points, senses: Sequence[str]) -> np.ndarray:
-    """``points`` as an objective matrix with one column per sense."""
-    if isinstance(points, np.ndarray):
+    if isinstance(points, ColumnTable):
         _check((), senses)
-        if points.ndim != 2 or (len(points) and points.shape[1] != len(senses)):
-            raise ValueError(
-                f"objective matrix of shape {points.shape} for "
-                f"{len(senses)} senses"
-            )
-        return points
+        return [points.column(index) for index in range(len(senses))]
     _check(points, senses)
-    columns = [exact_column(values) for values in zip(*points)]
-    return objective_matrix(columns) if columns else np.empty((len(points), 0))
+    return [exact_column(values) for values in zip(*points)]
 
 
-def _goodness(matrix: np.ndarray, senses: Sequence[str]) -> np.ndarray:
-    """Per-objective dense ranks, larger = better, as an int64 matrix.
+def _goodness(
+    columns: Sequence[np.ndarray], senses: Sequence[str], count: int
+) -> np.ndarray:
+    """Per-objective dense ranks, larger = better, as an int64 matrix with
+    one row per point.
 
     Ranks keep every comparison of the values (equal values share a rank,
     ``0.0`` and ``-0.0`` included), so dominance on ranks is dominance on
     the objectives, whatever their type.
     """
-    ranks = np.empty(matrix.shape, dtype=np.int64)
-    for index, sense in enumerate(senses):
-        _, inverse = np.unique(matrix[:, index], return_inverse=True)
+    ranks = np.empty((count, len(senses)), dtype=np.int64)
+    for index, (column, sense) in enumerate(zip(columns, senses)):
+        _, inverse = np.unique(column, return_inverse=True)
         inverse = inverse.reshape(-1)
         ranks[:, index] = -inverse if sense == MINIMIZE else inverse
     return ranks
@@ -173,17 +146,17 @@ def _frontier(ranks: np.ndarray) -> np.ndarray:
 def pareto_frontier(points: Points, senses: Sequence[str]) -> List[int]:
     """Indices of the non-dominated points, in their original order.
 
-    ``points`` is a sequence of points or an objective matrix
-    (:func:`objective_matrix`).  Duplicate points are all kept (none
+    ``points`` is a sequence of points, or a table of objective columns
+    keyed ``0 .. k-1``.  Duplicate points are all kept (none
     dominates the other), so callers that dedup by design identity keep
     exactly one representative per design.  The result equals the
     all-pairs scan over :func:`dominates`; the work is one array operation
     per frontier point.
     """
-    matrix = _as_matrix(points, senses)
-    if not len(matrix):
+    columns = _columns(points, senses)
+    if not len(points):
         return []
-    return _frontier(_goodness(matrix, senses)).tolist()
+    return _frontier(_goodness(columns, senses, len(points))).tolist()
 
 
 def pareto_ranks(points: Points, senses: Sequence[str]) -> List[int]:
@@ -194,12 +167,12 @@ def pareto_ranks(points: Points, senses: Sequence[str]) -> List[int]:
     this is unit-free, which is what makes it usable as the selection score
     for successive halving across wildly different objective scales.
     """
-    matrix = _as_matrix(points, senses)
-    ranks = np.zeros(len(matrix), dtype=np.int64)
-    if not len(matrix):
+    columns = _columns(points, senses)
+    if not len(points):
         return []
-    goodness = _goodness(matrix, senses)
-    remaining = np.arange(len(matrix))
+    ranks = np.zeros(len(points), dtype=np.int64)
+    goodness = _goodness(columns, senses, len(points))
+    remaining = np.arange(len(points))
     rank = 0
     while len(remaining):
         peel = _frontier(goodness[remaining])
@@ -230,9 +203,10 @@ def weighted_scalarization(
     ``weights`` must align with ``senses``, be non-negative, and contain at
     least one positive entry.  Scores are comparable only within one call
     (the normalisation is cohort-relative, exactly like Pareto ranks).
-    ``points`` may be an objective matrix, as for :func:`pareto_frontier`.
+    ``points`` may be a table of objective columns, as for
+    :func:`pareto_frontier`.
     """
-    matrix = _as_matrix(points, senses)
+    columns = _columns(points, senses)
     if len(weights) != len(senses):
         raise ValueError(
             f"{len(weights)} weight(s) given for {len(senses)} objective(s)"
@@ -244,13 +218,13 @@ def weighted_scalarization(
             raise ValueError(f"weights must be non-negative, got {weight}")
     if not any(weight > 0 for weight in weights):
         raise ValueError("at least one weight must be positive")
-    if not len(matrix):
+    if not len(points):
         return []
-    scores = [0.0] * len(matrix)
-    for column, (sense, weight) in enumerate(zip(senses, weights)):
+    scores = [0.0] * len(points)
+    for column, sense, weight in zip(columns, senses, weights):
         if not weight:
             continue
-        values = matrix[:, column].tolist()
+        values = column.tolist()
         lo, hi = min(values), max(values)
         span = hi - lo
         if not span:

@@ -9,7 +9,7 @@ analysis, the bandwidth sweep bounds, and the tests all share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 from ..hardware.vck190 import VCK190, VCK190Spec
 from ..workloads.layers import MatMulLayer
@@ -17,7 +17,6 @@ from ..workloads.layers import MatMulLayer
 __all__ = [
     "RooflinePoint",
     "ResourceRoofline",
-    "pipeline_roofline",
     "roofline_latency",
     "machine_balance",
     "layer_roofline",
@@ -88,28 +87,6 @@ class ResourceRoofline:
 
     def utilizations(self) -> Dict[str, float]:
         return {resource: self.utilization(resource) for resource in self.busy_s}
-
-
-def pipeline_roofline(
-    chip_busy_s: Sequence[float], link_busy_s: Sequence[float] = ()
-) -> ResourceRoofline:
-    """Steady-state roofline of a multi-chip segment pipeline.
-
-    With the workload's segments partitioned across chips and boundary
-    activations crossing inter-chip links, the steady-state interval between
-    task completions is set by the busiest *stage* -- and a link is one more
-    contended resource, exactly like a chip: each task occupies hop ``i`` for
-    ``link_busy_s[i]`` seconds, so throughput cannot exceed the reciprocal of
-    any stage's busy time.  :attr:`ResourceRoofline.latency_s` is therefore
-    the pipeline's steady-state initiation interval (a lower bound, by the
-    same argument that makes every other roofline here a lower bound).
-    """
-    resources: Dict[str, float] = {}
-    for index, busy in enumerate(chip_busy_s):
-        resources[f"chip{index}"] = busy
-    for index, busy in enumerate(link_busy_s):
-        resources[f"link{index}"] = busy
-    return ResourceRoofline(resources)
 
 
 def machine_balance(achieved_flops: float, bandwidth: float) -> float:

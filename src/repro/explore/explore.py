@@ -28,11 +28,10 @@ import numpy as np
 
 from ..analysis.pareto import (
     kendall_tau,
-    objective_matrix,
     pareto_frontier,
     weighted_scalarization,
 )
-from ..analysis.table import exact_column
+from ..analysis.table import ColumnTable, exact_column
 from ..runner.cache import ResultCache
 from ..runner.executors import Executor, SerialExecutor
 from ..runner.sweep import _validate_chunk_size, evaluate_chunked, run_sweep
@@ -283,19 +282,10 @@ def _first_occurrences(candidates: Sequence[Candidate]) -> List[int]:
     candidate with other axis names or an unhashable value keys on its id,
     and a tie between cheap keys is settled by the ids, since equal values
     may still differ in canonical JSON (``1`` and ``1.0`` in an assignment
-    built by hand).  When no two cheap keys are equal -- no point was
-    revisited -- every candidate is a first occurrence.
+    built by hand).
     """
     names = tuple(candidates[0].assignment) if candidates else ()
     values_of = operator.itemgetter(*names) if names else (lambda _: ())
-    assignments = [candidate.assignment for candidate in candidates]
-    try:
-        if all(len(assignment) == len(names) for assignment in assignments) and (
-            len(set(map(values_of, assignments))) == len(assignments)
-        ):
-            return list(range(len(candidates)))
-    except (KeyError, TypeError):  # other names, or an unhashable value
-        pass
     pool: List[int] = []
     first: Dict[Any, Candidate] = {}
     tied_ids: Dict[Any, Set[str]] = {}
@@ -499,15 +489,15 @@ def run_exploration(
 
     senses = [objective.sense for objective in objectives]
     columns = _objective_columns(pool, objectives)
-    matrix = objective_matrix(columns)
+    cohort = ColumnTable(dict(enumerate(columns)))
     # Pool-relative weighted scores (the normalisation cohort is the whole
     # candidate pool, not just the frontier, so scores reflect the search).
     scores: Optional[List[float]] = None
     if weights is not None and pool:
         weight_vector = [weights.get(objective.key, 0.0)
                          for objective in objectives]
-        scores = weighted_scalarization(matrix, senses, weight_vector)
-    frontier_indices = pareto_frontier(matrix, senses) if pool else []
+        scores = weighted_scalarization(cohort, senses, weight_vector)
+    frontier_indices = pareto_frontier(cohort, senses) if pool else []
     values = [column.tolist() for column in columns]
     frontier = []
     # Point ids are hashed here, for the frontier only.

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.pareto import objective_matrix, pareto_ranks, weighted_scalarization
+from ..analysis.pareto import pareto_ranks, weighted_scalarization
 from ..analysis.table import ColumnTable
 from .space import DesignSpace
 
@@ -311,17 +311,16 @@ class SuccessiveHalving(SearchStrategy):
         Non-domination rank by default; the weighted scalarisation when
         :attr:`weights` is set (both orders are consumed identically by the
         deterministic ``(score, point_id)`` survivor sort).  Both read the
-        objective matrix of the payloads' columns.
+        payloads' objective columns.
         """
         keys = [key for key, _sense in self.objectives]
-        matrix = objective_matrix(
-            objective_columns(payloads, keys, "successive halving objective")
-        )
+        columns = objective_columns(payloads, keys, "successive halving objective")
+        cohort = ColumnTable(dict(enumerate(columns)))
         senses = [sense for _key, sense in self.objectives]
         if self.weights is not None:
             weight_vector = [self.weights.get(key, 0.0) for key in keys]
-            return weighted_scalarization(matrix, senses, weight_vector)
-        return pareto_ranks(matrix, senses)
+            return weighted_scalarization(cohort, senses, weight_vector)
+        return pareto_ranks(cohort, senses)
 
     # -------------------------------------------------------------- search
 

@@ -43,9 +43,7 @@ from .bandwidth import (
 )
 from .segmentation import Segment, SegmentKind, segment_model
 from .partition import (
-    ChipletMetrics,
     EncoderPartition,
-    chiplet_metrics,
     chiplet_payload,
     design_cost,
     encoder_boundary_bytes,
@@ -57,7 +55,6 @@ from .partition import (
 __all__ = [
     "AnalyticSegment",
     "AnalyticXNN",
-    "ChipletMetrics",
     "CodegenOptions",
     "EncoderResult",
     "GemmTiling",
@@ -75,7 +72,6 @@ __all__ = [
     "attention_mapping_type",
     "bandwidth_sweep_latency",
     "build_xnn_datapath",
-    "chiplet_metrics",
     "chiplet_payload",
     "compare_mapping_types",
     "design_cost",

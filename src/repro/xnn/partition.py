@@ -50,9 +50,7 @@ from .fus.scratchpad import MEMC_COMPUTE_THROUGHPUT
 
 __all__ = [
     "ENCODER_SEGMENT_NAMES",
-    "ChipletMetrics",
     "EncoderPartition",
-    "chiplet_metrics",
     "chiplet_payload",
     "chiplet_table",
     "design_cost",
@@ -177,23 +175,6 @@ def encoder_partition(
     )
 
 
-@dataclass(frozen=True)
-class ChipletMetrics:
-    """The latency-side numbers of one partitioned multi-chip evaluation: a
-    one-point view of the arithmetic :func:`chiplet_table` runs per batch."""
-
-    #: end-to-end latency of one task: all segments serial + link transfers.
-    latency_s: float
-    #: total bytes crossing inter-chip links per task.
-    link_bytes: int
-    #: total link transfer time per task (latency + serialization + wire).
-    link_s: float
-    #: steady-state initiation interval: busiest pipeline stage (chip or link).
-    max_stage_s: float
-    #: per-stage busy times (``chip0``, ``chip1``, ..., ``link0``, ...).
-    stage_bounds_s: Dict[str, float]
-
-
 def _link_terms(
     cuts: Sequence[int], boundary_bytes: Sequence[int], link: InterChipLink
 ) -> Tuple[int, float, Tuple[float, ...]]:
@@ -224,8 +205,9 @@ def _stages(
 ) -> Tuple[List[str], List[np.ndarray]]:
     """The pipeline stages of points that share ``cuts``: per-chip busy
     times (each chip's segments folded from ``0.0``) then per-link busy
-    times, in :func:`~repro.analysis.roofline.pipeline_roofline` order.
-    Raises ``ValueError`` for a negative busy time, as that roofline does.
+    times: each chip and each link is one contended pipeline resource.
+    Raises ``ValueError`` for a negative busy time, as
+    :class:`~repro.analysis.roofline.ResourceRoofline` does.
     """
     edges = (0,) + tuple(cuts) + (segment_latency_s.shape[1],)
     names = [f"chip{index}" for index in range(len(edges) - 1)]
@@ -251,32 +233,6 @@ def _stage_max(stages: Sequence[np.ndarray]) -> np.ndarray:
     for stage in stages[1:]:
         busiest = np.where(stage > busiest, stage, busiest)
     return busiest
-
-
-def chiplet_metrics(
-    segment_latency_s: Sequence[float],
-    cuts: Sequence[int],
-    boundary_bytes: Sequence[int],
-    link: InterChipLink,
-) -> ChipletMetrics:
-    """Combine one point's per-segment latencies and link costs.
-
-    The end-to-end latency folds segments left to right from ``0.0`` (the
-    same fold as ``EncoderResult.latency_s``) and adds each cut's full
-    transfer time; the steady-state bound treats each chip *and each link*
-    as one contended pipeline resource.  The arithmetic is
-    :func:`chiplet_table`'s, on a batch of one.
-    """
-    link_bytes, link_s, link_busy = _link_terms(cuts, boundary_bytes, link)
-    grid = np.array([list(segment_latency_s)], dtype=np.float64)
-    names, stages = _stages(grid, cuts, np.array([link_busy]).reshape(1, -1))
-    return ChipletMetrics(
-        latency_s=float((_fold(grid) + link_s)[0]),
-        link_bytes=link_bytes,
-        link_s=link_s,
-        max_stage_s=float(_stage_max(stages)[0]),
-        stage_bounds_s={name: float(stage[0]) for name, stage in zip(names, stages)},
-    )
 
 
 #: the ``dse_encoder`` parameters and their defaults.  Both backends

@@ -10,7 +10,7 @@ The drawn sets mix senses, repeat points, tie single objectives, hold
 ``0.0`` and ``-0.0`` side by side and ints above 2**53 (which must compare
 exactly, never rounded through float64), and include sets where every
 point is on the frontier.  Both input forms are checked: points as rows,
-and the objective matrix of their columns.
+and a column table of their objectives.
 
 If ``hypothesis`` is not installed the module is skipped as a whole (the
 hand-computed cases in ``tests/explore/test_pareto.py`` still run).
@@ -26,9 +26,9 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.analysis.pareto import (dominates, objective_matrix,  # noqa: E402
-                                   pareto_frontier, pareto_ranks)
-from repro.analysis.table import exact_column  # noqa: E402
+from repro.analysis.pareto import (dominates, pareto_frontier,  # noqa: E402
+                                   pareto_ranks)
+from repro.analysis.table import ColumnTable, exact_column  # noqa: E402
 
 _BIG = 2**53
 
@@ -86,10 +86,9 @@ def _peel(points, senses):
     return ranks
 
 
-def _matrix(points, width):
-    columns = [exact_column([point[column] for point in points])
-               for column in range(width)]
-    return objective_matrix(columns)
+def _table(points, width):
+    return ColumnTable({column: exact_column([point[column] for point in points])
+                        for column in range(width)})
 
 
 @settings(max_examples=300, deadline=None)
@@ -99,7 +98,7 @@ def test_frontier_equals_the_all_pairs_scan(case):
     expected = _scan(points, senses)
     assert pareto_frontier(points, senses) == expected
     if points:
-        assert pareto_frontier(_matrix(points, len(senses)), senses) == expected
+        assert pareto_frontier(_table(points, len(senses)), senses) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,7 +116,7 @@ def test_ranks_equal_peeling_by_the_scan(case):
     expected = _peel(points, senses)
     assert pareto_ranks(points, senses) == expected
     if points:
-        assert pareto_ranks(_matrix(points, len(senses)), senses) == expected
+        assert pareto_ranks(_table(points, len(senses)), senses) == expected
 
 
 def test_ints_above_2_53_are_never_rounded():
@@ -125,4 +124,5 @@ def test_ints_above_2_53_are_never_rounded():
     points = [(_BIG, 1.0), (_BIG + 1, 1.0)]
     assert pareto_frontier(points, ["min", "min"]) == [0]
     assert pareto_frontier(points, ["max", "min"]) == [1]
-    assert objective_matrix([exact_column([_BIG, _BIG + 1])]).dtype == object
+    assert pareto_frontier(_table(points, 2), ["min", "min"]) == [0]
+    assert pareto_frontier(_table(points, 2), ["max", "min"]) == [1]

@@ -2,7 +2,7 @@
 
 Covers the inter-chip link model, the contiguous FLOP-balancing
 partitioner, the boundary-traffic accounting, the cost models, and the
-pipeline roofline -- the backend-independent building blocks whose
+chiplet payload's latency and pipeline stages -- the backend-independent building blocks whose
 determinism the ``dse_chiplet`` contracts rest on.
 """
 
@@ -10,13 +10,13 @@ import math
 
 import pytest
 
-from repro.analysis.roofline import pipeline_roofline
 from repro.hardware.cost import design_area_luts, design_power_w
 from repro.hardware.link import InterChipLink
 from repro.workloads.bert import BERT_LARGE
 from repro.xnn.partition import (
     ENCODER_SEGMENT_NAMES,
-    chiplet_metrics,
+    EncoderPartition,
+    chiplet_payload,
     encoder_boundary_bytes,
     encoder_segment_flops,
     partition_segments,
@@ -123,47 +123,69 @@ class TestEncoderSegments:
         assert flops[2] == max(flops)
 
 
-class TestChipletMetrics:
+def _payload(segment_latency_s, cuts, boundary_bytes, link):
+    """The ``dse_chiplet`` payload of one point with these segment
+    latencies, cut across chips at ``cuts``."""
+    partition = EncoderPartition(
+        num_chips=len(cuts) + 1,
+        segment_flops=(1.0,) * len(segment_latency_s),
+        cuts=tuple(cuts),
+        boundary_bytes=tuple(boundary_bytes),
+    )
+    return chiplet_payload(
+        segment_latency_s=segment_latency_s, flops=1.0, ddr_bytes=0,
+        lpddr_bytes=0, batch=1, partition=partition, num_mme=6,
+        per_chip_peak_flops=1e12, link=link, cost=(1.0, 1.0),
+    )
+
+
+class TestChipletPayload:
     def test_latency_is_segments_plus_transfers(self):
         link = InterChipLink(bandwidth=1e9, hop_latency_s=1e-6)
-        metrics = chiplet_metrics([1e-3, 2e-3, 3e-3], (2,), (1000, 2000), link)
+        payload = _payload([1e-3, 2e-3, 3e-3], (2,), (1000, 2000), link)
         transfer = link.transfer_time(2000)
-        assert metrics.latency_s == pytest.approx(6e-3 + transfer)
-        assert metrics.link_s == transfer
-        assert metrics.link_bytes == 2000
+        assert payload["latency_s"] == pytest.approx(6e-3 + transfer)
+        assert payload["link_s"] == transfer
+        assert payload["link_bytes"] == 2000
 
     def test_max_stage_is_busiest_chip_or_link(self):
         link = InterChipLink(bandwidth=1e3)  # slow: 2000 B -> 2 s occupancy
-        metrics = chiplet_metrics([1e-3, 2e-3, 3e-3], (2,), (1000, 2000), link)
-        assert metrics.max_stage_s == pytest.approx(2.0)
-        assert metrics.stage_bounds_s["link0"] == pytest.approx(2.0)
-        assert metrics.stage_bounds_s["chip0"] == pytest.approx(3e-3)
-        assert metrics.stage_bounds_s["chip1"] == pytest.approx(3e-3)
+        payload = _payload([1e-3, 2e-3, 3e-3], (2,), (1000, 2000), link)
+        assert payload["max_stage_s"] == pytest.approx(2.0)
+        assert payload["stage_bounds_s"]["link0"] == pytest.approx(2.0)
+        assert payload["stage_bounds_s"]["chip0"] == pytest.approx(3e-3)
+        assert payload["stage_bounds_s"]["chip1"] == pytest.approx(3e-3)
 
     def test_no_cuts_degenerates_to_serial_sum(self):
         link = InterChipLink()
-        metrics = chiplet_metrics([1e-3, 2e-3, 3e-3], (), (1000, 2000), link)
-        assert metrics.latency_s == pytest.approx(6e-3)
-        assert metrics.link_bytes == 0
-        assert metrics.link_s == 0.0
-        assert metrics.max_stage_s == pytest.approx(6e-3)
+        payload = _payload([1e-3, 2e-3, 3e-3], (), (1000, 2000), link)
+        assert payload["latency_s"] == pytest.approx(6e-3)
+        assert payload["link_bytes"] == 0
+        assert payload["link_s"] == 0.0
+        assert payload["max_stage_s"] == pytest.approx(6e-3)
 
 
-class TestPipelineRoofline:
-    def test_latency_is_busiest_stage(self):
-        roofline = pipeline_roofline([1.0, 3.0], [2.0])
-        assert roofline.latency_s == 3.0
-        assert roofline.bottleneck == "chip1"
+class TestPipelineStages:
+    """Each chip and each link is one contended pipeline resource."""
+
+    def test_interval_is_busiest_stage(self):
+        link = InterChipLink(bandwidth=1.0)  # 2 B -> 2 s occupancy
+        payload = _payload([1.0, 3.0], (1,), (2,), link)
+        assert payload["stage_bounds_s"] == {"chip0": 1.0, "chip1": 3.0,
+                                             "link0": 2.0}
+        assert payload["max_stage_s"] == 3.0
 
     def test_link_can_be_the_bottleneck(self):
-        roofline = pipeline_roofline([1.0, 1.0], [5.0])
-        assert roofline.bottleneck == "link0"
-        assert roofline.latency_s == 5.0
+        link = InterChipLink(bandwidth=1.0)  # 5 B -> 5 s occupancy
+        payload = _payload([1.0, 1.0], (1,), (5,), link)
+        assert payload["max_stage_s"] == 5.0
+        assert payload["stage_bounds_s"]["link0"] == 5.0
 
     def test_stage_names(self):
-        roofline = pipeline_roofline([1.0, 2.0, 3.0], [0.5, 0.5])
-        assert set(roofline.busy_s) == {"chip0", "chip1", "chip2",
-                                        "link0", "link1"}
+        link = InterChipLink(bandwidth=2.0)
+        payload = _payload([1.0, 2.0, 3.0], (1, 2), (1, 1), link)
+        assert list(payload["stage_bounds_s"]) == ["chip0", "chip1", "chip2",
+                                                   "link0", "link1"]
 
 
 class TestCostModels:
