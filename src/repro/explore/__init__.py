@@ -8,8 +8,10 @@ scratchpad depth, MME count.  This package *searches* that space:
   fidelities) whose points materialise into cacheable scenarios;
 * :mod:`repro.explore.spaces` -- the named space catalogue;
 * :mod:`repro.explore.strategies` -- exhaustive grid, random sampling, and
-  multi-fidelity successive halving;
-* :mod:`repro.explore.explore` -- the two-phase driver: search on the
+  multi-fidelity successive halving: each picks the points to evaluate and
+  returns them with their payload table;
+* :mod:`repro.explore.explore` -- the two-phase driver, owner of the
+  objectives, weights and cohort ranking: search on the
   analytic fast-model proxy (whole generations as cached chunk jobs across
   the executor), then certify the Pareto frontier on the cycle-level engine
   and report proxy-vs-verified rank agreement.
@@ -33,7 +35,6 @@ from .space import Axis, Constraint, DesignPoint, DesignSpace
 from .spaces import SPACES, get_space, space_names
 from .strategies import (
     STRATEGIES,
-    Candidate,
     GridSearch,
     RandomSearch,
     SearchStrategy,
@@ -45,7 +46,6 @@ from .strategies import (
 __all__ = [
     "Axis",
     "COST_OBJECTIVES",
-    "Candidate",
     "Constraint",
     "DEFAULT_OBJECTIVES",
     "DesignPoint",

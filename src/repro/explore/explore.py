@@ -1,8 +1,10 @@
 """Two-phase design-space exploration: analytic search, engine verification.
 
-:func:`run_exploration` is the subsystem's engine room.  Phase one hands the
-strategy an evaluation callback that runs each candidate generation on the
-**analytic** backend through :func:`~repro.runner.sweep.evaluate_chunked`
+:func:`run_exploration` is the subsystem's engine room, and the one owner
+of an exploration's objectives, weights and ranking.  Phase one hands the
+strategy a ranking callback over those objectives and an evaluation
+callback that runs each candidate generation on the **analytic** backend
+through :func:`~repro.runner.sweep.evaluate_chunked`
 -- chunk jobs across the executor (serial, local pool, or the distributed
 work queue of :mod:`repro.runner.executors`), cached per chunk, so a
 repeated exploration is served from cache byte-identically and a single
@@ -18,6 +20,7 @@ rank agreement between proxy and verified latency orderings.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import time
@@ -29,19 +32,15 @@ import numpy as np
 from ..analysis.pareto import (
     kendall_tau,
     pareto_frontier,
+    pareto_ranks,
     weighted_scalarization,
 )
-from ..analysis.table import ColumnTable, exact_column
+from ..analysis.table import ColumnTable
 from ..runner.cache import ResultCache
 from ..runner.executors import Executor, SerialExecutor
 from ..runner.sweep import _validate_chunk_size, evaluate_chunked, run_sweep
 from .space import DesignSpace
-from .strategies import (
-    DEFAULT_HALVING_OBJECTIVES,
-    Candidate,
-    SearchStrategy,
-    objective_columns,
-)
+from .strategies import SearchStrategy
 
 __all__ = [
     "COST_OBJECTIVES",
@@ -79,23 +78,20 @@ class Objective:
 
     def column(self, payloads: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """This objective over ``payloads`` (a table or any sequence of
-        payload dicts), as one column; ``KeyError`` like :meth:`value`."""
-        return objective_columns(payloads, [self.key], f"objective {self.name!r}")[0]
+        payload dicts), as one column; ``KeyError`` naming the objective,
+        the key and the first payload without it."""
+        try:
+            return ColumnTable.of(payloads).column(self.key)
+        except KeyError as error:
+            raise KeyError(f"objective {self.name!r}: {error.args[0]}") from None
 
 
-#: display names for the canonical (payload key, sense) axes defined in
-#: :data:`repro.explore.strategies.DEFAULT_HALVING_OBJECTIVES` -- deriving
-#: from that single source keeps halving's selection axes and the frontier
-#: extraction axes from ever drifting apart.
-_OBJECTIVE_NAMES = {
-    "latency_s": "latency",
-    "offchip_bytes": "offchip_traffic",
-    "utilization": "utilization",
-}
-
-DEFAULT_OBJECTIVES: Tuple[Objective, ...] = tuple(
-    Objective(_OBJECTIVE_NAMES[key], key, sense)
-    for key, sense in DEFAULT_HALVING_OBJECTIVES
+#: the canonical DSE objective axes: latency and off-chip traffic down,
+#: utilisation up.
+DEFAULT_OBJECTIVES: Tuple[Objective, ...] = (
+    Objective("latency", "latency_s", "min"),
+    Objective("offchip_traffic", "offchip_bytes", "min"),
+    Objective("utilization", "utilization", "max"),
 )
 
 #: implementation-cost axes every DSE payload carries (``dse_encoder`` and
@@ -256,7 +252,9 @@ def validate_weights(
     weights: Optional[Mapping[str, float]],
     objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
 ) -> None:
-    """Reject weight keys that name no objective (``KeyError``).
+    """Reject weight keys that name no objective (``KeyError``), and
+    non-finite or negative weights or a set with no positive weight
+    (``ValueError``).
 
     Shared by :func:`run_exploration` and the CLI, so the CLI can classify
     the failure as a user error (exit 2) *before* the exploration runs
@@ -269,28 +267,36 @@ def validate_weights(
     if unknown:
         raise KeyError(f"unknown objective weight key(s) {unknown}; "
                        f"known: {sorted(known)}")
+    for key, weight in weights.items():
+        if not math.isfinite(weight) or weight < 0:
+            raise ValueError(
+                f"weights must be finite and non-negative, got {key}={weight}"
+            )
+    if not any(weights.values()):
+        raise ValueError("at least one weight must be positive")
 
 
-def _first_occurrences(candidates: Sequence[Candidate]) -> List[int]:
-    """The positions of the first candidate of each point id, in order,
-    without hashing an id per candidate (a strategy may legitimately
+def _first_occurrences(
+    space: DesignSpace, assignments: Sequence[Mapping[str, Any]]
+) -> List[int]:
+    """The positions of the first assignment of each point id, in order,
+    without hashing an id per assignment (a strategy may legitimately
     revisit points).
 
-    The cheap key is an assignment's values, read in the first candidate's
-    axis order.  An :class:`Axis` holds no two equal values, so two points
-    of one space share that key exactly when they share a point id.  A
-    candidate with other axis names or an unhashable value keys on its id,
-    and a tie between cheap keys is settled by the ids, since equal values
-    may still differ in canonical JSON (``1`` and ``1.0`` in an assignment
-    built by hand).
+    The cheap key is an assignment's values, read in the first
+    assignment's axis order.  An :class:`Axis` holds no two equal values,
+    so two points of one space share that key exactly when they share a
+    point id.  An assignment with other axis names or an unhashable value
+    keys on its id, and a tie between cheap keys is settled by the ids,
+    since equal values may still differ in canonical JSON (``1`` and
+    ``1.0`` in an assignment built by hand).
     """
-    names = tuple(candidates[0].assignment) if candidates else ()
+    names = tuple(assignments[0]) if assignments else ()
     values_of = operator.itemgetter(*names) if names else (lambda _: ())
     pool: List[int] = []
-    first: Dict[Any, Candidate] = {}
+    first: Dict[Any, Mapping[str, Any]] = {}
     tied_ids: Dict[Any, Set[str]] = {}
-    for position, candidate in enumerate(candidates):
-        assignment = candidate.assignment
+    for position, assignment in enumerate(assignments):
         key: Any = None
         if len(assignment) == len(names):
             try:
@@ -299,60 +305,48 @@ def _first_occurrences(candidates: Sequence[Candidate]) -> List[int]:
             except (KeyError, TypeError):  # other names, or an unhashable value
                 key = None
         if key is None:
-            key = candidate.point_id
+            key = space.point_id(assignment)
             head = first.get(key)
         if head is None:
-            first[key] = candidate
+            first[key] = assignment
             pool.append(position)
             continue
-        ids = tied_ids.setdefault(key, {head.point_id})
-        if candidate.point_id not in ids:
-            ids.add(candidate.point_id)
+        ids = tied_ids.get(key)
+        if ids is None:
+            ids = tied_ids[key] = {space.point_id(head)}
+        point_id = key if isinstance(key, str) else space.point_id(assignment)
+        if point_id not in ids:
+            ids.add(point_id)
             pool.append(position)
     return pool
 
 
-def _objective_columns(
-    pool: Sequence[Candidate], objectives: Sequence[Objective]
-) -> List[np.ndarray]:
-    """Each objective's values over ``pool``, read as columns of the tables
-    the candidates' payloads are rows of -- no payload row is built."""
-    if not pool:
-        return [np.empty(0) for _ in objectives]
-    sources: Dict[int, Tuple[Sequence[Any], List[int], List[int]]] = {}
-    for position, candidate in enumerate(pool):
-        source = sources.get(id(candidate.rows))
-        if source is None:
-            source = sources[id(candidate.rows)] = (candidate.rows, [], [])
-        source[1].append(position)
-        source[2].append(candidate.index)
-    columns = []
-    for objective in objectives:
-        parts = [
-            (positions, objective.column(rows)[indices])
-            for rows, positions, indices in sources.values()
-        ]
-        if len(parts) == 1:
-            columns.append(parts[0][1])
-            continue
-        values: List[Any] = [None] * len(pool)
-        for positions, part in parts:
-            for position, value in zip(positions, part.tolist()):
-                values[position] = value
-        columns.append(exact_column(values))
-    return columns
+def _cohort(
+    payloads: Sequence[Mapping[str, Any]],
+    objectives: Sequence[Objective],
+    positions: Optional[Sequence[int]] = None,
+) -> ColumnTable:
+    """The ``objectives`` of ``payloads`` (of rows ``positions`` only, when
+    given) as a table keyed ``0 .. k-1``, read column by column -- no
+    payload row is built."""
+    table = ColumnTable.of(payloads)
+    columns = [objective.column(table) for objective in objectives]
+    if positions is not None:
+        columns = [column[positions] for column in columns]
+    return ColumnTable(dict(enumerate(columns)))
 
 
 def _verify_frontier(
     space: DesignSpace,
     targets: Sequence[FrontierPoint],
-    proxies: Mapping[str, Candidate],
+    proxies: Sequence[Mapping[str, Any]],
     objectives: Sequence[Objective],
     executor: Executor,
     cache: Optional[ResultCache],
     force: bool,
 ) -> List[VerifiedPoint]:
-    """Re-evaluate ``targets`` on the engine and check the proxy contract."""
+    """Re-evaluate ``targets`` on the engine and check the proxy contract
+    against ``proxies``, their analytic payloads in the same order."""
     points = [space.materialize(point.assignment) for point in targets]
     outcomes = run_sweep(
         [point.scenario for point in points],
@@ -362,8 +356,7 @@ def _verify_frontier(
         backend="engine",
     )
     verified = []
-    for target, outcome in zip(targets, outcomes):
-        proxy = proxies[target.point_id].payload
+    for target, proxy, outcome in zip(targets, proxies, outcomes):
         engine = outcome.result
         engine_latency = engine["latency_s"] * (1.0 + _CONTRACT_RTOL)
         bound_ok = proxy["latency_s"] <= engine_latency
@@ -435,8 +428,13 @@ def run_exploration(
     :func:`~repro.analysis.pareto.weighted_scalarization`: every frontier
     point carries its pool-relative score, the frontier is sorted best-score
     first, and ``verify_top`` certifies the best-scoring points instead of
-    the lowest-latency ones.  (To also *select* halving survivors by weight,
-    construct the strategy with the same weights -- the CLI does both.)
+    the lowest-latency ones.
+
+    The strategy ranks its cohorts through the ``rank`` callback this
+    function builds from the same ``objectives`` and ``weights``: halving
+    selects survivors on the axes, and by the weights, the report uses.
+    ``weights`` are checked by :func:`validate_weights` before anything
+    runs.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -463,6 +461,10 @@ def run_exploration(
     feasible_points = space.feasible_count()
     chunk_align = space.chunk_alignment()
     stats = {"evaluations": 0, "cache_hits": 0}
+    senses = [objective.sense for objective in objectives]
+    weight_vector = None
+    if weights is not None:
+        weight_vector = [weights.get(objective.key, 0.0) for objective in objectives]
 
     def evaluate(
         assignments: Sequence[Mapping[str, Any]], fidelity: float
@@ -481,36 +483,40 @@ def run_exploration(
         stats["cache_hits"] += chunk_hits
         return payloads
 
+    def rank(payloads: Sequence[Mapping[str, Any]]) -> List[float]:
+        cohort = _cohort(payloads, objectives)
+        if weight_vector is None:
+            return pareto_ranks(cohort, senses)
+        return weighted_scalarization(cohort, senses, weight_vector)
+
     proxy_start = time.perf_counter()
-    candidates = strategy.search(space, budget, evaluate, rng)
+    assignments, payloads = strategy.search(space, budget, evaluate, rng, rank)
     proxy_wall_s = time.perf_counter() - proxy_start
 
-    pool = [candidates[position] for position in _first_occurrences(candidates)]
-
-    senses = [objective.sense for objective in objectives]
-    columns = _objective_columns(pool, objectives)
-    cohort = ColumnTable(dict(enumerate(columns)))
+    payloads = ColumnTable.of(payloads)
+    pool = _first_occurrences(space, assignments)
+    cohort = _cohort(payloads, objectives, pool)
     # Pool-relative weighted scores (the normalisation cohort is the whole
     # candidate pool, not just the frontier, so scores reflect the search).
     scores: Optional[List[float]] = None
-    if weights is not None and pool:
-        weight_vector = [weights.get(objective.key, 0.0)
-                         for objective in objectives]
+    if weight_vector is not None:
         scores = weighted_scalarization(cohort, senses, weight_vector)
-    frontier_indices = pareto_frontier(cohort, senses) if pool else []
-    values = [column.tolist() for column in columns]
+    frontier_indices = pareto_frontier(cohort, senses)
+    values = [cohort.column(index).tolist() for index in range(len(objectives))]
     frontier = []
     # Point ids are hashed here, for the frontier only.
-    proxies: Dict[str, Candidate] = {}
+    proxies: Dict[str, int] = {}
     for index in frontier_indices:
-        proxies[pool[index].point_id] = pool[index]
+        assignment = assignments[pool[index]]
+        point_id = space.point_id(assignment)
+        proxies[point_id] = pool[index]
         named_values = {}
         for objective, column in zip(objectives, values):
             named_values[objective.name] = column[index]
         frontier.append(
             FrontierPoint(
-                point_id=pool[index].point_id,
-                assignment=dict(pool[index].assignment),
+                point_id=point_id,
+                assignment=dict(assignment),
                 objectives=named_values,
                 weighted_score=scores[index] if scores is not None else None,
             )
@@ -527,10 +533,11 @@ def run_exploration(
     verify_wall_s = 0.0
     if verify_top and frontier:
         verify_start = time.perf_counter()
+        targets = frontier[:verify_top]
         verified = _verify_frontier(
             space,
-            frontier[:verify_top],
-            proxies,
+            targets,
+            [payloads[proxies[target.point_id]] for target in targets],
             objectives,
             executor,
             cache,

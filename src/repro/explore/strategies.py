@@ -4,11 +4,13 @@ A strategy decides *which* points to evaluate and at *what* fidelity; the
 explorer (:mod:`repro.explore.explore`) decides *how* -- batching every
 request through the sweep front-end's pluggable execution executor (serial,
 local process pool, or the distributed work queue of
-:mod:`repro.runner.executors`) and result cache.  The contract is the
-:meth:`SearchStrategy.search` method: given the space, an
-evaluation budget, and a batch-evaluation callback, return the candidates
-that were evaluated at **full fidelity** (only those are comparable on the
-Pareto axes; reduced-fidelity rung results are selection scaffolding).
+:mod:`repro.runner.executors`) and result cache -- and owns the objectives,
+the weights and the ranking.  The contract is the
+:meth:`SearchStrategy.search` method: given the space, an evaluation
+budget, a batch-evaluation callback and the explorer's cohort ranking,
+return the points that were evaluated at **full fidelity** (only those are
+comparable on the Pareto axes; reduced-fidelity rung results are selection
+scaffolding) and the payload table ``evaluate`` returned for them.
 
 All strategies are deterministic under a fixed seed: they draw randomness
 only from the ``random.Random`` instance the explorer hands them, and they
@@ -18,84 +20,21 @@ iterate the space in its canonical enumeration order.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
-from ..analysis.pareto import pareto_ranks, weighted_scalarization
-from ..analysis.table import ColumnTable
 from .space import DesignSpace
 
 __all__ = [
-    "Candidate",
     "EvaluateFn",
     "GridSearch",
     "RandomSearch",
+    "RankFn",
     "STRATEGIES",
     "SearchStrategy",
     "SuccessiveHalving",
     "get_strategy",
-    "objective_columns",
     "strategy_names",
 ]
-
-
-class Candidate:
-    """One full-fidelity evaluated design point.
-
-    ``Candidate(assignment, payload, space)`` holds a ready payload
-    mapping; :meth:`row` points at row ``index`` of a generation's
-    :class:`~repro.analysis.table.ColumnTable` instead, and the payload is
-    built each time it is read -- a generation evaluates many points but a
-    report reads only its frontier's payloads.
-    """
-
-    __slots__ = ("assignment", "space", "rows", "index", "_point_id")
-
-    def __init__(
-        self,
-        assignment: Mapping[str, Any],
-        payload: Mapping[str, Any],
-        space: DesignSpace,
-    ):
-        self.assignment = assignment
-        self.space = space
-        #: the payloads this candidate's is one of, and its position there.
-        self.rows: Sequence[Mapping[str, Any]] = (payload,)
-        self.index = 0
-        self._point_id: Optional[str] = None
-
-    @classmethod
-    def row(
-        cls,
-        assignment: Mapping[str, Any],
-        table: ColumnTable,
-        index: int,
-        space: DesignSpace,
-    ) -> "Candidate":
-        """The candidate whose payload is row ``index`` of ``table``."""
-        candidate = cls.__new__(cls)
-        candidate.assignment = assignment
-        candidate.space = space
-        candidate.rows = table
-        candidate.index = index
-        candidate._point_id = None
-        return candidate
-
-    @property
-    def payload(self) -> Mapping[str, Any]:
-        return self.rows[self.index]
-
-    @property
-    def point_id(self) -> str:
-        """The point's stable id, hashed on first access: a generation
-        evaluates many points but a report shows only its frontier's ids."""
-        if self._point_id is None:
-            self._point_id = self.space.point_id(self.assignment)
-        return self._point_id
-
-    def __repr__(self) -> str:
-        return f"Candidate(assignment={self.assignment!r})"
 
 
 #: ``evaluate(assignments, fidelity) -> payloads`` -- provided by the
@@ -103,21 +42,13 @@ class Candidate:
 #: row per assignment, in order (any sequence of payload dicts will do).
 EvaluateFn = Callable[[Sequence[Mapping[str, Any]], float], Sequence[Dict[str, Any]]]
 
+#: ``rank(payloads) -> scores`` -- provided by the explorer from its own
+#: objectives and weights; one score per payload, lower is better.
+RankFn = Callable[[Sequence[Mapping[str, Any]]], Sequence[float]]
 
-def objective_columns(
-    payloads: Sequence[Mapping[str, Any]], keys: Sequence[str], owner: str
-) -> List[np.ndarray]:
-    """The ``keys`` columns of ``payloads`` (a table or any sequence of
-    payload dicts); a missing key raises ``KeyError`` naming ``owner``,
-    the key and the first payload without it."""
-    table = ColumnTable.of(payloads)
-    columns = []
-    for key in keys:
-        try:
-            columns.append(table.column(key))
-        except KeyError as error:
-            raise KeyError(f"{owner}: {error.args[0]}") from None
-    return columns
+#: what :meth:`SearchStrategy.search` returns: the full-fidelity points and
+#: the payloads ``evaluate`` returned for them (row ``i`` is point ``i``'s).
+SearchResult = Tuple[List[Mapping[str, Any]], Sequence[Dict[str, Any]]]
 
 
 class SearchStrategy:
@@ -131,20 +62,13 @@ class SearchStrategy:
         budget: int,
         evaluate: EvaluateFn,
         rng: random.Random,
-    ) -> List[Candidate]:
+        rank: RankFn,
+    ) -> SearchResult:
+        """Evaluate points of ``space`` through ``evaluate``, within
+        ``budget`` evaluations; return the full-fidelity points and the
+        payload table ``evaluate`` returned for them, row ``i`` for point
+        ``i``.  ``rank`` scores any cohort of payloads (lower is better)."""
         raise NotImplementedError
-
-    @staticmethod
-    def _candidates(
-        space: DesignSpace,
-        assignments: Sequence[Mapping[str, Any]],
-        payloads: Sequence[Dict[str, Any]],
-    ) -> List[Candidate]:
-        table = ColumnTable.of(payloads)
-        return [
-            Candidate.row(dict(assignment), table, index, space)
-            for index, assignment in zip(range(len(table)), assignments)
-        ]
 
 
 class GridSearch(SearchStrategy):
@@ -171,7 +95,8 @@ class GridSearch(SearchStrategy):
         budget: int,
         evaluate: EvaluateFn,
         rng: random.Random,
-    ) -> List[Candidate]:
+        rank: RankFn,
+    ) -> SearchResult:
         total = space.feasible_count()
         if budget < total:
             # Identical selection to the old list-index path:
@@ -187,8 +112,7 @@ class GridSearch(SearchStrategy):
             ]
         else:
             points = list(space.iter_points())
-        payloads = evaluate(points, 1.0)
-        return self._candidates(space, points, payloads)
+        return points, evaluate(points, 1.0)
 
 
 class RandomSearch(SearchStrategy):
@@ -202,35 +126,25 @@ class RandomSearch(SearchStrategy):
         budget: int,
         evaluate: EvaluateFn,
         rng: random.Random,
-    ) -> List[Candidate]:
+        rank: RankFn,
+    ) -> SearchResult:
         points = space.points()
         if budget < len(points):
             points = rng.sample(points, budget)
-        payloads = evaluate(points, 1.0)
-        return self._candidates(space, points, payloads)
-
-
-#: the canonical DSE objective axes, as (payload key, sense) pairs.  This is
-#: the single source of truth: halving selects survivors on these, and
-#: :data:`repro.explore.explore.DEFAULT_OBJECTIVES` derives its frontier
-#: axes from the same tuple.
-DEFAULT_HALVING_OBJECTIVES: Tuple[Tuple[str, str], ...] = (
-    ("latency_s", "min"),
-    ("offchip_bytes", "min"),
-    ("utilization", "max"),
-)
+        return points, evaluate(points, 1.0)
 
 
 class SuccessiveHalving(SearchStrategy):
-    """Multi-fidelity successive halving on Pareto rank.
+    """Multi-fidelity successive halving on the explorer's ranking.
 
     Rung 0 evaluates a large random cohort at a cheap reduced fidelity (the
     space's fidelity hook, e.g. a shortened sequence); each subsequent rung
-    keeps the best ``1/eta`` of the cohort -- ordered by non-domination rank
-    over the DSE objectives, ties broken deterministically by point id --
-    and re-evaluates the survivors at ``eta`` times the fidelity, until the
-    final rung runs at full fidelity.  The returned candidates are exactly
-    the final rung's survivors.
+    keeps the best ``1/eta`` of the cohort -- ordered by the ``rank``
+    callback (non-domination rank over the exploration's objectives, or
+    their weighted scalarisation), ties broken deterministically by point
+    id -- and re-evaluates the survivors at ``eta`` times the fidelity,
+    until the final rung runs at full fidelity.  The returned points are
+    exactly the final rung's survivors.
 
     ``budget`` bounds the *total* number of evaluations across all rungs
     (cache hits included), which is the fair comparison against grid/random
@@ -243,10 +157,8 @@ class SuccessiveHalving(SearchStrategy):
     def __init__(
         self,
         eta: int = 2,
-        objectives: Sequence[Tuple[str, str]] = DEFAULT_HALVING_OBJECTIVES,
         min_fidelity: float = 0.25,
         min_final: int = 4,
-        weights: Optional[Mapping[str, float]] = None,
     ):
         if eta < 2:
             raise ValueError(f"eta must be >= 2, got {eta}")
@@ -255,25 +167,11 @@ class SuccessiveHalving(SearchStrategy):
         if min_final < 1:
             raise ValueError(f"min_final must be >= 1, got {min_final}")
         self.eta = eta
-        self.objectives = tuple(objectives)
         self.min_fidelity = min_fidelity
         #: halving stops once the cohort reaches this size: a classic SHA
         #: would converge to a single winner, but the explorer wants a small
         #: *frontier-comparable* pool at full fidelity, not one point.
         self.min_final = min_final
-        #: optional payload-key -> weight mapping; when set, survivor
-        #: selection uses the weighted scalarisation of
-        #: :func:`repro.analysis.pareto.weighted_scalarization` instead of
-        #: non-domination rank.  Keys must be objective payload keys; unknown
-        #: keys fail loudly (a typo'd weight must not silently become rank
-        #: selection).
-        if weights:
-            known = {key for key, _sense in self.objectives}
-            unknown = sorted(set(weights) - known)
-            if unknown:
-                raise ValueError(f"unknown objective weight key(s) {unknown}; "
-                                 f"known: {sorted(known)}")
-        self.weights = dict(weights) if weights else None
 
     # ------------------------------------------------------------- planning
 
@@ -305,23 +203,6 @@ class SuccessiveHalving(SearchStrategy):
         fidelity = 1.0 / (self.eta ** (rungs - 1 - rung))
         return max(self.min_fidelity, fidelity)
 
-    def _rank(self, payloads: Sequence[Mapping[str, Any]]) -> Sequence[float]:
-        """Selection score per payload; lower is better.
-
-        Non-domination rank by default; the weighted scalarisation when
-        :attr:`weights` is set (both orders are consumed identically by the
-        deterministic ``(score, point_id)`` survivor sort).  Both read the
-        payloads' objective columns.
-        """
-        keys = [key for key, _sense in self.objectives]
-        columns = objective_columns(payloads, keys, "successive halving objective")
-        cohort = ColumnTable(dict(enumerate(columns)))
-        senses = [sense for _key, sense in self.objectives]
-        if self.weights is not None:
-            weight_vector = [self.weights.get(key, 0.0) for key in keys]
-            return weighted_scalarization(cohort, senses, weight_vector)
-        return pareto_ranks(cohort, senses)
-
     # -------------------------------------------------------------- search
 
     def search(
@@ -330,7 +211,8 @@ class SuccessiveHalving(SearchStrategy):
         budget: int,
         evaluate: EvaluateFn,
         rng: random.Random,
-    ) -> List[Candidate]:
+        rank: RankFn,
+    ) -> SearchResult:
         points = space.points()
         sizes = self.plan(len(points), budget)
         if sizes[0] < len(points):
@@ -345,13 +227,13 @@ class SuccessiveHalving(SearchStrategy):
             payloads = evaluate(cohort, fidelity)
             if rung == rungs - 1:
                 break
-            ranks = self._rank(payloads)
+            ranks = rank(payloads)
             order = sorted(
                 range(len(cohort)),
                 key=lambda i: (ranks[i], space.point_id(cohort[i])),
             )
             cohort = [cohort[i] for i in order]
-        return self._candidates(space, cohort, payloads)
+        return cohort, payloads
 
 
 #: registry of CLI-selectable strategies (name -> factory).
@@ -366,22 +248,12 @@ def strategy_names() -> List[str]:
     return sorted(STRATEGIES)
 
 
-def get_strategy(
-    name: str,
-    weights: Optional[Mapping[str, float]] = None,
-    objectives: Optional[Sequence[Tuple[str, str]]] = None,
-) -> SearchStrategy:
-    """Construct a strategy by name.
+def get_strategy(name: str) -> SearchStrategy:
+    """Construct a strategy by name, with its default settings.
 
-    ``weights`` (payload key -> weight) configures weighted-scalarisation
-    survivor selection on strategies that rank cohorts -- currently only
-    successive halving; grid and random evaluate every candidate regardless
-    of score, so weights are ignored for them (the explorer still applies
-    them to the frontier ordering).  ``objectives`` overrides halving's
-    ``(payload key, sense)`` selection axes -- the explorer passes the
-    space's axes here so e.g. a chiplet exploration ranks cohorts on the
-    same throughput/cost axes its frontier uses (and so weights naming
-    those axes validate instead of being rejected).
+    A strategy carries no objectives or weights: the explorer ranks cohorts
+    for it (see :meth:`SearchStrategy.search`), so one strategy object
+    serves a plain, a weighted and a chiplet exploration alike.
     """
     try:
         factory = STRATEGIES[name]
@@ -389,11 +261,4 @@ def get_strategy(
         raise KeyError(
             f"unknown search strategy {name!r}; known: {strategy_names()}"
         ) from None
-    if factory is SuccessiveHalving and (weights or objectives is not None):
-        kwargs: Dict[str, Any] = {}
-        if objectives is not None:
-            kwargs["objectives"] = tuple(objectives)
-        if weights:
-            kwargs["weights"] = weights
-        return SuccessiveHalving(**kwargs)
     return factory()

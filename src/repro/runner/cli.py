@@ -730,18 +730,10 @@ def _run_explore(args: argparse.Namespace) -> int:
     try:
         space = get_space(args.space)
         # The space picks the objective axes (chiplet spaces add throughput,
-        # area and energy); weights must name one of *those* axes.  Validate
-        # before constructing the strategy so the same typo cannot surface
-        # as halving's ValueError instead of a clean exit 2.
+        # area and energy); weights must name one of *those* axes.
         objectives = objectives_for(space, args.weights)
         validate_weights(args.weights, objectives)
-        # Weighted exploration also selects halving survivors by weighted
-        # score instead of non-domination rank, on the space's axes.
-        strategy = get_strategy(
-            args.strategy,
-            weights=args.weights,
-            objectives=tuple((o.key, o.sense) for o in objectives),
-        )
+        strategy = get_strategy(args.strategy)
     except (KeyError, ValueError) as error:
         return _fail(error.args[0])
     if args.verify_top < 0:

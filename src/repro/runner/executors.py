@@ -482,7 +482,6 @@ class Spool:
     def requeue_orphans(
         self,
         orphan_timeout_s: float,
-        job_ids: Optional[Sequence[str]] = None,
         now: Optional[float] = None,
         prefix: Optional[str] = None,
     ) -> List[str]:
@@ -490,9 +489,7 @@ class Spool:
 
         A claim is abandoned when its worker's heartbeat file -- or the
         claim file itself, for a worker that died before its first beat --
-        is older than ``orphan_timeout_s``.  ``job_ids`` (an explicit id
-        set) or ``prefix`` (a batch id prefix -- O(1) to ship over the
-        network transport, where a 10^5-id list per scan would not be)
+        is older than ``orphan_timeout_s``.  ``prefix`` (a batch id prefix)
         restricts the scan to one submitter's jobs, so co-tenant submitters
         never requeue each other's work.  Returns the requeued job ids.
 
@@ -503,15 +500,12 @@ class Spool:
         instead of the NFS skew bug it exists to prevent.
         """
         now = self.fs_now("requeue-orphans") if now is None else now
-        wanted = set(job_ids) if job_ids is not None else None
         requeued: List[str] = []
         for path in sorted(self.claimed_dir.glob("*.json")):
             stem = path.stem
             job_id, separator, worker_id = stem.partition("@@")
             if not separator:
                 continue  # not a claim file of this protocol
-            if wanted is not None and job_id not in wanted:
-                continue
             if prefix is not None and not job_id.startswith(prefix):
                 continue
             heartbeat = self.workers_dir / f"{worker_id}.json"

@@ -285,12 +285,9 @@ class SpoolServer:
     def _op_requeue_orphans(self, request: Dict[str, Any]) -> Dict[str, Any]:
         timeout_s = float(request["timeout_s"])
         prefix = request.get("prefix")
-        job_ids = request.get("job_ids")
         with self._lock:
             requeued = self.spool.requeue_orphans(
-                timeout_s,
-                job_ids=job_ids,
-                prefix=None if prefix is None else str(prefix),
+                timeout_s, prefix=None if prefix is None else str(prefix)
             )
             for job_id in requeued:
                 self._requeues[job_id] = self._requeues.get(job_id, 0) + 1
@@ -499,7 +496,6 @@ class NetSpool:
     def requeue_orphans(
         self,
         orphan_timeout_s: float,
-        job_ids: Optional[Sequence[str]] = None,
         now: Optional[float] = None,
         prefix: Optional[str] = None,
     ) -> List[str]:
@@ -509,8 +505,6 @@ class NetSpool:
             "op": "requeue_orphans",
             "timeout_s": orphan_timeout_s,
         }
-        if job_ids is not None:
-            request["job_ids"] = list(job_ids)
         if prefix is not None:
             request["prefix"] = prefix
         try:

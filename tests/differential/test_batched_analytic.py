@@ -235,10 +235,8 @@ def test_exploration_frontier_matches_the_scalar_runner(space_name):
 
     space = get_space(space_name)
     objectives = objectives_for(space)
-    strategy = SuccessiveHalving(
-        objectives=tuple((o.key, o.sense) for o in objectives))
-    report = run_exploration(space, strategy, budget=12, verify_top=0, seed=5,
-                             objectives=objectives)
+    report = run_exploration(space, SuccessiveHalving(), budget=12,
+                             verify_top=0, seed=5, objectives=objectives)
     assert report.proxy == "batched"
     assert report.frontier
     scalar = REGISTRY.runner(space.kind, "analytic")

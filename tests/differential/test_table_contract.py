@@ -152,11 +152,18 @@ def test_objective_column_names_the_missing_key():
         objective.value(table[7])
 
 
-def test_halving_rank_names_the_missing_key():
-    table = _table_without("utilization")
+def test_halving_rank_names_the_missing_key(monkeypatch):
+    # The explorer's rank reads every objective of halving's first rung.
+    import repro.explore.explore as explore
+
+    def lossy(kind, params_list, **kwargs):
+        return _table_without("utilization", len(params_list)), 0
+
+    monkeypatch.setattr(explore, "evaluate_chunked", lossy)
     with pytest.raises(KeyError, match="utilization") as excinfo:
-        SuccessiveHalving()._rank(table)
-    assert "successive halving" in str(excinfo.value)
+        run_exploration(get_space("encoder-smoke"), SuccessiveHalving(),
+                        budget=12, verify_top=0, seed=0)
+    assert "objective 'utilization'" in str(excinfo.value)
 
 
 def test_exploration_names_the_missing_key():
@@ -165,30 +172,31 @@ def test_exploration_names_the_missing_key():
     class Lossy(SearchStrategy):
         name = "lossy"
 
-        def search(self, space, budget, evaluate, rng):
+        def search(self, space, budget, evaluate, rng, rank):
             points = space.points()[:6]
             table = evaluate(points, 1.0)
             rows = list(table)
             del rows[random.Random(0).randrange(len(rows))]["latency_s"]
-            return self._candidates(space, points, rows)
+            return points, rows
 
     with pytest.raises(KeyError, match="latency_s"):
         run_exploration(space, Lossy(), budget=6, verify_top=0, seed=0)
 
 
-def test_grid_candidates_read_their_rows_on_access():
+def test_grid_payload_rows_are_built_on_access():
     space = get_space("encoder-smoke")
-    candidates = []
+    found = []
 
     class Recording(GridSearch):
         def search(self, *args):
-            found = super().search(*args)
-            candidates.extend(found)
-            return found
+            points, payloads = super().search(*args)
+            found.append(payloads)
+            return points, payloads
 
     run_exploration(space, Recording(), budget=16, verify_top=0, seed=0)
     _, params, expected = _GENERATIONS["encoder-smoke"]
-    assert [c.payload for c in candidates] == expected
-    first = candidates[0].payload
+    (payloads,) = found
+    assert list(payloads) == expected
+    first = payloads[0]
     first["latency_s"] = -1.0
-    assert candidates[0].payload == expected[0]
+    assert payloads[0] == expected[0]

@@ -23,7 +23,7 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.explore import (Axis, Candidate, Constraint, DesignSpace,  # noqa: E402
+from repro.explore import (Axis, Constraint, DesignSpace,  # noqa: E402
                            SearchStrategy, run_exploration)
 from repro.runner import canonical_json  # noqa: E402
 
@@ -120,7 +120,7 @@ class _Duplicating(SearchStrategy):
 
     name = "duplicating"
 
-    def search(self, space, budget, evaluate, rng):
+    def search(self, space, budget, evaluate, rng, rank):
         candidates = []
         for index, point in enumerate(space.points()):
             # Mutually non-dominated objectives: every design is on the
@@ -128,11 +128,12 @@ class _Duplicating(SearchStrategy):
             payload = {"latency_s": float(index), "offchip_bytes": 0,
                        "utilization": float(index)}
             rebuilt = {name: point[name] for name in reversed(list(point))}
-            candidates.append(Candidate(point, payload, space))
-            candidates.append(Candidate(point, payload, space))
-            candidates.append(Candidate(rebuilt, dict(payload), space))
+            candidates.append((point, payload))
+            candidates.append((point, payload))
+            candidates.append((rebuilt, dict(payload)))
         random.Random(0).shuffle(candidates)
-        return candidates
+        return ([point for point, _ in candidates],
+                [payload for _, payload in candidates])
 
 
 @settings(max_examples=50, deadline=None)

@@ -93,11 +93,7 @@ def _explore(case: str, chunk_size=None) -> dict:
     space_name, strategy_name, budget, weights = CASES[case]
     space = get_space(space_name)
     objectives = objectives_for(space, weights)
-    strategy = get_strategy(
-        strategy_name,
-        weights=weights,
-        objectives=tuple((o.key, o.sense) for o in objectives),
-    )
+    strategy = get_strategy(strategy_name)
     report = run_exploration(
         space,
         strategy,

@@ -6,11 +6,15 @@ import random
 
 import pytest
 
-from repro.explore import (Axis, Candidate, DesignSpace, GridSearch,
-                           RandomSearch, SearchStrategy, SuccessiveHalving,
-                           get_space, get_strategy, run_exploration,
-                           strategy_names)
+from repro.analysis.pareto import pareto_ranks, weighted_scalarization
+from repro.explore import (Axis, DesignSpace, GridSearch, RandomSearch,
+                           SearchStrategy, SuccessiveHalving, get_space,
+                           get_strategy, run_exploration, strategy_names)
 from repro.runner import canonical_json
+
+#: the fake payloads' objective keys and senses.
+KEYS = ("latency_s", "offchip_bytes", "utilization")
+SENSES = ("min", "min", "max")
 
 
 def _space() -> DesignSpace:
@@ -46,49 +50,72 @@ def _fake_evaluate(calls=None):
     return evaluate
 
 
+def _rows(payloads):
+    return [tuple(payload[key] for key in KEYS) for payload in payloads]
+
+
+def _rank(payloads):
+    """Non-domination rank over :data:`KEYS`, as the explorer ranks."""
+    return pareto_ranks(_rows(payloads), SENSES)
+
+
+def _weighted_rank(weights):
+    vector = [weights.get(key, 0.0) for key in KEYS]
+    return lambda payloads: weighted_scalarization(_rows(payloads), SENSES,
+                                                   vector)
+
+
+def _ids(space, points):
+    return [space.point_id(point) for point in points]
+
+
 class TestGridSearch:
     def test_full_budget_covers_every_point(self):
         space = _space()
-        candidates = GridSearch().search(space, 100, _fake_evaluate(),
-                                         random.Random(0))
-        assert len(candidates) == len(space.points())
+        points, payloads = GridSearch().search(space, 100, _fake_evaluate(),
+                                               random.Random(0), _rank)
+        assert points == space.points()
+        assert len(payloads) == len(points)
 
     def test_small_budget_strides_across_the_space(self):
         space = _space()
-        candidates = GridSearch().search(space, 6, _fake_evaluate(),
-                                         random.Random(0))
-        assert len(candidates) == 6
+        points, _ = GridSearch().search(space, 6, _fake_evaluate(),
+                                        random.Random(0), _rank)
+        assert len(points) == 6
         # Striding must reach past the first corner of the enumeration.
-        seq_lens = {c.assignment["seq_len"] for c in candidates}
+        seq_lens = {point["seq_len"] for point in points}
         assert seq_lens == {64, 128}
 
     def test_deterministic_without_rng(self):
         space = _space()
-        a = GridSearch().search(space, 6, _fake_evaluate(), random.Random(0))
-        b = GridSearch().search(space, 6, _fake_evaluate(), random.Random(99))
-        assert [c.point_id for c in a] == [c.point_id for c in b]
+        a, _ = GridSearch().search(space, 6, _fake_evaluate(),
+                                   random.Random(0), _rank)
+        b, _ = GridSearch().search(space, 6, _fake_evaluate(),
+                                   random.Random(99), _rank)
+        assert _ids(space, a) == _ids(space, b)
 
 
 class TestRandomSearch:
     def test_budget_respected_and_unique(self):
-        candidates = RandomSearch().search(_space(), 5, _fake_evaluate(),
-                                           random.Random(3))
-        assert len(candidates) == 5
-        assert len({c.point_id for c in candidates}) == 5
+        space = _space()
+        points, payloads = RandomSearch().search(space, 5, _fake_evaluate(),
+                                                 random.Random(3), _rank)
+        assert len(points) == len(payloads) == 5
+        assert len(set(_ids(space, points))) == 5
 
     def test_same_seed_same_sample(self):
-        a = RandomSearch().search(_space(), 5, _fake_evaluate(),
-                                  random.Random(3))
-        b = RandomSearch().search(_space(), 5, _fake_evaluate(),
-                                  random.Random(3))
-        assert [c.point_id for c in a] == [c.point_id for c in b]
+        a, _ = RandomSearch().search(_space(), 5, _fake_evaluate(),
+                                     random.Random(3), _rank)
+        b, _ = RandomSearch().search(_space(), 5, _fake_evaluate(),
+                                     random.Random(3), _rank)
+        assert a == b
 
     def test_different_seed_different_sample(self):
-        a = RandomSearch().search(_space(), 5, _fake_evaluate(),
-                                  random.Random(3))
-        b = RandomSearch().search(_space(), 5, _fake_evaluate(),
-                                  random.Random(4))
-        assert [c.point_id for c in a] != [c.point_id for c in b]
+        a, _ = RandomSearch().search(_space(), 5, _fake_evaluate(),
+                                     random.Random(3), _rank)
+        b, _ = RandomSearch().search(_space(), 5, _fake_evaluate(),
+                                     random.Random(4), _rank)
+        assert a != b
 
 
 class TestSuccessiveHalvingPlan:
@@ -124,21 +151,21 @@ class TestSuccessiveHalvingSearch:
         calls = []
         SuccessiveHalving(min_final=2).search(_space(), 12,
                                               _fake_evaluate(calls),
-                                              random.Random(1))
+                                              random.Random(1), _rank)
         assert sum(n for n, _ in calls) <= 12
 
     def test_final_rung_runs_at_full_fidelity(self):
         calls = []
-        candidates = SuccessiveHalving(min_final=2).search(
-            _space(), 12, _fake_evaluate(calls), random.Random(1))
+        points, payloads = SuccessiveHalving(min_final=2).search(
+            _space(), 12, _fake_evaluate(calls), random.Random(1), _rank)
         assert calls[-1][1] == 1.0
-        assert calls[-1][0] == len(candidates)
+        assert calls[-1][0] == len(points) == len(payloads)
 
     def test_earlier_rungs_run_reduced_fidelity(self):
         calls = []
         SuccessiveHalving(min_final=2).search(_space(), 20,
                                               _fake_evaluate(calls),
-                                              random.Random(1))
+                                              random.Random(1), _rank)
         assert len(calls) >= 2
         assert all(fidelity < 1.0 for _, fidelity in calls[:-1])
         assert all(fidelity >= 0.25 for _, fidelity in calls)
@@ -147,26 +174,40 @@ class TestSuccessiveHalvingSearch:
         space = _space()
         runs = [
             SuccessiveHalving(min_final=2).search(space, 14, _fake_evaluate(),
-                                                  random.Random(42))
+                                                  random.Random(42), _rank)
             for _ in range(2)
         ]
-        assert [c.point_id for c in runs[0]] == [c.point_id for c in runs[1]]
-        assert [c.payload for c in runs[0]] == [c.payload for c in runs[1]]
+        assert _ids(space, runs[0][0]) == _ids(space, runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
     def test_survivors_prefer_low_pareto_rank(self):
         # tile_m=768 strictly improves latency at equal traffic/util, so the
         # full-fidelity survivors should be drawn from large tile_m designs.
-        candidates = SuccessiveHalving(min_final=2).search(
-            _space(), 20, _fake_evaluate(), random.Random(0))
-        assert all(c.assignment["tile_m"] >= 512 for c in candidates)
+        points, _ = SuccessiveHalving(min_final=2).search(
+            _space(), 20, _fake_evaluate(), random.Random(0), _rank)
+        assert all(point["tile_m"] >= 512 for point in points)
 
-    def test_missing_objective_key_raises(self):
-        def bad_evaluate(assignments, fidelity):
-            return [{"latency_s": 1.0} for _ in assignments]
+    def test_survivors_follow_the_rank_callback(self):
+        # A rank that prefers high latency keeps the small-tile designs the
+        # Pareto rank above drops.
+        def slowest_first(payloads):
+            return [-payload["latency_s"] for payload in payloads]
 
+        points, _ = SuccessiveHalving(min_final=2).search(
+            _space(), 20, _fake_evaluate(), random.Random(0), slowest_first)
+        assert all(point["tile_m"] <= 512 for point in points)
+
+    def test_missing_objective_key_raises(self, monkeypatch):
+        # The explorer's rank reads every objective of every rung's payloads.
+        import repro.explore.explore as explore
+
+        def lossy(kind, params_list, **kwargs):
+            return [{"latency_s": 1.0} for _ in params_list], 0
+
+        monkeypatch.setattr(explore, "evaluate_chunked", lossy)
         with pytest.raises(KeyError, match="offchip_bytes"):
-            SuccessiveHalving(min_final=2).search(_space(), 12, bad_evaluate,
-                                                  random.Random(1))
+            run_exploration(_space(), SuccessiveHalving(min_final=2),
+                            budget=12, verify_top=0, seed=1)
 
 
 class TestStrategyRegistry:
@@ -182,30 +223,24 @@ class TestStrategyRegistry:
 
 
 class TestWeightedHalving:
-    def test_unknown_weight_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown objective weight"):
-            SuccessiveHalving(weights={"latencyy": 1.0})
-
     def test_weighted_selection_overrides_rank(self):
         """With a pure-utilization weight, halving must keep the pipelined
         points (utilization 0.5) over the lowest-latency ones that a
         latency-flavoured rank sort would favour."""
-        space = _space()
-        weighted = SuccessiveHalving(min_final=2,
-                                     weights={"utilization": 1.0})
-        candidates = weighted.search(space, 24, _fake_evaluate(),
-                                     random.Random(0))
-        assert candidates
-        assert all(c.assignment["pipeline_attention"] for c in candidates)
+        points, _ = SuccessiveHalving(min_final=2).search(
+            _space(), 24, _fake_evaluate(), random.Random(0),
+            _weighted_rank({"utilization": 1.0}))
+        assert points
+        assert all(point["pipeline_attention"] for point in points)
 
     def test_weighted_halving_deterministic_under_seed(self):
         space = _space()
-        weights = {"latency_s": 2.0, "offchip_bytes": 1.0}
-        first = SuccessiveHalving(weights=weights).search(
-            space, 16, _fake_evaluate(), random.Random(11))
-        second = SuccessiveHalving(weights=weights).search(
-            space, 16, _fake_evaluate(), random.Random(11))
-        assert [c.point_id for c in first] == [c.point_id for c in second]
+        rank = _weighted_rank({"latency_s": 2.0, "offchip_bytes": 1.0})
+        first, _ = SuccessiveHalving().search(
+            space, 16, _fake_evaluate(), random.Random(11), rank)
+        second, _ = SuccessiveHalving().search(
+            space, 16, _fake_evaluate(), random.Random(11), rank)
+        assert _ids(space, first) == _ids(space, second)
 
 
 class TestPointIds:
@@ -250,9 +285,9 @@ class TestPointIds:
         class Fixed(SearchStrategy):
             name = "fixed"
 
-            def search(self, space, budget, evaluate, rng):
-                return [Candidate({"x": x}, payload, space)
-                        for x in (1, 1.0, 1, 1.0, 2)]
+            def search(self, space, budget, evaluate, rng, rank):
+                xs = (1, 1.0, 1, 1.0, 2)
+                return [{"x": x} for x in xs], [payload] * len(xs)
 
         report = run_exploration(space, Fixed(), budget=1, verify_top=0, seed=0)
         assert report.candidates == 3

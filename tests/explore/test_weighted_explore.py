@@ -20,9 +20,7 @@ def _explore(weights=None, **kwargs):
     kwargs.setdefault("budget", 12)
     kwargs.setdefault("verify_top", 0)
     kwargs.setdefault("seed", 5)
-    strategy = SuccessiveHalving(weights=weights) if weights \
-        else SuccessiveHalving()
-    return run_exploration(get_space("encoder-smoke"), strategy,
+    return run_exploration(get_space("encoder-smoke"), SuccessiveHalving(),
                            weights=weights, **kwargs)
 
 
@@ -61,6 +59,29 @@ def test_unknown_weight_key_raises():
     with pytest.raises(KeyError, match="unknown objective weight"):
         run_exploration(get_space("encoder-smoke"), SuccessiveHalving(),
                         budget=4, verify_top=0, weights={"nope": 1.0})
+
+
+@pytest.mark.parametrize("weights, match", [
+    ({"latency_s": -1.0}, "non-negative"),
+    ({"latency_s": float("nan")}, "finite"),
+    ({"latency_s": float("inf"), "utilization": 1.0}, "finite"),
+    ({"latency_s": 0.0, "offchip_bytes": 0.0}, "positive"),
+    ({}, "positive"),
+])
+def test_bad_weight_values_raise_before_any_evaluation(monkeypatch, weights,
+                                                       match):
+    import repro.explore.explore as explore
+    from repro.explore import GridSearch, validate_weights
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluate_chunked ran before the weights check")
+
+    monkeypatch.setattr(explore, "evaluate_chunked", never)
+    with pytest.raises(ValueError, match=match):
+        run_exploration(get_space("encoder-smoke"), GridSearch(), budget=16,
+                        verify_top=0, weights=weights)
+    with pytest.raises(ValueError, match=match):
+        validate_weights(weights)
 
 
 def test_scalarization_with_cost_terms_hand_computed():
@@ -103,14 +124,10 @@ def test_objectives_for_space_kinds():
 
 def test_weighted_chiplet_exploration_scores_cost_axes():
     space = get_space("chiplet-smoke")
-    objectives = objectives_for(space)
-    obj_pairs = tuple((o.key, o.sense) for o in objectives)
     weights = {"latency_s": 1.0, "area_luts": 2.0, "energy_j": 1.0}
     report = run_exploration(
-        space,
-        SuccessiveHalving(objectives=obj_pairs, weights=weights),
-        budget=12, verify_top=0, seed=5, objectives=objectives,
-        weights=weights)
+        space, SuccessiveHalving(), budget=12, verify_top=0, seed=5,
+        objectives=objectives_for(space), weights=weights)
     assert report.frontier
     scores = [point.weighted_score for point in report.frontier]
     assert all(score is not None for score in scores)

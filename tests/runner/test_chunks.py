@@ -400,11 +400,11 @@ class TestExplorationChunking:
         )
         strategy = GridSearch()
         search = strategy.search
-        candidates = []
+        found = []
 
         def recording_search(*args):
-            candidates.extend(search(*args))
-            return candidates
+            found.append(search(*args))
+            return found[-1]
 
         strategy.search = recording_search
         with _recording(executor_cls)(*args) as executor:
@@ -414,11 +414,11 @@ class TestExplorationChunking:
                 objectives=(Objective("end_time", "end_time", "min"),))
         assert executor.chunk_sizes == [2, 2, 2]
         assert report.evaluations == 6
-        assert [c.assignment for c in candidates] == space.points()
-        for candidate in candidates:
+        ((points, payloads),) = found
+        assert points == space.points()
+        for point, payload in zip(points, payloads):
             scenario = Scenario(name="chain", kind="engine_chain",
-                                params=space.point_params(candidate.assignment))
-            assert candidate.payload == REGISTRY.run(scenario,
-                                                     backend="analytic")
-        fastest = min(candidates, key=lambda c: c.payload["end_time"])
-        assert [p.assignment for p in report.frontier] == [fastest.assignment]
+                                params=space.point_params(point))
+            assert payload == REGISTRY.run(scenario, backend="analytic")
+        fastest = min(zip(points, payloads), key=lambda pair: pair[1]["end_time"])
+        assert [p.assignment for p in report.frontier] == [fastest[0]]

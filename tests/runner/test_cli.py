@@ -593,8 +593,51 @@ class TestExploreProxyAndWeights:
         err = capsys.readouterr().err
         assert "--weights" in err and "Traceback" not in err
 
+    def test_library_weighted_halving_matches_the_cli(self, capsys, tmp_path):
+        # A plain SuccessiveHalving() under run_exploration's weights ranks
+        # survivors on the exploration's own axes and weights, as the CLI
+        # does: both give the same report.
+        from repro.explore import SuccessiveHalving, get_space, run_exploration
+
+        json_path = tmp_path / "cli.json"
+        code, _, _ = _run(capsys, "explore", "--space", "encoder-smoke",
+                          "--strategy", "halving", "--budget", "12",
+                          "--verify-top", "0", "--seed", "7", "--no-cache",
+                          "--weights", "utilization=1",
+                          "--json", str(json_path))
+        assert code == 0
+        cli = json.loads(json_path.read_text())
+        library = run_exploration(get_space("encoder-smoke"),
+                                  SuccessiveHalving(), budget=12,
+                                  verify_top=0, seed=7,
+                                  weights={"utilization": 1.0}).to_dict()
+        for report in (cli, library):
+            report.pop("proxy_wall_s")
+            report.pop("verify_wall_s")
+        assert json.loads(json.dumps(library)) == cli
+
 
 class TestExploreChipletSpace:
+    def test_grid_frontier_scales_out_and_verifies(self, capsys, tmp_path):
+        # Grid over the whole chiplet-smoke space, the four leading
+        # frontier points verified on the engine.
+        json_path = tmp_path / "chiplet-grid.json"
+        code, _, _ = _run(capsys, "explore", "--space", "chiplet-smoke",
+                          "--strategy", "grid", "--budget", "12",
+                          "--verify-top", "4", "--seed", "7",
+                          "--cache-dir", str(tmp_path / "cache"),
+                          "--json", str(json_path),
+                          "--report", str(tmp_path / "chiplet-frontier.txt"))
+        assert code == 0
+        report = json.loads(json_path.read_text())
+        assert report["frontier"], "empty chiplet frontier"
+        assert report["verified"], "nothing engine-verified"
+        assert report["contract_ok"], "chiplet contract violated"
+        names = {o["name"] for o in report["objectives"]}
+        assert {"pipeline_throughput", "area", "energy"} <= names
+        chips = {p["assignment"]["num_chips"] for p in report["frontier"]}
+        assert len(chips) > 1, f"frontier never scales out: {chips}"
+
     def test_chiplet_weighted_cost_exploration(self, capsys, tmp_path):
         json_path = tmp_path / "chiplet.json"
         code, out, err = _run(capsys, "explore", "--space", "chiplet-smoke",

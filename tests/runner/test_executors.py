@@ -197,14 +197,13 @@ class TestSpoolOrphanRequeue:
         assert spool.requeue_orphans(orphan_timeout_s=30.0) == []
         assert claimed.path.exists()
 
-    def test_job_id_filter_shields_co_tenant_submitters(self, tmp_path):
+    def test_prefix_filter_shields_co_tenant_submitters(self, tmp_path):
         spool = Spool(tmp_path / "spool").ensure()
         for job_id in ("mine.00000", "theirs.00000"):
             spool.enqueue(job_id, _job_payload(job_id, CHEAP))
         for _ in range(2):
             os.utime(spool.claim("dead-worker").path, (1.0, 1.0))
-        requeued = spool.requeue_orphans(orphan_timeout_s=30.0,
-                                         job_ids=["mine.00000"])
+        requeued = spool.requeue_orphans(orphan_timeout_s=30.0, prefix="mine.")
         assert requeued == ["mine.00000"]
         assert (spool.pending_dir / "mine.00000.json").exists()
         assert not (spool.pending_dir / "theirs.00000.json").exists()
