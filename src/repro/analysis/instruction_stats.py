@@ -39,9 +39,6 @@ class InstructionAnalysis:
 
     # ------------------------------------------------------------ per-type
 
-    def instructions_per_type(self) -> Dict[str, int]:
-        return dict(self.size_report.instruction_counts)
-
     def compression_ratios(self) -> Dict[str, float]:
         return {fu_type: self.size_report.compression_ratio(fu_type)
                 for fu_type in self.size_report.fu_types()}

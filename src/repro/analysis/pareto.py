@@ -29,7 +29,7 @@ in NumPy, returning exactly the indices of the all-pairs scan over
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import Any, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .table import ColumnTable, exact_column
 __all__ = [
     "MAXIMIZE",
     "MINIMIZE",
+    "check_weights",
     "dominates",
     "kendall_tau",
     "pareto_frontier",
@@ -184,6 +185,19 @@ def pareto_ranks(points: Points, senses: Sequence[str]) -> List[int]:
     return ranks.tolist()
 
 
+def check_weights(weights: Mapping[Any, float]) -> None:
+    """Raise ``ValueError`` unless every weight is finite and non-negative
+    and at least one is positive: the one statement of the weight rules,
+    for the CLI, the explorer and :func:`weighted_scalarization` alike."""
+    for name, weight in weights.items():
+        if not math.isfinite(weight):
+            raise ValueError(f"weights must be finite, got {name}={weight:g}")
+        if weight < 0:
+            raise ValueError(f"weights must be non-negative, got {name}={weight:g}")
+    if not any(weight > 0 for weight in weights.values()):
+        raise ValueError("at least one weight must be positive")
+
+
 def weighted_scalarization(
     points: Points,
     senses: Sequence[str],
@@ -200,24 +214,17 @@ def weighted_scalarization(
     how many units of normalised regret in one objective the user trades
     for one unit in another.
 
-    ``weights`` must align with ``senses``, be non-negative, and contain at
-    least one positive entry.  Scores are comparable only within one call
-    (the normalisation is cohort-relative, exactly like Pareto ranks).
-    ``points`` may be a table of objective columns, as for
-    :func:`pareto_frontier`.
+    ``weights`` must align with ``senses`` and pass :func:`check_weights`.
+    Scores are comparable only within one call (the normalisation is
+    cohort-relative, exactly like Pareto ranks).  ``points`` may be a table
+    of objective columns, as for :func:`pareto_frontier`.
     """
     columns = _columns(points, senses)
     if len(weights) != len(senses):
         raise ValueError(
             f"{len(weights)} weight(s) given for {len(senses)} objective(s)"
         )
-    for weight in weights:
-        if not math.isfinite(weight):
-            raise ValueError(f"weights must be finite, got {weight}")
-        if weight < 0:
-            raise ValueError(f"weights must be non-negative, got {weight}")
-    if not any(weight > 0 for weight in weights):
-        raise ValueError("at least one weight must be positive")
+    check_weights({f"#{index}": weight for index, weight in enumerate(weights)})
     if not len(points):
         return []
     scores = [0.0] * len(points)

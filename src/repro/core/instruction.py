@@ -161,9 +161,6 @@ class InstructionSizeReport:
             return 0.0
         return self.uop_bytes.get(fu_type, 0) / inst
 
-    def total_instruction_bytes(self) -> int:
-        return sum(self.instruction_bytes.values())
-
     def total_uop_bytes(self) -> int:
         return sum(self.uop_bytes.values())
 
@@ -272,9 +269,6 @@ class RSNProgram:
     @property
     def nbytes(self) -> int:
         return sum(p.nbytes for p in self.packets)
-
-    def packets_for_type(self, fu_type: str) -> List[InstructionPacket]:
-        return [p for p in self.packets if p.opcode == fu_type]
 
     def size_report(self) -> InstructionSizeReport:
         """Instruction vs expanded-uOP bytes per FU type (regenerates Fig. 9)."""

@@ -51,12 +51,6 @@ class Trace:
     def __iter__(self):
         return iter(self.events)
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def for_process(self, process: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.process == process]
-
     def first(self, kind: str, process: Optional[str] = None) -> Optional[TraceEvent]:
         for event in self.events:
             if event.kind == kind and (process is None or event.process == process):

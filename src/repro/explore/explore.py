@@ -20,7 +20,6 @@ rank agreement between proxy and verified latency orderings.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 import time
@@ -30,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..analysis.pareto import (
+    check_weights,
     kendall_tau,
     pareto_frontier,
     pareto_ranks,
@@ -252,8 +252,8 @@ def validate_weights(
     weights: Optional[Mapping[str, float]],
     objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
 ) -> None:
-    """Reject weight keys that name no objective (``KeyError``), and
-    non-finite or negative weights or a set with no positive weight
+    """Reject weight keys that name no objective (``KeyError``), and weight
+    values :func:`~repro.analysis.pareto.check_weights` rejects
     (``ValueError``).
 
     Shared by :func:`run_exploration` and the CLI, so the CLI can classify
@@ -267,13 +267,7 @@ def validate_weights(
     if unknown:
         raise KeyError(f"unknown objective weight key(s) {unknown}; "
                        f"known: {sorted(known)}")
-    for key, weight in weights.items():
-        if not math.isfinite(weight) or weight < 0:
-            raise ValueError(
-                f"weights must be finite and non-negative, got {key}={weight}"
-            )
-    if not any(weights.values()):
-        raise ValueError("at least one weight must be positive")
+    check_weights(weights)
 
 
 def _first_occurrences(

@@ -187,22 +187,16 @@ def _weights_argument(text: str) -> dict:
             raise argparse.ArgumentTypeError(
                 f"invalid weight {raw!r} for {name!r}"
             ) from None
-        if not math.isfinite(value):
-            raise argparse.ArgumentTypeError(
-                f"weights must be finite, got {name}={value:g}"
-            )
-        if value < 0:
-            raise argparse.ArgumentTypeError(
-                f"weights must be non-negative, got {name}={value:g}"
-            )
         key = _WEIGHT_ALIASES[name]
         if key in weights:
             raise argparse.ArgumentTypeError(f"objective {name!r} given more than once")
         weights[key] = value
-    if not weights:
-        raise argparse.ArgumentTypeError("no weights given")
-    if not any(weights.values()):
-        raise argparse.ArgumentTypeError("at least one weight must be positive")
+    from repro.analysis.pareto import check_weights
+
+    try:
+        check_weights(weights)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
     return weights
 
 

@@ -436,12 +436,11 @@ def _run_dse(kind: str):
 
     The point resolves against the kind's one defaults table and builds its
     config and options with :func:`~repro.xnn.partition.dse_design`, as the
-    analytic evaluator does.  A single-chip point takes
-    :func:`~repro.xnn.partition.dse_payload`, so ``num_chips=1`` payloads
-    are byte-identical to ``dse_encoder``'s by construction.  For more
-    chips, the engine supplies the per-segment latencies and traffic to
-    :func:`~repro.xnn.partition.chiplet_payload`.  Both are batches of one
-    of the column arithmetic the analytic evaluator runs on a whole
+    analytic evaluator does.  The engine supplies the per-segment latencies
+    and traffic to :func:`~repro.xnn.partition.chiplet_payload`, with no
+    partition or link for a single-chip point, so ``num_chips=1`` payloads
+    are byte-identical to ``dse_encoder``'s by construction.  It is a batch
+    of one of the column arithmetic the analytic evaluator runs on a whole
     generation (partition, link terms, cost and payload keys), so the
     chiplet analytic latency inherits the per-segment lower-bound contract
     and the traffic stays byte-identical.
@@ -456,7 +455,6 @@ def _run_dse(kind: str):
             chiplet_payload,
             design_cost,
             dse_design,
-            dse_payload,
             encoder_partition,
         )
 
@@ -469,27 +467,21 @@ def _run_dse(kind: str):
         aie = AIEArrayModel(config.spec, MMEGroupPlan(num_groups=config.num_mme))
         peak_flops = config.num_mme * aie.mme_flops(config.mme_tile_shape)
         num_chips = params.get("num_chips", 1)
-        if num_chips == 1:
-            return dse_payload(
-                latency_s=result.latency_s,
-                flops=result.flops,
-                ddr_bytes=result.ddr_bytes,
-                lpddr_bytes=result.lpddr_bytes,
-                batch=batch,
-                num_mme=config.num_mme,
-                peak_flops=peak_flops,
-                cost=design_cost(config, peak_flops),
+        partition = link = None
+        if num_chips > 1:
+            partition = encoder_partition(batch, seq_len, num_chips, config=encoder)
+            link = InterChipLink.from_design(
+                params["link_gbs"],
+                params["link_hop_us"],
+                params["link_serialization_us"],
             )
-        link = InterChipLink.from_design(
-            params["link_gbs"], params["link_hop_us"], params["link_serialization_us"]
-        )
         return chiplet_payload(
             segment_latency_s=[segment.latency_s for segment in result.segments],
             flops=result.flops,
             ddr_bytes=result.ddr_bytes,
             lpddr_bytes=result.lpddr_bytes,
             batch=batch,
-            partition=encoder_partition(batch, seq_len, num_chips, config=encoder),
+            partition=partition,
             num_mme=config.num_mme,
             per_chip_peak_flops=peak_flops,
             link=link,

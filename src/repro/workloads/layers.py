@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = ["FusedOp", "MatMulLayer", "ModelSpec", "DTYPE_BYTES"]
 
@@ -191,23 +191,8 @@ class ModelSpec:
     def total_offchip_bytes(self) -> int:
         return sum(layer.offchip_bytes for layer in self.layers)
 
-    @property
-    def total_weight_bytes(self) -> int:
-        return sum(layer.rhs_bytes for layer in self.layers if layer.rhs_is_weight)
-
     def layer(self, name: str) -> MatMulLayer:
         for layer in self.layers:
             if layer.name == name:
                 return layer
         raise KeyError(f"model {self.name!r} has no layer {name!r}")
-
-    def layer_names(self) -> List[str]:
-        return [layer.name for layer in self.layers]
-
-    def dependent_pairs(self) -> List[Tuple[str, str]]:
-        """(producer, consumer) layer-name pairs from the dependence metadata."""
-        pairs = []
-        for layer in self.layers:
-            for dep in layer.depends_on:
-                pairs.append((dep, layer.name))
-        return pairs

@@ -75,9 +75,6 @@ class HostMemory:
             raise ConfigurationError("host memory was created with carry_data=False")
         return self._arrays[name]
 
-    def tensor_names(self):
-        return sorted(self._shapes)
-
     # ---------------------------------------------------------------- slices
 
     def read_tile(

@@ -11,9 +11,9 @@ evaluator share, so that the certified contracts hold *by construction*:
   once, in ``_DSE_DEFAULTS`` / ``_CHIPLET_DEFAULTS``; both backends resolve
   a point against them and build its config and codegen options with
   :func:`dse_design`, so a point names the same design on either backend.
-* ``num_chips=1`` points take the single-chip ``dse_encoder`` payload
-  (:func:`dse_table`) -- which is what makes their payloads byte-identical
-  to that kind's.
+* ``num_chips=1`` points have no partition and take the single-chip
+  ``dse_encoder`` payload (:func:`dse_table`) -- which is what makes their
+  payloads byte-identical to that kind's.
 * For ``num_chips>1``, the partition is chosen from backend-independent
   segment FLOP counts (:func:`encoder_segment_flops`), the link terms are
   identical pure-float arithmetic on both backends, and the only
@@ -25,9 +25,9 @@ evaluator share, so that the certified contracts hold *by construction*:
   over unchanged.
 * :func:`dse_table` and :func:`chiplet_table` hold the payload arithmetic,
   once, as NumPy columns over a batch of points: the batched analytic
-  evaluator calls them on a whole generation, and the engine runners call
-  :func:`dse_payload` / :func:`chiplet_payload`, their batches of one.  The
-  shape-only :class:`EncoderPartition` (:func:`encoder_partition`) and the
+  evaluator calls them on a whole generation, and the engine runner calls
+  :func:`chiplet_payload`, their batch of one.  The shape-only
+  :class:`EncoderPartition` (:func:`encoder_partition`) and the
   :func:`design_cost` input are computed by the caller: once per point on
   the engine, once per distinct key of what they read in the evaluator.
 """
@@ -55,7 +55,6 @@ __all__ = [
     "chiplet_table",
     "design_cost",
     "dse_design",
-    "dse_payload",
     "dse_table",
     "encoder_boundary_bytes",
     "encoder_partition",
@@ -407,38 +406,6 @@ def dse_table(**columns: Any) -> ColumnTable:
     return ColumnTable(_dse_columns(**columns))
 
 
-def dse_payload(
-    *,
-    latency_s: float,
-    flops: float,
-    ddr_bytes: int,
-    lpddr_bytes: int,
-    batch: int,
-    num_mme: int,
-    peak_flops: float,
-    cost: Tuple[float, float],
-) -> Dict[str, Any]:
-    """The ``dse_encoder`` payload of one design point: :func:`dse_table`
-    on a batch of one.
-
-    The engine runner feeds it an :class:`~repro.xnn.executor.EncoderResult`'s
-    totals; ``cost`` is the :func:`design_cost` ``(power_w, area_luts)``
-    pair.
-    """
-    power_w, area_luts = cost
-    return dse_table(
-        latency_s=[latency_s],
-        flops=[flops],
-        ddr_bytes=[ddr_bytes],
-        lpddr_bytes=[lpddr_bytes],
-        batch=[batch],
-        num_mme=[num_mme],
-        peak_flops=[peak_flops],
-        power_w=[power_w],
-        area_luts=[area_luts],
-    )[0]
-
-
 #: the multi-chip diagnostics a partitioned point's payload adds, in order.
 _CHIPLET_KEYS = (
     "num_chips",
@@ -569,18 +536,19 @@ def chiplet_payload(
     ddr_bytes: int,
     lpddr_bytes: int,
     batch: int,
-    partition: EncoderPartition,
     num_mme: int,
     per_chip_peak_flops: float,
-    link: InterChipLink,
     cost: Tuple[float, float],
+    partition: Optional[EncoderPartition] = None,
+    link: Optional[InterChipLink] = None,
 ) -> Dict[str, Any]:
-    """The ``dse_chiplet`` payload of one partitioned design point:
+    """The ``dse_encoder`` or ``dse_chiplet`` payload of one design point:
     :func:`chiplet_table` on a batch of one.
 
     The engine runner feeds it the engine's per-segment latencies and
     traffic, the shape-only ``partition`` (:func:`encoder_partition`) and
-    the ``cost`` (:func:`design_cost` of the point's config, per-chip peak,
+    ``link`` of a multi-chip point (``None`` for one chip), and the
+    ``cost`` (:func:`design_cost` of the point's config, per-chip peak,
     chip count and ``link``).  Its containers are built fresh on every
     call.
     """

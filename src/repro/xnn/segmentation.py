@@ -45,13 +45,6 @@ class Segment:
     def flops(self) -> float:
         return sum(layer.flops for layer in self.layers)
 
-    @property
-    def intermediate_bytes(self) -> int:
-        """Bytes of intermediates kept on chip when the segment is pipelined."""
-        if self.kind is not SegmentKind.PIPELINED or len(self.layers) < 2:
-            return 0
-        return sum(layer.out_bytes // max(layer.num, 1) for layer in self.layers[:-1])
-
 
 def is_memory_bound(layer: MatMulLayer, spec: VCK190Spec = VCK190,
                     achieved_flops: float = 6.7e12) -> bool:

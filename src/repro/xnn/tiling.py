@@ -110,20 +110,6 @@ class GemmTiling:
         """Number of MMEs that have columns to work on in one super-block."""
         return len(self.mme_columns[n_super_index])
 
-    @property
-    def lhs_load_bytes(self) -> int:
-        """Total LHS bytes loaded from off-chip (reloaded per super-column)."""
-        return self.m * self.k * 4 * len(self.n_super_blocks)
-
-    @property
-    def rhs_load_bytes(self) -> int:
-        """Total RHS bytes loaded from off-chip (reloaded per row block)."""
-        return self.k * self.n * 4 * len(self.m_blocks)
-
-    @property
-    def out_store_bytes(self) -> int:
-        return self.m * self.n * 4
-
     def lhs_reuse(self) -> float:
         """How many times each loaded LHS element is used (paper: 1024x)."""
         return self.n / len(self.n_super_blocks)

@@ -24,21 +24,10 @@ from repro.explore.strategies import GridSearch
 from repro.runner import (ProcessPoolExecutor, ResultCache,
                           WorkQueueExecutor, canonical_json, run_sweep,
                           run_worker)
+from repro.runner.cli import main
 from repro.runner.executors import SerialExecutor
-from repro.runner.netqueue import NetSpool, SpoolServer
+from repro.runner.netqueue import NetSpool
 from repro.runner.sweep import evaluate_chunked
-
-
-@pytest.fixture()
-def spoold(tmp_path):
-    """A live ``spoold`` server over a tmp spool directory."""
-    server = SpoolServer(tmp_path / "served-spool", host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.close()
-    thread.join(timeout=5.0)
 
 
 def _generation():
@@ -120,6 +109,57 @@ class TestChunkedEquivalence:
             return canonical_json(payload)
 
         assert strip(serial) == strip(chunked)
+
+
+#: the whole 8,064-point chiplet-encoder grid through ``explore``, proxy only.
+_BIGSWEEP = ["explore", "--space", "chiplet-encoder", "--strategy", "grid",
+             "--budget", "8064", "--verify-top", "0"]
+
+
+def _explore(path, *argv):
+    """Run ``explore`` on the bigsweep with ``argv`` and load its report."""
+    assert main([*_BIGSWEEP, *argv, "--json", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _report_text(report, *drop):
+    """A report's canonical text without its wall times and ``drop``."""
+    return canonical_json({key: value for key, value in report.items()
+                           if key not in ("proxy_wall_s", "verify_wall_s",
+                                          *drop)})
+
+
+@pytest.fixture(scope="module")
+def serial_bigsweep(tmp_path_factory):
+    """The serial batched bigsweep report: the reference."""
+    return _explore(tmp_path_factory.mktemp("bigsweep") / "serial.json",
+                    "--no-cache")
+
+
+class TestBigsweepCommand:
+    @pytest.mark.parametrize("transport", ["dir", "tcp"])
+    def test_workqueue_explore_matches_serial_and_warms_the_cache(
+            self, tmp_path, request, serial_bigsweep, transport):
+        if transport == "tcp":
+            spool = request.getfixturevalue("spoold").url
+        else:
+            spool = str(tmp_path / "spool")
+        cache = str(tmp_path / "cache")
+        chunked = _explore(tmp_path / "chunked.json", "--executor",
+                           "workqueue", "--spool", spool, "--workers", "2",
+                           "--chunk-size", "auto", "--cache-dir", cache)
+        serial = serial_bigsweep
+        assert serial["proxy"] == chunked["proxy"] == "batched"
+        assert serial["evaluations"] == serial["feasible_points"] == 8064
+        assert _report_text(chunked) == _report_text(serial)
+        # A serial rerun with the same chunking has the same chunk keys:
+        # every point comes from the entries the submitter stored as the
+        # workers' results landed.
+        warm = _explore(tmp_path / "warm.json", "--chunk-size", "auto",
+                        "--cache-dir", cache)
+        assert warm["proxy_cache_hits"] == warm["evaluations"] > 0
+        assert _report_text(warm, "proxy_cache_hits") == \
+            _report_text(serial, "proxy_cache_hits")
 
 
 class TestChunkRecovery:

@@ -19,24 +19,11 @@ import os
 import threading
 import time
 
-import pytest
-
 from repro.runner import (REGISTRY, ProcessPoolExecutor, ResultCache,
                           WorkQueueExecutor, canonical_json, run_sweep,
                           run_worker)
 from repro.runner.netqueue import NetSpool, SpoolServer
 
-
-@pytest.fixture()
-def spoold(tmp_path):
-    """A live ``spoold`` server over a tmp spool directory."""
-    server = SpoolServer(tmp_path / "served-spool", host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.close()
-    thread.join(timeout=5.0)
 
 #: cheap engine-backend scenarios (synthetic chains + closed-form kinds).
 ENGINE_SET = [
@@ -46,9 +33,11 @@ ENGINE_SET = [
     "table6a/aie-32x16x32",
 ]
 
-#: the acceptance sweep (fig18 + table11), run on the analytic backend where
-#: it costs milliseconds; the CI ``executor-smoke`` job runs the same sweep
-#: on the engine backend with external worker processes.
+#: the acceptance sweep (fig18 + table11, 16 scenarios), run here on the
+#: analytic backend where it costs milliseconds.  CI's ``executor-smoke``
+#: job runs the same sweep on the engine backend: serial, on a process pool,
+#: and through detached ``worker`` processes over a spool directory and over
+#: ``spoold``.
 ANALYTIC_SET = sorted(
     s.name for s in REGISTRY.select(tags=["fig18", "table11"])
 )

@@ -19,7 +19,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -29,7 +28,6 @@ import repro.xnn.executor as executor_module
 from repro.runner import WorkQueueExecutor, canonical_json, run_sweep
 from repro.runner.cache import SegmentMemo, code_version
 from repro.runner.executors import Spool
-from repro.runner.netqueue import SpoolServer
 from repro.runner.scenarios import Scenario
 from repro.xnn import CodegenOptions, XNNConfig, XNNExecutor
 
@@ -138,19 +136,6 @@ def test_upstream_warm_path_skips_codegen_and_equals_fresh(tmp_path,
 
 
 # ------------------------------------------------- cross-host sharing (spool)
-
-
-@pytest.fixture()
-def spoold(tmp_path):
-    """A live ``spoold`` server over a tmp spool directory."""
-    server = SpoolServer(tmp_path / "served-spool", host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.close()
-    thread.join(timeout=5.0)
-
 
 #: a sweep with repeated segments: two scenario pairs sharing workloads, so
 #: memo sync between workers has something to share.

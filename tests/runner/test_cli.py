@@ -93,13 +93,36 @@ class TestSweepCommand:
         assert "no scenarios matched" in err
 
     def test_sweep_cache_round_trip(self, capsys, tmp_path):
-        code, out, _ = _run(capsys, "sweep", "--tag", "table6a",
-                            "--cache-dir", str(tmp_path))
-        assert code == 0 and "3 executed" in out
-        code, out, _ = _run(capsys, "sweep", "--tag", "table6a",
-                            "--cache-dir", str(tmp_path))
+        # A cold engine sweep on a 2-process pool, then a warm one that must
+        # be all cache hits with byte-identical results; a prune then keeps
+        # every (current) entry.
+        argv = ["sweep", "--tag", "table9", "--tag", "table6",
+                "--tag", "smoke", "--workers", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        code, out, _ = _run(capsys, *argv, "--json", str(tmp_path / "cold.json"))
+        cold = json.loads((tmp_path / "cold.json").read_text())
+        assert code == 0 and len(cold) == 20
+        assert "20 executed, 0 cache hit(s)" in out
+        code, out, _ = _run(capsys, *argv, "--json", str(tmp_path / "warm.json"))
+        warm = json.loads((tmp_path / "warm.json").read_text())
         assert code == 0
-        assert "0 executed" in out and "3 cache hit(s)" in out
+        assert "0 executed, 20 cache hit(s)" in out
+        assert not any(o["cached"] for o in cold)
+        assert all(o["cached"] for o in warm)
+        assert json.dumps([o["result"] for o in cold], sort_keys=True) == \
+            json.dumps([o["result"] for o in warm], sort_keys=True)
+        code, out, _ = _run(capsys, "cache", "--prune",
+                            "--cache-dir", str(tmp_path / "cache"))
+        assert code == 0 and "pruned 0 entrie(s)" in out
+
+    def test_sweep_whole_catalogue_on_the_analytic_backend(self, capsys):
+        from repro.runner import REGISTRY
+        count = len(REGISTRY.names())
+        code, out, err = _run(capsys, "sweep", "--all", "--backend", "analytic",
+                              "--no-cache")
+        assert code == 0 and not err
+        assert (f"{count} scenario(s) on the analytic backend: "
+                f"{count} executed") in out
 
 
 class TestCacheCommand:
@@ -155,11 +178,13 @@ class TestExploreCommand:
         assert "engine-verified" in out
 
     def test_explore_writes_json_and_report(self, capsys, tmp_path):
+        # Halving, then grid over the same cache, each engine-verifying the
+        # top four of its frontier (exit 1 if a contract failed).
         json_path = tmp_path / "report.json"
         report_path = tmp_path / "frontier.txt"
         code, _, _ = _run(capsys, "explore", "--space", "encoder-smoke",
-                          "--strategy", "halving", "--budget", "8",
-                          "--verify-top", "2", "--seed", "3",
+                          "--strategy", "halving", "--budget", "16",
+                          "--verify-top", "4", "--seed", "7",
                           "--cache-dir", str(tmp_path / "cache"),
                           "--json", str(json_path),
                           "--report", str(report_path))
@@ -169,6 +194,16 @@ class TestExploreCommand:
         assert payload["contract_ok"] is True
         assert payload["frontier"]
         assert "Pareto frontier" in report_path.read_text()
+        grid_path = tmp_path / "grid.json"
+        code, _, _ = _run(capsys, "explore", "--space", "encoder-smoke",
+                          "--strategy", "grid", "--budget", "16",
+                          "--verify-top", "4",
+                          "--cache-dir", str(tmp_path / "cache"),
+                          "--json", str(grid_path))
+        assert code == 0
+        grid = json.loads(grid_path.read_text())
+        assert grid["contract_ok"] is True
+        assert grid["frontier"] and grid["verified"]
 
     def test_explore_list_spaces(self, capsys):
         code, out, err = _run(capsys, "explore", "--list-spaces")
@@ -429,26 +464,16 @@ class TestSpoolCommands:
         # Pending jobs are never GC'd, however stale.
         assert (spool.pending_dir / "cli.00000000.json").exists()
 
-    def test_spool_status_json_over_tcp(self, capsys, tmp_path):
-        import threading
-        from repro.runner.netqueue import SpoolServer
-        server = SpoolServer(tmp_path / "spool", host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            server.spool.enqueue("cli.00000000", {"job": "cli.00000000"})
-            code, out, err = _run(capsys, "spool", server.url,
-                                  "--status", "--json")
-            assert code == 0 and not err
-            payload = json.loads(out)
-            assert payload["target"] == server.url
-            assert payload["pending"] == 1
-            # The network transport additionally serves requeue counters.
-            assert payload["requeues"] == {}
-        finally:
-            server.shutdown()
-            server.close()
-            thread.join(timeout=5.0)
+    def test_spool_status_json_over_tcp(self, capsys, spoold):
+        spoold.spool.enqueue("cli.00000000", {"job": "cli.00000000"})
+        code, out, err = _run(capsys, "spool", spoold.url,
+                              "--status", "--json")
+        assert code == 0 and not err
+        payload = json.loads(out)
+        assert payload["target"] == spoold.url
+        assert payload["pending"] == 1
+        # The network transport additionally serves requeue counters.
+        assert payload["requeues"] == {}
 
     def test_spool_missing_directory_exits_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, "spool", str(tmp_path / "nowhere"))
@@ -461,22 +486,12 @@ class TestSpoolCommands:
             main(["spool", str(tmp_path), "--status", "--gc"])
         assert excinfo.value.code == 2
 
-    def test_spool_status_over_tcp(self, capsys, tmp_path):
-        import threading
-        from repro.runner.netqueue import SpoolServer
-        server = SpoolServer(tmp_path / "spool", host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            server.spool.enqueue("cli.00000000", {"job": "cli.00000000"})
-            code, out, err = _run(capsys, "spool", server.url, "--status")
-            assert code == 0 and not err
-            assert server.url in out
-            assert "1 pending job(s)" in out
-        finally:
-            server.shutdown()
-            server.close()
-            thread.join(timeout=5.0)
+    def test_spool_status_over_tcp(self, capsys, spoold):
+        spoold.spool.enqueue("cli.00000000", {"job": "cli.00000000"})
+        code, out, err = _run(capsys, "spool", spoold.url, "--status")
+        assert code == 0 and not err
+        assert spoold.url in out
+        assert "1 pending job(s)" in out
 
     def test_spool_unreachable_server_exits_2(self, capsys):
         import socket
@@ -496,35 +511,25 @@ class TestSpoolCommands:
         assert code == 2
         assert "cannot bind" in err
 
-    def test_worker_attaches_over_tcp(self, capsys, tmp_path):
-        import threading
+    def test_worker_attaches_over_tcp(self, capsys, spoold):
         from repro.runner import REGISTRY, canonical_json
         from repro.runner.cache import code_version
-        from repro.runner.netqueue import SpoolServer
-        server = SpoolServer(tmp_path / "spool", host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            scenario = REGISTRY.get("table6b/charm-1024")
-            server.spool.enqueue("cli.00000000", {
-                "job": "cli.00000000",
-                "chunk": {"kind": scenario.kind,
-                          "params": [dict(scenario.params)]},
-                "backend": "engine", "segment_memo_dir": None,
-                "code_version": code_version(),
-            })
-            code, out, _ = _run(capsys, "worker", "--spool", server.url,
-                                "--poll", "0.01", "--max-jobs", "1")
-            assert code == 0
-            assert "processed 1 job(s)" in out
-            result = json.loads(
-                server.spool.result_path("cli.00000000").read_text())
-            assert canonical_json(result["results"]) == \
-                canonical_json([REGISTRY.run(scenario)])
-        finally:
-            server.shutdown()
-            server.close()
-            thread.join(timeout=5.0)
+        scenario = REGISTRY.get("table6b/charm-1024")
+        spoold.spool.enqueue("cli.00000000", {
+            "job": "cli.00000000",
+            "chunk": {"kind": scenario.kind,
+                      "params": [dict(scenario.params)]},
+            "backend": "engine", "segment_memo_dir": None,
+            "code_version": code_version(),
+        })
+        code, out, _ = _run(capsys, "worker", "--spool", spoold.url,
+                            "--poll", "0.01", "--max-jobs", "1")
+        assert code == 0
+        assert "processed 1 job(s)" in out
+        result = json.loads(
+            spoold.spool.result_path("cli.00000000").read_text())
+        assert canonical_json(result["results"]) == \
+            canonical_json([REGISTRY.run(scenario)])
 
 
 class TestExploreProxyAndWeights:
@@ -797,6 +802,55 @@ class TestServeCommand:
         assert code == 0
         assert json.loads(replay_path.read_text())["results"] == \
             json.loads(first_path.read_text())["results"]
+
+    def test_closed_loop_policies_certify_and_replay(self, capsys, tmp_path):
+        closed = ["serve", "--arrival", "closed", "--requests", "2000",
+                  "--clients", "32", "--think", "0.02", "--seed", "7",
+                  "--recertify", "2"]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        reports = {}
+        for policy in ("continuous", "dynamic"):
+            path = tmp_path / f"serve-{policy}.json"
+            code, _, _ = _run(capsys, *closed, "--policy", policy, *cache,
+                              "--json", str(path))
+            assert code == 0
+            report = reports[policy] = json.loads(path.read_text())
+            [result] = report["results"]
+            latency = result["latency"]
+            assert latency["count"] > 0, policy
+            assert latency["p50_s"] and latency["p99_s"], policy
+            assert result["completed"] + result["dropped"] + \
+                result["timed_out"] == result["requests"], policy
+            assert report["certification"], policy
+            assert all(r["bound_ok"] and r["traffic_ok"]
+                       for r in report["certification"]), policy
+        # The seeded replay, uncached, reproduces the cached run's results.
+        replay_path = tmp_path / "serve-replay.json"
+        code, _, _ = _run(capsys, *closed, "--policy", "dynamic", "--no-cache",
+                          "--json", str(replay_path))
+        assert code == 0
+        replay = json.loads(replay_path.read_text())
+        assert json.dumps(replay["results"], sort_keys=True) == \
+            json.dumps(reports["dynamic"]["results"], sort_keys=True)
+
+    def test_open_loop_load_sweep_curve(self, capsys, tmp_path):
+        json_path = tmp_path / "serve-curve.json"
+        report_path = tmp_path / "serve-curve.txt"
+        code, _, _ = _run(capsys, "serve", "--arrival", "bursty",
+                          "--policy", "dynamic", "--requests", "5000",
+                          "--load", "200,600,1200,2000", "--queue-depth", "256",
+                          "--timeout", "0.5", "--seed", "7", "--recertify", "2",
+                          "--cache-dir", str(tmp_path / "cache"),
+                          "--json", str(json_path),
+                          "--report", str(report_path))
+        assert code == 0
+        curve = json.loads(json_path.read_text())["curve"]
+        assert len(curve) == 4
+        loads = [row["offered_load_rps"] for row in curve]
+        assert loads == sorted(loads)
+        goodput = [row["goodput_rps"] for row in curve]
+        assert max(goodput) > goodput[0], "goodput should rise before the knee"
+        assert "Throughput-latency curve" in report_path.read_text()
 
     def test_serve_list_workloads(self, capsys):
         code, out, err = _run(capsys, "serve", "--list-workloads")
