@@ -167,7 +167,7 @@ _WEIGHT_ALIASES = {
 
 def _weights_argument(text: str) -> dict:
     """argparse type for ``--weights``: ``latency=2,traffic=1,...``."""
-    weights: dict = {}
+    given: dict = {}  # keyed by the user's names until the rules are checked
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -188,16 +188,18 @@ def _weights_argument(text: str) -> dict:
                 f"invalid weight {raw!r} for {name!r}"
             ) from None
         key = _WEIGHT_ALIASES[name]
-        if key in weights:
+        if any(_WEIGHT_ALIASES[seen] == key for seen in given):
             raise argparse.ArgumentTypeError(f"objective {name!r} given more than once")
-        weights[key] = value
+        given[name] = value
+    if not given:
+        raise argparse.ArgumentTypeError("no weights given")
     from repro.analysis.pareto import check_weights
 
     try:
-        check_weights(weights)
+        check_weights(given)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
-    return weights
+    return {_WEIGHT_ALIASES[name]: value for name, value in given.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -598,6 +598,19 @@ class TestExploreProxyAndWeights:
         err = capsys.readouterr().err
         assert "--weights" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("weights, message", [
+        ("latency=-1", "weights must be non-negative, got latency=-1"),
+        ("traffic=inf,latency=1", "weights must be finite, got traffic=inf"),
+        ("latency=0,offchip_traffic=0", "at least one weight must be positive"),
+        ("", "no weights given"),
+    ])
+    def test_invalid_weights_name_what_was_typed(self, capsys, weights,
+                                                 message):
+        with pytest.raises(SystemExit):
+            main(["explore", "--space", "encoder-smoke",
+                  "--weights", weights])
+        assert message in capsys.readouterr().err
+
     def test_library_weighted_halving_matches_the_cli(self, capsys, tmp_path):
         # A plain SuccessiveHalving() under run_exploration's weights ranks
         # survivors on the exploration's own axes and weights, as the CLI
@@ -753,20 +766,56 @@ class TestServeCommand:
         assert "1 dispatch shape(s) engine-certified" in out
 
     def test_serve_load_sweep_renders_curve(self, capsys, tmp_path):
-        code, out, _ = _run(capsys, "serve", "--requests", "1000",
-                            "--load", "100,400", "--recertify", "0",
-                            "--cache-dir", str(tmp_path))
+        json_path = tmp_path / "serve-curve.json"
+        report_path = tmp_path / "serve-curve.txt"
+        code, out, _ = _run(capsys, "serve", "--arrival", "bursty",
+                            "--policy", "dynamic", "--requests", "5000",
+                            "--load", "200,600,1200,2000",
+                            "--queue-depth", "256", "--timeout", "0.5",
+                            "--seed", "7", "--recertify", "2",
+                            "--cache-dir", str(tmp_path / "cache"),
+                            "--json", str(json_path),
+                            "--report", str(report_path))
         assert code == 0
         assert "Throughput-latency curve" in out
-        assert "2 load point(s)" in out
+        assert "4 load point(s)" in out
+        curve = json.loads(json_path.read_text())["curve"]
+        assert len(curve) == 4
+        loads = [row["offered_load_rps"] for row in curve]
+        assert loads == sorted(loads)
+        goodput = [row["goodput_rps"] for row in curve]
+        assert max(goodput) > goodput[0], "goodput should rise before the knee"
+        assert "Throughput-latency curve" in report_path.read_text()
 
-    def test_serve_closed_loop(self, capsys, tmp_path):
-        code, out, _ = _run(capsys, "serve", "--arrival", "closed",
-                            "--requests", "500", "--clients", "8",
-                            "--think", "0.05", "--recertify", "0",
-                            "--cache-dir", str(tmp_path))
+    @pytest.mark.parametrize("policy", ["continuous", "dynamic"])
+    def test_serve_closed_loop(self, capsys, tmp_path, policy):
+        closed = ["serve", "--arrival", "closed", "--policy", policy,
+                  "--requests", "2000", "--clients", "32", "--think", "0.02",
+                  "--seed", "7", "--recertify", "2"]
+        cached_path = tmp_path / "serve.json"
+        code, out, _ = _run(capsys, *closed,
+                            "--cache-dir", str(tmp_path / "cache"),
+                            "--json", str(cached_path))
         assert code == 0
         assert "1 load point(s)" in out
+        report = json.loads(cached_path.read_text())
+        [result] = report["results"]
+        latency = result["latency"]
+        assert latency["count"] > 0
+        assert latency["p50_s"] and latency["p99_s"]
+        assert result["completed"] + result["dropped"] + \
+            result["timed_out"] == result["requests"]
+        assert report["certification"]
+        assert all(r["bound_ok"] and r["traffic_ok"]
+                   for r in report["certification"])
+        # The seeded replay, uncached, reproduces the cached run's results.
+        replay_path = tmp_path / "replay.json"
+        code, _, _ = _run(capsys, *closed, "--no-cache",
+                          "--json", str(replay_path))
+        assert code == 0
+        replay = json.loads(replay_path.read_text())
+        assert json.dumps(replay["results"], sort_keys=True) == \
+            json.dumps(report["results"], sort_keys=True)
 
     def test_serve_writes_json_and_report(self, capsys, tmp_path):
         json_path = tmp_path / "serve.json"
@@ -802,55 +851,6 @@ class TestServeCommand:
         assert code == 0
         assert json.loads(replay_path.read_text())["results"] == \
             json.loads(first_path.read_text())["results"]
-
-    def test_closed_loop_policies_certify_and_replay(self, capsys, tmp_path):
-        closed = ["serve", "--arrival", "closed", "--requests", "2000",
-                  "--clients", "32", "--think", "0.02", "--seed", "7",
-                  "--recertify", "2"]
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        reports = {}
-        for policy in ("continuous", "dynamic"):
-            path = tmp_path / f"serve-{policy}.json"
-            code, _, _ = _run(capsys, *closed, "--policy", policy, *cache,
-                              "--json", str(path))
-            assert code == 0
-            report = reports[policy] = json.loads(path.read_text())
-            [result] = report["results"]
-            latency = result["latency"]
-            assert latency["count"] > 0, policy
-            assert latency["p50_s"] and latency["p99_s"], policy
-            assert result["completed"] + result["dropped"] + \
-                result["timed_out"] == result["requests"], policy
-            assert report["certification"], policy
-            assert all(r["bound_ok"] and r["traffic_ok"]
-                       for r in report["certification"]), policy
-        # The seeded replay, uncached, reproduces the cached run's results.
-        replay_path = tmp_path / "serve-replay.json"
-        code, _, _ = _run(capsys, *closed, "--policy", "dynamic", "--no-cache",
-                          "--json", str(replay_path))
-        assert code == 0
-        replay = json.loads(replay_path.read_text())
-        assert json.dumps(replay["results"], sort_keys=True) == \
-            json.dumps(reports["dynamic"]["results"], sort_keys=True)
-
-    def test_open_loop_load_sweep_curve(self, capsys, tmp_path):
-        json_path = tmp_path / "serve-curve.json"
-        report_path = tmp_path / "serve-curve.txt"
-        code, _, _ = _run(capsys, "serve", "--arrival", "bursty",
-                          "--policy", "dynamic", "--requests", "5000",
-                          "--load", "200,600,1200,2000", "--queue-depth", "256",
-                          "--timeout", "0.5", "--seed", "7", "--recertify", "2",
-                          "--cache-dir", str(tmp_path / "cache"),
-                          "--json", str(json_path),
-                          "--report", str(report_path))
-        assert code == 0
-        curve = json.loads(json_path.read_text())["curve"]
-        assert len(curve) == 4
-        loads = [row["offered_load_rps"] for row in curve]
-        assert loads == sorted(loads)
-        goodput = [row["goodput_rps"] for row in curve]
-        assert max(goodput) > goodput[0], "goodput should rise before the knee"
-        assert "Throughput-latency curve" in report_path.read_text()
 
     def test_serve_list_workloads(self, capsys):
         code, out, err = _run(capsys, "serve", "--list-workloads")
