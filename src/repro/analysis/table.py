@@ -13,13 +13,19 @@ columns and builds a row only where one is read:
 * :meth:`ColumnTable.column` returns one key as a NumPy array without
   building a row.
 
-A table is a sequence of blocks.  A *column block* holds one column per key
+A table is a sequence of column blocks, each holding one column per key
 (a NumPy array, a plain list, or a nested :class:`ColumnTable` whose rows
 become dict-valued cells); a key with a mask appears only in the rows where
-its mask is true, so points of one generation may carry different keys.  A
-*row block* holds rows that arrived as dicts (a decoded work-queue result,
-a cache hit); :meth:`ColumnTable.concat` splices both kinds in order
-without converting either.
+its mask is true, so points of one generation may carry different keys.
+Rows that arrive as dicts (a scalar runner's results) become a column
+block of their own (:meth:`ColumnTable.of`), and :meth:`ColumnTable.concat`
+splices tables' blocks in order without converting any.
+
+:func:`to_wire` and :func:`from_wire` are the one JSON form of a table --
+the ``results`` of a work-queue chunk result and of a chunk-cache entry:
+one JSON list per column (a nested table as a nested wire object), and a
+masked column ships only the cells its mask keeps, so a chunk travels as a
+few dozen lists instead of one object per point.
 
 Rows never share a container with the table or with each other: list and
 dict cells are copied whenever a row is built, and a tuple cell is read out
@@ -37,7 +43,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
-__all__ = ["ColumnTable", "exact_column"]
+__all__ = ["ColumnTable", "exact_column", "from_wire", "to_wire"]
 
 
 def exact_column(values: Sequence[Any]) -> np.ndarray:
@@ -112,9 +118,35 @@ class _Columns:
         self.masks = {key: np.asarray(mask, dtype=bool) for key, mask in masks.items()}
         self.length = length
 
+    @classmethod
+    def of_rows(cls, rows: Sequence[Mapping[Any, Any]]) -> "_Columns":
+        """``rows`` as one block: one list column per key in first-seen
+        order, and a key that some row lacks masked (``None`` stands in
+        its cell there)."""
+        length = len(rows)
+        columns: Dict[Any, List[Any]] = {}
+        counts: Dict[Any, int] = {}
+        for index, row in enumerate(rows):
+            if not isinstance(row, Mapping):
+                raise TypeError(f"row {index} is a {type(row).__name__}, not a mapping")
+            for key, value in row.items():
+                if key not in columns:
+                    columns[key] = [None] * length
+                    counts[key] = 0
+                columns[key][index] = value
+                counts[key] += 1
+        masks = {
+            key: np.array([key in row for row in rows])
+            for key, count in counts.items()
+            if count < length
+        }
+        return cls(columns, length, masks)
+
     def rows(self) -> List[Dict[Any, Any]]:
         keys = list(self.columns)
         cells = [_cells(column) for column in self.columns.values()]
+        if not keys:
+            return [{} for _ in range(self.length)]
         if not self.masks:
             return [dict(zip(keys, row)) for row in zip(*cells)]
         # Rows that carry the same keys are built together.
@@ -127,10 +159,9 @@ class _Columns:
             positions = np.flatnonzero(layout_of.reshape(-1) == layout_index).tolist()
             chosen = [index for index, flag in enumerate(layout) if flag]
             names = [keys[index] for index in chosen]
-            for position, row in zip(
-                positions,
-                zip(*([cells[index][p] for p in positions] for index in chosen)),
-            ):
+            picked = [[cells[index][p] for p in positions] for index in chosen]
+            values = zip(*picked) if picked else [()] * len(positions)
+            for position, row in zip(positions, values):
                 rows[position] = dict(zip(names, row))
         return rows
 
@@ -162,27 +193,11 @@ class _Columns:
         return exact_column(_cells(column))
 
 
-def _row_column(rows: List[Mapping[Any, Any]], key: Any, start: int) -> np.ndarray:
-    values = []
-    for index, row in enumerate(rows):
-        if key not in row:
-            raise _missing(key, start + index, row)
-        values.append(row[key])
-    return exact_column(values)
-
-
 def _missing(key: Any, index: int, keys: Iterable[Any]) -> KeyError:
     return KeyError(
         f"key {key!r} missing from row {index}, which has keys "
         f"{sorted(map(str, keys))}"
     )
-
-
-_Block = Union[_Columns, List[Mapping[Any, Any]]]
-
-
-def _length(block: _Block) -> int:
-    return block.length if isinstance(block, _Columns) else len(block)
 
 
 class ColumnTable(Sequence):
@@ -206,34 +221,41 @@ class ColumnTable(Sequence):
         blocks = [_Columns(columns, length, masks or {})] if length else []
         self._set_blocks(blocks)
 
-    def _set_blocks(self, blocks: List[_Block]) -> None:
+    def _set_blocks(self, blocks: List[_Columns]) -> None:
         self._blocks = blocks
         self._starts: List[int] = []
         total = 0
         for block in blocks:
             self._starts.append(total)
-            total += _length(block)
+            total += block.length
         self._length = total
+
+    @classmethod
+    def _of_blocks(cls, blocks: List[_Columns]) -> "ColumnTable":
+        table = cls.__new__(cls)
+        table._set_blocks(blocks)
+        return table
 
     @classmethod
     def concat(
         cls, parts: Iterable[Union["ColumnTable", Sequence[Mapping[Any, Any]]]]
     ) -> "ColumnTable":
         """The rows of ``parts`` in order: tables keep their blocks, and any
-        other sequence of row dicts becomes a row block as it stands."""
-        blocks: List[_Block] = []
+        other sequence of row dicts becomes a block of its own (see
+        :meth:`of`)."""
+        blocks: List[_Columns] = []
         for part in parts:
             if isinstance(part, ColumnTable):
                 blocks.extend(part._blocks)
             elif len(part):
-                blocks.append(list(part))
-        table = cls.__new__(cls)
-        table._set_blocks(blocks)
-        return table
+                blocks.append(_Columns.of_rows(part))
+        return cls._of_blocks(blocks)
 
     @classmethod
     def of(cls, rows: Sequence[Mapping[Any, Any]]) -> "ColumnTable":
-        """``rows`` as a table: a table is returned as is."""
+        """``rows`` as a table: a table is returned as is, and a sequence
+        of row dicts becomes one block with a column per key, in the order
+        the keys first appear, masked where a row lacks the key."""
         return rows if isinstance(rows, ColumnTable) else cls.concat([rows])
 
     # ----------------------------------------------------------- sequence
@@ -244,10 +266,7 @@ class ColumnTable(Sequence):
     def __iter__(self) -> Iterator[Dict[Any, Any]]:
         rows: List[Dict[Any, Any]] = []
         for block in self._blocks:
-            if isinstance(block, _Columns):
-                rows.extend(block.rows())
-            else:
-                rows.extend(_fresh(row) for row in block)
+            rows.extend(block.rows())
         return iter(rows)
 
     def __getitem__(self, index):
@@ -258,22 +277,15 @@ class ColumnTable(Sequence):
         if not 0 <= index < self._length:
             raise IndexError("table index out of range")
         slot = bisect.bisect_right(self._starts, index) - 1
-        block = self._blocks[slot]
-        local = index - self._starts[slot]
-        if isinstance(block, _Columns):
-            return block.row(local)
-        return _fresh(block[local])
+        return self._blocks[slot].row(index - self._starts[slot])
 
     def column(self, key: Any) -> np.ndarray:
         """Every row's ``key`` as one array (see :func:`exact_column` for
         its dtype); ``KeyError`` naming the key and the first row without
         it when any row lacks it."""
-        parts = []
-        for start, block in zip(self._starts, self._blocks):
-            if isinstance(block, _Columns):
-                parts.append(block.column(key, start))
-            else:
-                parts.append(_row_column(block, key, start))
+        parts = [
+            block.column(key, start) for start, block in zip(self._starts, self._blocks)
+        ]
         if not parts:
             return np.empty(0)
         if len(parts) == 1:
@@ -296,3 +308,135 @@ class ColumnTable(Sequence):
 
     def __repr__(self) -> str:
         return f"ColumnTable({self._length} rows)"
+
+
+# ------------------------------------------------------------------ wire form
+
+
+def to_wire(table: Union[ColumnTable, Sequence[Mapping[str, Any]]]) -> Dict[str, Any]:
+    """The JSON-able wire form of ``table``: a table, or a sequence of row
+    dicts read as :meth:`ColumnTable.of` reads it.
+
+    ``{"length": n, "columns": {key: cells}, "masks": {key: bits}}``.
+    ``cells`` is the list of a column's values, or the wire object of a
+    nested table.  A masked key has ``bits``, one ``"0"`` or ``"1"`` per
+    row, and its cells (or nested rows) are those of the ``"1"`` rows only,
+    so what a producer left at masked positions never ships; a key that no
+    row carries is left out, and so is ``masks`` when no key is masked.  A
+    table of several blocks is written from its rows.  Keys must be
+    ``str`` (``TypeError`` otherwise), since JSON would silently turn any
+    other key into one.
+    """
+    block = _one_block(ColumnTable.of(table))
+    if block is None:
+        return {"length": 0, "columns": {}}
+    return _wire_block(block, None)
+
+
+def _one_block(table: ColumnTable) -> Optional[_Columns]:
+    """``table``'s rows as one block (``None`` when it has none)."""
+    if len(table._blocks) > 1:
+        table = ColumnTable.of(list(table))
+    return table._blocks[0] if table._blocks else None
+
+
+def _wire_block(block: _Columns, positions: Optional[np.ndarray]) -> Dict[str, Any]:
+    """The wire object of ``block``'s rows at ``positions`` (every row when
+    ``None``)."""
+    columns: Dict[str, Any] = {}
+    masks: Dict[str, str] = {}
+    for key, column in block.columns.items():
+        if not isinstance(key, str):
+            raise TypeError(
+                f"column key {key!r} is a {type(key).__name__}; a table's "
+                "wire form takes str keys only"
+            )
+        kept = positions
+        mask = block.masks.get(key)
+        if mask is not None:
+            present = mask if positions is None else mask[positions]
+            if not present.any():
+                continue
+            if not present.all():
+                masks[key] = (present.view(np.uint8) + ord("0")).tobytes().decode()
+                kept = np.flatnonzero(mask) if positions is None else positions[present]
+        columns[key] = _wire_column(column, kept)
+    length = block.length if positions is None else len(positions)
+    wire: Dict[str, Any] = {"length": length, "columns": columns}
+    if masks:
+        wire["masks"] = masks
+    return wire
+
+
+def _wire_column(column: Any, kept: Optional[np.ndarray]) -> Any:
+    if isinstance(column, ColumnTable):
+        return _wire_block(_one_block(column), kept)
+    if isinstance(column, np.ndarray):
+        return (column if kept is None else column[kept]).tolist()
+    if kept is None:
+        return list(column)
+    return [column[index] for index in kept.tolist()]
+
+
+def from_wire(wire: Any) -> ColumnTable:
+    """The table whose :func:`to_wire` form is ``wire`` (decoded JSON).
+
+    Every column comes back as an :func:`exact_column` array, a nested
+    table as a nested table.  Raises ``ValueError`` naming the first part
+    of ``wire`` that breaks the form: not an object, a length that is not
+    a count, a column whose cells do not match its rows, a mask that is
+    not a string of one ``"0"``/``"1"`` per row, a nested table of the
+    wrong length.
+    """
+    length = wire.get("length") if isinstance(wire, dict) else None
+    if type(length) is not int or length < 0:
+        raise ValueError(f"expected a table object with a length, got {wire!r:.80}")
+    block = _read_block(wire, np.arange(length), length, "table")
+    return ColumnTable._of_blocks([block] if length else [])
+
+
+def _read_block(wire: Any, positions: np.ndarray, length: int, where: str) -> _Columns:
+    """A block of ``length`` rows whose rows ``positions`` are the rows of
+    the wire table ``wire``; its other rows carry no key."""
+    if not isinstance(wire, dict):
+        raise ValueError(f"{where} is a {type(wire).__name__}, not a table object")
+    count = wire.get("length")
+    if type(count) is not int or count != len(positions):
+        raise ValueError(f"{where} has length {count!r} for {len(positions)} rows")
+    cells_of = wire.get("columns")
+    bits_of = wire.get("masks", {})
+    if not isinstance(cells_of, dict) or not isinstance(bits_of, dict):
+        raise ValueError(f"{where} needs a columns object and an optional masks object")
+    stray = bits_of.keys() - cells_of.keys()
+    if stray:
+        raise ValueError(f"{where} masks keys it has no column for: {sorted(stray)}")
+    columns: Dict[str, Any] = {}
+    masks: Dict[str, np.ndarray] = {}
+    for key, cells in cells_of.items():
+        name = f"{where} column {key!r}"
+        kept = positions
+        if key in bits_of:
+            bits = bits_of[key]
+            if not isinstance(bits, str) or len(bits) != count or bits.strip("01"):
+                raise ValueError(f"{name} has a mask that is not {count} bits")
+            kept = positions[np.frombuffer(bits.encode(), dtype=np.uint8) == ord("1")]
+        if isinstance(cells, list):
+            if len(cells) != len(kept):
+                raise ValueError(f"{name} has {len(cells)} cells for {len(kept)} rows")
+            columns[key] = _spread(exact_column(cells), kept, length)
+        else:
+            nested = _read_block(cells, kept, length, name)
+            columns[key] = ColumnTable._of_blocks([nested])
+        if len(kept) < length:
+            masks[key] = np.zeros(length, dtype=bool)
+            masks[key][kept] = True
+    return _Columns(columns, length, masks)
+
+
+def _spread(values: np.ndarray, kept: np.ndarray, length: int) -> np.ndarray:
+    """``values`` placed at rows ``kept`` of a ``length``-row column."""
+    if len(kept) == length:
+        return values
+    column = np.zeros(length, dtype=values.dtype)
+    column[kept] = values
+    return column

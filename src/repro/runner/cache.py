@@ -23,16 +23,20 @@ fresh byte for byte).
 
 Every JSON file the runner persists -- cache entries, segment-memo entries,
 spool jobs, results and heartbeats -- is written by :func:`write_json_atomic`
-and read back through :func:`decode_json_object`.  Those files are machine
-formats written on the work queue's critical path, so they carry no
-``indent``: with any ``indent`` CPython's :mod:`json` falls back from its C
-encoder to the pure-Python one, which is 2-3x slower on a chunk's results.
+and read back through :func:`decode_json_object`, or through
+:func:`decode_result` where the text of one member is wanted as well.
+Those files are machine formats written on the work queue's critical path,
+so they carry no ``indent``: with any ``indent`` CPython's :mod:`json`
+falls back from its C encoder to the pure-Python one, which is 2-3x slower
+on a chunk's results.
 
 This module also owns the text format of a chunk on its way through the work
 queue, so a chunk's data is encoded once however many files it lands in.
 :func:`encode_params` builds the chunk's one canonical params text: it
 feeds the chunk key, the cache lookup, the spool job (:func:`chunk_job`) and
-the cache entry.  :func:`decode_result` reads a worker's result and hands back the
+the cache entry.  A chunk's results travel and rest as the column wire
+form of a table (:func:`repro.analysis.table.to_wire`), never as one object
+per point.  :func:`decode_result` reads a worker's result and hands back the
 text of its ``results`` member, which the entry splices in verbatim, so the
 submitter never re-encodes what a worker already encoded.
 """
@@ -246,16 +250,20 @@ def chunk_result_payload(
     job_id: str,
     worker_id: str,
     kind: str,
-    results: List[Dict[str, Any]],
+    results: Sequence[Dict[str, Any]],
     elapsed_s: float,
 ) -> Dict[str, Any]:
-    """A worker's result for one chunk job; :func:`json_text` encodes it,
-    the chunk's results included, exactly once."""
+    """A worker's result for one chunk job, its results in the column wire
+    form; :func:`json_text` encodes it, the chunk's results included,
+    exactly once.  Raises ``TypeError`` for a result key that is not a
+    ``str``."""
+    from ..analysis.table import to_wire  # NumPy: imported where used
+
     return {
         "job": job_id,
         "worker": worker_id,
         "kind": kind,
-        "results": results,
+        "results": to_wire(results),
         "elapsed_s": elapsed_s,
         "code_version": code_version(),
     }
@@ -265,19 +273,22 @@ _DECODER = json.JSONDecoder()
 _SPACE = json.decoder.WHITESPACE.match
 
 
-def decode_result(text: str) -> Tuple[Dict[str, Any], Optional[str]]:
+def decode_result(
+    text: str, member: str = "results"
+) -> Tuple[Dict[str, Any], Optional[str]]:
     """Parse a result file's ``text`` into its object and the text of its
-    ``results`` member (``None`` when it has none).
+    ``member`` (``None`` when it has none).
 
     One pass over the text: each member value is decoded where it stands,
-    so the results list comes back both as objects and as the exact span
-    of text they were decoded from, whatever the member order.  The span is
-    valid JSON for exactly the decoded list, so a cache entry can splice it
-    in verbatim once the list passes its checks.  Raises ``ValueError``
-    when ``text`` is not a JSON object.
+    so the member comes back both as objects and as the exact span of text
+    it was decoded from, whatever the member order.  The span is valid JSON
+    for exactly the decoded value, so a cache entry can splice a worker's
+    results in verbatim once they pass their checks, and a cache hit can
+    compare the ``params`` it holds with a chunk's params text as text.
+    Raises ``ValueError`` when ``text`` is not a JSON object.
     """
     payload: Dict[str, Any] = {}
-    results_text: Optional[str] = None
+    member_text: Optional[str] = None
     index = _SPACE(text, 0).end()
     if text[index : index + 1] != "{":
         raise ValueError("expected a JSON object")
@@ -294,8 +305,8 @@ def decode_result(text: str) -> Tuple[Dict[str, Any], Optional[str]]:
                 raise ValueError(f"expected ':' at {index}")
             start = _SPACE(text, index + 1).end()
             payload[key], index = _DECODER.raw_decode(text, start)
-            if key == "results":
-                results_text = text[start:index]
+            if key == member:
+                member_text = text[start:index]
             index = _SPACE(text, index).end()
             separator = text[index : index + 1]
             if separator == "}":
@@ -306,7 +317,7 @@ def decode_result(text: str) -> Tuple[Dict[str, Any], Optional[str]]:
             index = _SPACE(text, index + 1).end()
     if _SPACE(text, index).end() != len(text):
         raise ValueError(f"extra data after the object at {index}")
-    return payload, results_text
+    return payload, member_text
 
 
 def _unlink(path: Path, warnings: Optional[List[str]] = None) -> bool:
@@ -442,7 +453,7 @@ class ResultCache:
         self,
         kind: str,
         params_list: Sequence[Dict[str, Any]],
-        results: List[Dict[str, Any]],
+        results: Sequence[Dict[str, Any]],
         elapsed_s: float,
         backend: str = DEFAULT_BACKEND,
         *,
@@ -452,12 +463,13 @@ class ResultCache:
         """Persist one chunk's results atomically; returns the entry path.
 
         The entry is built as text around the chunk's params text and the
-        text of its results.  ``params_text`` is the chunk's
-        :func:`encode_params` text when the caller holds it (it keyed the
-        chunk with it); ``results_text`` is the JSON text ``results`` were
-        decoded from, when they arrived as text (a work-queue result, see
-        :func:`decode_result`).  Either is spliced in verbatim; only what
-        is missing is encoded here.
+        text of its results, in the column wire form
+        (:func:`~repro.analysis.table.to_wire`).  ``params_text`` is the
+        chunk's :func:`encode_params` text when the caller holds it (it
+        keyed the chunk with it); ``results_text`` is the JSON text
+        ``results`` were decoded from, when they arrived as text (a
+        work-queue result, see :func:`decode_result`).  Either is spliced
+        in verbatim; only what is missing is encoded here.
         """
         return self._store_entry(
             kind, params_list, results, elapsed_s, backend, params_text, results_text
@@ -467,7 +479,7 @@ class ResultCache:
         self,
         kind: str,
         params_list: Sequence[Dict[str, Any]],
-        results: List[Dict[str, Any]],
+        results: Sequence[Dict[str, Any]],
         elapsed_s: float,
         backend: str,
         params_text: Optional[str] = None,
@@ -481,7 +493,9 @@ class ResultCache:
         if params_text is None:
             params_text = encode_params(params_list)
         if results_text is None:
-            results_text = json.dumps(results, sort_keys=True, default=json_default)
+            from ..analysis.table import to_wire  # NumPy: imported where used
+
+            results_text = json_text(to_wire(results))
         entry = _object_text(
             {
                 "backend": json.dumps(backend),
@@ -514,41 +528,44 @@ class ResultCache:
         *,
         params_text: Optional[str] = None,
     ) -> Optional[Dict[str, Any]]:
-        """Return the cached chunk entry, or ``None`` on a miss.
+        """Return the cached chunk entry, its ``results`` a
+        :class:`~repro.analysis.table.ColumnTable`, or ``None`` on a miss.
 
         A hit requires the file to hold a JSON object whose recorded
-        identity matches the requested kind, point parameters (order
-        included), backend, and the current code version, with a results
-        list that is point-for-point complete and holds one JSON object per
-        point -- a missing, corrupted, partial, or foreign entry
-        (hash-prefix collision, manual edit) is a plain miss.  Entries of
-        older code versions hash to other paths, so there is no migration.
+        identity matches the requested kind, backend, and the current code
+        version, whose ``params`` are the chunk's params text byte for byte
+        (the text this cache splices in, so order and values included), and
+        whose results are a well-formed column table with one row per point
+        -- a missing, corrupted, partial, or foreign entry (hash-prefix
+        collision, manual edit) is a plain miss.  Entries of older code
+        versions hash to other paths, so there is no migration.
         ``params_text`` is the chunk's :func:`encode_params` text when the
         caller holds it; it both keys the lookup and checks the entry's
         recorded parameters.
         """
+        from ..analysis.table import from_wire  # NumPy: imported where used
+
         if params_text is None:
             params_text = encode_params(params_list)
-        payload = read_json_object(
-            self.chunk_path(kind, params_list, backend, params_text=params_text)
-        )
-        if payload is None:
+        path = self.chunk_path(kind, params_list, backend, params_text=params_text)
+        try:
+            payload, recorded_params = decode_result(path.read_text(), "params")
+        except (OSError, ValueError):
             return None
-        results = payload.get("results")
         if (
             payload.get("kind") != kind
             or payload.get("backend") != backend
             or payload.get("code_version") != code_version()
-            or not isinstance(results, list)
-            or len(results) != len(params_list)
-            or not all(isinstance(result, dict) for result in results)
+            or recorded_params != params_text
         ):
             return None
         try:
-            if canonical_json(payload.get("params")) != params_text:
-                return None
+            results = from_wire(payload.get("results"))
         except ValueError:
-            return None  # non-finite floats: never a text this cache writes
+            return None
+        if len(results) != len(params_list):
+            return None
+        payload["results"] = results
         return payload
 
     # ------------------------------------------------------------- inventory

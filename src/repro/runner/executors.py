@@ -46,7 +46,17 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .cache import (
     EncodedJob,
@@ -57,6 +67,9 @@ from .cache import (
     write_json_atomic,
 )
 from .scenarios import DEFAULT_BACKEND
+
+if TYPE_CHECKING:
+    from ..analysis.table import ColumnTable
 
 __all__ = [
     "EXECUTOR_NAMES",
@@ -97,9 +110,9 @@ class ChunkJob(tuple):
         return tuple, (tuple(self),)
 
 
-#: what executing one chunk yields: the per-point result dicts (in the
-#: chunk's own order) and the chunk's wall seconds.
-ChunkResult = Tuple[List[Dict[str, Any]], float]
+#: what executing one chunk yields: a table of the per-point results (in
+#: the chunk's own order) and the chunk's wall seconds.
+ChunkResult = Tuple["ColumnTable", float]
 
 #: ``run_chunk_fn(chunk) -> (results, elapsed_s)`` -- the chunk work
 #: function; :func:`repro.runner.sweep` passes a pre-bound ``_run_chunk``.
@@ -864,20 +877,24 @@ class Spool:
 def _chunk_result(job_id: str, payload: Dict[str, Any], expected: int) -> ChunkResult:
     """The :data:`ChunkResult` a worker's result ``payload`` carries for a
     chunk of ``expected`` points; raises ``RuntimeError`` when the payload
-    breaks the batch-runner contract (``results`` not a list of the chunk's
-    length, a result that is not a JSON object, ``elapsed_s`` missing or
+    breaks the batch-runner contract (``results`` not the wire form of a
+    table of the chunk's length -- see
+    :func:`~repro.analysis.table.from_wire` --, ``elapsed_s`` missing or
     not a number)."""
-    chunk_results = payload.get("results")
+    from ..analysis.table import from_wire  # NumPy: imported where used
+
     elapsed_s = payload.get("elapsed_s")
-    if not isinstance(chunk_results, list) or len(chunk_results) != expected:
-        got = len(chunk_results) if isinstance(chunk_results, list) else "no"
-        problem = f"returned {got} result(s) for {expected} point(s)"
-    elif not all(isinstance(result, dict) for result in chunk_results):
-        problem = "returned a result that is not a JSON object"
-    elif type(elapsed_s) not in (int, float):
-        problem = f"reported elapsed_s {elapsed_s!r}, not a number of seconds"
+    try:
+        table = from_wire(payload.get("results"))
+    except ValueError as error:
+        problem = f"returned malformed results ({error})"
     else:
-        return chunk_results, elapsed_s
+        if len(table) != expected:
+            problem = f"returned {len(table)} result(s) for {expected} point(s)"
+        elif type(elapsed_s) not in (int, float):
+            problem = f"reported elapsed_s {elapsed_s!r}, not a number of seconds"
+        else:
+            return table, elapsed_s
     raise RuntimeError(
         f"workqueue chunk job {job_id} {problem}; worker "
         f"{payload.get('worker', '<unknown>')} violated the batch-runner contract"
@@ -910,10 +927,10 @@ class WorkQueueExecutor(Executor):
       from memory, again bounded by ``max_requeues``;
     * a chunk that *raises* in a worker, a worker running different code
       than the submitter, or a result that breaks the batch-runner contract
-      (a ``results`` list of the wrong length, no numeric ``elapsed_s``) is
-      a hard error: the submitter raises ``RuntimeError`` with the worker's
-      report (matching the in-process executors, where the exception
-      propagates directly).
+      (``results`` not a column table of the chunk's length, no numeric
+      ``elapsed_s``) is a hard error: the submitter raises ``RuntimeError``
+      with the worker's report (matching the in-process executors, where
+      the exception propagates directly).
 
     Each chunk is shipped as soon as the input yields it: the job text is
     built around the chunk's params text (the one the sweep keyed it with,

@@ -223,14 +223,17 @@ def _run_chunk(
     other kind runs its scalar runner per point (its chunks hold one point
     each).  Module-level and bound only to JSON-able arguments so it
     crosses pickle (pool) and JSON (workqueue) boundaries; the workqueue
-    worker rebuilds this exact call from the job payload.  Returns the
-    per-point results (in chunk order) plus the chunk's wall seconds.
+    worker rebuilds this exact call from the job payload.  Returns a
+    :class:`~repro.analysis.table.ColumnTable` of the per-point results (in
+    chunk order; a scalar runner's row dicts become one) plus the chunk's
+    wall seconds.
 
     The submitter creates ``segment_memo_dir`` before it submits, so a
     worker on its host or on a shared mount attaches the disk layer.  A
     worker that cannot see the directory (another host, no shared
     filesystem) runs memory-only and creates nothing.
     """
+    from ..analysis.table import ColumnTable
     from . import library  # noqa: F401  (populates the kind registry)
 
     kind, params_list = chunk
@@ -246,7 +249,7 @@ def _run_chunk(
             f"batch runner for kind {kind!r} ({backend} backend) returned "
             f"{len(results)} results for {len(params_list)} points"
         )
-    return results, elapsed_s
+    return ColumnTable.of(results), elapsed_s
 
 
 def _submit_misses(
@@ -337,11 +340,11 @@ def evaluate_chunked(
     of results per call, in input order, byte-identical to a single
     in-process batch call (which is exactly what a serial executor with the
     default ``chunk_size=None`` performs, and whose table is returned as
-    is).  Several chunks -- computed tables, decoded work-queue results and
-    cache hits alike -- are spliced in order without building a row.  A
-    kind without a batch runner runs its scalar runner point by point
-    inside each chunk (see
-    :func:`_run_chunk`); a kind with no runner at all on ``backend`` raises
+    is).  Several chunks -- computed tables, work-queue results and cache
+    hits, each decoded from the column wire form -- are spliced in order
+    without building a row.  A kind without a batch runner runs its scalar
+    runner point by point inside each chunk (see :func:`_run_chunk`); a
+    kind with no runner at all on ``backend`` raises
     ``KeyError`` before anything executes.  ``cache`` stores one entry per
     *chunk* (see :meth:`~repro.runner.cache.ResultCache.chunk_key`), so a
     warm rerun skips whole chunks without executing anything.
@@ -372,7 +375,7 @@ def evaluate_chunked(
         executor = SerialExecutor()
     size = _group_size(chunk_size, executor, total, align=align)
     chunks = partition_chunks(total, size)
-    parts: List[Sequence[Dict[str, Any]]] = [[]] * len(chunks)
+    parts: List[ColumnTable] = [ColumnTable()] * len(chunks)
     spans: List[Tuple[int, int]] = []  # the shipped chunks, in submission order
     shipped: List[int] = []  # the chunk position of each shipped chunk
     texts: Dict[int, str] = {}  # shipped chunk -> params text, until stored
@@ -421,7 +424,7 @@ def evaluate_chunked(
     for position, (chunk_results, _) in zip(shipped, raw):
         parts[position] = chunk_results
     if len(parts) == 1:
-        return ColumnTable.of(parts[0]), cached_points
+        return parts[0], cached_points
     return ColumnTable.concat(parts), cached_points
 
 

@@ -117,11 +117,11 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
         results, elapsed_s = _run_chunk(
             (kind, params_list), backend=backend, segment_memo_dir=segment_memo_dir
         )
+        # The transport encodes this payload once, results included; the
+        # submitter splices that text of the results into its cache entry.
+        payload = chunk_result_payload(job_id, worker_id, kind, results, elapsed_s)
     except Exception:
         return _error(job_id, worker_id, "exception", traceback.format_exc())
-    # The transport encodes this payload once, results included; the
-    # submitter splices that text of the results into its cache entry.
-    payload = chunk_result_payload(job_id, worker_id, kind, results, elapsed_s)
     # Piggyback any segment-memo entries this job freshly simulated on the
     # result file: the submitter folds them into its own memo, and the
     # post-job memo_sync below shares them with sibling workers.

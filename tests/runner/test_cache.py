@@ -66,13 +66,39 @@ class TestResultCache:
         path.write_text(text)
         assert cache.load(scenario) is None
 
-    @pytest.mark.parametrize("results", [[None], [1], ["x"]])
+    @pytest.mark.parametrize("results", [
+        [None], [1], ["x"],
+        # Column-form breakages: a short column, a mask of the wrong
+        # length, a nested table of the wrong length, a length that is not
+        # the chunk's.
+        {"length": 1, "columns": {"events": []}},
+        {"length": 1, "columns": {"events": [1]}, "masks": {"events": "10"}},
+        {"length": 1, "columns": {
+            "bounds": {"length": 2, "columns": {"chip0": [1.0, 2.0]}}}},
+        {"length": 2, "columns": {"events": [1, 2]}},
+    ])
     def test_entry_with_non_object_results_is_a_miss(self, cache, results):
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
-        payload = json.loads(path.read_text())
-        payload["results"] = results
-        path.write_text(json.dumps(payload))
+        # Rewrite the results in the entry's text, so the params text the
+        # hit compares stays byte for byte as stored: the same results
+        # written back still hit, and only the broken ones miss.
+        text = path.read_text()
+        _, results_text = decode_result(text)
+        intact = {"length": 1, "columns": {"events": [1]}}
+        path.write_text(text.replace(results_text, json.dumps(intact)))
+        assert cache.load(scenario)["results"] == [{"events": 1}]
+        path.write_text(text.replace(results_text, json.dumps(results)))
+        assert cache.load(scenario) is None
+
+    def test_params_edited_in_the_entry_text_is_a_miss(self, cache):
+        scenario = _scenario()
+        path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
+        assert cache.load(scenario) is not None
+        text = path.read_text()
+        edited = text.replace('"n_msgs":10,', '"n_msgs":999,')
+        assert edited != text
+        path.write_text(edited)
         assert cache.load(scenario) is None
 
     def test_clear_removes_entries(self, cache):

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.analysis.table import from_wire
 from repro.runner.cli import main
 
 
@@ -381,7 +382,7 @@ class TestWorkerCommand:
         assert code == 0
         assert "processed 1 job(s)" in out
         result = json.loads(spool.result_path("cli.00000").read_text())
-        assert canonical_json(result["results"]) == \
+        assert canonical_json(from_wire(result["results"])) == \
             canonical_json([REGISTRY.run(scenario)])
 
     def test_worker_rejects_non_positive_poll(self, capsys):
@@ -528,7 +529,7 @@ class TestSpoolCommands:
         assert "processed 1 job(s)" in out
         result = json.loads(
             spoold.spool.result_path("cli.00000000").read_text())
-        assert canonical_json(result["results"]) == \
+        assert canonical_json(from_wire(result["results"])) == \
             canonical_json([REGISTRY.run(scenario)])
 
 

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.analysis.table import from_wire
 from repro.runner import REGISTRY
 from repro.runner.cache import code_version
 from repro.runner.executors import (ProcessPoolExecutor, SerialExecutor, Spool,
@@ -318,7 +319,7 @@ class TestWorkerLoop:
         result = json.loads(spool.result_path("j.00000").read_text())
         assert result["kind"] == "engine_chain"
         assert result["code_version"] == code_version()
-        assert result["results"] == [REGISTRY.run(CHEAP)]
+        assert from_wire(result["results"]) == [REGISTRY.run(CHEAP)]
         # The claim is gone and the heartbeat file was cleaned up on exit.
         assert not list(spool.claimed_dir.glob("*.json"))
         assert not list(spool.workers_dir.glob("*.json"))
@@ -472,8 +473,20 @@ class TestWorkQueueExecutorRecovery:
         {"results": [None], "elapsed_s": 0.0},
         {"results": [1], "elapsed_s": 0.0},
         {"results": ["x"], "elapsed_s": 0.0},
+        {"results": {"length": 1, "columns": {"events": []}},
+         "elapsed_s": 0.0},
+        {"results": {"length": 1, "columns": {"events": [1]},
+                     "masks": {"events": "10"}}, "elapsed_s": 0.0},
+        {"results": {"length": 1, "columns": {
+            "bounds": {"length": 2, "columns": {"chip0": [1.0, 2.0]}}}},
+         "elapsed_s": 0.0},
+        {"results": {"length": 2, "columns": {"events": [1, 2]}},
+         "elapsed_s": 0.0},
+        {"results": {"length": 1, "columns": {"events": [1]}}},
     ], ids=["wrong-length", "not-a-list", "no-elapsed", "text-elapsed",
-            "null-result", "number-result", "string-result"])
+            "null-result", "number-result", "string-result",
+            "short-column", "mask-of-wrong-length", "nested-of-wrong-length",
+            "length-not-the-chunks", "columns-without-elapsed"])
     def test_result_breaking_the_batch_runner_contract_is_fatal(self, tmp_path,
                                                                 broken):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,

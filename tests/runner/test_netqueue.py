@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.analysis.table import from_wire
 from repro.runner.cache import chunk_job, code_version
 from repro.runner.executors import Spool, open_spool
 from repro.runner.netqueue import (DEFAULT_PORT, NetSpool, NetSpoolError,
@@ -37,17 +38,6 @@ def _job_payload(job_id, scenario=CHEAP, backend="engine"):
         "segment_memo_dir": None,
         "code_version": code_version(),
     }
-
-
-@pytest.fixture()
-def server(tmp_path):
-    instance = SpoolServer(tmp_path / "spool", host="127.0.0.1", port=0)
-    thread = threading.Thread(target=instance.serve_forever, daemon=True)
-    thread.start()
-    yield instance
-    instance.shutdown()
-    instance.close()
-    thread.join(timeout=5.0)
 
 
 class TestSpoolUrlParsing:
@@ -71,10 +61,10 @@ class TestSpoolUrlParsing:
 class TestProtocolFraming:
     """Raw-socket conversations: the wire contract itself."""
 
-    def _converse(self, server, lines):
+    def _converse(self, spoold, lines):
         """Send raw lines, return the response for each (None once the
         server hangs up)."""
-        with socket.create_connection(server.address, timeout=10.0) as sock:
+        with socket.create_connection(spoold.address, timeout=10.0) as sock:
             handle = sock.makefile("rwb")
             responses = []
             for line in lines:
@@ -84,39 +74,39 @@ class TestProtocolFraming:
                 responses.append(json.loads(reply) if reply else None)
             return responses
 
-    def test_malformed_json_gets_an_error_then_disconnect(self, server):
+    def test_malformed_json_gets_an_error_then_disconnect(self, spoold):
         first, second = self._converse(
-            server, [b"{definitely not json", b'{"op": "hello"}'])
+            spoold, [b"{definitely not json", b'{"op": "hello"}'])
         assert first["ok"] is False and "malformed" in first["error"]
         assert second is None  # server hung up after the garbage
 
-    def test_unknown_op_errors_but_keeps_the_connection(self, server):
+    def test_unknown_op_errors_but_keeps_the_connection(self, spoold):
         first, second = self._converse(
-            server,
+            spoold,
             [b'{"op": "warp-core-eject"}',
              json.dumps({"op": "hello",
                          "proto": PROTOCOL_VERSION}).encode()])
         assert first["ok"] is False and "unknown op" in first["error"]
         assert second["ok"] is True  # the connection survived
 
-    def test_hello_rejects_a_protocol_version_mismatch(self, server):
+    def test_hello_rejects_a_protocol_version_mismatch(self, spoold):
         (reply,) = self._converse(
-            server, [json.dumps({"op": "hello", "proto": 999}).encode()])
+            spoold, [json.dumps({"op": "hello", "proto": 999}).encode()])
         assert reply["ok"] is False
         assert "protocol version" in reply["error"]
 
-    def test_many_ops_share_one_connection(self, server):
+    def test_many_ops_share_one_connection(self, spoold):
         hello = json.dumps({"op": "hello", "proto": PROTOCOL_VERSION})
         now = json.dumps({"op": "now"})
         replies = self._converse(
-            server, [hello.encode(), now.encode(), now.encode()])
+            spoold, [hello.encode(), now.encode(), now.encode()])
         assert all(reply["ok"] for reply in replies)
         assert replies[1]["now"] > 0
 
 
 class TestNetSpoolRoundTrips:
-    def test_enqueue_claim_result_round_trip(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_enqueue_claim_result_round_trip(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         payload = _job_payload("b.00000000")
         client.enqueue("b.00000000", payload)
         claimed = client.claim("net-worker")
@@ -132,16 +122,16 @@ class TestNetSpoolRoundTrips:
         assert client.take_results("b.") == {}  # consumed exactly once
         client.close()
 
-    def test_enqueue_many_is_claimed_in_submission_order(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_enqueue_many_is_claimed_in_submission_order(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         jobs = [(f"b.{i:08d}", _job_payload(f"b.{i:08d}")) for i in range(5)]
         assert client.enqueue_many(jobs) == 5
         claimed = [client.claim("w").job_id for _ in range(5)]
         assert claimed == [job_id for job_id, _ in jobs]
         client.close()
 
-    def test_heartbeats_live_workers_and_clear(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_heartbeats_live_workers_and_clear(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         client.beat("net-worker", info={"pid": 1, "processed": 3})
         assert client.live_workers(within_s=60.0) == ["net-worker"]
         status = client.status()
@@ -151,18 +141,18 @@ class TestNetSpoolRoundTrips:
         assert client.live_workers(within_s=60.0) == []
         client.close()
 
-    def test_stale_claim_result_is_rejected_server_side(self, server):
+    def test_stale_claim_result_is_rejected_server_side(self, spoold):
         # The network transport's vanished-claim path: a stalled worker's
         # claim is orphan-requeued away; when the stalled worker finally
         # publishes, the server must drop the result (the job belongs to
         # the new owner) and the worker must not count it as processed.
-        stalled = NetSpool(server.url).ensure()
-        healthy = NetSpool(server.url).ensure()
+        stalled = NetSpool(spoold.url).ensure()
+        healthy = NetSpool(spoold.url).ensure()
         stalled.enqueue("b.00000000", _job_payload("b.00000000"))
         stale_claim = stalled.claim("stalled-worker")
         assert stale_claim is not None
         # Death certificate: backdate the server-side claim file.
-        (claim_file,) = server.spool.claimed_dir.glob("*.json")
+        (claim_file,) = spoold.spool.claimed_dir.glob("*.json")
         os.utime(claim_file, (1.0, 1.0))
         assert stalled.requeue_orphans(30.0, prefix="b.") == ["b.00000000"]
         fresh_claim = healthy.claim("healthy-worker")
@@ -174,54 +164,54 @@ class TestNetSpoolRoundTrips:
         stalled.close()
         healthy.close()
 
-    def test_requeues_are_counted_in_status(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_requeues_are_counted_in_status(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         client.enqueue("b.00000000", _job_payload("b.00000000"))
         client.claim("doomed-worker")
-        (claim_file,) = server.spool.claimed_dir.glob("*.json")
+        (claim_file,) = spoold.spool.claimed_dir.glob("*.json")
         os.utime(claim_file, (1.0, 1.0))
         client.requeue_orphans(30.0, prefix="b.")
         assert client.status()["requeues"] == {"b.00000000": 1}
         client.close()
 
-    def test_worker_loop_runs_against_a_tcp_spool(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_worker_loop_runs_against_a_tcp_spool(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         client.enqueue("b.00000000", _job_payload("b.00000000"))
-        processed = run_worker(server.url, poll_s=0.01, max_jobs=1,
+        processed = run_worker(spoold.url, poll_s=0.01, max_jobs=1,
                                worker_id="tcp-worker")
         assert processed == 1
         results = client.take_results("b.")
         payload = json.loads(results["b.00000000"])
         assert payload["kind"] == "engine_chain"
-        assert len(payload["results"]) == 1
+        assert len(from_wire(payload["results"])) == 1
         assert payload["code_version"] == code_version()
         # The worker cleared its heartbeat on exit.
         assert client.live_workers(within_s=60.0) == []
         client.close()
 
-    def test_worker_without_the_memo_dir_completes_the_job(self, server,
+    def test_worker_without_the_memo_dir_completes_the_job(self, spoold,
                                                            tmp_path):
         # Over tcp:// the worker may share no filesystem with the submitter:
         # a memo directory it cannot create must not fail the job.
         blocker = tmp_path / "file"
         blocker.write_text("")
-        client = NetSpool(server.url).ensure()
+        client = NetSpool(spoold.url).ensure()
         payload = _job_payload("b.00000000")
         payload["segment_memo_dir"] = str(blocker / "segments")
         client.enqueue("b.00000000", payload)
-        processed = run_worker(server.url, poll_s=0.01, max_jobs=1,
+        processed = run_worker(spoold.url, poll_s=0.01, max_jobs=1,
                                worker_id="tcp-worker")
         assert processed == 1
         result = json.loads(client.take_results("b.")["b.00000000"])
         assert "error" not in result, result.get("error")
-        assert len(result["results"]) == 1
+        assert len(from_wire(result["results"])) == 1
         client.close()
 
-    def test_gc_over_the_network(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_gc_over_the_network(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         client.enqueue("b.00000000", _job_payload("b.00000000"))
         client.claim("dead-worker")
-        for path in server.spool.claimed_dir.glob("*.json"):
+        for path in spoold.spool.claimed_dir.glob("*.json"):
             os.utime(path, (1.0, 1.0))
         report = client.gc(30.0)
         assert report["removed"]["claims"] == 1
@@ -302,8 +292,8 @@ class TestVanishedClaimBothTransports:
         assert _execute(claimed, "stalled-worker") is None
         assert not list(spool.results_dir.glob("*.json"))
 
-    def test_network_transport_detects_at_publish_time(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_network_transport_detects_at_publish_time(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         client.enqueue("b.00000000", _job_payload("b.00000000"))
         claimed = client.claim("stalled-worker")
         # The claim travelled with its payload, so the read still works and
@@ -312,7 +302,7 @@ class TestVanishedClaimBothTransports:
         assert result is not None and result["kind"] == "engine_chain"
         # ...but the claim has been requeued away in the meantime, and the
         # publish is where the stale copy dies.
-        (claim_file,) = server.spool.claimed_dir.glob("*.json")
+        (claim_file,) = spoold.spool.claimed_dir.glob("*.json")
         os.utime(claim_file, (1.0, 1.0))
         client.requeue_orphans(30.0, prefix="b.")
         assert client.finish(claimed, result) is False
@@ -325,9 +315,9 @@ class TestMemoSyncOverTheNetwork:
         return {"key": key, "code_version": code_version(),
                 "result": {"latency_s": latency}}
 
-    def test_push_pull_round_trip(self, server):
-        pusher = NetSpool(server.url).ensure()
-        puller = NetSpool(server.url).ensure()
+    def test_push_pull_round_trip(self, spoold):
+        pusher = NetSpool(spoold.url).ensure()
+        puller = NetSpool(spoold.url).ensure()
         entries = [self._entry("workload-" + "a" * 64),
                    self._entry("b" * 64)]
         fetched = pusher.memo_sync(entries)
@@ -342,10 +332,10 @@ class TestMemoSyncOverTheNetwork:
         pusher.close()
         puller.close()
 
-    def test_entries_land_in_the_server_spool_memo_dir(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_entries_land_in_the_server_spool_memo_dir(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         client.memo_sync([self._entry("c" * 64)])
-        published = list(server.spool.memo_dir.glob("*.json"))
+        published = list(spoold.spool.memo_dir.glob("*.json"))
         assert [p.stem for p in published] == ["c" * 64]
         assert json.loads(published[0].read_text())["key"] == "c" * 64
         client.close()
@@ -366,12 +356,12 @@ class TestWireTexts:
     """Protocol 2: jobs and results cross the wire as JSON text that the
     server stores verbatim, never decoded and encoded again."""
 
-    def test_job_and_result_texts_are_stored_byte_for_byte(self, server):
-        client = NetSpool(server.url).ensure()
+    def test_job_and_result_texts_are_stored_byte_for_byte(self, spoold):
+        client = NetSpool(spoold.url).ensure()
         job = chunk_job("b.00000000", CHEAP.kind, [dict(CHEAP.params)],
                         "engine", None)
         assert client.enqueue_many([("b.00000000", job)]) == 1
-        (pending,) = server.spool.pending_dir.glob("*.json")
+        (pending,) = spoold.spool.pending_dir.glob("*.json")
         assert pending.read_text() == job.text
         claimed = client.claim("net-worker")
         assert claimed.read() == job.text
@@ -381,12 +371,12 @@ class TestWireTexts:
         client.close()
 
     @pytest.mark.parametrize("op", ["enqueue", "result"])
-    def test_server_rejects_a_payload_that_is_not_text(self, server, op):
-        client = NetSpool(server.url).ensure()
+    def test_server_rejects_a_payload_that_is_not_text(self, spoold, op):
+        client = NetSpool(spoold.url).ensure()
         request = {"op": op, "job": "b.00000000", "worker": "w",
                    "raw": {"job": "b.00000000"}}
         with pytest.raises(NetSpoolError, match="JSON text"):
             client._call(request)
-        assert not list(server.spool.pending_dir.glob("*.json"))
-        assert not list(server.spool.results_dir.glob("*.json"))
+        assert not list(spoold.spool.pending_dir.glob("*.json"))
+        assert not list(spoold.spool.results_dir.glob("*.json"))
         client.close()
