@@ -240,15 +240,9 @@ class ColumnTable(Sequence):
     def concat(
         cls, parts: Iterable[Union["ColumnTable", Sequence[Mapping[Any, Any]]]]
     ) -> "ColumnTable":
-        """The rows of ``parts`` in order: tables keep their blocks, and any
-        other sequence of row dicts becomes a block of its own (see
-        :meth:`of`)."""
-        blocks: List[_Columns] = []
-        for part in parts:
-            if isinstance(part, ColumnTable):
-                blocks.extend(part._blocks)
-            elif len(part):
-                blocks.append(_Columns.of_rows(part))
+        """The rows of ``parts`` in order, each part read as :meth:`of`
+        reads it: tables keep their blocks."""
+        blocks = [block for part in parts for block in cls.of(part)._blocks]
         return cls._of_blocks(blocks)
 
     @classmethod
@@ -256,7 +250,9 @@ class ColumnTable(Sequence):
         """``rows`` as a table: a table is returned as is, and a sequence
         of row dicts becomes one block with a column per key, in the order
         the keys first appear, masked where a row lacks the key."""
-        return rows if isinstance(rows, ColumnTable) else cls.concat([rows])
+        if isinstance(rows, ColumnTable):
+            return rows
+        return cls._of_blocks([_Columns.of_rows(rows)] if len(rows) else [])
 
     # ----------------------------------------------------------- sequence
 
@@ -314,30 +310,33 @@ class ColumnTable(Sequence):
 
 
 def to_wire(table: Union[ColumnTable, Sequence[Mapping[str, Any]]]) -> Dict[str, Any]:
-    """The JSON-able wire form of ``table``: a table, or a sequence of row
-    dicts read as :meth:`ColumnTable.of` reads it.
+    """The JSON-able wire form of ``table``: a table of at most one block
+    (what a batch runner returns), or a sequence of row dicts read as
+    :meth:`ColumnTable.of` reads it.
 
     ``{"length": n, "columns": {key: cells}, "masks": {key: bits}}``.
     ``cells`` is the list of a column's values, or the wire object of a
     nested table.  A masked key has ``bits``, one ``"0"`` or ``"1"`` per
     row, and its cells (or nested rows) are those of the ``"1"`` rows only,
     so what a producer left at masked positions never ships; a key that no
-    row carries is left out, and so is ``masks`` when no key is masked.  A
-    table of several blocks is written from its rows.  Keys must be
-    ``str`` (``TypeError`` otherwise), since JSON would silently turn any
-    other key into one.
+    row carries is left out, and so is ``masks`` when no key is masked.
+    Keys must be ``str`` (``TypeError`` otherwise), since JSON would
+    silently turn any other key into one; a table spliced from several
+    blocks (:meth:`ColumnTable.concat`) raises ``ValueError``.
     """
-    block = _one_block(ColumnTable.of(table))
-    if block is None:
+    table = ColumnTable.of(table)
+    if not table._blocks:
         return {"length": 0, "columns": {}}
-    return _wire_block(block, None)
+    return _wire_block(_one_block(table), None)
 
 
-def _one_block(table: ColumnTable) -> Optional[_Columns]:
-    """``table``'s rows as one block (``None`` when it has none)."""
-    if len(table._blocks) > 1:
-        table = ColumnTable.of(list(table))
-    return table._blocks[0] if table._blocks else None
+def _one_block(table: ColumnTable) -> _Columns:
+    if len(table._blocks) != 1:
+        raise ValueError(
+            f"a table of {len(table._blocks)} blocks has no wire form; "
+            "encode each block's table on its own"
+        )
+    return table._blocks[0]
 
 
 def _wire_block(block: _Columns, positions: Optional[np.ndarray]) -> Dict[str, Any]:
@@ -378,21 +377,24 @@ def _wire_column(column: Any, kept: Optional[np.ndarray]) -> Any:
     return [column[index] for index in kept.tolist()]
 
 
-def from_wire(wire: Any) -> ColumnTable:
+def from_wire(wire: Any, length: Optional[int] = None) -> ColumnTable:
     """The table whose :func:`to_wire` form is ``wire`` (decoded JSON).
 
     Every column comes back as an :func:`exact_column` array, a nested
     table as a nested table.  Raises ``ValueError`` naming the first part
     of ``wire`` that breaks the form: not an object, a length that is not
-    a count, a column whose cells do not match its rows, a mask that is
+    a count (or not ``length``, when given -- checked before anything is
+    decoded), a column whose cells do not match its rows, a mask that is
     not a string of one ``"0"``/``"1"`` per row, a nested table of the
     wrong length.
     """
-    length = wire.get("length") if isinstance(wire, dict) else None
-    if type(length) is not int or length < 0:
+    count = wire.get("length") if isinstance(wire, dict) else None
+    if type(count) is not int or count < 0:
         raise ValueError(f"expected a table object with a length, got {wire!r:.80}")
-    block = _read_block(wire, np.arange(length), length, "table")
-    return ColumnTable._of_blocks([block] if length else [])
+    if length is not None and count != length:
+        raise ValueError(f"table has {count} rows for {length} points")
+    block = _read_block(wire, np.arange(count), count, "table")
+    return ColumnTable._of_blocks([block] if count else [])
 
 
 def _read_block(wire: Any, positions: np.ndarray, length: int, where: str) -> _Columns:

@@ -560,12 +560,9 @@ class ResultCache:
         ):
             return None
         try:
-            results = from_wire(payload.get("results"))
+            payload["results"] = from_wire(payload.get("results"), len(params_list))
         except ValueError:
             return None
-        if len(results) != len(params_list):
-            return None
-        payload["results"] = results
         return payload
 
     # ------------------------------------------------------------- inventory

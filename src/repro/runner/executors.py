@@ -885,13 +885,11 @@ def _chunk_result(job_id: str, payload: Dict[str, Any], expected: int) -> ChunkR
 
     elapsed_s = payload.get("elapsed_s")
     try:
-        table = from_wire(payload.get("results"))
+        table = from_wire(payload.get("results"), length=expected)
     except ValueError as error:
         problem = f"returned malformed results ({error})"
     else:
-        if len(table) != expected:
-            problem = f"returned {len(table)} result(s) for {expected} point(s)"
-        elif type(elapsed_s) not in (int, float):
+        if type(elapsed_s) not in (int, float):
             problem = f"reported elapsed_s {elapsed_s!r}, not a number of seconds"
         else:
             return table, elapsed_s

@@ -183,3 +183,16 @@ def test_keys_that_are_not_str_are_rejected(table):
 def test_malformed_wire_objects_raise_value_error(wire, problem):
     with pytest.raises(ValueError, match=problem):
         from_wire(wire)
+
+
+def test_a_length_other_than_the_expected_raises_before_decoding():
+    # A corrupted length is refused before any row is allocated.
+    with pytest.raises(ValueError, match="1000000000000 rows for 1 points"):
+        from_wire({"length": 10**12, "columns": {}}, length=1)
+    assert from_wire({"length": 1, "columns": {"e": [1]}}, length=1) == [{"e": 1}]
+
+
+def test_a_table_of_several_blocks_is_rejected():
+    table = ColumnTable({"e": np.array([1, 2])})
+    with pytest.raises(ValueError, match="2 blocks"):
+        to_wire(ColumnTable.concat([table, table]))

@@ -44,19 +44,27 @@ class TestResultCache:
         assert key(_scenario()) == key(_scenario())
 
     def test_stale_code_version_is_a_miss(self, cache):
+        # Edit the entry's text in place, so only its code version differs
+        # from an entry that hits.
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
-        payload = json.loads(path.read_text())
-        payload["code_version"] = "0" * 16
-        path.write_text(json.dumps(payload))
+        assert cache.load(scenario) is not None
+        text = path.read_text()
+        assert text.count(json.dumps(code_version())) == 1
+        path.write_text(text.replace(json.dumps(code_version()),
+                                     json.dumps("0" * 16)))
         assert cache.load(scenario) is None
 
     def test_params_mismatch_is_a_miss(self, cache):
+        # Another chunk's entry at this chunk's path (a hash-prefix
+        # collision): kind, backend, code version and results all fit, and
+        # only the recorded params differ.
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
-        payload = json.loads(path.read_text())
-        payload["params"][0]["n_msgs"] = 999
-        path.write_text(json.dumps(payload))
+        assert cache.load(scenario) is not None
+        foreign = cache.store(_scenario(n_msgs=11), {"events": 1},
+                              elapsed_s=0.0)
+        path.write_text(foreign.read_text())
         assert cache.load(scenario) is None
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
@@ -76,6 +84,7 @@ class TestResultCache:
         {"length": 1, "columns": {
             "bounds": {"length": 2, "columns": {"chip0": [1.0, 2.0]}}}},
         {"length": 2, "columns": {"events": [1, 2]}},
+        {"length": 10**12, "columns": {}},
     ])
     def test_entry_with_non_object_results_is_a_miss(self, cache, results):
         scenario = _scenario()

@@ -483,10 +483,12 @@ class TestWorkQueueExecutorRecovery:
         {"results": {"length": 2, "columns": {"events": [1, 2]}},
          "elapsed_s": 0.0},
         {"results": {"length": 1, "columns": {"events": [1]}}},
+        {"results": {"length": 10**12, "columns": {}}, "elapsed_s": 0.0},
     ], ids=["wrong-length", "not-a-list", "no-elapsed", "text-elapsed",
             "null-result", "number-result", "string-result",
             "short-column", "mask-of-wrong-length", "nested-of-wrong-length",
-            "length-not-the-chunks", "columns-without-elapsed"])
+            "length-not-the-chunks", "columns-without-elapsed",
+            "oversized-length"])
     def test_result_breaking_the_batch_runner_contract_is_fatal(self, tmp_path,
                                                                 broken):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
