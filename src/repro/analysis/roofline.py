@@ -11,15 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
-from ..hardware.vck190 import VCK190, VCK190Spec
-from ..workloads.layers import MatMulLayer
-
 __all__ = [
     "RooflinePoint",
     "ResourceRoofline",
     "roofline_latency",
     "machine_balance",
-    "layer_roofline",
 ]
 
 
@@ -110,11 +106,3 @@ def roofline_latency(
         compute_s=flops / achieved_flops,
         memory_s=nbytes / bandwidth,
     )
-
-
-def layer_roofline(
-    layer: MatMulLayer, achieved_flops: float = 6.7e12, spec: VCK190Spec = VCK190
-) -> RooflinePoint:
-    """Roofline point of one layer on the VCK190, using observed bandwidths."""
-    bandwidth = spec.ddr_read_bw + spec.lpddr_read_bw
-    return roofline_latency(layer.flops, layer.offchip_bytes, achieved_flops, bandwidth)

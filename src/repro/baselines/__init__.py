@@ -11,7 +11,7 @@
 """
 
 from .charm import CharmModel, CHARM_PUBLISHED
-from .overlay import VectorOverlayModel, serial_overlay_latency
+from .overlay import VectorOverlayModel
 from .published import TABLE8_ACCELERATORS
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "CharmModel",
     "TABLE8_ACCELERATORS",
     "VectorOverlayModel",
-    "serial_overlay_latency",
 ]

@@ -10,8 +10,7 @@ Two uses in the paper:
 * Table 9's "No Optimize" column is RSN-XNN driven like a typical overlay:
   one layer at a time, no fine-grained bandwidth mapping, attention scores
   through DDR.  That baseline is produced by running the real RSN-XNN
-  simulator with ``CodegenOptions.baseline()``; :func:`serial_overlay_latency`
-  is a thin convenience wrapper used by benchmarks and tests.
+  simulator with ``CodegenOptions.baseline()``.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..workloads.bert import BertConfig, BERT_LARGE
-
-__all__ = ["VectorOverlayModel", "serial_overlay_latency"]
+__all__ = ["VectorOverlayModel"]
 
 
 @dataclass
@@ -82,18 +79,3 @@ class VectorOverlayModel:
             ("load", "v1", ()), ("store", "", ("v1",)),
             ("load", "v1", ()), ("add", "v3", ("v1", "v2")), ("store", "", ("v3",)),
         ]
-
-
-def serial_overlay_latency(batch: int = 6, seq_len: int = 512,
-                           config: BertConfig = BERT_LARGE) -> float:
-    """BERT encoder latency (seconds) under the layer-serial overlay style.
-
-    This simply runs the RSN-XNN simulator with every RSN-specific
-    optimisation disabled -- the datapath behaves like a conventional overlay:
-    strict per-layer load/compute/store, attention intermediates off-chip.
-    """
-    from ..xnn import CodegenOptions, XNNConfig, XNNExecutor  # local import: avoid cycle
-
-    executor = XNNExecutor(config=XNNConfig(carry_data=False),
-                           options=CodegenOptions.baseline())
-    return executor.run_encoder(batch=batch, seq_len=seq_len, config=config).latency_s

@@ -345,9 +345,6 @@ class Simulator:
 
     # ------------------------------------------------------- event scheduling
 
-    def _schedule(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        heapq.heappush(self._event_queue, (time, self._next_seq(), callback, args))
-
     def _schedule_now(self, callback: Callable[..., None], *args: Any) -> None:
         """Schedule an event at the current time without a heap round-trip."""
         if self.fast_zero_delay:

@@ -23,22 +23,21 @@ fresh byte for byte).
 
 Every JSON file the runner persists -- cache entries, segment-memo entries,
 spool jobs, results and heartbeats -- is written by :func:`write_json_atomic`
-and read back through :func:`decode_json_object`, or through
-:func:`decode_result` where the text of one member is wanted as well.
-Those files are machine formats written on the work queue's critical path,
-so they carry no ``indent``: with any ``indent`` CPython's :mod:`json`
-falls back from its C encoder to the pure-Python one, which is 2-3x slower
-on a chunk's results.
+and read back through :func:`decode_json_object`.  Those files are machine
+formats written on the work queue's critical path, so they carry no
+``indent``: with any ``indent`` CPython's :mod:`json` falls back from its C
+encoder to the pure-Python one, which is 2-3x slower on a chunk's results.
 
-This module also owns the text format of a chunk on its way through the work
-queue, so a chunk's data is encoded once however many files it lands in.
-:func:`encode_params` builds the chunk's one canonical params text: it
-feeds the chunk key, the cache lookup, the spool job (:func:`chunk_job`) and
-the cache entry.  A chunk's results travel and rest as the column wire
-form of a table (:func:`repro.analysis.table.to_wire`), never as one object
-per point.  :func:`decode_result` reads a worker's result and hands back the
-text of its ``results`` member, which the entry splices in verbatim, so the
-submitter never re-encodes what a worker already encoded.
+A chunk's data is encoded once however many files it lands in, and no text
+is built or read by hand to get there.  :func:`chunk_identity` encodes a
+chunk's kind, backend, code version and parameters in one canonical JSON
+text; its SHA-256 (:func:`identity_key`) is the chunk's key, and the same
+text is the second line of the chunk's spool job.  :func:`entry_text`
+encodes a chunk's entry: its results, in the column wire form of a table
+(:func:`repro.analysis.table.to_wire`), with the key and the rest of the
+identity but without the parameters.  A worker sends the entry as the
+second line of its result, and the submitter stores that line as it
+arrives.
 """
 
 from __future__ import annotations
@@ -50,21 +49,20 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .scenarios import DEFAULT_BACKEND, Scenario, canonical_json, json_default
 
 __all__ = [
-    "EncodedJob",
     "PruneStats",
     "ResultCache",
     "SegmentMemo",
-    "chunk_job",
+    "chunk_identity",
     "code_version",
     "configure_segment_memo",
     "decode_json_object",
-    "decode_result",
-    "encode_params",
+    "entry_text",
+    "identity_key",
     "json_text",
     "process_segment_memo",
     "read_json_object",
@@ -100,9 +98,8 @@ def code_version() -> str:
 def json_text(payload: Any) -> str:
     """The text of the JSON file that holds ``payload``.
 
-    A ``str`` is taken to be JSON text already, and an :class:`EncodedJob`
-    carries its own text, so neither is encoded again.  Anything else is
-    encoded key-sorted on one line, a
+    A ``str`` is taken to be JSON text already and is not encoded again.
+    Anything else is encoded key-sorted on one line, a
     :class:`~repro.analysis.table.ColumnTable` as the list of its rows.
     There is deliberately no ``indent``:
     any ``indent`` makes CPython's :mod:`json` skip its C encoder for the
@@ -111,18 +108,15 @@ def json_text(payload: Any) -> str:
     """
     if isinstance(payload, str):
         return payload
-    if isinstance(payload, EncodedJob):
-        return payload.text
     return json.dumps(payload, sort_keys=True, default=json_default)
 
 
 def write_json_atomic(path: os.PathLike, payload: Any) -> Path:
     """Write ``payload`` to ``path`` as the text :func:`json_text` gives.
 
-    Every spool job, result and cache entry passes through here.  A job or
-    an entry arrives as text built from its chunk's one params text, and a
-    result relayed by the network transport as the worker's own text; those
-    are written verbatim, never decoded and encoded again.
+    Every spool job, result and cache entry passes through here.  A chunk's
+    job, a worker's result and the entry it carries arrive as text and are
+    written verbatim, never decoded and encoded again.
 
     The text goes to a ``.tmp`` file in the same directory that is then
     ``os.replace``-d into place, so a reader never observes a partial file.
@@ -165,159 +159,63 @@ def read_json_object(path: os.PathLike) -> Optional[Dict[str, Any]]:
 # ------------------------------------------------------- chunk text format
 
 
-def encode_params(params_list: Sequence[Dict[str, Any]]) -> str:
-    """The canonical params text of one chunk: :func:`canonical_json` of its
-    points' parameter mappings, in order.
+def chunk_identity(
+    kind: str, params_list: Sequence[Dict[str, Any]], backend: str
+) -> str:
+    """The identity text of one chunk: :func:`canonical_json` of its kind,
+    its points' parameter mappings (in order, since results splice back
+    positionally), the backend and the code version.
 
-    A chunk's key, its spool job and its cache entry are all built from
-    this one text.  Raises ``ValueError`` for a non-finite float.
+    The backend is part of it because the engine and analytic backends
+    legitimately produce different results for the same point; the code
+    version because a source edit must invalidate every entry (and lets
+    :meth:`ResultCache.prune` sweep superseded ones).  The text is the
+    second line of the chunk's spool job, and :func:`identity_key` hashes
+    it into the chunk's key.  Raises ``ValueError`` for a non-finite float.
     """
-    return canonical_json([dict(params) for params in params_list])
-
-
-def _object_text(members: Dict[str, str]) -> str:
-    """A JSON object from already-encoded member values, keys sorted, with
-    the separators ``json.dumps`` uses by default."""
-    return (
-        "{"
-        + ", ".join(f"{json.dumps(key)}: {members[key]}" for key in sorted(members))
-        + "}"
-    )
-
-
-class EncodedJob(dict):
-    """A spool job: the job object together with its JSON text.
-
-    The mapping is the job (``job``, ``chunk`` -- the ``kind`` and the list
-    of ``params`` --, ``backend``, ``segment_memo_dir``, ``code_version``);
-    ``text`` is its encoding, which every transport writes or ships as is.
-    Build one with :func:`chunk_job` and treat it as read-only: ``text``
-    does not follow edits to the mapping.
-    """
-
-    __slots__ = ("text",)
-
-
-def chunk_job(
-    job_id: str,
-    kind: str,
-    params_list: Sequence[Dict[str, Any]],
-    backend: str,
-    segment_memo_dir: Optional[str],
-    params_text: Optional[str] = None,
-) -> EncodedJob:
-    """The spool job for one chunk.
-
-    ``params_text`` is the chunk's :func:`encode_params` text when the
-    caller built it already (for the chunk key); the job text embeds it
-    instead of encoding the parameters again.
-    """
-    if params_text is None:
-        params_text = encode_params(params_list)
-    version = code_version()
-    job = EncodedJob(
-        job=job_id,
-        chunk={"kind": kind, "params": list(params_list)},
-        backend=backend,
-        segment_memo_dir=segment_memo_dir,
-        code_version=version,
-    )
-    job.text = _object_text(
+    return canonical_json(
         {
-            "backend": json.dumps(backend),
-            "chunk": _object_text({"kind": json.dumps(kind), "params": params_text}),
-            "code_version": json.dumps(version),
-            "job": json.dumps(job_id),
-            "segment_memo_dir": json.dumps(segment_memo_dir),
+            "backend": backend,
+            "code_version": code_version(),
+            "kind": kind,
+            "params": [dict(params) for params in params_list],
         }
     )
-    return job
 
 
-def read_chunk_job(
-    job: Dict[str, Any],
-) -> Tuple[str, List[Dict[str, Any]], str, Optional[str]]:
-    """``(kind, params_list, backend, segment_memo_dir)`` of a decoded spool
-    job; raises ``KeyError`` or ``TypeError`` when it is not shaped like one."""
-    kind = job["chunk"]["kind"]
-    params_list = job["chunk"]["params"]
-    if not isinstance(params_list, list):
-        raise TypeError("chunk params must be a list")
-    return kind, params_list, job["backend"], job.get("segment_memo_dir")
+def identity_key(identity: str) -> str:
+    """The key of the chunk whose :func:`chunk_identity` is ``identity``:
+    its SHA-256, all 64 hex digits."""
+    return hashlib.sha256(identity.encode()).hexdigest()
 
 
-def chunk_result_payload(
-    job_id: str,
-    worker_id: str,
+def entry_text(
     kind: str,
+    backend: str,
+    key: str,
     results: Sequence[Dict[str, Any]],
     elapsed_s: float,
-) -> Dict[str, Any]:
-    """A worker's result for one chunk job, its results in the column wire
-    form; :func:`json_text` encodes it, the chunk's results included,
-    exactly once.  Raises ``TypeError`` for a result key that is not a
-    ``str``."""
+) -> str:
+    """The cache entry of one chunk, as the text :meth:`ResultCache.store_chunk`
+    writes: its ``results`` in the column wire form
+    (:func:`~repro.analysis.table.to_wire`), ``elapsed_s``, the chunk's
+    ``key`` (:func:`identity_key`), ``kind``, ``backend`` and the current
+    ``code_version``.  A worker builds it for the chunk it ran and sends it
+    as the second line of its result.  Raises ``TypeError`` for a result
+    key that is not a ``str``.
+    """
     from ..analysis.table import to_wire  # NumPy: imported where used
 
-    return {
-        "job": job_id,
-        "worker": worker_id,
-        "kind": kind,
-        "results": to_wire(results),
-        "elapsed_s": elapsed_s,
-        "code_version": code_version(),
-    }
-
-
-_DECODER = json.JSONDecoder()
-_SPACE = json.decoder.WHITESPACE.match
-
-
-def decode_result(
-    text: str, member: str = "results"
-) -> Tuple[Dict[str, Any], Optional[str]]:
-    """Parse a result file's ``text`` into its object and the text of its
-    ``member`` (``None`` when it has none).
-
-    One pass over the text: each member value is decoded where it stands,
-    so the member comes back both as objects and as the exact span of text
-    it was decoded from, whatever the member order.  The span is valid JSON
-    for exactly the decoded value, so a cache entry can splice a worker's
-    results in verbatim once they pass their checks, and a cache hit can
-    compare the ``params`` it holds with a chunk's params text as text.
-    Raises ``ValueError`` when ``text`` is not a JSON object.
-    """
-    payload: Dict[str, Any] = {}
-    member_text: Optional[str] = None
-    index = _SPACE(text, 0).end()
-    if text[index : index + 1] != "{":
-        raise ValueError("expected a JSON object")
-    index = _SPACE(text, index + 1).end()
-    if text[index : index + 1] == "}":
-        index += 1
-    else:
-        while True:
-            if text[index : index + 1] != '"':
-                raise ValueError(f"expected a member name at {index}")
-            key, index = _DECODER.raw_decode(text, index)
-            index = _SPACE(text, index).end()
-            if text[index : index + 1] != ":":
-                raise ValueError(f"expected ':' at {index}")
-            start = _SPACE(text, index + 1).end()
-            payload[key], index = _DECODER.raw_decode(text, start)
-            if key == member:
-                member_text = text[start:index]
-            index = _SPACE(text, index).end()
-            separator = text[index : index + 1]
-            if separator == "}":
-                index += 1
-                break
-            if separator != ",":
-                raise ValueError(f"expected ',' or '}}' at {index}")
-            index = _SPACE(text, index + 1).end()
-    if _SPACE(text, index).end() != len(text):
-        raise ValueError(f"extra data after the object at {index}")
-    return payload, member_text
+    return json_text(
+        {
+            "backend": backend,
+            "code_version": code_version(),
+            "elapsed_s": elapsed_s,
+            "key": key,
+            "kind": kind,
+            "results": to_wire(results),
+        }
+    )
 
 
 def _unlink(path: Path, warnings: Optional[List[str]] = None) -> bool:
@@ -360,13 +258,17 @@ _TMP_GRACE_S = 3600.0
 
 
 class ResultCache:
-    """A directory of ``chunk__<kind>-<key>.json`` chunk entries.
+    """A directory of ``chunk__<kind>-<key prefix>.json`` chunk entries.
 
     One entry holds the results of one ``(kind, [params, ...])`` chunk job
     (see :func:`repro.runner.sweep.evaluate_chunked`); a scenario's entry is
     the chunk entry for ``[scenario.params]``, which :meth:`store` and
     :meth:`load` address by scenario.  Segment-memo entries live under
     :attr:`segments_dir` and share the cache's code-version lifecycle.
+
+    Every method that addresses a chunk takes its ``identity``
+    (:func:`chunk_identity`) when the caller built it already, so the
+    parameters are encoded once per chunk.
     """
 
     #: subdirectory holding the on-disk segment-memo entries.
@@ -389,38 +291,12 @@ class ResultCache:
         params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
         *,
-        params_text: Optional[str] = None,
+        identity: Optional[str] = None,
     ) -> str:
-        """Stable hash of one chunk entry's identity.
-
-        The identity is the canonical JSON of the kind plus every point's
-        parameters (order-sensitive, since results splice back
-        positionally), the backend, and the code version.  The backend is
-        part of it because the engine and analytic backends legitimately
-        produce different results for the same point; the code version
-        because a source edit must invalidate every entry (and lets
-        :meth:`prune` sweep superseded ones).
-
-        ``params_text`` is the chunk's :func:`encode_params` text when the
-        caller holds it already; the key is then a hash over it, with no
-        second encoding.  The text is spliced into
-        ``canonical_json({"kind": kind, "params": params_list})`` byte for
-        byte, so keys, and with them entry paths, do not depend on who
-        built the text.
-        """
-        if params_text is None:
-            params_text = encode_params(params_list)
-        identity = (
-            '{"kind":'
-            + canonical_json(kind)
-            + ',"params":'
-            + params_text
-            + "}|"
-            + backend
-            + "|"
-            + code_version()
-        )
-        return hashlib.sha256(identity.encode()).hexdigest()[:20]
+        """The chunk's key: the SHA-256 of its :func:`chunk_identity`."""
+        if identity is None:
+            identity = chunk_identity(kind, params_list, backend)
+        return identity_key(identity)
 
     def chunk_path(
         self,
@@ -428,11 +304,14 @@ class ResultCache:
         params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
         *,
-        params_text: Optional[str] = None,
+        identity: Optional[str] = None,
     ) -> Path:
+        key = self.chunk_key(kind, params_list, backend, identity=identity)
+        return self._path(kind, key)
+
+    def _path(self, kind: str, key: str) -> Path:
         safe_kind = kind.replace("/", "__")
-        key = self.chunk_key(kind, params_list, backend, params_text=params_text)
-        return self.root / f"chunk__{safe_kind}-{key}.json"
+        return self.root / f"chunk__{safe_kind}-{key[:20]}.json"
 
     # ----------------------------------------------------------------- store
 
@@ -445,9 +324,10 @@ class ResultCache:
     ) -> Path:
         """Persist one scenario result (the chunk entry for
         ``[scenario.params]``) atomically; returns the entry path."""
-        return self._store_entry(
-            scenario.kind, [scenario.params], [result], elapsed_s, backend
-        )
+        kind = scenario.kind
+        key = self.chunk_key(kind, [scenario.params], backend)
+        entry = entry_text(kind, backend, key, [result], elapsed_s)
+        return write_json_atomic(self._path(kind, key), entry)
 
     def store_chunk(
         self,
@@ -457,58 +337,25 @@ class ResultCache:
         elapsed_s: float,
         backend: str = DEFAULT_BACKEND,
         *,
-        params_text: Optional[str] = None,
-        results_text: Optional[str] = None,
+        identity: Optional[str] = None,
+        entry: Optional[str] = None,
     ) -> Path:
         """Persist one chunk's results atomically; returns the entry path.
 
-        The entry is built as text around the chunk's params text and the
-        text of its results, in the column wire form
-        (:func:`~repro.analysis.table.to_wire`).  ``params_text`` is the
-        chunk's :func:`encode_params` text when the caller holds it (it
-        keyed the chunk with it); ``results_text`` is the JSON text
-        ``results`` were decoded from, when they arrived as text (a
-        work-queue result, see :func:`decode_result`).  Either is spliced
-        in verbatim; only what is missing is encoded here.
+        ``entry`` is the chunk's :func:`entry_text` when it arrived as text
+        (the second line of a work-queue result, whose key the executor
+        checked against this chunk's); it is written verbatim.  Without
+        it, the entry is encoded here from ``results``.
         """
-        return self._store_entry(
-            kind, params_list, results, elapsed_s, backend, params_text, results_text
-        )
-
-    def _store_entry(
-        self,
-        kind: str,
-        params_list: Sequence[Dict[str, Any]],
-        results: Sequence[Dict[str, Any]],
-        elapsed_s: float,
-        backend: str,
-        params_text: Optional[str] = None,
-        results_text: Optional[str] = None,
-    ) -> Path:
         if len(results) != len(params_list):
             raise ValueError(
                 f"chunk for kind {kind!r} has {len(params_list)} points but "
                 f"{len(results)} results"
             )
-        if params_text is None:
-            params_text = encode_params(params_list)
-        if results_text is None:
-            from ..analysis.table import to_wire  # NumPy: imported where used
-
-            results_text = json_text(to_wire(results))
-        entry = _object_text(
-            {
-                "backend": json.dumps(backend),
-                "chunk": "true",
-                "code_version": json.dumps(code_version()),
-                "elapsed_s": json.dumps(elapsed_s),
-                "kind": json.dumps(kind),
-                "params": params_text,
-                "results": results_text,
-            }
-        )
-        path = self.chunk_path(kind, params_list, backend, params_text=params_text)
-        return write_json_atomic(path, entry)
+        key = self.chunk_key(kind, params_list, backend, identity=identity)
+        if entry is None:
+            entry = entry_text(kind, backend, key, results, elapsed_s)
+        return write_json_atomic(self._path(kind, key), entry)
 
     # ------------------------------------------------------------------ load
 
@@ -526,43 +373,40 @@ class ResultCache:
         params_list: Sequence[Dict[str, Any]],
         backend: str = DEFAULT_BACKEND,
         *,
-        params_text: Optional[str] = None,
+        identity: Optional[str] = None,
     ) -> Optional[Dict[str, Any]]:
         """Return the cached chunk entry, its ``results`` a
         :class:`~repro.analysis.table.ColumnTable`, or ``None`` on a miss.
 
         A hit requires the file to hold a JSON object whose recorded
-        identity matches the requested kind, backend, and the current code
-        version, whose ``params`` are the chunk's params text byte for byte
-        (the text this cache splices in, so order and values included), and
-        whose results are a well-formed column table with one row per point
-        -- a missing, corrupted, partial, or foreign entry (hash-prefix
-        collision, manual edit) is a plain miss.  Entries of older code
+        ``key`` is the chunk's full key, whose kind, backend and code
+        version are the requested ones, and whose results are a
+        well-formed column table with one row per point -- a missing,
+        corrupted, partial, or foreign entry (a key-prefix collision, a
+        manual edit) is a plain miss.  The full key stands in for the
+        parameters, which the entry does not hold; the returned entry
+        carries the requested ones as ``params``.  Entries of older code
         versions hash to other paths, so there is no migration.
-        ``params_text`` is the chunk's :func:`encode_params` text when the
-        caller holds it; it both keys the lookup and checks the entry's
-        recorded parameters.
         """
         from ..analysis.table import from_wire  # NumPy: imported where used
 
-        if params_text is None:
-            params_text = encode_params(params_list)
-        path = self.chunk_path(kind, params_list, backend, params_text=params_text)
+        key = self.chunk_key(kind, params_list, backend, identity=identity)
         try:
-            payload, recorded_params = decode_result(path.read_text(), "params")
+            payload = decode_json_object(self._path(kind, key).read_text())
         except (OSError, ValueError):
             return None
         if (
-            payload.get("kind") != kind
+            payload.get("key") != key
+            or payload.get("kind") != kind
             or payload.get("backend") != backend
             or payload.get("code_version") != code_version()
-            or recorded_params != params_text
         ):
             return None
         try:
             payload["results"] = from_wire(payload.get("results"), len(params_list))
         except ValueError:
             return None
+        payload["params"] = list(params_list)
         return payload
 
     # ------------------------------------------------------------- inventory

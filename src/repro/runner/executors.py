@@ -53,16 +53,18 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
 from .cache import (
-    EncodedJob,
-    chunk_job,
+    chunk_identity,
     code_version,
-    decode_result,
+    decode_json_object,
+    identity_key,
+    json_text,
     read_json_object,
     write_json_atomic,
 )
@@ -89,8 +91,8 @@ class ChunkJob(tuple):
     kind without a batch runner.  A plain ``(kind, params)`` tuple is a
     chunk job too.
 
-    ``params_text`` is the chunk's canonical params text
-    (:func:`repro.runner.cache.encode_params`) when the submitter built it
+    ``identity`` is the chunk's identity text
+    (:func:`repro.runner.cache.chunk_identity`) when the submitter built it
     already to key the chunk, else ``None``; the work queue ships it rather
     than encoding the parameters again.  It never leaves the submitting
     process: a chunk job pickles (into a pool worker) as a plain tuple.
@@ -100,10 +102,10 @@ class ChunkJob(tuple):
         cls,
         kind: str,
         params: List[Dict[str, Any]],
-        params_text: Optional[str] = None,
+        identity: Optional[str] = None,
     ) -> "ChunkJob":
         job = super().__new__(cls, (kind, params))
-        job.params_text = params_text
+        job.identity = identity
         return job
 
     def __reduce__(self):
@@ -118,10 +120,10 @@ ChunkResult = Tuple["ColumnTable", float]
 #: function; :func:`repro.runner.sweep` passes a pre-bound ``_run_chunk``.
 RunChunkFn = Callable[[ChunkJob], ChunkResult]
 
-#: ``on_result(index, chunk_result, results_text)`` -- called once per chunk
-#: as its result lands; :func:`repro.runner.sweep` stores the chunk's cache
-#: entry in it.  ``results_text`` is the JSON text the chunk's results were
-#: decoded from when they arrived as text (the work queue), else ``None``.
+#: ``on_result(index, chunk_result, entry)`` -- called once per chunk as its
+#: result lands; :func:`repro.runner.sweep` stores the chunk's cache entry in
+#: it.  ``entry`` is the entry text a work-queue worker sent for the chunk
+#: (:func:`repro.runner.cache.entry_text`), else ``None``.
 OnResult = Callable[[int, ChunkResult, Optional[str]], None]
 
 
@@ -198,12 +200,12 @@ class Executor:
         would have produced, so splicing chunk results back in submission
         order reproduces the serial path exactly.
 
-        ``on_result(index, chunk_result, results_text)``, when given, is
-        called exactly once per chunk, before this returns, as soon as that
-        chunk's result is available -- ``index`` is the chunk's position in
+        ``on_result(index, chunk_result, entry)``, when given, is called
+        exactly once per chunk, before this returns, as soon as that chunk's
+        result is available -- ``index`` is the chunk's position in
         ``chunks``, ``chunk_result`` the same tuple the returned list holds
-        there, and ``results_text`` the JSON text of its results when they
-        arrived as text (else ``None``).  Calls come in completion order,
+        there, and ``entry`` the chunk's cache entry text when a worker sent
+        one (else ``None``).  Calls come in completion order,
         which need not be input order, and always in the submitting
         process, so the sweep layer writes each chunk's cache entry while
         later chunks are still computing.  An exception raised by
@@ -424,10 +426,8 @@ class Spool:
     def enqueue(self, job_id: str, payload: Any) -> Path:
         """Publish one job file atomically; returns its pending path.
 
-        ``payload`` is a job object, an
-        :class:`~repro.runner.cache.EncodedJob`, or a job's JSON text; the
-        last two are written verbatim (see
-        :func:`~repro.runner.cache.json_text`).
+        ``payload`` is a job object or a job's text, which is written
+        verbatim (see :func:`~repro.runner.cache.json_text`).
         """
         return write_json_atomic(self.pending_dir / f"{job_id}.json", payload)
 
@@ -874,28 +874,40 @@ class Spool:
         return {"removed": removed, "kept": kept, "max_age_s": max_age_s}
 
 
-def _chunk_result(job_id: str, payload: Dict[str, Any], expected: int) -> ChunkResult:
-    """The :data:`ChunkResult` a worker's result ``payload`` carries for a
-    chunk of ``expected`` points; raises ``RuntimeError`` when the payload
-    breaks the batch-runner contract (``results`` not the wire form of a
-    table of the chunk's length -- see
+class _Published(NamedTuple):
+    """What the submitter keeps of one published job: its chunk, enough to
+    rebuild the pristine job for a retry, and the chunk's key, which the
+    worker's entry must carry."""
+
+    kind: str
+    params: List[Dict[str, Any]]
+    key: str
+
+
+def _chunk_result(
+    job_id: str, worker: str, entry: Dict[str, Any], job: _Published
+) -> ChunkResult:
+    """The :data:`ChunkResult` a worker's decoded ``entry`` carries for the
+    chunk of ``job``; raises ``RuntimeError`` when the entry breaks the
+    batch-runner contract (keyed for another chunk, ``results`` not the
+    wire form of a table of the chunk's length -- see
     :func:`~repro.analysis.table.from_wire` --, ``elapsed_s`` missing or
     not a number)."""
     from ..analysis.table import from_wire  # NumPy: imported where used
 
-    elapsed_s = payload.get("elapsed_s")
-    try:
-        table = from_wire(payload.get("results"), length=expected)
-    except ValueError as error:
-        problem = f"returned malformed results ({error})"
+    elapsed_s = entry.get("elapsed_s")
+    if entry.get("key") != job.key:
+        problem = f"returned the entry of another chunk (key {entry.get('key')!r})"
+    elif type(elapsed_s) not in (int, float):
+        problem = f"reported elapsed_s {elapsed_s!r}, not a number of seconds"
     else:
-        if type(elapsed_s) not in (int, float):
-            problem = f"reported elapsed_s {elapsed_s!r}, not a number of seconds"
-        else:
-            return table, elapsed_s
+        try:
+            return from_wire(entry.get("results"), length=len(job.params)), elapsed_s
+        except ValueError as error:
+            problem = f"returned malformed results ({error})"
     raise RuntimeError(
-        f"workqueue chunk job {job_id} {problem}; worker "
-        f"{payload.get('worker', '<unknown>')} violated the batch-runner contract"
+        f"workqueue chunk job {job_id} {problem}; worker {worker} violated the "
+        "batch-runner contract"
     )
 
 
@@ -923,23 +935,30 @@ class WorkQueueExecutor(Executor):
     * a job file a worker cannot parse (external corruption) comes back as a
       ``corrupt-job`` error result; the submitter rewrites the pristine job
       from memory, again bounded by ``max_requeues``;
+    * a result that is not the JSON objects it should be -- an error line,
+      or a result line and an entry line (external corruption) -- is
+      retried the same way;
     * a chunk that *raises* in a worker, a worker running different code
       than the submitter, or a result that breaks the batch-runner contract
-      (``results`` not a column table of the chunk's length, no numeric
-      ``elapsed_s``) is a hard error: the submitter raises ``RuntimeError``
-      with the worker's report (matching the in-process executors, where
-      the exception propagates directly).
+      (an entry keyed for another chunk, ``results`` not a column table of
+      the chunk's length, no numeric ``elapsed_s``) is a hard error: the
+      submitter raises ``RuntimeError`` with the worker's report (matching
+      the in-process executors, where the exception propagates directly).
 
-    Each chunk is shipped as soon as the input yields it: the job text is
-    built around the chunk's params text (the one the sweep keyed it with,
-    when it did) and published before the next chunk is drawn, so the first
-    job reaches a worker while later chunks are still being keyed.  The
-    executor then keeps only ``(kind, params)`` per job, enough to rebuild
-    the pristine job for a retry.  Results are validated and handed to
-    ``on_result`` as they are collected, in completion order, together
-    with the worker's own text of the results, so chunk-cache writes splice
-    it in verbatim and overlap the workers' compute on the rest of the
-    batch.
+    A job is two lines of JSON: ``{"code_version", "job",
+    "segment_memo_dir"}``, then the chunk's identity text
+    (:func:`~repro.runner.cache.chunk_identity`, the one the sweep keyed it
+    with, when it did).  Each chunk is shipped as soon as the input yields
+    it, before the next chunk is drawn, so the first job reaches a worker
+    while later chunks are still being keyed.  The executor then keeps only
+    ``(kind, params, key)`` per job, enough to rebuild the pristine job for
+    a retry and to check the result.  A result is ``{"job", "worker"}``
+    (plus ``error`` or the piggybacked ``segment_memo``), then, for a chunk
+    that ran, its cache entry (:func:`~repro.runner.cache.entry_text`).
+    Results are validated and handed to ``on_result`` as they are
+    collected, in completion order, together with the entry text, so
+    chunk-cache writes store it as it arrived and overlap the workers'
+    compute on the rest of the batch.
     """
 
     name = "workqueue"
@@ -1059,16 +1078,16 @@ class WorkQueueExecutor(Executor):
         run_chunk_fn: RunChunkFn,
         on_result: Optional[OnResult] = None,
     ) -> List[ChunkResult]:
-        # ``run_chunk_fn`` never crosses the wire: a job ships its (kind,
-        # params, backend, segment_memo_dir) payload and the worker rebuilds
-        # the identical call.  Each chunk is one job file, so the whole
-        # failure protocol -- orphan requeue, corrupt-job retry,
+        # ``run_chunk_fn`` never crosses the wire: a job ships its chunk's
+        # identity (kind, params, backend) and segment_memo_dir, and the
+        # worker rebuilds the identical call.  Each chunk is one job file, so
+        # the whole failure protocol -- orphan requeue, corrupt-job retry,
         # code-version fencing -- operates at chunk granularity: a dead
         # worker forfeits (and a healthy one re-executes) the entire chunk,
         # never a partial slice of it.
         del run_chunk_fn
         batch = uuid.uuid4().hex[:10]
-        shipped: List[ChunkJob] = []
+        shipped: List[_Published] = []
         try:
             self._publish(batch, chunks, shipped)
             if not shipped:
@@ -1081,26 +1100,23 @@ class WorkQueueExecutor(Executor):
 
     # ----------------------------------------------------------- publication
 
-    def _job(
-        self,
-        job_id: str,
-        kind: str,
-        params: List[Dict[str, Any]],
-        params_text: Optional[str] = None,
-    ) -> EncodedJob:
-        return chunk_job(
-            job_id, kind, params, self.backend, self.segment_memo_dir, params_text
-        )
+    def _job_text(self, job_id: str, identity: str) -> str:
+        head = {
+            "code_version": code_version(),
+            "job": job_id,
+            "segment_memo_dir": self.segment_memo_dir,
+        }
+        return json_text(head) + "\n" + identity
 
     def _publish(
         self,
         batch: str,
         chunks: Iterable[ChunkJob],
-        shipped: List[ChunkJob],
+        shipped: List[_Published],
     ) -> None:
         """Publish one job per chunk of ``chunks``, appending each chunk,
-        without its params text, to ``shipped`` (job ``i`` is
-        ``shipped[i]``).
+        with its key but without its identity text, to ``shipped`` (job
+        ``i`` is ``shipped[i]``).
 
         The first job is published the moment it is built, so a worker
         starts on it while later chunks are still being keyed.  Later ones
@@ -1113,18 +1129,21 @@ class WorkQueueExecutor(Executor):
         DESIGN-PERF.md, "Per-chunk caching").  On the directory spool the
         batching only holds jobs back a little; it measured no slower.
         """
-        unpublished: List[Tuple[str, Any]] = []
+        unpublished: List[Tuple[str, str]] = []
         size = 0
         for chunk in chunks:
             if not shipped:
                 self.spool.ensure()
                 self._spawn_local_workers()
             kind, params = chunk
+            identity = getattr(chunk, "identity", None)
+            if identity is None:
+                identity = chunk_identity(kind, params, self.backend)
             job_id = format_job_id(batch, len(shipped))
-            job = self._job(job_id, kind, params, getattr(chunk, "params_text", None))
-            shipped.append(ChunkJob(kind, params))
+            job = self._job_text(job_id, identity)
+            shipped.append(_Published(kind, params, identity_key(identity)))
             unpublished.append((job_id, job))
-            size += len(job.text)
+            size += len(job)
             if len(shipped) == 1 or size >= _PUBLISH_BYTES:
                 self.spool.enqueue_many(unpublished)
                 unpublished, size = [], 0
@@ -1136,7 +1155,7 @@ class WorkQueueExecutor(Executor):
     def _collect(
         self,
         batch: str,
-        shipped: Sequence[ChunkJob],
+        shipped: Sequence[_Published],
         on_result: Optional[OnResult],
     ) -> List[ChunkResult]:
         outstanding = {format_job_id(batch, index) for index in range(len(shipped))}
@@ -1195,7 +1214,7 @@ class WorkQueueExecutor(Executor):
         self,
         job_id: str,
         raw: str,
-        chunk: ChunkJob,
+        job: _Published,
         index: int,
         requeues: Dict[str, int],
         on_result: Optional[OnResult],
@@ -1203,34 +1222,34 @@ class WorkQueueExecutor(Executor):
         """Check one job's result text and hand it to ``on_result``; returns
         its :data:`ChunkResult`, or ``None`` when the job was re-published
         instead.  The texts die with this call, right after ``on_result``
-        has written them into the chunk's cache entry."""
-        kind, params = chunk
+        has written the entry into the cache."""
+        head_line, _, entry_line = raw.partition("\n")
         try:
-            payload, results_text = decode_result(raw)
+            head = decode_json_object(head_line)
+            error = head.get("error")
+            entry = None if error else decode_json_object(entry_line)
         except ValueError:
             # Externally corrupted result: retry the job.
-            self._requeue(job_id, chunk, requeues, "corrupted result")
+            self._requeue(job_id, job, requeues, "corrupted result")
             return None
-        error = payload.get("error")
+        worker = head.get("worker", "<unknown>")
         if error:
             if error.get("type") == "corrupt-job":
-                self._requeue(job_id, chunk, requeues, "corrupted job")
+                self._requeue(job_id, job, requeues, "corrupted job")
                 return None
             raise RuntimeError(
-                f"workqueue job {job_id} (chunk {kind}[{len(params)} points]) "
-                f"failed in worker {payload.get('worker', '<unknown>')}: "
+                f"workqueue job {job_id} (chunk {job.kind}[{len(job.params)} "
+                f"points]) failed in worker {worker}: "
                 f"{error.get('message', error)}"
             )
-        if payload.get("code_version") != code_version():
+        if entry.get("code_version") != code_version():
             raise RuntimeError(
-                f"workqueue job {job_id} was executed by worker "
-                f"{payload.get('worker', '<unknown>')} running a "
-                "different code version; results would not be "
-                "byte-identical.  Restart the workers from this "
-                "source tree."
+                f"workqueue job {job_id} was executed by worker {worker} "
+                "running a different code version; results would not be "
+                "byte-identical.  Restart the workers from this source tree."
             )
-        chunk_result = _chunk_result(job_id, payload, len(params))
-        synced = payload.get("segment_memo")
+        chunk_result = _chunk_result(job_id, worker, entry, job)
+        synced = head.get("segment_memo")
         if synced:
             # Fold the worker's piggybacked segment-memo entries into this
             # process's memo (absorb validates each against the current code
@@ -1241,13 +1260,13 @@ class WorkQueueExecutor(Executor):
 
             process_segment_memo().absorb(synced)
         if on_result is not None:
-            on_result(index, chunk_result, results_text)
+            on_result(index, chunk_result, entry_line)
         return chunk_result
 
     def _requeue(
         self,
         job_id: str,
-        chunk: ChunkJob,
+        job: _Published,
         requeues: Dict[str, int],
         reason: str,
     ) -> None:
@@ -1259,8 +1278,8 @@ class WorkQueueExecutor(Executor):
                 f"(> max_requeues={self.max_requeues}); giving up.  Last "
                 f"failure: {reason}"
             )
-        kind, params = chunk
-        self.spool.enqueue(job_id, self._job(job_id, kind, params))
+        identity = chunk_identity(job.kind, job.params, self.backend)
+        self.spool.enqueue(job_id, self._job_text(job_id, identity))
 
     def _check_for_dead_pool(self, outstanding: Sequence[str]) -> None:
         """Fail fast when this executor's own workers all died and nobody

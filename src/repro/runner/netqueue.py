@@ -61,8 +61,11 @@ __all__ = [
 ]
 
 #: bumped on any wire-incompatible change; checked in the ``hello`` handshake.
-#: Version 2 carries jobs and results as raw JSON text instead of objects.
-PROTOCOL_VERSION = 2
+#: Version 2 carries jobs and results as raw JSON text instead of objects;
+#: version 3 jobs and results are two JSON lines (see
+#: :class:`~repro.runner.executors.WorkQueueExecutor`), so a worker of an
+#: older tree fails at ``hello`` instead of on every job.
+PROTOCOL_VERSION = 3
 
 #: default port when a ``tcp://host`` URL omits one.
 DEFAULT_PORT = 7733

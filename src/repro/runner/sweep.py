@@ -50,7 +50,7 @@ from typing import (
     Union,
 )
 
-from .cache import ResultCache, configure_segment_memo, encode_params
+from .cache import ResultCache, chunk_identity, configure_segment_memo
 from .executors import ChunkJob, ChunkResult, Executor, OnResult, SerialExecutor
 from .scenarios import BACKENDS, DEFAULT_BACKEND, REGISTRY, Scenario
 
@@ -284,7 +284,7 @@ class _Shipped:
     :meth:`~repro.runner.executors.Executor.submit_chunks` consumes its
     chunks lazily, so the first pass pulls each job from ``jobs`` -- which
     keys that chunk and looks it up in the cache -- only when the executor
-    asks for it.  The jobs drawn are remembered without their params texts
+    asks for it.  The jobs drawn are remembered without their identity texts
     (those belong to the sweep, which releases them once used), so later
     passes and ``len()`` -- which finishes the first pass -- see every
     shipped chunk, as a list of chunk jobs would show them.
@@ -353,15 +353,17 @@ def evaluate_chunked(
     them, and each miss is handed over before the next chunk is keyed, so
     on the work queue the first job reaches a worker while later chunks
     are still being keyed; no chunk that hits the cache is shipped.  With a
-    cache, each chunk's one params text keys it, travels in its job and is
-    spliced into its entry, and it is dropped once the entry is written;
-    without one, nothing here encodes the parameters.  Each missed chunk's
-    entry is written as soon as its result lands, while the executor is
-    still computing the rest, so a generation that fails part way keeps
-    every chunk that finished.  ``align`` feeds the auto chunk-size
-    heuristic so cache keys stay stable across runs that share a design
-    space.  Returns ``(table, cached_points)`` where ``cached_points``
-    counts points served from the chunk cache.
+    cache, each chunk's one identity text
+    (:func:`~repro.runner.cache.chunk_identity`) keys it and travels in its
+    job, and it is dropped once the chunk's entry is written; without one,
+    nothing here encodes the parameters.  Each missed chunk's entry is
+    written as soon as its result lands -- a work-queue worker's entry as
+    the worker wrote it -- while the executor is still computing the rest,
+    so a generation that fails part way keeps every chunk that finished.
+    ``align`` feeds the auto chunk-size heuristic so cache keys stay stable
+    across runs that share a design space.  Returns ``(table,
+    cached_points)`` where ``cached_points`` counts points served from the
+    chunk cache.
     """
     from ..analysis.table import ColumnTable  # NumPy: imported where used
 
@@ -378,34 +380,32 @@ def evaluate_chunked(
     parts: List[ColumnTable] = [ColumnTable()] * len(chunks)
     spans: List[Tuple[int, int]] = []  # the shipped chunks, in submission order
     shipped: List[int] = []  # the chunk position of each shipped chunk
-    texts: Dict[int, str] = {}  # shipped chunk -> params text, until stored
+    identities: Dict[int, str] = {}  # shipped chunk -> identity, until stored
     cached_points = 0
 
     def misses() -> Iterator[ChunkJob]:
         nonlocal cached_points
         for position, (start, stop) in enumerate(chunks):
             part = params_list[start:stop]
-            params_text = None
+            identity = None
             if cache is not None:
-                params_text = encode_params(part)
-                entry = (
+                identity = chunk_identity(kind, part, backend)
+                hit = (
                     None
                     if force
-                    else cache.load_chunk(
-                        kind, part, backend=backend, params_text=params_text
-                    )
+                    else cache.load_chunk(kind, part, backend, identity=identity)
                 )
-                if entry is not None:
-                    parts[position] = entry["results"]
+                if hit is not None:
+                    parts[position] = hit["results"]
                     cached_points += stop - start
                     continue
-                texts[len(spans)] = params_text
+                identities[len(spans)] = identity
             spans.append((start, stop))
             shipped.append(position)
-            yield ChunkJob(kind, part, params_text)
+            yield ChunkJob(kind, part, identity)
 
     def store(
-        index: int, chunk_result: ChunkResult, results_text: Optional[str] = None
+        index: int, chunk_result: ChunkResult, entry: Optional[str] = None
     ) -> None:
         start, stop = spans[index]
         chunk_results, elapsed_s = chunk_result
@@ -415,8 +415,8 @@ def evaluate_chunked(
             chunk_results,
             elapsed_s,
             backend=backend,
-            params_text=texts.pop(index),
-            results_text=results_text,
+            identity=identities.pop(index),
+            entry=entry,
         )
 
     on_result = None if cache is None else store
@@ -528,7 +528,7 @@ def run_sweep(
         chunks = [(part[0].kind, [dict(s.params) for s in part]) for part in members]
 
         def store(
-            index: int, chunk_result: ChunkResult, results_text: Optional[str] = None
+            index: int, chunk_result: ChunkResult, entry: Optional[str] = None
         ) -> None:
             part = members[index]
             results, elapsed_s = chunk_result

@@ -25,14 +25,15 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .cache import (
-    chunk_result_payload,
     code_version,
     decode_json_object,
+    entry_text,
+    identity_key,
+    json_text,
     process_segment_memo,
-    read_chunk_job,
 )
 from .executors import open_spool
 
@@ -47,20 +48,20 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _error(
-    job_id: str, worker_id: str, error_type: str, message: str
-) -> Dict[str, Any]:
-    """An error result payload of type ``error_type``."""
-    return {
-        "job": job_id,
-        "worker": worker_id,
-        "error": {"type": error_type, "message": message},
-    }
+#: what :func:`_execute` returns for a job it ran or failed: the result's
+#: first line and, for a chunk that ran, its cache entry text.
+_Result = Tuple[Dict[str, Any], Optional[str]]
 
 
-def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
-    """Run one claimed job; returns a result payload, or ``None`` for a
-    claim that vanished under us (no result should be published then).
+def _error(job_id: str, worker_id: str, error_type: str, message: str) -> _Result:
+    """An error result of type ``error_type``: one line, no entry."""
+    error = {"type": error_type, "message": message}
+    return {"job": job_id, "worker": worker_id, "error": error}, None
+
+
+def _execute(claimed, worker_id: str) -> Optional[_Result]:
+    """Run one claimed job; returns its result, or ``None`` for a claim
+    that vanished under us (no result should be published then).
 
     ``claimed`` is either transport's claim object; its ``read()`` returns
     the raw job text (local on the network transport -- the payload
@@ -70,11 +71,12 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
     code-version mismatch (``version-mismatch`` -- fatal, the worker must
     be restarted from the submitter's tree), and a chunk that raises
     (``exception`` -- fatal, mirrors the in-process behaviour).  The
-    version is checked before the job's shape is read: a job from another
-    tree may use a shape this tree cannot read, and rewriting it could
-    never help.  ``KeyboardInterrupt``/``SystemExit`` are deliberately
-    *not* caught: a killed worker must look like a dead worker (claim left
-    behind, recovered by orphan requeue), not like a failed job.
+    version, on the job's first line, is checked before the chunk's
+    identity on its second line is read: a job from another tree may use a
+    shape this tree cannot read, and rewriting it could never help.
+    ``KeyboardInterrupt``/``SystemExit`` are deliberately *not* caught: a
+    killed worker must look like a dead worker (claim left behind,
+    recovered by orphan requeue), not like a failed job.
     """
     job_id = claimed.job_id
     try:
@@ -90,13 +92,14 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
         return _error(
             job_id, worker_id, "corrupt-job", f"cannot read job file: {error}"
         )
+    head_line, _, identity = raw.partition("\n")
     try:
-        payload = decode_json_object(raw)
+        head = decode_json_object(head_line)
     except ValueError as error:
         return _error(
             job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"
         )
-    job_version = payload.get("code_version")
+    job_version = head.get("code_version")
     if job_version != code_version():
         return _error(
             job_id,
@@ -106,8 +109,11 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
             f"this worker runs {code_version()}",
         )
     try:
-        kind, params_list, backend, segment_memo_dir = read_chunk_job(payload)
-    except (KeyError, TypeError) as error:
+        chunk = decode_json_object(identity)
+        kind, params_list, backend = chunk["kind"], chunk["params"], chunk["backend"]
+        if not isinstance(params_list, list):
+            raise TypeError("chunk params must be a list")
+    except (ValueError, KeyError, TypeError) as error:
         return _error(
             job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"
         )
@@ -115,20 +121,23 @@ def _execute(claimed, worker_id: str) -> Optional[Dict[str, Any]]:
         from .sweep import _run_chunk
 
         results, elapsed_s = _run_chunk(
-            (kind, params_list), backend=backend, segment_memo_dir=segment_memo_dir
+            (kind, params_list),
+            backend=backend,
+            segment_memo_dir=head.get("segment_memo_dir"),
         )
-        # The transport encodes this payload once, results included; the
-        # submitter splices that text of the results into its cache entry.
-        payload = chunk_result_payload(job_id, worker_id, kind, results, elapsed_s)
+        # Keyed by the identity this worker ran: the submitter checks the
+        # key and stores the entry text as it is.
+        entry = entry_text(kind, backend, identity_key(identity), results, elapsed_s)
     except Exception:
         return _error(job_id, worker_id, "exception", traceback.format_exc())
+    result: Dict[str, Any] = {"job": job_id, "worker": worker_id}
     # Piggyback any segment-memo entries this job freshly simulated on the
-    # result file: the submitter folds them into its own memo, and the
-    # post-job memo_sync below shares them with sibling workers.
+    # result: the submitter folds them into its own memo, and the post-job
+    # memo_sync below shares them with sibling workers.
     new_entries = process_segment_memo().take_new()
     if new_entries:
-        payload["segment_memo"] = new_entries
-    return payload
+        result["segment_memo"] = new_entries
+    return result, entry
 
 
 def run_worker(
@@ -194,11 +203,15 @@ def run_worker(
                     break
                 time.sleep(poll_s)
                 continue
-            result = _execute(claimed, worker_id)
+            executed = _execute(claimed, worker_id)
             idle_since = time.monotonic()
-            if result is None:
+            if executed is None:
                 continue  # lost the claim to an orphan requeue
-            if spool.finish(claimed, result):
+            result, entry = executed
+            text = json_text(result)
+            if entry is not None:
+                text += "\n" + entry
+            if spool.finish(claimed, text):
                 stats["processed"] += 1
             # A rejected (stale-claim) result means the job was requeued to
             # another worker while we ran it; nothing to do -- the other

@@ -24,7 +24,7 @@ The package mirrors the structure of the paper's Section 4:
   utilisation, and (optionally) validated numerics.
 """
 
-from .datapath import XNNConfig, XNNDatapath, build_xnn_datapath
+from .datapath import XNNConfig, XNNDatapath
 from .tiling import GemmTiling, plan_gemm_tiling
 from .codegen import CodegenOptions, ProgramBuilder
 from .executor import SegmentResult, EncoderResult, XNNExecutor
@@ -39,7 +39,6 @@ from .mapping import (
 from .bandwidth import (
     LoadStoreOrdering,
     analytic_bandwidth_sweep,
-    bandwidth_sweep_latency,
 )
 from .segmentation import Segment, SegmentKind, segment_model
 from .partition import (
@@ -70,8 +69,6 @@ __all__ = [
     "XNNExecutor",
     "analytic_bandwidth_sweep",
     "attention_mapping_type",
-    "bandwidth_sweep_latency",
-    "build_xnn_datapath",
     "chiplet_payload",
     "compare_mapping_types",
     "design_cost",

@@ -26,7 +26,6 @@ from .datapath import XNNConfig
 __all__ = [
     "LoadStoreOrdering",
     "ddr_busy_estimate",
-    "bandwidth_sweep_latency",
     "analytic_bandwidth_sweep",
     "infinite_bandwidth_bound",
     "infinite_compute_bound",
@@ -124,52 +123,6 @@ def infinite_compute_bound(model: ModelSpec, spec: VCK190Spec = VCK190) -> float
     return max(ddr_time, lpddr_time)
 
 
-def bandwidth_sweep_latency(
-    scales: Sequence[float] = (0.5, 1.0, 2.0, 3.0),
-    batch: int = 8,
-    seq_len: int = 384,
-    options: Optional[CodegenOptions] = None,
-    base_config: Optional[XNNConfig] = None,
-) -> List[BandwidthSweepPoint]:
-    """Re-run the encoder with scaled off-chip bandwidth (Table 11).
-
-    Each scale point builds a fresh timing-only datapath whose DDR and LPDDR
-    channels are scaled by the factor, mirroring how the paper emulates higher
-    bandwidth by moving proportionally less data.
-    """
-    from .executor import XNNExecutor  # local import to avoid a module cycle
-
-    options = options or CodegenOptions()
-    base_config = base_config or XNNConfig(carry_data=False)
-    points: List[BandwidthSweepPoint] = []
-    for scale in scales:
-        config = XNNConfig(
-            num_mme=base_config.num_mme,
-            num_mem_a=base_config.num_mem_a,
-            num_mem_b=base_config.num_mem_b,
-            num_mem_c=base_config.num_mem_c,
-            mem_a_bytes=base_config.mem_a_bytes,
-            mem_b_bytes=base_config.mem_b_bytes,
-            mem_c_bytes=base_config.mem_c_bytes,
-            mme_tile_shape=base_config.mme_tile_shape,
-            carry_data=False,
-            bandwidth_scale=scale,
-            pl_stream_bw=base_config.pl_stream_bw,
-            channel_capacity=base_config.channel_capacity,
-            spec=base_config.spec,
-        )
-        executor = XNNExecutor(config=config, options=options)
-        result = executor.run_encoder(batch=batch, seq_len=seq_len)
-        points.append(
-            BandwidthSweepPoint(
-                label=f"{scale:g}X BW",
-                bandwidth_scale=scale,
-                latency_s=result.latency_s,
-            )
-        )
-    return points
-
-
 def analytic_bandwidth_sweep(
     scales: Sequence[float] = (0.5, 1.0, 2.0, 3.0),
     batch: int = 8,
@@ -179,9 +132,10 @@ def analytic_bandwidth_sweep(
 ) -> List[BandwidthSweepPoint]:
     """The Table 11 sweep on the analytic fast-model backend.
 
-    Same sweep shape as :func:`bandwidth_sweep_latency` but each point is a
-    closed-form roofline lower bound instead of an event-driven simulation,
-    and the whole sweep is one batched resolution sharing a single tally --
+    Each point re-runs the encoder with the off-chip bandwidth scaled by the
+    factor, as a closed-form roofline lower bound instead of an event-driven
+    simulation (the engine runs the paper's points as the ``table11/bw-*``
+    scenarios), and the whole sweep is one batched resolution sharing a single tally --
     cheap enough to sweep hundreds of bandwidth scales interactively when
     exploring beyond the paper's four points.
     """

@@ -23,7 +23,7 @@ double counting).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core import Datapath
 from ..hardware.aie import AIEArrayModel, MMEGroupPlan
@@ -31,7 +31,7 @@ from ..hardware.memory import ddr_channel, lpddr_channel
 from ..hardware.vck190 import VCK190, VCK190Spec
 from .fus import DDRFU, HostMemory, LPDDRFU, MMEFU, MemAFU, MemBFU, MemCFU, MeshFU
 
-__all__ = ["XNNConfig", "XNNDatapath", "build_xnn_datapath"]
+__all__ = ["XNNConfig", "XNNDatapath"]
 
 
 @dataclass(frozen=True)
@@ -327,12 +327,3 @@ class XNNDatapath:
             }
         )
         return properties
-
-
-def build_xnn_datapath(config: Optional[XNNConfig] = None, **overrides) -> XNNDatapath:
-    """Build an RSN-XNN datapath; keyword overrides update the default config."""
-    if config is None:
-        config = XNNConfig(**overrides)
-    elif overrides:
-        raise ValueError("pass either a config object or keyword overrides, not both")
-    return XNNDatapath(config)

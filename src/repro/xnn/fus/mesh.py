@@ -37,9 +37,6 @@ class MeshFU(FunctionalUnit):
 
     # Ports are added by the datapath builder (one per connected FU).
 
-    def _in(self, suffix: str):
-        return self.port(f"from_{suffix}")
-
     def _out(self, suffix: str):
         return self.port(f"to_{suffix}")
 

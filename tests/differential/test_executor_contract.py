@@ -101,8 +101,9 @@ class TestExecutorEquivalence:
         job_ids = [job_id for job_id, _ in published]
         assert len(job_ids) == len(ENGINE_SET) and job_ids == sorted(job_ids)
         expected = [REGISTRY.get(name) for name in ENGINE_SET]
-        assert [payload["chunk"] for _, payload in published] == [
-            {"kind": s.kind, "params": [dict(s.params)]} for s in expected]
+        chunks = [json.loads(job.partition("\n")[2]) for _, job in published]
+        assert [(c["kind"], c["params"]) for c in chunks] == [
+            (s.kind, [dict(s.params)]) for s in expected]
 
     def test_workqueue_populated_cache_serves_serial_identically(self,
                                                                  tmp_path):

@@ -26,7 +26,7 @@ import pytest
 import repro
 import repro.xnn.executor as executor_module
 from repro.runner import WorkQueueExecutor, canonical_json, run_sweep
-from repro.runner.cache import SegmentMemo, code_version
+from repro.runner.cache import SegmentMemo, chunk_identity, code_version
 from repro.runner.executors import Spool
 from repro.runner.scenarios import Scenario
 from repro.xnn import CodegenOptions, XNNConfig, XNNExecutor
@@ -189,13 +189,16 @@ def _run_worker_subprocess(target, worker_id, max_jobs):
 
 
 def _enqueue(spool, job_id, scenario):
-    spool.enqueue(job_id, {
-        "job": job_id,
-        "chunk": {"kind": scenario.kind, "params": [dict(scenario.params)]},
-        "backend": "engine",
-        "segment_memo_dir": None,
-        "code_version": code_version(),
-    })
+    head = {"code_version": code_version(), "job": job_id,
+            "segment_memo_dir": None}
+    spool.enqueue(job_id, json.dumps(head) + "\n" + chunk_identity(
+        scenario.kind, [dict(scenario.params)], "engine"))
+
+
+def _result_lines(text):
+    """A worker's result text decoded line by line: its first line, then
+    the chunk's cache entry."""
+    return [json.loads(line) for line in text.split("\n")]
 
 
 @pytest.mark.parametrize("transport", ["fs", "tcp"])
@@ -220,7 +223,7 @@ def test_second_hosts_shared_segment_is_served_from_synced_memo(
     # result file and are published into the spool memo layer.
     _enqueue(spool, "000001", shared)
     _run_worker_subprocess(target, "host-a", max_jobs=1)
-    result_a = json.loads(spool.take_results("000001")["000001"])
+    result_a, entry_a = _result_lines(spool.take_results("000001")["000001"])
     assert result_a["segment_memo"], "host A must piggyback fresh entries"
     assert list(spool.memo_dir.glob("*.json"))
 
@@ -230,13 +233,13 @@ def test_second_hosts_shared_segment_is_served_from_synced_memo(
     _enqueue(spool, "000003", shared)
     _run_worker_subprocess(target, "host-b", max_jobs=2)
     results_b = spool.take_results("0000")
-    result_other = json.loads(results_b["000002"])
-    result_shared = json.loads(results_b["000003"])
+    result_other, _ = _result_lines(results_b["000002"])
+    result_shared, entry_shared = _result_lines(results_b["000003"])
     assert result_other["segment_memo"], "host B's own workload is fresh"
     assert "segment_memo" not in result_shared, \
         "host B's shared-segment job must be served from synced memo"
-    assert canonical_json(result_shared["results"]) == \
-        canonical_json(result_a["results"])
+    assert canonical_json(entry_shared["results"]) == \
+        canonical_json(entry_a["results"])
 
 
 def test_code_version_mismatched_synced_entries_are_rejected(tmp_path):

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.runner import REGISTRY, ResultCache, code_version
-from repro.runner.cache import (decode_result, encode_params,
-                                read_json_object, write_json_atomic)
+from repro.runner.cache import (chunk_identity, read_json_object,
+                                write_json_atomic)
 from repro.runner.scenarios import Scenario
 
 
@@ -89,25 +89,27 @@ class TestResultCache:
     def test_entry_with_non_object_results_is_a_miss(self, cache, results):
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
-        # Rewrite the results in the entry's text, so the params text the
-        # hit compares stays byte for byte as stored: the same results
-        # written back still hit, and only the broken ones miss.
-        text = path.read_text()
-        _, results_text = decode_result(text)
-        intact = {"length": 1, "columns": {"events": [1]}}
-        path.write_text(text.replace(results_text, json.dumps(intact)))
+        # Rewrite the entry's results: the same results written back still
+        # hit, and only the broken ones miss.
+        entry = json.loads(path.read_text())
+        entry["results"] = {"length": 1, "columns": {"events": [1]}}
+        path.write_text(json.dumps(entry))
         assert cache.load(scenario)["results"] == [{"events": 1}]
-        path.write_text(text.replace(results_text, json.dumps(results)))
+        entry["results"] = results
+        path.write_text(json.dumps(entry))
         assert cache.load(scenario) is None
 
-    def test_params_edited_in_the_entry_text_is_a_miss(self, cache):
+    def test_key_edited_in_the_entry_is_a_miss(self, cache):
+        # The entry's path holds only a 20-hex prefix of the key; the full
+        # key it records is what tells this chunk's entry from another's.
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.0)
         assert cache.load(scenario) is not None
-        text = path.read_text()
-        edited = text.replace('"n_msgs":10,', '"n_msgs":999,')
-        assert edited != text
-        path.write_text(edited)
+        entry = json.loads(path.read_text())
+        key = cache.chunk_key(scenario.kind, [scenario.params])
+        assert entry["key"] == key and path.name.endswith(f"-{key[:20]}.json")
+        entry["key"] = key[:20] + "0" * 44
+        path.write_text(json.dumps(entry))
         assert cache.load(scenario) is None
 
     def test_clear_removes_entries(self, cache):
@@ -168,43 +170,29 @@ class TestWriteJsonAtomic:
 
 
 class TestChunkTexts:
-    """The chunk text format: one params text per chunk, and a result's
-    results text read out in the same pass that decodes it."""
+    """The chunk text format: one identity text per chunk keys it, and its
+    entry holds the full key instead of the parameters."""
 
-    RESULT = {"job": "b.00000000", "worker": "w", "kind": "k",
-              "results": [{"latency_s": 1.5, "tags": ["a", "\u00e9"]},
-                          {"latency_s": None}],
-              "elapsed_s": 0.25, "segment_memo": [{"key": "k"}]}
-
-    @pytest.mark.parametrize("dumps", [
-        lambda p: json.dumps(p, sort_keys=True),
-        lambda p: json.dumps(p, indent=2),
-        lambda p: json.dumps(p, separators=(",", ":"), ensure_ascii=False),
-    ], ids=["sorted", "indented", "compact"])
-    def test_decode_result_matches_json_and_spans_the_results(self, dumps):
-        text = dumps(self.RESULT)
-        payload, results_text = decode_result(text)
-        assert payload == json.loads(text)
-        assert json.loads(results_text) == self.RESULT["results"]
-        assert results_text in text
-
-    def test_decode_result_without_results(self):
-        assert decode_result(' {"error": {"type": "x"}} ') == (
-            {"error": {"type": "x"}}, None)
-        assert decode_result("{}") == ({}, None)
-
-    @pytest.mark.parametrize("text", [
-        "", "[]", "{", '{"a" 1}', '{"a": 1,}', '{"a": 1} x', "{1: 2}",
-        '{"a": 1 "b": 2}', '{"a": 1', "{,}", "{not json"])
-    def test_decode_result_rejects_what_is_not_an_object(self, text):
-        with pytest.raises(ValueError):
-            decode_result(text)
-
-    def test_key_of_the_params_text_is_the_key_of_the_params(self, cache):
+    def test_key_of_the_identity_is_the_key_of_the_params(self, cache):
         params = [{"n_msgs": 10, "stages": 1}, {"n_msgs": 11, "stages": 2}]
-        text = encode_params(params)
+        identity = chunk_identity("k/\u00fc", params, "analytic")
+        assert json.loads(identity) == {
+            "backend": "analytic", "code_version": code_version(),
+            "kind": "k/\u00fc", "params": params}
         assert cache.chunk_key("k/\u00fc", params, "analytic") == \
-            cache.chunk_key("k/\u00fc", params, "analytic", params_text=text)
+            cache.chunk_key("k/\u00fc", params, "analytic", identity=identity)
+
+    def test_entry_holds_the_full_key_and_no_params(self, cache):
+        scenario = _scenario()
+        path = cache.store(scenario, {"events": 1}, elapsed_s=0.5)
+        text = path.read_text()
+        assert "\n" not in text and "n_msgs" not in text
+        assert json.loads(text) == {
+            "backend": "engine", "code_version": code_version(),
+            "elapsed_s": 0.5,
+            "key": cache.chunk_key(scenario.kind, [scenario.params]),
+            "kind": scenario.kind,
+            "results": {"length": 1, "columns": {"events": [1]}}}
 
 
 class TestPrune:

@@ -366,23 +366,22 @@ class TestWorkerCommand:
 
     def test_worker_drains_published_jobs(self, capsys, tmp_path):
         from repro.runner import REGISTRY, canonical_json
-        from repro.runner.cache import code_version
+        from repro.runner.cache import chunk_identity, code_version
         from repro.runner.executors import Spool
         spool = Spool(tmp_path / "spool").ensure()
         scenario = REGISTRY.get("table6b/charm-1024")
-        spool.enqueue("cli.00000", {
-            "job": "cli.00000",
-            "chunk": {"kind": scenario.kind, "params": [dict(scenario.params)]},
-            "backend": "engine", "segment_memo_dir": None,
-            "code_version": code_version(),
-        })
+        spool.enqueue("cli.00000", json.dumps({
+            "code_version": code_version(), "job": "cli.00000",
+            "segment_memo_dir": None,
+        }) + "\n" + chunk_identity(scenario.kind, [dict(scenario.params)],
+                                   "engine"))
         code, out, _ = _run(capsys, "worker",
                             "--spool", str(tmp_path / "spool"),
                             "--poll", "0.01", "--max-jobs", "1")
         assert code == 0
         assert "processed 1 job(s)" in out
-        result = json.loads(spool.result_path("cli.00000").read_text())
-        assert canonical_json(from_wire(result["results"])) == \
+        _, entry = spool.result_path("cli.00000").read_text().split("\n")
+        assert canonical_json(from_wire(json.loads(entry)["results"])) == \
             canonical_json([REGISTRY.run(scenario)])
 
     def test_worker_rejects_non_positive_poll(self, capsys):
@@ -514,22 +513,20 @@ class TestSpoolCommands:
 
     def test_worker_attaches_over_tcp(self, capsys, spoold):
         from repro.runner import REGISTRY, canonical_json
-        from repro.runner.cache import code_version
+        from repro.runner.cache import chunk_identity, code_version
         scenario = REGISTRY.get("table6b/charm-1024")
-        spoold.spool.enqueue("cli.00000000", {
-            "job": "cli.00000000",
-            "chunk": {"kind": scenario.kind,
-                      "params": [dict(scenario.params)]},
-            "backend": "engine", "segment_memo_dir": None,
-            "code_version": code_version(),
-        })
+        spoold.spool.enqueue("cli.00000000", json.dumps({
+            "code_version": code_version(), "job": "cli.00000000",
+            "segment_memo_dir": None,
+        }) + "\n" + chunk_identity(scenario.kind, [dict(scenario.params)],
+                                   "engine"))
         code, out, _ = _run(capsys, "worker", "--spool", spoold.url,
                             "--poll", "0.01", "--max-jobs", "1")
         assert code == 0
         assert "processed 1 job(s)" in out
-        result = json.loads(
-            spoold.spool.result_path("cli.00000000").read_text())
-        assert canonical_json(from_wire(result["results"])) == \
+        _, entry = spoold.spool.result_path(
+            "cli.00000000").read_text().split("\n")
+        assert canonical_json(from_wire(json.loads(entry)["results"])) == \
             canonical_json([REGISTRY.run(scenario)])
 
 

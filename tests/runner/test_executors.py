@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.table import from_wire
 from repro.runner import REGISTRY
-from repro.runner.cache import code_version
+from repro.runner.cache import chunk_identity, code_version, identity_key
 from repro.runner.executors import (ProcessPoolExecutor, SerialExecutor, Spool,
                                     WorkQueueExecutor, format_job_id)
 from repro.runner.scenarios import Scenario
@@ -30,19 +30,34 @@ def _chunk(scenario):
     return scenario.kind, [dict(scenario.params)]
 
 
-def _job_payload(job_id, scenario, backend="engine", segment_memo_dir=None):
+def _job_payload(job_id, scenario, backend="engine", segment_memo_dir=None,
+                 version=None, identity=None):
+    """A job's text: its first line, then the chunk's identity."""
     kind, params = _chunk(scenario)
-    return {
-        "job": job_id,
-        "chunk": {"kind": kind, "params": params},
-        "backend": backend,
-        "segment_memo_dir": segment_memo_dir,
-        "code_version": code_version(),
-    }
+    head = {"code_version": version or code_version(), "job": job_id,
+            "segment_memo_dir": segment_memo_dir}
+    if identity is None:
+        identity = chunk_identity(kind, params, backend)
+    return json.dumps(head) + "\n" + identity
+
+
+def _result_lines(text):
+    """A worker's result text decoded line by line: its first line, then
+    (for a chunk that ran) the chunk's cache entry."""
+    return [json.loads(line) for line in text.split("\n")]
+
+
+def _key_of(claimed):
+    """The key of a claimed job's chunk: the hash of its identity line."""
+    return identity_key(claimed.read().partition("\n")[2])
 
 
 CHEAP = Scenario(name="unit/chain", kind="engine_chain",
                  params={"n_msgs": 5, "stages": 1})
+
+#: the key of a chunk other than ``CHEAP``'s.
+OTHER_KEY = identity_key(chunk_identity(
+    "engine_chain", [{"n_msgs": 6, "stages": 1}], "engine"))
 
 
 class TestExecutorConstruction:
@@ -82,7 +97,7 @@ class TestSpoolClaims:
         claimed = spool.claim("w1")
         assert claimed is not None and claimed.job_id == "j.00000"
         assert not list(spool.pending_dir.glob("*.json"))
-        assert json.loads(claimed.path.read_text()) == payload
+        assert claimed.path.read_text() == payload
 
     def test_claim_is_exclusive(self, tmp_path):
         spool = Spool(tmp_path / "spool").ensure()
@@ -155,7 +170,7 @@ class TestSpoolOrphanRequeue:
         requeued = spool.requeue_orphans(orphan_timeout_s=30.0)
         assert requeued == ["j.00000"]
         restored = spool.pending_dir / "j.00000.json"
-        assert json.loads(restored.read_text()) == payload
+        assert restored.read_text() == payload
 
     def test_fresh_heartbeat_protects_the_claim(self, tmp_path):
         spool = Spool(tmp_path / "spool").ensure()
@@ -316,10 +331,14 @@ class TestWorkerLoop:
         processed = run_worker(spool.root, poll_s=0.01, max_jobs=1,
                                worker_id="unit-worker")
         assert processed == 1
-        result = json.loads(spool.result_path("j.00000").read_text())
-        assert result["kind"] == "engine_chain"
-        assert result["code_version"] == code_version()
-        assert from_wire(result["results"]) == [REGISTRY.run(CHEAP)]
+        head, entry = _result_lines(
+            spool.result_path("j.00000").read_text())
+        assert head["job"] == "j.00000"
+        assert entry["kind"] == "engine_chain"
+        assert entry["code_version"] == code_version()
+        assert entry["key"] == identity_key(
+            chunk_identity(*_chunk(CHEAP), "engine"))
+        assert from_wire(entry["results"]) == [REGISTRY.run(CHEAP)]
         # The claim is gone and the heartbeat file was cleaned up on exit.
         assert not list(spool.claimed_dir.glob("*.json"))
         assert not list(spool.workers_dir.glob("*.json"))
@@ -340,8 +359,7 @@ class TestWorkerLoop:
 
     def test_version_mismatch_yields_fatal_error_result(self, tmp_path):
         spool = Spool(tmp_path / "spool").ensure()
-        payload = _job_payload("j.00000", CHEAP)
-        payload["code_version"] = "somebody-elses-tree"
+        payload = _job_payload("j.00000", CHEAP, version="somebody-elses-tree")
         spool.enqueue("j.00000", payload)
         run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
         result = json.loads(spool.result_path("j.00000").read_text())
@@ -352,9 +370,8 @@ class TestWorkerLoop:
         # read.  Reporting it as corrupt-job would make the submitter
         # rewrite it max_requeues times; it must be a version mismatch.
         spool = Spool(tmp_path / "spool").ensure()
-        payload = _job_payload("j.00000", CHEAP)
-        payload["code_version"] = "somebody-elses-tree"
-        payload["chunk"] = "garbage"
+        payload = _job_payload("j.00000", CHEAP, version="somebody-elses-tree",
+                               identity='"garbage"')
         spool.enqueue("j.00000", payload)
         run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
         result = json.loads(spool.result_path("j.00000").read_text())
@@ -362,8 +379,7 @@ class TestWorkerLoop:
 
     def test_unreadable_chunk_of_this_version_is_a_corrupt_job(self, tmp_path):
         spool = Spool(tmp_path / "spool").ensure()
-        payload = _job_payload("j.00000", CHEAP)
-        payload["chunk"] = "garbage"
+        payload = _job_payload("j.00000", CHEAP, identity='"garbage"')
         spool.enqueue("j.00000", payload)
         run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
         result = json.loads(spool.result_path("j.00000").read_text())
@@ -443,6 +459,25 @@ class TestWorkQueueExecutorRecovery:
         assert not list(executor.spool.pending_dir.glob("*.json"))
         assert not list(executor.spool.results_dir.glob("*.json"))
 
+    def test_failed_tcp_submission_withdraws_its_batch(self, spoold):
+        # The same failure over tcp://: the server's abandon op withdraws
+        # the batch from the served spool.
+        executor = WorkQueueExecutor(spoold.url, poll_s=0.01, timeout_s=60.0)
+        executor.configure("engine", None)
+        bad = Scenario(name="unit/bad", kind="no-such-kind", params={})
+        thread, box = self._submit_async(executor, [bad, CHEAP])
+        self._wait_for(lambda: list(spoold.spool.pending_dir.glob("*.json")),
+                       message="job publication")
+        run_worker(spoold.url, poll_s=0.01, max_jobs=1,
+                   worker_id="unit-worker")
+        thread.join(timeout=30.0)
+        executor.close()
+        assert isinstance(box.get("error"), RuntimeError)
+        assert "no-such-kind" in str(box["error"])
+        # No pending job and no result of the batch is left on the server.
+        assert not list(spoold.spool.pending_dir.glob("*.json"))
+        assert not list(spoold.spool.results_dir.glob("*.json"))
+
     def test_version_mismatched_worker_is_fatal(self, tmp_path):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
                                      timeout_s=60.0)
@@ -454,11 +489,14 @@ class TestWorkQueueExecutorRecovery:
         # ourselves and publish a result recorded under a different code
         # version.  The second job stays pending until the failure.
         claimed = executor.spool.claim("stale-worker")
-        executor.spool.write_result(claimed.job_id, {
-            "job": claimed.job_id, "worker": "stale-worker",
-            "kind": CHEAP.kind, "results": [{"events": 1}],
-            "elapsed_s": 0.0, "code_version": "stale-tree",
-        })
+        executor.spool.write_result(claimed.job_id, "\n".join([
+            json.dumps({"job": claimed.job_id, "worker": "stale-worker"}),
+            json.dumps({"backend": "engine", "code_version": "stale-tree",
+                        "elapsed_s": 0.0, "key": _key_of(claimed),
+                        "kind": CHEAP.kind,
+                        "results": {"length": 1,
+                                    "columns": {"events": [1]}}}),
+        ]))
         thread.join(timeout=30.0)
         assert isinstance(box.get("error"), RuntimeError)
         assert "different code version" in str(box["error"])
@@ -484,11 +522,13 @@ class TestWorkQueueExecutorRecovery:
          "elapsed_s": 0.0},
         {"results": {"length": 1, "columns": {"events": [1]}}},
         {"results": {"length": 10**12, "columns": {}}, "elapsed_s": 0.0},
+        {"key": OTHER_KEY, "results": {"length": 1, "columns": {"events": [1]}},
+         "elapsed_s": 0.0},
     ], ids=["wrong-length", "not-a-list", "no-elapsed", "text-elapsed",
             "null-result", "number-result", "string-result",
             "short-column", "mask-of-wrong-length", "nested-of-wrong-length",
             "length-not-the-chunks", "columns-without-elapsed",
-            "oversized-length"])
+            "oversized-length", "key-of-another-chunk"])
     def test_result_breaking_the_batch_runner_contract_is_fatal(self, tmp_path,
                                                                 broken):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
@@ -502,10 +542,12 @@ class TestWorkQueueExecutorRecovery:
         # the second job when the submitter rejects the batch.
         claimed = executor.spool.claim("broken-worker")
         assert executor.spool.claim("slow-worker") is not None
-        executor.spool.finish(claimed, {
-            "job": claimed.job_id, "worker": "broken-worker",
-            "kind": CHEAP.kind, "code_version": code_version(), **broken,
-        })
+        executor.spool.finish(claimed, "\n".join([
+            json.dumps({"job": claimed.job_id, "worker": "broken-worker"}),
+            json.dumps({"backend": "engine", "code_version": code_version(),
+                        "key": _key_of(claimed), "kind": CHEAP.kind,
+                        **broken}),
+        ]))
         thread.join(timeout=30.0)
         error = box.get("error")
         assert isinstance(error, RuntimeError), error
@@ -513,6 +555,44 @@ class TestWorkQueueExecutorRecovery:
         assert "broken-worker" in str(error)
         assert not list(executor.spool.pending_dir.glob("*.json"))
         assert not list(executor.spool.claimed_dir.glob("*.json"))
+
+    @pytest.mark.parametrize("damage", [
+        lambda head, entry: head + '\n{"backend": "engi',
+        lambda head, entry: head + "\n[" + entry + "]",
+        lambda head, entry: head[:-5] + "\n" + entry,
+        lambda head, entry: '"' + head.replace('"', "'") + '"\n' + entry,
+    ], ids=["entry-not-json", "entry-not-an-object", "head-not-json",
+            "head-not-an-object"])
+    def test_damaged_result_is_retried(self, tmp_path, damage):
+        executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
+                                     timeout_s=60.0)
+        executor.configure("engine", None)
+        thread, box = self._submit_async(executor, [CHEAP])
+        self._wait_for(lambda: list(executor.spool.pending_dir.glob("*.json")),
+                       message="job publication")
+        # A result damaged on its way (a truncated or mangled copy): one of
+        # its two lines is not a JSON object.
+        claimed = executor.spool.claim("flaky-worker")
+        pristine = claimed.read()
+        head = json.dumps({"job": claimed.job_id, "worker": "flaky-worker"})
+        entry = json.dumps({"backend": "engine",
+                            "code_version": code_version(), "elapsed_s": 0.0,
+                            "key": _key_of(claimed), "kind": CHEAP.kind,
+                            "results": {"length": 1,
+                                        "columns": {"events": [1]}}})
+        executor.spool.finish(claimed, damage(head, entry))
+        # The submitter republishes the pristine job, and a healthy worker
+        # completes the batch.
+        self._wait_for(lambda: list(executor.spool.pending_dir.glob("*.json")),
+                       message="job republication")
+        (republished,) = executor.spool.pending_dir.glob("*.json")
+        assert republished.read_text() == pristine
+        run_worker(executor.spool.root, poll_s=0.01, max_jobs=1,
+                   worker_id="healthy-worker")
+        thread.join(timeout=30.0)
+        assert "error" not in box, box.get("error")
+        ((table, _),) = box["results"]
+        assert table == [REGISTRY.run(CHEAP)]
 
     def test_timeout_raises_instead_of_hanging(self, tmp_path):
         executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,

@@ -18,7 +18,7 @@ import threading
 import pytest
 
 from repro.analysis.table import from_wire
-from repro.runner.cache import chunk_job, code_version
+from repro.runner.cache import chunk_identity, code_version, json_text
 from repro.runner.executors import Spool, open_spool
 from repro.runner.netqueue import (DEFAULT_PORT, NetSpool, NetSpoolError,
                                    PROTOCOL_VERSION, SpoolServer,
@@ -30,14 +30,19 @@ CHEAP = Scenario(name="unit/chain", kind="engine_chain",
                  params={"n_msgs": 5, "stages": 1})
 
 
-def _job_payload(job_id, scenario=CHEAP, backend="engine"):
-    return {
-        "job": job_id,
-        "chunk": {"kind": scenario.kind, "params": [dict(scenario.params)]},
-        "backend": backend,
-        "segment_memo_dir": None,
-        "code_version": code_version(),
-    }
+def _job_payload(job_id, scenario=CHEAP, backend="engine",
+                 segment_memo_dir=None):
+    """A job's text: its first line, then the chunk's identity."""
+    head = {"code_version": code_version(), "job": job_id,
+            "segment_memo_dir": segment_memo_dir}
+    return json.dumps(head) + "\n" + chunk_identity(
+        scenario.kind, [dict(scenario.params)], backend)
+
+
+def _result_lines(text):
+    """A worker's result text decoded line by line: its first line, then
+    (for a chunk that ran) the chunk's cache entry."""
+    return [json.loads(line) for line in text.split("\n")]
 
 
 class TestSpoolUrlParsing:
@@ -112,7 +117,7 @@ class TestNetSpoolRoundTrips:
         claimed = client.claim("net-worker")
         assert claimed is not None and claimed.job_id == "b.00000000"
         # The payload travelled with the claim, byte for byte.
-        assert json.loads(claimed.read()) == payload
+        assert claimed.read() == payload
         assert client.claim("other-worker") is None  # exclusivity held
         assert client.finish(claimed, {"job": claimed.job_id, "x": 1}) is True
         results = client.take_results("b.")
@@ -181,7 +186,7 @@ class TestNetSpoolRoundTrips:
                                worker_id="tcp-worker")
         assert processed == 1
         results = client.take_results("b.")
-        payload = json.loads(results["b.00000000"])
+        _, payload = _result_lines(results["b.00000000"])
         assert payload["kind"] == "engine_chain"
         assert len(from_wire(payload["results"])) == 1
         assert payload["code_version"] == code_version()
@@ -196,15 +201,16 @@ class TestNetSpoolRoundTrips:
         blocker = tmp_path / "file"
         blocker.write_text("")
         client = NetSpool(spoold.url).ensure()
-        payload = _job_payload("b.00000000")
-        payload["segment_memo_dir"] = str(blocker / "segments")
+        payload = _job_payload("b.00000000",
+                               segment_memo_dir=str(blocker / "segments"))
         client.enqueue("b.00000000", payload)
         processed = run_worker(spoold.url, poll_s=0.01, max_jobs=1,
                                worker_id="tcp-worker")
         assert processed == 1
-        result = json.loads(client.take_results("b.")["b.00000000"])
+        result, entry = _result_lines(
+            client.take_results("b.")["b.00000000"])
         assert "error" not in result, result.get("error")
-        assert len(from_wire(result["results"])) == 1
+        assert len(from_wire(entry["results"])) == 1
         client.close()
 
     def test_gc_over_the_network(self, spoold):
@@ -298,14 +304,15 @@ class TestVanishedClaimBothTransports:
         claimed = client.claim("stalled-worker")
         # The claim travelled with its payload, so the read still works and
         # execution proceeds obliviously...
-        result = _execute(claimed, "stalled-worker")
-        assert result is not None and result["kind"] == "engine_chain"
+        result, entry = _execute(claimed, "stalled-worker")
+        assert json.loads(entry)["kind"] == "engine_chain"
         # ...but the claim has been requeued away in the meantime, and the
         # publish is where the stale copy dies.
         (claim_file,) = spoold.spool.claimed_dir.glob("*.json")
         os.utime(claim_file, (1.0, 1.0))
         client.requeue_orphans(30.0, prefix="b.")
-        assert client.finish(claimed, result) is False
+        assert client.finish(claimed, json_text(result) + "\n" + entry) \
+            is False
         assert client.take_results("b.") == {}
         client.close()
 
@@ -353,18 +360,17 @@ class TestMemoSyncOverTheNetwork:
 
 
 class TestWireTexts:
-    """Protocol 2: jobs and results cross the wire as JSON text that the
-    server stores verbatim, never decoded and encoded again."""
+    """Since protocol 2, jobs and results cross the wire as JSON text that
+    the server stores verbatim, never decoded and encoded again."""
 
     def test_job_and_result_texts_are_stored_byte_for_byte(self, spoold):
         client = NetSpool(spoold.url).ensure()
-        job = chunk_job("b.00000000", CHEAP.kind, [dict(CHEAP.params)],
-                        "engine", None)
+        job = _job_payload("b.00000000")
         assert client.enqueue_many([("b.00000000", job)]) == 1
         (pending,) = spoold.spool.pending_dir.glob("*.json")
-        assert pending.read_text() == job.text
+        assert pending.read_text() == job
         claimed = client.claim("net-worker")
-        assert claimed.read() == job.text
+        assert claimed.read() == job
         result = '{"job": "b.00000000", "results": [{"events": 1}]}'
         assert client.finish(claimed, result) is True
         assert client.take_results("b.") == {"b.00000000": result}
