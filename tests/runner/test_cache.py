@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.runner import REGISTRY, ResultCache, code_version
-from repro.runner.cache import (chunk_identity, read_json_object,
-                                write_json_atomic)
+from repro.runner.cache import (chunk_identity, decode_json_object,
+                                read_json_object, write_json_atomic)
 from repro.runner.scenarios import Scenario
 
 
@@ -170,8 +170,24 @@ class TestWriteJsonAtomic:
 
 
 class TestChunkTexts:
-    """The chunk text format: one identity text per chunk keys it, and its
-    entry holds the full key instead of the parameters."""
+    """The chunk text format: one identity text per chunk keys it, its
+    entry holds the full key instead of the parameters, and each line of a
+    worker's result decodes as one JSON object."""
+
+    def test_decode_result_without_results(self):
+        # An error result is its head line alone, with no entry line.
+        assert decode_json_object(' {"error": {"type": "x"}} ') == {
+            "error": {"type": "x"}}
+        assert decode_json_object("{}") == {}
+
+    @pytest.mark.parametrize("text", [
+        "", "[]", "{", '{"a" 1}', '{"a": 1,}', '{"a": 1} x', "{1: 2}",
+        '{"a": 1 "b": 2}', '{"a": 1', "{,}", "{not json"])
+    def test_decode_result_rejects_what_is_not_an_object(self, text):
+        # Either line of a result that is not a JSON object is a corrupted
+        # result, which the submitter retries instead of reading.
+        with pytest.raises(ValueError):
+            decode_json_object(text)
 
     def test_key_of_the_identity_is_the_key_of_the_params(self, cache):
         params = [{"n_msgs": 10, "stages": 1}, {"n_msgs": 11, "stages": 2}]
