@@ -13,9 +13,9 @@ scheduling) the PR 1 fast path measured ~1.3x higher events/sec; the PR 4
 hot-path overhaul (inlined state accounting and channel resolution, lazy
 ``waiting_on`` formatting, tracing guarded by one boolean, deque waiter
 queues, interned request objects) measured a further ~2.3x over the PR 3
-engine on this scenario -- ``benchmarks/record.py`` records the current
-number in ``BENCH_pr4.json``.  The in-repo compat mode shares those gains,
-so the in-test fast/compat ratio is smaller and only sanity-checked here.
+engine on this scenario (``BENCH_pr4.json`` holds that recording).  The
+in-repo compat mode shares those gains, so the in-test fast/compat ratio is
+smaller and only sanity-checked here.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ def test_engine_event_throughput(benchmark):
     assert fast_result["events"] > 4 * N_MSGS  # reads+writes+delays per message
     # Perf assertions are deliberately loose: wall-clock on a loaded or
     # single-core CI box is noisy, and the authoritative speedup comparison
-    # (~1.3x vs the pre-optimization engine) was measured offline.
-    assert fast_eps > 10_000
+    # (~1.3x vs the pre-optimization engine) was measured offline.  The
+    # floor sits well under every recorded rate (249k-622k events/s in
+    # BENCH_pr4.json to BENCH_pr10.json).
+    assert fast_eps > 100_000
     # The fast path must never be meaningfully slower than the heap path.
     assert fast_eps > 0.6 * compat_eps

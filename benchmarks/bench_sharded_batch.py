@@ -18,9 +18,8 @@ Two measurements of the chunk-job machinery
   (the space is never materialised as a list inside the explorer's sizing
   path) and auto-sharded into alignment-sized chunk jobs.
 
-``record.py`` folds both into ``BENCH_pr10.json``; the acceptance floor is
-``SPEEDUP_FLOOR`` on the chunk speedup and >= ``BIGSWEEP_MIN_POINTS``
-evaluated points on the bigsweep.
+The acceptance floor is ``SPEEDUP_FLOOR`` on the chunk speedup and >=
+``BIGSWEEP_MIN_POINTS`` evaluated points on the bigsweep.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .message import ControlToken, StreamMessage, TileMessage, dtype_size
 from .network import Datapath, Edge
 from .path import Path, PathProgram
 from .stream import ChannelStats, Port, StreamChannel
-from .tracing import Trace, TraceEvent, UtilizationReport
+from .tracing import Trace, TraceEvent
 from .uop import ExitUOp, FieldSpec, UOp, UOpFormat
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "TraceEvent",
     "UOp",
     "UOpFormat",
-    "UtilizationReport",
     "Wait",
     "Write",
     "drain",

@@ -19,11 +19,11 @@ The runner turns the benchmark suite's ad-hoc scripts into data:
   so submitters and workers need no shared filesystem;
 * :mod:`repro.runner.worker` -- the detached work-queue worker loop behind
   ``python -m repro.runner worker``;
-* :mod:`repro.runner.sweep` -- :func:`run_sweep`, which resolves cache hits
-  and hands the rest to an executor as **chunk jobs** (sharded slices of a
-  batch-capable kind, one scenario per job otherwise), and
-  :func:`evaluate_chunked`, the chunk-cached bulk-evaluation front door of
-  the exploration layer;
+* :mod:`repro.runner.sweep` -- :func:`run_sweep`, which plans scenarios
+  as **chunk jobs** (sharded slices of a batch-capable kind, one scenario
+  per job otherwise), and :func:`evaluate_chunked`, the bulk-evaluation
+  front door of the exploration layer; both serve each chunk from the
+  cache or hand it to an executor through one core;
 * :mod:`repro.runner.cli` -- ``python -m repro.runner`` (list / run / sweep /
   explore / worker / spoold / spool / cache subcommands).
 

@@ -4,8 +4,12 @@ The cache holds one kind of entry, the **chunk entry**
 ``chunk__<kind>-<key>.json``: the results of one ``(kind, [params, ...])``
 chunk job, keyed by a stable hash of the kind and every point's parameters
 (in order), the execution backend, *and* the code version -- a content hash
-over every ``.py`` file of the :mod:`repro` package.  A scenario's entry is
-the chunk entry for ``[scenario.params]``.  Editing any source file
+over every ``.py`` file of the :mod:`repro` package.  A chunk job is the
+cache unit: sweeps and explorations alike store one entry per chunk job
+they run (:func:`repro.runner.sweep._evaluate_chunks`), so a scenario run
+as a chunk of one -- every kind without a batch runner -- has the entry
+for ``[scenario.params]``, while a batched sweep's chunk of several
+scenarios has one entry for all of them.  Editing any source file
 invalidates the whole cache automatically; repeated sweeps on unchanged code
 are near-instant cache hits that return byte-identical results.
 
@@ -260,11 +264,12 @@ _TMP_GRACE_S = 3600.0
 class ResultCache:
     """A directory of ``chunk__<kind>-<key prefix>.json`` chunk entries.
 
-    One entry holds the results of one ``(kind, [params, ...])`` chunk job
-    (see :func:`repro.runner.sweep.evaluate_chunked`); a scenario's entry is
-    the chunk entry for ``[scenario.params]``, which :meth:`store` and
-    :meth:`load` address by scenario.  Segment-memo entries live under
-    :attr:`segments_dir` and share the cache's code-version lifecycle.
+    One entry holds the results of one ``(kind, [params, ...])`` chunk job,
+    the cache unit of every sweep and exploration (see
+    :func:`repro.runner.sweep._evaluate_chunks`).  :meth:`store` and
+    :meth:`load` address the entry of a chunk of one, ``[scenario.params]``,
+    by scenario.  Segment-memo entries live under :attr:`segments_dir` and
+    share the cache's code-version lifecycle.
 
     Every method that addresses a chunk takes its ``identity``
     (:func:`chunk_identity`) when the caller built it already, so the
@@ -297,17 +302,6 @@ class ResultCache:
         if identity is None:
             identity = chunk_identity(kind, params_list, backend)
         return identity_key(identity)
-
-    def chunk_path(
-        self,
-        kind: str,
-        params_list: Sequence[Dict[str, Any]],
-        backend: str = DEFAULT_BACKEND,
-        *,
-        identity: Optional[str] = None,
-    ) -> Path:
-        key = self.chunk_key(kind, params_list, backend, identity=identity)
-        return self._path(kind, key)
 
     def _path(self, kind: str, key: str) -> Path:
         safe_kind = kind.replace("/", "__")

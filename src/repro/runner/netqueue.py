@@ -27,12 +27,14 @@ queue:
 Protocol: one JSON object per line in each direction.  Requests carry an
 ``op``; responses are ``{"ok": true, ...}`` or ``{"ok": false, "error":
 message}``.  A malformed line is answered with an error and the connection
-is closed; an unknown ``op`` is an error but keeps the connection.  Jobs
-and results cross the wire as *raw text* in both directions (``raw`` on
-``enqueue``/``result``, ``jobs`` pairs on ``enqueue_many``), and the server
-writes that text into its spool verbatim.  So corrupted-payload recovery
-behaves identically over both transports, and the transport never decodes
-or re-encodes the chunk jobs and results it carries (see
+is closed; an unknown ``op``, or a job id or batch prefix outside
+``[A-Za-z0-9._-]`` (one that could name a path outside the spool), is an
+error but keeps the connection.  Jobs and results cross the wire as *raw
+text* in both directions (``raw`` on ``enqueue``/``result``, ``jobs``
+pairs on ``enqueue_many``), and the server writes that text into its spool
+verbatim.  So corrupted-payload recovery behaves identically over both
+transports, and the transport never decodes or re-encodes the chunk jobs
+and results it carries (see
 :meth:`repro.runner.executors.WorkQueueExecutor.submit_chunks`).
 """
 
@@ -126,6 +128,20 @@ def _text(raw: Any) -> str:
     if not isinstance(raw, str):
         raise TypeError(f"expected a job or result as JSON text, got {raw!r:.40}")
     return raw
+
+
+def _wire_id(value: Any, what: str) -> str:
+    """``value`` when it is a job id or batch prefix the server may turn into
+    a spool path: a non-empty string that :func:`_sanitize_id` leaves as it
+    is, as every :func:`~repro.runner.executors.format_job_id` id and
+    ``{batch}.`` prefix does.  A ``/`` (``../``) or a glob character never
+    reaches the disk; anything else raises ``ValueError``."""
+    if not isinstance(value, str) or not value or _sanitize_id(value) != value:
+        raise ValueError(
+            f"{what} must be a non-empty string of [A-Za-z0-9._-], "
+            f"got {value!r:.60}"
+        )
+    return value
 
 
 class _SpoolRequestHandler(socketserver.StreamRequestHandler):
@@ -232,11 +248,13 @@ class SpoolServer:
     def _op_enqueue(self, request: Dict[str, Any]) -> Dict[str, Any]:
         raw = _text(request["raw"])
         with self._lock:
-            self.spool.enqueue(str(request["job"]), raw)
+            self.spool.enqueue(_wire_id(request["job"], "job"), raw)
         return {"ok": True}
 
     def _op_enqueue_many(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        jobs = [(str(job_id), _text(raw)) for job_id, raw in request["jobs"]]
+        jobs = [
+            (_wire_id(job_id, "job"), _text(raw)) for job_id, raw in request["jobs"]
+        ]
         with self._lock:
             count = self.spool.enqueue_many(jobs)
         return {"ok": True, "count": count}
@@ -262,7 +280,7 @@ class SpoolServer:
         return {"ok": True, "job": claimed.job_id, "raw": raw}
 
     def _op_result(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        job_id = str(request["job"])
+        job_id = _wire_id(request["job"], "job")
         worker_id = _sanitize_id(str(request["worker"]))
         raw = _text(request["raw"])
         claim_path = self.spool.claimed_dir / f"{job_id}@@{worker_id}.json"
@@ -282,7 +300,7 @@ class SpoolServer:
 
     def _op_take_results(self, request: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
-            taken = self.spool.take_results(str(request["prefix"]))
+            taken = self.spool.take_results(_wire_id(request["prefix"], "prefix"))
         return {"ok": True, "results": taken}
 
     def _op_requeue_orphans(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -314,7 +332,7 @@ class SpoolServer:
 
     def _op_abandon(self, request: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
-            self.spool.abandon(str(request["prefix"]))
+            self.spool.abandon(_wire_id(request["prefix"], "prefix"))
         return {"ok": True}
 
     def _op_now(self, request: Dict[str, Any]) -> Dict[str, Any]:

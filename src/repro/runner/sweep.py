@@ -1,34 +1,32 @@
-"""The sweep front-end: resolve cache hits, hand the rest to an executor.
+"""The sweep front-ends: plan chunk jobs, serve cache hits, execute the rest.
 
-:func:`run_sweep` takes scenario names (or :class:`Scenario` objects),
-resolves cache hits first, and hands the remaining scenarios to an
-:class:`~repro.runner.executors.Executor` -- serial, local process pool, or
-the distributed work queue (:mod:`repro.runner.executors`) -- as **chunk
-jobs**, the one job shape every executor carries.  Executors receive only
-JSON-able ``(kind, [params, ...])`` chunks, so nothing non-picklable ever
-crosses a process (or host) boundary and results are identical however they
-were computed (in-process, in a pool worker, on another machine, or read
-back from the cache -- the determinism and executor-contract suites assert
-exactly this).
+Both front doors plan **chunk jobs** -- ``(kind, [params, ...])``, the one
+job shape every :class:`~repro.runner.executors.Executor` (serial, local
+process pool, or the distributed work queue of
+:mod:`repro.runner.executors`) carries -- and hand them to one core,
+:func:`_evaluate_chunks`, which keys each chunk, serves it from the cache
+or ships it, and stores each shipped chunk's entry as its result lands:
+every chunk job is one cache entry.  :func:`run_sweep` takes scenario names
+(or :class:`Scenario` objects) and plans a batch-capable kind as
+contiguous slices of its scenarios, each evaluated in a single
+batch-runner call wherever the executor lands it (``chunk_size`` selects
+the slicing), and every other kind as one scenario per job -- a chunk of
+one, run by its scalar runner.  :func:`evaluate_chunked` is the
+list-of-params front door the exploration layer evaluates every
+generation through.  Executors receive only JSON-able chunks, so nothing
+non-picklable ever crosses a process (or host) boundary and results are
+identical however they were computed (in-process, in a pool worker, on
+another machine, or read back from the cache -- the determinism and
+executor-contract suites assert exactly this).  Chunk results splice back
+in submission order, so the outcome is byte-identical to the serial
+batched path by the batch-runner equality contract.
 
 Every sweep runs on one execution *backend*: the event-driven ``"engine"``
 (cycle-level, slow, exact) or the closed-form ``"analytic"`` fast model
 (roofline lower bounds, no event loop, orders of magnitude faster).  The
 backend is part of the cache identity, so engine and analytic results never
 collide on disk.
-
-A batch-capable kind travels as contiguous slices of a generation, each
-evaluated in a single batch-runner call wherever the executor lands it
-(in-process, pool worker, or a detached workqueue worker); ``chunk_size``
-selects how :func:`run_sweep` shards it.  Every other kind travels one
-scenario per job -- a chunk of one, run by its scalar runner.
-:func:`evaluate_chunked` is the list-of-params front door the exploration
-layer evaluates every generation through -- with per-chunk result caching
-so warm reruns skip whole chunks.  Chunk results splice back in submission
-order, so the outcome is byte-identical to the serial batched path by the
-batch-runner equality contract.
 """
-
 from __future__ import annotations
 
 import math
@@ -45,13 +43,12 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
 from .cache import ResultCache, chunk_identity, configure_segment_memo
-from .executors import ChunkJob, ChunkResult, Executor, OnResult, SerialExecutor
+from .executors import ChunkJob, ChunkResult, Executor, SerialExecutor
 from .scenarios import BACKENDS, DEFAULT_BACKEND, REGISTRY, Scenario
 
 if TYPE_CHECKING:
@@ -252,32 +249,6 @@ def _run_chunk(
     return ColumnTable.of(results), elapsed_s
 
 
-def _submit_misses(
-    chunks: Iterable[ChunkJob],
-    executor: Executor,
-    backend: str,
-    cache: Optional[ResultCache],
-    on_result: Optional[OnResult],
-) -> List[ChunkResult]:
-    """Compute the chunk jobs that missed the cache on ``executor``;
-    ``on_result`` goes to :meth:`~repro.runner.executors.Executor.submit_chunks`.
-
-    The segment-memo directory follows the cache: cache-enabled runs persist
-    memoized segments next to the cache entries, here and in every worker.
-    A cache-less run still shares the in-memory process memo, and
-    *detaches* any root an earlier run attached -- otherwise it would keep
-    writing into (or crash on a deleted) stale cache directory.
-    """
-    segment_memo_dir = str(cache.segments_dir) if cache is not None else None
-    configure_segment_memo(segment_memo_dir)
-    executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
-    return executor.submit_chunks(
-        chunks,
-        partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
-        on_result=on_result,
-    )
-
-
 class _Shipped:
     """The chunk jobs a generator yields, drawn one at a time on demand.
 
@@ -285,9 +256,9 @@ class _Shipped:
     chunks lazily, so the first pass pulls each job from ``jobs`` -- which
     keys that chunk and looks it up in the cache -- only when the executor
     asks for it.  The jobs drawn are remembered without their identity texts
-    (those belong to the sweep, which releases them once used), so later
-    passes and ``len()`` -- which finishes the first pass -- see every
-    shipped chunk, as a list of chunk jobs would show them.
+    (those belong to :func:`_evaluate_chunks`, which releases them once
+    used), so later passes and ``len()`` -- which finishes the first pass
+    -- see every shipped chunk, as a list of chunk jobs would show them.
 
     No executor needs either: the pool lists its input once, the serial
     executor maps over it and the work queue iterates it once.  They are
@@ -322,6 +293,89 @@ class _Shipped:
         return len(self._drawn)
 
 
+def _evaluate_chunks(
+    chunks: Sequence[ChunkJob],
+    executor: Executor,
+    backend: str,
+    cache: Optional[ResultCache],
+    force: bool,
+) -> List[Tuple[ColumnTable, float, bool]]:
+    """Evaluate ``chunks`` on ``executor``: ``(table, elapsed_s, cached)``
+    per chunk, in order -- the one chunk path of :func:`evaluate_chunked`
+    and :func:`run_sweep`.
+
+    Chunks are keyed and looked up one at a time, as the executor draws
+    them, and each miss is handed over before the next chunk is keyed, so
+    on the work queue the first job reaches a worker while later chunks
+    are still being keyed; no chunk that hits the cache is shipped
+    (``force`` skips the lookups, and fresh entries overwrite).  With a
+    cache, each chunk's one identity text
+    (:func:`~repro.runner.cache.chunk_identity`) keys it and travels in its
+    job, and it is dropped once the chunk's entry is written; without one,
+    nothing here encodes the parameters.  Every chunk job is one cache
+    entry, written as soon as its result lands -- a work-queue worker's
+    entry as the worker wrote it -- while the executor is still computing
+    the rest, so a run that fails part way keeps every chunk that finished.
+
+    The segment-memo directory follows the cache: cache-enabled runs persist
+    memoized segments next to the cache entries, here and in every worker.
+    A cache-less run still shares the in-memory process memo, and
+    *detaches* any root an earlier run attached -- otherwise it would keep
+    writing into (or crash on a deleted) stale cache directory.
+    """
+    evaluated: List[Any] = [None] * len(chunks)
+    shipped: List[int] = []  # the chunk position of each shipped chunk
+    identities: Dict[int, str] = {}  # shipped chunk -> identity, until stored
+
+    def misses() -> Iterator[ChunkJob]:
+        for position, (kind, params) in enumerate(chunks):
+            identity = None
+            if cache is not None:
+                identity = chunk_identity(kind, params, backend)
+                hit = (
+                    None
+                    if force
+                    else cache.load_chunk(kind, params, backend, identity=identity)
+                )
+                if hit is not None:
+                    evaluated[position] = (
+                        hit["results"],
+                        hit.get("elapsed_s", 0.0),
+                        True,
+                    )
+                    continue
+                identities[len(shipped)] = identity
+            shipped.append(position)
+            yield ChunkJob(kind, params, identity)
+
+    def store(
+        index: int, chunk_result: ChunkResult, entry: Optional[str] = None
+    ) -> None:
+        kind, params = chunks[shipped[index]]
+        results, elapsed_s = chunk_result
+        cache.store_chunk(
+            kind,
+            params,
+            results,
+            elapsed_s,
+            backend=backend,
+            identity=identities.pop(index),
+            entry=entry,
+        )
+
+    segment_memo_dir = str(cache.segments_dir) if cache is not None else None
+    configure_segment_memo(segment_memo_dir)
+    executor.configure(backend=backend, segment_memo_dir=segment_memo_dir)
+    raw = executor.submit_chunks(
+        _Shipped(misses()),
+        partial(_run_chunk, backend=backend, segment_memo_dir=segment_memo_dir),
+        on_result=None if cache is None else store,
+    )
+    for position, (results, elapsed_s) in zip(shipped, raw):
+        evaluated[position] = (results, elapsed_s, False)
+    return evaluated
+
+
 def evaluate_chunked(
     kind: str,
     params_list: Sequence[Dict[str, Any]],
@@ -346,24 +400,11 @@ def evaluate_chunked(
     runner point by point inside each chunk (see :func:`_run_chunk`); a
     kind with no runner at all on ``backend`` raises
     ``KeyError`` before anything executes.  ``cache`` stores one entry per
-    *chunk* (see :meth:`~repro.runner.cache.ResultCache.chunk_key`), so a
-    warm rerun skips whole chunks without executing anything.
-
-    Chunks are keyed and looked up one at a time, as the executor draws
-    them, and each miss is handed over before the next chunk is keyed, so
-    on the work queue the first job reaches a worker while later chunks
-    are still being keyed; no chunk that hits the cache is shipped.  With a
-    cache, each chunk's one identity text
-    (:func:`~repro.runner.cache.chunk_identity`) keys it and travels in its
-    job, and it is dropped once the chunk's entry is written; without one,
-    nothing here encodes the parameters.  Each missed chunk's entry is
-    written as soon as its result lands -- a work-queue worker's entry as
-    the worker wrote it -- while the executor is still computing the rest,
-    so a generation that fails part way keeps every chunk that finished.
-    ``align`` feeds the auto chunk-size heuristic so cache keys stay stable
-    across runs that share a design space.  Returns ``(table,
-    cached_points)`` where ``cached_points`` counts points served from the
-    chunk cache.
+    chunk job (see :func:`_evaluate_chunks`), so a warm rerun skips whole
+    chunks without executing anything.  ``align`` feeds the auto chunk-size
+    heuristic so cache keys stay stable across runs that share a design
+    space.  Returns ``(table, cached_points)`` where ``cached_points``
+    counts points served from the chunk cache.
     """
     from ..analysis.table import ColumnTable  # NumPy: imported where used
 
@@ -376,56 +417,15 @@ def evaluate_chunked(
     if executor is None:
         executor = SerialExecutor()
     size = _group_size(chunk_size, executor, total, align=align)
-    chunks = partition_chunks(total, size)
-    parts: List[ColumnTable] = [ColumnTable()] * len(chunks)
-    spans: List[Tuple[int, int]] = []  # the shipped chunks, in submission order
-    shipped: List[int] = []  # the chunk position of each shipped chunk
-    identities: Dict[int, str] = {}  # shipped chunk -> identity, until stored
-    cached_points = 0
-
-    def misses() -> Iterator[ChunkJob]:
-        nonlocal cached_points
-        for position, (start, stop) in enumerate(chunks):
-            part = params_list[start:stop]
-            identity = None
-            if cache is not None:
-                identity = chunk_identity(kind, part, backend)
-                hit = (
-                    None
-                    if force
-                    else cache.load_chunk(kind, part, backend, identity=identity)
-                )
-                if hit is not None:
-                    parts[position] = hit["results"]
-                    cached_points += stop - start
-                    continue
-                identities[len(spans)] = identity
-            spans.append((start, stop))
-            shipped.append(position)
-            yield ChunkJob(kind, part, identity)
-
-    def store(
-        index: int, chunk_result: ChunkResult, entry: Optional[str] = None
-    ) -> None:
-        start, stop = spans[index]
-        chunk_results, elapsed_s = chunk_result
-        cache.store_chunk(
-            kind,
-            params_list[start:stop],
-            chunk_results,
-            elapsed_s,
-            backend=backend,
-            identity=identities.pop(index),
-            entry=entry,
-        )
-
-    on_result = None if cache is None else store
-    raw = _submit_misses(_Shipped(misses()), executor, backend, cache, on_result)
-    for position, (chunk_results, _) in zip(shipped, raw):
-        parts[position] = chunk_results
-    if len(parts) == 1:
-        return parts[0], cached_points
-    return ColumnTable.concat(parts), cached_points
+    chunks = [
+        ChunkJob(kind, params_list[start:stop])
+        for start, stop in partition_chunks(total, size)
+    ]
+    evaluated = _evaluate_chunks(chunks, executor, backend, cache, force)
+    cached_points = sum(len(table) for table, _, cached in evaluated if cached)
+    if len(evaluated) == 1:
+        return evaluated[0][0], cached_points
+    return ColumnTable.concat([table for table, _, _ in evaluated]), cached_points
 
 
 def run_sweep(
@@ -438,6 +438,9 @@ def run_sweep(
 ) -> List[SweepOutcome]:
     """Execute ``scenarios``, returning one :class:`SweepOutcome` per input.
 
+    Inputs that describe the same work -- the same kind and parameters,
+    under any names -- execute once, and each keeps its own name.
+
     Parameters
     ----------
     executor:
@@ -447,9 +450,10 @@ def run_sweep(
         sweeps); ``run_sweep`` only calls ``configure`` +
         ``submit_chunks``.
     cache:
-        Optional :class:`ResultCache`.  Hits skip execution entirely; each
-        miss is stored as soon as its chunk's result lands, so a sweep that
-        fails part way keeps every chunk that finished.
+        Optional :class:`ResultCache`, holding one entry per chunk job.
+        Hits skip execution entirely; each miss is stored as soon as its
+        chunk's result lands, so a sweep that fails part way keeps every
+        chunk that finished.
     force:
         Re-run scenarios even when the cache holds a valid entry (the fresh
         result overwrites it).
@@ -474,79 +478,40 @@ def run_sweep(
     for scenario in resolved:
         # Fail the whole sweep up front rather than mid-flight in a worker.
         REGISTRY.runner(scenario.kind, backend)
+    keys = [scenario.canonical() for scenario in resolved]
+    # One scenario per distinct work identity, in first-seen order (the
+    # scenario kept may carry any of the identity's names: only its kind and
+    # parameters are used).
+    distinct = dict(zip(keys, resolved))
 
-    # Outcomes are keyed by (name, canonical identity) so duplicate inputs
-    # execute once, while two ad-hoc scenarios that share a name but differ
-    # in parameters stay distinct.
-    def _key(scenario: Scenario) -> Tuple[str, str]:
-        return scenario.name, scenario.canonical()
-
-    outcomes: Dict[Tuple[str, str], SweepOutcome] = {}
-    to_run: List[Scenario] = []
-    seen: Set[Tuple[str, str]] = set()
-    for scenario in resolved:
-        key = _key(scenario)
-        # Membership in the seen-keys set (not a scan of ``to_run``, which
-        # would make resolution quadratic in the sweep size) decides
-        # duplicates exactly once per input.
-        if key in seen:
-            continue
-        seen.add(key)
-        payload = (
-            None if (cache is None or force) else cache.load(scenario, backend=backend)
-        )
-        if payload is not None:
-            outcomes[key] = SweepOutcome(
-                scenario=scenario.name,
-                kind=scenario.kind,
-                result=payload["results"][0],
-                elapsed_s=payload.get("elapsed_s", 0.0),
-                cached=True,
-                backend=backend,
-            )
+    # One job shape: batch-capable kinds group by kind and shard by the
+    # ``chunk_size`` policy (shared tallies, vectorized rooflines in one
+    # batch call per chunk); every other kind runs as chunks of one, in
+    # input order, after them.
+    groups: Dict[str, List[str]] = {}
+    singles: List[List[str]] = []
+    for key, scenario in distinct.items():
+        if REGISTRY.batch_runner(scenario.kind, backend) is None:
+            singles.append([key])
         else:
-            to_run.append(scenario)
+            groups.setdefault(scenario.kind, []).append(key)
+    members: List[List[str]] = []
+    for group in groups.values():
+        size = _group_size(chunk_size, executor, len(group))
+        for start, stop in partition_chunks(len(group), size):
+            members.append(group[start:stop])
+    members.extend(singles)
+    chunks = [
+        ChunkJob(distinct[part[0]].kind, [dict(distinct[key].params) for key in part])
+        for part in members
+    ]
 
-    if to_run:
-        # One job shape: batch-capable kinds group by kind and shard by the
-        # ``chunk_size`` policy (shared tallies, vectorized rooflines in one
-        # batch call per chunk); every other kind runs as chunks of one, in
-        # input order, after them.
-        groups: Dict[str, List[Scenario]] = {}
-        singles: List[List[Scenario]] = []
-        for scenario in to_run:
-            if REGISTRY.batch_runner(scenario.kind, backend) is None:
-                singles.append([scenario])
-            else:
-                groups.setdefault(scenario.kind, []).append(scenario)
-        members: List[List[Scenario]] = []
-        for group in groups.values():
-            size = _group_size(chunk_size, executor, len(group))
-            for start, stop in partition_chunks(len(group), size):
-                members.append(group[start:stop])
-        members.extend(singles)
-        chunks = [(part[0].kind, [dict(s.params) for s in part]) for part in members]
-
-        def store(
-            index: int, chunk_result: ChunkResult, entry: Optional[str] = None
-        ) -> None:
-            part = members[index]
-            results, elapsed_s = chunk_result
-            for scenario, result in zip(part, results):
-                cache.store(scenario, result, elapsed_s / len(part), backend=backend)
-
-        on_result = None if cache is None else store
-        raw = _submit_misses(chunks, executor, backend, cache, on_result)
-        for part, (results, elapsed_s) in zip(members, raw):
-            per_point = elapsed_s / len(part)
-            for scenario, result in zip(part, results):
-                outcomes[_key(scenario)] = SweepOutcome(
-                    scenario=scenario.name,
-                    kind=scenario.kind,
-                    result=result,
-                    elapsed_s=per_point,
-                    cached=False,
-                    backend=backend,
-                )
-
-    return [outcomes[_key(scenario)] for scenario in resolved]
+    done: Dict[str, Tuple[Dict[str, Any], float, bool]] = {}
+    evaluated = _evaluate_chunks(chunks, executor, backend, cache, force)
+    for part, (results, elapsed_s, cached) in zip(members, evaluated):
+        for key, result in zip(part, results):
+            done[key] = (result, elapsed_s / len(part), cached)
+    return [
+        SweepOutcome(scenario.name, scenario.kind, *done[key], backend=backend)
+        for key, scenario in zip(keys, resolved)
+    ]

@@ -245,6 +245,21 @@ class TestChunkRecovery:
         assert _strip_results(box["results"]) == _strip_results(serial)
 
 
+#: cheap scenarios of kinds without a batch runner (engine backend).
+_SCALAR = ["smoke/engine-chain", "table6a/aie-32x16x32", "table6b/charm-1024"]
+
+
+def _entry_texts(cache):
+    """Each entry of ``cache`` by file name, as canonical text without its
+    wall time (``elapsed_s``, machine-dependent)."""
+    texts = {}
+    for path in cache.entries():
+        entry = json.loads(path.read_text())
+        entry.pop("elapsed_s")
+        texts[path.name] = canonical_json(entry)
+    return texts
+
+
 class TestChunkCache:
     @pytest.mark.parametrize("transport", ["dir", "tcp"])
     def test_warm_rerun_serves_chunks_without_any_jobs(self, tmp_path,
@@ -278,30 +293,40 @@ class TestChunkCache:
 
     def test_every_executor_writes_the_same_chunk_entries(self, tmp_path,
                                                           spoold):
-        # A work-queue entry splices the worker's own text of the results
-        # (over either transport); a serial entry encodes the in-process
-        # results.  Both must land at the same paths with the same content.
+        # A work-queue entry is the worker's own entry line, stored as it
+        # arrives (over either transport); a serial entry encodes the
+        # in-process results.  Both must land at the same paths with the
+        # same content -- for explorations and sweeps alike, which store
+        # their chunks through the same core.
         kind, params = _generation()
-        entries = {}
+        space = get_space("encoder-smoke")
+        batched = [space.materialize(a).scenario for a in space.points()]
+        entries, sweeps = {}, {}
         for name, spool in (("serial", None), ("dir", tmp_path / "spool"),
                             ("tcp", spoold.url)):
             cache = ResultCache(tmp_path / f"cache-{name}")
+            sweep_cache = ResultCache(tmp_path / f"sweep-cache-{name}")
             if spool is None:
-                evaluate_chunked(kind, params, backend="analytic",
-                                 cache=cache, chunk_size=4)
+                executor = SerialExecutor()
             else:
-                with WorkQueueExecutor(spool, local_workers=1, poll_s=0.02,
-                                       timeout_s=600.0) as wq:
-                    evaluate_chunked(kind, params, backend="analytic",
-                                     executor=wq, cache=cache, chunk_size=4)
-            entries[name] = {}
-            for path in cache.entries():
-                entry = json.loads(path.read_text())
-                entry.pop("elapsed_s")  # wall time, machine-dependent
-                entries[name][path.name] = canonical_json(entry)
+                executor = WorkQueueExecutor(spool, local_workers=1,
+                                             poll_s=0.02, timeout_s=600.0)
+            with executor:
+                evaluate_chunked(kind, params, backend="analytic",
+                                 executor=executor, cache=cache,
+                                 chunk_size=4)
+                # Scalar kinds: one chunk of one per scenario.
+                run_sweep(_SCALAR, cache=sweep_cache, executor=executor)
+                run_sweep(batched, backend="analytic", cache=sweep_cache,
+                          executor=executor, chunk_size=4)
+            entries[name] = _entry_texts(cache)
+            sweeps[name] = _entry_texts(sweep_cache)
         assert len(entries["serial"]) == 4
         assert entries["dir"] == entries["serial"]
         assert entries["tcp"] == entries["serial"]
+        assert len(sweeps["serial"]) == len(_SCALAR) + 4
+        assert sweeps["dir"] == sweeps["serial"]
+        assert sweeps["tcp"] == sweeps["serial"]
 
     def test_force_reruns_despite_warm_chunk_cache(self, tmp_path):
         kind, params = _generation()

@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis.table import from_wire
 from repro.runner.cache import chunk_identity, code_version, json_text
-from repro.runner.executors import Spool, open_spool
+from repro.runner.executors import Spool, format_job_id, open_spool
 from repro.runner.netqueue import (DEFAULT_PORT, NetSpool, NetSpoolError,
                                    PROTOCOL_VERSION, SpoolServer,
                                    parse_spool_url)
@@ -99,6 +99,16 @@ class TestProtocolFraming:
             spoold, [json.dumps({"op": "hello", "proto": 999}).encode()])
         assert reply["ok"] is False
         assert "protocol version" in reply["error"]
+
+    def test_unsafe_job_id_errors_but_keeps_the_connection(self, spoold):
+        enqueue = {"op": "enqueue", "job": "../escaped", "raw": "{}"}
+        first, second = self._converse(
+            spoold,
+            [json.dumps(enqueue).encode(),
+             json.dumps({"op": "hello",
+                         "proto": PROTOCOL_VERSION}).encode()])
+        assert first["ok"] is False and "job must be" in first["error"]
+        assert second["ok"] is True  # the connection survived
 
     def test_many_ops_share_one_connection(self, spoold):
         hello = json.dumps({"op": "hello", "proto": PROTOCOL_VERSION})
@@ -386,3 +396,42 @@ class TestWireTexts:
         assert not list(spoold.spool.pending_dir.glob("*.json"))
         assert not list(spoold.spool.results_dir.glob("*.json"))
         client.close()
+
+
+class TestWireIds:
+    """A job id or prefix becomes a spool path on the server, so anything
+    that could leave the spool root is refused before the disk is touched
+    (over the wire, as an error reply that keeps the connection)."""
+
+    @pytest.mark.parametrize("value", ["../../escaped", "../", "../../",
+                                       "a/b", "*", "", None, 7])
+    @pytest.mark.parametrize("op", ["enqueue", "enqueue_many", "result",
+                                    "take_results", "abandon"])
+    def test_unsafe_ids_and_prefixes_are_refused(self, spoold, tmp_path,
+                                                 op, value):
+        # The spool root is tmp_path/served-spool: "../../" from its
+        # pending/ directory is tmp_path itself.
+        bystander = tmp_path / "bystander.json"
+        bystander.write_text("{}")
+        before = sorted(tmp_path.rglob("*"))
+        request = {
+            "enqueue": {"op": op, "job": value, "raw": "{}"},
+            "enqueue_many": {"op": op,
+                             "jobs": [["b.00000000", "{}"], [value, "{}"]]},
+            "result": {"op": op, "job": value, "worker": "w", "raw": "{}"},
+            "take_results": {"op": op, "prefix": value},
+            "abandon": {"op": op, "prefix": value},
+        }[op]
+        with pytest.raises(ValueError, match="must be a non-empty string"):
+            spoold.dispatch(request)
+        assert sorted(tmp_path.rglob("*")) == before
+        assert bystander.read_text() == "{}"
+
+    def test_every_format_job_id_and_batch_prefix_is_accepted(self, spoold):
+        job_id = format_job_id("0123abcdef", 7)
+        assert spoold.dispatch(
+            {"op": "enqueue", "job": job_id, "raw": "{}"})["ok"]
+        assert spoold.dispatch(
+            {"op": "take_results", "prefix": "0123abcdef."})["ok"]
+        assert spoold.dispatch({"op": "abandon", "prefix": "0123abcdef."})["ok"]
+        assert not list(spoold.spool.pending_dir.glob("*.json"))

@@ -115,6 +115,71 @@ class TestRunSweep:
         assert results == [outcome.result]
         assert len(cache.entries()) == 1
 
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_scenarios_sharing_kind_and_params_execute_once(
+            self, tmp_path, monkeypatch, pool):
+        # Three names for one piece of work (like fig18/rsn-b6, table7/bert
+        # and table8/encoder-peak): one chunk runs it, every input keeps its
+        # own name, and none is a cache hit on a cold cache -- on the pool,
+        # which draws every chunk before it runs any, and serially, where a
+        # second chunk for the same work would hit the entry the first one
+        # just wrote.
+        params = {"n_msgs": 10, "stages": 1}
+        names = ["alias/a", "alias/b", "alias/c"]
+        aliases = [Scenario(name=name, kind="engine_chain", params=params)
+                   for name in names]
+        other = Scenario(name="alias/other", kind="engine_chain",
+                         params={"n_msgs": 11, "stages": 1})
+        scenarios = [aliases[0], other, aliases[1], aliases[2], aliases[0]]
+        executor = ProcessPoolExecutor(2) if pool else SerialExecutor()
+        shipped = []
+        submit = executor.submit_chunks
+
+        def recording_submit(chunks, run_chunk_fn, on_result=None):
+            def drawn():  # as lazy as the executor's own draw
+                for chunk in chunks:
+                    shipped.append(tuple(chunk))
+                    yield chunk
+            return submit(drawn(), run_chunk_fn, on_result)
+
+        monkeypatch.setattr(executor, "submit_chunks", recording_submit)
+        cache = ResultCache(tmp_path / "cache")
+        outcomes = run_sweep(scenarios, cache=cache, executor=executor)
+        assert shipped == [("engine_chain", [params]),
+                           ("engine_chain", [other.params])]
+        assert [o.scenario for o in outcomes] == [s.name for s in scenarios]
+        assert not any(o.cached for o in outcomes)
+        assert len({json.dumps(o.result, sort_keys=True)
+                    for o in outcomes}) == 2
+        assert _dumps(outcomes[2:5]) == _dumps(outcomes[:1]) * 3
+        assert len(cache.entries()) == 2
+        shipped.clear()
+        warm = run_sweep(scenarios, cache=cache, executor=executor)
+        assert shipped == [] and all(o.cached for o in warm)
+        assert [o.scenario for o in warm] == [s.name for s in scenarios]
+        assert _dumps(warm) == _dumps(outcomes)
+
+    def test_batched_sweep_stores_one_entry_per_chunk(self, tmp_path):
+        from repro.explore import get_space
+        space = get_space("encoder-smoke")
+        scenarios = [space.materialize(a).scenario for a in space.points()]
+        assert len(scenarios) == 16
+        assert REGISTRY.batch_runner(scenarios[0].kind, "analytic")
+        cache = ResultCache(tmp_path / "cache")
+        cold = run_sweep(scenarios, cache=cache, backend="analytic",
+                         chunk_size=4)
+        assert not any(o.cached for o in cold)
+        assert len(cache.entries()) == 4  # 16 scenarios in chunks of 4
+        warm = run_sweep(scenarios, cache=cache, backend="analytic",
+                         chunk_size=4)
+        assert all(o.cached for o in warm)
+        assert _dumps(warm) == _dumps(cold)
+        # The default serial policy is one chunk, so one more entry.
+        whole = run_sweep(scenarios, cache=cache, backend="analytic")
+        assert not any(o.cached for o in whole)
+        assert len(cache.entries()) == 5
+        assert _dumps(whole) == _dumps(cold)
+
     def test_scalar_kind_returning_a_non_dict_raises_type_error(
             self, monkeypatch):
         # A kind without a batch runner runs as chunks of one through its
