@@ -7,11 +7,14 @@ frontier), and only a handful of rows -- the frontier, the verified points
 columns and builds a row only where one is read:
 
 * ``table[i]`` builds one fresh plain dict of Python scalars, with the keys
-  in the order the producer gave its columns (a slice builds a list of
-  them);
+  in the order the producer gave its columns;
+* ``table[start:stop]`` is a table of those rows that shares the columns
+  (NumPy views and list slices), so a generation is cut into chunks
+  without building a row;
 * iterating builds every row in one pass from ``.tolist()`` columns;
 * :meth:`ColumnTable.column` returns one key as a NumPy array without
-  building a row.
+  building a row, and reads a default for the rows that lack the key when
+  given one.
 
 A table is a sequence of column blocks, each holding one column per key
 (a NumPy array, a plain list, or a nested :class:`ColumnTable` whose rows
@@ -98,6 +101,10 @@ def _cell(column: Any, index: int) -> Any:
     return _fresh(column[index])
 
 
+#: marks a :meth:`ColumnTable.column` call without a default.
+_REQUIRED = object()
+
+
 class _Columns:
     """A column block: ``columns`` in row key order, optional ``masks``."""
 
@@ -179,18 +186,33 @@ class _Columns:
             if key not in self.masks or self.masks[key][index]
         ]
 
-    def column(self, key: Any, start: int) -> np.ndarray:
-        """Column ``key``; rows are numbered from ``start`` in errors."""
+    def column(self, key: Any, start: int, default: Any = _REQUIRED) -> np.ndarray:
+        """Column ``key``, reading ``default`` where a row lacks it (when
+        given); rows are numbered from ``start`` in errors."""
         if key not in self.columns:
-            raise _missing(key, start, self.keys_of(0))
+            if default is _REQUIRED:
+                raise _missing(key, start, self.keys_of(0))
+            return np.repeat(exact_column([default]), self.length)
         mask = self.masks.get(key)
-        if mask is not None and not mask.all():
-            index = int(np.argmin(mask))
-            raise _missing(key, start + index, self.keys_of(index))
         column = self.columns[key]
+        if mask is not None and not mask.all():
+            if default is _REQUIRED:
+                index = int(np.argmin(mask))
+                raise _missing(key, start + index, self.keys_of(index))
+            cells = _cells(column)
+            for index in np.flatnonzero(~mask).tolist():
+                cells[index] = default
+            return exact_column(cells)
         if isinstance(column, np.ndarray):
             return column
         return exact_column(_cells(column))
+
+    def cut(self, rows: slice) -> "_Columns":
+        """The block of rows ``rows``, sharing this block's columns."""
+        length = len(range(*rows.indices(self.length)))
+        columns = {key: column[rows] for key, column in self.columns.items()}
+        masks = {key: mask[rows] for key, mask in self.masks.items()}
+        return _Columns(columns, length, masks)
 
 
 def _missing(key: Any, index: int, keys: Iterable[Any]) -> KeyError:
@@ -267,7 +289,7 @@ class ColumnTable(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[position] for position in range(*index.indices(self._length))]
+            return self._cut(index)
         if index < 0:
             index += self._length
         if not 0 <= index < self._length:
@@ -275,12 +297,41 @@ class ColumnTable(Sequence):
         slot = bisect.bisect_right(self._starts, index) - 1
         return self._blocks[slot].row(index - self._starts[slot])
 
-    def column(self, key: Any) -> np.ndarray:
+    def _cut(self, rows: slice) -> "ColumnTable":
+        """The table of rows ``rows``: each block's rows in one cut of it
+        (a strided cut across several blocks builds its rows instead)."""
+        start, stop, step = rows.indices(self._length)
+        if len(self._blocks) == 1:
+            blocks = [self._blocks[0].cut(rows)]
+        elif step != 1:
+            return ColumnTable.of(
+                [self[position] for position in range(start, stop, step)]
+            )
+        else:
+            blocks = [
+                block.cut(slice(max(start - first, 0), max(stop - first, 0)))
+                for first, block in zip(self._starts, self._blocks)
+            ]
+        return ColumnTable._of_blocks([block for block in blocks if block.length])
+
+    def keys(self) -> List[Any]:
+        """Every key some row carries, in the order the keys first appear."""
+        keys: Dict[Any, None] = {}
+        for block in self._blocks:
+            for key in block.columns:
+                mask = block.masks.get(key)
+                if mask is None or mask.any():
+                    keys.setdefault(key)
+        return list(keys)
+
+    def column(self, key: Any, default: Any = _REQUIRED) -> np.ndarray:
         """Every row's ``key`` as one array (see :func:`exact_column` for
-        its dtype); ``KeyError`` naming the key and the first row without
-        it when any row lacks it."""
+        its dtype).  A row without the key reads ``default`` when one is
+        given; without one, ``KeyError`` names the key and the first row
+        that lacks it."""
         parts = [
-            block.column(key, start) for start, block in zip(self._starts, self._blocks)
+            block.column(key, start, default)
+            for start, block in zip(self._starts, self._blocks)
         ]
         if not parts:
             return np.empty(0)

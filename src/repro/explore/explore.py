@@ -39,7 +39,7 @@ from ..analysis.table import ColumnTable
 from ..runner.cache import ResultCache
 from ..runner.executors import Executor, SerialExecutor
 from ..runner.sweep import _validate_chunk_size, evaluate_chunked, run_sweep
-from .space import DesignSpace
+from .space import Assignments, DesignSpace
 from .strategies import SearchStrategy
 
 __all__ = [
@@ -277,14 +277,20 @@ def _first_occurrences(
     without hashing an id per assignment (a strategy may legitimately
     revisit points).
 
-    The cheap key is an assignment's values, read in the first
-    assignment's axis order.  An :class:`Axis` holds no two equal values,
-    so two points of one space share that key exactly when they share a
-    point id.  An assignment with other axis names or an unhashable value
-    keys on its id, and a tie between cheap keys is settled by the ids,
-    since equal values may still differ in canonical JSON (``1`` and
-    ``1.0`` in an assignment built by hand).
+    The space's own :class:`~repro.explore.space.Assignments` key on their
+    positions in the space: two positions are one point id exactly when
+    they are equal.  For any other sequence, the cheap key is an
+    assignment's values, read in the first assignment's axis order.  An
+    :class:`Axis` holds no two equal values, so two points of one space
+    share that key exactly when they share a point id.  An assignment with
+    other axis names or an unhashable value keys on its id, and a tie
+    between cheap keys is settled by the ids, since equal values may still
+    differ in canonical JSON (``1`` and ``1.0`` in an assignment built by
+    hand).
     """
+    if isinstance(assignments, Assignments) and assignments.space is space:
+        _, first = np.unique(assignments.positions, return_index=True)
+        return np.sort(first).tolist()
     names = tuple(assignments[0]) if assignments else ()
     values_of = operator.itemgetter(*names) if names else (lambda _: ())
     pool: List[int] = []
@@ -463,9 +469,15 @@ def run_exploration(
     def evaluate(
         assignments: Sequence[Mapping[str, Any]], fidelity: float
     ) -> Sequence[Dict[str, Any]]:
+        if isinstance(assignments, Assignments) and assignments.space is space:
+            params = space.params_table(assignments.positions, fidelity)
+        else:
+            params = ColumnTable.of(
+                [space.point_params(a, fidelity) for a in assignments]
+            )
         payloads, chunk_hits = evaluate_chunked(
             space.kind,
-            [space.point_params(a, fidelity) for a in assignments],
+            params,
             backend="analytic",
             executor=executor,
             cache=cache,

@@ -5,10 +5,17 @@ set of named :class:`Axis` objects (each a finite list of JSON-able values),
 a set of named feasibility :class:`Constraint` predicates, and the scenario
 *kind* every point evaluates through.  Points are plain assignments (axis
 name -> value) that resolve into runner parameters
-(:meth:`DesignSpace.point_params`, what exploration evaluates in chunks)
-or materialise into an ad-hoc :class:`~repro.runner.scenarios.Scenario`
-(what engine verification sweeps) whose canonical identity, and therefore
-cache key, is exactly that parameter mapping.
+(:meth:`DesignSpace.point_params`) or materialise into an ad-hoc
+:class:`~repro.runner.scenarios.Scenario` (what engine verification
+sweeps) whose canonical identity, and therefore cache key, is exactly that
+parameter mapping.
+
+Every feasible point has a *position*: its index in the space's canonical
+axis-major enumeration order.  Strategies pick positions, and a generation
+of them (:class:`Assignments`) resolves into a
+:class:`~repro.analysis.table.ColumnTable` of runner parameters
+(:meth:`DesignSpace.params_table`) column by column -- what exploration
+evaluates in chunks -- with no dict per point.
 
 Spaces also define a *fidelity* hook: a deterministic transformation that
 shrinks a point's workload for cheap early-rung evaluations (successive
@@ -22,7 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -37,9 +46,23 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
+from ..analysis.table import ColumnTable, exact_column
 from ..runner.scenarios import Scenario, canonical_json
 
-__all__ = ["Axis", "Constraint", "DesignPoint", "DesignSpace", "scale_seq_len"]
+__all__ = [
+    "Assignments",
+    "Axis",
+    "Constraint",
+    "DesignPoint",
+    "DesignSpace",
+    "scale_seq_len",
+]
+
+#: positions decoded per NumPy pass of an enumeration (bounds the memory of
+#: one pass over a large cartesian product).
+_DECODE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,15 +139,6 @@ class _Projection(dict):
         return super().get(key, default)
 
 
-def _position_key(positions: Sequence[int]) -> Callable[[Sequence[int]], Any]:
-    """Key a tuple of value positions by the entries at ``positions``."""
-    # itemgetter of one position yields the bare entry, of several a tuple;
-    # either is a fine key as long as one table always uses the same.
-    if not positions:
-        return lambda _: ()
-    return operator.itemgetter(*positions)
-
-
 #: tags the canonical-JSON key of an unhashable value tuple; no axis value
 #: can equal it, so such keys never collide with a plain value key.
 _UNHASHABLE = object()
@@ -194,6 +208,50 @@ def scale_seq_len(params: Dict[str, Any], fraction: float) -> Dict[str, Any]:
 FidelityHook = Callable[[Dict[str, Any], float], Dict[str, Any]]
 
 
+class Assignments(SequenceABC):
+    """Feasible assignments of one :class:`DesignSpace`, by position.
+
+    ``positions`` are indices into the space's enumeration order
+    (:meth:`DesignSpace.iter_points`).  This is what the search strategies
+    hand the explorer's ``evaluate``: the explorer resolves the whole
+    sequence into a parameter table column by column
+    (:meth:`DesignSpace.params_table`) and dedups candidates on their
+    positions, and an assignment dict is built only where one is read --
+    for a frontier point, or by a caller that iterates.  A slice is the
+    assignments at the sliced positions, and the sequence compares equal
+    to a list of the same assignments.
+    """
+
+    __slots__ = ("space", "positions")
+
+    def __init__(self, space: "DesignSpace", positions: Sequence[int]):
+        self.space = space
+        self.positions = np.asarray(positions, dtype=np.intp).reshape(-1)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Assignments(self.space, self.positions[index])
+        return self.space._assignment_rows(self.positions[[index]])[0]
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        return iter(self.space._assignment_rows(self.positions))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Assignments, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Assignments({self.space.name!r}, {len(self)} points)"
+
+
 class DesignSpace:
     """A named, constrained cartesian product of axes over one scenario kind.
 
@@ -253,15 +311,22 @@ class DesignSpace:
         )
         self.fidelity_hook = fidelity_hook
         self.description = description
-        self._points: Optional[List[Dict[str, Any]]] = None
-        self._feasible_count: Optional[int] = None
         constrained = {axis for table in self._verdict_tables for axis in table.axes}
-        #: positions of the constrained axes (the union of the constraints'
-        #: declared axes), in axis order; feasibility depends on these alone.
+        #: the axis numbers of the constrained axes (the union of the
+        #: constraints' declared axes), in axis order; feasibility depends on
+        #: these alone.
         self._constrained: Tuple[int, ...] = tuple(
-            position for position, name in enumerate(names) if name in constrained
+            number for number, name in enumerate(names) if name in constrained
         )
-        self._feasible_combos: Optional[FrozenSet[Any]] = None
+        self._sizes: Tuple[int, ...] = tuple(len(axis.values) for axis in self.axes)
+        #: the mixed-radix place value of each axis in a cartesian index
+        #: (the last axis iterates fastest).
+        self._strides: Tuple[int, ...] = tuple(
+            math.prod(self._sizes[axis + 1 :]) for axis in range(len(self._sizes))
+        )
+        self._combinations: Optional[np.ndarray] = None
+        self._feasible_count: Optional[int] = None
+        self._indices: Optional[np.ndarray] = None
 
     def _declared_axes(
         self, constraint: Constraint, names: Sequence[str]
@@ -295,54 +360,97 @@ class DesignSpace:
                 return False
         return True
 
-    def _feasible_table(self) -> FrozenSet[Any]:
-        """The feasible combinations of the constrained axes (memoised).
+    def _combination_mask(self) -> np.ndarray:
+        """Feasibility of every combination of the constrained axes
+        (memoised): a flat boolean array indexed like a cartesian index of
+        those axes alone.
 
-        Each combination is a tuple of value positions (so list-valued axes
-        work), keyed the way :func:`_position_key` keys a whole point's
-        positions.  The table is filled with one :meth:`feasible` call per
-        combination in axis-major order, so each predicate still runs once
-        per distinct projection of its declared axes.
+        It is filled with one :meth:`feasible` call per combination in
+        axis-major order, so each predicate still runs once per distinct
+        projection of its declared axes.
         """
-        if self._feasible_combos is None:
-            axes = [self.axes[position] for position in self._constrained]
+        if self._combinations is None:
+            axes = [self.axes[axis] for axis in self._constrained]
             names = [axis.name for axis in axes]
             values = [axis.values for axis in axes]
-            key = _position_key(range(len(axes)))
-            self._feasible_combos = frozenset(
-                key(combo)
-                for combo in itertools.product(*(range(len(v)) for v in values))
-                if self.feasible(dict(zip(names, map(operator.getitem, values, combo))))
+            combos = itertools.product(*(range(len(v)) for v in values))
+            self._combinations = np.fromiter(
+                (
+                    self.feasible(dict(zip(names, map(operator.getitem, values, c))))
+                    for c in combos
+                ),
+                dtype=bool,
+                count=math.prod(len(v) for v in values),
             )
-        return self._feasible_combos
+        return self._combinations
+
+    def _feasible_indices(self) -> np.ndarray:
+        """The cartesian index of every feasible point, in enumeration
+        order (memoised): entry ``i`` is the point at position ``i``.
+
+        The cartesian indices are decoded with NumPy a block at a time: the
+        constrained axes' value numbers of each index select its entry in
+        :meth:`_combination_mask`.  One int64 per feasible point is all an
+        enumeration keeps.
+        """
+        if self._indices is None:
+            mask = self._combination_mask()
+            total = self.cardinality
+            if mask.all():
+                flat = np.arange(total, dtype=np.int64)
+            else:
+                kept = []
+                for first in range(0, total, _DECODE_BLOCK):
+                    block = np.arange(
+                        first, min(first + _DECODE_BLOCK, total), dtype=np.int64
+                    )
+                    combo = np.zeros(len(block), dtype=np.int64)
+                    for axis in self._constrained:
+                        size = self._sizes[axis]
+                        combo = combo * size + block // self._strides[axis] % size
+                    kept.append(block[mask[combo]])
+                flat = np.concatenate(kept)
+            self._indices = flat
+            self._feasible_count = len(flat)
+        return self._indices
+
+    def _codes(self, positions: Any) -> List[np.ndarray]:
+        """Each axis's value numbers at feasible ``positions`` (an index
+        array, a list of ints or a slice)."""
+        flat = self._feasible_indices()[positions]
+        return [
+            flat // stride % size for stride, size in zip(self._strides, self._sizes)
+        ]
+
+    def _assignment_rows(self, positions: Any) -> List[Dict[str, Any]]:
+        """The assignment dicts at ``positions``: each holds the axis value
+        objects themselves, in axis order."""
+        names = [axis.name for axis in self.axes]
+        values = [axis.values for axis in self.axes]
+        codes = [code.tolist() for code in self._codes(positions)]
+        return [
+            dict(zip(names, map(operator.getitem, values, row))) for row in zip(*codes)
+        ]
 
     def iter_points(self) -> Iterator[Dict[str, Any]]:
         """Yield every feasible assignment in deterministic axis-major order
         -- the streaming counterpart of :meth:`points`.
 
-        No point list is materialised: each combination of the cartesian
-        product is looked up in the feasibility table of the constrained
-        axes as it is walked, so a 10^6-point space costs one assignment
-        dict of memory at a time, plus that table (one entry per
-        combination of the constrained axes; a constraint that omits
-        ``axes`` constrains every axis, so declaring them is what keeps the
-        table small) and the verdict tables behind it.  Strategies that can
-        consume a stream (grid search) use this; strategies whose seeded
-        sampling needs the full indexed list (random, halving) still call
-        :meth:`points`.  When the list is already memoised the stream
-        replays it (same dicts, same order) rather than re-checking the
-        constraints.
+        A view of the one decode every enumeration shares
+        (:meth:`_feasible_indices`, one int64 per feasible point): the
+        assignment dicts are built a block at a time, so a 10^6-point space
+        never holds them all.  The decode also needs the feasibility table
+        of the constrained axes (one entry per combination of them; a
+        constraint that omits ``axes`` constrains every axis, so declaring
+        them is what keeps the table small) and the verdict tables behind
+        it.  The search strategies evaluate positions
+        (:meth:`assignments`) and call neither this nor :meth:`points`.
         """
-        if self._points is not None:
-            yield from self._points
-            return
-        feasible = self._feasible_table()
-        key = _position_key(self._constrained)
-        names = [axis.name for axis in self.axes]
-        values = [axis.values for axis in self.axes]
-        for combo in itertools.product(*(range(len(v)) for v in values)):
-            if key(combo) in feasible:
-                yield dict(zip(names, map(operator.getitem, values, combo)))
+        count = len(self._feasible_indices())
+        for first in range(0, count, _DECODE_BLOCK):
+            yield from self._assignment_rows(
+                slice(first, min(first + _DECODE_BLOCK, count))
+            )
 
     def feasible_count(self) -> int:
         """How many feasible assignments the space has (memoised).
@@ -351,9 +459,9 @@ class DesignSpace:
         of the free axes' sizes: nothing is enumerated.
         """
         if self._feasible_count is None:
-            count = len(self._feasible_table())
-            for position, axis in enumerate(self.axes):
-                if position not in self._constrained:
+            count = int(self._combination_mask().sum())
+            for number, axis in enumerate(self.axes):
+                if number not in self._constrained:
                     count *= len(axis.values)
             self._feasible_count = count
         return self._feasible_count
@@ -383,19 +491,73 @@ class DesignSpace:
         return block
 
     def points(self) -> List[Dict[str, Any]]:
-        """Every feasible assignment, in deterministic axis-major order.
-
-        The enumeration is memoised (axes and constraints are immutable
-        after construction, and constraint predicates may be expensive);
-        callers get a fresh list each time but share the assignment dicts,
-        which nothing in the explorer mutates.  Prefer :meth:`iter_points`
-        /:meth:`feasible_count` where a stream or a count suffices -- this
+        """Every feasible assignment, in deterministic axis-major order: a
+        fresh list of fresh dicts built from the memoised decode (see
+        :meth:`iter_points`).  Prefer :meth:`assignments` /
+        :meth:`feasible_count` where positions or a count suffice -- this
         list is what makes 10^6-point spaces expensive to hold.
         """
-        if self._points is None:
-            self._points = list(self.iter_points())
-            self._feasible_count = len(self._points)
-        return list(self._points)
+        return list(self.iter_points())
+
+    def assignments(self, positions: Optional[Sequence[int]] = None) -> "Assignments":
+        """The feasible assignments at ``positions`` (indices into the
+        enumeration order; every position when omitted), as a sequence
+        whose rows are built only where they are read."""
+        if positions is None:
+            positions = np.arange(self.feasible_count())
+        return Assignments(self, positions)
+
+    def params_table(self, positions: Any, fidelity: float = 1.0) -> ColumnTable:
+        """The runner parameters of the feasible points at ``positions``,
+        as one :class:`~repro.analysis.table.ColumnTable`: row ``i`` equals
+        :meth:`point_params` of the assignment at ``positions[i]``, value
+        for value and type for type.
+
+        Each axis column is gathered from the axis's value array by the
+        positions' decoded value numbers, each base parameter is a
+        constant column, and no dict is built per point.  The default
+        fidelity hook (:func:`scale_seq_len`) is applied to the
+        ``seq_len`` column, once per distinct value; any other hook runs
+        per row.
+        """
+        if not 0.0 < fidelity <= 1.0:
+            raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
+        codes = self._codes(positions)
+        count = len(codes[0])
+        columns = {
+            key: np.repeat(exact_column([value]), count)
+            for key, value in self.base_params.items()
+        }
+        for axis, code in zip(self.axes, codes):
+            columns[axis.name] = exact_column(axis.values)[code]
+        if fidelity < 1.0 and self.fidelity_hook is scale_seq_len:
+            if "seq_len" in columns:
+                columns["seq_len"] = self._scaled_seq_len(codes, count, fidelity)
+        table = ColumnTable(columns)
+        if fidelity < 1.0 and self.fidelity_hook is not scale_seq_len:
+            table = ColumnTable.of([self.fidelity_hook(row, fidelity) for row in table])
+        return table
+
+    def _scaled_seq_len(
+        self, codes: Sequence[np.ndarray], count: int, fidelity: float
+    ) -> np.ndarray:
+        """The ``seq_len`` column after :func:`scale_seq_len`, computed once
+        per distinct ``seq_len`` of the rows."""
+
+        def scaled(value: Any) -> Any:
+            return scale_seq_len({"seq_len": value}, fidelity)["seq_len"]
+
+        if "seq_len" in self.base_params:
+            return np.repeat(exact_column([scaled(self.base_params["seq_len"])]), count)
+        number = [axis.name for axis in self.axes].index("seq_len")
+        values = self.axes[number].values
+        held = np.flatnonzero(np.bincount(codes[number], minlength=len(values)))
+        present = {code: scaled(values[code]) for code in held.tolist()}
+        # Values no row holds take a present row's value, which keeps the
+        # column's dtype that of the values the rows do hold.
+        filler = next(iter(present.values()), None)
+        mapped = [present.get(code, filler) for code in range(len(values))]
+        return exact_column(mapped)[codes[number]]
 
     # --------------------------------------------------------- materialising
 

@@ -14,13 +14,17 @@ scaffolding) and the payload table ``evaluate`` returned for them.
 
 All strategies are deterministic under a fixed seed: they draw randomness
 only from the ``random.Random`` instance the explorer hands them, and they
-iterate the space in its canonical enumeration order.
+pick *positions* in the space's canonical enumeration order, handing
+``evaluate`` the :class:`~repro.explore.space.Assignments` at them -- so no
+assignment dict is built per point on the way to the batch evaluator.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .space import DesignSpace
 
@@ -40,6 +44,9 @@ __all__ = [
 #: ``evaluate(assignments, fidelity) -> payloads`` -- provided by the
 #: explorer; a :class:`~repro.analysis.table.ColumnTable` with one payload
 #: row per assignment, in order (any sequence of payload dicts will do).
+#: ``assignments`` is any sequence of assignment mappings; the space's own
+#: :class:`~repro.explore.space.Assignments` is the one resolved without a
+#: dict per point.
 EvaluateFn = Callable[[Sequence[Mapping[str, Any]], float], Sequence[Dict[str, Any]]]
 
 #: ``rank(payloads) -> scores`` -- provided by the explorer from its own
@@ -48,7 +55,7 @@ RankFn = Callable[[Sequence[Mapping[str, Any]]], Sequence[float]]
 
 #: what :meth:`SearchStrategy.search` returns: the full-fidelity points and
 #: the payloads ``evaluate`` returned for them (row ``i`` is point ``i``'s).
-SearchResult = Tuple[List[Mapping[str, Any]], Sequence[Dict[str, Any]]]
+SearchResult = Tuple[Sequence[Mapping[str, Any]], Sequence[Dict[str, Any]]]
 
 
 class SearchStrategy:
@@ -79,12 +86,9 @@ class GridSearch(SearchStrategy):
     still contributes candidates (a plain prefix would exhaust the budget
     inside the first corner of the space).
 
-    Selection is fully deterministic, so the feasible set is consumed as a
-    *stream* (:meth:`~repro.explore.space.DesignSpace.iter_points`): the
-    strided indices are computed from the feasible count and picked off the
-    generator, and a 10^6-point space never materialises as a list.  The
-    seeded-sampling strategies (random, halving) still need the indexed
-    list -- ``rng.sample`` over a stream would change their draws.
+    Selection is stride arithmetic on positions --
+    ``int(i * feasible / budget)`` for ``i`` in ``range(budget)`` -- over
+    the feasible count, so nothing is enumerated to pick the points.
     """
 
     name = "grid"
@@ -99,24 +103,22 @@ class GridSearch(SearchStrategy):
     ) -> SearchResult:
         total = space.feasible_count()
         if budget < total:
-            # Identical selection to the old list-index path:
-            # ``points[int(i * stride)]`` for i in range(budget), with the
-            # wanted indices strictly increasing (stride > 1), picked off
-            # the stream in one pass.
-            stride = total / budget
-            wanted = {int(i * stride) for i in range(budget)}
-            points = [
-                point
-                for index, point in enumerate(space.iter_points())
-                if index in wanted
-            ]
+            # ``i * stride`` in float64 and truncated: exactly the Python
+            # ``int(i * stride)``; strictly increasing since stride > 1.
+            positions = (np.arange(budget) * (total / budget)).astype(np.intp)
         else:
-            points = list(space.iter_points())
+            positions = np.arange(total)
+        points = space.assignments(positions)
         return points, evaluate(points, 1.0)
 
 
 class RandomSearch(SearchStrategy):
-    """Uniform sampling without replacement from the feasible set."""
+    """Uniform sampling without replacement from the feasible set.
+
+    ``rng.sample(range(n), k)`` draws the positions of exactly the points
+    ``rng.sample(points, k)`` draws from the list of all ``n``: the sample
+    depends only on ``n``, ``k`` and the generator's state.
+    """
 
     name = "random"
 
@@ -128,9 +130,12 @@ class RandomSearch(SearchStrategy):
         rng: random.Random,
         rank: RankFn,
     ) -> SearchResult:
-        points = space.points()
-        if budget < len(points):
-            points = rng.sample(points, budget)
+        total = space.feasible_count()
+        if budget < total:
+            positions = rng.sample(range(total), budget)
+        else:
+            positions = np.arange(total)
+        points = space.assignments(positions)
         return points, evaluate(points, 1.0)
 
 
@@ -213,27 +218,32 @@ class SuccessiveHalving(SearchStrategy):
         rng: random.Random,
         rank: RankFn,
     ) -> SearchResult:
-        points = space.points()
-        sizes = self.plan(len(points), budget)
-        if sizes[0] < len(points):
-            cohort = rng.sample(points, sizes[0])
+        total = space.feasible_count()
+        sizes = self.plan(total, budget)
+        if sizes[0] < total:
+            cohort = rng.sample(range(total), sizes[0])
         else:
-            cohort = list(points)
+            cohort = list(range(total))
         rungs = len(sizes)
+        point_ids: Dict[int, str] = {}  # position -> point id, across rungs
         payloads: Sequence[Dict[str, Any]] = []
         for rung, size in enumerate(sizes):
             cohort = cohort[:size]
+            points = space.assignments(cohort)
             fidelity = self._fidelity(rung, rungs)
-            payloads = evaluate(cohort, fidelity)
+            payloads = evaluate(points, fidelity)
             if rung == rungs - 1:
                 break
             ranks = rank(payloads)
+            unnamed = [position for position in cohort if position not in point_ids]
+            for position, assignment in zip(unnamed, space.assignments(unnamed)):
+                point_ids[position] = space.point_id(assignment)
             order = sorted(
                 range(len(cohort)),
-                key=lambda i: (ranks[i], space.point_id(cohort[i])),
+                key=lambda i: (ranks[i], point_ids[cohort[i]]),
             )
             cohort = [cohort[i] for i in order]
-        return cohort, payloads
+        return points, payloads
 
 
 #: registry of CLI-selectable strategies (name -> factory).

@@ -379,10 +379,11 @@ class ResultCache:
         corrupted, partial, or foreign entry (a key-prefix collision, a
         manual edit) is a plain miss.  The full key stands in for the
         parameters, which the entry does not hold; the returned entry
-        carries the requested ones as ``params``.  Entries of older code
-        versions hash to other paths, so there is no migration.
+        carries the requested ones as ``params`` (a table of them as is,
+        so a hit builds no parameter row).  Entries of older code versions
+        hash to other paths, so there is no migration.
         """
-        from ..analysis.table import from_wire  # NumPy: imported where used
+        from ..analysis.table import ColumnTable, from_wire  # NumPy: where used
 
         key = self.chunk_key(kind, params_list, backend, identity=identity)
         try:
@@ -400,7 +401,9 @@ class ResultCache:
             payload["results"] = from_wire(payload.get("results"), len(params_list))
         except ValueError:
             return None
-        payload["params"] = list(params_list)
+        if not isinstance(params_list, ColumnTable):
+            params_list = list(params_list)
+        payload["params"] = params_list
         return payload
 
     # ------------------------------------------------------------- inventory

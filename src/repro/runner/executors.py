@@ -88,7 +88,9 @@ __all__ = [
 class ChunkJob(tuple):
     """One **chunk job**, ``(kind, params)``: a scenario kind plus the
     parameter mappings of a contiguous slice of points -- one point for a
-    kind without a batch runner.  A plain ``(kind, params)`` tuple is a
+    kind without a batch runner.  ``params`` is a list of mappings or a
+    :class:`~repro.analysis.table.ColumnTable` of them (a slice of an
+    exploration's parameter table).  A plain ``(kind, params)`` tuple is a
     chunk job too.
 
     ``identity`` is the chunk's identity text
@@ -101,7 +103,7 @@ class ChunkJob(tuple):
     def __new__(
         cls,
         kind: str,
-        params: List[Dict[str, Any]],
+        params: Sequence[Dict[str, Any]],
         identity: Optional[str] = None,
     ) -> "ChunkJob":
         job = super().__new__(cls, (kind, params))
@@ -880,7 +882,7 @@ class _Published(NamedTuple):
     worker's entry must carry."""
 
     kind: str
-    params: List[Dict[str, Any]]
+    params: Sequence[Dict[str, Any]]
     key: str
 
 

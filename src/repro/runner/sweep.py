@@ -218,9 +218,12 @@ def _run_chunk(
 
     A batch-capable kind runs its batch runner once over the chunk; any
     other kind runs its scalar runner per point (its chunks hold one point
-    each).  Module-level and bound only to JSON-able arguments so it
-    crosses pickle (pool) and JSON (workqueue) boundaries; the workqueue
-    worker rebuilds this exact call from the job payload.  Returns a
+    each).  The runner gets a chunk that is a
+    :class:`~repro.analysis.table.ColumnTable` (a slice of an exploration's
+    parameter table) as is, and copies of the mappings of any other chunk.
+    Module-level and bound only to JSON-able arguments so it crosses pickle
+    (pool) and JSON (workqueue) boundaries; the workqueue worker rebuilds
+    this exact call from the job payload.  Returns a
     :class:`~repro.analysis.table.ColumnTable` of the per-point results (in
     chunk order; a scalar runner's row dicts become one) plus the chunk's
     wall seconds.
@@ -238,8 +241,10 @@ def _run_chunk(
         segment_memo_dir = None
     configure_segment_memo(segment_memo_dir)
     runner = REGISTRY.batch_runner(kind, backend) or partial(_run_each, kind, backend)
+    if not isinstance(params_list, ColumnTable):
+        params_list = [dict(params) for params in params_list]
     start = time.perf_counter()
-    results = runner([dict(params) for params in params_list])
+    results = runner(params_list)
     elapsed_s = time.perf_counter() - start
     if len(results) != len(params_list):
         raise RuntimeError(
@@ -390,27 +395,30 @@ def evaluate_chunked(
     ``executor``, with per-chunk result caching.
 
     The exploration layer's only evaluation front door: one parameter
-    mapping per point, and one :class:`~repro.analysis.table.ColumnTable`
-    of results per call, in input order, byte-identical to a single
-    in-process batch call (which is exactly what a serial executor with the
-    default ``chunk_size=None`` performs, and whose table is returned as
-    is).  Several chunks -- computed tables, work-queue results and cache
-    hits, each decoded from the column wire form -- are spliced in order
-    without building a row.  A kind without a batch runner runs its scalar
-    runner point by point inside each chunk (see :func:`_run_chunk`); a
-    kind with no runner at all on ``backend`` raises
-    ``KeyError`` before anything executes.  ``cache`` stores one entry per
-    chunk job (see :func:`_evaluate_chunks`), so a warm rerun skips whole
-    chunks without executing anything.  ``align`` feeds the auto chunk-size
-    heuristic so cache keys stay stable across runs that share a design
-    space.  Returns ``(table, cached_points)`` where ``cached_points``
+    mapping per point -- a :class:`~repro.analysis.table.ColumnTable` of
+    them is cut into chunks that are slices of it, so no mapping is built
+    until a chunk is keyed or runs a scalar runner -- and one
+    :class:`~repro.analysis.table.ColumnTable` of results per call, in
+    input order, byte-identical to a single in-process batch call (which
+    is exactly what a serial executor with the default ``chunk_size=None``
+    performs, and whose table is returned as is).  Several chunks --
+    computed tables, work-queue results and cache hits, each decoded from
+    the column wire form -- are spliced in order without building a row.
+    A kind without a batch runner runs its scalar runner point by point
+    inside each chunk (see :func:`_run_chunk`); a kind with no runner at
+    all on ``backend`` raises ``KeyError`` before anything executes.
+    ``cache`` stores one entry per chunk job (see
+    :func:`_evaluate_chunks`), so a warm rerun skips whole chunks without
+    executing anything.  ``align`` feeds the auto chunk-size heuristic so
+    cache keys stay stable across runs that share a design space.  Returns ``(table, cached_points)`` where ``cached_points``
     counts points served from the chunk cache.
     """
     from ..analysis.table import ColumnTable  # NumPy: imported where used
 
     _validate_chunk_size(chunk_size)
     REGISTRY.runner(kind, backend)  # fail up front, not inside a worker
-    params_list = list(params_list)
+    if not isinstance(params_list, ColumnTable):
+        params_list = list(params_list)
     total = len(params_list)
     if total == 0:
         return ColumnTable(), 0

@@ -37,7 +37,6 @@ seconds, which is what makes 1000-point design-space sweeps interactive
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,8 +55,8 @@ from .fus.scratchpad import MEMC_COMPUTE_THROUGHPUT, NONMM_FLOPS_PER_ELEMENT
 from .mapping import attention_mapping_type
 from .partition import (
     EncoderPartition,
-    _resolve_params,
-    chiplet_table,
+    _pair_table,
+    _resolve_columns,
     design_cost,
     dse_design,
     encoder_partition,
@@ -470,10 +469,11 @@ def _busy_grids(
     return ddr_busy, lpddr_busy, mme_busy, memc_busy
 
 
-#: a resolved DSE point's design key: the probe fields the
+#: a DSE point's design key: the probe fields the
 #: :func:`~repro.xnn.partition.dse_design` config reads (first, so
-#: ``key[:3]`` is the probe key), then the tiling fields its options read.
-_design_key = itemgetter(
+#: ``_DESIGN_KEYS[:3]`` is the probe key), then the tiling fields its options
+#: read.
+_DESIGN_KEYS = (
     "num_mme",
     "mem_b_bytes",
     "bandwidth_scale",
@@ -483,46 +483,89 @@ _design_key = itemgetter(
     "super_n",
 )
 
-#: a resolved DSE point's workload shape.
-_shape_key = itemgetter("batch", "seq_len", "model")
+#: a DSE point's workload shape.
+_SHAPE_KEYS = ("batch", "seq_len", "model")
+
+#: a multi-chip DSE point's link triple.
+_LINK_KEYS = ("link_gbs", "link_hop_us", "link_serialization_us")
+
+
+def _factorize(column: np.ndarray) -> np.ndarray:
+    """Number the distinct values of ``column`` in order of first
+    occurrence, telling values apart as Python dict keys do (``1``,
+    ``1.0`` and ``True`` are one value): each cell's value number."""
+    if column.dtype == object:
+        numbers: Dict[Any, int] = {}
+        return np.array(
+            [numbers.setdefault(value, len(numbers)) for value in column.tolist()],
+            dtype=np.intp,
+        )
+    if column.dtype.kind not in "iu" or len(column) == 0 or column.min() < 0:
+        column = np.unique(column, return_inverse=True)[1].reshape(-1)
+    size = int(column.max()) + 1 if len(column) else 0
+    if size > 4 * len(column) + 64:
+        column = np.unique(column, return_inverse=True)[1].reshape(-1)
+        size = int(column.max()) + 1
+    # ``column`` now numbers the values 0 .. size-1; renumber them by the
+    # row each first occurs in.
+    first = np.full(size, len(column), dtype=np.intp)
+    np.minimum.at(first, column, np.arange(len(column), dtype=np.intp))
+    present = np.flatnonzero(first < len(column))
+    renumber = np.empty(size, dtype=np.intp)
+    renumber[present[np.argsort(first[present])]] = np.arange(len(present))
+    return renumber[column]
+
+
+def _key_codes(*codes: np.ndarray) -> np.ndarray:
+    """The value numbers of the tuples of several value-number columns, in
+    order of first occurrence (as :func:`_factorize`)."""
+    combined = codes[0]
+    for code in codes[1:]:
+        combined = _factorize(combined * (int(code.max(initial=0)) + 1) + code)
+    return combined
+
+
+def _firsts(codes: np.ndarray) -> np.ndarray:
+    """The row where each value number of :func:`_factorize` first occurs,
+    in value-number order -- which is row order."""
+    running = np.maximum.accumulate(codes) if len(codes) else codes
+    return np.flatnonzero(np.diff(running, prepend=-1) > 0)
+
+
+def _cell(column: np.ndarray, row: int) -> Any:
+    """One cell of a parameter column, as the Python value it was."""
+    value = column[row]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _exact(column: np.ndarray) -> np.ndarray:
+    """``column`` as :func:`exact_column` would hold its cells: an object
+    column whose cells share one type narrows to that type's dtype."""
+    return exact_column(column.tolist()) if column.dtype == object else column
 
 
 @dataclass
 class _BatchRows:
     """The shared per-call state behind one batched DSE evaluation.
 
-    Everything the payload columns need, per point: the (feasible) config
-    and its probe key, the design's per-chip peak, the vectorized segment
-    latencies, and the FLOP and traffic totals of its segment set -- plus
-    the per-call memo tables of the values many points share (encoder
-    configs by model name, ``design_cost`` results).  The tables live as
-    long as the batch call, so memory stays bounded by one generation's
-    distinct keys.
+    Everything the payload columns need, per point: its design's number
+    (one config per design), its probe-key number, the design's per-chip
+    peak, the vectorized segment latencies, and the FLOP and traffic
+    totals of its segment set -- plus each point's workload-shape number
+    and the encoder configs by model name.  It lives as long as the batch
+    call, so memory stays bounded by one generation.
     """
 
     configs: List[XNNConfig]
-    probe_keys: List[Tuple[Any, ...]]
-    peak_flops: List[float]
+    design_codes: np.ndarray
+    probe_codes: np.ndarray
+    shape_codes: np.ndarray
+    peak_flops: np.ndarray
     segment_latency: np.ndarray
     flops: np.ndarray
     ddr_bytes: np.ndarray
     lpddr_bytes: np.ndarray
     encoders: Dict[str, BertConfig]
-    costs: Dict[Tuple[Any, ...], Tuple[float, float]] = field(default_factory=dict)
-
-    def cost(
-        self, index: int, num_chips: int = 1, link: Optional[InterChipLink] = None
-    ) -> Tuple[float, float]:
-        """:func:`design_cost` of one point, once per (probe, peak, chip
-        count, link) key of the batch."""
-        per_chip_peak = self.peak_flops[index]
-        key = (self.probe_keys[index], per_chip_peak, num_chips, link)
-        cost = self.costs.get(key)
-        if cost is None:
-            cost = self.costs[key] = design_cost(
-                self.configs[index], per_chip_peak, num_chips=num_chips, link=link
-            )
-        return cost
 
 
 def _totals(segment_set: _SegmentSet) -> Tuple[float, int, int]:
@@ -620,40 +663,32 @@ class EncoderBatchEvaluator:
         return model, segment_set
 
     def _gather(
-        self, points: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]]
-    ) -> Tuple[List[_SegmentSet], np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-        """Tally ``(config, options, workload)`` points and run their
-        vectorized busy grids: the one per-point loop of both resolvers.
+        self,
+        designs: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]],
+        index: np.ndarray,
+    ) -> Tuple[List[_SegmentSet], np.ndarray, Tuple[np.ndarray, ...]]:
+        """Tally distinct ``(config, options, workload)`` designs and run
+        their vectorized busy grids: the one tally loop of both resolvers.
 
-        Points made of the same config, options and workload objects (the
-        DSE rows share one of each per key) are one *design*: one tally
-        lookup, one pair of DDR and LPDDR channel models and one row of
-        busy grids.  Returns the designs' segment sets, each point's design
-        index, each point's MME rate, and the per-point ``(ddr, lpddr, mme,
-        memc)`` busy grids.
+        Each design gets one tally lookup, one pair of DDR and LPDDR
+        channel models and one row of busy grids; point ``i`` is design
+        ``index[i]``.  Returns the designs' segment sets, each point's MME
+        rate, and the per-point ``(ddr, lpddr, mme, memc)`` busy grids.
         """
-        designs: Dict[Tuple[int, int, int], int] = {}
         segment_sets: List[_SegmentSet] = []
         rates: List[float] = []
         ddr_models: List[MemoryChannelModel] = []
         lpddr_models: List[MemoryChannelModel] = []
-        index: List[int] = []
-        for config, options, workload in points:
-            key = (id(config), id(options), id(workload))
-            design = designs.get(key)
-            if design is None:
-                model, segment_set = self._tallied(config, options, workload)
-                design = designs[key] = len(segment_sets)
-                segment_sets.append(segment_set)
-                rates.append(model.mme_rate)
-                ddr_models.append(
-                    ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-                )
-                lpddr_models.append(
-                    lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
-                )
-            index.append(design)
-        rows = np.array(index, dtype=np.intp)
+        for config, options, workload in designs:
+            model, segment_set = self._tallied(config, options, workload)
+            segment_sets.append(segment_set)
+            rates.append(model.mme_rate)
+            ddr_models.append(
+                ddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
+            )
+            lpddr_models.append(
+                lpddr_channel(config.spec, bandwidth_scale=config.bandwidth_scale)
+            )
         mme_rate = np.array(rates, dtype=np.float64)
         busy = _busy_grids(
             [segment_set.tallies for segment_set in segment_sets],
@@ -661,7 +696,7 @@ class EncoderBatchEvaluator:
             lpddr_models,
             mme_rate.reshape(-1, 1),
         )
-        return segment_sets, rows, mme_rate[rows], tuple(grid[rows] for grid in busy)
+        return segment_sets, mme_rate[index], tuple(grid[index] for grid in busy)
 
     def results(
         self, points: Sequence[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]]
@@ -672,27 +707,38 @@ class EncoderBatchEvaluator:
         ``workload`` is ``("encoder", batch, seq_len, bert_config)`` or
         ``("feedforward", model_spec, mapping)`` (a bare GEMM is a one-layer
         feed-forward model); all points of one call have the same segment
-        count.  Tallies are memoized across points and calls, busy times are
-        vectorized, and each (point, segment) cell is resolved through
-        :class:`ResourceRoofline`, which sets the latency, the bottleneck
-        (first maximum in ``ddr, lpddr, mme, memc`` order) and the
-        utilization dict.
+        count.  Points made of the same config, options and workload
+        objects are one design.  Tallies are memoized across points and
+        calls, busy times are vectorized, and each (point, segment) cell is
+        resolved through :class:`ResourceRoofline`, which sets the latency,
+        the bottleneck (first maximum in ``ddr, lpddr, mme, memc`` order)
+        and the utilization dict.
         """
         if not points:
             return []
-        segment_sets, designs, _, busy = self._gather(points)
+        numbers: Dict[Tuple[int, int, int], int] = {}
+        designs = []
+        index = []
+        for point in points:
+            key = (id(point[0]), id(point[1]), id(point[2]))
+            number = numbers.get(key)
+            if number is None:
+                number = numbers[key] = len(designs)
+                designs.append(point)
+            index.append(number)
+        segment_sets, _, busy = self._gather(designs, np.array(index, dtype=np.intp))
         ddr_busy, lpddr_busy, mme_busy, memc_busy = busy
         results: List[EncoderResult] = []
-        for index, design in enumerate(designs.tolist()):
+        for point, design in enumerate(index):
             segment_set = segment_sets[design]
             result = EncoderResult(name=segment_set.name, batch=segment_set.batch)
             for position, tally in enumerate(segment_set.tallies):
                 roofline = ResourceRoofline(
                     {
-                        "ddr": float(ddr_busy[index, position]),
-                        "lpddr": float(lpddr_busy[index, position]),
-                        "mme": float(mme_busy[index, position]),
-                        "memc": float(memc_busy[index, position]),
+                        "ddr": float(ddr_busy[point, position]),
+                        "lpddr": float(lpddr_busy[point, position]),
+                        "mme": float(mme_busy[point, position]),
+                        "memc": float(memc_busy[point, position]),
                     }
                 )
                 result.segments.append(
@@ -714,54 +760,59 @@ class EncoderBatchEvaluator:
 
     # ------------------------------------------------------------ evaluation
 
-    def _rows(
-        self, param_sets: Sequence[Dict[str, Any]], encoder_config
-    ) -> _BatchRows:
-        """Tally and run the vectorized rooflines for resolved DSE points.
+    def _rows(self, columns: Mapping[str, np.ndarray], encoder_config) -> _BatchRows:
+        """Tally and run the vectorized rooflines for a batch of DSE points
+        given as resolved parameter columns.
 
-        Each point's config and codegen options come from
+        The design and shape keys are factorised from the columns.  Each
+        design's config and codegen options come from
         :func:`~repro.xnn.partition.dse_design`, the engine runner's
         constructor, called once per design key; the workload, with its
         encoder config, once per ``(batch, seq_len, model)``; the FLOP and
-        traffic totals once per design.
+        traffic totals once per tallied design.  Constructors run in the
+        order of the points that first need them, so an infeasible point
+        raises what the per-point loop would raise first.
         """
-        count = len(param_sets)
-        points: List[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]] = []
-        probe_keys: List[Tuple[Any, ...]] = []
-        num_mme = np.empty(count)
-        # Per-call memo tables, keyed by the parameters each value reads.
-        designs: Dict[Tuple[Any, ...], Tuple[XNNConfig, CodegenOptions]] = {}
-        workloads: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        codes = {key: _factorize(columns[key]) for key in _DESIGN_KEYS + _SHAPE_KEYS}
+        design_codes = _key_codes(*(codes[key] for key in _DESIGN_KEYS))
+        shape_codes = _key_codes(*(codes[key] for key in _SHAPE_KEYS))
+        pair_codes = _key_codes(design_codes, shape_codes)
+        designs: Dict[int, Tuple[XNNConfig, CodegenOptions]] = {}
+        workloads: Dict[int, Tuple[Any, ...]] = {}
         encoders: Dict[str, BertConfig] = {}
-        for index, params in enumerate(param_sets):
-            key = _design_key(params)
-            design = designs.get(key)
+        points: List[Tuple[XNNConfig, CodegenOptions, Tuple[Any, ...]]] = []
+        for row in _firsts(pair_codes).tolist():
+            design_code = int(design_codes[row])
+            design = designs.get(design_code)
             if design is None:
-                design = designs[key] = dse_design(params)
-            shape = _shape_key(params)
-            workload = workloads.get(shape)
+                params = {key: _cell(columns[key], row) for key in _DESIGN_KEYS}
+                design = designs[design_code] = dse_design(params)
+            shape_code = int(shape_codes[row])
+            workload = workloads.get(shape_code)
             if workload is None:
-                batch, seq_len, model_name = shape
+                batch, seq_len, model_name = (
+                    _cell(columns[key], row) for key in _SHAPE_KEYS
+                )
                 encoder = encoders[model_name] = encoder_config(model_name)
-                workload = workloads[shape] = ("encoder", batch, seq_len, encoder)
+                workload = workloads[shape_code] = ("encoder", batch, seq_len, encoder)
             points.append((*design, workload))
-            probe_keys.append(key[:3])
-            num_mme[index] = params["num_mme"]
 
-        segment_sets, designs, mme_rate, busy = self._gather(points)
+        segment_sets, mme_rate, busy = self._gather(points, pair_codes)
         ddr_busy, lpddr_busy, mme_busy, memc_busy = busy
         # ResourceRoofline.latency_s: the max over resources (order-free).
         segment_latency = np.maximum(
             np.maximum(ddr_busy, lpddr_busy), np.maximum(mme_busy, memc_busy)
         )
         flops, ddr_bytes, lpddr_bytes = (
-            exact_column(list(column))[designs]
+            exact_column(list(column))[pair_codes]
             for column in zip(*map(_totals, segment_sets))
         )
         return _BatchRows(
-            configs=[config for config, _, _ in points],
-            probe_keys=probe_keys,
-            peak_flops=(num_mme * mme_rate).tolist(),
+            configs=[designs[code][0] for code in range(len(designs))],
+            design_codes=design_codes,
+            probe_codes=_key_codes(*(codes[key] for key in _DESIGN_KEYS[:3])),
+            shape_codes=shape_codes,
+            peak_flops=columns["num_mme"].astype(np.float64) * mme_rate,
             segment_latency=segment_latency,
             flops=flops,
             ddr_bytes=ddr_bytes,
@@ -772,9 +823,11 @@ class EncoderBatchEvaluator:
     def _evaluate(
         self, param_sets: Sequence[Mapping[str, Any]], encoder_config, kind: str
     ) -> ColumnTable:
-        """The payload table of DSE kind ``kind``'s parameter sets: every
-        DSE point is resolved against the kind's one defaults table (a key
-        outside it raises ``TypeError``), and the payload columns are
+        """The payload table of DSE kind ``kind``'s parameter sets (a
+        :class:`~repro.analysis.table.ColumnTable` or any sequence of
+        mappings): every DSE point is resolved against the kind's one
+        defaults table (a key outside it raises ``TypeError``), column by
+        column, and the payload columns are
         :func:`~repro.xnn.partition.chiplet_table`'s -- the arithmetic
         behind the engine runner's payloads.
 
@@ -783,56 +836,87 @@ class EncoderBatchEvaluator:
         multi-chip combination on top is fed a partition built once per
         ``(batch, seq_len, model, num_chips)``, a link once per link
         triple, and a ``design_cost`` once per ``(probe, peak, num_chips,
-        link)``.
+        link)`` -- each key factorised from the columns, each value built
+        in the order of the points that first need it.
         """
-        if not param_sets:
+        if not len(param_sets):
             return ColumnTable()
-        resolved = [_resolve_params(raw, kind) for raw in param_sets]
-        rows = self._rows(resolved, encoder_config)
-        count = len(resolved)
-        partitions: List[Optional[EncoderPartition]] = [None] * count
-        links: List[Optional[InterChipLink]] = [None] * count
+        columns = _resolve_columns(param_sets, kind)
+        rows = self._rows(columns, encoder_config)
+        count = len(rows.design_codes)
+        chips = columns.get("num_chips")
+        multi = np.zeros(count, dtype=bool)
+        if chips is not None:
+            multi = np.asarray(chips != 1, dtype=bool)
+        # A one-chip point has no partition or link (number 0 of each) and
+        # costs as one chip; the rows to visit are the first of each cost
+        # key and of each multi-chip partition key.
+        cost_keys = [rows.probe_codes, _factorize(rows.peak_flops)]
+        visit = np.zeros(count, dtype=bool)
+        link_codes = partition_codes = np.zeros(count, dtype=np.intp)
+        if multi.any():
+            chip_codes = _factorize(chips)
+            triples = _key_codes(*(_factorize(columns[key]) for key in _LINK_KEYS))
+            link_codes = np.where(multi, triples + 1, 0)
+            shapes = _key_codes(rows.shape_codes, chip_codes)
+            firsts = _firsts(shapes)
+            visit[firsts[multi[firsts]]] = True
+            partition_codes = np.where(multi, shapes + 1, 0)
+            cost_keys += [np.where(multi, chip_codes + 1, 0), link_codes]
+        cost_codes = _key_codes(*cost_keys)
+        visit[_firsts(cost_codes)] = True
+
+        links: Dict[int, Optional[InterChipLink]] = {0: None}
+        partitions: Dict[int, Optional[EncoderPartition]] = {0: None}
+        cost_memo: Dict[Tuple[Any, ...], Tuple[float, float]] = {}
         costs: List[Tuple[float, float]] = []
-        partition_memo: Dict[Tuple[Any, ...], EncoderPartition] = {}
-        link_memo: Dict[Tuple[Any, ...], InterChipLink] = {}
-        for index, params in enumerate(resolved):
-            num_chips = params.get("num_chips", 1)
-            if num_chips == 1:
-                costs.append(rows.cost(index))
-                continue
-            link_key = (
-                params["link_gbs"],
-                params["link_hop_us"],
-                params["link_serialization_us"],
-            )
-            link = link_memo.get(link_key)
-            if link is None:
-                link = link_memo[link_key] = InterChipLink.from_design(*link_key)
-            shape_key = (params["batch"], params["seq_len"], params["model"], num_chips)
-            partition = partition_memo.get(shape_key)
-            if partition is None:
-                partition = partition_memo[shape_key] = encoder_partition(
-                    params["batch"],
-                    params["seq_len"],
-                    num_chips,
-                    config=rows.encoders[params["model"]],
+        for row in np.flatnonzero(visit).tolist():
+            link_code = int(link_codes[row])
+            if link_code not in links:
+                links[link_code] = InterChipLink.from_design(
+                    *(_cell(columns[key], row) for key in _LINK_KEYS)
                 )
-            partitions[index] = partition
-            links[index] = link
-            costs.append(rows.cost(index, num_chips, link))
-        power_w, area_luts = zip(*costs)
-        return chiplet_table(
+            partition_code = int(partition_codes[row])
+            num_chips = _cell(chips, row) if partition_code else 1
+            if partition_code not in partitions:
+                batch, seq_len, model = (
+                    _cell(columns[key], row) for key in _SHAPE_KEYS
+                )
+                partitions[partition_code] = encoder_partition(
+                    batch, seq_len, num_chips, config=rows.encoders[model]
+                )
+            if cost_codes[row] == len(costs):
+                peak = float(rows.peak_flops[row])
+                link = links[link_code]
+                # design_cost once per (probe, peak, chip count, link): links
+                # that compare equal share a cost, as dict keys would.
+                key = (int(rows.probe_codes[row]), peak, num_chips, link)
+                cost = cost_memo.get(key)
+                if cost is None:
+                    config = rows.configs[rows.design_codes[row]]
+                    cost = cost_memo[key] = design_cost(
+                        config, peak, num_chips=num_chips, link=link
+                    )
+                costs.append(cost)
+        power_w, area_luts = (exact_column(list(values)) for values in zip(*costs))
+
+        pair_codes = _key_codes(partition_codes, link_codes)
+        pairs = [
+            (partitions[int(partition_codes[row])], links[int(link_codes[row])])
+            for row in _firsts(pair_codes).tolist()
+        ]
+        return _pair_table(
+            pairs,
+            pair_codes,
             segment_latency_s=rows.segment_latency,
             flops=rows.flops,
             ddr_bytes=rows.ddr_bytes,
             lpddr_bytes=rows.lpddr_bytes,
-            batch=[params["batch"] for params in resolved],
-            num_mme=[params["num_mme"] for params in resolved],
-            per_chip_peak_flops=np.array(rows.peak_flops),
-            partitions=partitions,
-            links=links,
-            power_w=power_w,
-            area_luts=area_luts,
+            batch=_exact(columns["batch"]),
+            num_mme=columns["num_mme"].tolist(),
+            per_chip_peak_flops=rows.peak_flops,
+            power_w=power_w[cost_codes],
+            area_luts=area_luts[cost_codes],
         )
 
     def evaluate_batch(

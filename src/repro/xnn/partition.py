@@ -276,6 +276,23 @@ def _resolve_params(raw: Mapping[str, Any], kind: str) -> Dict[str, Any]:
     return params
 
 
+def _resolve_columns(
+    param_sets: Sequence[Mapping[str, Any]], kind: str
+) -> Dict[str, np.ndarray]:
+    """:func:`_resolve_params` of a whole batch, column by column: each of
+    DSE kind ``kind``'s parameters as one array (see
+    :func:`~repro.analysis.table.exact_column`), its default where a point
+    leaves it out.  ``param_sets`` is a
+    :class:`~repro.analysis.table.ColumnTable` or any sequence of
+    mappings; a key outside the defaults raises ``TypeError``."""
+    defaults = _KIND_DEFAULTS[kind]
+    table = ColumnTable.of(param_sets)
+    unknown = sorted(str(key) for key in table.keys() if key not in defaults)
+    if unknown:
+        raise TypeError(f"{kind} got unexpected parameter(s) {unknown}")
+    return {key: table.column(key, default) for key, default in defaults.items()}
+
+
 def dse_design(params: Mapping[str, Any]) -> Tuple[XNNConfig, CodegenOptions]:
     """One resolved DSE point's hardware config and codegen options.
 
@@ -445,7 +462,6 @@ def chiplet_table(
     per distinct (partition, link) and stage folds once per distinct
     partition, vectorised over its points.
     """
-    count, segments = segment_latency_s.shape
     pairs: Dict[Tuple[int, int], int] = {}
     firsts: List[Tuple[Optional[EncoderPartition], Optional[InterChipLink]]] = []
     index = []
@@ -456,7 +472,40 @@ def chiplet_table(
             position = pairs[key] = len(firsts)
             firsts.append(pair)
         index.append(position)
-    pair_index = np.array(index, dtype=np.intp)
+    return _pair_table(
+        firsts,
+        np.array(index, dtype=np.intp),
+        segment_latency_s=segment_latency_s,
+        flops=flops,
+        ddr_bytes=ddr_bytes,
+        lpddr_bytes=lpddr_bytes,
+        batch=batch,
+        num_mme=num_mme,
+        per_chip_peak_flops=per_chip_peak_flops,
+        power_w=power_w,
+        area_luts=area_luts,
+    )
+
+
+def _pair_table(
+    firsts: Sequence[Tuple[Optional[EncoderPartition], Optional[InterChipLink]]],
+    pair_index: np.ndarray,
+    *,
+    segment_latency_s: np.ndarray,
+    flops: Any,
+    ddr_bytes: Any,
+    lpddr_bytes: Any,
+    batch: Any,
+    num_mme: Sequence[Any],
+    per_chip_peak_flops: Any,
+    power_w: Any,
+    area_luts: Any,
+) -> ColumnTable:
+    """:func:`chiplet_table` of points given as their distinct ``(partition,
+    link)`` pairs, ``firsts`` (``(None, None)`` for one chip), and each
+    point's pair number, ``pair_index`` -- what the batched evaluator
+    factorises from its parameter columns."""
+    count, segments = segment_latency_s.shape
     terms: List[Tuple[int, float, Tuple[float, ...]]] = []
     for partition, link in firsts:
         if partition is None:
@@ -512,6 +561,7 @@ def chiplet_table(
             stage_masks[name][rows] = True
     pair_chips = [1 if p is None else p.num_chips for p, _ in firsts]
     pair_cuts = [() if p is None else p.cuts for p, _ in firsts]
+    index = pair_index.tolist()
     payload = _dse_columns(
         peak_flops=np.array(pair_chips, dtype=np.float64)[pair_index]
         * _batch_column(per_chip_peak_flops),

@@ -95,6 +95,61 @@ class TestGridSearch:
         assert _ids(space, a) == _ids(space, b)
 
 
+def _strided_stream(space, budget):
+    """The grid's selection as an earlier enumeration-filter implementation
+    made it: the strided indices picked off the point stream in one pass."""
+    total = space.feasible_count()
+    if budget >= total:
+        return list(space.iter_points())
+    stride = total / budget
+    wanted = {int(i * stride) for i in range(budget)}
+    return [point for index, point in enumerate(space.iter_points())
+            if index in wanted]
+
+
+class TestGridSelectionPins:
+    """The strided position arithmetic picks what the stream filter did."""
+
+    @staticmethod
+    def _grid(space, budget):
+        points, _ = GridSearch().search(space, budget, lambda a, f: [],
+                                        random.Random(0), _rank)
+        return list(points)
+
+    @pytest.mark.parametrize("name", ["encoder-smoke", "chiplet-smoke"])
+    def test_every_budget_on_the_smoke_spaces(self, name):
+        space = get_space(name)
+        total = space.feasible_count()
+        for budget in range(1, total + 1):
+            assert self._grid(space, budget) == _strided_stream(space, budget)
+
+    @pytest.mark.parametrize("budget", [1, 7, 500, 8063])
+    def test_chiplet_encoder_budgets(self, budget):
+        space = get_space("chiplet-encoder")
+        assert space.feasible_count() == 8064
+        assert self._grid(space, budget) == _strided_stream(space, budget)
+
+
+class TestRandomSelectionPins:
+    """Sampling positions draws exactly the points sampling the list did."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_positions_are_the_sampled_points(self, seed):
+        n, k = 13_440, 500
+        points = [f"point-{index}" for index in range(n)]
+        index_of = {point: index for index, point in enumerate(points)}
+        drawn = random.Random(seed).sample(points, k)
+        assert random.Random(seed).sample(range(n), k) == [
+            index_of[point] for point in drawn]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_search_draws_the_listed_sample(self, seed):
+        space = get_space("chiplet-encoder")
+        points, _ = RandomSearch().search(space, 500, lambda a, f: [],
+                                          random.Random(seed), _rank)
+        assert list(points) == random.Random(seed).sample(space.points(), 500)
+
+
 class TestRandomSearch:
     def test_budget_respected_and_unique(self):
         space = _space()
