@@ -25,10 +25,13 @@ block of their own (:meth:`ColumnTable.of`), and :meth:`ColumnTable.concat`
 splices tables' blocks in order without converting any.
 
 :func:`to_wire` and :func:`from_wire` are the one JSON form of a table --
-the ``results`` of a work-queue chunk result and of a chunk-cache entry:
-one JSON list per column (a nested table as a nested wire object), and a
-masked column ships only the cells its mask keeps, so a chunk travels as a
-few dozen lists instead of one object per point.
+the ``results`` of a work-queue chunk result and of a chunk-cache entry,
+and the ``params`` of an exploration's chunk job: one value per column (a
+nested table as a nested wire object), and a masked column ships only the
+cells its mask keeps, so a chunk travels as a few dozen columns instead of
+one object per point.  A float64, int64 or bool column ships as its raw
+little-endian bytes in base64, which NumPy writes and reads back without
+touching a value one by one; any other column is a JSON list.
 
 Rows never share a container with the table or with each other: list and
 dict cells are copied whenever a row is built, and a tuple cell is read out
@@ -40,6 +43,7 @@ list.
 
 from __future__ import annotations
 
+import binascii
 import bisect
 from collections.abc import Sequence
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Union
@@ -360,25 +364,46 @@ class ColumnTable(Sequence):
 # ------------------------------------------------------------------ wire form
 
 
-def to_wire(table: Union[ColumnTable, Sequence[Mapping[str, Any]]]) -> Dict[str, Any]:
+#: the wire dtype of each column dtype whose cells ship as raw bytes.
+_BINARY = {
+    np.dtype(np.float64): "<f8",
+    np.dtype(np.int64): "<i8",
+    np.dtype(bool): "|b1",
+}
+_DTYPES = {code: dtype for dtype, code in _BINARY.items()}
+
+
+def to_wire(
+    table: Union[ColumnTable, Sequence[Mapping[str, Any]]], allow_nan: bool = True
+) -> Dict[str, Any]:
     """The JSON-able wire form of ``table``: a table of at most one block
     (what a batch runner returns), or a sequence of row dicts read as
     :meth:`ColumnTable.of` reads it.
 
     ``{"length": n, "columns": {key: cells}, "masks": {key: bits}}``.
-    ``cells`` is the list of a column's values, or the wire object of a
-    nested table.  A masked key has ``bits``, one ``"0"`` or ``"1"`` per
-    row, and its cells (or nested rows) are those of the ``"1"`` rows only,
-    so what a producer left at masked positions never ships; a key that no
-    row carries is left out, and so is ``masks`` when no key is masked.
+    ``cells`` is the wire object of a nested table, or a column's values
+    in the form :func:`exact_column` types them: for float64, int64 or
+    bool values, ``{"dtype": "<f8" | "<i8" | "|b1", "b64": text}``, their
+    exact little-endian bytes in base64; for any other values, their JSON
+    list.  The form follows the values alone, never how the producer held
+    them (a list, an object array or a typed array), so a decoded table
+    encodes to the text it came from.  A masked key has ``bits``, one
+    ``"0"`` or ``"1"`` per row, and its cells (or nested rows) are those
+    of the ``"1"`` rows only, so what a producer left at masked positions
+    never ships; a key that no row carries is left out, and so is
+    ``masks`` when no key is masked.
+
     Keys must be ``str`` (``TypeError`` otherwise), since JSON would
     silently turn any other key into one; a table spliced from several
-    blocks (:meth:`ColumnTable.concat`) raises ``ValueError``.
+    blocks (:meth:`ColumnTable.concat`) raises ``ValueError``.  With
+    ``allow_nan=False``, a NaN or an infinity among the float64 cells that
+    ship as bytes raises ``ValueError``, as ``json.dumps(allow_nan=False)``
+    does for one in a list.
     """
     table = ColumnTable.of(table)
     if not table._blocks:
         return {"length": 0, "columns": {}}
-    return _wire_block(_one_block(table), None)
+    return _wire_block(_one_block(table), None, allow_nan)
 
 
 def _one_block(table: ColumnTable) -> _Columns:
@@ -390,7 +415,9 @@ def _one_block(table: ColumnTable) -> _Columns:
     return table._blocks[0]
 
 
-def _wire_block(block: _Columns, positions: Optional[np.ndarray]) -> Dict[str, Any]:
+def _wire_block(
+    block: _Columns, positions: Optional[np.ndarray], allow_nan: bool
+) -> Dict[str, Any]:
     """The wire object of ``block``'s rows at ``positions`` (every row when
     ``None``)."""
     columns: Dict[str, Any] = {}
@@ -410,7 +437,7 @@ def _wire_block(block: _Columns, positions: Optional[np.ndarray]) -> Dict[str, A
             if not present.all():
                 masks[key] = (present.view(np.uint8) + ord("0")).tobytes().decode()
                 kept = np.flatnonzero(mask) if positions is None else positions[present]
-        columns[key] = _wire_column(column, kept)
+        columns[key] = _wire_column(key, column, kept, allow_nan)
     length = block.length if positions is None else len(positions)
     wire: Dict[str, Any] = {"length": length, "columns": columns}
     if masks:
@@ -418,26 +445,58 @@ def _wire_block(block: _Columns, positions: Optional[np.ndarray]) -> Dict[str, A
     return wire
 
 
-def _wire_column(column: Any, kept: Optional[np.ndarray]) -> Any:
+def _wire_column(
+    key: str, column: Any, kept: Optional[np.ndarray], allow_nan: bool
+) -> Any:
     if isinstance(column, ColumnTable):
-        return _wire_block(_one_block(column), kept)
+        return _wire_block(_one_block(column), kept, allow_nan)
+    cells = _shipped_cells(column, kept)
+    if not isinstance(cells, np.ndarray):
+        return cells
+    if not allow_nan and cells.dtype == np.float64 and not np.isfinite(cells).all():
+        raise ValueError(
+            f"non-finite float in column {key!r}: NaN/Infinity cannot be "
+            "encoded with allow_nan=False"
+        )
+    code = _BINARY[cells.dtype]
+    return {"dtype": code, "b64": _base64(cells.astype(code, copy=False).tobytes())}
+
+
+def _base64(raw: bytes) -> str:
+    """``raw`` in standard base64, padded, on one line."""
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _shipped_cells(column: Any, kept: Optional[np.ndarray]) -> Any:
+    """The cells of ``column`` at rows ``kept`` (every row when ``None``):
+    an array of a dtype in :data:`_BINARY` when :func:`exact_column` types
+    them so, else their list."""
     if isinstance(column, np.ndarray):
-        return (column if kept is None else column[kept]).tolist()
-    if kept is None:
-        return list(column)
-    return [column[index] for index in kept.tolist()]
+        cells = column if kept is None else column[kept]
+        if cells.dtype in _BINARY:
+            return cells
+        values = cells.tolist()
+    elif kept is None:
+        values = list(column)
+    else:
+        values = [column[index] for index in kept.tolist()]
+    typed = exact_column(values)
+    return typed if typed.dtype in _BINARY else values
 
 
 def from_wire(wire: Any, length: Optional[int] = None) -> ColumnTable:
     """The table whose :func:`to_wire` form is ``wire`` (decoded JSON).
 
-    Every column comes back as an :func:`exact_column` array, a nested
-    table as a nested table.  Raises ``ValueError`` naming the first part
-    of ``wire`` that breaks the form: not an object, a length that is not
-    a count (or not ``length``, when given -- checked before anything is
-    decoded), a column whose cells do not match its rows, a mask that is
-    not a string of one ``"0"``/``"1"`` per row, a nested table of the
-    wrong length.
+    Every column comes back as an :func:`exact_column` array that owns its
+    memory (a binary column as the dtype it names), a nested table as a
+    nested table.  Raises ``ValueError`` naming the first part of
+    ``wire`` that breaks the form: not an object, a length that is not a
+    count (or not ``length``, when given -- checked before anything is
+    decoded), a column whose cells do not match its rows, a binary column
+    of an unknown dtype, of text that is not base64, or of a byte count
+    other than the dtype's item size times its rows, a mask that is not a
+    string of one ``"0"``/``"1"`` per row, a nested table of the wrong
+    length.
     """
     count = wire.get("length") if isinstance(wire, dict) else None
     if type(count) is not int or count < 0:
@@ -477,6 +536,8 @@ def _read_block(wire: Any, positions: np.ndarray, length: int, where: str) -> _C
             if len(cells) != len(kept):
                 raise ValueError(f"{name} has {len(cells)} cells for {len(kept)} rows")
             columns[key] = _spread(exact_column(cells), kept, length)
+        elif isinstance(cells, dict) and "dtype" in cells:
+            columns[key] = _spread(_read_binary(cells, len(kept), name), kept, length)
         else:
             nested = _read_block(cells, kept, length, name)
             columns[key] = ColumnTable._of_blocks([nested])
@@ -484,6 +545,31 @@ def _read_block(wire: Any, positions: np.ndarray, length: int, where: str) -> _C
             masks[key] = np.zeros(length, dtype=bool)
             masks[key][kept] = True
     return _Columns(columns, length, masks)
+
+
+def _read_binary(cells: Dict[str, Any], count: int, name: str) -> np.ndarray:
+    """The ``count`` values of the binary column ``cells``, as a fresh
+    native-order array of the dtype it names."""
+    code = cells["dtype"]
+    if not isinstance(code, str) or code not in _DTYPES:
+        raise ValueError(f"{name} has unknown dtype {code!r}")
+    text = cells.get("b64")
+    if not isinstance(text, str):
+        raise ValueError(f"{name} holds no base64 text")
+    try:
+        raw = binascii.a2b_base64(text)
+    except ValueError as error:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{name} holds invalid base64: {error}") from None
+    # The decoder skips stray characters; only the text that encoding the
+    # bytes gives back is taken, so a decoded table encodes to its text.
+    if _base64(raw) != text:
+        raise ValueError(f"{name} holds invalid base64: not the text of its bytes")
+    dtype = _DTYPES[code]
+    if len(raw) != dtype.itemsize * count:
+        raise ValueError(f"{name} has {len(raw)} bytes of {code} for {count} rows")
+    if dtype == bool and raw.translate(None, b"\x00\x01"):
+        raise ValueError(f"{name} has {code} bytes other than 0 and 1")
+    return np.frombuffer(raw, dtype=code).astype(dtype)
 
 
 def _spread(values: np.ndarray, kept: np.ndarray, length: int) -> np.ndarray:

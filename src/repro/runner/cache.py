@@ -35,13 +35,14 @@ encoder to the pure-Python one, which is 2-3x slower on a chunk's results.
 A chunk's data is encoded once however many files it lands in, and no text
 is built or read by hand to get there.  :func:`chunk_identity` encodes a
 chunk's kind, backend, code version and parameters in one canonical JSON
-text; its SHA-256 (:func:`identity_key`) is the chunk's key, and the same
-text is the second line of the chunk's spool job.  :func:`entry_text`
-encodes a chunk's entry: its results, in the column wire form of a table
-(:func:`repro.analysis.table.to_wire`), with the key and the rest of the
-identity but without the parameters.  A worker sends the entry as the
-second line of its result, and the submitter stores that line as it
-arrives.
+text -- a table of parameters in the column wire form of a table
+(:func:`repro.analysis.table.to_wire`), whose numeric columns are base64
+of their bytes; its SHA-256 (:func:`identity_key`) is the chunk's key, and
+the same text is the second line of the chunk's spool job.
+:func:`entry_text` encodes a chunk's entry: its results, in the same wire
+form, with the key and the rest of the identity but without the
+parameters.  A worker sends the entry as the second line of its result,
+and the submitter stores that line as it arrives.
 """
 
 from __future__ import annotations
@@ -167,22 +168,38 @@ def chunk_identity(
     kind: str, params_list: Sequence[Dict[str, Any]], backend: str
 ) -> str:
     """The identity text of one chunk: :func:`canonical_json` of its kind,
-    its points' parameter mappings (in order, since results splice back
+    its points' parameters (in order, since results splice back
     positionally), the backend and the code version.
+
+    A list of parameter mappings (a sweep's chunk) is encoded as that list
+    of dicts.  A :class:`~repro.analysis.table.ColumnTable` of them (a
+    slice of an exploration's parameter table) is encoded as its wire form
+    (:func:`~repro.analysis.table.to_wire`), whose numeric columns are
+    base64 bytes; a worker decodes it back to a table with
+    :func:`~repro.analysis.table.from_wire`, with no dict per point on
+    either side.  The wire form follows the cells, so a table of the
+    same rows, however its columns are held, has the same identity.
 
     The backend is part of it because the engine and analytic backends
     legitimately produce different results for the same point; the code
     version because a source edit must invalidate every entry (and lets
     :meth:`ResultCache.prune` sweep superseded ones).  The text is the
     second line of the chunk's spool job, and :func:`identity_key` hashes
-    it into the chunk's key.  Raises ``ValueError`` for a non-finite float.
+    it into the chunk's key.  Raises ``ValueError`` for a non-finite
+    float, in either form.
     """
+    from ..analysis.table import ColumnTable, to_wire  # NumPy: imported where used
+
+    if isinstance(params_list, ColumnTable):
+        params: Any = to_wire(params_list, allow_nan=False)
+    else:
+        params = [dict(params) for params in params_list]
     return canonical_json(
         {
             "backend": backend,
             "code_version": code_version(),
             "kind": kind,
-            "params": [dict(params) for params in params_list],
+            "params": params,
         }
     )
 

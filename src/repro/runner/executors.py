@@ -950,13 +950,21 @@ class WorkQueueExecutor(Executor):
     A job is two lines of JSON: ``{"code_version", "job",
     "segment_memo_dir"}``, then the chunk's identity text
     (:func:`~repro.runner.cache.chunk_identity`, the one the sweep keyed it
-    with, when it did).  Each chunk is shipped as soon as the input yields
-    it, before the next chunk is drawn, so the first job reaches a worker
-    while later chunks are still being keyed.  The executor then keeps only
-    ``(kind, params, key)`` per job, enough to rebuild the pristine job for
-    a retry and to check the result.  A result is ``{"job", "worker"}``
-    (plus ``error`` or the piggybacked ``segment_memo``), then, for a chunk
-    that ran, its cache entry (:func:`~repro.runner.cache.entry_text`).
+    with, when it did).  The identity carries a sweep chunk's parameters
+    as a list of dicts, and an exploration chunk's parameter table in its
+    column wire form (:func:`~repro.analysis.table.to_wire`), whose
+    numeric columns are base64 of their bytes; the worker decodes that
+    form straight into a table for the batch runner, and a table that does
+    not decode is a ``corrupt-job``.  Each chunk is shipped as soon as the
+    input yields it, before the next chunk is drawn, so the first job
+    reaches a worker while later chunks are still being keyed.  The
+    executor then keeps only ``(kind, params, key)`` per job, enough to
+    rebuild the pristine job for a retry and to check the result.  A
+    result is ``{"job", "worker"}`` (plus ``error`` or the piggybacked
+    ``segment_memo``), then, for a chunk that ran, its cache entry
+    (:func:`~repro.runner.cache.entry_text`), whose results are a table's
+    wire form too, decoded here with
+    :func:`~repro.analysis.table.from_wire` without a dict per point.
     Results are validated and handed to ``on_result`` as they are
     collected, in completion order, together with the entry text, so
     chunk-cache writes store it as it arrived and overlap the workers'

@@ -223,7 +223,8 @@ def _run_chunk(
     parameter table) as is, and copies of the mappings of any other chunk.
     Module-level and bound only to JSON-able arguments so it crosses pickle
     (pool) and JSON (workqueue) boundaries; the workqueue worker rebuilds
-    this exact call from the job payload.  Returns a
+    this exact call from the job payload, a parameter table decoded from
+    its wire form still a table.  Returns a
     :class:`~repro.analysis.table.ColumnTable` of the per-point results (in
     chunk order; a scalar runner's row dicts become one) plus the chunk's
     wall seconds.

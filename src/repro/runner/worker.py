@@ -11,7 +11,8 @@ a dying worker held).
 
 Execution is the same code path as every other executor:
 :func:`repro.runner.sweep._run_chunk` on the job's **chunk** -- the one job
-shape, a ``(kind, params-list)`` pair run as one batch-runner call, or one
+shape, a ``(kind, params)`` pair (a list of mappings, or a column table
+decoded from its wire form) run as one batch-runner call, or one
 scalar-runner call for a kind without a batch runner -- with the job's
 segment-memo directory attached first.  Results are byte-identical to an
 in-process run, and concurrent workers share memo and cache entries through
@@ -77,6 +78,13 @@ def _execute(claimed, worker_id: str) -> Optional[_Result]:
     ``KeyboardInterrupt``/``SystemExit`` are deliberately *not* caught: a
     killed worker must look like a dead worker (claim left behind,
     recovered by orphan requeue), not like a failed job.
+
+    The identity's ``params`` are a list of mappings (a sweep's chunk) or
+    the wire form of a parameter table (an exploration's chunk, see
+    :func:`~repro.runner.cache.chunk_identity`).  A table is decoded with
+    :func:`~repro.analysis.table.from_wire` and handed to the batch runner
+    as a table, so no dict is built per point; a malformed one is a
+    ``corrupt-job``.
     """
     job_id = claimed.job_id
     try:
@@ -111,8 +119,12 @@ def _execute(claimed, worker_id: str) -> Optional[_Result]:
     try:
         chunk = decode_json_object(identity)
         kind, params_list, backend = chunk["kind"], chunk["params"], chunk["backend"]
-        if not isinstance(params_list, list):
-            raise TypeError("chunk params must be a list")
+        if isinstance(params_list, dict):
+            from ..analysis.table import from_wire  # NumPy: imported where used
+
+            params_list = from_wire(params_list)
+        elif not isinstance(params_list, list):
+            raise TypeError("chunk params must be a list or a table object")
     except (ValueError, KeyError, TypeError) as error:
         return _error(
             job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"

@@ -8,11 +8,19 @@ ints and floats, ``None`` and sequences, ``-0.0``, random masks, nested
 masked tables -- and for any list of row dicts, the decoded JSON text reads
 as the same rows, encodes to the same canonical JSON, and gives every
 key's column in the same dtype.
+
+Float64, int64 and bool columns ship as base64 of their little-endian
+bytes: the form follows the cells, not the container that held them, the
+bytes round-trip bit for bit (``-0.0``, the int64 extremes, NaN and the
+infinities of a result), and a binary column whose dtype, base64 text or
+byte count is wrong is refused with the column's name.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -139,10 +147,11 @@ def test_masked_cells_never_ship():
         },
     )
     wire = to_wire(table)
-    assert str(junk) not in json.dumps(wire)
+    # The kept cells ship as their bytes alone: one float64 each.
     assert wire["masks"] == {"link_s": "010", "stage_bounds_s": "010"}
+    assert wire["columns"]["link_s"] == _binary("<f8", [0.5])
     assert wire["columns"]["stage_bounds_s"] == {
-        "length": 1, "columns": {"chip0": [0.25]}}
+        "length": 1, "columns": {"chip0": _binary("<f8", [0.25])}}
     assert from_wire(wire) == [
         {"latency_s": 1.0},
         {"latency_s": 2.0, "link_s": 0.5, "stage_bounds_s": {"chip0": 0.25}},
@@ -196,3 +205,113 @@ def test_a_table_of_several_blocks_is_rejected():
     table = ColumnTable({"e": np.array([1, 2])})
     with pytest.raises(ValueError, match="2 blocks"):
         to_wire(ColumnTable.concat([table, table]))
+
+
+def _binary(code, values):
+    """The wire object of a binary column holding ``values`` as ``code``."""
+    raw = np.array(values, dtype=code).tobytes()
+    return {"dtype": code, "b64": base64.b64encode(raw).decode("ascii")}
+
+
+@pytest.mark.parametrize("wire, problem", [
+    ({"length": 2, "columns": {"e": _binary("<f8", [1.0])}},
+     "'e' has 8 bytes of <f8 for 2 rows"),
+    ({"length": 1, "columns": {"e": {"dtype": "<i8", "b64": "AQ=="}}},
+     "'e' has 1 bytes of <i8 for 1 rows"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f4", "b64": "AACAPw=="}}},
+     "'e' has unknown dtype '<f4'"),
+    ({"length": 1, "columns": {"e": {"dtype": ["<f8"], "b64": ""}}},
+     "'e' has unknown dtype"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f8", "b64": "AAAA*AAAAAA="}}},
+     "'e' holds invalid base64"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f8", "b64": "AAAAAAAA8D8"}}},
+     "'e' holds invalid base64"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f8", "b64": "éAAAAAAA8D8="}}},
+     "'e' holds invalid base64"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f8", "b64": "AAAAAAAA8D9="}}},
+     "'e' holds invalid base64: not the text of its bytes"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f8", "b64": "AAAA\nAAAAAAA="}}},
+     "'e' holds invalid base64: not the text of its bytes"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f8", "b64": "AAAAAAAA8D8=AA"}}},
+     "'e' holds invalid base64"),
+    ({"length": 1, "columns": {"e": {"dtype": "<f8"}}}, "'e' holds no base64"),
+    ({"length": 1, "columns": {"e": {"dtype": "|b1", "b64": "Ag=="}}},
+     "'e' has |b1 bytes other than 0 and 1"),
+    # A masked binary column carries the kept rows' bytes only.
+    ({"length": 3, "columns": {"e": _binary("<f8", [1.0, 2.0, 3.0])},
+      "masks": {"e": "010"}}, "'e' has 24 bytes of <f8 for 1 rows"),
+    ({"length": 2, "columns": {"n": {"length": 2, "columns": {
+        "e": _binary("<i8", [1, 2])}, "masks": {"e": "01"}}}},
+     "'n' column 'e' has 16 bytes of <i8 for 1 rows"),
+], ids=["short-bytes", "partial-item", "unknown-dtype", "unhashable-dtype",
+        "bad-character", "bad-padding", "non-ascii", "stray-bits",
+        "embedded-newline", "data-after-padding", "no-text", "bool-not-0-or-1",
+        "bytes-of-every-row-under-a-mask", "nested-bytes-under-a-mask"])
+def test_malformed_binary_columns_raise_value_error(wire, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        from_wire(wire)
+
+
+def test_the_form_follows_the_cells_not_the_container():
+    floats = [0.5, -0.0, 1e300]
+    forms = [
+        ColumnTable({"x": floats}),
+        ColumnTable({"x": np.array(floats, dtype=object)}),
+        ColumnTable({"x": np.array(floats)}),
+        [{"x": value} for value in floats],
+    ]
+    texts = {json.dumps(to_wire(form), sort_keys=True) for form in forms}
+    assert texts == {json.dumps({"columns": {"x": _binary("<f8", floats)},
+                                 "length": 3}, sort_keys=True)}
+    # Cells that exact_column keeps as objects stay a JSON list.
+    for cells in ([1, 2.5], [2**63, 1], [None, 1.0], ["a", "b"], [[1], [2]]):
+        assert to_wire(ColumnTable({"x": cells}))["columns"]["x"] == cells
+        array = np.array(cells + [0], dtype=object)[:-1]
+        assert to_wire(ColumnTable({"x": array}))["columns"]["x"] == cells
+
+
+def test_the_list_and_binary_forms_of_a_table_decode_alike():
+    values = {"f": [0.5, -0.0, 2.0], "i": [-(2**63), 0, 2**63 - 1],
+              "b": [True, False, True]}
+    listed = {"length": 3, "columns": dict(values)}
+    binary = {"length": 3, "columns": {
+        "f": _binary("<f8", values["f"]), "i": _binary("<i8", values["i"]),
+        "b": _binary("|b1", values["b"])}}
+    assert to_wire(from_wire(listed)) == binary
+    from_list, from_bytes = from_wire(listed), from_wire(binary)
+    assert from_list == from_bytes
+    for key in values:
+        assert from_list.column(key).dtype == from_bytes.column(key).dtype
+        assert [type(v) for v in from_bytes.column(key).tolist()] == [
+            type(v) for v in values[key]]
+
+
+@pytest.mark.parametrize("cells, code", [
+    ([-0.0, 0.0, -1.5], "<f8"),
+    ([-(2**63), 2**63 - 1, 0, -1], "<i8"),
+    ([True, False, False], "|b1"),
+    ([float("nan"), float("inf"), float("-inf"), 1.0], "<f8"),
+], ids=["signed-zero", "int64-extremes", "bools", "non-finite-results"])
+def test_binary_columns_round_trip_bit_for_bit(cells, code):
+    table = ColumnTable({"x": cells})
+    wire = to_wire(table)
+    assert wire["columns"]["x"]["dtype"] == code
+    back = from_wire(json.loads(json.dumps(wire)))
+    column = back.column("x")
+    expected = np.array(cells, dtype=code)
+    assert column.tobytes() == expected.tobytes()
+    assert column.dtype == expected.dtype
+    # The array owns its memory: a reader may write to it.
+    assert column.flags.writeable and column.flags.owndata
+    column[0] = column[1]
+
+
+def test_allow_nan_false_rejects_non_finite_bytes_only():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-finite float in column 'x'"):
+            to_wire(ColumnTable({"x": [1.0, bad]}), allow_nan=False)
+        with pytest.raises(ValueError, match="non-finite float in column 'x'"):
+            to_wire(ColumnTable({"n": ColumnTable({"x": [bad]})}), allow_nan=False)
+    # A masked-out cell never ships, so it is not checked either.
+    masked = ColumnTable({"x": [float("nan"), 1.0]}, {"x": np.array([False, True])})
+    assert to_wire(masked, allow_nan=False) == to_wire(masked)

@@ -16,6 +16,7 @@ the problem.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.analysis.table import ColumnTable  # noqa: E402
+from repro.analysis.table import ColumnTable, from_wire  # noqa: E402
 from repro.explore import (Axis, Constraint, DesignSpace,  # noqa: E402
                            SearchStrategy, get_space, run_exploration)
 from repro.explore.space import Assignments, scale_seq_len  # noqa: E402
@@ -217,7 +218,8 @@ def test_explorer_rejects_a_hand_built_infeasible_assignment():
 def test_chunk_identity_texts_are_those_of_the_point_params(name, fidelity):
     # The text that keys a chunk, ships in its job and names its cache
     # entry is the same whether the chunk is a slice of a position table
-    # or a list of point_params dicts.
+    # or a table of point_params dicts, and the rows a worker decodes from
+    # it are the point_params, value for value and type for type.
     space = get_space(name)
     table = space.params_table(np.arange(space.feasible_count()), fidelity)
     dicts = [space.point_params(point, fidelity) for point in space.points()]
@@ -225,8 +227,12 @@ def test_chunk_identity_texts_are_those_of_the_point_params(name, fidelity):
     for start, stop in partition_chunks(len(dicts), size):
         chunk = table[start:stop]
         assert isinstance(chunk, ColumnTable)
-        assert chunk_identity(space.kind, chunk, "analytic") == chunk_identity(
-            space.kind, dicts[start:stop], "analytic")
+        identity = chunk_identity(space.kind, chunk, "analytic")
+        assert identity == chunk_identity(
+            space.kind, ColumnTable.of(dicts[start:stop]), "analytic")
+        decoded = list(from_wire(json.loads(identity)["params"]))
+        assert canonical_json(_typed(decoded)) == canonical_json(
+            _typed(dicts[start:stop]))
 
 
 def test_table_slices_share_columns_and_read_defaults():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
 
+from repro.analysis.table import ColumnTable, from_wire, to_wire
 from repro.runner import REGISTRY, ResultCache, code_version
 from repro.runner.cache import (chunk_identity, decode_json_object,
                                 read_json_object, write_json_atomic)
@@ -198,6 +200,28 @@ class TestChunkTexts:
         assert cache.chunk_key("k/\u00fc", params, "analytic") == \
             cache.chunk_key("k/\u00fc", params, "analytic", identity=identity)
 
+    def test_a_table_of_params_keys_as_its_wire_form(self, cache):
+        params = [{"n_msgs": 10, "scale": 0.5, "model": "m"},
+                  {"n_msgs": 11, "scale": -0.0, "model": "m"}]
+        table = ColumnTable.of(params)
+        identity = chunk_identity("k", table, "analytic")
+        assert json.loads(identity)["params"] == to_wire(table)
+        assert from_wire(json.loads(identity)["params"]) == params
+        # Sweeps keep the list of dicts: their keys do not change.
+        assert json.loads(chunk_identity("k", params, "analytic"))[
+            "params"] == params
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("form", [list, ColumnTable.of],
+                             ids=["dicts", "table"])
+    def test_non_finite_params_are_rejected_in_either_form(self, bad, form):
+        params = form([{"n_msgs": 10, "scale": 0.5},
+                       {"n_msgs": 11, "scale": bad}])
+        with pytest.raises(ValueError,
+                           match="non-finite float in .*NaN/Infinity cannot be"):
+            chunk_identity("k", params, "analytic")
+
     def test_entry_holds_the_full_key_and_no_params(self, cache):
         scenario = _scenario()
         path = cache.store(scenario, {"events": 1}, elapsed_s=0.5)
@@ -208,7 +232,9 @@ class TestChunkTexts:
             "elapsed_s": 0.5,
             "key": cache.chunk_key(scenario.kind, [scenario.params]),
             "kind": scenario.kind,
-            "results": {"length": 1, "columns": {"events": [1]}}}
+            "results": {"length": 1, "columns": {"events": {
+                "dtype": "<i8", "b64": base64.b64encode(
+                    (1).to_bytes(8, "little")).decode()}}}}
 
 
 class TestPrune:

@@ -9,6 +9,7 @@ requeue, and the in-process worker loop.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import threading
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from repro.analysis.table import from_wire
+from repro.analysis.table import ColumnTable, from_wire
 from repro.runner import REGISTRY
 from repro.runner.cache import chunk_identity, code_version, identity_key
 from repro.runner.executors import (ProcessPoolExecutor, SerialExecutor, Spool,
@@ -50,6 +51,30 @@ def _result_lines(text):
 def _key_of(claimed):
     """The key of a claimed job's chunk: the hash of its identity line."""
     return identity_key(claimed.read().partition("\n")[2])
+
+
+def _damage_params(job, damage):
+    """``job``'s text with ``damage`` applied to its parameter table."""
+    head, _, identity = job.partition("\n")
+    chunk = json.loads(identity)
+    damage(chunk["params"])
+    return head + "\n" + json.dumps(chunk)
+
+
+def _wrong_byte_count(job):
+    """``job`` with a second row's bytes in its first int column."""
+    def damage(params):
+        column = next(iter(params["columns"].values()))
+        raw = base64.b64decode(column["b64"])
+        column["b64"] = base64.b64encode(raw * 2).decode()
+    return _damage_params(job, damage)
+
+
+def _wrong_length(job):
+    """``job`` whose parameter table claims one row more than it holds."""
+    def damage(params):
+        params["length"] += 1
+    return _damage_params(job, damage)
 
 
 CHEAP = Scenario(name="unit/chain", kind="engine_chain",
@@ -385,6 +410,19 @@ class TestWorkerLoop:
         result = json.loads(spool.result_path("j.00000").read_text())
         assert result["error"]["type"] == "corrupt-job"
 
+    @pytest.mark.parametrize("damage", [_wrong_byte_count, _wrong_length],
+                             ids=["wrong-byte-count", "wrong-length"])
+    def test_malformed_params_table_is_a_corrupt_job(self, tmp_path, damage):
+        spool = Spool(tmp_path / "spool").ensure()
+        kind, params = _chunk(CHEAP)
+        identity = chunk_identity(kind, ColumnTable.of(params), "engine")
+        spool.enqueue("j.00000", damage(_job_payload(
+            "j.00000", CHEAP, identity=identity)))
+        run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
+        result = json.loads(spool.result_path("j.00000").read_text())
+        assert result["error"]["type"] == "corrupt-job"
+        assert "bytes of <i8 for" in result["error"]["message"]
+
     def test_vanished_claim_publishes_nothing(self, tmp_path):
         # A stalled worker whose claim was orphan-requeued away must not
         # publish anything (it would clobber the new owner's result) and
@@ -420,12 +458,15 @@ class TestWorkQueueExecutorRecovery:
     every interleaving is deterministic."""
 
     def _submit_async(self, executor, scenarios):
+        return self._submit_chunks_async(
+            executor, [_chunk(scenario) for scenario in scenarios])
+
+    def _submit_chunks_async(self, executor, chunks):
         box = {}
 
         def target():
             try:
-                box["results"] = executor.submit_chunks(
-                    [_chunk(scenario) for scenario in scenarios], None)
+                box["results"] = executor.submit_chunks(chunks, None)
             except BaseException as error:  # noqa: BLE001 - reported by test
                 box["error"] = error
 
@@ -583,6 +624,36 @@ class TestWorkQueueExecutorRecovery:
         executor.spool.finish(claimed, damage(head, entry))
         # The submitter republishes the pristine job, and a healthy worker
         # completes the batch.
+        self._wait_for(lambda: list(executor.spool.pending_dir.glob("*.json")),
+                       message="job republication")
+        (republished,) = executor.spool.pending_dir.glob("*.json")
+        assert republished.read_text() == pristine
+        run_worker(executor.spool.root, poll_s=0.01, max_jobs=1,
+                   worker_id="healthy-worker")
+        thread.join(timeout=30.0)
+        assert "error" not in box, box.get("error")
+        ((table, _),) = box["results"]
+        assert table == [REGISTRY.run(CHEAP)]
+
+    @pytest.mark.parametrize("damage", [_wrong_byte_count, _wrong_length],
+                             ids=["wrong-byte-count", "wrong-length"])
+    def test_corrupted_params_table_is_retried(self, tmp_path, damage):
+        executor = WorkQueueExecutor(tmp_path / "spool", poll_s=0.01,
+                                     timeout_s=60.0, max_requeues=1)
+        executor.configure("engine", None)
+        thread, box = self._submit_chunks_async(
+            executor, [(CHEAP.kind, ColumnTable.of([dict(CHEAP.params)]))])
+        self._wait_for(lambda: list(executor.spool.pending_dir.glob("*.json")),
+                       message="job publication")
+        # The job's parameter table is damaged on its way to the worker.
+        (pending,) = executor.spool.pending_dir.glob("*.json")
+        pristine = pending.read_text()
+        assert json.loads(pristine.partition("\n")[2])["params"]["length"] == 1
+        pending.write_text(damage(pristine))
+        run_worker(executor.spool.root, poll_s=0.01, max_jobs=1,
+                   worker_id="unlucky-worker")
+        # The worker reports a corrupt job, not an exception; the submitter
+        # republishes the pristine job, and a healthy worker completes it.
         self._wait_for(lambda: list(executor.spool.pending_dir.glob("*.json")),
                        message="job republication")
         (republished,) = executor.spool.pending_dir.glob("*.json")
