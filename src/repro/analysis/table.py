@@ -26,7 +26,7 @@ splices tables' blocks in order without converting any.
 
 :func:`to_wire` and :func:`from_wire` are the one JSON form of a table --
 the ``results`` of a work-queue chunk result and of a chunk-cache entry,
-and the ``params`` of an exploration's chunk job: one value per column (a
+and the ``params`` of every chunk job: one value per column (a
 nested table as a nested wire object), and a masked column ships only the
 cells its mask keeps, so a chunk travels as a few dozen columns instead of
 one object per point.  A float64, int64 or bool column ships as its raw
@@ -36,9 +36,8 @@ touching a value one by one; any other column is a JSON list.
 Rows never share a container with the table or with each other: list and
 dict cells are copied whenever a row is built, and a tuple cell is read out
 as a fresh list (the JSON array it encodes to).  A table compares equal to
-a list of the same rows, and the runner's JSON encoders
-(:func:`repro.runner.scenarios.json_default`) write it as exactly that
-list.
+a list of the same rows.  :mod:`json` does not encode a table: it ships as
+its wire form, or as ``list(table)`` where rows are wanted.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ rank agreement between proxy and verified latency orderings.
 
 from __future__ import annotations
 
-import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -273,50 +272,23 @@ def validate_weights(
 def _first_occurrences(
     space: DesignSpace, assignments: Sequence[Mapping[str, Any]]
 ) -> List[int]:
-    """The positions of the first assignment of each point id, in order,
-    without hashing an id per assignment (a strategy may legitimately
-    revisit points).
+    """The positions of the first assignment of each point id, in order
+    (a strategy may legitimately revisit points).
 
     The space's own :class:`~repro.explore.space.Assignments` key on their
-    positions in the space: two positions are one point id exactly when
-    they are equal.  For any other sequence, the cheap key is an
-    assignment's values, read in the first assignment's axis order.  An
-    :class:`Axis` holds no two equal values, so two points of one space
-    share that key exactly when they share a point id.  An assignment with
-    other axis names or an unhashable value keys on its id, and a tie
-    between cheap keys is settled by the ids, since equal values may still
-    differ in canonical JSON (``1`` and ``1.0`` in an assignment built by
-    hand).
+    positions in the space, without hashing an id per assignment: two
+    positions are one point id exactly when they are equal.  Any other
+    sequence keys on :meth:`DesignSpace.point_id`.
     """
     if isinstance(assignments, Assignments) and assignments.space is space:
         _, first = np.unique(assignments.positions, return_index=True)
         return np.sort(first).tolist()
-    names = tuple(assignments[0]) if assignments else ()
-    values_of = operator.itemgetter(*names) if names else (lambda _: ())
+    seen: Set[str] = set()
     pool: List[int] = []
-    first: Dict[Any, Mapping[str, Any]] = {}
-    tied_ids: Dict[Any, Set[str]] = {}
     for position, assignment in enumerate(assignments):
-        key: Any = None
-        if len(assignment) == len(names):
-            try:
-                key = (values_of(assignment),)
-                head = first.get(key)
-            except (KeyError, TypeError):  # other names, or an unhashable value
-                key = None
-        if key is None:
-            key = space.point_id(assignment)
-            head = first.get(key)
-        if head is None:
-            first[key] = assignment
-            pool.append(position)
-            continue
-        ids = tied_ids.get(key)
-        if ids is None:
-            ids = tied_ids[key] = {space.point_id(head)}
-        point_id = key if isinstance(key, str) else space.point_id(assignment)
-        if point_id not in ids:
-            ids.add(point_id)
+        point_id = space.point_id(assignment)
+        if point_id not in seen:
+            seen.add(point_id)
             pool.append(position)
     return pool
 

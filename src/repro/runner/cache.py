@@ -1,9 +1,9 @@
 """On-disk result cache for scenario runs, plus the segment-level memo.
 
 The cache holds one kind of entry, the **chunk entry**
-``chunk__<kind>-<key>.json``: the results of one ``(kind, [params, ...])``
-chunk job, keyed by a stable hash of the kind and every point's parameters
-(in order), the execution backend, *and* the code version -- a content hash
+``chunk__<kind>-<key>.json``: the results of one ``(kind, params)`` chunk
+job, keyed by a stable hash of the kind and every point's parameters (in
+order), the execution backend, *and* the code version -- a content hash
 over every ``.py`` file of the :mod:`repro` package.  A chunk job is the
 cache unit: sweeps and explorations alike store one entry per chunk job
 they run (:func:`repro.runner.sweep._evaluate_chunks`), so a scenario run
@@ -35,7 +35,7 @@ encoder to the pure-Python one, which is 2-3x slower on a chunk's results.
 A chunk's data is encoded once however many files it lands in, and no text
 is built or read by hand to get there.  :func:`chunk_identity` encodes a
 chunk's kind, backend, code version and parameters in one canonical JSON
-text -- a table of parameters in the column wire form of a table
+text -- the parameters in the column wire form of a table
 (:func:`repro.analysis.table.to_wire`), whose numeric columns are base64
 of their bytes; its SHA-256 (:func:`identity_key`) is the chunk's key, and
 the same text is the second line of the chunk's spool job.
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from .scenarios import DEFAULT_BACKEND, Scenario, canonical_json, json_default
+from .scenarios import DEFAULT_BACKEND, Scenario, canonical_json
 
 __all__ = [
     "PruneStats",
@@ -104,16 +104,15 @@ def json_text(payload: Any) -> str:
     """The text of the JSON file that holds ``payload``.
 
     A ``str`` is taken to be JSON text already and is not encoded again.
-    Anything else is encoded key-sorted on one line, a
-    :class:`~repro.analysis.table.ColumnTable` as the list of its rows.
-    There is deliberately no ``indent``:
+    Anything else is encoded key-sorted on one line.  There is deliberately
+    no ``indent``:
     any ``indent`` makes CPython's :mod:`json` skip its C encoder for the
     pure-Python one, 2-3x slower on a 3,840-point chunk's results.  The
     default separators stay, so the text still reads ``"key": value``.
     """
     if isinstance(payload, str):
         return payload
-    return json.dumps(payload, sort_keys=True, default=json_default)
+    return json.dumps(payload, sort_keys=True)
 
 
 def write_json_atomic(path: os.PathLike, payload: Any) -> Path:
@@ -171,14 +170,14 @@ def chunk_identity(
     its points' parameters (in order, since results splice back
     positionally), the backend and the code version.
 
-    A list of parameter mappings (a sweep's chunk) is encoded as that list
-    of dicts.  A :class:`~repro.analysis.table.ColumnTable` of them (a
-    slice of an exploration's parameter table) is encoded as its wire form
-    (:func:`~repro.analysis.table.to_wire`), whose numeric columns are
-    base64 bytes; a worker decodes it back to a table with
-    :func:`~repro.analysis.table.from_wire`, with no dict per point on
-    either side.  The wire form follows the cells, so a table of the
-    same rows, however its columns are held, has the same identity.
+    The parameters are encoded as the wire form
+    (:func:`~repro.analysis.table.to_wire`) of their
+    :class:`~repro.analysis.table.ColumnTable` -- a sequence of mappings
+    is read as :meth:`~repro.analysis.table.ColumnTable.of` reads it --
+    whose numeric columns are base64 bytes; a worker decodes it back to a
+    table with :func:`~repro.analysis.table.from_wire`, with no dict per
+    point on either side.  The wire form follows the cells, so the same
+    rows, however they are held, have the same identity.
 
     The backend is part of it because the engine and analytic backends
     legitimately produce different results for the same point; the code
@@ -186,20 +185,16 @@ def chunk_identity(
     :meth:`ResultCache.prune` sweep superseded ones).  The text is the
     second line of the chunk's spool job, and :func:`identity_key` hashes
     it into the chunk's key.  Raises ``ValueError`` for a non-finite
-    float, in either form.
+    float.
     """
-    from ..analysis.table import ColumnTable, to_wire  # NumPy: imported where used
+    from ..analysis.table import to_wire  # NumPy: imported where used
 
-    if isinstance(params_list, ColumnTable):
-        params: Any = to_wire(params_list, allow_nan=False)
-    else:
-        params = [dict(params) for params in params_list]
     return canonical_json(
         {
             "backend": backend,
             "code_version": code_version(),
             "kind": kind,
-            "params": params,
+            "params": to_wire(params_list, allow_nan=False),
         }
     )
 
@@ -281,8 +276,8 @@ _TMP_GRACE_S = 3600.0
 class ResultCache:
     """A directory of ``chunk__<kind>-<key prefix>.json`` chunk entries.
 
-    One entry holds the results of one ``(kind, [params, ...])`` chunk job,
-    the cache unit of every sweep and exploration (see
+    One entry holds the results of one ``(kind, params)`` chunk job, the
+    cache unit of every sweep and exploration (see
     :func:`repro.runner.sweep._evaluate_chunks`).  :meth:`store` and
     :meth:`load` address the entry of a chunk of one, ``[scenario.params]``,
     by scenario.  Segment-memo entries live under :attr:`segments_dir` and
@@ -396,11 +391,10 @@ class ResultCache:
         corrupted, partial, or foreign entry (a key-prefix collision, a
         manual edit) is a plain miss.  The full key stands in for the
         parameters, which the entry does not hold; the returned entry
-        carries the requested ones as ``params`` (a table of them as is,
-        so a hit builds no parameter row).  Entries of older code versions
-        hash to other paths, so there is no migration.
+        carries the requested ones as ``params``, as given.  Entries of
+        older code versions hash to other paths, so there is no migration.
         """
-        from ..analysis.table import ColumnTable, from_wire  # NumPy: where used
+        from ..analysis.table import from_wire  # NumPy: imported where used
 
         key = self.chunk_key(kind, params_list, backend, identity=identity)
         try:
@@ -418,8 +412,6 @@ class ResultCache:
             payload["results"] = from_wire(payload.get("results"), len(params_list))
         except ValueError:
             return None
-        if not isinstance(params_list, ColumnTable):
-            params_list = list(params_list)
         payload["params"] = params_list
         return payload
 

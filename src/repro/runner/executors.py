@@ -26,7 +26,8 @@ on another host).  ``tests/differential/test_executor_contract.py`` pins
 serial == pool == workqueue differentially.
 
 Executors carry one job shape, the **chunk job**
-(:meth:`Executor.submit_chunks`): a ``(kind, [params, ...])`` pair.  A
+(:meth:`Executor.submit_chunks`): a ``(kind, params)`` pair, ``params`` a
+:class:`~repro.analysis.table.ColumnTable` of its points' parameters.  A
 batch-capable kind ships contiguous slices of a generation, each evaluated
 in a single batch-runner call wherever the job lands, so fanning out a
 sharded generation costs one job per *chunk* instead of one per point and
@@ -87,11 +88,9 @@ __all__ = [
 
 class ChunkJob(tuple):
     """One **chunk job**, ``(kind, params)``: a scenario kind plus the
-    parameter mappings of a contiguous slice of points -- one point for a
-    kind without a batch runner.  ``params`` is a list of mappings or a
-    :class:`~repro.analysis.table.ColumnTable` of them (a slice of an
-    exploration's parameter table).  A plain ``(kind, params)`` tuple is a
-    chunk job too.
+    :class:`~repro.analysis.table.ColumnTable` of the parameters of a
+    contiguous slice of points -- one point for a kind without a batch
+    runner.  A plain ``(kind, params)`` tuple is a chunk job too.
 
     ``identity`` is the chunk's identity text
     (:func:`repro.runner.cache.chunk_identity`) when the submitter built it
@@ -103,7 +102,7 @@ class ChunkJob(tuple):
     def __new__(
         cls,
         kind: str,
-        params: Sequence[Dict[str, Any]],
+        params: "ColumnTable",
         identity: Optional[str] = None,
     ) -> "ChunkJob":
         job = super().__new__(cls, (kind, params))
@@ -448,12 +447,16 @@ class Spool:
 
         Claiming is the atomic rename described in the class docstring;
         contention with other workers is resolved by the filesystem (the
-        losers skip to the next pending file).  The claim file is touched
-        after the rename: ``os.replace`` preserves the *submission-time*
-        mtime, and until the worker's first heartbeat that mtime is what
-        orphan detection falls back on -- a job that sat in ``pending/``
-        longer than the orphan timeout would otherwise look abandoned the
-        instant it was claimed, and two workers would execute it.
+        losers, whose rename finds the file gone, skip to the next pending
+        file).  Any other error of the rename -- a permission denied, a
+        full disk -- propagates: skipping the job would leave it pending
+        forever while the worker lists it again and again.  The claim file
+        is touched after the rename: ``os.replace`` preserves the
+        *submission-time* mtime, and until the worker's first heartbeat
+        that mtime is what orphan detection falls back on -- a job that sat
+        in ``pending/`` longer than the orphan timeout would otherwise look
+        abandoned the instant it was claimed, and two workers would execute
+        it.
 
         The sorted directory listing is cached on this instance and consumed
         across calls, so claiming a backlog of n jobs costs O(n) listings in
@@ -486,8 +489,6 @@ class Spool:
                 os.replace(path, target)
             except FileNotFoundError:
                 continue  # another worker won this claim
-            except OSError:
-                continue
             try:
                 os.utime(target)
             except OSError:
@@ -950,14 +951,13 @@ class WorkQueueExecutor(Executor):
     A job is two lines of JSON: ``{"code_version", "job",
     "segment_memo_dir"}``, then the chunk's identity text
     (:func:`~repro.runner.cache.chunk_identity`, the one the sweep keyed it
-    with, when it did).  The identity carries a sweep chunk's parameters
-    as a list of dicts, and an exploration chunk's parameter table in its
-    column wire form (:func:`~repro.analysis.table.to_wire`), whose
+    with, when it did).  The identity carries the chunk's parameter table
+    in its column wire form (:func:`~repro.analysis.table.to_wire`), whose
     numeric columns are base64 of their bytes; the worker decodes that
-    form straight into a table for the batch runner, and a table that does
-    not decode is a ``corrupt-job``.  Each chunk is shipped as soon as the
-    input yields it, before the next chunk is drawn, so the first job
-    reaches a worker while later chunks are still being keyed.  The
+    form straight into a table for the batch runner, and parameters that
+    do not decode as a table are a ``corrupt-job``.  Each chunk is shipped
+    as soon as the input yields it, before the next chunk is drawn, so the
+    first job reaches a worker while later chunks are still being keyed.  The
     executor then keeps only ``(kind, params, key)`` per job, enough to
     rebuild the pristine job for a retry and to check the result.  A
     result is ``{"job", "worker"}`` (plus ``error`` or the piggybacked

@@ -45,7 +45,6 @@ __all__ = [
     "ScenarioRegistry",
     "REGISTRY",
     "canonical_json",
-    "json_default",
     "BACKENDS",
     "DEFAULT_BACKEND",
 ]
@@ -58,39 +57,16 @@ BACKENDS: Tuple[str, ...] = ("engine", "analytic")
 DEFAULT_BACKEND = "engine"
 
 
-def json_default(value: Any) -> Any:
-    """The ``json.dumps`` ``default`` hook of every JSON text the runner
-    writes: a :class:`~repro.analysis.table.ColumnTable` encodes as the
-    list of its rows, byte for byte.
-
-    Only a value JSON cannot encode reaches the hook, so the table module
-    is imported only once a table is being encoded.
-    """
-    from ..analysis.table import ColumnTable
-
-    if isinstance(value, ColumnTable):
-        return list(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def canonical_json(value: Any) -> str:
     """A stable, whitespace-free JSON encoding used for hashing and equality.
 
     Non-finite floats (NaN, +/-Infinity) are rejected: ``json`` would emit the
     non-standard tokens ``NaN``/``Infinity`` for them, which silently
     round-trip through Python but are not valid JSON and would poison cache
-    keys (two NaN-parameterised scenarios can never compare equal).  A
-    :class:`~repro.analysis.table.ColumnTable` encodes as the list of its
-    rows.
+    keys (two NaN-parameterised scenarios can never compare equal).
     """
     try:
-        return json.dumps(
-            value,
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-            default=json_default,
-        )
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as error:
         raise ValueError(
             f"canonical_json: non-finite float in {value!r} ({error}); "

@@ -1,8 +1,9 @@
 """The sweep front-ends: plan chunk jobs, serve cache hits, execute the rest.
 
-Both front doors plan **chunk jobs** -- ``(kind, [params, ...])``, the one
-job shape every :class:`~repro.runner.executors.Executor` (serial, local
-process pool, or the distributed work queue of
+Both front doors plan **chunk jobs** -- ``(kind, params)``, a kind and a
+:class:`~repro.analysis.table.ColumnTable` of its points' parameters, the
+one job shape every :class:`~repro.runner.executors.Executor` (serial,
+local process pool, or the distributed work queue of
 :mod:`repro.runner.executors`) carries -- and hand them to one core,
 :func:`_evaluate_chunks`, which keys each chunk, serves it from the cache
 or ships it, and stores each shipped chunk's entry as its result lands:
@@ -12,7 +13,7 @@ contiguous slices of its scenarios, each evaluated in a single
 batch-runner call wherever the executor lands it (``chunk_size`` selects
 the slicing), and every other kind as one scenario per job -- a chunk of
 one, run by its scalar runner.  :func:`evaluate_chunked` is the
-list-of-params front door the exploration layer evaluates every
+parameter-table front door the exploration layer evaluates every
 generation through.  Executors receive only JSON-able chunks, so nothing
 non-picklable ever crosses a process (or host) boundary and results are
 identical however they were computed (in-process, in a pool worker, on
@@ -199,10 +200,10 @@ def _group_size(
     return resolve_chunk_size(chunk_size, total, align=align)
 
 
-def _run_each(kind: str, backend: str, params_list: List[Dict[str, Any]]) -> List[dict]:
+def _run_each(kind: str, backend: str, params_list: ColumnTable) -> List[dict]:
     """The batch runner of a kind that registers none: its scalar runner,
-    once per point, through ``REGISTRY.run`` (which rejects non-dict
-    results)."""
+    once per row of ``params_list`` (each a fresh dict), through
+    ``REGISTRY.run`` (which rejects non-dict results)."""
     return [
         REGISTRY.run(Scenario(name=kind, kind=kind, params=params), backend=backend)
         for params in params_list
@@ -216,18 +217,15 @@ def _run_chunk(
 ) -> ChunkResult:
     """Worker entry point: execute one chunk job -- the only job shape.
 
-    A batch-capable kind runs its batch runner once over the chunk; any
-    other kind runs its scalar runner per point (its chunks hold one point
-    each).  The runner gets a chunk that is a
-    :class:`~repro.analysis.table.ColumnTable` (a slice of an exploration's
-    parameter table) as is, and copies of the mappings of any other chunk.
+    A batch-capable kind runs its batch runner once over the chunk's
+    :class:`~repro.analysis.table.ColumnTable` of parameters; any other
+    kind runs its scalar runner per point (its chunks hold one point each).
     Module-level and bound only to JSON-able arguments so it crosses pickle
     (pool) and JSON (workqueue) boundaries; the workqueue worker rebuilds
-    this exact call from the job payload, a parameter table decoded from
-    its wire form still a table.  Returns a
-    :class:`~repro.analysis.table.ColumnTable` of the per-point results (in
-    chunk order; a scalar runner's row dicts become one) plus the chunk's
-    wall seconds.
+    this exact call from the job payload, the parameter table decoded from
+    its wire form.  Returns a :class:`~repro.analysis.table.ColumnTable` of
+    the per-point results (in chunk order; a scalar runner's row dicts
+    become one) plus the chunk's wall seconds.
 
     The submitter creates ``segment_memo_dir`` before it submits, so a
     worker on its host or on a shared mount attaches the disk layer.  A
@@ -242,8 +240,6 @@ def _run_chunk(
         segment_memo_dir = None
     configure_segment_memo(segment_memo_dir)
     runner = REGISTRY.batch_runner(kind, backend) or partial(_run_each, kind, backend)
-    if not isinstance(params_list, ColumnTable):
-        params_list = [dict(params) for params in params_list]
     start = time.perf_counter()
     results = runner(params_list)
     elapsed_s = time.perf_counter() - start
@@ -396,10 +392,12 @@ def evaluate_chunked(
     ``executor``, with per-chunk result caching.
 
     The exploration layer's only evaluation front door: one parameter
-    mapping per point -- a :class:`~repro.analysis.table.ColumnTable` of
-    them is cut into chunks that are slices of it, so no mapping is built
-    until a chunk is keyed or runs a scalar runner -- and one
-    :class:`~repro.analysis.table.ColumnTable` of results per call, in
+    mapping per point, as a :class:`~repro.analysis.table.ColumnTable` (a
+    sequence of mappings is read as
+    :meth:`~repro.analysis.table.ColumnTable.of` reads it) cut into chunks
+    that are slices of it, so no mapping is built until a chunk runs a
+    scalar runner -- and one :class:`~repro.analysis.table.ColumnTable` of
+    results per call, in
     input order, byte-identical to a single in-process batch call (which
     is exactly what a serial executor with the default ``chunk_size=None``
     performs, and whose table is returned as is).  Several chunks --
@@ -411,15 +409,15 @@ def evaluate_chunked(
     ``cache`` stores one entry per chunk job (see
     :func:`_evaluate_chunks`), so a warm rerun skips whole chunks without
     executing anything.  ``align`` feeds the auto chunk-size heuristic so
-    cache keys stay stable across runs that share a design space.  Returns ``(table, cached_points)`` where ``cached_points``
-    counts points served from the chunk cache.
+    cache keys stay stable across runs that share a design space.  Returns
+    ``(table, cached_points)`` where ``cached_points`` counts points served
+    from the chunk cache.
     """
     from ..analysis.table import ColumnTable  # NumPy: imported where used
 
     _validate_chunk_size(chunk_size)
     REGISTRY.runner(kind, backend)  # fail up front, not inside a worker
-    if not isinstance(params_list, ColumnTable):
-        params_list = list(params_list)
+    params_list = ColumnTable.of(params_list)
     total = len(params_list)
     if total == 0:
         return ColumnTable(), 0
@@ -478,6 +476,8 @@ def run_sweep(
         per job.  Kinds without a batch runner always run one scenario per
         chunk, in input order.
     """
+    from ..analysis.table import ColumnTable  # NumPy: imported where used
+
     if backend not in BACKENDS:
         raise KeyError(f"unknown backend {backend!r}; known: {list(BACKENDS)}")
     _validate_chunk_size(chunk_size)
@@ -511,7 +511,10 @@ def run_sweep(
             members.append(group[start:stop])
     members.extend(singles)
     chunks = [
-        ChunkJob(distinct[part[0]].kind, [dict(distinct[key].params) for key in part])
+        ChunkJob(
+            distinct[part[0]].kind,
+            ColumnTable.of([distinct[key].params for key in part]),
+        )
         for part in members
     ]
 

@@ -11,10 +11,10 @@ a dying worker held).
 
 Execution is the same code path as every other executor:
 :func:`repro.runner.sweep._run_chunk` on the job's **chunk** -- the one job
-shape, a ``(kind, params)`` pair (a list of mappings, or a column table
-decoded from its wire form) run as one batch-runner call, or one
-scalar-runner call for a kind without a batch runner -- with the job's
-segment-memo directory attached first.  Results are byte-identical to an
+shape, a ``(kind, params)`` pair whose parameter table is decoded from its
+wire form, run as one batch-runner call, or one scalar-runner call per
+point for a kind without a batch runner -- with the job's segment-memo
+directory attached first.  Results are byte-identical to an
 in-process run, and concurrent workers share memo and cache entries through
 the concurrent-writer-tolerant disk layers.
 """
@@ -79,11 +79,10 @@ def _execute(claimed, worker_id: str) -> Optional[_Result]:
     killed worker must look like a dead worker (claim left behind,
     recovered by orphan requeue), not like a failed job.
 
-    The identity's ``params`` are a list of mappings (a sweep's chunk) or
-    the wire form of a parameter table (an exploration's chunk, see
-    :func:`~repro.runner.cache.chunk_identity`).  A table is decoded with
+    The identity's ``params`` are the wire form of the chunk's parameter
+    table (see :func:`~repro.runner.cache.chunk_identity`), decoded with
     :func:`~repro.analysis.table.from_wire` and handed to the batch runner
-    as a table, so no dict is built per point; a malformed one is a
+    as a table, so no dict is built per point; anything else is a
     ``corrupt-job``.
     """
     job_id = claimed.job_id
@@ -116,15 +115,12 @@ def _execute(claimed, worker_id: str) -> Optional[_Result]:
             f"job was submitted from code version {job_version}, "
             f"this worker runs {code_version()}",
         )
+    from ..analysis.table import from_wire  # NumPy: imported where used
+
     try:
         chunk = decode_json_object(identity)
-        kind, params_list, backend = chunk["kind"], chunk["params"], chunk["backend"]
-        if isinstance(params_list, dict):
-            from ..analysis.table import from_wire  # NumPy: imported where used
-
-            params_list = from_wire(params_list)
-        elif not isinstance(params_list, list):
-            raise TypeError("chunk params must be a list or a table object")
+        kind, backend = chunk["kind"], chunk["backend"]
+        params_list = from_wire(chunk["params"])
     except (ValueError, KeyError, TypeError) as error:
         return _error(
             job_id, worker_id, "corrupt-job", f"cannot parse job file: {error}"

@@ -246,7 +246,8 @@ def test_bulk_digest(name):
     scalar_fn = _scalar(kind)
     expected = BULK_DIGESTS[name]
     assert _digest([scalar_fn(**p) for p in params_list]) == expected
-    assert _digest(REGISTRY.batch_runner(kind, "analytic")(params_list)) == expected
+    batch = REGISTRY.batch_runner(kind, "analytic")
+    assert _digest(list(batch(params_list))) == expected
 
 
 @pytest.mark.parametrize("name", sorted(EXTRAS))

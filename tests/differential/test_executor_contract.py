@@ -19,6 +19,7 @@ import os
 import threading
 import time
 
+from repro.analysis.table import from_wire
 from repro.runner import (REGISTRY, ProcessPoolExecutor, ResultCache,
                           WorkQueueExecutor, canonical_json, run_sweep,
                           run_worker)
@@ -102,7 +103,7 @@ class TestExecutorEquivalence:
         assert len(job_ids) == len(ENGINE_SET) and job_ids == sorted(job_ids)
         expected = [REGISTRY.get(name) for name in ENGINE_SET]
         chunks = [json.loads(job.partition("\n")[2]) for _, job in published]
-        assert [(c["kind"], c["params"]) for c in chunks] == [
+        assert [(c["kind"], from_wire(c["params"])) for c in chunks] == [
             (s.kind, [dict(s.params)]) for s in expected]
 
     def test_workqueue_populated_cache_serves_serial_identically(self,

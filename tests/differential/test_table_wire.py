@@ -105,7 +105,7 @@ def _assert_same_table(back, table):
     rows = list(table)
     assert back == rows
     assert [back[i] for i in range(len(back))] == rows
-    assert canonical_json(back) == canonical_json(table)
+    assert canonical_json(list(back)) == canonical_json(list(table))
     keys = {key for row in rows for key in row}
     assert {key: _dtype(back, key) for key in keys} == {
         key: _dtype(table, key) for key in keys

@@ -31,7 +31,7 @@ from repro.analysis.table import ColumnTable, from_wire  # noqa: E402
 from repro.explore import (Axis, Constraint, DesignSpace,  # noqa: E402
                            SearchStrategy, get_space, run_exploration)
 from repro.explore.space import Assignments, scale_seq_len  # noqa: E402
-from repro.runner import canonical_json  # noqa: E402
+from repro.runner import REGISTRY, canonical_json  # noqa: E402
 from repro.runner.cache import chunk_identity  # noqa: E402
 from repro.runner.sweep import partition_chunks  # noqa: E402
 
@@ -233,6 +233,19 @@ def test_chunk_identity_texts_are_those_of_the_point_params(name, fidelity):
         decoded = list(from_wire(json.loads(identity)["params"]))
         assert canonical_json(_typed(decoded)) == canonical_json(
             _typed(dicts[start:stop]))
+
+
+@pytest.mark.parametrize("name", REGISTRY.names())
+def test_scenario_chunk_identities_decode_to_the_scenario_params(name):
+    # A sweep ships each scenario as a row of a parameter table: a worker
+    # decodes the chunk's identity to the scenario's params, value for
+    # value and type for type, and a list of the same row is the same chunk.
+    scenario = REGISTRY.get(name)
+    params = dict(scenario.params)
+    identity = chunk_identity(scenario.kind, ColumnTable.of([params]), "engine")
+    decoded = from_wire(json.loads(identity)["params"])
+    assert [_typed(row) for row in decoded] == [_typed(params)]
+    assert chunk_identity(scenario.kind, [params], "engine") == identity
 
 
 def test_table_slices_share_columns_and_read_defaults():

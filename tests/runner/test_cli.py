@@ -381,7 +381,7 @@ class TestWorkerCommand:
         assert code == 0
         assert "processed 1 job(s)" in out
         _, entry = spool.result_path("cli.00000").read_text().split("\n")
-        assert canonical_json(from_wire(json.loads(entry)["results"])) == \
+        assert canonical_json(list(from_wire(json.loads(entry)["results"]))) == \
             canonical_json([REGISTRY.run(scenario)])
 
     def test_worker_rejects_non_positive_poll(self, capsys):
@@ -526,7 +526,7 @@ class TestSpoolCommands:
         assert "processed 1 job(s)" in out
         _, entry = spoold.spool.result_path(
             "cli.00000000").read_text().split("\n")
-        assert canonical_json(from_wire(json.loads(entry)["results"])) == \
+        assert canonical_json(list(from_wire(json.loads(entry)["results"]))) == \
             canonical_json([REGISTRY.run(scenario)])
 
 

@@ -182,6 +182,25 @@ class TestSpoolClaims:
         claimed = {path.stem for path in mine.claimed_dir.glob("*.json")}
         assert len(claimed) == 5  # every job claimed exactly once
 
+    def test_claim_raises_every_rename_error_but_a_lost_race(self, tmp_path,
+                                                            monkeypatch):
+        # Only a vanished job file means another worker claimed it first.
+        # Any other error skipped like a lost race would leave the job
+        # pending while the worker lists it again and again.
+        spool = Spool(tmp_path / "spool").ensure()
+        spool.enqueue("j.00000", _job_payload("j.00000", CHEAP))
+
+        def denied(src, dst):
+            raise PermissionError(13, "Permission denied", str(src))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", denied)
+            with pytest.raises(PermissionError):
+                spool.claim("w1")
+        pending = [path.name for path in spool.pending_dir.glob("*.json")]
+        assert pending == ["j.00000.json"]
+        assert not list(spool.claimed_dir.glob("*.json"))
+
 
 class TestSpoolOrphanRequeue:
     def test_stale_claim_is_requeued_with_identical_payload(self, tmp_path):
@@ -422,6 +441,19 @@ class TestWorkerLoop:
         result = json.loads(spool.result_path("j.00000").read_text())
         assert result["error"]["type"] == "corrupt-job"
         assert "bytes of <i8 for" in result["error"]["message"]
+
+    def test_params_as_a_list_of_dicts_are_a_corrupt_job(self, tmp_path):
+        # Every chunk ships its parameters as a table's wire form, so a
+        # worker reads no other form.
+        spool = Spool(tmp_path / "spool").ensure()
+        head, _, identity = _job_payload("j.00000", CHEAP).partition("\n")
+        chunk = json.loads(identity)
+        chunk["params"] = _chunk(CHEAP)[1]
+        spool.enqueue("j.00000", head + "\n" + json.dumps(chunk))
+        run_worker(spool.root, poll_s=0.01, max_jobs=1, worker_id="unit-worker")
+        result = json.loads(spool.result_path("j.00000").read_text())
+        assert result["error"]["type"] == "corrupt-job"
+        assert "expected a table object" in result["error"]["message"]
 
     def test_vanished_claim_publishes_nothing(self, tmp_path):
         # A stalled worker whose claim was orphan-requeued away must not
