@@ -16,13 +16,13 @@ columns and builds a row only where one is read:
   building a row, and reads a default for the rows that lack the key when
   given one.
 
-A table is a sequence of column blocks, each holding one column per key
-(a NumPy array, a plain list, or a nested :class:`ColumnTable` whose rows
-become dict-valued cells); a key with a mask appears only in the rows where
-its mask is true, so points of one generation may carry different keys.
-Rows that arrive as dicts (a scalar runner's results) become a column
-block of their own (:meth:`ColumnTable.of`), and :meth:`ColumnTable.concat`
-splices tables' blocks in order without converting any.
+A table holds one column per key (a NumPy array, a plain list, or a
+nested :class:`ColumnTable` whose rows become dict-valued cells); a key
+with a mask appears only in the rows where its mask is true, so points of
+one generation may carry different keys.  Rows that arrive as dicts (a
+scalar runner's results) become columns (:meth:`ColumnTable.of`), and
+:meth:`ColumnTable.concat` joins a generation's chunks into one table,
+copying each column once, so every table has the same form.
 
 :func:`to_wire` and :func:`from_wire` are the one JSON form of a table --
 the ``results`` of a work-queue chunk result and of a chunk-cache entry,
@@ -43,9 +43,8 @@ its wire form, or as ``list(table)`` where rows are wanted.
 from __future__ import annotations
 
 import binascii
-import bisect
 from collections.abc import Sequence
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -108,31 +107,85 @@ def _cell(column: Any, index: int) -> Any:
 _REQUIRED = object()
 
 
-class _Columns:
-    """A column block: ``columns`` in row key order, optional ``masks``."""
+def _missing(key: Any, index: int, keys: Iterable[Any]) -> KeyError:
+    return KeyError(
+        f"key {key!r} missing from row {index}, which has keys "
+        f"{sorted(map(str, keys))}"
+    )
 
-    __slots__ = ("columns", "masks", "length")
+
+def _join(parts: List[Tuple[Any, int]]) -> Any:
+    """One column of several parts' rows, from each part's ``(column,
+    rows)``; a part without the key has column ``None`` and filler cells."""
+    held = [column for column, _ in parts if column is not None]
+    if all(isinstance(column, ColumnTable) for column in held):
+        return ColumnTable.concat(
+            ColumnTable._of({}, n, {}) if c is None else c for c, n in parts
+        )
+    dtypes = {getattr(column, "dtype", None) for column in held}
+    if len(dtypes) == 1 and None not in dtypes:
+        (dtype,) = dtypes
+        return np.concatenate(
+            [np.zeros(n, dtype) if c is None else c for c, n in parts]
+        )
+    cells: List[Any] = []
+    for column, n in parts:
+        cells.extend([None] * n if column is None else _cells(column))
+    return exact_column(cells)
+
+
+class ColumnTable(Sequence):
+    """Rows of payloads, stored as columns and built where they are read.
+
+    ``ColumnTable(columns, masks=None)`` builds a table from ``columns``
+    (key -> array, list or nested table, all the same length; the dict's
+    order is the row key order) and optional ``masks`` (key -> boolean
+    array: the rows that carry that key).
+    """
+
+    __slots__ = ("_columns", "_masks", "_length")
 
     def __init__(
         self,
-        columns: Mapping[Any, Any],
-        length: int,
-        masks: Mapping[Any, np.ndarray],
+        columns: Optional[Mapping[Any, Any]] = None,
+        masks: Optional[Mapping[Any, np.ndarray]] = None,
     ):
+        columns = dict(columns or {})
+        length = len(next(iter(columns.values()))) if columns else 0
+        self._hold(columns, length, masks or {})
+
+    def _hold(
+        self, columns: Mapping[Any, Any], length: int, masks: Mapping[Any, Any]
+    ) -> "ColumnTable":
+        """Hold ``columns`` of ``length`` rows under ``masks``; a table of
+        no rows holds no column."""
         for key, column in columns.items():
             if len(column) != length:
                 raise ValueError(
                     f"column {key!r} has {len(column)} cells for {length} rows"
                 )
-        self.columns = dict(columns)
-        self.masks = {key: np.asarray(mask, dtype=bool) for key, mask in masks.items()}
-        self.length = length
+        if not length:
+            columns, masks = {}, {}
+        self._columns = dict(columns)
+        self._masks = {key: np.asarray(mask, dtype=bool) for key, mask in masks.items()}
+        self._length = length
+        return self
 
     @classmethod
-    def of_rows(cls, rows: Sequence[Mapping[Any, Any]]) -> "_Columns":
-        """``rows`` as one block: one list column per key in first-seen
-        order, and a key that some row lacks masked (``None`` stands in
-        its cell there)."""
+    def _of(
+        cls, columns: Mapping[Any, Any], length: int, masks: Mapping[Any, Any]
+    ) -> "ColumnTable":
+        """A table of ``length`` rows, which may hold no column at all."""
+        return cls.__new__(cls)._hold(columns, length, masks)
+
+    @classmethod
+    def of(cls, rows: Sequence[Mapping[Any, Any]]) -> "ColumnTable":
+        """``rows`` as a table: a table is returned as is, and a sequence
+        of row dicts becomes a column per key, in the order the keys first
+        appear, masked where a row lacks the key (``None`` stands in its
+        cell there)."""
+        if isinstance(rows, ColumnTable):
+            return rows
         length = len(rows)
         columns: Dict[Any, List[Any]] = {}
         counts: Dict[Any, int] = {}
@@ -150,21 +203,66 @@ class _Columns:
             for key, count in counts.items()
             if count < length
         }
-        return cls(columns, length, masks)
+        return cls._of(columns, length, masks)
 
-    def rows(self) -> List[Dict[Any, Any]]:
-        keys = list(self.columns)
-        cells = [_cells(column) for column in self.columns.values()]
+    @classmethod
+    def concat(
+        cls, parts: Iterable[Union["ColumnTable", Sequence[Mapping[Any, Any]]]]
+    ) -> "ColumnTable":
+        """The rows of ``parts`` in order, each part read as :meth:`of`
+        reads it, as one table.  Each key's columns are joined: arrays of
+        one dtype as one array, nested tables as one nested table, any
+        other cells through :func:`exact_column`; a key is masked over the
+        rows of a part that lacks it.  The keys keep every part's order: a
+        key new to the join goes right after the part's key before it."""
+        tables = [table for table in map(cls.of, parts) if len(table)]
+        if len(tables) < 2:
+            return tables[0] if tables else cls()
+        keys = [table.keys() for table in tables]
+        order: List[Any] = []
+        for part_keys in keys:
+            at = 0
+            for key in part_keys:
+                if key in order:
+                    at = order.index(key) + 1
+                else:
+                    order.insert(at, key)
+                    at += 1
+        lengths = [len(table) for table in tables]
+        columns: Dict[Any, Any] = {}
+        masks: Dict[Any, np.ndarray] = {}
+        for key in order:
+            has = [key in part_keys for part_keys in keys]
+            held = [t._columns[key] if h else None for t, h in zip(tables, has)]
+            columns[key] = _join(list(zip(held, lengths)))
+            if not all(has) or any(key in table._masks for table in tables):
+                masks[key] = np.concatenate(
+                    [
+                        t._masks.get(key, np.ones(n, dtype=bool))
+                        if kept
+                        else np.zeros(n, dtype=bool)
+                        for t, kept, n in zip(tables, has, lengths)
+                    ]
+                )
+        return cls._of(columns, sum(lengths), masks)
+
+    # ----------------------------------------------------------- sequence
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[Dict[Any, Any]]:
+        keys = list(self._columns)
+        cells = [_cells(column) for column in self._columns.values()]
         if not keys:
-            return [{} for _ in range(self.length)]
-        if not self.masks:
-            return [dict(zip(keys, row)) for row in zip(*cells)]
+            return iter([{} for _ in range(self._length)])
+        if not self._masks:
+            return iter([dict(zip(keys, row)) for row in zip(*cells)])
         # Rows that carry the same keys are built together.
-        present = np.array(
-            [self.masks.get(key, np.ones(self.length, dtype=bool)) for key in keys]
-        )
+        every = np.ones(self._length, dtype=bool)
+        present = np.array([self._masks.get(key, every) for key in keys])
         layouts, layout_of = np.unique(present.T, axis=0, return_inverse=True)
-        rows: List[Any] = [None] * self.length
+        rows: List[Any] = [None] * self._length
         for layout_index, layout in enumerate(layouts):
             positions = np.flatnonzero(layout_of.reshape(-1) == layout_index).tolist()
             chosen = [index for index, flag in enumerate(layout) if flag]
@@ -173,35 +271,49 @@ class _Columns:
             values = zip(*picked) if picked else [()] * len(positions)
             for position, row in zip(positions, values):
                 rows[position] = dict(zip(names, row))
-        return rows
+        return iter(rows)
 
-    def row(self, index: int) -> Dict[Any, Any]:
+    def __getitem__(self, index):
+        if isinstance(index, slice):  # a table sharing these columns
+            columns = {key: column[index] for key, column in self._columns.items()}
+            masks = {key: mask[index] for key, mask in self._masks.items()}
+            length = len(range(*index.indices(self._length)))
+            return ColumnTable._of(columns, length, masks)
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("table index out of range")
         return {
             key: _cell(column, index)
-            for key, column in self.columns.items()
-            if key not in self.masks or self.masks[key][index]
+            for key, column in self._columns.items()
+            if key not in self._masks or self._masks[key][index]
         }
 
-    def keys_of(self, index: int) -> List[Any]:
+    def keys(self) -> List[Any]:
+        """Every key some row carries, in the table's key order."""
         return [
             key
-            for key in self.columns
-            if key not in self.masks or self.masks[key][index]
+            for key in self._columns
+            if key not in self._masks or self._masks[key].any()
         ]
 
-    def column(self, key: Any, start: int, default: Any = _REQUIRED) -> np.ndarray:
-        """Column ``key``, reading ``default`` where a row lacks it (when
-        given); rows are numbered from ``start`` in errors."""
-        if key not in self.columns:
+    def column(self, key: Any, default: Any = _REQUIRED) -> np.ndarray:
+        """Every row's ``key`` as one array (see :func:`exact_column` for
+        its dtype).  A row without the key reads ``default`` when one is
+        given; without one, ``KeyError`` names the key and the first row
+        that lacks it."""
+        if not self._length:
+            return np.empty(0)
+        if key not in self._columns:
             if default is _REQUIRED:
-                raise _missing(key, start, self.keys_of(0))
-            return np.repeat(exact_column([default]), self.length)
-        mask = self.masks.get(key)
-        column = self.columns[key]
+                raise _missing(key, 0, self[0])
+            return np.repeat(exact_column([default]), self._length)
+        mask = self._masks.get(key)
+        column = self._columns[key]
         if mask is not None and not mask.all():
             if default is _REQUIRED:
                 index = int(np.argmin(mask))
-                raise _missing(key, start + index, self.keys_of(index))
+                raise _missing(key, index, self[index])
             cells = _cells(column)
             for index in np.flatnonzero(~mask).tolist():
                 cells[index] = default
@@ -209,141 +321,6 @@ class _Columns:
         if isinstance(column, np.ndarray):
             return column
         return exact_column(_cells(column))
-
-    def cut(self, rows: slice) -> "_Columns":
-        """The block of rows ``rows``, sharing this block's columns."""
-        length = len(range(*rows.indices(self.length)))
-        columns = {key: column[rows] for key, column in self.columns.items()}
-        masks = {key: mask[rows] for key, mask in self.masks.items()}
-        return _Columns(columns, length, masks)
-
-
-def _missing(key: Any, index: int, keys: Iterable[Any]) -> KeyError:
-    return KeyError(
-        f"key {key!r} missing from row {index}, which has keys "
-        f"{sorted(map(str, keys))}"
-    )
-
-
-class ColumnTable(Sequence):
-    """Rows of payloads, stored as columns and built where they are read.
-
-    ``ColumnTable(columns, masks=None)`` builds a one-block table from
-    ``columns`` (key -> array, list or nested table, all the same length;
-    the dict's order is the row key order) and optional ``masks`` (key ->
-    boolean array: the rows that carry that key).
-    """
-
-    __slots__ = ("_blocks", "_starts", "_length")
-
-    def __init__(
-        self,
-        columns: Optional[Mapping[Any, Any]] = None,
-        masks: Optional[Mapping[Any, np.ndarray]] = None,
-    ):
-        columns = dict(columns or {})
-        length = len(next(iter(columns.values()))) if columns else 0
-        blocks = [_Columns(columns, length, masks or {})] if length else []
-        self._set_blocks(blocks)
-
-    def _set_blocks(self, blocks: List[_Columns]) -> None:
-        self._blocks = blocks
-        self._starts: List[int] = []
-        total = 0
-        for block in blocks:
-            self._starts.append(total)
-            total += block.length
-        self._length = total
-
-    @classmethod
-    def _of_blocks(cls, blocks: List[_Columns]) -> "ColumnTable":
-        table = cls.__new__(cls)
-        table._set_blocks(blocks)
-        return table
-
-    @classmethod
-    def concat(
-        cls, parts: Iterable[Union["ColumnTable", Sequence[Mapping[Any, Any]]]]
-    ) -> "ColumnTable":
-        """The rows of ``parts`` in order, each part read as :meth:`of`
-        reads it: tables keep their blocks."""
-        blocks = [block for part in parts for block in cls.of(part)._blocks]
-        return cls._of_blocks(blocks)
-
-    @classmethod
-    def of(cls, rows: Sequence[Mapping[Any, Any]]) -> "ColumnTable":
-        """``rows`` as a table: a table is returned as is, and a sequence
-        of row dicts becomes one block with a column per key, in the order
-        the keys first appear, masked where a row lacks the key."""
-        if isinstance(rows, ColumnTable):
-            return rows
-        return cls._of_blocks([_Columns.of_rows(rows)] if len(rows) else [])
-
-    # ----------------------------------------------------------- sequence
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self) -> Iterator[Dict[Any, Any]]:
-        rows: List[Dict[Any, Any]] = []
-        for block in self._blocks:
-            rows.extend(block.rows())
-        return iter(rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._cut(index)
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("table index out of range")
-        slot = bisect.bisect_right(self._starts, index) - 1
-        return self._blocks[slot].row(index - self._starts[slot])
-
-    def _cut(self, rows: slice) -> "ColumnTable":
-        """The table of rows ``rows``: each block's rows in one cut of it
-        (a strided cut across several blocks builds its rows instead)."""
-        start, stop, step = rows.indices(self._length)
-        if len(self._blocks) == 1:
-            blocks = [self._blocks[0].cut(rows)]
-        elif step != 1:
-            return ColumnTable.of(
-                [self[position] for position in range(start, stop, step)]
-            )
-        else:
-            blocks = [
-                block.cut(slice(max(start - first, 0), max(stop - first, 0)))
-                for first, block in zip(self._starts, self._blocks)
-            ]
-        return ColumnTable._of_blocks([block for block in blocks if block.length])
-
-    def keys(self) -> List[Any]:
-        """Every key some row carries, in the order the keys first appear."""
-        keys: Dict[Any, None] = {}
-        for block in self._blocks:
-            for key in block.columns:
-                mask = block.masks.get(key)
-                if mask is None or mask.any():
-                    keys.setdefault(key)
-        return list(keys)
-
-    def column(self, key: Any, default: Any = _REQUIRED) -> np.ndarray:
-        """Every row's ``key`` as one array (see :func:`exact_column` for
-        its dtype).  A row without the key reads ``default`` when one is
-        given; without one, ``KeyError`` names the key and the first row
-        that lacks it."""
-        parts = [
-            block.column(key, start, default)
-            for start, block in zip(self._starts, self._blocks)
-        ]
-        if not parts:
-            return np.empty(0)
-        if len(parts) == 1:
-            return parts[0]
-        dtypes = {part.dtype for part in parts}
-        if len(dtypes) == 1 and object not in dtypes:
-            return np.concatenate(parts)
-        return exact_column([cell for part in parts for cell in part.tolist()])
 
     # --------------------------------------------------------- comparison
 
@@ -375,9 +352,9 @@ _DTYPES = {code: dtype for dtype, code in _BINARY.items()}
 def to_wire(
     table: Union[ColumnTable, Sequence[Mapping[str, Any]]], allow_nan: bool = True
 ) -> Dict[str, Any]:
-    """The JSON-able wire form of ``table``: a table of at most one block
-    (what a batch runner returns), or a sequence of row dicts read as
-    :meth:`ColumnTable.of` reads it.
+    """The JSON-able wire form of ``table``: any table (a batch runner's,
+    a slice, a :meth:`ColumnTable.concat` of chunks), or a sequence of row
+    dicts read as :meth:`ColumnTable.of` reads it.
 
     ``{"length": n, "columns": {key: cells}, "masks": {key: bits}}``.
     ``cells`` is the wire object of a nested table, or a column's values
@@ -393,42 +370,29 @@ def to_wire(
     ``masks`` when no key is masked.
 
     Keys must be ``str`` (``TypeError`` otherwise), since JSON would
-    silently turn any other key into one; a table spliced from several
-    blocks (:meth:`ColumnTable.concat`) raises ``ValueError``.  With
-    ``allow_nan=False``, a NaN or an infinity among the float64 cells that
-    ship as bytes raises ``ValueError``, as ``json.dumps(allow_nan=False)``
-    does for one in a list.
+    silently turn any other key into one.  With ``allow_nan=False``, a NaN
+    or an infinity among the float64 cells that ship as bytes raises
+    ``ValueError``, as ``json.dumps(allow_nan=False)`` does for one in a
+    list.
     """
-    table = ColumnTable.of(table)
-    if not table._blocks:
-        return {"length": 0, "columns": {}}
-    return _wire_block(_one_block(table), None, allow_nan)
+    return _wire_table(ColumnTable.of(table), None, allow_nan)
 
 
-def _one_block(table: ColumnTable) -> _Columns:
-    if len(table._blocks) != 1:
-        raise ValueError(
-            f"a table of {len(table._blocks)} blocks has no wire form; "
-            "encode each block's table on its own"
-        )
-    return table._blocks[0]
-
-
-def _wire_block(
-    block: _Columns, positions: Optional[np.ndarray], allow_nan: bool
+def _wire_table(
+    table: ColumnTable, positions: Optional[np.ndarray], allow_nan: bool
 ) -> Dict[str, Any]:
-    """The wire object of ``block``'s rows at ``positions`` (every row when
+    """The wire object of ``table``'s rows at ``positions`` (every row when
     ``None``)."""
     columns: Dict[str, Any] = {}
     masks: Dict[str, str] = {}
-    for key, column in block.columns.items():
+    for key, column in table._columns.items():
         if not isinstance(key, str):
             raise TypeError(
                 f"column key {key!r} is a {type(key).__name__}; a table's "
                 "wire form takes str keys only"
             )
         kept = positions
-        mask = block.masks.get(key)
+        mask = table._masks.get(key)
         if mask is not None:
             present = mask if positions is None else mask[positions]
             if not present.any():
@@ -437,7 +401,7 @@ def _wire_block(
                 masks[key] = (present.view(np.uint8) + ord("0")).tobytes().decode()
                 kept = np.flatnonzero(mask) if positions is None else positions[present]
         columns[key] = _wire_column(key, column, kept, allow_nan)
-    length = block.length if positions is None else len(positions)
+    length = table._length if positions is None else len(positions)
     wire: Dict[str, Any] = {"length": length, "columns": columns}
     if masks:
         wire["masks"] = masks
@@ -448,7 +412,7 @@ def _wire_column(
     key: str, column: Any, kept: Optional[np.ndarray], allow_nan: bool
 ) -> Any:
     if isinstance(column, ColumnTable):
-        return _wire_block(_one_block(column), kept, allow_nan)
+        return _wire_table(column, kept, allow_nan)
     cells = _shipped_cells(column, kept)
     if not isinstance(cells, np.ndarray):
         return cells
@@ -502,12 +466,13 @@ def from_wire(wire: Any, length: Optional[int] = None) -> ColumnTable:
         raise ValueError(f"expected a table object with a length, got {wire!r:.80}")
     if length is not None and count != length:
         raise ValueError(f"table has {count} rows for {length} points")
-    block = _read_block(wire, np.arange(count), count, "table")
-    return ColumnTable._of_blocks([block] if count else [])
+    return _read_table(wire, np.arange(count), count, "table")
 
 
-def _read_block(wire: Any, positions: np.ndarray, length: int, where: str) -> _Columns:
-    """A block of ``length`` rows whose rows ``positions`` are the rows of
+def _read_table(
+    wire: Any, positions: np.ndarray, length: int, where: str
+) -> ColumnTable:
+    """A table of ``length`` rows whose rows ``positions`` are the rows of
     the wire table ``wire``; its other rows carry no key."""
     if not isinstance(wire, dict):
         raise ValueError(f"{where} is a {type(wire).__name__}, not a table object")
@@ -538,12 +503,11 @@ def _read_block(wire: Any, positions: np.ndarray, length: int, where: str) -> _C
         elif isinstance(cells, dict) and "dtype" in cells:
             columns[key] = _spread(_read_binary(cells, len(kept), name), kept, length)
         else:
-            nested = _read_block(cells, kept, length, name)
-            columns[key] = ColumnTable._of_blocks([nested])
+            columns[key] = _read_table(cells, kept, length, name)
         if len(kept) < length:
             masks[key] = np.zeros(length, dtype=bool)
             masks[key][kept] = True
-    return _Columns(columns, length, masks)
+    return ColumnTable._of(columns, length, masks)
 
 
 def _read_binary(cells: Dict[str, Any], count: int, name: str) -> np.ndarray:

@@ -20,7 +20,7 @@ from .exceptions import (
 )
 from .functional_unit import FunctionalUnit, FUStats, PassthroughFU
 from .instruction import InstructionPacket, InstructionSizeReport, MOp, RSNProgram
-from .kernel import Delay, Fork, Parallel, Read, Wait, Write, drain, send_all
+from .kernel import Delay, Fork, Parallel, Read, Wait, Write, drain
 from .message import ControlToken, StreamMessage, TileMessage, dtype_size
 from .network import Datapath, Edge
 from .path import Path, PathProgram
@@ -73,5 +73,4 @@ __all__ = [
     "Write",
     "drain",
     "dtype_size",
-    "send_all",
 ]

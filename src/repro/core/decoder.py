@@ -206,15 +206,6 @@ class InstructionDecoder:
             yield Delay(self.config.uop_decode_seconds)
             yield Write(post, uop)
 
-    # -------------------------------------------------------------- analysis
-
-    def channel_names(self) -> List[str]:
-        return (
-            [c.name for c in self._mop_channels.values()]
-            + [c.name for c in self._pre_uop_channels.values()]
-            + [c.name for c in self._uop_channels.values()]
-        )
-
 
 class _EndOfStream:
     """Internal sentinel marking the end of a decoder-to-decoder stream."""

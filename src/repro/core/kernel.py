@@ -12,7 +12,7 @@ time spent transforming data, plus structured concurrency for the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterable, Sequence
+from typing import Any, Generator, Sequence
 
 __all__ = [
     "Delay",
@@ -22,7 +22,6 @@ __all__ = [
     "Fork",
     "Wait",
     "drain",
-    "send_all",
 ]
 
 
@@ -98,12 +97,3 @@ def drain(port: Any, count: int) -> Generator[Any, Any, list]:
         message = yield Read(port)
         messages.append(message)
     return messages
-
-
-def send_all(port: Any, messages: Iterable[Any]) -> Generator[Any, Any, int]:
-    """Write every message in ``messages`` to ``port``; return the count."""
-    count = 0
-    for message in messages:
-        yield Write(port, message)
-        count += 1
-    return count

@@ -140,10 +140,6 @@ class StreamChannel:
         """Remove and return the oldest ready message."""
         return self._queue.popleft()
 
-    def peek(self) -> Any:
-        """Return the oldest ready message without removing it."""
-        return self._queue[0]
-
     def close(self) -> None:
         """Mark the channel closed; further writes raise :class:`StreamClosedError`."""
         self.closed = True

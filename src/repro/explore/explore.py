@@ -37,6 +37,7 @@ from ..analysis.pareto import (
 from ..analysis.table import ColumnTable
 from ..runner.cache import ResultCache
 from ..runner.executors import Executor, SerialExecutor
+from ..runner.scenarios import check_contract
 from ..runner.sweep import _validate_chunk_size, evaluate_chunked, run_sweep
 from .space import Assignments, DesignSpace
 from .strategies import SearchStrategy
@@ -53,10 +54,6 @@ __all__ = [
     "run_exploration",
     "validate_weights",
 ]
-
-#: relative slack on the lower-bound comparison -- pure float-noise headroom,
-#: the analytic model itself is a true bound.
-_CONTRACT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -330,12 +327,7 @@ def _verify_frontier(
     verified = []
     for target, proxy, outcome in zip(targets, proxies, outcomes):
         engine = outcome.result
-        engine_latency = engine["latency_s"] * (1.0 + _CONTRACT_RTOL)
-        bound_ok = proxy["latency_s"] <= engine_latency
-        traffic_ok = (
-            proxy["ddr_bytes"] == engine["ddr_bytes"]
-            and proxy["lpddr_bytes"] == engine["lpddr_bytes"]
-        )
+        bound_ok, traffic_ok = check_contract(proxy, engine)
         engine_objectives = {}
         for objective in objectives:
             engine_objectives[objective.name] = objective.value(engine)

@@ -57,6 +57,7 @@ __all__ = [
     "DEFAULT_PORT",
     "NetSpool",
     "NetSpoolError",
+    "NetSpoolUnreachable",
     "PROTOCOL_VERSION",
     "SpoolServer",
     "parse_spool_url",
@@ -99,6 +100,10 @@ def parse_spool_url(url: str) -> Tuple[str, int]:
 
 class NetSpoolError(OSError):
     """The job server rejected an operation or cannot be reached."""
+
+
+class NetSpoolUnreachable(NetSpoolError):
+    """The job server cannot be reached (even after one reconnect)."""
 
 
 class _NetClaimedJob:
@@ -371,12 +376,15 @@ class NetSpool:
     The connection is shared between the worker's main loop and its
     heartbeat thread, so every round-trip holds a lock.  On a connection
     error each call reconnects and retries once; if the server is still
-    unreachable, polling operations (``claim``/``take_results``/
+    unreachable, polling operations (``claim``/``finish``/``take_results``/
     ``requeue_orphans``/``live_workers``) degrade to their empty results so
     the caller's poll loop simply tries again -- which is exactly what
     lets submitters and workers ride out a server restart -- while
     one-shot operations (``ensure``/``status``/``gc``) raise
-    :class:`NetSpoolError`.
+    :class:`NetSpoolUnreachable`.  A request the server rejects raises
+    :class:`NetSpoolError` from every operation but the best-effort ones
+    (``beat``/``clear_heartbeat``/``abandon``/``memo_sync``/``fs_now``),
+    as the directory transport raises the error behind it.
     """
 
     def __init__(self, url: str):
@@ -423,8 +431,8 @@ class NetSpool:
     def _call(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One request/response round-trip, with a single reconnect retry.
 
-        Raises :class:`NetSpoolError` both for unreachable servers and for
-        server-side rejections; tolerant wrappers below catch it.
+        Raises :class:`NetSpoolUnreachable` for an unreachable server and
+        :class:`NetSpoolError` for a server-side rejection.
         """
         with self._lock:
             try:
@@ -440,7 +448,7 @@ class NetSpool:
                     response = self._roundtrip_locked(request)
                 except (OSError, ValueError) as error:
                     self._disconnect_locked()
-                    raise NetSpoolError(
+                    raise NetSpoolUnreachable(
                         f"spool server {self.url} unreachable: {error}"
                     ) from None
         if not response.get("ok"):
@@ -482,7 +490,7 @@ class NetSpool:
     def claim(self, worker_id: str) -> Optional[_NetClaimedJob]:
         try:
             response = self._call({"op": "claim", "worker": worker_id})
-        except NetSpoolError:
+        except NetSpoolUnreachable:
             return None  # server briefly away: the poll loop retries
         job_id = response.get("job")
         if job_id is None:
@@ -499,7 +507,7 @@ class NetSpool:
                     "raw": json_text(payload),
                 }
             )
-        except NetSpoolError:
+        except NetSpoolUnreachable:
             # Result lost with the connection: the claim goes stale on the
             # server and orphan recovery re-runs the job (byte-identical by
             # the determinism contract).
@@ -509,7 +517,7 @@ class NetSpool:
     def take_results(self, prefix: str) -> Dict[str, str]:
         try:
             response = self._call({"op": "take_results", "prefix": prefix})
-        except NetSpoolError:
+        except NetSpoolUnreachable:
             return {}
         results = response.get("results")
         return dict(results) if isinstance(results, dict) else {}
@@ -530,7 +538,7 @@ class NetSpool:
             request["prefix"] = prefix
         try:
             response = self._call(request)
-        except NetSpoolError:
+        except NetSpoolUnreachable:
             return []
         requeued = response.get("requeued")
         return [str(job_id) for job_id in requeued] if requeued else []
@@ -544,7 +552,7 @@ class NetSpool:
     def live_workers(self, within_s: float, now: Optional[float] = None) -> List[str]:
         try:
             response = self._call({"op": "live_workers", "within_s": within_s})
-        except NetSpoolError:
+        except NetSpoolUnreachable:
             return []
         workers = response.get("workers")
         return [str(worker) for worker in workers] if workers else []
@@ -566,10 +574,9 @@ class NetSpool:
     ) -> List[Dict[str, Any]]:
         """Exchange segment-memo entries through the server's ``memo/``.
 
-        Degrades to an empty exchange when the server is away *or* predates
-        the op (an older server answers "unknown op", which :meth:`_call`
-        raises as :class:`NetSpoolError` too) -- the memo is an accelerator,
-        so a sweep against a PR-8-era ``spoold`` simply runs unwarmed.
+        Degrades to an empty exchange when the server is away or refuses
+        the exchange -- the memo is an accelerator, so such a sweep simply
+        runs unwarmed.
         """
         try:
             response = self._call(

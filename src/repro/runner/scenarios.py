@@ -46,7 +46,9 @@ __all__ = [
     "REGISTRY",
     "canonical_json",
     "BACKENDS",
+    "CONTRACT_RTOL",
     "DEFAULT_BACKEND",
+    "check_contract",
 ]
 
 
@@ -55,6 +57,26 @@ BACKENDS: Tuple[str, ...] = ("engine", "analytic")
 
 #: backend used when callers do not ask for one explicitly.
 DEFAULT_BACKEND = "engine"
+
+#: relative slack on the certified lower bound -- pure float-noise headroom
+#: (the engine sums latencies in another order); the analytic model itself
+#: is a true bound.
+CONTRACT_RTOL = 1e-9
+
+
+def check_contract(
+    analytic: Mapping[str, Any], engine: Mapping[str, Any]
+) -> Tuple[bool, bool]:
+    """The certified contract between one point's ``analytic`` and
+    ``engine`` payloads: ``(bound_ok, traffic_ok)``, whether the analytic
+    latency is at most the engine's (within :data:`CONTRACT_RTOL`) and
+    whether both backends move the same DDR and LPDDR bytes."""
+    bound_ok = analytic["latency_s"] <= engine["latency_s"] * (1.0 + CONTRACT_RTOL)
+    traffic_ok = (
+        analytic["ddr_bytes"] == engine["ddr_bytes"]
+        and analytic["lpddr_bytes"] == engine["lpddr_bytes"]
+    )
+    return bound_ok, traffic_ok
 
 
 def canonical_json(value: Any) -> str:

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..runner.cache import ResultCache
 from ..runner.executors import Executor
-from ..runner.scenarios import Scenario
+from ..runner.scenarios import CONTRACT_RTOL, Scenario, check_contract
 from ..runner.sweep import SweepOutcome, run_sweep
 from .cost import engine_params
 from .traffic import get_workload
@@ -31,10 +31,6 @@ __all__ = [
     "run_load_sweep",
     "throughput_latency_curve",
 ]
-
-#: same float-equality allowance as the DSE verify-top contract: latency
-#: sums accumulate in different order engine-side, nothing more.
-CONTRACT_RTOL = 1e-9
 
 
 def serve_scenarios(params: Dict[str, Any], loads: Sequence[float]) -> List[Scenario]:
@@ -151,11 +147,7 @@ def recertify_batch_mix(
     records = []
     for entry, outcome in zip(merged, outcomes):
         engine = outcome.result
-        bound_ok = entry["latency_s"] <= engine["latency_s"] * (1.0 + CONTRACT_RTOL)
-        traffic_ok = (
-            entry["ddr_bytes"] == engine["ddr_bytes"]
-            and entry["lpddr_bytes"] == engine["lpddr_bytes"]
-        )
+        bound_ok, traffic_ok = check_contract(entry, engine)
         records.append(
             {
                 "class": entry["class"],

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "gemm",
-    "bias_add",
     "softmax",
     "gelu",
     "layer_norm",
@@ -35,10 +34,6 @@ def gemm(
     if bias is not None:
         out = out + bias
     return out
-
-
-def bias_add(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return x + bias
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -97,6 +97,17 @@ def test_batch_table_keeps_the_scalar_key_order():
     assert json.dumps([table[i] for i in range(len(table))]) == json.dumps(expected)
 
 
+@pytest.mark.parametrize("chunk_size", range(1, 13))
+def test_chunked_table_keeps_the_scalar_key_order(chunk_size):
+    # Chunks of 2-chip and 4-chip points carry nested stage_bounds_s tables
+    # with different stage keys; joining them keeps every chunk's key order.
+    kind, params, expected = _GENERATIONS["chiplet-smoke"]
+    table, _ = evaluate_chunked(kind, params, backend="analytic",
+                                chunk_size=chunk_size)
+    assert json.dumps(list(table)) == json.dumps(expected)
+    assert json.dumps([table[i] for i in range(len(table))]) == json.dumps(expected)
+
+
 def test_cells_keep_their_python_types():
     # Ints beyond int64 and mixed-type cells live in object columns; a row
     # reads them back as the values they were, never as rounded floats.

@@ -7,7 +7,10 @@ int64 and bool columns, object columns holding ints beyond int64, mixed
 ints and floats, ``None`` and sequences, ``-0.0``, random masks, nested
 masked tables -- and for any list of row dicts, the decoded JSON text reads
 as the same rows, encodes to the same canonical JSON, and gives every
-key's column in the same dtype.
+key's column in the same dtype.  A :meth:`~repro.analysis.table.ColumnTable.concat`
+of drawn tables and row lists is one table of all their rows, which
+round-trips the same way and reads each column in the dtype
+:func:`~repro.analysis.table.exact_column` gives the rows' cells.
 
 Float64, int64 and bool columns ship as base64 of their little-endian
 bytes: the form follows the cells, not the container that held them, the
@@ -54,7 +57,7 @@ def _cells(draw, strategy, length):
 
 @st.composite
 def tables(draw, length=None, depth=0):
-    """A one-block table of ``length`` rows (drawn when ``None``)."""
+    """A table of ``length`` rows (drawn when ``None``)."""
     if length is None:
         length = draw(st.integers(min_value=1, max_value=8))
     kinds = ["float64", "int64", "bool", "objects", "list"]
@@ -201,10 +204,21 @@ def test_a_length_other_than_the_expected_raises_before_decoding():
     assert from_wire({"length": 1, "columns": {"e": [1]}}, length=1) == [{"e": 1}]
 
 
-def test_a_table_of_several_blocks_is_rejected():
-    table = ColumnTable({"e": np.array([1, 2])})
-    with pytest.raises(ValueError, match="2 blocks"):
-        to_wire(ColumnTable.concat([table, table]))
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(tables() | ROWS, min_size=1, max_size=4),
+       default=st.none() | FLOATS | INT64)
+def test_concat_joins_its_parts_into_one_table(parts, default):
+    rows = [row for part in parts for row in ColumnTable.of(part)]
+    table = ColumnTable.concat(parts)
+    assert table == rows
+    assert [table[i] for i in range(len(table))] == rows
+    assert canonical_json(list(table)) == canonical_json(rows)
+    text, back = _round_trip(table)
+    assert canonical_json(list(back)) == canonical_json(rows)
+    assert json.dumps(to_wire(back), sort_keys=True) == text
+    for key in {key for row in rows for key in row}:
+        cells = [row.get(key, default) for row in rows]
+        assert table.column(key, default).dtype == exact_column(cells).dtype
 
 
 def _binary(code, values):

@@ -21,8 +21,8 @@ from repro.analysis.table import from_wire
 from repro.runner.cache import chunk_identity, code_version, json_text
 from repro.runner.executors import Spool, format_job_id, open_spool
 from repro.runner.netqueue import (DEFAULT_PORT, NetSpool, NetSpoolError,
-                                   PROTOCOL_VERSION, SpoolServer,
-                                   parse_spool_url)
+                                   NetSpoolUnreachable, PROTOCOL_VERSION,
+                                   SpoolServer, parse_spool_url)
 from repro.runner.scenarios import Scenario
 from repro.runner.worker import _execute, run_worker
 
@@ -269,6 +269,26 @@ class TestConnectionLossDegradation:
             client.status()
         with pytest.raises(NetSpoolError):
             client.gc(60.0)
+        client.close()
+
+    def test_a_rejected_claim_raises_instead_of_reading_as_empty(
+            self, spoold, monkeypatch):
+        # A server-side rename error is no empty queue: a worker that read
+        # it as one would poll forever while the job stays pending.
+        client = NetSpool(spoold.url).ensure()
+        client.enqueue("b.00000000", _job_payload("b.00000000"))
+
+        def denied(src, dst):
+            raise PermissionError(13, "Permission denied", str(src))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", denied)
+            with pytest.raises(NetSpoolError, match="PermissionError") as error:
+                client.claim("w")
+        assert not isinstance(error.value, NetSpoolUnreachable)
+        pending = [path.name for path in spoold.spool.pending_dir.glob("*.json")]
+        assert pending == ["b.00000000.json"]
+        assert client.claim("w").job_id == "b.00000000"
         client.close()
 
     def test_client_reconnects_after_a_server_restart(self, tmp_path):
